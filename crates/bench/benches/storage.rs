@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 use std::hint::black_box;
 
-use anyk_storage::{FxHashMap, HashIndex, SortedIndex, Trie};
+use anyk_storage::{FxHashMap, HashIndex, Trie};
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
 
 fn bench_index_builds(c: &mut Criterion) {
@@ -17,9 +17,6 @@ fn bench_index_builds(c: &mut Criterion) {
         let rel = random_edge_relation(n, (n / 10) as u64, WeightDist::Uniform, None, 3);
         g.bench_with_input(BenchmarkId::new("hash_index", n), &rel, |b, rel| {
             b.iter(|| black_box(HashIndex::build(rel, &[0])))
-        });
-        g.bench_with_input(BenchmarkId::new("sorted_index", n), &rel, |b, rel| {
-            b.iter(|| black_box(SortedIndex::build(rel, &[0])))
         });
         g.bench_with_input(BenchmarkId::new("trie", n), &rel, |b, rel| {
             b.iter(|| black_box(Trie::build(rel, &[0, 1])))

@@ -14,6 +14,27 @@ pub struct RankedAnswer<C> {
     pub values: Vec<Value>,
 }
 
+impl<C> RankedAnswer<C> {
+    /// The tuple as `i64`s — convenience for integer-keyed workloads
+    /// (graph patterns), where every output value is a node id.
+    ///
+    /// # Panics
+    ///
+    /// If any value is not a [`Value::Int`] (e.g. a float attribute or
+    /// an interned string). Servers handling mixed-type catalogs should
+    /// use [`RankedAnswer::try_ints`] instead.
+    pub fn ints(&self) -> Vec<i64> {
+        self.try_ints()
+            .expect("RankedAnswer::ints on non-Int values; use try_ints")
+    }
+
+    /// The tuple as `i64`s, or `None` if any value is not an
+    /// integer — the non-panicking form of [`RankedAnswer::ints`].
+    pub fn try_ints(&self) -> Option<Vec<i64>> {
+        self.values.iter().map(|v| v.as_int()).collect()
+    }
+}
+
 /// The *any-k* ("anytime top-k") contract: an iterator that yields
 /// answers in non-decreasing cost order, one at a time, without knowing
 /// `k` in advance (Part 3 of the paper). Implemented by

@@ -1,23 +1,25 @@
 //! Ranked union: merge several ranked streams into one global ranked
 //! stream — the glue of the union-of-trees technique (§3: submodular
 //! width "decomposes a cyclic query into a union of multiple trees,
-//! each one receiving a subset of the input") and of scatter-gather
-//! serving across hash-partitioned shards.
+//! each one receiving a subset of the input") and of every union the
+//! engine serves: hash-partitioned shards, base-⊎-delta terms, or both
+//! flattened into one list of leaves.
 //!
-//! Because the cases (or shards) partition the output, no
+//! Because the cases (or shards, or terms) partition the output, no
 //! de-duplication is needed; the merge is a k-way **tournament tree**
-//! (loser tree) with O(log #streams) delay overhead. Two tie policies
-//! share the same tree:
+//! (loser tree) with O(log #streams) delay overhead. It is a shell
+//! until the first `next()`, which pulls one head per stream. Two tie
+//! policies share the same merge body:
 //!
 //! * [`RankedUnion`] — arrival order: equal-cost answers keep the order
 //!   in which they were pulled from the inputs. This is the historical
 //!   union-of-trees behaviour.
 //! * [`RankedMerge`] — canonical order: equal-cost answers are emitted
 //!   sorted by output tuple (`Vec<Value>` has a total order), then by
-//!   stream index. Feeding it streams wrapped in [`CanonicalOrder`]
+//!   stream index. It wraps every input in [`CanonicalOrder`], which
 //!   makes the merged stream byte-identical regardless of how answers
-//!   were partitioned across the inputs — the contract sharded serving
-//!   relies on.
+//!   were partitioned across the inputs — the contract sharded and
+//!   delta-backed serving rely on.
 
 use crate::answer::{AnyK, RankedAnswer};
 use anyk_storage::Value;
@@ -144,17 +146,22 @@ impl<C: Clone + Ord, I: Iterator<Item = RankedAnswer<C>>> CanonicalOrder<C, I> {
             None => return,
         };
         let cost = first.cost.clone();
-        let mut run = vec![first];
+        // Refill the (drained) run buffer in place, so a tie-free
+        // stream costs no allocation per answer; `clear` rewinds the
+        // ring to its start, which keeps `make_contiguous` free.
+        self.run.clear();
+        self.run.push_back(first);
         for a in self.inner.by_ref() {
             if a.cost == cost {
-                run.push(a);
+                self.run.push_back(a);
             } else {
                 self.lookahead = Some(a);
                 break;
             }
         }
-        run.sort_by(|a, b| a.values.cmp(&b.values));
-        self.run = run.into();
+        self.run
+            .make_contiguous()
+            .sort_by(|a, b| a.values.cmp(&b.values));
     }
 }
 
@@ -193,6 +200,7 @@ struct HeadEntry<C> {
 /// tournament tree over them.
 struct Merge<I: AnyK> {
     streams: Vec<I>,
+    /// Empty until the first pull primes it; one slot per stream after.
     heads: Vec<Option<HeadEntry<I::Cost>>>,
     tree: TournamentTree,
     seq: u64,
@@ -219,22 +227,30 @@ fn beats<C: Ord>(heads: &[Option<HeadEntry<C>>], policy: TiePolicy, a: usize, b:
 }
 
 impl<I: AnyK> Merge<I> {
+    /// A shell only: no stream is pulled until [`prime`](Self::prime).
     fn new(streams: Vec<I>, policy: TiePolicy) -> Self {
         let n = streams.len();
-        let mut this = Merge {
+        Merge {
             streams,
             heads: Vec::with_capacity(n),
             tree: TournamentTree::new(n),
             seq: 0,
             policy,
-        };
-        for i in 0..n {
-            let head = this.pull(i);
-            this.heads.push(head);
         }
-        let (heads, policy) = (&this.heads, this.policy);
-        this.tree.rebuild(|a, b| beats(heads, policy, a, b));
-        this
+    }
+
+    /// Pull the first head of every stream and build the tree. Runs
+    /// once, on the first pull; later calls return immediately.
+    fn prime(&mut self) {
+        if self.heads.len() == self.streams.len() {
+            return;
+        }
+        for i in 0..self.streams.len() {
+            let head = self.pull(i);
+            self.heads.push(head);
+        }
+        let (heads, policy) = (&self.heads, self.policy);
+        self.tree.rebuild(|a, b| beats(heads, policy, a, b));
     }
 
     fn pull(&mut self, i: usize) -> Option<HeadEntry<I::Cost>> {
@@ -249,6 +265,7 @@ impl<I: AnyK> Merge<I> {
     }
 
     fn next_answer(&mut self) -> Option<RankedAnswer<I::Cost>> {
+        self.prime();
         let w = self.tree.winner()?;
         let head = self.heads[w].take()?;
         self.heads[w] = self.pull(w);
@@ -268,7 +285,8 @@ pub struct RankedUnion<I: AnyK> {
 }
 
 impl<I: AnyK> RankedUnion<I> {
-    /// Merge `streams`; pulls one head answer from each immediately.
+    /// Merge `streams`. Nothing is pulled until the first `next()`,
+    /// which takes one head answer from each.
     pub fn new(streams: Vec<I>) -> Self {
         RankedUnion {
             inner: Merge::new(streams, TiePolicy::Arrival),
@@ -306,6 +324,8 @@ pub struct RankedMerge<I: AnyK> {
 
 impl<I: AnyK> RankedMerge<I> {
     /// Merge `streams`, canonicalizing each input's tie groups first.
+    /// Nothing is pulled until the first `next()` (or
+    /// [`prime`](Self::prime)).
     pub fn new(streams: Vec<I>) -> Self {
         RankedMerge {
             inner: Merge::new(
@@ -313,6 +333,13 @@ impl<I: AnyK> RankedMerge<I> {
                 TiePolicy::Canonical,
             ),
         }
+    }
+
+    /// Do the first pull's set-up now — one head (and its tie run) per
+    /// input, then the tree build — so a caller can time it apart from
+    /// enumeration. Idempotent; `next()` calls it anyway.
+    pub fn prime(&mut self) {
+        self.inner.prime();
     }
 }
 

@@ -50,6 +50,7 @@
 //! ```
 
 mod error;
+mod merge;
 mod plan;
 mod prepared;
 mod rank;
@@ -57,10 +58,11 @@ mod shard;
 mod stream;
 
 pub use error::EngineError;
+pub use merge::ShardFanIn;
 pub use plan::{AnyKVariant, EngineOpts, IndexUse, Plan, Route};
 pub use prepared::PreparedQuery;
 pub use rank::{Cost, IntoCost, RankSpec};
-pub use shard::{ShardFanIn, ShardedEngine, ShardedPrepared, FRAGMENT_SUFFIX};
+pub use shard::{ShardedEngine, FRAGMENT_SUFFIX};
 pub use stream::{RankedAnswer, RankedStream};
 
 pub use anyk_obs::ObsRegistry;
@@ -1334,17 +1336,10 @@ impl QueryRequest<'_> {
     /// stream carries the engine's per-pull delay sampler (every Nth
     /// pull, to bound overhead) when recording is enabled.
     pub fn plan_report(self) -> Result<(RankedStream, PrepareReport), EngineError> {
-        let obs = Arc::clone(self.engine.obs());
         let (prepared, report) = self
             .engine
             .prepare_cached_report(&self.cq, self.rank, self.opts)?;
-        let stream = prepared.stream();
-        let stream = if obs.enabled() {
-            stream.sampled(obs)
-        } else {
-            stream
-        };
-        Ok((stream, report))
+        Ok((prepared.stream().sampled(self.engine.obs()), report))
     }
 }
 

@@ -10,9 +10,10 @@
 //! enumerate from the same shared preprocessing pass.
 
 use crate::error::EngineError;
+use crate::merge::ShardFanIn;
 use crate::plan::{AnyKVariant, Plan, Route};
 use crate::rank::{IntoCost, RankSpec};
-use crate::stream::{RankedAnswer, RankedStream};
+use crate::stream::{ErasedAnswers, RankedAnswer, RankedStream};
 
 use anyk_core::batch::materialize_ranked;
 use anyk_core::cyclic::{
@@ -24,6 +25,7 @@ use anyk_core::ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, S
 use anyk_core::rec::AnyKRec;
 use anyk_core::succorder::SuccessorKind;
 use anyk_core::tdp::TdpInstance;
+use anyk_obs::{Clock, ObsRegistry};
 use anyk_storage::{IndexProvider, Relation};
 use std::sync::Arc;
 
@@ -84,21 +86,35 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// The monomorphized prepared state, one arm per [`RankSpec`] — plus
-/// the delta-union composition over per-term prepared queries.
+/// A prepared query is one preprocessed route artifact or a union of
+/// them: ranked enumeration is closed under disjoint union, so shard
+/// parts, delta terms, and shards × terms all take the same shape.
 #[derive(Clone)]
 enum PreparedInner {
+    Leaf(PreparedLeaf),
+    Union(Arc<PreparedUnion>),
+}
+
+/// The monomorphized prepared state, one arm per [`RankSpec`].
+#[derive(Clone)]
+enum PreparedLeaf {
     Sum(PreparedRoute<SumCost>),
     Max(PreparedRoute<MaxCost>),
     Min(PreparedRoute<MinCost>),
     Prod(PreparedRoute<ProdCost>),
     Lex(PreparedRoute<LexCost>),
-    /// A query over delta-bearing relations: one prepared term per
-    /// union member of the telescoping base-⊎-delta decomposition,
-    /// streamed through the deterministic (cost, tuple, term) merge.
-    /// Ranked enumeration composes under union, so each term is just a
-    /// full [`PreparedQuery`] over its own relation snapshot.
-    Union(Arc<Vec<PreparedQuery>>),
+}
+
+/// Prepared queries whose answer multisets partition this query's:
+/// one per shard ([`ShardedEngine`](crate::ShardedEngine)), or one per
+/// term of the telescoping base-⊎-delta decomposition.
+struct PreparedUnion {
+    /// The members as handed to [`PreparedQuery::union`].
+    members: Vec<PreparedQuery>,
+    /// The members flattened: a member that is itself a union
+    /// contributes its leaves, each tagged with the index of the
+    /// top-level member it came from. One merge tree runs over these.
+    leaves: Vec<(usize, PreparedLeaf)>,
 }
 
 /// What preprocessing produced, by route family. Everything is behind
@@ -124,13 +140,9 @@ enum PreparedRoute<R: RankingFunction> {
 }
 
 impl<R: RankingFunction> PreparedRoute<R> {
-    /// Does this artifact hold a full materialized answer set?
-    fn is_materialized(&self) -> bool {
-        matches!(self, PreparedRoute::LazySorted(_))
-    }
-
-    /// For materialized artifacts: is the `O(r log r)` sort still
-    /// deferred? `None` on non-materialized routes.
+    /// For materialized artifacts ([`PreparedRoute::LazySorted`]): is
+    /// the `O(r log r)` sort still deferred? `None` on non-materialized
+    /// routes.
     fn sort_deferred(&self) -> Option<bool> {
         match self {
             PreparedRoute::LazySorted(lazy) => Some(!lazy.is_sorted()),
@@ -154,36 +166,50 @@ impl PreparedQuery {
         epoch: u64,
         indexes: &dyn IndexProvider,
     ) -> Result<Self, EngineError> {
-        let inner = match plan.rank {
+        let leaf = match plan.rank {
             RankSpec::Sum => {
-                PreparedInner::Sum(build_route::<SumCost>(&plan, rels, batch, indexes)?)
+                PreparedLeaf::Sum(build_route::<SumCost>(&plan, rels, batch, indexes)?)
             }
             RankSpec::Max => {
-                PreparedInner::Max(build_route::<MaxCost>(&plan, rels, batch, indexes)?)
+                PreparedLeaf::Max(build_route::<MaxCost>(&plan, rels, batch, indexes)?)
             }
             RankSpec::Min => {
-                PreparedInner::Min(build_route::<MinCost>(&plan, rels, batch, indexes)?)
+                PreparedLeaf::Min(build_route::<MinCost>(&plan, rels, batch, indexes)?)
             }
             RankSpec::Prod => {
-                PreparedInner::Prod(build_route::<ProdCost>(&plan, rels, batch, indexes)?)
+                PreparedLeaf::Prod(build_route::<ProdCost>(&plan, rels, batch, indexes)?)
             }
             RankSpec::Lex => {
-                PreparedInner::Lex(build_route::<LexCost>(&plan, rels, batch, indexes)?)
+                PreparedLeaf::Lex(build_route::<LexCost>(&plan, rels, batch, indexes)?)
             }
         };
-        Ok(PreparedQuery { plan, epoch, inner })
+        Ok(PreparedQuery {
+            plan,
+            epoch,
+            inner: PreparedInner::Leaf(leaf),
+        })
     }
 
-    /// Compose per-term prepared queries (the telescoping base-⊎-delta
-    /// decomposition built by the engine) into one prepared query whose
-    /// streams merge the term streams deterministically. `plan` is the
-    /// facade plan: it reports the original query with
-    /// [`Plan::deltas`](crate::Plan) counting the delta terms.
-    pub(crate) fn union(plan: Plan, terms: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
+    /// Compose prepared queries whose answers partition this query's —
+    /// per-shard parts, or the terms of the telescoping base-⊎-delta
+    /// decomposition — into one prepared query whose streams merge the
+    /// members canonically. Members that are themselves unions are
+    /// flattened, so shards × delta terms merge through a single tree.
+    /// `plan` is the facade plan: it reports the original query.
+    pub(crate) fn union(plan: Plan, members: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
+        let mut leaves = Vec::with_capacity(members.len());
+        for (i, member) in members.iter().enumerate() {
+            match &member.inner {
+                PreparedInner::Leaf(leaf) => leaves.push((i, leaf.clone())),
+                PreparedInner::Union(u) => {
+                    leaves.extend(u.leaves.iter().map(|(_, leaf)| (i, leaf.clone())))
+                }
+            }
+        }
         PreparedQuery {
             plan,
             epoch,
-            inner: PreparedInner::Union(Arc::new(terms)),
+            inner: PreparedInner::Union(Arc::new(PreparedUnion { members, leaves })),
         }
     }
 
@@ -199,21 +225,32 @@ impl PreparedQuery {
         self.epoch
     }
 
+    /// The prepared queries this one merges: the per-shard parts of a
+    /// sharded prepare (or the delta terms of a delta-backed one), just
+    /// `self` when it is not a union.
+    pub fn parts(&self) -> &[PreparedQuery] {
+        match &self.inner {
+            PreparedInner::Leaf(_) => std::slice::from_ref(self),
+            PreparedInner::Union(u) => &u.members,
+        }
+    }
+
+    /// This query's route artifacts: itself, or a union's leaves.
+    fn leaves(&self) -> impl Iterator<Item = &PreparedLeaf> {
+        let (one, many) = match &self.inner {
+            PreparedInner::Leaf(leaf) => (Some(leaf), &[][..]),
+            PreparedInner::Union(u) => (None, &u.leaves[..]),
+        };
+        one.into_iter().chain(many.iter().map(|(_, leaf)| leaf))
+    }
+
     /// Does this prepared artifact hold a full materialized answer set
     /// (the triangle route, and every `Batch` plan)? Such entries are
     /// the heaviest residents of the engine's plan cache and the first
     /// candidates for eviction under a capacity bound.
     pub fn holds_materialized_answers(&self) -> bool {
-        match &self.inner {
-            PreparedInner::Sum(r) => r.is_materialized(),
-            PreparedInner::Max(r) => r.is_materialized(),
-            PreparedInner::Min(r) => r.is_materialized(),
-            PreparedInner::Prod(r) => r.is_materialized(),
-            PreparedInner::Lex(r) => r.is_materialized(),
-            PreparedInner::Union(terms) => {
-                terms.iter().any(PreparedQuery::holds_materialized_answers)
-            }
-        }
+        // Exactly the artifacts that have a sort to defer.
+        self.sort_deferred().is_some()
     }
 
     /// For materialized artifacts: `Some(true)` while the `O(r log r)`
@@ -225,26 +262,27 @@ impl PreparedQuery {
     /// guarantee: a prepared materialized plan that has served one
     /// partial top-k stream must still report `Some(true)`.
     pub fn sort_deferred(&self) -> Option<bool> {
-        match &self.inner {
-            PreparedInner::Sum(r) => r.sort_deferred(),
-            PreparedInner::Max(r) => r.sort_deferred(),
-            PreparedInner::Min(r) => r.sort_deferred(),
-            PreparedInner::Prod(r) => r.sort_deferred(),
-            PreparedInner::Lex(r) => r.sort_deferred(),
-            // A union defers while any term still does; all-None (pure
-            // any-k terms) stays None.
-            PreparedInner::Union(terms) => terms
-                .iter()
-                .filter_map(PreparedQuery::sort_deferred)
-                .reduce(|a, b| a || b),
-        }
+        // A union defers while any leaf still does; all-None (pure
+        // any-k leaves) stays None.
+        self.leaves()
+            .filter_map(PreparedLeaf::sort_deferred)
+            .reduce(|a, b| a || b)
     }
 
     /// Spawn a fresh independent ranked stream over the shared prepared
     /// state. Costs only the stream shell (heaps seeded from the
-    /// prepared structures) — never the preprocessing.
+    /// prepared structures; a union's leaves are not pulled until the
+    /// first `next()`) — never the preprocessing.
     pub fn stream(&self) -> RankedStream {
-        self.stream_as(self.plan.variant.unwrap_or_default())
+        self.spawn(None).0
+    }
+
+    /// [`stream`](Self::stream) plus, for a union, its live
+    /// [`ShardFanIn`] handle: per-member rows pulled, tournament depth,
+    /// and — when `obs` is recording — the priming round's wall time
+    /// on `obs`'s clock. `None` when this query is not a union.
+    pub fn stream_traced(&self, obs: &ObsRegistry) -> (RankedStream, Option<Arc<ShardFanIn>>) {
+        self.spawn(obs.enabled().then(|| Arc::clone(obs.clock())))
     }
 
     /// A copy of this prepared query whose plan records `requested` as
@@ -259,36 +297,56 @@ impl PreparedQuery {
         p
     }
 
-    /// Spawn a stream driving the given any-k variant over the shared
+    /// Spawn a stream driving the plan's any-k variant over the shared
     /// artifact. `Batch` requests are prepared as
     /// [`PreparedRoute::LazySorted`], so the variant only selects among
-    /// PART successor orders and REC here.
-    fn stream_as(&self, variant: AnyKVariant) -> RankedStream {
-        let mut plan = self.plan.clone();
-        plan.variant = plan.variant.map(|_| variant);
-        let inner = match &self.inner {
-            PreparedInner::Sum(r) => stream_route(r, variant),
-            PreparedInner::Max(r) => stream_route(r, variant),
-            PreparedInner::Min(r) => stream_route(r, variant),
-            PreparedInner::Prod(r) => stream_route(r, variant),
-            PreparedInner::Lex(r) => stream_route(r, variant),
-            PreparedInner::Union(terms) => {
-                // Merge the term streams with the deterministic
-                // (cost, tuple, term) tie-break — the same machinery
-                // as the cross-shard fan-in, so the merged stream is
-                // canonical by construction.
-                let fan_in = Arc::new(crate::shard::ShardFanIn::new(terms.len()));
-                let streams: Vec<RankedStream> =
-                    terms.iter().map(|t| t.stream_as(variant)).collect();
-                return crate::shard::merge_streams(streams, plan, fan_in, None);
+    /// PART successor orders and REC here. A union spawns every leaf
+    /// under the facade plan's variant and merges them through one
+    /// tournament tree with the deterministic (cost, tuple, leaf)
+    /// tie-break, so the merged stream is canonical by construction.
+    fn spawn(&self, clock: Option<Arc<dyn Clock>>) -> (RankedStream, Option<Arc<ShardFanIn>>) {
+        let variant = self.plan.variant.unwrap_or_default();
+        let (inner, fan_in) = match &self.inner {
+            PreparedInner::Leaf(leaf) => (leaf.spawn(variant), None),
+            PreparedInner::Union(u) => {
+                let leaves = u
+                    .leaves
+                    .iter()
+                    .map(|(member, leaf)| (*member, leaf.spawn(variant)))
+                    .collect();
+                let (inner, fan_in) = crate::merge::merge_leaves(leaves, u.members.len(), clock);
+                (inner, Some(fan_in))
             }
         };
-        RankedStream { inner, plan }
+        let plan = self.plan.clone();
+        (RankedStream { inner, plan }, fan_in)
+    }
+}
+
+impl PreparedLeaf {
+    fn sort_deferred(&self) -> Option<bool> {
+        match self {
+            PreparedLeaf::Sum(r) => r.sort_deferred(),
+            PreparedLeaf::Max(r) => r.sort_deferred(),
+            PreparedLeaf::Min(r) => r.sort_deferred(),
+            PreparedLeaf::Prod(r) => r.sort_deferred(),
+            PreparedLeaf::Lex(r) => r.sort_deferred(),
+        }
+    }
+
+    fn spawn(&self, variant: AnyKVariant) -> ErasedAnswers {
+        match self {
+            PreparedLeaf::Sum(r) => stream_route(r, variant),
+            PreparedLeaf::Max(r) => stream_route(r, variant),
+            PreparedLeaf::Min(r) => stream_route(r, variant),
+            PreparedLeaf::Prod(r) => stream_route(r, variant),
+            PreparedLeaf::Lex(r) => stream_route(r, variant),
+        }
     }
 }
 
 /// Erase a concrete any-k iterator into the engine's answer type.
-fn erase<C, I>(it: I) -> Box<dyn Iterator<Item = RankedAnswer> + Send>
+fn erase<C, I>(it: I) -> ErasedAnswers
 where
     C: IntoCost,
     I: Iterator<Item = anyk_core::answer::RankedAnswer<C>> + Send + 'static,
@@ -365,10 +423,7 @@ where
 }
 
 /// Spawn one erased stream from a prepared route artifact.
-fn stream_route<R>(
-    route: &PreparedRoute<R>,
-    variant: AnyKVariant,
-) -> Box<dyn Iterator<Item = RankedAnswer> + Send>
+fn stream_route<R>(route: &PreparedRoute<R>, variant: AnyKVariant) -> ErasedAnswers
 where
     R: RankingFunction,
     R::Cost: IntoCost,
@@ -391,5 +446,84 @@ where
             v => erase(prep.stream_part(part_kind(v))),
         },
         PreparedRoute::LazySorted(lazy) => erase(lazy.stream()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ShardedEngine;
+    use anyk_query::cq::path_query;
+    use anyk_storage::{Catalog, RelationBuilder, Schema};
+
+    fn edge_rel(rows: impl IntoIterator<Item = (i64, i64, f64)>) -> Relation {
+        let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
+        for (x, y, w) in rows {
+            b.push_ints(&[x, y], w);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn union_of_unions_flattens_into_one_tree_with_per_member_rows() {
+        // 3 shards, appends to both relations: every shard part is a
+        // delta union of the base term plus a term per delta-bearing
+        // atom (the replicated R2 always; the pivot fragment R1#frag
+        // where the batch's hash partition left the shard any rows).
+        let q = path_query(2);
+        let mut catalog = Catalog::new();
+        catalog.register("R1", edge_rel((0..12).map(|i| (i, i % 4, 0.25 * i as f64))));
+        catalog.register("R2", edge_rel((0..4).map(|i| (i, 10 + i, 0.5 * i as f64))));
+        let sharded = ShardedEngine::new(catalog, 3).unwrap();
+        sharded
+            .append("R1", edge_rel([(20, 1, 0.1), (21, 2, 0.2), (22, 3, 0.3)]))
+            .unwrap();
+        sharded.append("R2", edge_rel([(1, 30, 0.7)])).unwrap();
+
+        let prepared = sharded.prepare(&q, RankSpec::Sum).unwrap();
+        let PreparedInner::Union(outer) = &prepared.inner else {
+            panic!("a sharded prepare is a union");
+        };
+        assert_eq!(prepared.parts().len(), 3, "one member per shard");
+        // Σ leaves sources, each tagged with its top-level member.
+        let mut tags = Vec::new();
+        for (shard, part) in prepared.parts().iter().enumerate() {
+            let PreparedInner::Union(inner) = &part.inner else {
+                panic!("shard {shard}: a delta-backed part is itself a union");
+            };
+            assert!(inner.leaves.len() >= 2, "base term + R2's delta term");
+            tags.extend(std::iter::repeat_n(shard, inner.leaves.len()));
+        }
+        let flat: Vec<usize> = outer.leaves.iter().map(|(m, _)| *m).collect();
+        assert_eq!(flat, tags);
+        assert!(
+            tags.len() > 6,
+            "some shard also carries an R1#frag delta term"
+        );
+
+        let obs = sharded.obs();
+        let (stream, fan_in) = prepared.stream_traced(obs);
+        let fan_in = fan_in.expect("a union reports fan-in");
+        assert_eq!(fan_in.shards(), 3, "rows stay per shard, not per leaf");
+        assert_eq!(
+            fan_in.depth(),
+            tags.len().next_power_of_two().ilog2(),
+            "⌈log₂ leaves⌉: the real tree over all leaves"
+        );
+        assert_eq!(fan_in.rows(), vec![0, 0, 0], "spawning pulls nothing");
+        // Fully drained, every member was pulled exactly its own answers.
+        let total = stream.count() as u64;
+        let per_shard: Vec<u64> = prepared
+            .parts()
+            .iter()
+            .map(|p| p.stream().count() as u64)
+            .collect();
+        assert_eq!(fan_in.rows(), per_shard);
+        assert_eq!(per_shard.iter().sum::<u64>(), total);
+        assert!(total > 0);
+        // A non-union has no fan-in and is its own single part.
+        let leaf = &prepared.parts()[0].parts()[0];
+        assert!(leaf.stream_traced(obs).1.is_none());
+        assert_eq!(leaf.parts().len(), 1);
     }
 }

@@ -20,28 +20,19 @@
 //!
 //! ## Deterministic cross-shard tie-break
 //!
-//! Each shard stream is wrapped in [`CanonicalOrder`] (equal-cost runs
-//! re-emitted sorted by output tuple — lookahead bounded by the largest
-//! tie group), and the k-way tournament-tree merge breaks cost ties by
-//! (output tuple, shard index). Because all query variables are output
-//! variables, equal tuples imply the same pivot row and therefore the
-//! same shard — so the merged stream is the *canonical* ranked stream:
-//! byte-identical to the single-engine stream's canonical form no
-//! matter how many shards produced it
-//! ([`RankedStream::canonical_ties`]).
+//! A sharded prepare is a plain [`PreparedQuery`] union over the
+//! per-shard parts (see [`crate::merge`]): one tournament merge with
+//! the canonical (cost, output tuple, leaf) tie-break, so the merged
+//! stream is byte-identical to the single-engine stream's canonical
+//! form ([`RankedStream::canonical_ties`]) at every shard count.
 
 use crate::error::EngineError;
-use crate::plan::Plan;
 use crate::prepared::PreparedQuery;
-use crate::rank::{Cost, RankSpec};
-use crate::stream::{RankedAnswer, RankedStream};
-use anyk_core::union::{CanonicalOrder, TournamentTree};
-use anyk_core::RankedAnswer as CoreAnswer;
-use anyk_obs::{Clock, ObsRegistry};
+use crate::rank::RankSpec;
+use crate::stream::RankedStream;
+use anyk_obs::ObsRegistry;
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_storage::{partition_relation, Catalog, Relation};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::{CacheStats, Engine, EngineOpts, PrepareReport, WriteStats};
@@ -337,15 +328,17 @@ impl ShardedEngine {
         Ok(pivot)
     }
 
-    /// Prepare `cq` under `rank` on every shard, returning a
-    /// [`ShardedPrepared`] whose streams merge into the canonical
-    /// globally-ranked stream. Runs under the coordination read lock,
-    /// so all per-shard prepares see the same logical catalog version.
+    /// Prepare `cq` under `rank` on every shard, returning the union
+    /// of the per-shard parts ([`PreparedQuery::parts`]): its streams
+    /// merge into the canonical globally-ranked stream, its plan
+    /// reports the original (un-scattered) query, and its epoch is the
+    /// coordination epoch. Runs under the coordination read lock, so
+    /// all per-shard prepares see the same logical catalog version.
     pub fn prepare(
         &self,
         cq: &ConjunctiveQuery,
         rank: RankSpec,
-    ) -> Result<ShardedPrepared, EngineError> {
+    ) -> Result<PreparedQuery, EngineError> {
         Ok(self.prepare_report(cq, rank)?.0)
     }
 
@@ -356,7 +349,7 @@ impl ShardedEngine {
         &self,
         cq: &ConjunctiveQuery,
         rank: RankSpec,
-    ) -> Result<(ShardedPrepared, PrepareReport), EngineError> {
+    ) -> Result<(PreparedQuery, PrepareReport), EngineError> {
         let coord = self
             .shared
             .coord
@@ -380,20 +373,12 @@ impl ShardedEngine {
         // rewrite is an internal addressing detail.
         let mut plan = parts[0].plan().clone();
         plan.query = cq.clone();
-        Ok((
-            ShardedPrepared {
-                parts,
-                plan,
-                pivot,
-                epoch: *coord,
-                obs: Arc::clone(self.shared.engines[0].obs()),
-            },
-            report,
-        ))
+        Ok((PreparedQuery::union(plan, parts, *coord), report))
     }
 
     /// This sharded engine's shard-0 observability registry (the
-    /// merged stream's clock; per-shard registries are reachable via
+    /// clock to hand [`PreparedQuery::stream_traced`]; per-shard
+    /// registries are reachable via
     /// [`shard_engines`](Self::shard_engines)).
     pub fn obs(&self) -> &Arc<ObsRegistry> {
         self.shared.engines[0].obs()
@@ -407,13 +392,7 @@ impl ShardedEngine {
         cq: &ConjunctiveQuery,
         rank: RankSpec,
     ) -> Result<RankedStream, EngineError> {
-        let stream = self.prepare(cq, rank)?.stream();
-        let obs = self.obs();
-        Ok(if obs.enabled() {
-            stream.sampled(Arc::clone(obs))
-        } else {
-            stream
-        })
+        Ok(self.prepare(cq, rank)?.stream().sampled(self.obs()))
     }
 
     /// Render the plan for `cq` plus the shard fan-out per atom: the
@@ -491,313 +470,6 @@ impl ShardedEngine {
     }
 }
 
-/// A query prepared on every shard: per-shard [`PreparedQuery`]s plus
-/// the facade plan. `Clone + Send + Sync` like its parts; any number of
-/// merged streams can be spawned, each an independent cursor.
-#[derive(Clone)]
-pub struct ShardedPrepared {
-    parts: Vec<PreparedQuery>,
-    plan: Plan,
-    pivot: usize,
-    epoch: u64,
-    /// Shard-0's registry, captured at prepare time: the merged
-    /// stream's clock for merge-time accounting (and its enable
-    /// switch).
-    obs: Arc<ObsRegistry>,
-}
-
-impl ShardedPrepared {
-    /// The facade plan (reports the original, un-scattered query).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The pivot atom that was scattered over hash fragments.
-    pub fn pivot_atom(&self) -> usize {
-        self.pivot
-    }
-
-    /// The coordination epoch this prepare ran at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The per-shard prepared queries (diagnostics and tests).
-    pub fn parts(&self) -> &[PreparedQuery] {
-        &self.parts
-    }
-
-    /// Spawn the merged, globally-ranked stream: one canonical-order
-    /// cursor per shard, k-way tournament-tree merge with the
-    /// (cost, tuple, shard) tie-break. Shard cursors refill in batches —
-    /// in parallel on multi-core hosts via scoped threads that always
-    /// join before `next()` returns, so a dropped stream can never leak
-    /// a shard cursor.
-    pub fn stream(&self) -> RankedStream {
-        self.stream_traced().0
-    }
-
-    /// [`stream`](Self::stream) plus a live [`ShardFanIn`] handle:
-    /// per-shard rows pulled, tournament depth, and merge-machinery
-    /// wall time, updated as the stream is consumed.
-    pub fn stream_traced(&self) -> (RankedStream, Arc<ShardFanIn>) {
-        let fan_in = Arc::new(ShardFanIn::new(self.parts.len()));
-        let streams: Vec<RankedStream> = self.parts.iter().map(PreparedQuery::stream).collect();
-        let clock = self.obs.enabled().then(|| Arc::clone(self.obs.clock()));
-        let stream = merge_streams(streams, self.plan.clone(), Arc::clone(&fan_in), clock);
-        (stream, fan_in)
-    }
-}
-
-/// Merge independent ranked streams into one canonical ranked stream:
-/// each source is wrapped in [`CanonicalOrder`] and the k-way
-/// tournament merge breaks cost ties by (output tuple, source index).
-/// The machinery behind both fan-ins that need a deterministic total
-/// order — the cross-**shard** merge and the base-⊎-delta **union**
-/// merge of a delta-backed prepared query.
-pub(crate) fn merge_streams(
-    streams: Vec<RankedStream>,
-    plan: Plan,
-    fan_in: Arc<ShardFanIn>,
-    clock: Option<Arc<dyn Clock>>,
-) -> RankedStream {
-    let n = streams.len();
-    let sources: Vec<ShardSource> = streams
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| ShardSource {
-            stream: CanonicalOrder::new(
-                Box::new(s.map(to_core)) as Box<dyn Iterator<Item = CoreAnswer<Cost>> + Send>
-            ),
-            buf: VecDeque::new(),
-            done: false,
-            fan_in: Arc::clone(&fan_in),
-            index: i,
-        })
-        .collect();
-    RankedStream {
-        inner: Box::new(ShardedIter {
-            sources,
-            tree: TournamentTree::new(n),
-            batch: 1,
-            parallel: std::thread::available_parallelism()
-                .map(|p| p.get() > 1)
-                .unwrap_or(false),
-            primed: false,
-            fan_in,
-            clock,
-        }),
-        plan,
-    }
-}
-
-/// Live shard fan-in telemetry for one merged stream: how many rows
-/// each shard fed the tournament merge, the merge tree's depth (the
-/// per-answer comparison cost is one root-to-leaf replay), and — when
-/// recording is enabled — wall time spent inside the merge machinery
-/// (batch refills + tree rebuilds/replays are not separable, so they
-/// are accounted together).
-#[derive(Debug)]
-pub struct ShardFanIn {
-    rows: Vec<AtomicU64>,
-    depth: u32,
-    merge_us: AtomicU64,
-}
-
-impl ShardFanIn {
-    pub(crate) fn new(shards: usize) -> ShardFanIn {
-        ShardFanIn {
-            rows: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            depth: if shards <= 1 {
-                0
-            } else {
-                (shards - 1).ilog2() + 1
-            },
-            merge_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Rows pulled from each shard so far.
-    pub fn rows(&self) -> Vec<u64> {
-        self.rows
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Number of shards feeding the merge.
-    pub fn shards(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Tournament-tree depth (⌈log₂ shards⌉; 0 unsharded).
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// Wall time spent in the merge machinery so far, µs (0 when
-    /// recording is disabled).
-    pub fn merge_us(&self) -> u64 {
-        self.merge_us.load(Ordering::Relaxed)
-    }
-}
-
-fn to_core(a: RankedAnswer) -> CoreAnswer<Cost> {
-    CoreAnswer {
-        cost: a.cost,
-        values: a.values,
-    }
-}
-
-/// Batch size cap for shard refills: large enough to amortize merge
-/// bookkeeping, small enough to keep the any-k "pay per answer"
-/// promise — a top-10 request never drains thousands per shard.
-const MAX_BATCH: usize = 512;
-
-struct ShardSource {
-    stream: CanonicalOrder<Cost, Box<dyn Iterator<Item = CoreAnswer<Cost>> + Send>>,
-    buf: VecDeque<CoreAnswer<Cost>>,
-    done: bool,
-    /// Shared fan-in telemetry (rows pulled are credited per shard).
-    fan_in: Arc<ShardFanIn>,
-    /// This source's shard index.
-    index: usize,
-}
-
-impl ShardSource {
-    /// Pull up to `batch` answers into the buffer.
-    fn refill(&mut self, batch: usize) {
-        let mut pulled = 0u64;
-        for _ in 0..batch {
-            match self.stream.next() {
-                Some(a) => {
-                    self.buf.push_back(a);
-                    pulled += 1;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        if pulled > 0 {
-            self.fan_in.rows[self.index].fetch_add(pulled, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Strict head comparator: a live buffer beats an exhausted one, then
-/// (cost, output tuple, shard index) — the canonical cross-shard
-/// tie-break. Total because shard indexes differ.
-fn beats(sources: &[ShardSource], a: usize, b: usize) -> bool {
-    match (sources[a].buf.front(), sources[b].buf.front()) {
-        (Some(x), Some(y)) => x
-            .cost
-            .cmp(&y.cost)
-            .then_with(|| x.values.cmp(&y.values))
-            .then_with(|| a.cmp(&b))
-            .is_lt(),
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        (None, None) => a < b,
-    }
-}
-
-/// The merged cursor over all shard streams.
-struct ShardedIter {
-    sources: Vec<ShardSource>,
-    tree: TournamentTree,
-    /// Per-source refill size; starts at 1 (flat time-to-first) and
-    /// doubles up to [`MAX_BATCH`] as the cursor proves deep.
-    batch: usize,
-    /// Refill needy shards on worker threads when the host has cores
-    /// to spare (cached once; scoped threads join before returning).
-    parallel: bool,
-    primed: bool,
-    /// Shared fan-in telemetry for this merged stream.
-    fan_in: Arc<ShardFanIn>,
-    /// `Some` when recording is enabled: refill rounds charge their
-    /// wall time to the fan-in's merge accounting.
-    clock: Option<Arc<dyn Clock>>,
-}
-
-impl ShardedIter {
-    /// Top up every empty, unfinished source, then rebuild the tree.
-    fn refill_round(&mut self) {
-        let t0 = self.clock.as_ref().map(|c| c.now_us());
-        let batch = self.batch;
-        let mut needy: Vec<&mut ShardSource> = self
-            .sources
-            .iter_mut()
-            .filter(|s| s.buf.is_empty() && !s.done)
-            .collect();
-        if self.parallel && needy.len() >= 2 {
-            std::thread::scope(|scope| {
-                for s in needy {
-                    scope.spawn(move || s.refill(batch));
-                }
-            });
-        } else {
-            for s in needy.iter_mut() {
-                s.refill(batch);
-            }
-        }
-        self.batch = (self.batch * 2).min(MAX_BATCH);
-        let sources = &self.sources;
-        self.tree.rebuild(|a, b| beats(sources, a, b));
-        if let (Some(clock), Some(t0)) = (self.clock.as_ref(), t0) {
-            self.fan_in
-                .merge_us
-                .fetch_add(clock.now_us().saturating_sub(t0), Ordering::Relaxed);
-        }
-    }
-}
-
-impl Iterator for ShardedIter {
-    type Item = RankedAnswer;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if !self.primed {
-            self.primed = true;
-            self.refill_round();
-        }
-        let w = self.tree.winner()?;
-        // Invariant: every source is non-empty or done, so an empty
-        // winner means every shard is exhausted.
-        let head = self.sources[w].buf.pop_front()?;
-        if self.sources[w].buf.is_empty() && !self.sources[w].done {
-            self.refill_round();
-        } else {
-            let sources = &self.sources;
-            self.tree.replay(w, |a, b| beats(sources, a, b));
-        }
-        Some(RankedAnswer {
-            cost: head.cost,
-            values: head.values,
-        })
-    }
-}
-
-impl RankedStream {
-    /// Re-emit this stream with equal-cost tie groups in the canonical
-    /// order (sorted by output tuple). Costs and the answer multiset
-    /// are untouched; lookahead is bounded by the largest tie group.
-    /// A sharded merged stream is *already* canonical — this adapter
-    /// puts a single-engine stream into the same total order, making
-    /// the two byte-comparable.
-    pub fn canonical_ties(self) -> RankedStream {
-        let RankedStream { inner, plan } = self;
-        let canon = CanonicalOrder::new(inner.map(to_core)).map(|a| RankedAnswer {
-            cost: a.cost,
-            values: a.values,
-        });
-        RankedStream {
-            inner: Box::new(canon),
-            plan,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,7 +482,6 @@ mod tests {
     #[test]
     fn sharded_engine_is_clone_send_sync() {
         assert_sharing::<ShardedEngine>();
-        assert_sharing::<ShardedPrepared>();
     }
 
     fn edge_rel(rows: &[(i64, i64, f64)]) -> Relation {

@@ -3,41 +3,17 @@
 use crate::plan::Plan;
 use crate::rank::Cost;
 use anyk_obs::ObsRegistry;
-use anyk_storage::Value;
 use std::sync::Arc;
 
 /// One answer from the unified engine: erased cost + output tuple
-/// (one [`Value`] per query variable, in `VarId` order).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedAnswer {
-    /// Cost under the requested [`RankSpec`](crate::RankSpec);
-    /// answers arrive in non-decreasing cost order.
-    pub cost: Cost,
-    /// The output tuple.
-    pub values: Vec<Value>,
-}
+/// (one [`Value`](anyk_storage::Value) per query variable, in `VarId`
+/// order). The core answer type at the erased [`Cost`] — answers cross
+/// the engine boundary, the ranked merge and the wire encoder without
+/// conversion.
+pub type RankedAnswer = anyk_core::RankedAnswer<Cost>;
 
-impl RankedAnswer {
-    /// The tuple as `i64`s — convenience for integer-keyed workloads
-    /// (graph patterns), where every output value is a node id.
-    ///
-    /// # Panics
-    ///
-    /// If any value is not a [`Value::Int`] (e.g. a float attribute or
-    /// an interned string). Servers handling mixed-type catalogs should
-    /// use [`RankedAnswer::try_ints`] instead.
-    pub fn ints(&self) -> Vec<i64> {
-        self.try_ints()
-            // LINT-ALLOW(no-panic-hot-path): documented panicking convenience; servers use try_ints.
-            .expect("RankedAnswer::ints on non-Int values; use try_ints")
-    }
-
-    /// The tuple as `i64`s, or `None` if any value is not an
-    /// integer — the non-panicking form of [`RankedAnswer::ints`].
-    pub fn try_ints(&self) -> Option<Vec<i64>> {
-        self.values.iter().map(|v| v.as_int()).collect()
-    }
-}
+/// What every route's enumerator is erased into.
+pub(crate) type ErasedAnswers = Box<dyn Iterator<Item = RankedAnswer> + Send>;
 
 /// A planner-routed ranked enumeration stream: answers arrive in
 /// non-decreasing cost order, one at a time, any `k`, without fixing
@@ -48,7 +24,7 @@ impl RankedAnswer {
 /// `Sync` — for concurrent serving, spawn one stream per thread from a
 /// shared [`PreparedQuery`](crate::PreparedQuery).
 pub struct RankedStream {
-    pub(crate) inner: Box<dyn Iterator<Item = RankedAnswer> + Send>,
+    pub(crate) inner: ErasedAnswers,
     pub(crate) plan: Plan,
 }
 
@@ -93,6 +69,10 @@ impl Iterator for RankedStream {
     }
 }
 
+impl anyk_core::AnyK for RankedStream {
+    type Cost = Cost;
+}
+
 /// Sample the inter-answer delay once per this many pulls: the
 /// sampler reads the clock only at window edges, so per-answer
 /// instrumentation cost is one increment and one branch.
@@ -102,7 +82,7 @@ pub(crate) const SAMPLE_EVERY: u64 = 16;
 /// every [`SAMPLE_EVERY`]th pull it records the window's mean
 /// per-answer delay into the registry's delay histogram.
 struct SampledPulls {
-    inner: Box<dyn Iterator<Item = RankedAnswer> + Send>,
+    inner: ErasedAnswers,
     obs: Arc<ObsRegistry>,
     pulls: u64,
     window_start_us: u64,
@@ -127,19 +107,22 @@ impl Iterator for SampledPulls {
 }
 
 impl RankedStream {
-    /// Wrap this stream with the registry's per-pull delay sampler.
-    /// Answers and order are untouched; only timing is observed. The
-    /// engine applies this automatically on its own streaming paths;
-    /// it is public for callers assembling streams from
-    /// [`ShardedPrepared::stream_traced`](crate::ShardedPrepared).
-    pub fn sampled(self, obs: Arc<ObsRegistry>) -> RankedStream {
-        let window_start_us = obs.now_us();
+    /// Wrap this stream with the registry's per-pull delay sampler —
+    /// or return it untouched when `obs` is not recording. Answers and
+    /// order are untouched; only timing is observed. The engine
+    /// applies this automatically on its own streaming paths; it is
+    /// public for callers assembling streams from
+    /// [`PreparedQuery::stream_traced`](crate::PreparedQuery::stream_traced).
+    pub fn sampled(self, obs: &Arc<ObsRegistry>) -> RankedStream {
+        if !obs.enabled() {
+            return self;
+        }
         RankedStream {
             inner: Box::new(SampledPulls {
                 inner: self.inner,
-                obs,
+                obs: Arc::clone(obs),
                 pulls: 0,
-                window_start_us,
+                window_start_us: obs.now_us(),
             }),
             plan: self.plan,
         }
@@ -152,7 +135,7 @@ mod tests {
     use crate::plan::{AnyKVariant, IndexUse, Plan, Route};
     use crate::rank::RankSpec;
     use anyk_query::cq::triangle_query;
-    use anyk_storage::Weight;
+    use anyk_storage::{Value, Weight};
 
     fn dummy_stream(costs: Vec<f64>) -> RankedStream {
         RankedStream {

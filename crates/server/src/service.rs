@@ -703,14 +703,9 @@ impl Backend {
             }
             Backend::Sharded(sharded) => {
                 let (prepared, report) = sharded.prepare_report(&cq, rank)?;
-                let (stream, fan_in) = prepared.stream_traced();
                 let obs = sharded.obs();
-                let stream = if obs.enabled() {
-                    stream.sampled(Arc::clone(obs))
-                } else {
-                    stream
-                };
-                Ok((stream, report, Some(fan_in)))
+                let (stream, fan_in) = prepared.stream_traced(obs);
+                Ok((stream.sampled(obs), report, fan_in))
             }
         }
     }
@@ -1163,6 +1158,24 @@ fn pull_page(
     (answers, false)
 }
 
+/// The shared front half of `SELECT` and `EXPLAIN ANALYZE`
+/// ([`Session::first_page`]): the admitted, planned stream with its
+/// first page pulled, and the provenance both replies are built from.
+struct FirstPage {
+    /// Held until the caller registers a cursor or returns.
+    slot: AdmissionSlot,
+    cursor: Cursor,
+    answers: Vec<RankedAnswer>,
+    done: bool,
+    fan_in: Option<Arc<ShardFanIn>>,
+    /// `Some` when the run was traced; stages filled, encode still 0.
+    trace: Option<QueryTrace>,
+    /// Plan start through page end on the service clock, µs.
+    served_us: u64,
+    /// Parse through page end, µs (0 when untraced).
+    wall_us: u64,
+}
+
 /// One client's session: a registry of live cursors over the shared
 /// service. Sessions are owned by a single client (connection thread
 /// or [`LocalClient`](crate::LocalClient)); the heavy state — prepared
@@ -1310,44 +1323,94 @@ impl Session {
         self.expired.push_back(cursor);
     }
 
+    /// Take an admission slot. A full service first consults the
+    /// shared deadline map — reaping expired cursors releases slots a
+    /// silent session would otherwise pin — then retries once before
+    /// rejecting.
+    fn admit(&self) -> Result<AdmissionSlot, ServeError> {
+        let admission = &self.service.admission;
+        if let Some(slot) = admission.try_acquire() {
+            return Ok(slot);
+        }
+        self.service.reap_expired_cursors();
+        admission.try_acquire().ok_or_else(|| {
+            self.service
+                .metrics
+                .admission_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            ServeError::AdmissionRejected {
+                open: admission.open.load(Ordering::Relaxed),
+                max: admission.max,
+            }
+        })
+    }
+
+    /// What `SELECT` and `EXPLAIN ANALYZE` share: admit, plan through
+    /// the engine's plan cache (every shard's, on a sharded backend —
+    /// repeated queries of one shape share preprocessing across all
+    /// sessions), pull the first page, and — when `traced` — assemble
+    /// the query's trace. Untraced runs skip the stage-seam clock reads
+    /// and the trace (`trace` is `None`, `wall_us` 0); the plan → page
+    /// interval is always measured.
+    fn first_page(
+        &self,
+        stmt: &crate::ast::SelectStmt,
+        parse_us: u64,
+        traced: bool,
+    ) -> Result<FirstPage, ServeError> {
+        let obs = &self.service.obs;
+        let t_enter_us = if traced { obs.now_us() } else { 0 };
+        let slot = self.admit()?;
+        let limit = stmt.limit.unwrap_or(self.service.config.default_page);
+        let started_us = obs.now_us();
+        let (mut stream, report, fan_in) =
+            self.service.backend.plan_report(stmt.to_cq(), stmt.rank)?;
+        let t_planned_us = if traced { obs.now_us() } else { 0 };
+        let mut lookahead = None;
+        let (answers, done) = pull_page(&mut stream, &mut lookahead, limit);
+        let end_us = obs.now_us();
+        let trace = traced.then(|| {
+            let mut trace = QueryTrace {
+                id: obs.next_id(),
+                route: route_id(stream.plan().route.label()),
+                rank: rank_id(&stmt.rank.to_string()),
+                cache: u64::from(report.cache_hit),
+                index: index_code(stream.plan().index),
+                rows: answers.len() as u64,
+                limit: limit as u64,
+                ..QueryTrace::default()
+            };
+            stage_fan_in(&mut trace, fan_in.as_deref());
+            fill_stages(
+                &mut trace,
+                parse_us,
+                started_us.saturating_sub(t_enter_us),
+                report.prepare_us,
+                t_planned_us.saturating_sub(started_us),
+                end_us.saturating_sub(t_planned_us),
+            );
+            trace
+        });
+        Ok(FirstPage {
+            slot,
+            cursor: Cursor { stream, lookahead },
+            answers,
+            done,
+            fan_in,
+            trace,
+            served_us: end_us.saturating_sub(started_us),
+            wall_us: parse_us.saturating_add(end_us.saturating_sub(t_enter_us)),
+        })
+    }
+
     fn select(
         &mut self,
         stmt: crate::ast::SelectStmt,
         parse_us: u64,
     ) -> Result<Response, ServeError> {
         let metrics = Arc::clone(&self.service.metrics);
-        let obs = Arc::clone(&self.service.obs);
-        let enabled = obs.enabled();
-        let t_enter_us = if enabled { obs.now_us() } else { 0 };
-        let slot = match self.service.admission.try_acquire() {
-            Some(slot) => slot,
-            None => {
-                // Admission consults the shared deadline map: a full
-                // service first reaps expired cursors — releasing
-                // slots a silent session would otherwise pin — then
-                // retries once before rejecting.
-                self.service.reap_expired_cursors();
-                self.service.admission.try_acquire().ok_or_else(|| {
-                    metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
-                    ServeError::AdmissionRejected {
-                        open: self.service.admission.open.load(Ordering::Relaxed),
-                        max: self.service.admission.max,
-                    }
-                })?
-            }
-        };
-        let page_size = stmt.limit.unwrap_or(self.service.config.default_page);
-        let started_us = obs.now_us();
-        // Prepared through the engine's plan cache (every shard's, on a
-        // sharded backend): repeated SELECTs of one query shape share
-        // preprocessing across all sessions.
-        let (mut stream, report, fan_in) =
-            self.service.backend.plan_report(stmt.to_cq(), stmt.rank)?;
-        let t_planned_us = if enabled { obs.now_us() } else { 0 };
-        let mut lookahead = None;
-        let (answers, done) = pull_page(&mut stream, &mut lookahead, page_size);
-        let end_us = obs.now_us();
-        let served_us = end_us.saturating_sub(started_us);
+        let page = self.first_page(&stmt, parse_us, self.service.obs.enabled())?;
+        let (answers, served_us) = (page.answers, page.served_us);
         if !answers.is_empty() {
             metrics.record_ttf(served_us);
         }
@@ -1357,39 +1420,16 @@ impl Session {
         metrics
             .answers_served
             .fetch_add(answers.len() as u64, Ordering::Relaxed);
-        if enabled {
-            let route = route_id(stream.plan().route.label());
-            let rank = rank_id(&stmt.rank.to_string());
-            obs.record_query(
-                route,
-                rank,
-                answers.len() as u64,
+        if let Some(trace) = page.trace {
+            self.service.obs.record_query(
+                trace.route,
+                trace.rank,
+                trace.rows,
                 (!answers.is_empty()).then_some(served_us),
-            );
-            let mut trace = QueryTrace {
-                id: obs.next_id(),
-                route,
-                rank,
-                cache: u64::from(report.cache_hit),
-                index: index_code(stream.plan().index),
-                rows: answers.len() as u64,
-                limit: page_size as u64,
-                ..QueryTrace::default()
-            };
-            stage_fan_in(&mut trace, fan_in.as_deref());
-            let plan_wall = t_planned_us.saturating_sub(started_us);
-            let pull_wall = end_us.saturating_sub(t_planned_us);
-            fill_stages(
-                &mut trace,
-                parse_us,
-                started_us.saturating_sub(t_enter_us),
-                report.prepare_us,
-                plan_wall,
-                pull_wall,
             );
             self.pending = Some(trace);
         }
-        if done {
+        if page.done {
             // Exhausted in one page: no cursor, the slot frees now.
             return Ok(Response::Page(Page {
                 cursor: None,
@@ -1399,11 +1439,11 @@ impl Session {
         }
         let id = self.next_cursor;
         self.next_cursor += 1;
-        self.cursors.insert(id, Cursor { stream, lookahead });
+        self.cursors.insert(id, page.cursor);
         self.service.deadlines.insert(
             (self.id, id),
             self.service.now_us().saturating_add(self.service.ttl_us()),
-            slot,
+            page.slot,
         );
         metrics.cursors_opened.fetch_add(1, Ordering::Relaxed);
         Ok(Response::Page(Page {
@@ -1503,75 +1543,34 @@ impl Session {
         stmt: crate::ast::SelectStmt,
         parse_us: u64,
     ) -> Result<Response, ServeError> {
-        let metrics = Arc::clone(&self.service.metrics);
-        let obs = Arc::clone(&self.service.obs);
-        let t_enter_us = obs.now_us();
-        let _slot = match self.service.admission.try_acquire() {
-            Some(slot) => slot,
-            None => {
-                self.service.reap_expired_cursors();
-                self.service.admission.try_acquire().ok_or_else(|| {
-                    metrics.admission_rejected.fetch_add(1, Ordering::Relaxed);
-                    ServeError::AdmissionRejected {
-                        open: self.service.admission.open.load(Ordering::Relaxed),
-                        max: self.service.admission.max,
-                    }
-                })?
-            }
-        };
-        let page_size = stmt.limit.unwrap_or(self.service.config.default_page);
-        let t_admitted_us = obs.now_us();
-        let (mut stream, report, fan_in) =
-            self.service.backend.plan_report(stmt.to_cq(), stmt.rank)?;
-        let t_planned_us = obs.now_us();
-        let mut lookahead = None;
-        let (answers, _done) = pull_page(&mut stream, &mut lookahead, page_size);
-        let t_pulled_us = obs.now_us();
-
-        let route_label = stream.plan().route.label();
-        let rank_label = stmt.rank.to_string();
-        let route = route_id(route_label);
-        let rank = rank_id(&rank_label);
-        let mut trace = QueryTrace {
-            id: obs.next_id(),
-            route,
-            rank,
-            cache: u64::from(report.cache_hit),
-            index: index_code(stream.plan().index),
-            rows: answers.len() as u64,
-            limit: page_size as u64,
-            ..QueryTrace::default()
-        };
-        stage_fan_in(&mut trace, fan_in.as_deref());
-        fill_stages(
-            &mut trace,
-            parse_us,
-            t_admitted_us.saturating_sub(t_enter_us),
-            report.prepare_us,
-            t_planned_us.saturating_sub(t_admitted_us),
-            t_pulled_us.saturating_sub(t_planned_us),
-        );
-        obs.record_query(route, rank, answers.len() as u64, None);
+        let page = self.first_page(&stmt, parse_us, true)?;
+        let trace = page.trace.unwrap_or_default();
+        let obs = &self.service.obs;
+        obs.record_query(trace.route, trace.rank, trace.rows, None);
         if obs.enabled() {
             // Published now, encode stage 0: the report itself is the
             // reply, not part of the measured query.
             self.pending = Some(trace);
             self.finish_trace(0);
         }
-
+        let plan = page.cursor.stream.plan();
         let report = AnalyzeReport {
-            route: route_label.to_string(),
-            rank: rank_label,
-            cache_hit: report.cache_hit,
-            index: stream.plan().index.label(),
+            route: plan.route.label().to_string(),
+            rank: stmt.rank.to_string(),
+            cache_hit: trace.cache != 0,
+            index: plan.index.label(),
             stage_us: trace.stage_us,
             // Encode is 0 here, so the contiguous stages sum to the
             // measured wall exactly.
-            wall_us: parse_us.saturating_add(t_pulled_us.saturating_sub(t_enter_us)),
-            rows: answers.len() as u64,
-            limit: page_size as u64,
+            wall_us: page.wall_us,
+            rows: trace.rows,
+            limit: trace.limit,
             shards: trace.shards as usize,
-            shard_rows: fan_in.as_deref().map(ShardFanIn::rows).unwrap_or_default(),
+            shard_rows: page
+                .fan_in
+                .as_deref()
+                .map(ShardFanIn::rows)
+                .unwrap_or_default(),
             merge_depth: trace.merge_depth as u32,
         };
         Ok(Response::Analyzed(Box::new(report)))

@@ -1,12 +1,11 @@
-//! Join-key indexes over relations.
+//! The join-key hash index.
 //!
-//! * [`HashIndex`] — equi-join lookups: key values → group of row ids.
-//! * [`SortedIndex`] — ordered access: binary-search range per key, plus
-//!   ordered iteration (used by sort-merge style operators and by
-//!   sorted-access top-k algorithms).
-//!
-//! Both are built *at query time*; the construction cost is part of every
-//! algorithm's measured cost, matching the paper's RAM-model accounting.
+//! [`HashIndex`] — equi-join lookups: key values → group of row ids. It
+//! is built *at query time* and owned by whoever built it (a T-DP
+//! instance, a semijoin pass); the construction cost is part of every
+//! algorithm's measured cost, matching the paper's RAM-model
+//! accounting. Catalog-resident, shared indexes are tries
+//! ([`crate::IndexCatalog`]) and only tries.
 
 use crate::fxhash::FxHashMap;
 use crate::relation::{Relation, RowId};
@@ -109,63 +108,6 @@ impl HashIndex {
     }
 }
 
-/// A sorted index: row ids ordered by the key attributes, with
-/// binary-search range lookup.
-#[derive(Debug)]
-pub struct SortedIndex {
-    key_positions: Vec<usize>,
-    /// Row ids sorted by key (ties by row id).
-    order: Vec<RowId>,
-}
-
-impl SortedIndex {
-    /// Build over `rel` ordered by the attributes at `key_positions`.
-    pub fn build(rel: &Relation, key_positions: &[usize]) -> Self {
-        let mut order: Vec<RowId> = (0..rel.len() as RowId).collect();
-        order.sort_by(|&x, &y| {
-            let rx = rel.row(x);
-            let ry = rel.row(y);
-            for &p in key_positions {
-                match rx[p].cmp(&ry[p]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            x.cmp(&y)
-        });
-        SortedIndex {
-            key_positions: key_positions.to_vec(),
-            order,
-        }
-    }
-
-    /// All row ids in key order.
-    pub fn ordered_rows(&self) -> &[RowId] {
-        &self.order
-    }
-
-    /// The contiguous range of rows (in index order) whose key equals
-    /// `key`.
-    pub fn range(&self, rel: &Relation, key: &[Value]) -> &[RowId] {
-        debug_assert_eq!(key.len(), self.key_positions.len());
-        let cmp_key = |rid: &RowId| {
-            let row = rel.row(*rid);
-            for (i, &p) in self.key_positions.iter().enumerate() {
-                match row[p].cmp(&key[i]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let lo = self
-            .order
-            .partition_point(|r| cmp_key(r) == std::cmp::Ordering::Less);
-        let hi = self.order[lo..].partition_point(|r| cmp_key(r) == std::cmp::Ordering::Equal) + lo;
-        &self.order[lo..hi]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,26 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_index_orders_and_ranges() {
-        let r = rel();
-        let idx = SortedIndex::build(&r, &[1]);
-        let ordered: Vec<i64> = idx
-            .ordered_rows()
-            .iter()
-            .map(|&rid| r.row(rid)[1].int())
-            .collect();
-        assert_eq!(ordered, vec![10, 10, 20, 30]);
-        let range = idx.range(&r, &[Value::Int(10)]);
-        assert_eq!(range.len(), 2);
-        assert!(idx.range(&r, &[Value::Int(99)]).is_empty());
-    }
-
-    #[test]
-    fn empty_relation_indexes() {
+    fn empty_relation_index() {
         let r = Relation::empty(Schema::new(["a"]));
         let h = HashIndex::build(&r, &[0]);
         assert_eq!(h.num_keys(), 0);
-        let s = SortedIndex::build(&r, &[0]);
-        assert!(s.ordered_rows().is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! # anyk-storage
 //!
 //! The relational substrate underlying the `anyk` project: compact values,
-//! weighted in-memory relations, and the index structures (hash, sorted,
-//! trie) that the join and ranked-enumeration algorithms are built on.
+//! weighted in-memory relations, and the index structures (hash, trie)
+//! that the join and ranked-enumeration algorithms are built on.
 //!
 //! The paper's complexity model (*Optimal Join Algorithms Meet Top-k*,
 //! SIGMOD 2020) assumes no pre-built indexes at query time — algorithms
@@ -20,7 +20,7 @@
 //! * [`relation`] — row-major weighted relations and builders.
 //! * [`delta`] — delta-backed relations: immutable base + append-only
 //!   `Arc`-shared delta batches, with threshold-driven compaction.
-//! * [`index`] — per-plan hash and sorted indexes over join keys.
+//! * [`index`] — the per-plan hash index over join keys.
 //! * [`trie`] — sorted nested tries for worst-case-optimal joins.
 //! * [`index_catalog`] — catalog-resident shared trie indexes
 //!   (lazy, LRU-bounded, payload-identity keyed).
@@ -48,7 +48,7 @@ pub use csv::{read_csv, read_csv_with_catalog, write_csv};
 pub use delta::{DeltaRelation, MIN_COMPACT_ROWS};
 pub use error::StorageError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use index::{HashIndex, SortedIndex};
+pub use index::HashIndex;
 pub use index_catalog::{
     BuildEachTime, IndexCatalog, IndexProvider, IndexStats, DEFAULT_INDEX_CATALOG_BYTES,
 };

@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use anyk_engine::{
         AnyKVariant, Cost, Engine, EngineError, EngineOpts, Plan, PreparedQuery, RankSpec,
-        RankedAnswer, RankedStream, Route, ShardedEngine, ShardedPrepared,
+        RankedAnswer, RankedStream, Route, ShardedEngine,
     };
     pub use anyk_query::cq::{cycle_query, path_query, star_query, triangle_query, QueryBuilder};
     pub use anyk_query::gyo::{gyo_reduce, is_acyclic, GyoResult};

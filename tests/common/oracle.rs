@@ -164,31 +164,60 @@ pub fn check_engine_against_oracle(
     got
 }
 
+/// The engine a write-path check drives: a single [`Engine`], or a
+/// [`ShardedEngine`] whose delta terms flatten into the shard merge.
+pub enum LiveEngine {
+    Single(Engine),
+    Sharded(ShardedEngine),
+}
+
+impl LiveEngine {
+    fn append(&self, name: &str, batch: Relation) -> Result<(), EngineError> {
+        match self {
+            LiveEngine::Single(e) => e.append(name, batch),
+            LiveEngine::Sharded(e) => e.append(name, batch),
+        }
+    }
+
+    fn compact(&self, name: &str) -> Result<bool, EngineError> {
+        match self {
+            LiveEngine::Single(e) => e.compact(name),
+            LiveEngine::Sharded(e) => e.compact(name),
+        }
+    }
+
+    fn stream(&self, q: &ConjunctiveQuery, rank: RankSpec) -> Result<RankedStream, EngineError> {
+        match self {
+            LiveEngine::Single(e) => Ok(e.prepare(q.clone(), rank)?.stream()),
+            LiveEngine::Sharded(e) => Ok(e.prepare(q, rank)?.stream()),
+        }
+    }
+}
+
 /// Write-path cross-check on one `(q, base, appends, rank)` instance.
 ///
-/// A live engine takes `appends` — `(atom index, batch)` pairs, in
-/// order — through [`Engine::append`], and its delta-backed prepared
-/// stream must (a) match the brute-force oracle over base ⊎ deltas
-/// and (b) be **byte-identical** to a fresh single-payload engine's
-/// canonical-tie stream: the delta union merges its terms with the
-/// canonical `(cost, values, source)` tie-break, so the equality is
-/// positional, not just tie-group-wise. Compacting every delta and
-/// re-preparing must serve the identical bytes again.
+/// `live` — freshly built over `base` — takes `appends` — `(atom
+/// index, batch)` pairs, in order — through its `append`, and its
+/// delta-backed prepared stream must (a) match the brute-force oracle
+/// over base ⊎ deltas and (b) be **byte-identical** to a fresh
+/// single-payload engine's canonical-tie stream: the union merges its
+/// leaves (delta terms, or shards × delta terms) with the canonical
+/// `(cost, values, leaf)` tie-break, so the equality is positional,
+/// not just tie-group-wise. Compacting every delta and re-preparing
+/// must serve the identical bytes again.
 ///
 /// Atoms must carry distinct relation names (the per-atom base ⊎
 /// deltas reconstruction maps batches by atom index).
 pub fn check_write_path_against_oracle(
+    live: LiveEngine,
     q: &ConjunctiveQuery,
     base: &[Relation],
     appends: &[(usize, Relation)],
     rank: RankSpec,
     label: &str,
 ) {
-    // The live engine receives the batches through the write path.
-    let engine = Engine::from_query_bindings(q, base.to_vec());
     for (atom, batch) in appends {
-        engine
-            .append(&q.atom(*atom).relation, batch.clone())
+        live.append(&q.atom(*atom).relation, batch.clone())
             .unwrap_or_else(|e| panic!("{label}: append: {e}"));
     }
     // Ground truth: base ⊎ deltas flattened per atom, in append order —
@@ -206,10 +235,9 @@ pub fn check_write_path_against_oracle(
         })
         .collect();
     let want = brute_force_ranked(q, &combined, rank);
-    let delta_backed: Vec<RankedAnswer> = engine
-        .prepare(q.clone(), rank)
+    let delta_backed: Vec<RankedAnswer> = live
+        .stream(q, rank)
         .unwrap_or_else(|e| panic!("{label}: delta prepare: {e}"))
-        .stream()
         .collect();
     assert_matches_oracle(&delta_backed, &want, &format!("{label}: delta-backed"));
 
@@ -227,16 +255,16 @@ pub fn check_write_path_against_oracle(
     );
 
     // Compaction folds the deltas into a fresh base payload; under the
-    // canonical tie-break the served bytes must not move.
+    // canonical tie-break the served bytes must not move. (A compacted
+    // single engine serves route tie order again — canonicalize it; on
+    // a merged stream the adapter is the identity.)
     for i in 0..q.num_atoms() {
-        engine
-            .compact(&q.atom(i).relation)
+        live.compact(&q.atom(i).relation)
             .unwrap_or_else(|e| panic!("{label}: compact: {e}"));
     }
-    let compacted: Vec<RankedAnswer> = engine
-        .prepare(q.clone(), rank)
+    let compacted: Vec<RankedAnswer> = live
+        .stream(q, rank)
         .unwrap_or_else(|e| panic!("{label}: post-compact prepare: {e}"))
-        .stream()
         .canonical_ties()
         .collect();
     assert_eq!(

@@ -11,7 +11,9 @@
 //! * `AnyKPart` builds successor orders on first touch (PR 2 — pinned
 //!   here so the win cannot silently rot);
 //! * the triangle route's prepared artifact defers its `O(r log r)`
-//!   sort past any number of partial first-stream pulls.
+//!   sort past any number of partial first-stream pulls;
+//! * a merged stream (shards, delta terms, the 4-cycle's case trees)
+//!   pulls nothing from any member until its first `next()`.
 
 mod common;
 
@@ -218,5 +220,91 @@ fn batch_artifacts_defer_their_sort_on_every_route() {
         let mut all1 = top;
         all1.extend(s1);
         assert_eq!(all1, s2, "{route}: lazy first stream == sorted cursor");
+    }
+}
+
+/// A canned ranked stream that counts how many answers were pulled
+/// from it — the member-side probe for the merge-laziness pins below.
+struct Probe {
+    costs: std::vec::IntoIter<f64>,
+    pulled: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl Iterator for Probe {
+    type Item = anyk::core::RankedAnswer<Weight>;
+    fn next(&mut self) -> Option<Self::Item> {
+        let c = self.costs.next()?;
+        self.pulled
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Some(anyk::core::RankedAnswer {
+            cost: Weight::new(c),
+            values: vec![Value::Int(c as i64)],
+        })
+    }
+}
+
+impl AnyK for Probe {
+    type Cost = Weight;
+}
+
+#[test]
+fn spawning_a_merged_stream_pulls_nothing_until_the_first_next() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // The two core mergers — arrival order (the 4-cycle's union of
+    // case trees) and canonical order (shards, delta terms): building
+    // one is a shell; the first `next()` primes every member once.
+    let probes = || {
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let members: Vec<Probe> = [vec![1.0, 4.0], vec![2.0, 3.0], vec![]]
+            .into_iter()
+            .map(|costs| Probe {
+                costs: costs.into_iter(),
+                pulled: Arc::clone(&pulled),
+            })
+            .collect();
+        (members, pulled)
+    };
+    let (members, pulled) = probes();
+    let mut union = anyk::core::RankedUnion::new(members);
+    assert_eq!(pulled.load(Ordering::Relaxed), 0, "RankedUnion::new pulled");
+    assert_eq!(union.next().map(|a| a.cost.get()), Some(1.0));
+    assert!(pulled.load(Ordering::Relaxed) >= 2, "first next() primes");
+    let (members, pulled) = probes();
+    let mut merge = anyk::core::RankedMerge::new(members);
+    assert_eq!(pulled.load(Ordering::Relaxed), 0, "RankedMerge::new pulled");
+    assert_eq!(merge.next().map(|a| a.cost.get()), Some(1.0));
+    assert!(pulled.load(Ordering::Relaxed) >= 2, "first next() primes");
+
+    // The engine's merged streams, observed through the fan-in row
+    // counters: sharded, sharded over delta-backed parts (shards ×
+    // terms leaves in one tree), and a single engine's delta union.
+    let q = path_query(2);
+    let rels = vec![scrambled_edges(300, 20, 3), scrambled_edges(300, 20, 5)];
+    let sharded = ShardedEngine::try_from_query_bindings(&q, rels.clone(), 3).expect("sharded");
+    let single = Engine::from_query_bindings(&q, rels);
+    let batch = scrambled_edges(10, 20, 7);
+    single.append("R2", batch.clone()).expect("append");
+    let mut merged = vec![
+        ("sharded", sharded.prepare(&q, RankSpec::Sum)),
+        ("delta-backed", single.prepare(q.clone(), RankSpec::Sum)),
+    ];
+    sharded.append("R2", batch).expect("append");
+    merged.push(("sharded × delta-backed", sharded.prepare(&q, RankSpec::Sum)));
+    for (label, prepared) in merged {
+        let prepared = prepared.expect("prepare");
+        let (mut stream, fan_in) = prepared.stream_traced(single.obs());
+        let fan_in = fan_in.expect("a union reports fan-in");
+        assert_eq!(fan_in.shards(), prepared.parts().len());
+        assert!(
+            fan_in.rows().iter().all(|&r| r == 0),
+            "{label}: spawn pulled from a member: {:?}",
+            fan_in.rows()
+        );
+        assert!(stream.next().is_some());
+        assert!(
+            fan_in.rows().iter().all(|&r| r >= 1),
+            "{label}: the first next() primes every member: {:?}",
+            fan_in.rows()
+        );
     }
 }

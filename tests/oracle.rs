@@ -17,7 +17,7 @@ use anyk::prelude::*;
 use common::gen::{edge_rel, scrambled_edges, snowflake_query};
 use common::oracle::{
     assert_matches_oracle, brute_force_ranked, check_engine_against_oracle,
-    check_write_path_against_oracle, OracleAnswer,
+    check_write_path_against_oracle, LiveEngine, OracleAnswer,
 };
 
 /// A dense-ish fixed edge set with dyadic weights and deliberate
@@ -195,7 +195,10 @@ fn triangle_first_and_upgraded_streams_both_match_the_oracle() {
 // compaction must not move a byte (`check_write_path_against_oracle`).
 // ---------------------------------------------------------------------
 
-/// All five rankings over one `(q, base, appends)` write-path instance.
+/// All five rankings over one `(q, base, appends)` write-path
+/// instance, on a single engine and on a sharded one at N ∈ {1, 2, 3}
+/// — where each shard part is itself a delta union, so the stream is
+/// one merge tree over shards × terms leaves.
 fn check_write_path_all_ranks(
     q: &anyk::query::cq::ConjunctiveQuery,
     base: &[Relation],
@@ -203,7 +206,27 @@ fn check_write_path_all_ranks(
     route: &str,
 ) {
     for rank in RankSpec::ALL {
-        check_write_path_against_oracle(q, base, appends, rank, &format!("{route} × {rank}"));
+        let single = LiveEngine::Single(Engine::from_query_bindings(q, base.to_vec()));
+        check_write_path_against_oracle(
+            single,
+            q,
+            base,
+            appends,
+            rank,
+            &format!("{route} × {rank}"),
+        );
+        for shards in [1usize, 2, 3] {
+            let sharded = ShardedEngine::try_from_query_bindings(q, base.to_vec(), shards)
+                .unwrap_or_else(|e| panic!("{route}: sharded build: {e}"));
+            check_write_path_against_oracle(
+                LiveEngine::Sharded(sharded),
+                q,
+                base,
+                appends,
+                rank,
+                &format!("{route} × {rank} × {shards} shard(s)"),
+            );
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the storage substrate against simple models:
 //! tries vs sorted scans, indexes vs linear filters, dedup vs maps.
 
-use anyk::storage::{HashIndex, Relation, RelationBuilder, Schema, SortedIndex, Trie, Value};
+use anyk::storage::{HashIndex, Relation, RelationBuilder, Schema, Trie, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -78,19 +78,6 @@ proptest! {
         got.sort();
         let expect: Vec<u32> = (0..rel.len() as u32)
             .filter(|&i| rel.row(i)[0].int() == probe)
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    /// SortedIndex range lookup matches the model too.
-    #[test]
-    fn sorted_index_matches_filter(rows in arb_rows(40, 6), probe in 0i64..8) {
-        let rel = build(&rows);
-        let idx = SortedIndex::build(&rel, &[1]);
-        let mut got: Vec<u32> = idx.range(&rel, &[Value::Int(probe)]).to_vec();
-        got.sort();
-        let expect: Vec<u32> = (0..rel.len() as u32)
-            .filter(|&i| rel.row(i)[1].int() == probe)
             .collect();
         prop_assert_eq!(got, expect);
     }
