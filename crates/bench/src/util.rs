@@ -28,6 +28,21 @@ pub fn time_stable<F: FnMut()>(mut f: F, min_total: f64) -> f64 {
     }
 }
 
+/// Median and median absolute deviation of `samples` (sorted in place).
+pub fn median_mad(samples: &mut [f64]) -> (f64, f64) {
+    fn median(xs: &mut [f64]) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let mid = xs.len() / 2;
+        match xs.len() % 2 {
+            0 => (xs[mid - 1] + xs[mid]) / 2.0,
+            _ => xs[mid],
+        }
+    }
+    let med = median(samples);
+    let mut dev: Vec<f64> = samples.iter().map(|x| (x - med).abs()).collect();
+    (med, median(&mut dev))
+}
+
 /// Least-squares slope of `ln(y)` against `ln(x)` — the empirical
 /// scaling exponent. Points with non-positive coordinates are skipped.
 pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {

@@ -21,6 +21,14 @@
 //! which has no inverse (the reason subtraction-based shortcuts are off
 //! the table). The five successor orders ([`SuccessorKind`]) realize the
 //! Eager / All / Take2 / Lazy / Quick variants of the companion paper.
+//!
+//! **Cost contract.** [`TdpInstance::prepare`] is `Õ(n)`. Under
+//! [`SuccessorKind::Eager`] — the engine's default — a stream holds no
+//! per-group state: [`AnyKPart::new`] is `O(1)`, the first stream to
+//! deviate through a group sorts it once for all streams, and each
+//! answer costs `O(log k)` heap work plus one allocation (the `values`
+//! vector the caller receives). The other four kinds organize their
+//! groups per stream, root group included, at spawn and on first touch.
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
@@ -29,7 +37,27 @@ use crate::tdp::TdpInstance;
 use anyk_storage::{FxHashMap, RowId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU32;
 use std::sync::Arc;
+
+/// Id of a materialized solution: its 1-based emission rank, so "no
+/// parent" is `None` at no extra space and needs no reserved value.
+#[derive(Clone, Copy)]
+struct SolId(NonZeroU32);
+
+impl SolId {
+    /// The id of the solution emitted after `emitted` others; `None`
+    /// once 32-bit ids run out.
+    fn after(emitted: u64) -> Option<SolId> {
+        let rank = u32::try_from(emitted).ok()?.checked_add(1)?;
+        NonZeroU32::new(rank).map(SolId)
+    }
+
+    /// Position in the arena slabs.
+    fn index(self) -> usize {
+        (self.0.get() - 1) as usize
+    }
+}
 
 /// A candidate: a not-yet-materialized solution identified by its parent
 /// solution plus one deviation.
@@ -37,9 +65,9 @@ struct Candidate<C> {
     cost: C,
     /// Tie-break for deterministic order (insertion sequence).
     seq: u64,
-    /// Arena index of the parent solution; `u32::MAX` for the initial
-    /// top-1 candidate.
-    parent: u32,
+    /// The solution this one deviates from; `None` for the initial top-1
+    /// candidate, which deviates from nothing.
+    parent: Option<SolId>,
     /// Deviation slot.
     dev_slot: u32,
     /// Group id at `dev_slot` (fixed by the parent's prefix).
@@ -67,17 +95,6 @@ impl<C: Ord> Ord for Candidate<C> {
             .cmp(&self.cost)
             .then_with(|| other.seq.cmp(&self.seq))
     }
-}
-
-/// A materialized (popped) solution kept in the arena: its rows plus the
-/// prefix/suffix weight aggregates used for children's O(1) costs.
-struct Solution<C> {
-    /// Chosen row per slot.
-    rows: Vec<RowId>,
-    /// `prefix[j]` = ⊗ of tuple weights of slots `< j` (len m+1).
-    prefix: Vec<C>,
-    /// `suffix[j]` = ⊗ of tuple weights of slots `>= j` (len m+1).
-    suffix: Vec<C>,
 }
 
 /// Ranked enumeration over a prepared [`TdpInstance`] using the
@@ -110,18 +127,20 @@ pub struct AnyKPart<R: RankingFunction> {
     /// can run over one preprocessing pass.
     inst: Arc<TdpInstance<R>>,
     kind: SuccessorKind,
-    /// slot -> group id -> successor order, built **lazily on first
-    /// touch**: a pop touches at most one group per later slot, so a
-    /// top-k enumeration only ever organizes the groups its solutions
-    /// actually deviate through. This keeps stream-spawn cost
-    /// proportional to the answers pulled, not to `n` — the property
-    /// the prepare-once/stream-many serving path relies on.
+    /// slot -> group id -> this stream's successor order, built on first
+    /// touch — the four per-stream kinds only. Under Eager the orders
+    /// are the instance's shared ones and this stays empty.
     orders: Vec<FxHashMap<u32, GroupOrder<R::Cost>>>,
     heap: BinaryHeap<Candidate<R::Cost>>,
-    arena: Vec<Solution<R::Cost>>,
+    /// The arena of popped solutions, as three flat slabs indexed by
+    /// [`SolId`]: solution `i` owns `rows[i·m..][..m]` (its row per
+    /// slot) and `prefix`/`suffix[i·(m+1)..][..m+1]`, where `prefix[j]`
+    /// is the ⊗ of the tuple weights of slots `< j` and `suffix[j]` of
+    /// slots `>= j` — the aggregates behind its children's O(1) costs.
+    rows: Vec<RowId>,
+    prefix: Vec<R::Cost>,
+    suffix: Vec<R::Cost>,
     seq: u64,
-    /// Scratch buffer for successor generation.
-    succ_buf: Vec<(MemberRef, R::Cost, RowId)>,
     /// Answers emitted so far (diagnostics).
     emitted: u64,
     /// Largest candidate-queue size observed (diagnostics; exposes the
@@ -130,57 +149,51 @@ pub struct AnyKPart<R: RankingFunction> {
 }
 
 impl<R: RankingFunction> AnyKPart<R> {
-    /// Build the enumerator. Constructing the successor orders is part
-    /// of the variant's preprocessing (Eager pays its full sort here;
-    /// Take2/Lazy heapify; All scans for minima; Quick only copies).
+    /// Build the enumerator: seed the candidate queue with the top-1
+    /// answer. Under [`SuccessorKind::Eager`] that is all — `O(1)`, no
+    /// order is built or copied. The per-stream kinds also organize the
+    /// root group here (Take2/Lazy heapify, All scans for the minimum,
+    /// Quick only copies).
     ///
     /// Accepts either an owned [`TdpInstance`] (single-stream use) or an
     /// `Arc<TdpInstance>` — the prepare-once/enumerate-many path, where
-    /// every stream reads the *same* reduced relations and groups.
+    /// every stream reads the *same* reduced relations, groups and
+    /// (under Eager) successor orders.
     pub fn new(inst: impl Into<Arc<TdpInstance<R>>>, kind: SuccessorKind) -> Self {
         let inst = inst.into();
-        let m = inst.num_slots();
         let mut this = AnyKPart {
+            orders: match kind {
+                SuccessorKind::Eager => Vec::new(),
+                _ => (0..inst.num_slots())
+                    .map(|_| FxHashMap::default())
+                    .collect(),
+            },
             inst,
             kind,
-            orders: std::iter::repeat_with(FxHashMap::default).take(m).collect(),
             heap: BinaryHeap::new(),
-            arena: Vec::new(),
-            seq: 0,
-            succ_buf: Vec::new(),
+            rows: Vec::new(),
+            prefix: Vec::new(),
+            suffix: Vec::new(),
+            seq: 1,
             emitted: 0,
             peak_pending: 0,
         };
-        if !this.inst.is_empty() {
-            // Seed with the top-1 candidate: the root group's best.
-            let (mref, cost, _row) = this.order(0, 0).best();
-            this.seq += 1;
+        if let Some(cost) = this.inst.top1_cost() {
+            // The top-1 candidate: the root group's best member.
+            let member = match kind {
+                SuccessorKind::Eager => 0,
+                _ => per_stream_order(&mut this.orders, &this.inst, kind, 0, 0).best(),
+            };
             this.heap.push(Candidate {
                 cost,
                 seq: this.seq,
-                parent: u32::MAX,
+                parent: None,
                 dev_slot: 0,
                 group: 0,
-                member: mref,
+                member,
             });
         }
         this
-    }
-
-    /// The successor order of `group` at `slot`, built on first touch
-    /// (the variant pays its per-group organization cost here: Eager
-    /// sorts, Take2/Lazy heapify, All scans for the minimum, Quick only
-    /// copies).
-    fn order(&mut self, slot: usize, group: u32) -> &mut GroupOrder<R::Cost> {
-        let inst = &self.inst;
-        let kind = self.kind;
-        self.orders[slot].entry(group).or_insert_with(|| {
-            let items: Vec<(R::Cost, RowId)> = inst.groups[slot][group as usize]
-                .iter()
-                .map(|&r| (inst.subcost[slot][r as usize].clone(), r))
-                .collect();
-            GroupOrder::build(kind, items)
-        })
     }
 
     /// The successor-order variant in use.
@@ -204,11 +217,16 @@ impl<R: RankingFunction> AnyKPart<R> {
     }
 
     /// Number of join-key groups whose successor order has been built
-    /// so far (laziness diagnostic: orders are created on first touch,
-    /// so this stays `o(n)` for small-`k` enumerations — the property
-    /// the prepare-once/stream-many serving path relies on).
+    /// so far — by this stream for the per-stream kinds, by any stream
+    /// of the shared instance under Eager
+    /// ([`TdpInstance::built_orders`]). Laziness diagnostic: orders are
+    /// created on first touch, so this stays `o(n)` for small-`k`
+    /// enumerations.
     pub fn touched_groups(&self) -> usize {
-        self.orders.iter().map(FxHashMap::len).sum()
+        match self.kind {
+            SuccessorKind::Eager => self.inst.built_orders(),
+            _ => self.orders.iter().map(FxHashMap::len).sum(),
+        }
     }
 
     /// Largest candidate-queue size observed so far (memory diagnostic;
@@ -217,99 +235,137 @@ impl<R: RankingFunction> AnyKPart<R> {
         self.peak_pending
     }
 
-    /// Materialize a popped candidate: fix the prefix from its parent,
-    /// apply the deviation, complete the rest optimally.
-    fn materialize(&mut self, cand: &Candidate<R::Cost>) -> Solution<R::Cost> {
-        let m = self.inst.num_slots();
+    /// Materialize a popped candidate at the end of the arena: fix the
+    /// prefix from its parent, apply the deviation, complete the rest
+    /// optimally.
+    fn materialize(&mut self, cand: &Candidate<R::Cost>) {
+        let inst = &*self.inst;
+        let m = inst.num_slots();
         let dev = cand.dev_slot as usize;
-        // The candidate's member ref was handed out by this group's
-        // order, so the order exists already.
-        let (_, dev_row) = self.order(dev, cand.group).member(cand.member);
+        let dev_row = match self.kind {
+            SuccessorKind::Eager => inst.order(dev, cand.group)[cand.member as usize],
+            // The member ref was handed out by this group's order, so
+            // the order exists already.
+            _ => self.orders[dev][&cand.group].member(cand.member).1,
+        };
 
-        let mut rows = vec![0 as RowId; m];
-        if cand.parent == u32::MAX {
-            debug_assert_eq!(dev, 0);
-            rows[0] = dev_row;
-            self.inst.complete_optimally(&mut rows, 1, m);
-        } else {
-            let end = self.inst.subtree_end[dev];
-            let parent = &self.arena[cand.parent as usize];
-            rows[..dev].copy_from_slice(&parent.rows[..dev]);
-            rows[dev] = dev_row;
-            // Tail first: slots >= end keep the parent's (still optimal
-            // given the unchanged prefix); their ancestors lie outside
-            // [dev, end) by pre-order contiguity.
-            rows[end..].copy_from_slice(&parent.rows[end..]);
-            // Rest of the deviated subtree: best-pointer completion.
-            self.inst.complete_optimally(&mut rows, dev + 1, end);
+        let at = self.rows.len();
+        match cand.parent {
+            Some(parent) => {
+                let from = parent.index() * m;
+                self.rows.extend_from_within(from..from + m);
+            }
+            None => self.rows.resize(at + m, 0),
         }
+        // Slots before `dev` and from `end` on keep the parent's rows
+        // (the tail is still optimal given the unchanged prefix: its
+        // ancestors lie outside `[dev, end)` by pre-order contiguity);
+        // the rest of the deviated subtree follows best-pointers.
+        let rows = &mut self.rows[at..];
+        rows[dev] = dev_row;
+        inst.complete_optimally(rows, dev + 1, inst.subtree_end[dev]);
 
         // Prefix/suffix weight aggregates for O(1) child costs.
-        let mut prefix = Vec::with_capacity(m + 1);
-        prefix.push(R::identity());
-        for j in 0..m {
-            let w = self.inst.slot_weight(j, rows[j]);
-            let next = R::combine(&prefix[j], &w);
-            prefix.push(next);
+        let base = self.prefix.len();
+        self.prefix.push(R::identity());
+        for (j, &row) in rows.iter().enumerate() {
+            let next = R::combine(&self.prefix[base + j], &inst.slot_weight(j, row));
+            self.prefix.push(next);
         }
-        let mut suffix = vec![R::identity(); m + 1];
-        for j in (0..m).rev() {
-            let w = self.inst.slot_weight(j, rows[j]);
-            suffix[j] = R::combine(&w, &suffix[j + 1]);
-        }
-        Solution {
-            rows,
-            prefix,
-            suffix,
+        self.suffix.resize(base + m + 1, R::identity());
+        let suffix = &mut self.suffix[base..];
+        for (j, &row) in rows.iter().enumerate().rev() {
+            suffix[j] = R::combine(&inst.slot_weight(j, row), &suffix[j + 1]);
         }
     }
 
-    /// Push all Lawler children of the solution at `sol_idx` (which was
-    /// produced by deviating at `dev` in `group` from `member`).
-    fn push_children(&mut self, sol_idx: u32, dev: usize, group: u32, member: MemberRef) {
-        let m = self.inst.num_slots();
-        for j in dev..m {
-            let (gj, base) = if j == dev {
-                (group, member)
+    /// Push all Lawler children of solution `sol` (which was produced by
+    /// deviating at `dev` in `group` from `member`).
+    fn push_children(&mut self, sol: SolId, dev: u32, group: u32, member: MemberRef) {
+        let AnyKPart {
+            inst,
+            kind,
+            orders,
+            heap,
+            seq,
+            ..
+        } = self;
+        let m = inst.num_slots();
+        let rows = &self.rows[sol.index() * m..][..m];
+        let prefix = &self.prefix[sol.index() * (m + 1)..][..m + 1];
+        let suffix = &self.suffix[sol.index() * (m + 1)..][..m + 1];
+        // `prepare` checked that the slot count fits the id width.
+        for (j, slot) in (dev as usize..m).zip(dev..) {
+            // The sibling continues from `member`; an expansion starts
+            // from its group's best.
+            let (gj, from) = if slot == dev {
+                (group, Some(member))
             } else {
-                let gj = self.inst.group_at(j, &self.arena[sol_idx as usize].rows);
-                let (bref, _, _) = self.order(j, gj).best();
-                (gj, bref)
+                (inst.group_at(j, rows), None)
             };
-            let mut succ = std::mem::take(&mut self.succ_buf);
-            succ.clear();
-            self.order(j, gj).successors(base, &mut succ);
-            let end_j = self.inst.subtree_end[j];
-            for (sref, scost, _srow) in succ.drain(..) {
-                let sol = &self.arena[sol_idx as usize];
-                let cost = R::combine(&R::combine(&sol.prefix[j], &scost), &sol.suffix[end_j]);
-                self.seq += 1;
-                self.heap.push(Candidate {
-                    cost,
-                    seq: self.seq,
-                    parent: sol_idx,
-                    dev_slot: j as u32,
+            let (before, after) = (&prefix[j], &suffix[inst.subtree_end[j]]);
+            let mut emit = |member: MemberRef, subcost: &R::Cost| {
+                *seq += 1;
+                heap.push(Candidate {
+                    cost: R::combine(&R::combine(before, subcost), after),
+                    seq: *seq,
+                    parent: Some(sol),
+                    dev_slot: slot,
                     group: gj,
-                    member: sref,
+                    member,
                 });
+            };
+            match *kind {
+                SuccessorKind::Eager => {
+                    let next = from.map_or(1, |rank| rank + 1);
+                    if let Some(&row) = inst.order(j, gj).get(next as usize) {
+                        emit(next, &inst.subcost[j][row as usize]);
+                    }
+                }
+                _ => {
+                    let order = per_stream_order(orders, inst, *kind, j, gj);
+                    let from = from.unwrap_or_else(|| order.best());
+                    order.successors(from, emit);
+                }
             }
-            self.succ_buf = succ;
         }
         self.peak_pending = self.peak_pending.max(self.heap.len());
     }
+}
+
+/// This stream's successor order of `group` at `slot`, built on first
+/// touch (the per-stream kinds pay their per-group organization cost
+/// here: Take2/Lazy heapify, All scans for the minimum, Quick only
+/// copies).
+fn per_stream_order<'a, R: RankingFunction>(
+    orders: &'a mut [FxHashMap<u32, GroupOrder<R::Cost>>],
+    inst: &TdpInstance<R>,
+    kind: SuccessorKind,
+    slot: usize,
+    group: u32,
+) -> &'a mut GroupOrder<R::Cost> {
+    orders[slot].entry(group).or_insert_with(|| {
+        let items = (inst.group(slot, group).iter())
+            .map(|r| (inst.subcost[slot][r as usize].clone(), r))
+            .collect();
+        GroupOrder::build(kind, items)
+    })
 }
 
 impl<R: RankingFunction> Iterator for AnyKPart<R> {
     type Item = RankedAnswer<R::Cost>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        // A stream that has materialized 2³² solutions holds over a
+        // hundred GiB of arena; it ends there rather than wrap an id.
+        let sol = SolId::after(self.emitted)?;
         let cand = self.heap.pop()?;
-        let sol = self.materialize(&cand);
-        let sol_idx = self.arena.len() as u32;
+        self.materialize(&cand);
+        let m = self.inst.num_slots();
         let mut values = Vec::new();
-        self.inst.assemble(&sol.rows, &mut values);
-        self.arena.push(sol);
-        self.push_children(sol_idx, cand.dev_slot as usize, cand.group, cand.member);
+        self.inst
+            .assemble(&self.rows[sol.index() * m..][..m], &mut values);
+        self.push_children(sol, cand.dev_slot, cand.group, cand.member);
         self.emitted += 1;
         Some(RankedAnswer {
             cost: cand.cost,
@@ -390,6 +446,33 @@ mod tests {
             let got = enumerate_all(kind);
             assert_eq!(got, expected, "variant {kind:?}");
         }
+    }
+
+    #[test]
+    fn eager_streams_share_the_instance_orders() {
+        let (q, tree, rels) = two_path_instance();
+        let inst = Arc::new(TdpInstance::<SumCost>::prepare(&q, &tree, rels).unwrap());
+        let first = AnyKPart::new(Arc::clone(&inst), SuccessorKind::Eager);
+        assert_eq!(inst.built_orders(), 0, "spawn builds no order");
+        let all: Vec<_> = first.collect();
+        let built = inst.built_orders();
+        assert!(built > 0);
+        // The second stream reads the orders the first one built.
+        let again: Vec<_> = AnyKPart::new(Arc::clone(&inst), SuccessorKind::Eager).collect();
+        assert_eq!(again, all);
+        assert_eq!(inst.built_orders(), built);
+        // Same chain as Lazy, so the same sequence, tuples included.
+        let lazy: Vec<_> = AnyKPart::new(inst, SuccessorKind::Lazy).collect();
+        assert_eq!(lazy, all);
+    }
+
+    #[test]
+    fn solution_ids_end_at_the_32_bit_boundary() {
+        let last = u64::from(u32::MAX) - 1;
+        assert_eq!(SolId::after(0).map(SolId::index), Some(0));
+        assert_eq!(SolId::after(last).map(SolId::index), Some(last as usize));
+        // One more would need the id 2³²: refused, not wrapped.
+        assert!(SolId::after(last + 1).is_none());
     }
 
     #[test]

@@ -268,12 +268,12 @@ impl<R: RankingFunction> AnyKRec<R> {
             return;
         }
         let inst = Arc::clone(&self.inst);
-        let members = &inst.groups[slot][group as usize];
+        let members = inst.group(slot, group);
         let mut gs = GroupStream {
             mat: Vec::new(),
             frontier: BinaryHeap::with_capacity(members.len()),
         };
-        for &row in members {
+        for row in members.iter() {
             let cost = inst.subcost[slot][row as usize].clone();
             let seq = self.bump();
             gs.frontier.push(GroupCand {

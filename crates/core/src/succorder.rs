@@ -4,8 +4,8 @@
 //! its group. How each group organizes its members determines the
 //! preprocessing/enumeration trade-off (the companion paper's variants):
 //!
-//! * [`SuccessorKind::Eager`]  — fully sort each group upfront; successor
-//!   = next in sorted order (one successor per pop, sort paid upfront).
+//! * [`SuccessorKind::Eager`]  — fully sort each group; successor = next
+//!   in sorted order (one successor per pop).
 //! * [`SuccessorKind::All`]    — no order at all: the minimum's successors
 //!   are *all* other members (cheap build, floods the queue).
 //! * [`SuccessorKind::Take2`]  — binary min-heap layout: each member's
@@ -14,6 +14,18 @@
 //!   materialized on demand from a heap (successor = next rank).
 //! * [`SuccessorKind::Quick`]  — incremental quicksort (IQS): ranks are
 //!   materialized by lazily partitioning.
+//!
+//! **Where an order lives.** Eager's sorted order depends only on the
+//! prepared subcosts, so it is kept in the shared
+//! [`TdpInstance`](crate::tdp::TdpInstance): row ids only, sorted by
+//! `(subcost, row)` the first time any stream touches the group, then
+//! read by every stream and thread of the prepared query. A stream
+//! under Eager therefore owns no per-group state and spawns in `O(1)`.
+//! The other four kinds are the paper-variant reference (E11): each
+//! stream builds its own [`GroupOrder`] per touched group, as the
+//! companion paper's single-stream cost model has it. Eager, Lazy and
+//! Quick all walk the same `(cost, row)` chain, so their answer
+//! sequences are identical.
 //!
 //! Correctness requirement (Lawler): every member must be reachable from
 //! the group minimum through a successor chain with non-decreasing
@@ -27,7 +39,7 @@ use std::collections::BinaryHeap;
 /// Which successor organization to use (the ANYK-PART variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuccessorKind {
-    /// Sort groups at preprocessing time.
+    /// Sort each group once, in the shared prepared instance.
     Eager,
     /// Star from the minimum to everything else.
     All,
@@ -66,69 +78,79 @@ impl SuccessorKind {
 /// All/Take2); treat as opaque.
 pub type MemberRef = u32;
 
-/// A group's members organized for successor queries.
+/// A group's members organized for successor queries by one stream —
+/// the four per-stream kinds. (Eager has no arm here: its order is the
+/// shared one in the prepared instance.)
 #[derive(Debug)]
-pub struct GroupOrder<C> {
-    kind: SuccessorKind,
-    /// Member storage; layout depends on `kind`:
-    /// * Eager: sorted ascending;
-    /// * All: unsorted, `best` holds the argmin;
-    /// * Take2: binary min-heap array;
-    /// * Lazy: `items[..materialized]` sorted, the rest live in `heap`;
-    /// * Quick: partially sorted by IQS, `items[..materialized]` final.
-    items: Vec<(C, RowId)>,
-    /// All: argmin index. Others: unused.
-    best: u32,
-    /// Lazy/Quick: how many leading ranks are final.
-    materialized: usize,
-    /// Lazy: pending members.
-    heap: BinaryHeap<Reverse<(C, RowId)>>,
-    /// Quick: IQS segment stack (exclusive segment ends; top = current).
-    stack: Vec<usize>,
+pub enum GroupOrder<C> {
+    /// Unsorted; `best` is the argmin, whose successors are all others.
+    All {
+        /// The members, in group order.
+        items: Vec<(C, RowId)>,
+        /// Index of the minimum.
+        best: u32,
+    },
+    /// A binary min-heap array; successors are the ≤ 2 heap children.
+    Take2(Vec<(C, RowId)>),
+    /// Incremental heapsort: `sorted` holds the ranks materialized so
+    /// far, the rest wait in `heap`.
+    Lazy {
+        /// Ranks `0..sorted.len()`, final.
+        sorted: Vec<(C, RowId)>,
+        /// Members not yet ranked.
+        heap: BinaryHeap<Reverse<(C, RowId)>>,
+    },
+    /// Incremental quicksort: `items[..done]` are final ranks.
+    Quick {
+        /// The members, partially sorted.
+        items: Vec<(C, RowId)>,
+        /// How many leading ranks are final.
+        done: usize,
+        /// Exclusive ends of the pending segments (top = current).
+        stack: Vec<usize>,
+    },
 }
 
 impl<C: Clone + Ord> GroupOrder<C> {
     /// Organize `members` under `kind`. `members` must be non-empty
     /// (the full reducer guarantees non-empty groups).
+    ///
+    /// # Panics
+    ///
+    /// On [`SuccessorKind::Eager`], which keeps no per-stream order.
     pub fn build(kind: SuccessorKind, mut members: Vec<(C, RowId)>) -> Self {
         assert!(!members.is_empty(), "groups are non-empty after reduction");
-        let mut best = 0u32;
-        let mut heap = BinaryHeap::new();
-        let mut stack = Vec::new();
-        let mut materialized = 0usize;
         match kind {
             SuccessorKind::Eager => {
-                members.sort();
-                materialized = members.len();
+                panic!("Eager reads the prepared instance's shared order")
             }
-            SuccessorKind::All => {
-                best = argmin(&members) as u32;
-            }
+            SuccessorKind::All => GroupOrder::All {
+                best: argmin(&members) as u32,
+                items: members,
+            },
             SuccessorKind::Take2 => {
                 heapify(&mut members);
+                GroupOrder::Take2(members)
             }
-            SuccessorKind::Lazy => {
-                heap = members.drain(..).map(Reverse).collect();
-            }
-            SuccessorKind::Quick => {
-                stack.push(members.len());
-            }
-        }
-        GroupOrder {
-            kind,
-            items: members,
-            best,
-            materialized,
-            heap,
-            stack,
+            SuccessorKind::Lazy => GroupOrder::Lazy {
+                sorted: Vec::new(),
+                heap: members.into_iter().map(Reverse).collect(),
+            },
+            SuccessorKind::Quick => GroupOrder::Quick {
+                stack: vec![members.len()],
+                items: members,
+                done: 0,
+            },
         }
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        match self.kind {
-            SuccessorKind::Lazy => self.items.len() + self.heap.len(),
-            _ => self.items.len(),
+        match self {
+            GroupOrder::All { items, .. }
+            | GroupOrder::Take2(items)
+            | GroupOrder::Quick { items, .. } => items.len(),
+            GroupOrder::Lazy { sorted, heap } => sorted.len() + heap.len(),
         }
     }
 
@@ -138,57 +160,41 @@ impl<C: Clone + Ord> GroupOrder<C> {
     }
 
     /// The minimum member.
-    pub fn best(&mut self) -> (MemberRef, C, RowId) {
-        match self.kind {
-            SuccessorKind::Eager | SuccessorKind::Take2 => {
-                let (c, r) = self.items[0].clone();
-                (0, c, r)
-            }
-            SuccessorKind::All => {
-                let (c, r) = self.items[self.best as usize].clone();
-                (self.best, c, r)
-            }
-            SuccessorKind::Lazy | SuccessorKind::Quick => {
+    pub fn best(&mut self) -> MemberRef {
+        match self {
+            GroupOrder::All { best, .. } => *best,
+            GroupOrder::Take2(_) => 0,
+            GroupOrder::Lazy { .. } | GroupOrder::Quick { .. } => {
                 self.ensure_rank(0);
-                let (c, r) = self.items[0].clone();
-                (0, c, r)
+                0
             }
         }
     }
 
-    /// Push `m`'s successors into `out` as `(ref, cost, row)`.
-    pub fn successors(&mut self, m: MemberRef, out: &mut Vec<(MemberRef, C, RowId)>) {
-        match self.kind {
-            SuccessorKind::Eager => {
-                let next = m as usize + 1;
-                if next < self.items.len() {
-                    let (c, r) = self.items[next].clone();
-                    out.push((next as u32, c, r));
-                }
-            }
-            SuccessorKind::All => {
-                if m == self.best {
-                    for (i, (c, r)) in self.items.iter().enumerate() {
-                        if i as u32 != self.best {
-                            out.push((i as u32, c.clone(), *r));
+    /// Hand `m`'s successors to `emit` as `(ref, cost)`.
+    pub fn successors(&mut self, m: MemberRef, mut emit: impl FnMut(MemberRef, &C)) {
+        match self {
+            GroupOrder::All { items, best } => {
+                if m == *best {
+                    for (i, (c, _)) in (0u32..).zip(items.iter()) {
+                        if i != *best {
+                            emit(i, c);
                         }
                     }
                 }
             }
-            SuccessorKind::Take2 => {
+            GroupOrder::Take2(items) => {
                 for child in [2 * m as usize + 1, 2 * m as usize + 2] {
-                    if child < self.items.len() {
-                        let (c, r) = self.items[child].clone();
-                        out.push((child as u32, c, r));
+                    if let Some((c, _)) = items.get(child) {
+                        emit(child as u32, c);
                     }
                 }
             }
-            SuccessorKind::Lazy | SuccessorKind::Quick => {
+            GroupOrder::Lazy { .. } | GroupOrder::Quick { .. } => {
                 let next = m as usize + 1;
                 if next < self.len() {
                     self.ensure_rank(next);
-                    let (c, r) = self.items[next].clone();
-                    out.push((next as u32, c, r));
+                    emit(next as u32, self.member(next as u32).0);
                 }
             }
         }
@@ -197,47 +203,51 @@ impl<C: Clone + Ord> GroupOrder<C> {
     /// The member behind `m` (must have been yielded by `best` or
     /// `successors` already).
     pub fn member(&self, m: MemberRef) -> (&C, RowId) {
-        let (c, r) = &self.items[m as usize];
+        let (c, r) = match self {
+            GroupOrder::All { items, .. }
+            | GroupOrder::Take2(items)
+            | GroupOrder::Quick { items, .. } => &items[m as usize],
+            GroupOrder::Lazy { sorted, .. } => &sorted[m as usize],
+        };
         (c, *r)
     }
 
     /// Materialize ranks up to `rank` (Lazy and Quick only).
     fn ensure_rank(&mut self, rank: usize) {
-        match self.kind {
-            SuccessorKind::Lazy => {
-                while self.materialized <= rank {
-                    let Reverse(item) = self.heap.pop().expect("rank in bounds");
-                    self.items.push(item);
-                    self.materialized += 1;
+        match self {
+            GroupOrder::Lazy { sorted, heap } => {
+                while sorted.len() <= rank {
+                    let Reverse(item) = heap.pop().expect("rank in bounds");
+                    sorted.push(item);
                 }
             }
-            SuccessorKind::Quick => {
+            GroupOrder::Quick { items, done, stack } => {
                 // Incremental quicksort: refine segments until
                 // items[..=rank] is final.
-                while self.materialized <= rank {
+                while *done <= rank {
                     // Drop completed segments.
-                    while self.stack.last() == Some(&self.materialized) {
-                        self.stack.pop();
+                    while stack.last() == Some(done) {
+                        stack.pop();
                     }
-                    let end = *self.stack.last().expect("rank in bounds");
-                    let start = self.materialized;
+                    let end = *stack.last().expect("rank in bounds");
+                    let start = *done;
                     debug_assert!(start < end);
                     if end - start <= 12 {
-                        self.items[start..end].sort();
-                        self.materialized = end;
-                        self.stack.pop();
+                        items[start..end].sort();
+                        *done = end;
+                        stack.pop();
                     } else {
-                        let p = partition(&mut self.items, start, end);
+                        let p = partition(items, start, end);
                         if p == start {
                             // Pivot is the segment minimum: final.
-                            self.materialized += 1;
+                            *done += 1;
                         } else {
-                            self.stack.push(p);
+                            stack.push(p);
                         }
                     }
                 }
             }
-            _ => {}
+            GroupOrder::All { .. } | GroupOrder::Take2(_) => {}
         }
     }
 }
@@ -301,111 +311,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn collect_all(kind: SuccessorKind, xs: &[i64]) -> Vec<i64> {
-        let members: Vec<(i64, RowId)> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, i as RowId))
-            .collect();
-        let mut g = GroupOrder::build(kind, members);
-        // BFS over the successor DAG from the minimum.
+    fn build(kind: SuccessorKind, xs: &[i64]) -> GroupOrder<i64> {
+        GroupOrder::build(kind, xs.iter().copied().zip(0..).collect())
+    }
+
+    /// Walk the successor DAG from the minimum, checking that no
+    /// successor is cheaper than its predecessor; costs in visit order.
+    fn walk(g: &mut GroupOrder<i64>) -> Vec<i64> {
         let mut out = Vec::new();
         let mut frontier = vec![g.best()];
-        let mut succ = Vec::new();
-        while let Some((m, c, _row)) = frontier.pop() {
+        while let Some(m) = frontier.pop() {
+            let c = *g.member(m).0;
             out.push(c);
-            succ.clear();
-            g.successors(m, &mut succ);
-            for (s, sc, sr) in succ.drain(..) {
-                frontier.push((s, sc, sr));
-            }
+            g.successors(m, |s, &sc| {
+                assert!(sc >= c, "successor cost decreased");
+                frontier.push(s);
+            });
         }
         out
     }
 
     #[test]
-    fn eager_is_sorted_chain() {
-        let got = collect_all(SuccessorKind::Eager, &[5, 1, 4, 2, 3]);
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn lazy_is_sorted_chain() {
-        let got = collect_all(SuccessorKind::Lazy, &[5, 1, 4, 2, 3]);
+        let got = walk(&mut build(SuccessorKind::Lazy, &[5, 1, 4, 2, 3]));
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn quick_is_sorted_chain() {
-        let got = collect_all(SuccessorKind::Quick, &[5, 1, 4, 2, 3, 9, 0, 7, 8, 6]);
+        let xs = [5, 1, 4, 2, 3, 9, 0, 7, 8, 6];
+        let got = walk(&mut build(SuccessorKind::Quick, &xs));
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
     fn all_star_reaches_everything() {
-        let mut got = collect_all(SuccessorKind::All, &[5, 1, 4]);
+        let mut got = walk(&mut build(SuccessorKind::All, &[5, 1, 4]));
         got.sort();
         assert_eq!(got, vec![1, 4, 5]);
     }
 
     #[test]
     fn take2_heap_property() {
-        let xs = [9, 3, 7, 1, 8, 2, 6];
-        let members: Vec<(i64, RowId)> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, i as RowId))
-            .collect();
-        let mut g = GroupOrder::build(SuccessorKind::Take2, members);
-        let (b, c, _) = g.best();
-        assert_eq!(c, 1);
-        // Children of any member are >= the member.
-        let mut stack = vec![(b, c)];
-        let mut succ = Vec::new();
-        while let Some((m, c)) = stack.pop() {
-            succ.clear();
-            g.successors(m, &mut succ);
-            for (s, sc, _) in succ.drain(..) {
-                assert!(sc >= c, "heap order violated");
-                stack.push((s, sc));
-            }
-        }
+        let mut g = build(SuccessorKind::Take2, &[9, 3, 7, 1, 8, 2, 6]);
+        // `walk` checks that children are >= their parent.
+        assert_eq!(walk(&mut g)[0], 1);
     }
 
     #[test]
     fn singleton_group() {
-        for kind in SuccessorKind::ALL_KINDS {
-            let got = collect_all(kind, &[42]);
-            assert_eq!(got, vec![42], "{kind:?}");
+        for kind in &SuccessorKind::ALL_KINDS[1..] {
+            assert_eq!(walk(&mut build(*kind, &[42])), vec![42], "{kind:?}");
         }
     }
 
+    #[test]
+    #[should_panic(expected = "shared order")]
+    fn eager_has_no_per_stream_order() {
+        build(SuccessorKind::Eager, &[1]);
+    }
+
     proptest! {
-        /// Every variant enumerates exactly the multiset of members,
-        /// reachable from the minimum, with monotone successor chains.
+        /// Every per-stream variant enumerates exactly the multiset of
+        /// members, reachable from the minimum, with monotone successor
+        /// chains.
         #[test]
         fn reachability_and_monotonicity(
-            kind_idx in 0usize..5,
+            kind_idx in 1usize..5,
             xs in prop::collection::vec(-1000i64..1000, 1..60),
         ) {
-            let kind = SuccessorKind::ALL_KINDS[kind_idx];
-            let members: Vec<(i64, RowId)> =
-                xs.iter().enumerate().map(|(i, &x)| (x, i as RowId)).collect();
-            let mut g = GroupOrder::build(kind, members);
-            let mut seen: Vec<i64> = Vec::new();
+            let mut g = build(SuccessorKind::ALL_KINDS[kind_idx], &xs);
             let best = g.best();
-            prop_assert_eq!(best.1, *xs.iter().min().unwrap());
-            let mut frontier = vec![best];
-            let mut succ = Vec::new();
-            while let Some((m, c, _)) = frontier.pop() {
-                seen.push(c);
-                succ.clear();
-                g.successors(m, &mut succ);
-                for (s, sc, sr) in succ.drain(..) {
-                    prop_assert!(sc >= c, "successor cost decreased");
-                    frontier.push((s, sc, sr));
-                }
-            }
+            prop_assert_eq!(*g.member(best).0, *xs.iter().min().unwrap());
+            let mut seen = walk(&mut g);
             let mut expect = xs.clone();
             expect.sort();
             seen.sort();

@@ -21,12 +21,21 @@
 //! its cost is the ⊗ of tuple weights in slot order. The top-1 answer
 //! follows best-pointers from the root; ranked enumeration on top of
 //! this structure is [`crate::part`] / [`crate::rec`].
+//!
+//! Everything above is built by [`TdpInstance::prepare`] in `Õ(n)` and
+//! is immutable afterwards. One piece is filled in later: each group's
+//! **successor order** — its members sorted by `(subcost, row)` — is
+//! built the first time any stream deviates through that group, behind
+//! a per-group [`OnceLock`], and then shared by every stream and thread
+//! of the prepared query. Spawning a stream therefore costs `O(1)`; the
+//! sort a group needs is paid once per prepared query, not per stream.
 
 use crate::ranking::RankingFunction;
 use anyk_join::semijoin::{full_reducer, join_key_positions};
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::join_tree::JoinTree;
 use anyk_storage::{FxHashMap, HashIndex, Relation, RowId, Value};
+use std::sync::OnceLock;
 
 /// Errors from T-DP preparation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +50,109 @@ pub enum TdpError {
     /// cyclic routes before reaching this; hand-built plans get the
     /// typed error instead of wrong costs.
     NonCollapsibleRanking,
+    /// A reduced relation (or the join tree) has more entries than the
+    /// 32-bit row, group and slot ids can address.
+    TooLarge {
+        /// The count that does not fit.
+        len: usize,
+    },
+}
+
+/// `len` as a 32-bit id bound, or the typed refusal. Row ids, group ids
+/// and group offsets of a slot are all bounded by its relation's row
+/// count, so checking that count once makes the rest lossless.
+fn id_bound(len: usize) -> Result<u32, TdpError> {
+    u32::try_from(len).map_err(|_| TdpError::TooLarge { len })
+}
+
+/// A group's member rows, in index iteration order.
+#[derive(Clone, Copy)]
+pub(crate) enum Members<'a> {
+    /// The root group: rows `0..n` of the root relation, not stored.
+    All(RowId),
+    /// A join-key group's rows.
+    Rows(&'a [RowId]),
+}
+
+impl<'a> Members<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Members::All(n) => n as usize,
+            Members::Rows(rows) => rows.len(),
+        }
+    }
+
+    pub(crate) fn get(self, i: usize) -> Option<RowId> {
+        match self {
+            Members::All(n) => RowId::try_from(i).ok().filter(|&row| row < n),
+            Members::Rows(rows) => rows.get(i).copied(),
+        }
+    }
+
+    pub(crate) fn iter(self) -> impl Iterator<Item = RowId> + 'a {
+        let (all, rows) = match self {
+            Members::All(n) => (0..n, &[][..]),
+            Members::Rows(rows) => (0..0, rows),
+        };
+        all.chain(rows.iter().copied())
+    }
+}
+
+/// One slot's join-key groups, CSR-flat, each with its shared successor
+/// order.
+struct SlotGroups {
+    /// Group `g`'s members are `rows[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<u32>,
+    /// Member rows, group after group, in index iteration order; `None`
+    /// at the root slot, whose one group is every row ([`Members::All`]).
+    rows: Option<Vec<RowId>>,
+    /// group -> its members sorted by `(subcost, row)`, built on first
+    /// touch (see [`TdpInstance::order`]).
+    orders: Vec<OnceLock<Box<[RowId]>>>,
+}
+
+impl SlotGroups {
+    /// No groups yet; room for `groups` of them over `rows` rows.
+    fn with_capacity(groups: usize, rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0);
+        SlotGroups {
+            offsets,
+            rows: Some(Vec::with_capacity(rows)),
+            orders: Vec::with_capacity(groups),
+        }
+    }
+
+    /// The root slot: one group of all `rows` rows.
+    fn root(rows: RowId) -> Self {
+        SlotGroups {
+            offsets: vec![0, rows],
+            rows: None,
+            orders: vec![OnceLock::new()],
+        }
+    }
+
+    fn push(&mut self, members: &[RowId]) -> Result<(), TdpError> {
+        let rows = (self.rows.as_mut()).expect("the root slot has its one group already");
+        rows.extend_from_slice(members);
+        self.offsets.push(id_bound(rows.len())?);
+        self.orders.push(OnceLock::new());
+        Ok(())
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Group `group`'s member rows.
+    fn members(&self, group: usize) -> Members<'_> {
+        let (from, to) = (self.offsets[group], self.offsets[group + 1]);
+        match &self.rows {
+            None => Members::All(to),
+            Some(rows) => Members::Rows(&rows[from as usize..to as usize]),
+        }
+    }
 }
 
 /// The prepared T-DP state (see module docs). Fields are crate-visible:
@@ -60,8 +172,8 @@ pub struct TdpInstance<R: RankingFunction> {
     pub(crate) subtree_end: Vec<usize>,
     /// slot -> child slots in serialization order.
     pub(crate) child_slots: Vec<Vec<usize>>,
-    /// slot -> group -> member rows. Slot 0 has a single group 0.
-    pub(crate) groups: Vec<Vec<Vec<RowId>>>,
+    /// slot -> its join-key groups. Slot 0 has a single group 0.
+    groups: Vec<SlotGroups>,
     /// slot (> 0) -> parent row id -> group id in this slot.
     pub(crate) group_of_parent_row: Vec<Vec<u32>>,
     /// slot -> row id -> optimal subtree cost through that row.
@@ -122,14 +234,21 @@ impl<R: RankingFunction> TdpInstance<R> {
             subtree_end[s] = end;
         }
 
+        // Row counts of the reduced relations, checked once: every row,
+        // group and offset id below is bounded by one of them.
+        let num_rows: Vec<RowId> = (rels.iter())
+            .map(|r| id_bound(r.len()))
+            .collect::<Result<_, _>>()?;
+        id_bound(m)?;
+
         // Grouping (skip entirely for empty instances).
-        let mut groups: Vec<Vec<Vec<RowId>>> = vec![Vec::new(); m];
+        let mut groups: Vec<SlotGroups> = (0..m).map(|_| SlotGroups::with_capacity(0, 0)).collect();
         let mut group_of_parent_row: Vec<Vec<u32>> = vec![Vec::new(); m];
         if !empty {
             for s in 0..m {
                 let atom = atom_of_slot[s];
                 if s == 0 {
-                    groups[0] = vec![(0..rels[atom].len() as RowId).collect()];
+                    groups[0] = SlotGroups::root(num_rows[atom]);
                     continue;
                 }
                 let node = slots[s];
@@ -138,17 +257,17 @@ impl<R: RankingFunction> TdpInstance<R> {
                 // Assign group ids in index iteration order.
                 let mut gid_of_key: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
                 gid_of_key.reserve(idx.num_keys());
-                let mut slot_groups: Vec<Vec<RowId>> = Vec::with_capacity(idx.num_keys());
-                for (key, members) in idx.iter() {
-                    gid_of_key.insert(key.to_vec(), slot_groups.len() as u32);
-                    slot_groups.push(members.to_vec());
+                let mut slot_groups = SlotGroups::with_capacity(idx.num_keys(), rels[atom].len());
+                for (gid, (key, members)) in (0u32..).zip(idx.iter()) {
+                    gid_of_key.insert(key.to_vec(), gid);
+                    slot_groups.push(members)?;
                 }
                 // Parent row -> group id (must exist post-reduction).
                 let patom = atom_of_slot[parent_slot[s]];
                 let prel = &rels[patom];
                 let mut key = Vec::with_capacity(ppos.len());
                 let mut map = Vec::with_capacity(prel.len());
-                for prow in 0..prel.len() as RowId {
+                for prow in 0..num_rows[patom] {
                     prel.key_into(prow, &ppos, &mut key);
                     let gid = *gid_of_key
                         .get(&key)
@@ -168,7 +287,7 @@ impl<R: RankingFunction> TdpInstance<R> {
                 let atom = atom_of_slot[s];
                 let rel = &rels[atom];
                 let mut costs: Vec<R::Cost> = Vec::with_capacity(rel.len());
-                for row in 0..rel.len() as RowId {
+                for row in 0..num_rows[atom] {
                     let mut c = R::lift(rel.weight(row));
                     for &cs in &child_slots[s] {
                         let gid = group_of_parent_row[cs][row as usize] as usize;
@@ -179,13 +298,13 @@ impl<R: RankingFunction> TdpInstance<R> {
                 // Group bests for this slot. Ties MUST break by row id:
                 // the Lawler partition in `part` assumes the completion
                 // chosen here is the exact member the successor orders
-                // call "best" — `GroupOrder` compares `(cost, row)`
-                // tuples, so we do too.
+                // call "best" — they compare `(cost, row)`, so we do too.
                 let mut bests: Vec<(R::Cost, RowId)> = Vec::with_capacity(groups[s].len());
-                for members in &groups[s] {
-                    debug_assert!(!members.is_empty());
-                    let mut best = (costs[members[0] as usize].clone(), members[0]);
-                    for &r in &members[1..] {
+                for g in 0..groups[s].len() {
+                    let mut members = groups[s].members(g).iter();
+                    let first = members.next().expect("groups are non-empty");
+                    let mut best = (costs[first as usize].clone(), first);
+                    for r in members {
                         let c = &costs[r as usize];
                         if (c, r) < (&best.0, best.1) {
                             best = (c.clone(), r);
@@ -248,6 +367,43 @@ impl<R: RankingFunction> TdpInstance<R> {
         } else {
             Some(self.group_best[0][0].0.clone())
         }
+    }
+
+    /// The member rows of `group` at `slot`, in index iteration order.
+    #[inline]
+    pub(crate) fn group(&self, slot: usize, group: u32) -> Members<'_> {
+        self.groups[slot].members(group as usize)
+    }
+
+    /// The successor order of `group` at `slot`: its members sorted by
+    /// `(subcost, row)`, rank 0 being the member [`Self::prepare`]
+    /// recorded as the group's best. The first caller to touch a group
+    /// sorts it (`O(g log g)` for `g` members, comparing the prepared
+    /// subcosts in place — nothing is cloned); every later caller, on
+    /// any stream or thread, reads the same slice.
+    #[inline]
+    pub(crate) fn order(&self, slot: usize, group: u32) -> &[RowId] {
+        let members = self.group(slot, group);
+        if let Members::Rows(rows @ ([] | [_])) = members {
+            return rows;
+        }
+        self.groups[slot].orders[group as usize].get_or_init(|| {
+            let costs = &self.subcost[slot];
+            let mut order: Box<[RowId]> = members.iter().collect();
+            order.sort_unstable_by(|&a, &b| (&costs[a as usize], a).cmp(&(&costs[b as usize], b)));
+            order
+        })
+    }
+
+    /// How many groups have had their successor order built so far, by
+    /// any stream (laziness diagnostic: a top-`k` pull touches at most
+    /// one group per slot and answer, so this stays `o(n)` for small
+    /// `k`).
+    pub fn built_orders(&self) -> usize {
+        (self.groups.iter())
+            .flat_map(|g| &g.orders)
+            .filter(|o| o.get().is_some())
+            .count()
     }
 
     /// Lifted weight of the tuple chosen at `slot`.
@@ -392,6 +548,60 @@ mod tests {
         let chosen_mid = inst.rels[inst.atom_of_slot[1]].row(rows[1]);
         assert_eq!(chosen_mid[1].int(), 4);
         assert_eq!(inst.top1_cost(), Some(Weight::new(4.0)));
+    }
+
+    #[test]
+    fn shared_orders_sort_by_cost_then_row_and_are_built_once() {
+        // R1 has one row; its child group in R2 has four members, two
+        // of them tied; R3 hangs a singleton group under each.
+        let q = path_query(3);
+        let tree = JoinTree::from_parents(&q, &[None, Some(0), Some(1)]);
+        let rels = vec![
+            edge_rel(["a", "b"], &[(1, 2, 1.0)]),
+            edge_rel(
+                ["b", "c"],
+                &[(2, 3, 5.0), (2, 4, 1.0), (2, 5, 5.0), (2, 6, 0.5)],
+            ),
+            edge_rel(
+                ["c", "d"],
+                &[(3, 9, 0.0), (4, 9, 0.0), (5, 9, 0.0), (6, 9, 0.0)],
+            ),
+        ];
+        let inst = TdpInstance::<SumCost>::prepare(&q, &tree, rels).unwrap();
+        assert_eq!(inst.built_orders(), 0, "prepare builds no order");
+
+        let order = inst.order(1, 0);
+        let costs: Vec<f64> = (order.iter())
+            .map(|&r| inst.subcost[1][r as usize].get())
+            .collect();
+        assert_eq!(costs, vec![0.5, 1.0, 5.0, 5.0]);
+        assert!(order[2] < order[3], "ties break by row id");
+        assert_eq!(order[0], inst.group_best[1][0].1, "rank 0 is the best");
+        let mut members = order.to_vec();
+        members.sort_unstable();
+        let group: Vec<RowId> = inst.group(1, 0).iter().collect();
+        assert_eq!(members, group, "a permutation of the group");
+        assert_eq!(inst.built_orders(), 1);
+        assert!(std::ptr::eq(order, inst.order(1, 0)), "built once, shared");
+
+        // A one-member group is its own order: nothing to build.
+        assert_eq!(inst.order(2, 0).len(), 1);
+        assert_eq!(inst.built_orders(), 1);
+        // The root group is every row, and is not stored.
+        assert!(matches!(inst.group(0, 0), Members::All(1)));
+        assert_eq!(inst.order(0, 0), [0]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn counts_beyond_32_bit_ids_are_refused() {
+        // The boundary itself, without allocating four billion rows.
+        let limit = u32::MAX as usize;
+        assert_eq!(id_bound(limit), Ok(u32::MAX));
+        assert_eq!(
+            id_bound(limit + 1),
+            Err(TdpError::TooLarge { len: limit + 1 })
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
-use crate::tdp::TdpInstance;
+use crate::tdp::{Members, TdpInstance};
 use anyk_storage::{RowId, Value};
 
 /// Unordered constant-delay enumeration over a prepared
@@ -53,13 +53,12 @@ impl<R: RankingFunction> UnrankedEnum<R> {
     }
 
     /// Group members of `slot` under the current prefix.
-    fn group(&self, slot: usize) -> &[RowId] {
-        if slot == 0 {
-            &self.inst.groups[0][0]
-        } else {
-            let gid = self.inst.group_at(slot, &self.rows) as usize;
-            &self.inst.groups[slot][gid]
-        }
+    fn group(&self, slot: usize) -> Members<'_> {
+        let gid = match slot {
+            0 => 0,
+            _ => self.inst.group_at(slot, &self.rows),
+        };
+        self.inst.group(slot, gid)
     }
 
     /// Reset slots `from..m` to the first member of their groups.
@@ -67,7 +66,7 @@ impl<R: RankingFunction> UnrankedEnum<R> {
         let m = self.inst.num_slots();
         for s in from..m {
             self.pos[s] = 0;
-            self.rows[s] = self.group(s)[0];
+            self.rows[s] = self.group(s).get(0).expect("groups are non-empty");
         }
     }
 
@@ -109,7 +108,7 @@ impl<R: RankingFunction> Iterator for UnrankedEnum<R> {
             let (glen, next_row) = {
                 let g = self.group(s);
                 let p = self.pos[s] + 1;
-                (g.len(), g.get(p).copied())
+                (g.len(), g.get(p))
             };
             if self.pos[s] + 1 < glen {
                 self.pos[s] += 1;

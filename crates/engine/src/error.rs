@@ -24,9 +24,11 @@ pub enum EngineError {
         /// The relation's actual arity.
         found: usize,
     },
-    /// T-DP preparation rejected a query/tree pair (one tree node per
-    /// atom is required) — reachable only through hand-built plans,
-    /// but typed instead of panicking.
+    /// T-DP preparation refused its input: a query/tree pair without
+    /// one tree node per atom or a ranking that cannot collapse
+    /// weights (both reachable only through hand-built plans), or a
+    /// relation with more rows than 32-bit ids address — typed instead
+    /// of panicking or wrapping.
     Prepare(TdpError),
     /// The query has no atoms (nothing to enumerate).
     EmptyQuery,
@@ -129,5 +131,8 @@ mod tests {
         };
         assert!(e.to_string().contains("arity 3"));
         assert!(Error::source(&e).is_none());
+
+        let e = EngineError::from(TdpError::TooLarge { len: 1 << 32 });
+        assert!(e.to_string().contains("TooLarge { len: 4294967296 }"));
     }
 }

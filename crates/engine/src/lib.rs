@@ -518,7 +518,7 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// An engine over `catalog` with default options
-    /// (ANYK-PART(Lazy), the paper's overall winner).
+    /// (ANYK-PART(Eager) over successor orders shared by all streams).
     pub fn new(catalog: Catalog) -> Self {
         Engine::with_opts(catalog, EngineOpts::default())
     }

@@ -17,7 +17,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnyKVariant {
     /// ANYK-PART (Lawler–Murty partitioning) with a successor order.
-    /// `Part(Lazy)` is the paper's overall winner and the default.
+    /// `Part(Eager)` is the default: its orders live in the shared
+    /// prepared state, so streams spawn in `O(1)`.
     Part(SuccessorKind),
     /// ANYK-REC (recursive enumeration, memoized suffix streams).
     Rec,
@@ -29,10 +30,14 @@ pub enum AnyKVariant {
 }
 
 impl Default for AnyKVariant {
-    /// ANYK-PART with the Lazy successor order — the paper's overall
-    /// winner (E11).
+    /// ANYK-PART with the Eager successor order. The companion paper
+    /// prefers Lazy for a *single* stream, where Eager's sort is thrown
+    /// away with the stream (E11). A prepared query keeps each group's
+    /// sort in its shared T-DP state and amortises it over every stream
+    /// it serves, so that trade no longer applies — and Eager walks the
+    /// same `(cost, row)` chain as Lazy, so the answers are identical.
     fn default() -> Self {
-        AnyKVariant::Part(SuccessorKind::Lazy)
+        AnyKVariant::Part(SuccessorKind::Eager)
     }
 }
 

@@ -8,6 +8,14 @@
 //! cost is the *delay side only*. `PreparedQuery` is `Clone + Send +
 //! Sync`: hand clones to as many threads as you like; all of them
 //! enumerate from the same shared preprocessing pass.
+//!
+//! The contract on the any-k routes, under the default variant:
+//! `prepare` is `O~(n)` (`O~(n^w)` cyclic); `stream()` is `O(1)` per
+//! T-DP instance — one for acyclic and GHD plans, one per case tree of
+//! the 4-cycle union, one per leaf of a shard/delta union — whatever
+//! `n` is; the first stream to deviate through a join-key group sorts
+//! that group once, for all streams and threads; each answer then costs
+//! `O(log k)`.
 
 use crate::error::EngineError;
 use crate::merge::ShardFanIn;
@@ -270,9 +278,12 @@ impl PreparedQuery {
     }
 
     /// Spawn a fresh independent ranked stream over the shared prepared
-    /// state. Costs only the stream shell (heaps seeded from the
-    /// prepared structures; a union's leaves are not pulled until the
-    /// first `next()`) — never the preprocessing.
+    /// state. Costs only the stream shell — a one-candidate heap per
+    /// T-DP instance, independent of the input size; a union's leaves
+    /// are not pulled until the first `next()` — never the
+    /// preprocessing, and never a per-stream copy or re-organization of
+    /// a relation: successor orders are built once in the shared state,
+    /// by whichever stream first needs them.
     pub fn stream(&self) -> RankedStream {
         self.spawn(None).0
     }
@@ -430,7 +441,7 @@ where
 {
     let part_kind = |v: AnyKVariant| match v {
         AnyKVariant::Part(kind) => kind,
-        _ => SuccessorKind::Lazy,
+        _ => SuccessorKind::Eager,
     };
     match route {
         PreparedRoute::Tdp(inst) => match variant {

@@ -15,7 +15,7 @@
 //!   [`LineFramer`], and flushing each connection's write buffer. It
 //!   never parses or executes a command, so a slow query can never
 //!   stall another connection's reads.
-//! * **A worker pool** (default: one thread per core, clamped) takes
+//! * **A worker pool** (default: one thread per core, at least two) takes
 //!   framed command lines off an MPSC channel, executes them against
 //!   the connection's [`Session`] (behind a mutex that is never
 //!   contended — see ordering below), and pushes the rendered reply

@@ -103,7 +103,9 @@ pub use service::{
     ServiceStats, Session,
 };
 pub use tcp::{BindError, Server, TcpClient, Transport, TransportConfig};
-pub use wire::{encode_answer, encode_connection_rejected, encode_response, respond, LocalClient};
+pub use wire::{
+    encode_answer, encode_connection_rejected, encode_response, respond, write_answer, LocalClient,
+};
 
 /// A tiny single-relation engine for the crate's unit tests.
 #[cfg(test)]

@@ -37,15 +37,23 @@ pub fn is_terminator(line: &str) -> bool {
 /// direct [`PreparedQuery`](anyk_engine::PreparedQuery) streams through
 /// this same function.
 pub fn encode_answer(a: &RankedAnswer) -> String {
-    let mut line = String::from("ROW ");
+    let mut line = String::new();
+    write_answer(&mut line, a);
+    line
+}
+
+/// Append one answer's `ROW` line (no newline) to `out` — the row
+/// encoder itself; [`encode_response`] writes a page's rows straight
+/// into the reply buffer through it.
+pub fn write_answer(out: &mut String, a: &RankedAnswer) {
+    out.push_str("ROW ");
     for (i, v) in a.values.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        let _ = write!(line, "{v}");
+        let _ = write!(out, "{v}");
     }
-    let _ = write!(line, " cost={}", a.cost);
-    line
+    let _ = write!(out, " cost={}", a.cost);
 }
 
 /// Render a full response block, `END`-terminated, every line ending
@@ -58,13 +66,16 @@ pub fn encode_response(resp: &Response) -> String {
             answers,
             done,
         }) => {
-            let cursor = match cursor {
-                Some(id) => id.to_string(),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(out, "OK cursor={cursor} rows={} done={done}", answers.len());
+            out.push_str("OK cursor=");
+            match cursor {
+                Some(id) => {
+                    let _ = write!(out, "{id}");
+                }
+                None => out.push('-'),
+            }
+            let _ = writeln!(out, " rows={} done={done}", answers.len());
             for a in answers {
-                out.push_str(&encode_answer(a));
+                write_answer(&mut out, a);
                 out.push('\n');
             }
         }

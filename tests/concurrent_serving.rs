@@ -8,9 +8,10 @@ mod common;
 
 use anyk::prelude::*;
 use common::gen::scrambled_edges;
+use std::sync::Barrier;
 use std::thread;
 
-fn answers(stream: RankedStream) -> Vec<(Vec<i64>, Cost)> {
+fn answers(stream: impl Iterator<Item = RankedAnswer>) -> Vec<(Vec<i64>, Cost)> {
     stream.map(|a| (a.ints(), a.cost)).collect()
 }
 
@@ -42,6 +43,52 @@ fn threads_sharing_one_prepared_query_get_identical_streams() {
             );
         }
     });
+}
+
+#[test]
+fn concurrent_first_touch_of_a_fresh_prepared_query() {
+    // Successor orders are built in the shared prepared state by
+    // whichever stream touches a group first. Eight threads released
+    // together onto a prepared query no stream has touched yet race on
+    // exactly that; every one of them must see the sequence a single
+    // thread sees — on distinct weights and when every answer ties.
+    let uniform: Vec<Relation> = (0..3).map(|i| scrambled_edges(600, 20, 17 + i)).collect();
+    let all_ties: Vec<Relation> = (uniform.iter())
+        .map(|r| {
+            let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
+            for row in 0..r.len() as u32 {
+                b.push(r.row(row), Weight::new(1.0));
+            }
+            b.finish()
+        })
+        .collect();
+    let q = path_query(3);
+    for (fixture, rels) in [("uniform", uniform), ("all ties", all_ties)] {
+        let fresh = || {
+            Engine::from_query_bindings(&q, rels.clone())
+                .prepare(q.clone(), RankSpec::Sum)
+                .expect("acyclic prepare")
+        };
+        let top = |p: &PreparedQuery| answers(p.stream().take(200));
+        let baseline = top(&fresh());
+        assert_eq!(baseline.len(), 200, "{fixture}: instance too small");
+
+        let prepared = fresh();
+        let start = Barrier::new(8);
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        top(&prepared)
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().expect("worker thread"), baseline, "{fixture}");
+            }
+        });
+    }
 }
 
 #[test]

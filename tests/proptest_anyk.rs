@@ -33,11 +33,27 @@ fn check_all_engines(q: &ConjunctiveQuery, tree: &JoinTree, rels: Vec<Relation>)
     let oracle: Vec<(f64, Vec<i64>)> = BatchSorted::<SumCost>::new(q, tree, rels.clone())
         .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
         .collect();
+    let mut eager = None;
     for kind in SuccessorKind::ALL_KINDS {
         let inst = TdpInstance::<SumCost>::prepare(q, tree, rels.clone()).unwrap();
         let got: Vec<(f64, Vec<i64>)> = AnyKPart::new(inst, kind)
             .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
             .collect();
+        // The engine's default (Eager, over the instance's shared
+        // orders, first in `ALL_KINDS`) walks the same (cost, row) chain
+        // as Lazy and Quick: the same answers in the same order, ties
+        // included.
+        match kind {
+            SuccessorKind::Eager => eager = Some(got.clone()),
+            SuccessorKind::Lazy | SuccessorKind::Quick => {
+                assert_eq!(
+                    Some(&got),
+                    eager.as_ref(),
+                    "{kind:?} vs Eager: exact sequence"
+                )
+            }
+            _ => {}
+        }
         assert_eq!(got.len(), oracle.len(), "{kind:?} cardinality");
         for (i, ((gc, _), (oc, _))) in got.iter().zip(&oracle).enumerate() {
             assert_eq!(gc, oc, "{kind:?} cost at {i}");

@@ -1,0 +1,93 @@
+//! `PreparedQuery::stream()` is O(1): what a warm spawn allocates —
+//! how many blocks and how many bytes — does not depend on the input
+//! size. Counted with a test-local allocator rather than timed, so the
+//! pin is exact on any machine.
+//!
+//! Before successor orders moved into the shared T-DP state, every
+//! stream copied and organized its root group at spawn (one `(cost,
+//! row)` per row, a `Vec<Weight>` clone per row under lex), once per
+//! case tree on the 4-cycle route.
+
+mod common;
+
+use anyk::prelude::*;
+use anyk::query::cq::ConjunctiveQuery;
+use common::gen::scrambled_edges;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the calling thread's allocations; the test harness runs
+/// tests on threads of their own, so counts do not mix.
+struct Counting;
+
+thread_local! {
+    /// (blocks, bytes) this thread has asked for. `const`-initialized
+    /// and without a destructor, so touching it never allocates.
+    static ASKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: a thread may still free memory while it is torn down.
+    let _ = ASKED.try_with(|a| {
+        let (blocks, total) = a.get();
+        a.set((blocks + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter
+// beside it neither allocates nor touches the blocks.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// (blocks, bytes) one `stream()` allocates on a warm prepared query
+/// over `edges`-row relations of constant degree 10.
+fn spawn_allocations(q: &ConjunctiveQuery, rank: RankSpec, edges: u64) -> (u64, u64) {
+    let rels = (0..q.num_atoms() as u64)
+        .map(|i| scrambled_edges(edges, edges as i64 / 10, 2 * i + 1))
+        .collect();
+    let engine = Engine::from_query_bindings(q, rels);
+    let prepared = engine.prepare(q.clone(), rank).expect("prepare");
+    // Warm: the first stream's first answers build the orders they touch.
+    assert_eq!(prepared.stream().take(5).count(), 5, "instance has answers");
+    let before = ASKED.get();
+    let stream = prepared.stream();
+    let after = ASKED.get();
+    drop(stream);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn a_warm_spawn_allocates_the_same_at_every_input_size() {
+    for (label, q, rank) in [
+        ("path-3 sum", path_query(3), RankSpec::Sum),
+        ("path-3 lex", path_query(3), RankSpec::Lex),
+        ("4-cycle sum", cycle_query(4), RankSpec::Sum),
+    ] {
+        let small = spawn_allocations(&q, rank, 1_000);
+        let large = spawn_allocations(&q, rank, 16_000);
+        assert!(small.0 > 0, "{label}: a stream shell is allocated");
+        assert_eq!(
+            small, large,
+            "{label}: (blocks, bytes) of stream() at n = 1 000 and at n = 16 000"
+        );
+    }
+}
