@@ -238,7 +238,7 @@ pub fn run(scale: f64) {
     let items = wco_ranked_materialize::<SumCost>(&tq, &trels);
     let r = items.len();
     let (_, sort_ttf) = time(move || {
-        let sorted = SortedAnswers::new(items);
+        let sorted = SortedAnswers::new(items).expect("far below 2^32 triangles");
         sorted.stream().next().is_some()
     });
     let mut t = Table::new([

@@ -20,11 +20,21 @@
 //! 3. **`EXPLAIN` tells the truth** — the plan header reports
 //!    `index = built` on a cold engine and `index = cached` on a warm
 //!    one (asserted at every scale).
+//! 4. **Kernel** — what the cold side pays beside the index build: on
+//!    a dense triangle over warm shared tries, count-only Generic-Join
+//!    is no slower than the Leapfrog Triejoin reference walking the
+//!    same tries (median of 21 interleaved repeats, asserted at every
+//!    scale); the cold triangle `prepare` at `n` and `4n` edges is
+//!    reported beside it, with spread.
 
-use crate::util::{banner, fmt_secs, time, write_bench_json, Json, Table};
+use crate::util::{banner, fmt_secs, median_mad, time, write_bench_json, Json, Table};
 use anyk_engine::{Engine, RankSpec};
-use anyk_query::cq::{ConjunctiveQuery, QueryBuilder};
-use anyk_storage::{Relation, RelationBuilder, Schema};
+use anyk_join::generic_join::generic_join_with;
+use anyk_join::leapfrog::leapfrog_triejoin_with;
+use anyk_query::cq::{triangle_query, ConjunctiveQuery, QueryBuilder};
+use anyk_storage::{IndexCatalog, Relation, RelationBuilder, Schema};
+use anyk_workloads::graphs::{random_edge_relation, WeightDist};
+use std::ops::ControlFlow;
 
 struct Workload {
     name: &'static str,
@@ -299,11 +309,123 @@ pub fn run(scale: f64) {
          remaining TTF is planning + enumeration only (acceptance: >= 3x at scale >= 1)"
     );
 
+    let kernel = kernel_claim(scale);
     let doc = Json::obj([
         ("experiment", Json::Str("E17".to_string())),
         ("scale", Json::Num(scale)),
         ("reps", Json::Int(reps as u64)),
         ("routes", Json::Arr(rows)),
+        ("kernel", kernel),
     ]);
     write_bench_json("BENCH_E17.json", &doc).expect("write BENCH_E17.json");
+}
+
+/// Timed repeats per kernel figure.
+const KERNEL_REPEATS: usize = 21;
+
+/// Three independent edge relations of mean out-degree 20: a triangle
+/// instance whose cost is seek/intersect work, not index builds.
+fn dense_triangle(edges: usize, seed: u64) -> Vec<Relation> {
+    let nodes = (edges / 20).max(2) as u64;
+    (0..3)
+        .map(|i| random_edge_relation(edges, nodes, WeightDist::Uniform, None, seed + i))
+        .collect()
+}
+
+/// Claim 4 (see the module docs): the two worst-case-optimal walks over
+/// the same warm tries, and the cold prepare they sit inside.
+fn kernel_claim(scale: f64) -> Json {
+    let q = triangle_query();
+    let edges = (20_000.0 * scale).max(2_000.0) as usize;
+    let rels = dense_triangle(edges, 1709);
+    let indexes = IndexCatalog::default();
+    let count = |lftj: bool| {
+        let mut n = 0u64;
+        let mut each = |_: &[_], _: &[_]| {
+            n += 1;
+            ControlFlow::Continue(())
+        };
+        let ((), t) = time(|| {
+            if lftj {
+                leapfrog_triejoin_with(&q, &rels, None, &indexes, &mut each);
+            } else {
+                generic_join_with(&q, &rels, None, &indexes, &mut each);
+            }
+        });
+        (n, t)
+    };
+    // Warm the shared tries (and the caches) outside the timed repeats.
+    let (triangles, _) = count(false);
+    assert_eq!(count(true).0, triangles, "both walks count the same join");
+    assert!(triangles > 0, "the dense instance has triangles");
+    let (mut gj, mut lftj) = (Vec::new(), Vec::new());
+    for _ in 0..KERNEL_REPEATS {
+        gj.push(count(false).1);
+        lftj.push(count(true).1);
+    }
+    let (gj_med, gj_mad) = median_mad(&mut gj);
+    let (lftj_med, lftj_mad) = median_mad(&mut lftj);
+
+    let mut t = Table::new([
+        "walk (count-only, warm tries)",
+        "edges",
+        "triangles",
+        "median",
+        "MAD",
+    ]);
+    for (name, med, mad) in [
+        ("generic-join kernel", gj_med, gj_mad),
+        ("leapfrog triejoin reference", lftj_med, lftj_mad),
+    ] {
+        t.row([
+            name.to_string(),
+            edges.to_string(),
+            triangles.to_string(),
+            fmt_secs(med),
+            fmt_secs(mad),
+        ]);
+    }
+    t.print();
+    assert!(
+        gj_med <= lftj_med,
+        "the generic-join kernel must be no slower than the LFTJ reference on the same warm \
+         tries (median of {KERNEL_REPEATS}: {gj_med:.6}s vs {lftj_med:.6}s)"
+    );
+
+    // The cold prepare around the kernel: fresh engine, empty index
+    // catalog — trie builds + the walk + the answer slab.
+    let mut t = Table::new(["cold triangle prepare", "edges", "median", "MAD"]);
+    let mut cold = Vec::new();
+    for n in [edges, 4 * edges] {
+        let rels = dense_triangle(n, 1801);
+        let mut samples: Vec<f64> = (0..KERNEL_REPEATS)
+            .map(|_| {
+                let engine = Engine::from_query_bindings(&q, rels.clone());
+                time(|| engine.prepare(q.clone(), RankSpec::Sum).expect("prepare")).1
+            })
+            .collect();
+        let (med, mad) = median_mad(&mut samples);
+        t.row([String::new(), n.to_string(), fmt_secs(med), fmt_secs(mad)]);
+        cold.push(Json::obj([
+            ("edges", Json::Int(n as u64)),
+            ("median_s", Json::Num(med)),
+            ("mad_s", Json::Num(mad)),
+        ]));
+    }
+    t.print();
+
+    Json::obj([
+        ("repeats", Json::Int(KERNEL_REPEATS as u64)),
+        ("edges", Json::Int(edges as u64)),
+        ("triangles", Json::Int(triangles)),
+        ("generic_join_median_s", Json::Num(gj_med)),
+        ("generic_join_mad_s", Json::Num(gj_mad)),
+        ("lftj_median_s", Json::Num(lftj_med)),
+        ("lftj_mad_s", Json::Num(lftj_mad)),
+        (
+            "lftj_over_generic_join",
+            Json::Num(lftj_med / gj_med.max(1e-12)),
+        ),
+        ("cold_triangle_prepare", Json::Arr(cold)),
+    ])
 }

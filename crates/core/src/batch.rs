@@ -13,12 +13,11 @@
 
 use crate::answer::{AnyK, RankedAnswer};
 use crate::ranking::RankingFunction;
+use crate::slab::{AnswerSlab, SlabHeap};
 use anyk_join::yannakakis::yannakakis_for_each;
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::join_tree::JoinTree;
 use anyk_storage::{Relation, Value};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Compute all answers with their ranking-function costs. Costs combine
 /// tuple weights in the join tree's serialization (pre-order) order, so
@@ -30,12 +29,12 @@ pub fn materialize_ranked<R: RankingFunction>(
     q: &ConjunctiveQuery,
     tree: &JoinTree,
     rels: Vec<Relation>,
-) -> Vec<(R::Cost, Vec<Value>)> {
+) -> AnswerSlab<R::Cost> {
     let preorder = tree.preorder();
-    let mut out: Vec<(R::Cost, Vec<Value>)> = Vec::new();
+    let mut out = AnswerSlab::new(q.num_vars());
+    let mut values = vec![Value::Int(0); q.num_vars()];
     yannakakis_for_each(q, tree, rels, |rels, by_node| {
         let mut cost = R::identity();
-        let mut values = vec![Value::Int(0); q.num_vars()];
         for &node in &preorder {
             let atom_idx = tree.node(node).atom;
             let rid = by_node[node];
@@ -46,23 +45,27 @@ pub fn materialize_ranked<R: RankingFunction>(
                 values[v] = tuple[pos];
             }
         }
-        out.push((cost, values));
+        out.push(cost, &values);
     });
     out
 }
 
 /// Join-then-sort baseline.
 pub struct BatchSorted<R: RankingFunction> {
-    answers: std::vec::IntoIter<(R::Cost, Vec<Value>)>,
+    slab: AnswerSlab<R::Cost>,
+    /// Row indexes by cost; cost ties stay in materialization order.
+    order: std::vec::IntoIter<usize>,
 }
 
 impl<R: RankingFunction> BatchSorted<R> {
     /// Run the full join and sort all answers by cost.
     pub fn new(q: &ConjunctiveQuery, tree: &JoinTree, rels: Vec<Relation>) -> Self {
-        let mut answers = materialize_ranked::<R>(q, tree, rels);
-        answers.sort_by(|a, b| a.0.cmp(&b.0));
+        let slab = materialize_ranked::<R>(q, tree, rels);
+        let mut order: Vec<usize> = (0..slab.len()).collect();
+        order.sort_by(|&x, &y| slab.costs()[x].cmp(&slab.costs()[y]));
         BatchSorted {
-            answers: answers.into_iter(),
+            slab,
+            order: order.into_iter(),
         }
     }
 }
@@ -71,9 +74,7 @@ impl<R: RankingFunction> Iterator for BatchSorted<R> {
     type Item = RankedAnswer<R::Cost>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.answers
-            .next()
-            .map(|(cost, values)| RankedAnswer { cost, values })
+        self.order.next().map(|row| self.slab.answer(row))
     }
 }
 
@@ -83,18 +84,27 @@ impl<R: RankingFunction> AnyK for BatchSorted<R> {
 
 /// Join-then-heapify baseline: pops lazily.
 pub struct BatchHeap<R: RankingFunction> {
-    heap: BinaryHeap<Reverse<(R::Cost, Vec<Value>)>>,
+    slab: AnswerSlab<R::Cost>,
+    heap: SlabHeap,
 }
 
 impl<R: RankingFunction> BatchHeap<R> {
     /// Run the full join and heapify all answers (O(r)).
+    ///
+    /// # Panics
+    ///
+    /// If the join has more than 2³² answers (the heap orders 32-bit
+    /// row ids); this baseline is for experiments, which stay far
+    /// below that.
     pub fn new(q: &ConjunctiveQuery, tree: &JoinTree, rels: Vec<Relation>) -> Self
     where
         R::Cost: Ord,
     {
-        let answers = materialize_ranked::<R>(q, tree, rels);
+        let slab = materialize_ranked::<R>(q, tree, rels);
+        let ids = (slab.row_ids()).expect("a batch baseline's answers fit 32-bit row ids");
         BatchHeap {
-            heap: answers.into_iter().map(Reverse).collect(),
+            heap: SlabHeap::new(&slab, ids),
+            slab,
         }
     }
 }
@@ -103,9 +113,8 @@ impl<R: RankingFunction> Iterator for BatchHeap<R> {
     type Item = RankedAnswer<R::Cost>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.heap
-            .pop()
-            .map(|Reverse((cost, values))| RankedAnswer { cost, values })
+        let row = self.heap.pop(&self.slab)?;
+        Some(self.slab.answer(row as usize))
     }
 }
 

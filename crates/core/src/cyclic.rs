@@ -2,8 +2,11 @@
 //! T-DP per tree, merge ranked streams.
 //!
 //! * Triangle: fractional hypertree width 1.5 — materialize all
-//!   triangles with Generic-Join in O~(n^1.5) (worst-case optimal),
-//!   then rank lazily ([`RankedMaterialized`]).
+//!   triangles with Generic-Join in O~(n^1.5) (worst-case optimal)
+//!   into one [`AnswerSlab`], then rank row ids lazily
+//!   ([`LazySortedAnswers`]): the slab is the only copy of the answers,
+//!   shared by the first stream's id heap and by the sorted id column
+//!   that replaces it; a row is copied out when a stream emits it.
 //! * 4-cycle: submodular width 1.5 — the union-of-trees case split of
 //!   [`anyk_join::c4`] gives disjoint *acyclic* instances; each gets its
 //!   own [`AnyKPart`] enumerator and a [`RankedUnion`] merges them.
@@ -23,85 +26,28 @@ use crate::answer::{AnyK, RankedAnswer};
 use crate::part::AnyKPart;
 use crate::ranking::RankingFunction;
 use crate::rec::AnyKRec;
+use crate::slab::{AnswerSlab, SlabHeap};
 use crate::succorder::SuccessorKind;
 use crate::tdp::TdpInstance;
 use crate::union::RankedUnion;
 use anyk_join::c4::{c4_cases_provider, CaseOut};
 use anyk_join::generic_join::generic_join_with;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
-use anyk_storage::{BuildEachTime, IndexProvider, Relation, Value};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-use std::ops::ControlFlow;
+use anyk_storage::{BuildEachTime, IndexProvider, Relation};
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-
-/// A materialized answer set ranked lazily through a binary heap
-/// (heapify O(r), pop O(log r)).
-pub struct RankedMaterialized<C: Ord> {
-    heap: BinaryHeap<Reverse<HeapItem<C>>>,
-}
-
-struct HeapItem<C> {
-    cost: C,
-    values: Vec<Value>,
-}
-
-impl<C: Ord> PartialEq for HeapItem<C> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.values == other.values
-    }
-}
-impl<C: Ord> Eq for HeapItem<C> {}
-impl<C: Ord> PartialOrd for HeapItem<C> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<C: Ord> Ord for HeapItem<C> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.cost
-            .cmp(&other.cost)
-            .then_with(|| self.values.cmp(&other.values))
-    }
-}
-
-impl<C: Ord + Clone + std::fmt::Debug> RankedMaterialized<C> {
-    /// Heapify `(cost, values)` pairs.
-    pub fn new(items: Vec<(C, Vec<Value>)>) -> Self {
-        RankedMaterialized {
-            heap: items
-                .into_iter()
-                .map(|(cost, values)| Reverse(HeapItem { cost, values }))
-                .collect(),
-        }
-    }
-}
-
-impl<C: Ord + Clone + std::fmt::Debug> Iterator for RankedMaterialized<C> {
-    type Item = RankedAnswer<C>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.heap.pop().map(|Reverse(item)| RankedAnswer {
-            cost: item.cost,
-            values: item.values,
-        })
-    }
-}
-
-impl<C: Ord + Clone + std::fmt::Debug> AnyK for RankedMaterialized<C> {
-    type Cost = C;
-}
 
 /// Materialize every answer of `q` worst-case-optimally (Generic-Join)
 /// with its cost under `R`, combining tuple weights in **atom order** —
 /// well-defined for the commutative rankings the cyclic routes accept.
 /// This is both the triangle plan's materialization step and the
-/// materialize-then-sort batch baseline for cyclic routes.
+/// materialize-then-sort batch baseline for cyclic routes. Answers land
+/// in the slab in the join's emission order.
 pub fn wco_ranked_materialize<R: RankingFunction>(
     q: &ConjunctiveQuery,
     rels: &[Relation],
-) -> Vec<(R::Cost, Vec<Value>)> {
+) -> AnswerSlab<R::Cost> {
     wco_ranked_materialize_with::<R>(q, rels, &BuildEachTime)
 }
 
@@ -112,73 +58,74 @@ pub fn wco_ranked_materialize_with<R: RankingFunction>(
     q: &ConjunctiveQuery,
     rels: &[Relation],
     indexes: &dyn IndexProvider,
-) -> Vec<(R::Cost, Vec<Value>)> {
-    let mut items: Vec<(R::Cost, Vec<Value>)> = Vec::new();
+) -> AnswerSlab<R::Cost> {
+    let mut slab = AnswerSlab::new(q.num_vars());
     generic_join_with(q, rels, None, indexes, &mut |binding, rows| {
         let mut cost = R::identity();
         for (a, &r) in rows.iter().enumerate() {
             cost = R::combine(&cost, &R::lift(rels[a].weight(r)));
         }
-        items.push((cost, binding.to_vec()));
+        slab.push(cost, binding);
         ControlFlow::Continue(())
     });
-    items
+    slab
 }
 
 /// Ranked enumeration of triangles: Generic-Join materialization (the
-/// width-1.5 single bag) + lazy heap ranking.
-pub fn triangle_ranked<R: RankingFunction>(rels: &[Relation]) -> RankedMaterialized<R::Cost> {
-    assert_eq!(rels.len(), 3);
-    RankedMaterialized::new(wco_ranked_materialize::<R>(&triangle_query(), rels))
+/// width-1.5 single bag) + lazy heap ranking — the first stream of
+/// [`prepare_triangle`].
+///
+/// # Panics
+///
+/// If there are more than 2³² triangles — use [`prepare_triangle`] for
+/// the typed error.
+pub fn triangle_ranked<R: RankingFunction>(rels: &[Relation]) -> LazySortedStream<R::Cost> {
+    prepare_triangle::<R>(rels)
+        .unwrap_or_else(|e| panic!("triangle materialization failed: {e:?}; use prepare_triangle"))
+        .stream()
 }
 
 /// A ranked answer set **sorted once and shared**: the prepared form of
 /// every materialize-then-sort plan (the triangle route, and the batch
-/// baseline on cyclic routes). Construction pays the `O(r log r)` sort;
-/// each [`SortedAnswers::stream`] is then a zero-copy cursor over the
-/// shared `Arc` — any number of streams, on any thread, in any order.
+/// baseline on cyclic routes). Construction pays the `O(r log r)` sort
+/// of a row-id column over the slab; each [`SortedAnswers::stream`] is
+/// then a cursor over the shared `Arc`s — any number of streams, on any
+/// thread, in any order — that copies a row out when it emits it.
 #[derive(Debug, Clone)]
 pub struct SortedAnswers<C> {
-    /// Sorted by `(cost, values)` — a deterministic total order, so
-    /// concurrent streams are byte-identical even among cost ties.
-    items: Arc<Vec<(C, Vec<Value>)>>,
+    slab: Arc<AnswerSlab<C>>,
+    /// The slab's row ids in `(cost, values)` order — a deterministic
+    /// total order, so concurrent streams are byte-identical even among
+    /// cost ties.
+    order: Arc<[u32]>,
 }
 
 impl<C: Ord + Clone + std::fmt::Debug> SortedAnswers<C> {
-    /// Sort `(cost, values)` pairs into the shared prepared form.
-    pub fn new(mut items: Vec<(C, Vec<Value>)>) -> Self {
-        items.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        SortedAnswers {
-            items: Arc::new(items),
-        }
-    }
-
-    /// Wrap items already in `(cost, values)` order without re-sorting
-    /// — the upgrade path of [`LazySortedAnswers`], whose exhausted
-    /// first stream emitted the answers in exactly this order.
-    fn from_sorted(items: Vec<(C, Vec<Value>)>) -> Self {
-        debug_assert!(items
-            .windows(2)
-            .all(|w| (&w[0].0, &w[0].1) <= (&w[1].0, &w[1].1)));
-        SortedAnswers {
-            items: Arc::new(items),
-        }
+    /// Sort the slab's row ids into the shared prepared form.
+    /// [`TdpError::TooLarge`](crate::tdp::TdpError) past 2³² answers.
+    pub fn new(mut slab: AnswerSlab<C>) -> Result<Self, crate::tdp::TdpError> {
+        let order = slab.sorted(slab.row_ids()?);
+        slab.shrink_to_fit();
+        Ok(SortedAnswers {
+            slab: Arc::new(slab),
+            order: order.into(),
+        })
     }
 
     /// Total number of answers.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.order.len()
     }
 
     /// True iff the query has no answers.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.order.is_empty()
     }
 
     /// A fresh independent cursor over the shared sorted answers.
     pub fn stream(&self) -> SortedStream<C> {
         SortedStream {
-            items: Arc::clone(&self.items),
+            answers: self.clone(),
             pos: 0,
         }
     }
@@ -186,7 +133,7 @@ impl<C: Ord + Clone + std::fmt::Debug> SortedAnswers<C> {
 
 /// An independent cursor over a [`SortedAnswers`] instance.
 pub struct SortedStream<C> {
-    items: Arc<Vec<(C, Vec<Value>)>>,
+    answers: SortedAnswers<C>,
     pos: usize,
 }
 
@@ -194,12 +141,9 @@ impl<C: Ord + Clone + std::fmt::Debug> Iterator for SortedStream<C> {
     type Item = RankedAnswer<C>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (cost, values) = self.items.get(self.pos)?;
+        let &row = self.answers.order.get(self.pos)?;
         self.pos += 1;
-        Some(RankedAnswer {
-            cost: cost.clone(),
-            values: values.clone(),
-        })
+        Some(self.answers.slab.answer(row as usize))
     }
 }
 
@@ -210,25 +154,30 @@ impl<C: Ord + Clone + std::fmt::Debug + Send + Sync> AnyK for SortedStream<C> {
 /// A materialized answer set whose `O(r log r)` sort is **deferred**:
 /// the prepared form of the triangle route.
 ///
-/// Construction stores the worst-case-optimally materialized answers
-/// unsorted (`O(r)`). The **first** stream runs a lazy binary heap over
-/// them — `O(r)` heapify + `O(log r)` per pop, so a one-shot top-k
-/// caller pays `O(r + k log r)` instead of the full sort. The shared
-/// [`SortedAnswers`] artifact is installed *background-free* the moment
-/// it pays for itself:
+/// Construction stores the worst-case-optimally materialized slab
+/// unsorted (the row count is checked and the slab's growth slack
+/// given back; no answer is touched). The
+/// **first** stream runs a lazy binary heap of row ids over it — `O(r)`
+/// heapify + `O(log r)` per pop, so a one-shot top-k caller pays
+/// `O(r + k log r)` instead of the full sort. The shared sorted id
+/// column is installed *background-free* the moment it pays for itself:
 ///
 /// * when the first stream **exhausts**, its emission order *is* the
-///   sorted order, so the artifact is installed without any extra sort;
+///   sorted order, so the column is installed without any extra sort;
 /// * when a **second stream spawns** while the answers are still
 ///   unsorted, the spawn pays the one-time sort and every stream from
-///   then on is a zero-copy cursor.
+///   then on is a cursor.
 ///
-/// Both the heap and the sort order by `(cost, values)`, so all streams
-/// — lazy first stream included — are byte-identical, ties and all.
+/// Both the heap and the sort order row ids by `(cost, values)` through
+/// the one shared slab, so all streams — lazy first stream included —
+/// are byte-identical, ties and all, and no upgrade copies an answer.
 /// `Clone + Send + Sync`: clones share the state machine, any thread
 /// may spawn streams.
 #[derive(Debug, Clone)]
 pub struct LazySortedAnswers<C> {
+    slab: Arc<AnswerSlab<C>>,
+    /// The slab's row ids, checked once at construction.
+    ids: Range<u32>,
     state: Arc<Mutex<LazyState<C>>>,
     /// Set (under the state lock) the moment the sorted artifact is
     /// installed. Lock-free signal for the live first stream to stop
@@ -242,71 +191,36 @@ enum LazyState<C> {
     /// Materialized, not yet sorted. `first_spawned` records whether
     /// the lazy-heap first stream is already out (the next spawn pays
     /// the sort).
-    Unsorted {
-        items: Arc<Vec<(C, Vec<Value>)>>,
-        first_spawned: bool,
-    },
+    Unsorted { first_spawned: bool },
     /// The shared sorted artifact is installed; streams are cursors.
     Sorted(SortedAnswers<C>),
 }
 
-/// A lazy-heap element: an index into the shared unsorted answers,
-/// compared through the `Arc` by `(cost, values)` — exactly the order
-/// [`SortedAnswers`] sorts by, so heap emission matches the cursors'
-/// order ties included, without copying any tuple at spawn time.
-struct IdxEntry<C: Ord> {
-    items: Arc<Vec<(C, Vec<Value>)>>,
-    idx: u32,
-}
-
-impl<C: Ord> IdxEntry<C> {
-    fn key(&self) -> (&C, &Vec<Value>) {
-        let (c, v) = &self.items[self.idx as usize];
-        (c, v)
-    }
-}
-
-impl<C: Ord> PartialEq for IdxEntry<C> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<C: Ord> Eq for IdxEntry<C> {}
-impl<C: Ord> PartialOrd for IdxEntry<C> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<C: Ord> Ord for IdxEntry<C> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
-    /// Store materialized `(cost, values)` pairs without sorting —
-    /// `O(r)`.
-    pub fn new(items: Vec<(C, Vec<Value>)>) -> Self {
-        LazySortedAnswers {
+    /// Hold a materialized slab without sorting it.
+    /// [`TdpError::TooLarge`](crate::tdp::TdpError) past 2³² answers:
+    /// the streams order 32-bit row ids, and a count that does not fit
+    /// is refused here rather than truncated there.
+    pub fn new(mut slab: AnswerSlab<C>) -> Result<Self, crate::tdp::TdpError> {
+        slab.shrink_to_fit();
+        Ok(LazySortedAnswers {
+            ids: slab.row_ids()?,
+            slab: Arc::new(slab),
             state: Arc::new(Mutex::new(LazyState::Unsorted {
-                items: Arc::new(items),
                 first_spawned: false,
             })),
             sorted: Arc::new(AtomicBool::new(false)),
-        }
+        })
     }
 
     /// Total number of answers.
     pub fn len(&self) -> usize {
-        match &*self.lock() {
-            LazyState::Unsorted { items, .. } => items.len(),
-            LazyState::Sorted(s) => s.len(),
-        }
+        self.slab.len()
     }
 
     /// True iff the query has no answers.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slab.is_empty()
     }
 
     /// True once the shared sorted artifact has been installed (i.e.
@@ -322,77 +236,63 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
         self.state.lock().expect("lazy-sort state lock poisoned")
     }
 
+    /// Install `order` — the slab's row ids in `(cost, values)` order —
+    /// as the shared artifact. Called with the state lock held.
+    fn install(&self, st: &mut LazyState<C>, order: Vec<u32>) -> SortedAnswers<C> {
+        let sorted = SortedAnswers {
+            slab: Arc::clone(&self.slab),
+            order: order.into(),
+        };
+        *st = LazyState::Sorted(sorted.clone());
+        self.sorted.store(true, AtomicOrdering::Release);
+        sorted
+    }
+
     /// Spawn a ranked stream. The first spawn is the lazy heap; later
     /// spawns upgrade to (or reuse) the shared sorted artifact.
     pub fn stream(&self) -> LazySortedStream<C> {
         let mut st = self.lock();
-        match &mut *st {
-            LazyState::Sorted(sorted) => LazySortedStream {
-                inner: LazyInner::Cursor(sorted.stream()),
-            },
+        let inner = match &mut *st {
+            LazyState::Sorted(sorted) => LazyInner::Cursor(sorted.stream()),
+            // Second spawn while unsorted: pay the one-time sort.
             LazyState::Unsorted {
-                items,
-                first_spawned,
+                first_spawned: true,
             } => {
-                if *first_spawned {
-                    // Second spawn while unsorted: pay the one-time
-                    // sort, install the shared artifact. (The clone
-                    // only happens if the first stream is still alive
-                    // and holding the unsorted `Arc`.)
-                    let owned = Arc::try_unwrap(std::mem::take(items))
-                        .unwrap_or_else(|shared| (*shared).clone());
-                    let sorted = SortedAnswers::new(owned);
-                    let cursor = sorted.stream();
-                    *st = LazyState::Sorted(sorted);
-                    self.sorted.store(true, AtomicOrdering::Release);
-                    LazySortedStream {
-                        inner: LazyInner::Cursor(cursor),
-                    }
-                } else {
-                    *first_spawned = true;
-                    // Index heap over the shared answers: O(r) build,
-                    // zero tuple copies — elements compare through the
-                    // `Arc` by `(cost, values)`, the sorted order.
-                    let heap: BinaryHeap<Reverse<IdxEntry<C>>> = (0..items.len() as u32)
-                        .map(|idx| {
-                            Reverse(IdxEntry {
-                                items: Arc::clone(items),
-                                idx,
-                            })
-                        })
-                        .collect();
-                    LazySortedStream {
-                        inner: LazyInner::Heap {
-                            heap,
-                            emitted: Vec::new(),
-                            state: Arc::clone(&self.state),
-                            sorted_flag: Arc::clone(&self.sorted),
-                        },
-                    }
+                let order = self.slab.sorted(self.ids.clone());
+                LazyInner::Cursor(self.install(&mut st, order).stream())
+            }
+            LazyState::Unsorted { first_spawned } => {
+                *first_spawned = true;
+                LazyInner::Heap {
+                    heap: SlabHeap::new(&self.slab, self.ids.clone()),
+                    emitted: Vec::new(),
+                    answers: self.clone(),
                 }
             }
-        }
+        };
+        LazySortedStream { inner }
     }
 }
 
 /// A stream off a [`LazySortedAnswers`]: either the lazy-heap first
 /// stream (which installs the sorted artifact when it exhausts) or a
-/// zero-copy cursor over the installed [`SortedAnswers`].
+/// cursor over the installed [`SortedAnswers`].
 pub struct LazySortedStream<C: Ord> {
     inner: LazyInner<C>,
 }
 
 enum LazyInner<C: Ord> {
     Heap {
-        heap: BinaryHeap<Reverse<IdxEntry<C>>>,
-        /// Indices into the shared items in emission = sorted order: on
-        /// exhaustion the permutation turns the shared items into the
-        /// sorted artifact for free (no re-sort, no tuple clones).
-        /// Abandoned (and freed) as soon as `sorted_flag` reports that
-        /// a concurrent spawn already installed the artifact.
+        /// Row ids ordered by `(cost, values)` through `answers.slab` —
+        /// exactly the order [`SortedAnswers`] sorts by, so heap
+        /// emission matches the cursors' order, ties included.
+        heap: SlabHeap,
+        /// Row ids in emission = sorted order: on exhaustion this *is*
+        /// the sorted artifact's id column (no re-sort, no copies).
+        /// Abandoned (and freed) as soon as `answers.sorted` reports
+        /// that a concurrent spawn already installed the artifact.
         emitted: Vec<u32>,
-        state: Arc<Mutex<LazyState<C>>>,
-        sorted_flag: Arc<AtomicBool>,
+        answers: LazySortedAnswers<C>,
     },
     Cursor(SortedStream<C>),
 }
@@ -401,64 +301,43 @@ impl<C: Ord + Clone + std::fmt::Debug> Iterator for LazySortedStream<C> {
     type Item = RankedAnswer<C>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            LazyInner::Cursor(c) => c.next(),
+        let (heap, emitted, answers) = match &mut self.inner {
+            LazyInner::Cursor(c) => return c.next(),
             LazyInner::Heap {
                 heap,
                 emitted,
-                state,
-                sorted_flag,
-            } => match heap.pop() {
-                Some(Reverse(entry)) => {
-                    let (cost, values) = entry.key();
-                    let a = RankedAnswer {
-                        cost: cost.clone(),
-                        values: values.clone(),
-                    };
-                    if sorted_flag.load(AtomicOrdering::Acquire) {
-                        // A sibling spawn already installed the sorted
-                        // artifact: the buffer can never be used — free
-                        // it and stop accumulating.
-                        if !emitted.is_empty() {
-                            *emitted = Vec::new();
-                        }
-                    } else {
-                        emitted.push(entry.idx);
-                    }
-                    Some(a)
+                answers,
+            } => (heap, emitted, answers),
+        };
+        if let Some(row) = heap.pop(&answers.slab) {
+            if answers.sorted.load(AtomicOrdering::Acquire) {
+                // A sibling spawn already installed the sorted
+                // artifact: the buffer can never be used — free it and
+                // stop accumulating.
+                if !emitted.is_empty() {
+                    *emitted = Vec::new();
                 }
-                None => {
-                    // Exhausted: the emission order is the sorted
-                    // order — permute the shared items into the
-                    // artifact with no extra sort and no tuple clones
-                    // (unless a concurrent second spawn already
-                    // installed one; the buffer is partial in that
-                    // case, but also unreachable: the install only
-                    // happens from the still-`Unsorted` state).
-                    let mut st = state.lock().expect("lazy-sort state lock poisoned");
-                    if let LazyState::Unsorted { items, .. } = &mut *st {
-                        let owned = Arc::try_unwrap(std::mem::take(items))
-                            .unwrap_or_else(|shared| (*shared).clone());
-                        let mut slots: Vec<Option<(C, Vec<Value>)>> =
-                            owned.into_iter().map(Some).collect();
-                        let ordered = emitted
-                            .drain(..)
-                            .map(|i| slots[i as usize].take().expect("each index emitted once"))
-                            .collect();
-                        *st = LazyState::Sorted(SortedAnswers::from_sorted(ordered));
-                        sorted_flag.store(true, AtomicOrdering::Release);
-                    }
-                    drop(st);
-                    // Degrade to an exhausted cursor so repeated
-                    // `next()` calls stay cheap and re-install nothing.
-                    self.inner = LazyInner::Cursor(SortedStream {
-                        items: Arc::new(Vec::new()),
-                        pos: 0,
-                    });
-                    None
-                }
-            },
+            } else {
+                emitted.push(row);
+            }
+            return Some(answers.slab.answer(row as usize));
         }
+        // Exhausted: the emission order is the sorted order — install
+        // it as the artifact with no extra sort (unless a concurrent
+        // second spawn already installed one; the buffer is partial in
+        // that case, but also unreachable: the install only happens
+        // from the still-`Unsorted` state).
+        let mut st = answers.lock();
+        let done = match &*st {
+            LazyState::Unsorted { .. } => answers.install(&mut st, std::mem::take(emitted)),
+            LazyState::Sorted(sorted) => sorted.clone(),
+        };
+        drop(st);
+        // Degrade to an exhausted cursor so repeated `next()` calls
+        // stay cheap and re-install nothing.
+        let pos = done.len();
+        self.inner = LazyInner::Cursor(SortedStream { answers: done, pos });
+        None
     }
 }
 
@@ -470,7 +349,9 @@ impl<C: Ord + Clone + std::fmt::Debug + Send + Sync> AnyK for LazySortedStream<C
 /// worst-case-optimally, the sort deferred ([`LazySortedAnswers`]) —
 /// a one-shot top-k first stream pays `O(r + k log r)`, repeated
 /// streams share the sorted artifact installed on upgrade.
-pub fn prepare_triangle<R: RankingFunction>(rels: &[Relation]) -> LazySortedAnswers<R::Cost> {
+pub fn prepare_triangle<R: RankingFunction>(
+    rels: &[Relation],
+) -> Result<LazySortedAnswers<R::Cost>, crate::tdp::TdpError> {
     prepare_triangle_with::<R>(rels, &BuildEachTime)
 }
 
@@ -479,7 +360,7 @@ pub fn prepare_triangle<R: RankingFunction>(rels: &[Relation]) -> LazySortedAnsw
 pub fn prepare_triangle_with<R: RankingFunction>(
     rels: &[Relation],
     indexes: &dyn IndexProvider,
-) -> LazySortedAnswers<R::Cost> {
+) -> Result<LazySortedAnswers<R::Cost>, crate::tdp::TdpError> {
     assert_eq!(rels.len(), 3);
     LazySortedAnswers::new(wco_ranked_materialize_with::<R>(
         &triangle_query(),
@@ -794,7 +675,7 @@ mod tests {
             (3, 2, 0.75),
         ]);
         let rels = vec![e.clone(), e.clone(), e];
-        let lazy = prepare_triangle::<SumCost>(&rels);
+        let lazy = prepare_triangle::<SumCost>(&rels).unwrap();
         assert!(!lazy.is_sorted(), "prepare must not pay the sort");
         assert!(!lazy.is_empty());
 
@@ -825,7 +706,7 @@ mod tests {
             (2, 1, 4.0),
         ]);
         let rels = vec![e.clone(), e.clone(), e];
-        let lazy = prepare_triangle::<SumCost>(&rels);
+        let lazy = prepare_triangle::<SumCost>(&rels).unwrap();
         let mut s1 = lazy.stream();
         let all: Vec<_> = (&mut s1).map(|a| (a.cost, a.values)).collect();
         assert!(!all.is_empty());
@@ -844,7 +725,7 @@ mod tests {
         // artifact must behave.
         let e = edge_rel(&[(1, 2, 0.5), (2, 3, 1.0)]);
         let rels = vec![e.clone(), e.clone(), e];
-        let lazy = prepare_triangle::<SumCost>(&rels);
+        let lazy = prepare_triangle::<SumCost>(&rels).unwrap();
         assert!(lazy.is_empty());
         assert!(lazy.stream().next().is_none());
         assert!(lazy.is_sorted(), "empty first stream exhausts immediately");
@@ -868,8 +749,9 @@ mod tests {
         ]);
         let rels = vec![e.clone(), e.clone(), e.clone(), e];
         let mut want: Vec<f64> = wco_ranked_materialize::<MaxCost>(&cycle_query(4), &rels)
-            .into_iter()
-            .map(|(c, _)| c.get())
+            .costs()
+            .iter()
+            .map(|c| c.get())
             .collect();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(!want.is_empty());

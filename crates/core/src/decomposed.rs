@@ -349,8 +349,9 @@ mod tests {
         let h = Hypergraph::of_query(&q);
         let d = fhw_exact(&h);
         let mut want: Vec<f64> = crate::cyclic::wco_ranked_materialize::<MaxCost>(&q, &rels)
-            .into_iter()
-            .map(|(c, _)| c.get())
+            .costs()
+            .iter()
+            .map(|c| c.get())
             .collect();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(!want.is_empty());

@@ -62,6 +62,7 @@ pub mod ksp;
 pub mod part;
 pub mod ranking;
 pub mod rec;
+pub mod slab;
 pub mod succorder;
 pub mod tdp;
 pub mod union;
@@ -72,7 +73,7 @@ pub use batch::{materialize_ranked, BatchHeap, BatchSorted};
 pub use cyclic::{
     c4_ranked_part, c4_ranked_rec, prepare_triangle, triangle_ranked, try_c4_ranked_part,
     try_c4_ranked_rec, wco_ranked_materialize, LazySortedAnswers, LazySortedStream, PreparedC4,
-    RankedMaterialized, SortedAnswers, SortedStream,
+    SortedAnswers, SortedStream,
 };
 pub use decomposed::{
     auto_decomposition, decomposed_ranked_part, decomposed_ranked_rec, ranked_auto,
@@ -82,6 +83,7 @@ pub use ksp::{k_shortest_paths, LayeredDag};
 pub use part::AnyKPart;
 pub use ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, SumCost, WeightDioid};
 pub use rec::AnyKRec;
+pub use slab::AnswerSlab;
 pub use succorder::SuccessorKind;
 pub use tdp::{TdpError, TdpInstance};
 pub use union::{CanonicalOrder, RankedMerge, RankedUnion, TournamentTree};

@@ -129,7 +129,7 @@ impl<C: Clone + Ord> GroupOrder<C> {
                 items: members,
             },
             SuccessorKind::Take2 => {
-                heapify(&mut members);
+                heapify_by(&mut members, |a, b| a < b);
                 GroupOrder::Take2(members)
             }
             SuccessorKind::Lazy => GroupOrder::Lazy {
@@ -263,23 +263,25 @@ fn argmin<C: Ord>(items: &[(C, RowId)]) -> usize {
     best
 }
 
-/// In-place binary min-heapify (sift-down from the last parent).
-fn heapify<C: Ord>(items: &mut [(C, RowId)]) {
+/// In-place binary min-heapify under `less` (sift-down from the last
+/// parent). Shared with the materialized-answer id heap
+/// ([`crate::slab::SlabHeap`]), whose elements compare through a slab.
+pub(crate) fn heapify_by<T>(items: &mut [T], less: impl Fn(&T, &T) -> bool + Copy) {
     let n = items.len();
     for i in (0..n / 2).rev() {
-        sift_down(items, i);
+        sift_down_by(items, i, less);
     }
 }
 
-fn sift_down<C: Ord>(items: &mut [(C, RowId)], mut i: usize) {
+pub(crate) fn sift_down_by<T>(items: &mut [T], mut i: usize, less: impl Fn(&T, &T) -> bool) {
     let n = items.len();
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut small = i;
-        if l < n && items[l] < items[small] {
+        if l < n && less(&items[l], &items[small]) {
             small = l;
         }
-        if r < n && items[r] < items[small] {
+        if r < n && less(&items[r], &items[small]) {
             small = r;
         }
         if small == i {

@@ -61,7 +61,7 @@ pub enum TdpError {
 /// `len` as a 32-bit id bound, or the typed refusal. Row ids, group ids
 /// and group offsets of a slot are all bounded by its relation's row
 /// count, so checking that count once makes the rest lossless.
-fn id_bound(len: usize) -> Result<u32, TdpError> {
+pub(crate) fn id_bound(len: usize) -> Result<u32, TdpError> {
     u32::try_from(len).map_err(|_| TdpError::TooLarge { len })
 }
 

@@ -388,6 +388,7 @@ where
     // under the canonical atom-order serialization.
     let wco_lazy = |rels: &[Relation]| {
         LazySortedAnswers::new(wco_ranked_materialize_with::<R>(&plan.query, rels, indexes))
+            .map(PreparedRoute::LazySorted)
     };
     Ok(match &plan.route {
         Route::Acyclic { tree } => {
@@ -399,7 +400,7 @@ where
                     &plan.query,
                     tree,
                     rels,
-                )))
+                ))?)
             } else {
                 PreparedRoute::Tdp(Arc::new(TdpInstance::<R>::prepare(
                     &plan.query,
@@ -410,17 +411,17 @@ where
         }
         // The triangle plan is materialize-then-rank with the sort
         // deferred; Batch and any-k requests share the same artifact.
-        Route::Triangle => PreparedRoute::LazySorted(prepare_triangle_with::<R>(&rels, indexes)),
+        Route::Triangle => PreparedRoute::LazySorted(prepare_triangle_with::<R>(&rels, indexes)?),
         Route::FourCycle { threshold } => {
             if batch || R::weight_dioid().is_none() {
-                PreparedRoute::LazySorted(wco_lazy(&rels))
+                wco_lazy(&rels)?
             } else {
                 PreparedRoute::Cases(PreparedC4::prepare_with(&rels, *threshold, indexes)?)
             }
         }
         Route::Decomposed { decomp } => {
             if batch || R::weight_dioid().is_none() {
-                PreparedRoute::LazySorted(wco_lazy(&rels))
+                wco_lazy(&rels)?
             } else {
                 PreparedRoute::Ghd(PreparedDecomposed::prepare_with(
                     &plan.query,

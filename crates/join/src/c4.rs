@@ -25,8 +25,8 @@ use anyk_query::cq::{ConjunctiveQuery, QueryBuilder, VarId};
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::join_tree::JoinTree;
 use anyk_storage::{
-    BuildEachTime, FxHashSet, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value,
-    Weight,
+    BuildEachTime, FxHashMap, FxHashSet, IndexProvider, Relation, RelationBuilder, RowId, Schema,
+    Trie, Value, Weight,
 };
 use std::sync::Arc;
 
@@ -94,6 +94,47 @@ fn residual_unary(rel: &Relation, t: &Trie, v: Value, keep_col: usize, name: &st
         }
     }
     b.finish()
+}
+
+/// Point probes into a trie's first level by rows that arrive in no
+/// particular order and repeat their values (the light-light bag
+/// joins). The rows below each value that is found are re-sorted into
+/// input order once and kept behind a hash of the value, so a repeated
+/// probe is one lookup instead of a binary search of the level plus a
+/// copy and a sort of the matching ids. Values the trie does not hold
+/// are not remembered: a probe side that never matches costs a search
+/// per row and no memory.
+struct RowsByValue<'t> {
+    trie: &'t Trie,
+    spans: FxHashMap<Value, (usize, usize)>,
+    ids: Vec<RowId>,
+}
+
+impl<'t> RowsByValue<'t> {
+    fn of(trie: &'t Trie) -> Self {
+        RowsByValue {
+            trie,
+            spans: FxHashMap::default(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// The rows whose first-level value is `v`, ascending by row id.
+    fn rows(&mut self, v: Value) -> &[RowId] {
+        if let Some(&(from, to)) = self.spans.get(&v) {
+            return &self.ids[from..to];
+        }
+        let root = self.trie.root();
+        let Some(child) = self.trie.find(root, v) else {
+            return &[];
+        };
+        let from = self.ids.len();
+        self.ids
+            .extend_from_slice(self.trie.rows_below(root, child));
+        self.ids[from..].sort_unstable();
+        self.spans.insert(v, (from, self.ids.len()));
+        &self.ids[from..]
+    }
 }
 
 fn tree_of(q: &ConjunctiveQuery) -> JoinTree {
@@ -272,32 +313,21 @@ pub fn c4_cases_provider(
     };
     let w1 = {
         let mut b = RelationBuilder::new(Schema::new(["x1", "x2", "x4"]));
-        let root4 = t4.root(); // R4(x4, x1) keyed by x1
-        for i in 0..r1_light.len() as u32 {
-            let row = r1_light.row(i);
-            if let Some(c) = t4.find(root4, row[0]) {
-                let mut ids: Vec<RowId> = t4.rows_below(root4, c).to_vec();
-                ids.sort_unstable();
-                for j in ids {
-                    let w = merge(r1_light.weight(i), r4.weight(j));
-                    b.push(&[row[0], row[1], r4.row(j)[0]], w);
-                }
+        let mut by_x1 = RowsByValue::of(&t4); // R4(x4, x1) keyed by x1
+        for (_, row, weight) in r1_light.iter() {
+            for &j in by_x1.rows(row[0]) {
+                b.push(&[row[0], row[1], r4.row(j)[0]], merge(weight, r4.weight(j)));
             }
         }
         b.finish()
     };
     let w2 = {
         let mut b = RelationBuilder::new(Schema::new(["x2", "x3", "x4"]));
-        let root3 = t3l.root(); // R3ˡ(x3, x4) keyed by x3
-        for i in 0..r2.len() as u32 {
-            let row = r2.row(i);
-            if let Some(c) = t3l.find(root3, row[1]) {
-                let mut ids: Vec<RowId> = t3l.rows_below(root3, c).to_vec();
-                ids.sort_unstable();
-                for j in ids {
-                    let w = merge(r2.weight(i), r3_light.weight(j));
-                    b.push(&[row[0], row[1], r3_light.row(j)[1]], w);
-                }
+        let mut by_x3 = RowsByValue::of(&t3l); // R3ˡ(x3, x4) keyed by x3
+        for (_, row, weight) in r2.iter() {
+            for &j in by_x3.rows(row[1]) {
+                let w = merge(weight, r3_light.weight(j));
+                b.push(&[row[0], row[1], r3_light.row(j)[1]], w);
             }
         }
         b.finish()

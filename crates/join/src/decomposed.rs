@@ -25,9 +25,11 @@ use anyk_query::decompose::Decomposition;
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::hypergraph::iter_vars;
 use anyk_query::join_tree::JoinTree;
+use anyk_storage::fxhash::FxHasher;
 use anyk_storage::{
     BuildEachTime, FxHashMap, IndexProvider, Relation, RelationBuilder, Schema, Trie, Value, Weight,
 };
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -171,13 +173,29 @@ pub fn ghd_plan_provider(
         assert!(!cover.is_empty(), "bag must have a cover");
         let (sub_q, var_map) = subquery(q, cover);
         let sub_rels: Vec<Relation> = cover.iter().map(|&e| rels[e].clone()).collect();
-        // Enumerate the cover join, project to bag vars, dedup.
-        let mut seen: FxHashMap<Vec<Value>, ()> = FxHashMap::default();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        // Enumerate the cover join, project each binding straight into
+        // one row-major slab, and drop the row again if it repeats an
+        // earlier one: distinct rows stay in first-occurrence order.
+        // Bindings arrive in lexicographic order of the sub-query's
+        // variables, so when the bag keeps a prefix of them (in any
+        // column order) equal projections are adjacent and comparing
+        // with the previous row is the whole dedup; otherwise rows are
+        // looked up by a hash of their slab slice.
+        let proj: Vec<usize> = bag_vars.iter().map(|&v| var_map[&v]).collect();
+        let arity = proj.len();
+        let keeps_prefix = proj.iter().all(|&p| p < arity);
+        let mut rows: Vec<Value> = Vec::new();
+        let mut seen = SeenRows::default();
         generic_join_with(&sub_q, &sub_rels, None, indexes, &mut |binding, _rows| {
-            let proj: Vec<Value> = bag_vars.iter().map(|&v| binding[var_map[&v]]).collect();
-            if seen.insert(proj.clone(), ()).is_none() {
-                rows.push(proj);
+            let at = rows.len();
+            rows.extend(proj.iter().map(|&p| binding[p]));
+            let repeat = if keeps_prefix {
+                at > 0 && rows[at - arity..at] == rows[at..]
+            } else {
+                !seen.insert(&rows, arity)
+            };
+            if repeat {
+                rows.truncate(at);
             }
             ControlFlow::Continue(())
         });
@@ -201,8 +219,8 @@ pub fn ghd_plan_provider(
             })
             .collect();
         let schema = Schema::new(bag_vars.iter().map(|&v| q.var_name(v).to_string()));
-        let mut builder = RelationBuilder::with_capacity(schema, rows.len());
-        'rows: for row in rows {
+        let mut builder = RelationBuilder::with_capacity(schema, rows.len() / arity);
+        'rows: for row in rows.chunks_exact(arity) {
             let mut w = identity;
             for (e, idxs) in &key_indices {
                 let weight = match &atom_weighers[*e].how {
@@ -240,7 +258,7 @@ pub fn ghd_plan_provider(
                 };
                 w = merge(w, weight);
             }
-            builder.push(&row, w);
+            builder.push(row, w);
         }
         bag_relations.push(builder.finish());
         bag_var_lists.push(bag_vars);
@@ -274,6 +292,42 @@ pub fn ghd_plan_provider(
         bag_query,
         bag_tree,
         bag_relations,
+    }
+}
+
+/// The distinct fixed-width rows at the front of a growing slab, found
+/// by a hash of the row's slice: no owned key per row. `head` maps a
+/// hash to the latest row with it, `next` chains earlier rows sharing
+/// that hash.
+#[derive(Default)]
+struct SeenRows {
+    head: FxHashMap<u64, usize>,
+    next: Vec<Option<usize>>,
+}
+
+impl SeenRows {
+    /// `slab` holds the rows recorded so far plus one candidate, all
+    /// `arity` wide. Records the candidate and returns `true` iff no
+    /// recorded row equals it.
+    fn insert(&mut self, slab: &[Value], arity: usize) -> bool {
+        let row = self.next.len();
+        let candidate = &slab[row * arity..];
+        let mut hasher = FxHasher::default();
+        candidate.hash(&mut hasher);
+        let hash = hasher.finish();
+        // The latest earlier row with this hash, if any, heads a chain
+        // of all of them.
+        let chain = self.head.get(&hash).copied();
+        let mut earlier = chain;
+        while let Some(i) = earlier {
+            if slab[i * arity..][..arity] == *candidate {
+                return false;
+            }
+            earlier = self.next[i];
+        }
+        self.head.insert(hash, row);
+        self.next.push(chain);
+        true
     }
 }
 

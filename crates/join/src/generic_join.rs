@@ -4,11 +4,35 @@
 //! The algorithm binds one *variable* at a time (not one relation at a
 //! time): for each variable, the candidate values are the intersection
 //! of the matching child value-lists in the tries of all atoms using
-//! that variable. Intersections run leapfrog-style (smallest list leads,
-//! others gallop), which is what the worst-case optimality proof needs.
+//! that variable.
+//!
+//! # The kernel
+//!
+//! Which atoms take part at which depth, and at which of their trie
+//! levels, depends only on the query and the variable order, so it is
+//! worked out once per run (`Plan`). The walk itself is one loop over
+//! flat per-run arrays — a node handle per `(atom, level)`, a value
+//! slice and a cursor per `(depth, participant)` — and each depth runs
+//! a leapfrog intersection (Veldhuizen): seek one lagging cursor to the
+//! current maximum, read the one value it lands on, repeat until every
+//! participant agrees. With two participants that is the merge of two
+//! sorted lists: walked value by value while the skips are short,
+//! galloping when they are not.
+//!
+//! # Emission order
+//!
+//! The callback sequence is part of the contract: bindings arrive in
+//! lexicographic order of the variable order, and for one binding the
+//! per-atom row combinations arrive atom-major (the last atom's rows
+//! vary fastest, each atom's rows ascending by row id). Row ids index
+//! the relations as *passed in*, also for an atom whose
+//! repeated-variable prefilter dropped rows. Everything materialized
+//! from a join — bag relations, answer slabs — inherits its row order
+//! from this sequence, which is what keeps ranked streams
+//! byte-identical across index providers.
 
 use anyk_query::cq::{ConjunctiveQuery, VarId};
-use anyk_storage::trie::NodeHandle;
+use anyk_storage::trie::{gallop, NodeHandle};
 use anyk_storage::{
     BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight,
 };
@@ -66,60 +90,413 @@ pub fn generic_join_with(
     let order: &[VarId] = var_order.unwrap_or(&default_order);
     assert_eq!(order.len(), q.num_vars(), "var order must cover all vars");
 
-    // Per atom: trie levels follow the atom's variables sorted by their
-    // rank in the global order; repeated variables keep their first
-    // position (rows with unequal repeats are filtered out first).
+    let atom_levels = atom_levels(q, order);
+    let atoms: Vec<AtomIndex> = (0..rels.len())
+        .map(|i| AtomIndex::resolve(q, rels, i, &atom_levels[i], indexes))
+        .collect();
+    let plan = Plan::new(order, &atom_levels);
+    let mut stats = GenericJoinStats::default();
+    if plan.every_depth_is_constrained() {
+        let _ = Walk::new(&plan, &atoms, q.num_vars()).run(&mut stats, f);
+    }
+    stats
+}
+
+/// Per atom: its distinct variables sorted by their rank in `order` —
+/// the trie levels the walk binds, outermost first. A repeated variable
+/// appears once (rows with unequal repeats are filtered out first).
+pub(crate) fn atom_levels(q: &ConjunctiveQuery, order: &[VarId]) -> Vec<Vec<VarId>> {
     let mut rank = vec![usize::MAX; q.num_vars()];
     for (r, &v) in order.iter().enumerate() {
         rank[v] = r;
     }
-    let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(rels.len());
-    let mut atom_levels: Vec<Vec<VarId>> = Vec::with_capacity(rels.len());
-    let mut filtered: Vec<Relation> = Vec::with_capacity(rels.len());
-    for (i, rel) in rels.iter().enumerate() {
-        let atom = q.atom(i);
-        let mut rel = rel.clone();
-        crate::semijoin::prefilter_repeated_vars(&mut rel, q, i);
-        let mut vars: Vec<VarId> = {
-            let mut vs: Vec<VarId> = atom.vars.clone();
-            vs.sort_unstable();
-            vs.dedup();
-            vs
-        };
-        vars.sort_by_key(|&v| rank[v]);
-        let positions: Vec<usize> = vars.iter().map(|&v| atom.positions_of(v)[0]).collect();
-        let trie = if rel.shares_payload(&rels[i]) {
-            indexes.trie(&rel, &positions)
-        } else {
-            BuildEachTime.trie(&rel, &positions)
-        };
-        tries.push(trie);
-        atom_levels.push(vars);
-        filtered.push(rel);
+    q.atoms()
+        .iter()
+        .map(|atom| {
+            let mut vars: Vec<VarId> = atom.vars.clone();
+            vars.sort_unstable_by_key(|&v| rank[v]);
+            vars.dedup();
+            vars
+        })
+        .collect()
+}
+
+/// The trie column positions for an atom's levels: each variable's
+/// first position in the atom.
+fn level_positions(q: &ConjunctiveQuery, atom: usize, levels: &[VarId]) -> Vec<usize> {
+    let atom = q.atom(atom);
+    levels.iter().map(|&v| atom.positions_of(v)[0]).collect()
+}
+
+/// One atom's index for a run (shared with the Leapfrog Triejoin
+/// reference, which resolves its tries the same way and walks them its
+/// own way).
+pub(crate) struct AtomIndex {
+    pub(crate) trie: Arc<Trie>,
+    /// `Some` iff the repeated-variable prefilter dropped rows: the
+    /// trie is over the filtered copy, and `origin[i]` is the input row
+    /// id of the copy's row `i`.
+    origin: Option<Vec<RowId>>,
+}
+
+impl AtomIndex {
+    /// The input relation's id of the trie's row `r`.
+    #[inline]
+    pub(crate) fn input_row(&self, r: RowId) -> RowId {
+        match &self.origin {
+            Some(origin) => origin[r as usize],
+            None => r,
+        }
     }
 
-    let mut stats = GenericJoinStats::default();
-    // Per atom: stack of node handles (children spans), one per bound
-    // prefix level of that atom.
-    let mut handle_stack: Vec<Vec<NodeHandle>> = tries.iter().map(|t| vec![t.root()]).collect();
-    let mut binding: Vec<Value> = vec![Value::Int(0); q.num_vars()];
-    let mut rows_per_atom: Vec<RowId> = vec![0; rels.len()];
-
-    let _ = recurse(
-        q,
-        order,
-        0,
-        &tries,
-        &atom_levels,
-        &filtered,
-        &mut handle_stack,
-        &mut binding,
-        &mut rows_per_atom,
-        &mut stats,
-        f,
-    );
-    stats
+    pub(crate) fn resolve(
+        q: &ConjunctiveQuery,
+        rels: &[Relation],
+        atom: usize,
+        levels: &[VarId],
+        indexes: &dyn IndexProvider,
+    ) -> Self {
+        let positions = level_positions(q, atom, levels);
+        let input = &rels[atom];
+        let mut rel = input.clone();
+        crate::semijoin::prefilter_repeated_vars(&mut rel, q, atom);
+        if rel.shares_payload(input) {
+            return AtomIndex {
+                trie: indexes.trie(&rel, &positions),
+                origin: None,
+            };
+        }
+        // The filter keeps row order, so the survivors are exactly the
+        // input rows whose repeated positions agree, in input order.
+        let vars = &q.atom(atom).vars;
+        let first: Vec<usize> = (vars.iter())
+            .map(|&v| q.atom(atom).positions_of(v)[0])
+            .collect();
+        let origin: Vec<RowId> = (input.iter())
+            .filter(|(_, row, _)| first.iter().enumerate().all(|(p, &p0)| row[p] == row[p0]))
+            .map(|(id, _, _)| id)
+            .collect();
+        debug_assert_eq!(origin.len(), rel.len());
+        AtomIndex {
+            trie: BuildEachTime.trie(&rel, &positions),
+            origin: Some(origin),
+        }
+    }
 }
+
+/// One atom taking part at one depth.
+#[derive(Clone, Copy)]
+struct Participant {
+    atom: usize,
+    /// Index of this `(atom, level)` in the walk's handle array.
+    slot: usize,
+    /// Is this the atom's last bound level? (Its rows are emitted from
+    /// below the matched child; the trie itself may be deeper.)
+    last: bool,
+}
+
+/// The depth-by-depth shape of a run, fixed by the query and the
+/// variable order alone.
+struct Plan<'a> {
+    order: &'a [VarId],
+    /// All participants, depth-major; within a depth in atom order.
+    participants: Vec<Participant>,
+    /// `participants[depth_start[d]..depth_start[d + 1]]` take part at
+    /// depth `d`.
+    depth_start: Vec<usize>,
+    /// Slot of each atom's level 0 (its root handle).
+    root_slot: Vec<usize>,
+    /// Total `(atom, level)` slots.
+    slots: usize,
+}
+
+impl<'a> Plan<'a> {
+    fn new(order: &'a [VarId], atom_levels: &[Vec<VarId>]) -> Self {
+        let mut root_slot = Vec::with_capacity(atom_levels.len());
+        let mut slots = 0;
+        for levels in atom_levels {
+            root_slot.push(slots);
+            slots += levels.len();
+        }
+        let mut participants = Vec::with_capacity(slots);
+        let mut depth_start = Vec::with_capacity(order.len() + 1);
+        for &v in order {
+            depth_start.push(participants.len());
+            // An atom's levels are sorted by rank, so its cursor sits
+            // exactly at the level of the next of its variables to be
+            // bound: it takes part iff it mentions `v`.
+            for (atom, levels) in atom_levels.iter().enumerate() {
+                if let Some(level) = levels.iter().position(|&u| u == v) {
+                    participants.push(Participant {
+                        atom,
+                        slot: root_slot[atom] + level,
+                        last: level + 1 == levels.len(),
+                    });
+                }
+            }
+        }
+        depth_start.push(participants.len());
+        Plan {
+            order,
+            participants,
+            depth_start,
+            root_slot,
+            slots,
+        }
+    }
+
+    /// A variable no atom mentions has no candidate values, so the join
+    /// is empty (queries from our builders always constrain every
+    /// variable; hand-built ones get the empty answer, not a panic).
+    fn every_depth_is_constrained(&self) -> bool {
+        !self.order.is_empty() && self.depth_start.windows(2).all(|w| w[0] < w[1])
+    }
+
+    fn depth(&self, d: usize) -> std::ops::Range<usize> {
+        self.depth_start[d]..self.depth_start[d + 1]
+    }
+}
+
+/// The mutable state of one run: every array is sized once, up front.
+struct Walk<'a> {
+    plan: &'a Plan<'a>,
+    atoms: &'a [AtomIndex],
+    /// Per `(atom, level)` slot: the children span the level walks.
+    handles: Vec<NodeHandle>,
+    /// Per participant: the values of its slot's span, and the cursor
+    /// into them (relative to the span's start).
+    spans: Vec<&'a [Value]>,
+    cursors: Vec<usize>,
+    /// Per atom: the handle and absolute child index matched at its
+    /// last level — where its rows hang.
+    leaves: Vec<(NodeHandle, u32)>,
+    binding: Vec<Value>,
+    /// Emission scratch, per atom: the rows below its leaf, the
+    /// position of the current combination in them, and that
+    /// combination as input row ids.
+    lists: Vec<&'a [RowId]>,
+    odometer: Vec<usize>,
+    rows: Vec<RowId>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(plan: &'a Plan<'a>, atoms: &'a [AtomIndex], num_vars: usize) -> Self {
+        let mut handles = vec![
+            NodeHandle {
+                level: 0,
+                start: 0,
+                end: 0
+            };
+            plan.slots
+        ];
+        for (atom, index) in atoms.iter().enumerate() {
+            handles[plan.root_slot[atom]] = index.trie.root();
+        }
+        Walk {
+            plan,
+            atoms,
+            handles,
+            spans: vec![&[]; plan.participants.len()],
+            cursors: vec![0; plan.participants.len()],
+            leaves: vec![(atoms[0].trie.root(), 0); atoms.len()],
+            binding: vec![Value::Int(0); num_vars],
+            lists: vec![&[]; atoms.len()],
+            odometer: vec![0; atoms.len()],
+            rows: vec![0; atoms.len()],
+        }
+    }
+
+    /// Backtracking over depths: find the next common value at the
+    /// current depth, bind it and go deeper (or emit at the bottom);
+    /// when a depth runs dry, go back up and step past the value that
+    /// led here.
+    fn run(
+        &mut self,
+        stats: &mut GenericJoinStats,
+        f: &mut SolutionCallback<'_>,
+    ) -> ControlFlow<()> {
+        let bottom = self.plan.order.len() - 1;
+        let mut d = 0;
+        self.open(0);
+        loop {
+            if self.leapfrog(d, stats) {
+                stats.bindings_explored += 1;
+                self.descend(d);
+                if d < bottom {
+                    d += 1;
+                    self.open(d);
+                    continue;
+                }
+                self.emit(f)?;
+            } else if d == 0 {
+                return ControlFlow::Continue(());
+            } else {
+                d -= 1;
+            }
+            // Step past the value just explored at depth `d`.
+            self.cursors[self.plan.depth_start[d]] += 1;
+        }
+    }
+
+    /// Point depth `d`'s participants at the start of their spans.
+    fn open(&mut self, d: usize) {
+        for p in self.plan.depth(d) {
+            let part = self.plan.participants[p];
+            self.spans[p] = self.atoms[part.atom]
+                .trie
+                .child_values(self.handles[part.slot]);
+            self.cursors[p] = 0;
+        }
+    }
+
+    /// Leapfrog intersection at depth `d`, from the current cursors:
+    /// `true` with every participant's cursor on the next common value
+    /// (bound into `binding`), `false` when some span is exhausted.
+    ///
+    /// `hi` is the largest value under any cursor and the last `agree`
+    /// participants visited sit on it; each step seeks the next one —
+    /// the one that has lagged longest — up to `hi` and reads where it
+    /// landed. One seek and one value read per step.
+    fn leapfrog(&mut self, d: usize, stats: &mut GenericJoinStats) -> bool {
+        let parts = self.plan.depth(d);
+        let spans = &self.spans[parts.clone()];
+        let cursors = &mut self.cursors[parts];
+        let found = match (spans, cursors) {
+            ([a, b], [i, j]) => merge_step(a, b, i, j, &mut stats.seeks),
+            (spans, cursors) => leapfrog_step(spans, cursors, &mut stats.seeks),
+        };
+        if let Some(v) = found {
+            self.binding[self.plan.order[d]] = v;
+        }
+        found.is_some()
+    }
+
+    /// Every participant of depth `d` sits on the bound value: hand its
+    /// children to the atom's next level, or note where its rows hang.
+    fn descend(&mut self, d: usize) {
+        for p in self.plan.depth(d) {
+            let part = self.plan.participants[p];
+            let h = self.handles[part.slot];
+            // A cursor stays inside its span, whose bounds are `u32`s.
+            let child = h.start + self.cursors[p] as u32;
+            if part.last {
+                self.leaves[part.atom] = (h, child);
+            } else {
+                self.handles[part.slot + 1] = self.atoms[part.atom].trie.descend(h, child);
+            }
+        }
+    }
+
+    /// All variables bound: call `f` once per combination of the atoms'
+    /// matching rows (bag semantics), the last atom varying fastest.
+    fn emit(&mut self, f: &mut SolutionCallback<'_>) -> ControlFlow<()> {
+        let Walk {
+            atoms,
+            leaves,
+            binding,
+            lists,
+            odometer,
+            rows,
+            ..
+        } = self;
+        for (atom, index) in atoms.iter().enumerate() {
+            let (h, child) = leaves[atom];
+            // Never empty: every trie node has at least one row below.
+            lists[atom] = index.trie.rows_below(h, child);
+            odometer[atom] = 0;
+            rows[atom] = index.input_row(lists[atom][0]);
+        }
+        loop {
+            f(binding, rows)?;
+            let mut atom = atoms.len();
+            loop {
+                if atom == 0 {
+                    return ControlFlow::Continue(());
+                }
+                atom -= 1;
+                odometer[atom] += 1;
+                if odometer[atom] == lists[atom].len() {
+                    odometer[atom] = 0;
+                }
+                rows[atom] = atoms[atom].input_row(lists[atom][odometer[atom]]);
+                if odometer[atom] > 0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The next value common to `k` sorted spans at or after their cursors,
+/// leaving every cursor on it; `None` once a span is exhausted.
+///
+/// `hi` is the largest value under any cursor and the last `agree`
+/// spans visited sit on it; each step seeks the next span — the one
+/// that has lagged longest — up to `hi` and reads where it landed.
+fn leapfrog_step(spans: &[&[Value]], cursors: &mut [usize], seeks: &mut u64) -> Option<Value> {
+    let k = spans.len();
+    let mut hi = *spans[0].get(cursors[0])?;
+    let mut agree = 1;
+    let mut j = 0;
+    while agree < k {
+        j = if j + 1 == k { 0 } else { j + 1 };
+        cursors[j] = gallop(spans[j], cursors[j], hi);
+        *seeks += 1;
+        let v = *spans[j].get(cursors[j])?;
+        if v == hi {
+            agree += 1;
+        } else {
+            hi = v;
+            agree = 1;
+        }
+    }
+    Some(hi)
+}
+
+/// [`leapfrog_step`] for two spans: the merge of two sorted lists, one
+/// three-way comparison per step. Short skips are walked value by value
+/// — a step is a comparison and two branch-free increments, cheaper
+/// than any seek — and whenever [`MERGE_WALK`] steps pass without a
+/// match the lagging side gallops to the other's value instead, so
+/// clustered or lopsided lists cost the logarithm of what they skip,
+/// not its length.
+fn merge_step(
+    a: &[Value],
+    b: &[Value],
+    i: &mut usize,
+    j: &mut usize,
+    seeks: &mut u64,
+) -> Option<Value> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let (mut p, mut q) = (*i, *j);
+    let mut found = None;
+    'merge: while p < a.len() && q < b.len() {
+        for _ in 0..MERGE_WALK {
+            let x = a[p];
+            let order = x.cmp(&b[q]);
+            if order == Equal {
+                found = Some(x);
+                break 'merge;
+            }
+            p += (order == Less) as usize;
+            q += (order == Greater) as usize;
+            if p == a.len() || q == b.len() {
+                break 'merge;
+            }
+        }
+        *seeks += 1;
+        match a[p].cmp(&b[q]) {
+            Less => p = gallop(a, p + 1, b[q]),
+            Greater => q = gallop(b, q + 1, a[p]),
+            Equal => {}
+        }
+    }
+    (*i, *j) = (p, q);
+    found
+}
+
+/// Values [`merge_step`] walks without a match before it gallops.
+const MERGE_WALK: usize = 16;
 
 /// The `(atom index, trie positions)` requests [`generic_join_with`]
 /// will make against a shared [`IndexProvider`] for `q` under
@@ -134,185 +511,11 @@ pub fn generic_join_trie_requests(
 ) -> Vec<(usize, Vec<usize>)> {
     let default_order: Vec<VarId> = (0..q.num_vars()).collect();
     let order: &[VarId] = var_order.unwrap_or(&default_order);
-    let mut rank = vec![usize::MAX; q.num_vars()];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v] = r;
-    }
-    let mut reqs = Vec::new();
-    for (i, atom) in q.atoms().iter().enumerate() {
-        let mut vars: Vec<VarId> = atom.vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        if vars.len() != atom.vars.len() {
-            continue; // repeated-variable atom: may prefilter privately
-        }
-        vars.sort_by_key(|&v| rank[v]);
-        let positions: Vec<usize> = vars.iter().map(|&v| atom.positions_of(v)[0]).collect();
-        reqs.push((i, positions));
-    }
-    reqs
-}
-
-/// Depth = index into the global variable order.
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    q: &ConjunctiveQuery,
-    order: &[VarId],
-    depth: usize,
-    tries: &[Arc<Trie>],
-    atom_levels: &[Vec<VarId>],
-    rels: &[Relation],
-    handle_stack: &mut Vec<Vec<NodeHandle>>,
-    binding: &mut Vec<Value>,
-    rows_per_atom: &mut Vec<RowId>,
-    stats: &mut GenericJoinStats,
-    f: &mut SolutionCallback<'_>,
-) -> ControlFlow<()> {
-    if depth == order.len() {
-        // All variables bound: every atom's trie is fully descended; its
-        // last handle's leaf rows are the matching tuples. Emit the
-        // cross product (bag semantics).
-        return emit_products(q, 0, tries, handle_stack, rels, binding, rows_per_atom, f);
-    }
-    let v = order[depth];
-    // Atoms whose *next* unbound trie level is v.
-    let participating: Vec<usize> = (0..tries.len())
-        .filter(|&i| {
-            let lvl = handle_stack[i].len() - 1;
-            lvl < atom_levels[i].len() && atom_levels[i][lvl] == v
-        })
-        .collect();
-    if participating.is_empty() {
-        // Variable not constrained at this point: only possible if no
-        // atom uses it (a free variable) — full CQs from our builders
-        // always constrain every variable, but handle it gracefully by
-        // failing (no candidate values exist).
-        return ControlFlow::Continue(());
-    }
-
-    // Leapfrog intersection across the participating atoms' handles.
-    let k = participating.len();
-    let mut cursors: Vec<u32> = participating
-        .iter()
-        .map(|&i| handle_stack[i].last().unwrap().start)
-        .collect();
-    'leapfrog: loop {
-        // Find current max value among cursors; detect exhaustion.
-        let mut max_val: Option<Value> = None;
-        for (c, &ai) in participating.iter().enumerate() {
-            let h = *handle_stack[ai].last().unwrap();
-            if cursors[c] >= h.end {
-                break 'leapfrog;
-            }
-            let val = tries[ai].value_at(h, cursors[c]);
-            if max_val.is_none_or(|m| val > m) {
-                max_val = Some(val);
-            }
-        }
-        let target = max_val.unwrap();
-        // Seek all cursors to >= target.
-        let mut all_equal = true;
-        for (c, &ai) in participating.iter().enumerate() {
-            let h = *handle_stack[ai].last().unwrap();
-            let pos = tries[ai].seek(h, cursors[c], target);
-            stats.seeks += 1;
-            cursors[c] = pos;
-            if pos >= h.end {
-                break 'leapfrog;
-            }
-            if tries[ai].value_at(h, pos) != target {
-                all_equal = false;
-            }
-        }
-        if !all_equal {
-            continue;
-        }
-        // Match: bind v = target, descend participating tries.
-        stats.bindings_explored += 1;
-        binding[v] = target;
-        for (c, &ai) in participating.iter().enumerate() {
-            let h = *handle_stack[ai].last().unwrap();
-            let lvl = handle_stack[ai].len() - 1;
-            if lvl + 1 < atom_levels[ai].len() {
-                handle_stack[ai].push(tries[ai].descend(h, cursors[c]));
-            } else {
-                // Last *atom* level (the trie itself may be deeper when
-                // a canonical shared index extends the order): push a
-                // marker handle recording the child index so
-                // emit_products can find the rows. Encode as a
-                // zero-width handle at the same level whose `start`
-                // stores the child index.
-                handle_stack[ai].push(NodeHandle {
-                    level: h.level,
-                    start: cursors[c],
-                    end: cursors[c],
-                });
-            }
-        }
-        let flow = recurse(
-            q,
-            order,
-            depth + 1,
-            tries,
-            atom_levels,
-            rels,
-            handle_stack,
-            binding,
-            rows_per_atom,
-            stats,
-            f,
-        );
-        for &ai in &participating {
-            handle_stack[ai].pop();
-        }
-        flow?;
-        // Advance the first cursor past `target` to find the next match.
-        cursors[0] += 1;
-        if k == 1 {
-            // Single-atom fast path: continue scanning.
-            continue;
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// Emit the cross product of matching rows across atoms (bag
-/// semantics).
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn emit_products(
-    q: &ConjunctiveQuery,
-    atom: usize,
-    tries: &[Arc<Trie>],
-    handle_stack: &[Vec<NodeHandle>],
-    rels: &[Relation],
-    binding: &[Value],
-    rows_per_atom: &mut Vec<RowId>,
-    f: &mut SolutionCallback<'_>,
-) -> ControlFlow<()> {
-    if atom == tries.len() {
-        return f(binding, rows_per_atom);
-    }
-    // The marker handle pushed at the last atom level stores the child
-    // index; `rows_below` emits the whole subtree under it (a leaf row
-    // list when the trie ends there, every row below otherwise).
-    let marker = *handle_stack[atom].last().unwrap();
-    let parent = handle_stack[atom][handle_stack[atom].len() - 2];
-    debug_assert_eq!(marker.level, parent.level);
-    let rows = tries[atom].rows_below(parent, marker.start);
-    for &r in rows {
-        rows_per_atom[atom] = r;
-        emit_products(
-            q,
-            atom + 1,
-            tries,
-            handle_stack,
-            rels,
-            binding,
-            rows_per_atom,
-            f,
-        )?;
-    }
-    ControlFlow::Continue(())
+    (atom_levels(q, order).iter().enumerate())
+        // A repeated-variable atom may prefilter privately.
+        .filter(|(i, levels)| levels.len() == q.atom(*i).vars.len())
+        .map(|(i, levels)| (i, level_positions(q, i, levels)))
+        .collect()
 }
 
 /// Materializing wrapper: output schema = all variables in `VarId`
@@ -488,6 +691,84 @@ mod tests {
         // Only F's trie lives in the catalog.
         assert_eq!(catalog.stats().builds, 1);
         assert_eq!(catalog.stats().entries, 1);
+    }
+
+    #[test]
+    fn repeated_var_atom_reports_input_row_ids() {
+        // E(x,x) drops (2,3): the survivors' ids in the filtered copy
+        // are 0 and 1, in E they are 0 and 2 — weights must come from
+        // the latter.
+        let q = QueryBuilder::new()
+            .atom("E", &["x", "x"])
+            .atom("F", &["x", "y"])
+            .build();
+        let mut e = RelationBuilder::new(Schema::new(["u", "v"]));
+        for (row, w) in [([1, 1], 0.5), ([2, 3], 8.0), ([4, 4], 0.25)] {
+            e.push_ints(&row, w);
+        }
+        let rels = vec![e.finish(), edge_rel(&[(1, 7), (4, 8), (2, 9)])];
+        let (res, _) = generic_join_materialize(&q, &rels, None);
+        let got: Vec<(i64, f64)> = (res.iter())
+            .map(|(_, row, w)| (row[0].int(), w.get()))
+            .collect();
+        assert_eq!(got, vec![(1, 1.5), (4, 1.25)]);
+    }
+
+    /// Every common value of the lists, by repeated steps from cursors
+    /// at 0, stepping the first cursor past each match.
+    fn intersect(lists: &[Vec<Value>]) -> Vec<Value> {
+        let spans: Vec<&[Value]> = lists.iter().map(Vec::as_slice).collect();
+        let mut cursors = vec![0; spans.len()];
+        let mut seeks = 0;
+        let mut out = Vec::new();
+        loop {
+            let found = match (&spans[..], &mut cursors[..]) {
+                ([a, b], [i, j]) => merge_step(a, b, i, j, &mut seeks),
+                (spans, cursors) => leapfrog_step(spans, cursors, &mut seeks),
+            };
+            let Some(v) = found else { return out };
+            out.push(v);
+            cursors[0] += 1;
+        }
+    }
+
+    #[test]
+    fn intersection_steps_match_a_naive_intersection() {
+        let ints = |xs: &mut dyn Iterator<Item = i64>| xs.map(Value::Int).collect::<Vec<_>>();
+        let cases: Vec<Vec<Vec<Value>>> = vec![
+            // Dense and interleaved: walked.
+            vec![ints(&mut (0..60).step_by(2)), ints(&mut (0..60).step_by(3))],
+            // Disjoint clusters around one shared value: galloped.
+            vec![
+                ints(&mut (0..500).chain([1000]).chain(2000..2500)),
+                ints(&mut (600..900).chain([1000]).chain(5000..5100)),
+            ],
+            // Lopsided.
+            vec![ints(&mut (0..2000)), ints(&mut [7, 1999, 5000].into_iter())],
+            // One side empty, and one side exhausted first.
+            vec![ints(&mut (0..10)), vec![]],
+            vec![ints(&mut (0..10)), ints(&mut (20..30))],
+            // One, three and four lists.
+            vec![ints(&mut (3..9))],
+            vec![
+                ints(&mut (0..90).step_by(2)),
+                ints(&mut (0..90).step_by(3)),
+                ints(&mut (0..90).step_by(5)),
+            ],
+            vec![
+                ints(&mut (0..400)),
+                ints(&mut (100..300).step_by(7)),
+                ints(&mut [2, 107, 121, 299, 350].into_iter()),
+                ints(&mut (0..400).step_by(1)),
+            ],
+        ];
+        for lists in cases {
+            let want: Vec<Value> = (lists[0].iter())
+                .filter(|v| lists.iter().all(|l| l.contains(v)))
+                .copied()
+                .collect();
+            assert_eq!(intersect(&lists), want, "{} lists", lists.len());
+        }
     }
 
     #[test]

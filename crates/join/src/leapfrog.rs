@@ -9,14 +9,13 @@
 //! optimal; having two independent implementations lets the test suite
 //! cross-check them against each other (and both against nested loops).
 
-use crate::generic_join::SolutionCallback;
+use crate::generic_join::{atom_levels, AtomIndex, SolutionCallback};
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::trie::NodeHandle;
 use anyk_storage::{
     BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight,
 };
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// A cursor walking one trie level-by-level (the "trie iterator" of the
 /// LFTJ paper): a stack of `(children handle, position)` frames.
@@ -156,36 +155,16 @@ pub fn leapfrog_triejoin_with(
     let order: &[VarId] = var_order.unwrap_or(&default_order);
     assert_eq!(order.len(), q.num_vars());
 
-    let mut rank = vec![usize::MAX; q.num_vars()];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v] = r;
-    }
-    // Per atom: filtered relation + trie in global-order-sorted levels.
-    let mut filtered: Vec<Relation> = Vec::with_capacity(rels.len());
-    let mut atom_levels: Vec<Vec<VarId>> = Vec::with_capacity(rels.len());
-    let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(rels.len());
-    for (i, rel) in rels.iter().enumerate() {
-        let atom = q.atom(i);
-        let mut rel = rel.clone();
-        crate::semijoin::prefilter_repeated_vars(&mut rel, q, i);
-        let mut vars: Vec<VarId> = atom.vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        vars.sort_by_key(|&v| rank[v]);
-        let positions: Vec<usize> = vars.iter().map(|&v| atom.positions_of(v)[0]).collect();
-        let trie = if rel.shares_payload(&rels[i]) {
-            indexes.trie(&rel, &positions)
-        } else {
-            BuildEachTime.trie(&rel, &positions)
-        };
-        tries.push(trie);
-        atom_levels.push(vars);
-        filtered.push(rel);
-    }
-    if filtered.iter().any(|r| r.is_empty()) {
+    // Per atom: trie in global-order-sorted levels (over a filtered
+    // copy when a repeated-variable prefilter dropped rows).
+    let atom_levels = atom_levels(q, order);
+    let atoms: Vec<AtomIndex> = (0..rels.len())
+        .map(|i| AtomIndex::resolve(q, rels, i, &atom_levels[i], indexes))
+        .collect();
+    if atoms.iter().any(|a| a.trie.root().is_empty()) {
         return;
     }
-    let mut cursors: Vec<TrieCursor<'_>> = tries.iter().map(|t| TrieCursor::new(t)).collect();
+    let mut cursors: Vec<TrieCursor<'_>> = atoms.iter().map(|a| TrieCursor::new(&a.trie)).collect();
 
     // Participants per depth: atoms using that depth's variable. Since
     // each atom's trie levels are sorted by global rank, an atom's
@@ -210,7 +189,7 @@ pub fn leapfrog_triejoin_with(
     'outer: loop {
         if depth == m {
             // Emit cross products of leaf rows.
-            let flow = emit(&cursors, &filtered, 0, &binding, &mut rows_per_atom, f);
+            let flow = emit(&cursors, &atoms, 0, &binding, &mut rows_per_atom, f);
             if flow.is_break() {
                 return;
             }
@@ -247,11 +226,11 @@ pub fn leapfrog_triejoin_with(
     }
 }
 
-/// Emit the cross product of leaf rows over atoms (bag semantics).
-#[allow(clippy::only_used_in_recursion)]
+/// Emit the cross product of leaf rows over atoms (bag semantics), as
+/// row ids of the input relations.
 fn emit(
     cursors: &[TrieCursor<'_>],
-    rels: &[Relation],
+    atoms: &[AtomIndex],
     atom: usize,
     binding: &[Value],
     rows_per_atom: &mut Vec<RowId>,
@@ -261,8 +240,8 @@ fn emit(
         return f(binding, rows_per_atom);
     }
     for &r in cursors[atom].rows() {
-        rows_per_atom[atom] = r;
-        emit(cursors, rels, atom + 1, binding, rows_per_atom, f)?;
+        rows_per_atom[atom] = atoms[atom].input_row(r);
+        emit(cursors, atoms, atom + 1, binding, rows_per_atom, f)?;
     }
     ControlFlow::Continue(())
 }

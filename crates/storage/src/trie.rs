@@ -3,15 +3,22 @@
 //! A [`Trie`] materializes a relation as nested sorted levels following a
 //! chosen attribute order. Generic-Join binds one query variable at a
 //! time by *intersecting* the child value lists of the participating
-//! relations' trie nodes; [`Trie::seek`] provides the galloping search
-//! that makes each intersection step logarithmic (Leapfrog-Triejoin
-//! style).
+//! relations' trie nodes; [`gallop`] (and [`Trie::seek`] over one node's
+//! children) is the galloping search that makes a skip cost the
+//! logarithm of its distance (Leapfrog-Triejoin style).
 //!
 //! Layout: level `l` stores the concatenated, per-parent-sorted distinct
 //! values of attribute `l` (`values[l]`) plus, for each value, the start
 //! of its child span in the next level (`starts[l]`). The final level's
-//! spans index into `rows`, the row ids sorted by the attribute order —
-//! so every trie leaf can recover the original tuples (and weights).
+//! spans index into `rows`, the row ids sorted by the attribute order
+//! with ties in row-id order — so every trie leaf can recover the
+//! original tuples (and weights), in input order.
+//!
+//! Build: [`Trie::build`] never compares `Value`s. Each row becomes one
+//! `u128` sort record — the value's order-preserving `(tag, key)` pair
+//! above the row id — and every level is an integer sort of each
+//! parent's segment followed by one scan for equal-key runs; see
+//! [`Trie::build`].
 
 use crate::relation::{Relation, RowId};
 use crate::value::Value;
@@ -43,6 +50,26 @@ impl NodeHandle {
     }
 }
 
+/// Bits of a sort record holding the row id.
+const ROW_BITS: u32 = RowId::BITS;
+
+/// The `u128` [`Trie::build`] sorts: `value`'s order-preserving
+/// `(tag, key)` pair above the row id — `tag:8 | key:64 | row:32` — so
+/// integer order on records is `(value, row)` order and equal values
+/// share everything above [`ROW_BITS`].
+#[inline]
+fn sort_record(value: Value, row: RowId) -> u128 {
+    let (tag, key) = value.order_key();
+    (tag as u128) << (64 + ROW_BITS) | (key as u128) << ROW_BITS | row as u128
+}
+
+/// The row id in a sort record's low bits.
+#[inline]
+fn record_row(rec: u128) -> RowId {
+    // Truncation is the point: the id is the low `ROW_BITS`.
+    rec as RowId
+}
+
 /// A materialized sorted trie over a relation (see module docs).
 #[derive(Debug)]
 pub struct Trie {
@@ -61,49 +88,62 @@ pub struct Trie {
 impl Trie {
     /// Build a trie over `rel` with one level per position in
     /// `positions` (a permutation or subset of the relation's columns).
+    ///
+    /// Rows are ordered level by level over packed `u128` sort records
+    /// (`tag:8 | key:64 | row:32`, see `sort_record`): level `l` re-keys every record with its
+    /// row's level-`l` value and sorts each level-`(l-1)` node's
+    /// segment as plain integers, so equal-key runs — the level's
+    /// distinct values and their child spans — fall out of the same
+    /// pass. The row id in a record's low bits breaks ties, so `rows`
+    /// is the relation sorted by `(positions…, RowId)`.
+    ///
+    /// # Panics
+    ///
+    /// If `positions` is empty or `rel` has more rows than a [`RowId`]
+    /// can address.
     pub fn build(rel: &Relation, positions: &[usize]) -> Self {
         assert!(!positions.is_empty(), "trie needs at least one level");
-        let mut rows: Vec<RowId> = (0..rel.len() as RowId).collect();
-        rows.sort_by(|&x, &y| {
-            let rx = rel.row(x);
-            let ry = rel.row(y);
-            for &p in positions {
-                match rx[p].cmp(&ry[p]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            x.cmp(&y)
-        });
-
+        // The one checked bound: every id, span and offset below
+        // counts rows or distinct values, so none exceeds `n`.
+        let n = RowId::try_from(rel.len()).expect("a relation's rows are addressable by RowId");
         let depth = positions.len();
         let mut values: Vec<Vec<Value>> = vec![Vec::new(); depth];
         let mut starts: Vec<Vec<u32>> = vec![Vec::new(); depth];
+        // Row ids first; every level keys them with its own column.
+        let mut recs: Vec<u128> = (0..n).map(u128::from).collect();
 
-        // Build level by level. `segments` holds one row range per node
-        // at the *previous* level (one synthetic root segment for level
-        // 0). While emitting level-l values we simultaneously learn the
-        // child spans of the level-(l-1) nodes, because each parent's
+        // `segments` holds one record range per node of the *previous*
+        // level (one synthetic root segment for level 0). While
+        // emitting level-l values we simultaneously learn the child
+        // spans of the level-(l-1) nodes, because each parent's
         // children are emitted contiguously.
-        let mut segments: Vec<(u32, u32)> = vec![(0, rows.len() as u32)];
+        let mut segments: Vec<(u32, u32)> = vec![(0, n)];
         for (l, &p) in positions.iter().enumerate() {
+            for rec in &mut recs {
+                let id = record_row(*rec);
+                *rec = sort_record(rel.row(id)[p], id);
+            }
+            let level = &mut values[l];
             let mut next_segments: Vec<(u32, u32)> = Vec::with_capacity(segments.len());
             let mut parent_starts: Vec<u32> = Vec::with_capacity(segments.len() + 1);
+            let mut count = 0u32;
             for &(seg_start, seg_end) in &segments {
-                parent_starts.push(values[l].len() as u32);
+                parent_starts.push(count);
+                recs[seg_start as usize..seg_end as usize].sort_unstable();
                 let mut i = seg_start;
                 while i < seg_end {
-                    let v = rel.row(rows[i as usize])[p];
+                    let first = recs[i as usize];
                     let mut j = i + 1;
-                    while j < seg_end && rel.row(rows[j as usize])[p] == v {
+                    while j < seg_end && recs[j as usize] >> ROW_BITS == first >> ROW_BITS {
                         j += 1;
                     }
-                    values[l].push(v);
+                    level.push(rel.row(record_row(first))[p]);
+                    count += 1;
                     next_segments.push((i, j));
                     i = j;
                 }
             }
-            parent_starts.push(values[l].len() as u32);
+            parent_starts.push(count);
             if l > 0 {
                 starts[l - 1] = parent_starts;
             }
@@ -112,14 +152,14 @@ impl Trie {
         // Last level's spans point into `rows` directly.
         let mut leaf_starts: Vec<u32> = Vec::with_capacity(segments.len() + 1);
         leaf_starts.extend(segments.iter().map(|&(s, _)| s));
-        leaf_starts.push(rows.len() as u32);
+        leaf_starts.push(n);
         starts[depth - 1] = leaf_starts;
 
         Trie {
             positions: positions.to_vec(),
             values,
             starts,
-            rows,
+            rows: recs.into_iter().map(record_row).collect(),
         }
     }
 
@@ -246,24 +286,35 @@ impl Trie {
     /// `value_at(h, i) >= v`, or `h.end` if none. `from` must satisfy
     /// `h.start <= from <= h.end`.
     pub fn seek(&self, h: NodeHandle, from: u32, v: Value) -> u32 {
-        let vals = &self.values[h.level as usize];
-        let mut lo = from as usize;
-        let end = h.end as usize;
-        if lo >= end || vals[lo] >= v {
-            return lo as u32;
-        }
-        // Exponential probe then binary search within the bracket.
-        let mut step = 1usize;
-        let mut hi = lo + 1;
-        while hi < end && vals[hi] < v {
-            lo = hi;
-            step <<= 1;
-            hi = (lo + step).min(end);
-        }
-        // Invariant: vals[lo] < v, and (hi == end or vals[hi] >= v).
-        let off = vals[lo + 1..hi].partition_point(|x| *x < v);
-        (lo + 1 + off) as u32
+        let vals = &self.values[h.level as usize][..h.end as usize];
+        // At most `h.end`, which is a `u32`.
+        gallop(vals, from as usize, v) as u32
     }
+}
+
+/// Galloping search in a sorted slice: the smallest index `i >= from`
+/// with `vals[i] >= v`, or `vals.len()` if none (`from <= vals.len()`).
+/// Costs `O(log distance)`, so a leapfrog intersection pays for how far
+/// it skips rather than for how long the lists are. [`Trie::seek`] is
+/// this over one node's children; the join kernel calls it on the
+/// [`Trie::child_values`] slices it walks.
+#[inline]
+pub fn gallop(vals: &[Value], from: usize, v: Value) -> usize {
+    let mut lo = from;
+    let end = vals.len();
+    if lo >= end || vals[lo] >= v {
+        return lo;
+    }
+    // Exponential probe then binary search within the bracket.
+    let mut step = 1usize;
+    let mut hi = lo + 1;
+    while hi < end && vals[hi] < v {
+        lo = hi;
+        step <<= 1;
+        hi = (lo + step).min(end);
+    }
+    // Invariant: vals[lo] < v, and (hi == end or vals[hi] >= v).
+    lo + 1 + vals[lo + 1..hi].partition_point(|x| *x < v)
 }
 
 #[cfg(test)]

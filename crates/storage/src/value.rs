@@ -54,6 +54,22 @@ impl Value {
     }
 }
 
+impl Value {
+    /// An order-preserving, injective `(tag, key)` pair: comparing two
+    /// values is comparing their pairs, and equal pairs mean equal
+    /// values. Sorts (the trie build) compare these integers instead of
+    /// matching on the enum per comparison.
+    #[inline]
+    pub(crate) fn order_key(self) -> (u8, u64) {
+        match self {
+            // Flipping the sign bit maps i64 order onto u64 order.
+            Value::Int(i) => (0, i as u64 ^ (1 << 63)),
+            Value::Float(f) => (1, key(f.0)),
+            Value::Sym(s) => (2, s as u64),
+        }
+    }
+}
+
 impl PartialOrd for Value {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -199,6 +215,33 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted[0], Value::Int(3));
         assert_eq!(sorted[2], Value::Sym(7));
+    }
+
+    #[test]
+    fn order_key_agrees_with_ord_and_eq() {
+        let vals = [
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(i64::MAX),
+            Value::float(f64::NEG_INFINITY),
+            Value::float(-1.5),
+            Value::float(-0.0),
+            Value::float(0.0),
+            Value::float(2.5),
+            Value::float(f64::INFINITY),
+            Value::Sym(0),
+            Value::Sym(u32::MAX),
+        ];
+        for a in vals {
+            for b in vals {
+                assert_eq!(
+                    a.cmp(&b),
+                    a.order_key().cmp(&b.order_key()),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

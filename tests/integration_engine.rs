@@ -261,7 +261,8 @@ fn lex_runs_on_every_cyclic_shape_in_canonical_atom_order() {
         let rels: Vec<Relation> = (0..l).map(|_| e.clone()).collect();
         let mut want: Vec<(Vec<Weight>, Vec<Value>)> =
             anyk::core::cyclic::wco_ranked_materialize::<LexCost>(&q, &rels)
-                .into_iter()
+                .iter()
+                .map(|(c, v)| (c.clone(), v.to_vec()))
                 .collect();
         want.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let engine = Engine::from_query_bindings(&q, rels);

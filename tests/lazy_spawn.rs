@@ -147,6 +147,64 @@ fn triangle_one_shot_topk_never_pays_the_sort() {
 }
 
 #[test]
+fn lazy_to_sorted_upgrade_is_byte_identical_when_every_cost_ties() {
+    // Every edge weighs the same, so every triangle costs the same and
+    // the whole order rests on the `(cost, values)` tie-break the id
+    // heap and the sorted id column share. Duplicate edges add exact
+    // duplicate answers on top.
+    let mut edges: Vec<(i64, i64, f64)> = Vec::new();
+    for u in 0..7 {
+        for v in 0..7 {
+            if (u * 3 + v * 5) % 4 != 0 {
+                edges.push((u, v, 0.5));
+            }
+        }
+    }
+    edges.extend([(1, 2, 0.5), (2, 1, 0.5)]);
+    edges.reverse(); // materialization order is far from sorted
+    let e = common::gen::edge_rel(&edges);
+    let q = triangle_query();
+    let prepare = || {
+        Engine::from_query_bindings(&q, vec![e.clone(), e.clone(), e.clone()])
+            .prepare(q.clone(), RankSpec::Sum)
+            .expect("prepare")
+    };
+
+    // Upgrade by a second spawn, the first stream mid-way.
+    let by_spawn = prepare();
+    let mut first = by_spawn.stream();
+    let mut all_first = first.top_k(17);
+    assert_eq!(by_spawn.sort_deferred(), Some(true));
+    let second: Vec<_> = by_spawn.stream().collect();
+    assert_eq!(by_spawn.sort_deferred(), Some(false));
+    all_first.extend(first);
+    assert_eq!(
+        all_first, second,
+        "heap stream == cursor across the upgrade"
+    );
+
+    // Upgrade by exhausting the first stream: its emission order is
+    // installed as the artifact.
+    let by_exhaustion = prepare();
+    let drained: Vec<_> = by_exhaustion.stream().collect();
+    assert_eq!(by_exhaustion.sort_deferred(), Some(false));
+    let replay: Vec<_> = by_exhaustion.stream().collect();
+    assert_eq!(drained, replay, "cursor replays the exhausted heap stream");
+    assert_eq!(drained, second, "both upgrades install the same order");
+
+    assert!(second.len() > 100, "the fixture has plenty of triangles");
+    assert!(second.windows(2).all(|w| w[0].cost == w[1].cost));
+    assert!(
+        second.windows(2).all(|w| w[0].values <= w[1].values),
+        "all costs tie: the order is the values' order"
+    );
+    assert!(
+        second.windows(2).any(|w| w[0].values == w[1].values),
+        "duplicate edges give exact duplicate answers"
+    );
+}
+
+#[test]
 fn non_materialized_routes_report_no_sort_state() {
     let q = path_query(2);
     let engine = Engine::from_query_bindings(

@@ -1,0 +1,90 @@
+//! A cold triangle `prepare` + top-10 allocates a number of blocks that
+//! does not follow the answer count: trie levels, the answer slab and
+//! the first stream's id heap are each a handful of vectors that grow
+//! by doubling. Counted with a test-local allocator rather than timed,
+//! so the pin is exact on any machine.
+//!
+//! Before join output landed in slabs, every materialized triangle was
+//! its own `Vec<Value>` (and the first stream's heap held one `Arc`
+//! clone per answer), so the block count grew by one per answer.
+
+mod common;
+
+use anyk::prelude::*;
+use common::gen::scrambled_edges;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the calling thread's allocations; the test harness runs
+/// tests on threads of their own, so counts do not mix.
+struct Counting;
+
+thread_local! {
+    /// Blocks this thread has asked for. `const`-initialized and
+    /// without a destructor, so touching it never allocates.
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread may still free memory while it is torn down.
+    let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter
+// beside it neither allocates nor touches the blocks.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(triangles, blocks)` of one cold op — fresh engine, prepare,
+/// top-10 — over three `edges`-row relations on `nodes` node ids.
+fn cold_triangle(edges: u64, nodes: i64) -> (usize, u64) {
+    let q = triangle_query();
+    let rels: Vec<Relation> = (1..=3)
+        .map(|seed| scrambled_edges(edges, nodes, seed))
+        .collect();
+    let triangles = anyk::core::cyclic::wco_ranked_materialize::<SumCost>(&q, &rels).len();
+    let before = BLOCKS.get();
+    let engine = Engine::from_query_bindings(&q, rels);
+    let prepared = engine.prepare(q, RankSpec::Sum).expect("prepare");
+    let top = prepared.stream().top_k(10);
+    let after = BLOCKS.get();
+    assert_eq!(top.len(), 10, "the instance has at least ten triangles");
+    (triangles, after - before)
+}
+
+#[test]
+fn a_cold_triangle_allocates_by_doublings_not_by_answers() {
+    // 8x the edges at twice the degree: about 8x the triangles.
+    let (few, small) = cold_triangle(1_000, 100);
+    let (many, large) = cold_triangle(8_000, 400);
+    assert!(
+        many > 4 * few && many - few > 2_000,
+        "the larger instance has thousands more triangles ({few} vs {many})"
+    );
+    // Growing 8x costs every doubling vector three more reallocations;
+    // there are about a dozen of them (two levels in each of three
+    // tries, the slab's two columns, hash tables of the catalog).
+    assert!(
+        large <= small + 64,
+        "blocks of a cold prepare + top-10: {small} for {few} triangles, {large} for {many}"
+    );
+}
