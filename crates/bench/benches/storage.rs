@@ -1,11 +1,11 @@
-//! Criterion microbenches for the storage substrate: index/trie build
-//! rates and the Fx hasher vs the std SipHash default.
+//! Criterion microbenches for the storage substrate: trie build rates
+//! (a one-level join-key trie and a two-level join trie) and the Fx hasher vs the std SipHash default.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 use std::hint::black_box;
 
-use anyk_storage::{FxHashMap, HashIndex, Trie};
+use anyk_storage::{FxHashMap, Trie};
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
 
 fn bench_index_builds(c: &mut Criterion) {
@@ -15,8 +15,8 @@ fn bench_index_builds(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(500));
     for n in [10_000usize, 100_000] {
         let rel = random_edge_relation(n, (n / 10) as u64, WeightDist::Uniform, None, 3);
-        g.bench_with_input(BenchmarkId::new("hash_index", n), &rel, |b, rel| {
-            b.iter(|| black_box(HashIndex::build(rel, &[0])))
+        g.bench_with_input(BenchmarkId::new("key_trie", n), &rel, |b, rel| {
+            b.iter(|| black_box(Trie::build(rel, &[0])))
         });
         g.bench_with_input(BenchmarkId::new("trie", n), &rel, |b, rel| {
             b.iter(|| black_box(Trie::build(rel, &[0, 1])))

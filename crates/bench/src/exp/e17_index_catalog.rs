@@ -26,13 +26,23 @@
 //!    same tries (median of 21 interleaved repeats, asserted at every
 //!    scale); the cold triangle `prepare` at `n` and `4n` edges is
 //!    reported beside it, with spread.
+//! 5. **T-DP prepare is its sorts** — on the 4-cycle's light-light
+//!    case (two pre-joined bags on a two-column key), the whole cold
+//!    `TdpInstance::prepare` — reducer, compaction, grouping, subtree
+//!    costs — takes at most twice as long as building the two join-key
+//!    tries it sorts over the same rows (median of 21 interleaved
+//!    repeats, asserted at every scale).
 
 use crate::util::{banner, fmt_secs, median_mad, time, write_bench_json, Json, Table};
+use anyk_core::{SumCost, TdpInstance};
 use anyk_engine::{Engine, RankSpec};
+use anyk_join::c4::c4_cases_provider;
 use anyk_join::generic_join::generic_join_with;
 use anyk_join::leapfrog::leapfrog_triejoin_with;
+use anyk_join::semijoin::join_key_positions;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery, QueryBuilder};
-use anyk_storage::{IndexCatalog, Relation, RelationBuilder, Schema};
+use anyk_query::cycles::heavy_threshold;
+use anyk_storage::{BuildEachTime, IndexCatalog, Relation, RelationBuilder, Schema, Trie, Weight};
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
 use std::ops::ControlFlow;
 
@@ -310,12 +320,14 @@ pub fn run(scale: f64) {
     );
 
     let kernel = kernel_claim(scale);
+    let tdp_prepare = tdp_prepare_claim(scale);
     let doc = Json::obj([
         ("experiment", Json::Str("E17".to_string())),
         ("scale", Json::Num(scale)),
         ("reps", Json::Int(reps as u64)),
         ("routes", Json::Arr(rows)),
         ("kernel", kernel),
+        ("tdp_prepare", tdp_prepare),
     ]);
     write_bench_json("BENCH_E17.json", &doc).expect("write BENCH_E17.json");
 }
@@ -427,5 +439,87 @@ fn kernel_claim(scale: f64) -> Json {
             Json::Num(lftj_med / gj_med.max(1e-12)),
         ),
         ("cold_triangle_prepare", Json::Arr(cold)),
+    ])
+}
+
+/// Claim 5 (see the module docs): a cold T-DP prepare against the two
+/// join-key trie builds inside it, on the 4-cycle's light-light case.
+fn tdp_prepare_claim(scale: f64) -> Json {
+    let edges = (16_000.0 * scale).max(1_600.0) as usize;
+    let nodes = (edges / 4).max(2) as u64;
+    let rels: Vec<Relation> = (0..4)
+        .map(|i| random_edge_relation(edges, nodes, WeightDist::Uniform, None, 1901 + i))
+        .collect();
+    let merge = |a: Weight, b: Weight| Weight::new(a.get() + b.get());
+    // A fresh, uniquely owned case per repeat, as the engine hands it
+    // to prepare (a shared payload would add a copy-on-write clone).
+    let light_light = || {
+        let mut cases = c4_cases_provider(&rels, heavy_threshold(edges), merge, &BuildEachTime);
+        let case = cases.pop().expect("the light-light case comes last");
+        assert_eq!(case.label, "light-light");
+        case
+    };
+    let (mut tries, mut prepare) = (Vec::new(), Vec::new());
+    let (mut bag_rows, mut reduced_rows) = (0, 0);
+    for _ in 0..KERNEL_REPEATS {
+        let case = light_light();
+        bag_rows = case.relations.iter().map(Relation::len).sum();
+        let child = (0..case.tree.len())
+            .find(|&n| case.tree.node(n).parent.is_some())
+            .expect("two bags, one edge");
+        let parent = case.tree.node(child).parent.expect("a child");
+        let (cpos, ppos) = join_key_positions(&case.query, &case.tree, child);
+        let (crel, prel) = (
+            &case.relations[case.tree.node(child).atom],
+            &case.relations[case.tree.node(parent).atom],
+        );
+        tries.push(time(|| (Trie::build(crel, &cpos), Trie::build(prel, &ppos))).1);
+        let (inst, t) = time(|| {
+            TdpInstance::<SumCost>::prepare(&case.query, &case.tree, case.relations)
+                .expect("prepare")
+        });
+        reduced_rows = inst.reduced_input_size();
+        prepare.push(t);
+    }
+    let (tries_med, tries_mad) = median_mad(&mut tries);
+    let (prepare_med, prepare_mad) = median_mad(&mut prepare);
+
+    let mut t = Table::new([
+        "4-cycle light-light case, cold",
+        "bag rows",
+        "median",
+        "MAD",
+    ]);
+    for (name, med, mad) in [
+        ("two join-key trie builds", tries_med, tries_mad),
+        ("TdpInstance::prepare", prepare_med, prepare_mad),
+    ] {
+        t.row([
+            name.to_string(),
+            bag_rows.to_string(),
+            fmt_secs(med),
+            fmt_secs(mad),
+        ]);
+    }
+    t.print();
+    assert!(
+        prepare_med <= 2.0 * tries_med,
+        "a cold T-DP prepare must cost at most twice its two key-trie builds (median of \
+         {KERNEL_REPEATS}: {prepare_med:.6}s vs {tries_med:.6}s)"
+    );
+
+    Json::obj([
+        ("repeats", Json::Int(KERNEL_REPEATS as u64)),
+        ("edges", Json::Int(edges as u64)),
+        ("bag_rows", Json::Int(bag_rows as u64)),
+        ("reduced_rows", Json::Int(reduced_rows as u64)),
+        ("key_tries_median_s", Json::Num(tries_med)),
+        ("key_tries_mad_s", Json::Num(tries_mad)),
+        ("prepare_median_s", Json::Num(prepare_med)),
+        ("prepare_mad_s", Json::Num(prepare_mad)),
+        (
+            "prepare_over_key_tries",
+            Json::Num(prepare_med / tries_med.max(1e-12)),
+        ),
     ])
 }

@@ -6,13 +6,17 @@
 //!
 //! 1. **Full reducer** — establish global consistency so every tuple
 //!    participates in ≥ 1 answer (dangling tuples would break both the
-//!    DP and the constant-delay completion argument).
+//!    DP and the constant-delay completion argument). Sort-merge: one
+//!    key trie per side of every tree edge, see
+//!    [`anyk_join::semijoin`].
 //! 2. **Serialization** — nodes in pre-order; each subtree occupies a
 //!    contiguous slot range `[j, end(j))`, which is what makes O(1)
 //!    deviation costs possible without cost subtraction.
 //! 3. **Grouping** — for each non-root node, tuples are grouped by join
 //!    key with the parent; a parent tuple points to exactly one group
-//!    per child.
+//!    per child. The groups are the matched key runs the reducer's
+//!    merge already found ([`Reduction::groups`]): nothing is sorted,
+//!    hashed or probed a second time.
 //! 4. **Bottom-up costs** — `subcost(t) = w(t) ⊗ best(g₁) ⊗ … ⊗
 //!    best(g_d)` over `t`'s child groups, combined in serialization
 //!    order (supports non-commutative rankings like lexicographic).
@@ -29,12 +33,28 @@
 //! a per-group [`OnceLock`], and then shared by every stream and thread
 //! of the prepared query. Spawning a stream therefore costs `O(1)`; the
 //! sort a group needs is paid once per prepared query, not per stream.
+//!
+//! # Order contract
+//!
+//! Reduced relations keep input order; a group's members ascend by row
+//! id; a group's best member — and rank 0 of its successor order — is
+//! the minimum by `(subcost, row)`. Group **ids** follow ascending join
+//! key (they followed hash-iteration order before the reducer became
+//! sort-merge). That numbering is unobservable: a group is only ever
+//! reached through `group_of_parent_row` (the root's single group is 0
+//! either way), no enumerator iterates over a slot's groups, per-group
+//! state is looked up by id and never walked, and candidates of equal
+//! cost leave the queue in insertion order (`seq`), not in group
+//! order. `tests/tdp_contract.rs` pins every clause against a
+//! nested-loop reference, and pins the streams of tie-heavy instances —
+//! every successor kind, REC and the unranked odometer, under Sum and
+//! Lex — to the bytes the hash-numbered parent emitted.
 
 use crate::ranking::RankingFunction;
-use anyk_join::semijoin::{full_reducer, join_key_positions};
+use anyk_join::semijoin::{JoinGroups, Reduction};
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::join_tree::JoinTree;
-use anyk_storage::{FxHashMap, HashIndex, Relation, RowId, Value};
+use anyk_storage::{Relation, RowId, Value};
 use std::sync::OnceLock;
 
 /// Errors from T-DP preparation.
@@ -65,7 +85,7 @@ pub(crate) fn id_bound(len: usize) -> Result<u32, TdpError> {
     u32::try_from(len).map_err(|_| TdpError::TooLarge { len })
 }
 
-/// A group's member rows, in index iteration order.
+/// A group's member rows, ascending by row id.
 #[derive(Clone, Copy)]
 pub(crate) enum Members<'a> {
     /// The root group: rows `0..n` of the root relation, not stored.
@@ -103,7 +123,7 @@ impl<'a> Members<'a> {
 struct SlotGroups {
     /// Group `g`'s members are `rows[offsets[g]..offsets[g + 1]]`.
     offsets: Vec<u32>,
-    /// Member rows, group after group, in index iteration order; `None`
+    /// Member rows, group after group, each group ascending; `None`
     /// at the root slot, whose one group is every row ([`Members::All`]).
     rows: Option<Vec<RowId>>,
     /// group -> its members sorted by `(subcost, row)`, built on first
@@ -112,14 +132,14 @@ struct SlotGroups {
 }
 
 impl SlotGroups {
-    /// No groups yet; room for `groups` of them over `rows` rows.
-    fn with_capacity(groups: usize, rows: usize) -> Self {
-        let mut offsets = Vec::with_capacity(groups + 1);
-        offsets.push(0);
+    /// A non-root slot: `offsets.len() - 1` groups over `rows` (no
+    /// group at all on an empty instance).
+    fn keyed(offsets: Vec<u32>, rows: Vec<RowId>) -> Self {
+        let orders = offsets[1..].iter().map(|_| OnceLock::new()).collect();
         SlotGroups {
             offsets,
-            rows: Some(Vec::with_capacity(rows)),
-            orders: Vec::with_capacity(groups),
+            rows: Some(rows),
+            orders,
         }
     }
 
@@ -130,14 +150,6 @@ impl SlotGroups {
             rows: None,
             orders: vec![OnceLock::new()],
         }
-    }
-
-    fn push(&mut self, members: &[RowId]) -> Result<(), TdpError> {
-        let rows = (self.rows.as_mut()).expect("the root slot has its one group already");
-        rows.extend_from_slice(members);
-        self.offsets.push(id_bound(rows.len())?);
-        self.orders.push(OnceLock::new());
-        Ok(())
     }
 
     /// Number of groups.
@@ -197,7 +209,12 @@ impl<R: RankingFunction> TdpInstance<R> {
         if tree.len() != q.num_atoms() || rels.len() != q.num_atoms() {
             return Err(TdpError::TreeAtomMismatch);
         }
-        full_reducer(q, tree, &mut rels);
+        // Checked before anything is sorted: every row, group and
+        // offset id below is bounded by one of these counts.
+        for rel in &rels {
+            id_bound(rel.len())?;
+        }
+        let reduction = Reduction::run(q, tree, &mut rels);
         let empty = rels.iter().any(|r| r.is_empty());
 
         let slots = tree.preorder();
@@ -234,50 +251,30 @@ impl<R: RankingFunction> TdpInstance<R> {
             subtree_end[s] = end;
         }
 
-        // Row counts of the reduced relations, checked once: every row,
-        // group and offset id below is bounded by one of them.
+        // Row counts of the reduced relations.
         let num_rows: Vec<RowId> = (rels.iter())
             .map(|r| id_bound(r.len()))
             .collect::<Result<_, _>>()?;
         id_bound(m)?;
 
-        // Grouping (skip entirely for empty instances).
-        let mut groups: Vec<SlotGroups> = (0..m).map(|_| SlotGroups::with_capacity(0, 0)).collect();
-        let mut group_of_parent_row: Vec<Vec<u32>> = vec![Vec::new(); m];
-        if !empty {
-            for s in 0..m {
-                let atom = atom_of_slot[s];
-                if s == 0 {
-                    groups[0] = SlotGroups::root(num_rows[atom]);
-                    continue;
-                }
-                let node = slots[s];
-                let (cpos, ppos) = join_key_positions(q, tree, node);
-                let idx = HashIndex::build(&rels[atom], &cpos);
-                // Assign group ids in index iteration order.
-                let mut gid_of_key: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
-                gid_of_key.reserve(idx.num_keys());
-                let mut slot_groups = SlotGroups::with_capacity(idx.num_keys(), rels[atom].len());
-                for (gid, (key, members)) in (0u32..).zip(idx.iter()) {
-                    gid_of_key.insert(key.to_vec(), gid);
-                    slot_groups.push(members)?;
-                }
-                // Parent row -> group id (must exist post-reduction).
-                let patom = atom_of_slot[parent_slot[s]];
-                let prel = &rels[patom];
-                let mut key = Vec::with_capacity(ppos.len());
-                let mut map = Vec::with_capacity(prel.len());
-                for prow in 0..num_rows[patom] {
-                    prel.key_into(prow, &ppos, &mut key);
-                    let gid = *gid_of_key
-                        .get(&key)
-                        .expect("full reducer guarantees a matching group");
-                    map.push(gid);
-                }
-                groups[s] = slot_groups;
-                group_of_parent_row[s] = map;
-            }
+        // Grouping: each slot's groups are read off the matched key
+        // runs the reducer kept (none at all on an empty instance).
+        let mut groups: Vec<SlotGroups> = Vec::with_capacity(m);
+        let mut group_of_parent_row: Vec<Vec<u32>> = Vec::with_capacity(m);
+        groups.push(SlotGroups::root(num_rows[atom_of_slot[0]]));
+        group_of_parent_row.push(Vec::new());
+        for &node in &slots[1..] {
+            let JoinGroups {
+                offsets,
+                rows,
+                of_parent_row,
+            } = reduction.groups(node);
+            groups.push(SlotGroups::keyed(offsets, rows));
+            group_of_parent_row.push(of_parent_row);
         }
+        // The runs are no longer needed: free them before the cost
+        // vectors below are allocated.
+        drop(reduction);
 
         // Bottom-up subtree costs + per-group bests.
         let mut subcost: Vec<Vec<R::Cost>> = vec![Vec::new(); m];
@@ -369,7 +366,7 @@ impl<R: RankingFunction> TdpInstance<R> {
         }
     }
 
-    /// The member rows of `group` at `slot`, in index iteration order.
+    /// The member rows of `group` at `slot`, ascending by row id.
     #[inline]
     pub(crate) fn group(&self, slot: usize, group: u32) -> Members<'_> {
         self.groups[slot].members(group as usize)

@@ -1,4 +1,4 @@
-//! Left-deep binary hash-join plans — the "two-relations-at-a-time"
+//! Left-deep binary join plans — the "two-relations-at-a-time"
 //! approach favored by classical optimizers (§3 of the paper), which is
 //! provably suboptimal on cyclic queries: on the worst-case triangle
 //! instance *every* join order materializes Θ(n²) intermediate tuples
@@ -8,7 +8,9 @@
 //! experiments can show *why* binary plans lose (E1/E2).
 
 use anyk_query::cq::{ConjunctiveQuery, VarId};
-use anyk_storage::{HashIndex, Relation, RelationBuilder, Schema, Value, Weight};
+use anyk_storage::{Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight};
+
+use crate::semijoin::{row_bound, RepeatedVars};
 
 /// Statistics from executing a binary plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,26 +77,30 @@ pub fn binary_join(
         let next_schema = Schema::new(next_bound.iter().map(|&v| q.var_name(v).to_string()));
         let mut out = RelationBuilder::new(next_schema);
 
-        // Hash the smaller side; probe with the larger. For simplicity
-        // (and because the adversarial instances are symmetric) we
-        // always build on the atom relation.
-        let idx = HashIndex::build(rel, &rel_key);
-        let mut key = Vec::with_capacity(acc_key.len());
+        // Index the atom relation on the shared variables and probe it
+        // with every accumulated row (the adversarial instances are
+        // symmetric, so which side is indexed does not matter). With no
+        // shared variable every row matches: a cartesian product.
+        let idx = (!rel_key.is_empty()).then(|| Trie::build(rel, &rel_key));
+        let all_rows: Vec<RowId> = match idx {
+            Some(_) => Vec::new(),
+            None => (0..row_bound(rel)).collect(),
+        };
+        let repeats = RepeatedVars::of(atom);
         let mut row_buf: Vec<Value> = Vec::with_capacity(next_bound.len());
-        for i in 0..acc.len() as u32 {
-            acc.key_into(i, &acc_key, &mut key);
-            for &r in idx.get(&key) {
-                // Repeated-variable consistency within the atom.
+        for i in 0..row_bound(&acc) {
+            let acc_row = acc.row(i);
+            let matches = match &idx {
+                Some(trie) => rows_with_key(trie, acc_key.iter().map(|&p| acc_row[p])),
+                None => &all_rows,
+            };
+            for &r in matches {
                 let tuple = rel.row(r);
-                let consistent = atom.vars.iter().enumerate().all(|(pos, &v)| {
-                    let first_pos = atom.positions_of(v)[0];
-                    tuple[pos] == tuple[first_pos]
-                });
-                if !consistent {
+                if !repeats.agree(tuple) {
                     continue;
                 }
                 row_buf.clear();
-                row_buf.extend_from_slice(acc.row(i));
+                row_buf.extend_from_slice(acc_row);
                 row_buf.extend(new_vars.iter().map(|&(_, pos)| tuple[pos]));
                 let w = acc.weight(i).get() + rel.weight(r).get();
                 out.push(&row_buf, Weight::new(w));
@@ -121,6 +127,24 @@ pub fn binary_join(
     (result, stats)
 }
 
+/// The rows of `trie`'s relation whose key columns (one per level) hold
+/// `key`, ascending by row id: one [`Trie::find`] per level.
+fn rows_with_key(trie: &Trie, key: impl Iterator<Item = Value>) -> &[RowId] {
+    let mut node = trie.root();
+    let mut rows: &[RowId] = &[];
+    for v in key {
+        let Some(child) = trie.find(node, v) else {
+            return &[];
+        };
+        if node.level as usize + 1 == trie.depth() {
+            rows = trie.leaf_rows(node, child);
+        } else {
+            node = trie.descend(node, child);
+        }
+    }
+    rows
+}
+
 /// Promote a base relation to intermediate form: one column per
 /// *distinct* variable (dropping repeated-variable duplicates after
 /// filtering for consistency).
@@ -142,18 +166,14 @@ fn atom_to_intermediate(
     let schema = Schema::new(bound.iter().map(|&v| q.var_name(v).to_string()));
     let mut b = RelationBuilder::with_capacity(schema, rel.len());
     let mut row_buf = Vec::with_capacity(first_pos.len());
-    for i in 0..rel.len() as u32 {
-        let tuple = rel.row(i);
-        let consistent = atom.vars.iter().enumerate().all(|(pos, &v)| {
-            let fp = atom.positions_of(v)[0];
-            tuple[pos] == tuple[fp]
-        });
-        if !consistent {
+    let repeats = RepeatedVars::of(atom);
+    for (_, tuple, weight) in rel.iter() {
+        if !repeats.agree(tuple) {
             continue;
         }
         row_buf.clear();
         row_buf.extend(first_pos.iter().map(|&(_, pos)| tuple[pos]));
-        b.push(&row_buf, rel.weight(i));
+        b.push(&row_buf, weight);
     }
     b.finish()
 }

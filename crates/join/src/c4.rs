@@ -70,10 +70,9 @@ fn heavy_from_trie(t: &Trie, threshold: usize) -> FxHashSet<Value> {
 /// Rows of `rel` whose `col` value passes `pred`, as a new relation.
 fn filter_by<F: Fn(Value) -> bool>(rel: &Relation, col: usize, pred: F) -> Relation {
     let mut b = RelationBuilder::new(rel.schema().clone());
-    for i in 0..rel.len() as u32 {
-        let row = rel.row(i);
+    for (_, row, weight) in rel.iter() {
         if pred(row[col]) {
-            b.push(row, rel.weight(i));
+            b.push(row, weight);
         }
     }
     b.finish()

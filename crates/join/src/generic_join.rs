@@ -31,13 +31,13 @@
 //! from this sequence, which is what keeps ranked streams
 //! byte-identical across index providers.
 
+use crate::semijoin::{KeptTrie, RepeatedVars};
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::trie::{gallop, NodeHandle};
 use anyk_storage::{
-    BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight,
+    BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Value, Weight,
 };
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// Instrumentation counters for a Generic-Join run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -91,8 +91,8 @@ pub fn generic_join_with(
     assert_eq!(order.len(), q.num_vars(), "var order must cover all vars");
 
     let atom_levels = atom_levels(q, order);
-    let atoms: Vec<AtomIndex> = (0..rels.len())
-        .map(|i| AtomIndex::resolve(q, rels, i, &atom_levels[i], indexes))
+    let atoms: Vec<KeptTrie> = (0..rels.len())
+        .map(|i| resolve_atom(q, rels, i, &atom_levels[i], indexes))
         .collect();
     let plan = Plan::new(order, &atom_levels);
     let mut stats = GenericJoinStats::default();
@@ -130,57 +130,21 @@ fn level_positions(q: &ConjunctiveQuery, atom: usize, levels: &[VarId]) -> Vec<u
 
 /// One atom's index for a run (shared with the Leapfrog Triejoin
 /// reference, which resolves its tries the same way and walks them its
-/// own way).
-pub(crate) struct AtomIndex {
-    pub(crate) trie: Arc<Trie>,
-    /// `Some` iff the repeated-variable prefilter dropped rows: the
-    /// trie is over the filtered copy, and `origin[i]` is the input row
-    /// id of the copy's row `i`.
-    origin: Option<Vec<RowId>>,
-}
-
-impl AtomIndex {
-    /// The input relation's id of the trie's row `r`.
-    #[inline]
-    pub(crate) fn input_row(&self, r: RowId) -> RowId {
-        match &self.origin {
-            Some(origin) => origin[r as usize],
-            None => r,
-        }
-    }
-
-    pub(crate) fn resolve(
-        q: &ConjunctiveQuery,
-        rels: &[Relation],
-        atom: usize,
-        levels: &[VarId],
-        indexes: &dyn IndexProvider,
-    ) -> Self {
-        let positions = level_positions(q, atom, levels);
-        let input = &rels[atom];
-        let mut rel = input.clone();
-        crate::semijoin::prefilter_repeated_vars(&mut rel, q, atom);
-        if rel.shares_payload(input) {
-            return AtomIndex {
-                trie: indexes.trie(&rel, &positions),
-                origin: None,
-            };
-        }
-        // The filter keeps row order, so the survivors are exactly the
-        // input rows whose repeated positions agree, in input order.
-        let vars = &q.atom(atom).vars;
-        let first: Vec<usize> = (vars.iter())
-            .map(|&v| q.atom(atom).positions_of(v)[0])
-            .collect();
-        let origin: Vec<RowId> = (input.iter())
-            .filter(|(_, row, _)| first.iter().enumerate().all(|(p, &p0)| row[p] == row[p0]))
-            .map(|(id, _, _)| id)
-            .collect();
-        debug_assert_eq!(origin.len(), rel.len());
-        AtomIndex {
-            trie: BuildEachTime.trie(&rel, &positions),
-            origin: Some(origin),
-        }
+/// own way): the provider's trie over the atom's relation, or — when
+/// the atom repeats a variable and rows disagree on it — a private trie
+/// over the rows that agree, which must not pollute a shared catalog.
+pub(crate) fn resolve_atom(
+    q: &ConjunctiveQuery,
+    rels: &[Relation],
+    atom: usize,
+    levels: &[VarId],
+    indexes: &dyn IndexProvider,
+) -> KeptTrie {
+    let positions = level_positions(q, atom, levels);
+    let input = &rels[atom];
+    match RepeatedVars::of(q.atom(atom)).mask(input) {
+        None => KeptTrie::whole(indexes.trie(input, &positions)),
+        Some(keep) => KeptTrie::of_kept(input, &positions, &keep),
     }
 }
 
@@ -260,7 +224,7 @@ impl<'a> Plan<'a> {
 /// The mutable state of one run: every array is sized once, up front.
 struct Walk<'a> {
     plan: &'a Plan<'a>,
-    atoms: &'a [AtomIndex],
+    atoms: &'a [KeptTrie],
     /// Per `(atom, level)` slot: the children span the level walks.
     handles: Vec<NodeHandle>,
     /// Per participant: the values of its slot's span, and the cursor
@@ -280,7 +244,7 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(plan: &'a Plan<'a>, atoms: &'a [AtomIndex], num_vars: usize) -> Self {
+    fn new(plan: &'a Plan<'a>, atoms: &'a [KeptTrie], num_vars: usize) -> Self {
         let mut handles = vec![
             NodeHandle {
                 level: 0,

@@ -9,7 +9,8 @@
 //! optimal; having two independent implementations lets the test suite
 //! cross-check them against each other (and both against nested loops).
 
-use crate::generic_join::{atom_levels, AtomIndex, SolutionCallback};
+use crate::generic_join::{atom_levels, resolve_atom, SolutionCallback};
+use crate::semijoin::KeptTrie;
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::trie::NodeHandle;
 use anyk_storage::{
@@ -158,8 +159,8 @@ pub fn leapfrog_triejoin_with(
     // Per atom: trie in global-order-sorted levels (over a filtered
     // copy when a repeated-variable prefilter dropped rows).
     let atom_levels = atom_levels(q, order);
-    let atoms: Vec<AtomIndex> = (0..rels.len())
-        .map(|i| AtomIndex::resolve(q, rels, i, &atom_levels[i], indexes))
+    let atoms: Vec<KeptTrie> = (0..rels.len())
+        .map(|i| resolve_atom(q, rels, i, &atom_levels[i], indexes))
         .collect();
     if atoms.iter().any(|a| a.trie.root().is_empty()) {
         return;
@@ -230,7 +231,7 @@ pub fn leapfrog_triejoin_with(
 /// row ids of the input relations.
 fn emit(
     cursors: &[TrieCursor<'_>],
-    atoms: &[AtomIndex],
+    atoms: &[KeptTrie],
     atom: usize,
     binding: &[Value],
     rows_per_atom: &mut Vec<RowId>,

@@ -5,10 +5,11 @@
 //!
 //! * [`semijoin`] — semi-join reductions and the **full reducer** over a
 //!   join tree (Bernstein–Chiu; the preprocessing that puts an acyclic
-//!   database into a globally consistent state).
+//!   database into a globally consistent state), by sort-merge over
+//!   join-key tries, and the join-key groups that fall out of it.
 //! * [`yannakakis`] — the O~(n + r) acyclic join algorithm, with
 //!   materializing, streaming, and counting variants.
-//! * [`binary`] — textbook left-deep binary hash-join plans: the provably
+//! * [`binary`] — textbook left-deep binary join plans: the provably
 //!   suboptimal baseline whose intermediate results can be
 //!   asymptotically larger than the output (§3's triangle example).
 //! * [`generic_join`](mod@generic_join) — the worst-case optimal Generic-Join (Ngo–Ré–
@@ -42,5 +43,5 @@ pub use generic_join::{
     generic_join, generic_join_materialize, generic_join_trie_requests, GenericJoinStats,
 };
 pub use leapfrog::{leapfrog_materialize, leapfrog_triejoin};
-pub use semijoin::{full_reducer, semijoin_filter};
+pub use semijoin::full_reducer;
 pub use yannakakis::{yannakakis_count, yannakakis_for_each, yannakakis_join};

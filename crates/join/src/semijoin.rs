@@ -1,4 +1,4 @@
-//! Semi-join reductions and the full reducer.
+//! Semi-join reductions and the full reducer, by sort-merge.
 //!
 //! `R ⋉ S`: keep the tuples of `R` that join with at least one tuple of
 //! `S`. A **full reducer** (Bernstein–Chiu 1981) runs one bottom-up and
@@ -6,41 +6,94 @@
 //! database is *globally consistent* (§3): every remaining tuple
 //! participates in at least one query answer, which is exactly the
 //! precondition Yannakakis and T-DP rely on for output-sensitive cost.
+//!
+//! Sorted key columns are the only access path. Per join-tree edge
+//! [`Reduction::run`] builds one [`Trie`] on the child's key positions
+//! and one on the parent's, and never sorts, hashes or groups again:
+//!
+//! * one lock-step walk of the two tries' key levels (a two-list merge
+//!   for a one-column key, level by level for a composite one) yields
+//!   the edge's **matched key runs** — per key both sides carry, the
+//!   child rows and the parent rows carrying it — after which the
+//!   tries are dropped; rows outside every run are dead at once;
+//! * a semi-join is a pass over those runs that clears **keep-bits** of
+//!   the filtered side; no row moves while the sweeps run;
+//! * edges are sorted in the bottom-up sweep's own order, each over the
+//!   rows still kept (dead rows are left out of the sort),
+//!   and a side holding a single key value is applied to the other side
+//!   as a selection before that side is sorted — so a selective join
+//!   costs what survives it, not what went in;
+//! * each relation is compacted once at the end, in input order, which
+//!   leaves one monotone input-id → reduced-id map per relation;
+//! * the join-key groups a consumer needs ([`Reduction::groups`]) are
+//!   the runs' child rows with dropped rows skipped, and the parent-row
+//!   → group map is the same runs' parent rows.
+//!
+//! An edge with no shared variable (a cartesian product inside a
+//! disconnected query) has no key to sort on: it is one run holding
+//! every row of both sides, so a sweep over it asks "is the other side
+//! non-empty?" and its grouping is one group.
+//!
+//! # Order contract
+//!
+//! Reduced relations keep their rows in input order. Groups are
+//! numbered in ascending key order ([`Value`]'s order, column by
+//! column), a group's members ascend by reduced row id, and every
+//! reduced parent row maps to the group holding exactly the child rows
+//! it joins. `tests/tdp_contract.rs` pins all of it against a
+//! nested-loop reference.
 
-use anyk_query::cq::ConjunctiveQuery;
-use anyk_query::join_tree::JoinTree;
-use anyk_storage::{HashIndex, Relation};
+use anyk_query::cq::{Atom, ConjunctiveQuery};
+use anyk_query::join_tree::{JoinTree, NodeId};
+use anyk_storage::trie::NodeHandle;
+use anyk_storage::{Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight};
+use std::sync::Arc;
 
-/// Filter `left` in place, keeping rows whose key (at `left_keys`)
-/// appears in `right` (at `right_keys`). Returns retained row count.
-pub fn semijoin_filter(
-    left: &mut Relation,
-    left_keys: &[usize],
-    right: &Relation,
-    right_keys: &[usize],
-) -> usize {
-    assert_eq!(left_keys.len(), right_keys.len());
-    if left_keys.is_empty() {
-        // Degenerate cartesian edge: keep all iff right is non-empty.
-        return if right.is_empty() {
-            left.retain(|_| false)
-        } else {
-            left.len()
-        };
+/// `rel`'s row count as the exclusive bound of its row ids — the one
+/// checked conversion behind every id this module hands out.
+///
+/// # Panics
+///
+/// If `rel` has more rows than a [`RowId`] can address, as
+/// [`Trie::build`] does; T-DP checks its inputs first and returns a
+/// typed error instead.
+pub fn row_bound(rel: &Relation) -> RowId {
+    RowId::try_from(rel.len()).expect("a relation's rows are addressable by RowId")
+}
+
+/// Where an atom repeats a variable (`E(x, x)`): for every column, the
+/// first column holding the same variable.
+#[derive(Debug, Clone)]
+pub struct RepeatedVars {
+    first: Vec<usize>,
+}
+
+impl RepeatedVars {
+    /// The repeats of `atom`.
+    pub fn of(atom: &Atom) -> Self {
+        let first = (atom.vars.iter())
+            .map(|v| atom.vars.iter().position(|u| u == v).expect("v is in vars"))
+            .collect();
+        RepeatedVars { first }
     }
-    let idx = HashIndex::build(right, right_keys);
-    let mut key = Vec::with_capacity(left_keys.len());
-    // `retain` passes row ids in order; extract keys through a scratch
-    // buffer to avoid per-row allocation.
-    let lk = left_keys.to_vec();
-    // Work around borrow rules: collect the keep-decisions first.
-    let keep: Vec<bool> = (0..left.len() as u32)
-        .map(|rid| {
-            left.key_into(rid, &lk, &mut key);
-            idx.contains(&key)
-        })
-        .collect();
-    left.retain(|rid| keep[rid as usize])
+
+    /// Does `row` carry equal values wherever the atom repeats a
+    /// variable? Rows that do not can match no answer.
+    #[inline]
+    pub fn agree(&self, row: &[Value]) -> bool {
+        (self.first.iter().enumerate()).all(|(p, &p0)| row[p] == row[p0])
+    }
+
+    /// One keep-bit per row of `rel`, or `None` when every row passes.
+    pub fn mask(&self, rel: &Relation) -> Option<Vec<bool>> {
+        if self.first.iter().enumerate().all(|(p, &p0)| p == p0) {
+            return None; // no variable repeats
+        }
+        let keep: Vec<bool> = (0..row_bound(rel))
+            .map(|r| self.agree(rel.row(r)))
+            .collect();
+        keep.contains(&false).then_some(keep)
+    }
 }
 
 /// Key positions of the join between a node and its parent, as
@@ -54,109 +107,415 @@ pub fn join_key_positions(
     let parent = n.parent.expect("root has no parent join");
     let child_atom = q.atom(n.atom);
     let parent_atom = q.atom(tree.node(parent).atom);
-    let mut cpos = Vec::with_capacity(n.join_vars.len());
-    let mut ppos = Vec::with_capacity(n.join_vars.len());
-    for &v in &n.join_vars {
-        cpos.push(
-            child_atom
-                .positions_of(v)
-                .first()
-                .copied()
-                .expect("join var must occur in child atom"),
-        );
-        ppos.push(
-            parent_atom
-                .positions_of(v)
-                .first()
-                .copied()
-                .expect("join var must occur in parent atom"),
-        );
-    }
-    (cpos, ppos)
+    let first = |atom: &Atom, v, side| {
+        let at = atom.vars.iter().position(|&u| u == v);
+        at.unwrap_or_else(|| panic!("join var must occur in {side} atom"))
+    };
+    (n.join_vars.iter())
+        .map(|&v| {
+            (
+                first(child_atom, v, "child"),
+                first(parent_atom, v, "parent"),
+            )
+        })
+        .unzip()
 }
 
-/// Enforce intra-atom repeated variables: when an atom mentions the same
-/// variable at several positions, drop rows whose values differ there.
-/// (Self-loop elimination in graph patterns, e.g. `E(x,x)`.)
-pub fn prefilter_repeated_vars(rel: &mut Relation, q: &ConjunctiveQuery, atom: usize) {
-    let a = q.atom(atom);
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &v in a.vars.iter() {
-        let pos = a.positions_of(v);
-        if pos.len() > 1 && !groups.contains(&pos) {
-            groups.push(pos);
+/// One side of a join-tree edge while the edge is being matched: the
+/// relation, its key positions and its keep-bits so far.
+struct Side<'a> {
+    rel: &'a Relation,
+    pos: &'a [usize],
+    keep: &'a mut [bool],
+}
+
+/// A trie over the kept rows of a relation. When every row is kept it
+/// is a trie over the relation itself; otherwise it is over a copy of
+/// the kept rows' key columns — a sort costs the rows that are left,
+/// not the rows that were there — and `origin` maps its row ids back to
+/// the relation's.
+pub(crate) struct KeptTrie {
+    pub(crate) trie: Arc<Trie>,
+    origin: Option<Vec<RowId>>,
+}
+
+impl KeptTrie {
+    /// `trie` is over every row of its relation.
+    pub(crate) fn whole(trie: Arc<Trie>) -> Self {
+        KeptTrie { trie, origin: None }
+    }
+
+    /// Sort on `positions` the rows of `rel` whose keep-bit is set, a
+    /// proper subset of its rows, in input order.
+    pub(crate) fn of_kept(rel: &Relation, positions: &[usize], keep: &[bool]) -> Self {
+        let origin: Vec<RowId> = (0..row_bound(rel)).filter(|&r| keep[r as usize]).collect();
+        let columns: Vec<usize> = (0..positions.len()).collect();
+        let schema = Schema::new(columns.iter().map(|c| format!("k{c}")));
+        let mut keys = RelationBuilder::with_capacity(schema, origin.len());
+        let mut key = Vec::with_capacity(columns.len());
+        for &r in &origin {
+            rel.key_into(r, positions, &mut key);
+            keys.push(&key, Weight::ZERO);
+        }
+        KeptTrie {
+            trie: Arc::new(Trie::build(&keys.finish(), &columns)),
+            origin: Some(origin),
         }
     }
-    if groups.is_empty() {
-        return;
+
+    /// The relation's id of the trie's row `r`.
+    #[inline]
+    pub(crate) fn input_row(&self, r: RowId) -> RowId {
+        match &self.origin {
+            Some(origin) => origin[r as usize],
+            None => r,
+        }
     }
-    let keep: Vec<bool> = (0..rel.len() as u32)
-        .map(|rid| {
-            let row = rel.row(rid);
-            groups
-                .iter()
-                .all(|g| g.iter().all(|&p| row[p] == row[g[0]]))
+}
+
+/// Sort the kept rows of `side` on its key positions.
+fn key_trie(side: &Side<'_>) -> KeptTrie {
+    if side.keep.contains(&false) {
+        KeptTrie::of_kept(side.rel, side.pos, side.keep)
+    } else {
+        KeptTrie::whole(Arc::new(Trie::build(side.rel, side.pos)))
+    }
+}
+
+/// The matched key runs of one join-tree edge: for every join key both
+/// sides carry, in ascending key order, the child rows and the parent
+/// rows carrying it (each ascending by row id). Rows outside every run
+/// join nothing across this edge.
+struct EdgeRuns {
+    /// Child rows, run after run.
+    child_rows: Vec<RowId>,
+    /// Parent rows, run after run.
+    parent_rows: Vec<RowId>,
+    /// Run `i` is `child_rows[ends[i - 1].0..ends[i].0]` with
+    /// `parent_rows[ends[i - 1].1..ends[i].1]`.
+    ends: Vec<(u32, u32)>,
+}
+
+impl EdgeRuns {
+    /// Sort both sides on their key positions — one [`Trie`] each —
+    /// keep what one lock-step walk of the two tries matches, and clear
+    /// the keep-bit of every row outside the runs. An edge with no
+    /// shared variable has no key to sort on: it is one run of every
+    /// row of both sides.
+    ///
+    /// The side with fewer kept rows is sorted first. If it holds a
+    /// single first-key value it is a selection on the other side,
+    /// which is applied (one equality per row) before that side is
+    /// sorted: one row joined with a large relation sorts the rows that
+    /// match, not the relation.
+    fn build<'a>(mut child: Side<'a>, mut parent: Side<'a>) -> Self {
+        assert_eq!(child.pos.len(), parent.pos.len());
+        let kept = |side: &Side<'_>| side.keep.iter().filter(|&&k| k).count();
+        // Sorted first, so the run vectors are not resident while the
+        // builds hold their sort records.
+        let tries = (!child.pos.is_empty()).then(|| {
+            let child_first = kept(&child) <= kept(&parent);
+            let (first, second) = if child_first {
+                (&child, &mut parent)
+            } else {
+                (&parent, &mut child)
+            };
+            let first_trie = key_trie(first);
+            if let [only] = first_trie.trie.child_values(first_trie.trie.root()) {
+                let column = second.pos[0];
+                for (r, keep) in (0..).zip(second.keep.iter_mut()) {
+                    *keep = *keep && second.rel.row(r)[column] == *only;
+                }
+            }
+            let second_trie = key_trie(second);
+            if child_first {
+                (first_trie, second_trie)
+            } else {
+                (second_trie, first_trie)
+            }
+        });
+        let mut runs = EdgeRuns {
+            child_rows: Vec::with_capacity(kept(&child)),
+            parent_rows: Vec::with_capacity(kept(&parent)),
+            ends: Vec::new(),
+        };
+        match tries {
+            Some((c, p)) => {
+                let (ct, pt) = (&c.trie, &p.trie);
+                merge_matches(ct, ct.root(), pt, pt.root(), &mut |crows, prows| {
+                    runs.push(
+                        crows.iter().map(|&r| c.input_row(r)),
+                        prows.iter().map(|&r| p.input_row(r)),
+                    );
+                })
+            }
+            None => runs.push(0..row_bound(child.rel), 0..row_bound(parent.rel)),
+        }
+        keep_only(&runs.child_rows, child.keep);
+        keep_only(&runs.parent_rows, parent.keep);
+        runs
+    }
+
+    fn push(&mut self, child: impl Iterator<Item = RowId>, parent: impl Iterator<Item = RowId>) {
+        self.child_rows.extend(child);
+        self.parent_rows.extend(parent);
+        // Each side holds at most its relation's rows.
+        let end = |rows: &Vec<RowId>| RowId::try_from(rows.len()).expect("bounded by row_bound");
+        self.ends
+            .push((end(&self.child_rows), end(&self.parent_rows)));
+    }
+
+    /// The runs as `(child rows, parent rows)`, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&[RowId], &[RowId])> + '_ {
+        let mut from = (0, 0);
+        self.ends.iter().map(move |&(c, p)| {
+            let to = (c as usize, p as usize);
+            let run = (
+                &self.child_rows[from.0..to.0],
+                &self.parent_rows[from.1..to.1],
+            );
+            from = to;
+            run
+        })
+    }
+
+    /// One semi-join: clear the keep-bit of every `target` row whose
+    /// run has no kept `source` row. `from_child` says which side of
+    /// the edge is the source.
+    fn sweep(&self, from_child: bool, source: &[bool], target: &mut [bool]) {
+        for (child, parent) in self.iter() {
+            let (src, tgt) = if from_child {
+                (child, parent)
+            } else {
+                (parent, child)
+            };
+            if !src.iter().any(|&r| source[r as usize]) {
+                for &r in tgt {
+                    target[r as usize] = false;
+                }
+            }
+        }
+    }
+}
+
+/// Clear the keep-bit of every row that is not among `matched`.
+fn keep_only(matched: &[RowId], keep: &mut [bool]) {
+    let mut hit = vec![false; keep.len()];
+    for &r in matched {
+        hit[r as usize] = true;
+    }
+    for (k, h) in keep.iter_mut().zip(hit) {
+        *k &= h;
+    }
+}
+
+/// Lock-step walk of two equally deep key tries below `ch` and `ph`: a
+/// two-list merge of the level's sorted values that descends where both
+/// sides hold the value and, at the last level, reports the two leaves'
+/// rows. Keys only one side holds are stepped over.
+fn merge_matches(
+    c: &Trie,
+    ch: NodeHandle,
+    p: &Trie,
+    ph: NodeHandle,
+    f: &mut impl FnMut(&[RowId], &[RowId]),
+) {
+    let last = ch.level as usize + 1 == c.depth();
+    let (cv, pv) = (c.child_values(ch), p.child_values(ph));
+    let (mut i, mut j) = (ch.start, ph.start);
+    while i < ch.end && j < ph.end {
+        let (cval, pval) = (cv[(i - ch.start) as usize], pv[(j - ph.start) as usize]);
+        match cval.cmp(&pval) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                if last {
+                    f(c.leaf_rows(ch, i), p.leaf_rows(ph, j));
+                } else {
+                    merge_matches(c, c.descend(ch, i), p, p.descend(ph, j), f);
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
+/// Marks a dropped row in an input-id → reduced-id map. Never a real
+/// id: ids are below their relation's row count, which fits a `RowId`.
+const DROPPED: RowId = RowId::MAX;
+
+/// Compact `rel` to the rows whose keep-bit is set, in input order, and
+/// return the input-id → reduced-id map ([`DROPPED`] for dropped rows)
+/// with the number of rows kept.
+fn compact(rel: &mut Relation, keep: &[bool]) -> (Vec<RowId>, RowId) {
+    let mut kept: RowId = 0;
+    let new_ids = (keep.iter())
+        .map(|&k| {
+            let id = if k { kept } else { DROPPED };
+            kept += RowId::from(k);
+            id
         })
         .collect();
-    rel.retain(|rid| keep[rid as usize]);
+    rel.retain(|r| keep[r as usize]);
+    (new_ids, kept)
 }
 
-/// Run a full reducer over `rels` (parallel to the query's atoms) using
-/// `tree`: bottom-up semi-joins (children filter parents), then top-down
-/// (parents filter children). Also enforces repeated variables first.
-///
-/// After this, for every node, each remaining tuple extends to at least
-/// one full query answer.
+/// One non-root node's join-key groups over the reduced relations (see
+/// the module's order contract).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinGroups {
+    /// Group `g`'s members are `rows[offsets[g]..offsets[g + 1]]`.
+    pub offsets: Vec<u32>,
+    /// Reduced child row ids, group after group.
+    pub rows: Vec<RowId>,
+    /// Reduced parent row id → the group it joins.
+    pub of_parent_row: Vec<u32>,
+}
+
+/// One join-tree edge of a [`Reduction`].
+struct Edge {
+    runs: EdgeRuns,
+    child_atom: usize,
+    parent_atom: usize,
+}
+
+/// A finished full-reducer run: the relations it was given are reduced,
+/// and each edge's matched key runs are kept so the join-key groups can
+/// be read off them without sorting, hashing or probing again.
+pub struct Reduction {
+    /// node -> its edge to the parent (`None` at the root).
+    edges: Vec<Option<Edge>>,
+    /// atom -> input row id -> reduced row id.
+    new_ids: Vec<Vec<RowId>>,
+    /// atom -> rows kept.
+    kept: Vec<RowId>,
+}
+
+impl Reduction {
+    /// Run a full reducer over `rels` (parallel to the query's atoms)
+    /// using `tree`: bottom-up semi-joins (children filter parents),
+    /// then top-down (parents filter children), after dropping rows
+    /// that disagree on an atom's repeated variables.
+    ///
+    /// After this, for every node, each remaining tuple extends to at
+    /// least one full query answer, and `rels` hold the survivors in
+    /// input order.
+    ///
+    /// # Panics
+    ///
+    /// If a relation has more rows than a [`RowId`] can address.
+    pub fn run(q: &ConjunctiveQuery, tree: &JoinTree, rels: &mut [Relation]) -> Self {
+        assert_eq!(rels.len(), q.num_atoms());
+        let mut keep: Vec<Vec<bool>> = (rels.iter().enumerate())
+            .map(|(atom, rel)| {
+                let repeats = RepeatedVars::of(q.atom(atom)).mask(rel);
+                repeats.unwrap_or_else(|| vec![true; rel.len()])
+            })
+            .collect();
+        // Bottom-up, in reverse pre-order: sort and match each node's
+        // edge over what is still kept on both sides, then let the node
+        // filter its parent. A node's subtree is done before the node's
+        // own edge is sorted, so every edge sorts the fewest rows it can.
+        let order = tree.preorder();
+        let mut edges: Vec<Option<Edge>> = (0..tree.len()).map(|_| None).collect();
+        for &node in order.iter().rev() {
+            let Some(parent) = tree.node(node).parent else {
+                continue;
+            };
+            let (child_atom, parent_atom) = (tree.node(node).atom, tree.node(parent).atom);
+            let (cpos, ppos) = join_key_positions(q, tree, node);
+            // A node and its parent are distinct atoms (even for
+            // self-joins), so lending one bit vector out is safe.
+            let mut child_keep = std::mem::take(&mut keep[child_atom]);
+            let runs = EdgeRuns::build(
+                Side {
+                    rel: &rels[child_atom],
+                    pos: &cpos,
+                    keep: &mut child_keep,
+                },
+                Side {
+                    rel: &rels[parent_atom],
+                    pos: &ppos,
+                    keep: &mut keep[parent_atom],
+                },
+            );
+            runs.sweep(true, &child_keep, &mut keep[parent_atom]);
+            keep[child_atom] = child_keep;
+            edges[node] = Some(Edge {
+                runs,
+                child_atom,
+                parent_atom,
+            });
+        }
+        // Top-down, in pre-order: each node is filtered by its parent.
+        for &node in &order {
+            let Some(edge) = &edges[node] else { continue };
+            let mut child_keep = std::mem::take(&mut keep[edge.child_atom]);
+            edge.runs
+                .sweep(false, &keep[edge.parent_atom], &mut child_keep);
+            keep[edge.child_atom] = child_keep;
+        }
+
+        let (new_ids, kept) = (rels.iter_mut().zip(&keep))
+            .map(|(rel, keep)| compact(rel, keep))
+            .unzip();
+        Reduction {
+            edges,
+            new_ids,
+            kept,
+        }
+    }
+
+    /// The join-key groups of non-root `node` under its parent, over
+    /// the reduced relations: the edge's runs with dropped rows (and
+    /// runs left without rows) skipped.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is the root.
+    pub fn groups(&self, node: NodeId) -> JoinGroups {
+        let edge = self.edges[node].as_ref().expect("the root has no groups");
+        let child_ids = &self.new_ids[edge.child_atom];
+        let parent_ids = &self.new_ids[edge.parent_atom];
+        let mut offsets: Vec<u32> = Vec::with_capacity(edge.runs.ends.len() + 1);
+        offsets.push(0);
+        let mut rows: Vec<RowId> = Vec::with_capacity(self.kept[edge.child_atom] as usize);
+        let mut of_parent_row: Vec<u32> = vec![0; self.kept[edge.parent_atom] as usize];
+        let (mut group, mut end) = (0u32, 0u32);
+        for (child, parent) in edge.runs.iter() {
+            let before = end;
+            for &r in child {
+                let id = child_ids[r as usize];
+                if id != DROPPED {
+                    rows.push(id);
+                    end += 1;
+                }
+            }
+            if end == before {
+                continue;
+            }
+            offsets.push(end);
+            for &r in parent {
+                let id = parent_ids[r as usize];
+                if id != DROPPED {
+                    of_parent_row[id as usize] = group;
+                }
+            }
+            group += 1;
+        }
+        JoinGroups {
+            offsets,
+            rows,
+            of_parent_row,
+        }
+    }
+}
+
+/// Run a full reducer over `rels` — [`Reduction::run`] for callers that
+/// only want the reduced relations.
 pub fn full_reducer(q: &ConjunctiveQuery, tree: &JoinTree, rels: &mut [Relation]) {
-    assert_eq!(rels.len(), q.num_atoms());
-    for (i, rel) in rels.iter_mut().enumerate() {
-        prefilter_repeated_vars(rel, q, i);
-    }
-    let order = tree.preorder();
-    // Bottom-up: visit in reverse preorder; each node filters its parent.
-    for &node in order.iter().rev() {
-        if tree.node(node).parent.is_none() {
-            continue;
-        }
-        let parent = tree.node(node).parent.unwrap();
-        let (cpos, ppos) = join_key_positions(q, tree, node);
-        let (p_atom, c_atom) = (tree.node(parent).atom, tree.node(node).atom);
-        // Split borrow: parent and child atoms are distinct relations
-        // (distinct atom indices even for self-joins).
-        let (lo, hi) = if p_atom < c_atom {
-            (p_atom, c_atom)
-        } else {
-            (c_atom, p_atom)
-        };
-        let (head, tail) = rels.split_at_mut(hi);
-        let (parent_rel, child_rel): (&mut Relation, &Relation) = if p_atom < c_atom {
-            (&mut head[lo], &tail[0])
-        } else {
-            (&mut tail[0], &head[lo])
-        };
-        semijoin_filter(parent_rel, &ppos, child_rel, &cpos);
-    }
-    // Top-down: visit in preorder; each node filters its children.
-    for &node in order.iter() {
-        if tree.node(node).parent.is_none() {
-            continue;
-        }
-        let parent = tree.node(node).parent.unwrap();
-        let (cpos, ppos) = join_key_positions(q, tree, node);
-        let (p_atom, c_atom) = (tree.node(parent).atom, tree.node(node).atom);
-        let (lo, hi) = if p_atom < c_atom {
-            (p_atom, c_atom)
-        } else {
-            (c_atom, p_atom)
-        };
-        let (head, tail) = rels.split_at_mut(hi);
-        let (child_rel, parent_rel): (&mut Relation, &Relation) = if c_atom < p_atom {
-            (&mut head[lo], &tail[0])
-        } else {
-            (&mut tail[0], &head[lo])
-        };
-        semijoin_filter(child_rel, &cpos, parent_rel, &ppos);
-    }
+    Reduction::run(q, tree, rels);
 }
 
 #[cfg(test)]
@@ -174,22 +533,8 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn semijoin_keeps_matching() {
-        let mut r = edge_rel(["a", "b"], &[(1, 2), (2, 3), (3, 4)]);
-        let s = edge_rel(["b", "c"], &[(2, 9), (4, 9)]);
-        let kept = semijoin_filter(&mut r, &[1], &s, &[0]);
-        assert_eq!(kept, 2);
-        let bs: Vec<i64> = (0..r.len() as u32).map(|i| r.row(i)[1].int()).collect();
-        assert_eq!(bs, vec![2, 4]);
-    }
-
-    #[test]
-    fn semijoin_empty_key_cartesian() {
-        let mut r = edge_rel(["a", "b"], &[(1, 2)]);
-        let s = Relation::empty(Schema::new(["c"]));
-        assert_eq!(semijoin_filter(&mut r, &[], &s, &[]), 0);
-        assert!(r.is_empty());
+    fn column(rel: &Relation, col: usize) -> Vec<i64> {
+        rel.iter().map(|(_, row, _)| row[col].int()).collect()
     }
 
     #[test]
@@ -228,20 +573,43 @@ mod tests {
         ];
         full_reducer(&q, &tree, &mut rels);
         // (4,5) and (6,9) must be gone.
-        assert_eq!(rels[0].len(), 2);
-        assert_eq!(rels[1].len(), 2);
-        for i in 0..rels[0].len() as u32 {
-            let b = rels[0].row(i)[1];
-            assert!((0..rels[1].len() as u32).any(|j| rels[1].row(j)[0] == b));
-        }
+        assert_eq!(column(&rels[0], 1), vec![2, 3]);
+        assert_eq!(column(&rels[1], 0), vec![2, 3]);
+    }
+
+    #[test]
+    fn groups_are_key_runs_over_reduced_ids() {
+        // Root R1 (atom 0) with child R2 on x1. Input row 0 of R2
+        // dangles, so reduced ids are the input ids minus one.
+        let q = path_query(2);
+        let tree = JoinTree::from_parents(&q, &[None, Some(0)]);
+        let mut rels = vec![
+            edge_rel(["a", "b"], &[(1, 5), (2, 3), (3, 5), (4, 8)]),
+            edge_rel(["b", "c"], &[(9, 0), (5, 1), (3, 2), (5, 3), (3, 4)]),
+        ];
+        let reduction = Reduction::run(&q, &tree, &mut rels);
+        assert_eq!(column(&rels[0], 0), vec![1, 2, 3]);
+        assert_eq!(column(&rels[1], 1), vec![1, 2, 3, 4]);
+        let g = reduction.groups(1);
+        // Key 3 before key 5; members ascend by reduced row id.
+        assert_eq!(g.offsets, vec![0, 2, 4]);
+        assert_eq!(g.rows, vec![1, 3, 0, 2]);
+        assert_eq!(g.of_parent_row, vec![1, 0, 1]);
     }
 
     #[test]
     fn repeated_vars_prefiltered() {
         let q = QueryBuilder::new().atom("E", &["x", "x"]).build();
-        let mut r = edge_rel(["u", "v"], &[(1, 1), (1, 2), (3, 3)]);
-        prefilter_repeated_vars(&mut r, &q, 0);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.row(1)[0].int(), 3);
+        let repeats = RepeatedVars::of(q.atom(0));
+        let r = edge_rel(["u", "v"], &[(1, 1), (1, 2), (3, 3)]);
+        assert_eq!(repeats.mask(&r), Some(vec![true, false, true]));
+        // Nothing to drop, nothing to allocate.
+        assert_eq!(repeats.mask(&edge_rel(["u", "v"], &[(1, 1)])), None);
+        assert_eq!(RepeatedVars::of(path_query(2).atom(0)).mask(&r), None);
+        // The reducer starts from the same bits.
+        let tree = JoinTree::from_parents(&q, &[None]);
+        let mut rels = vec![r];
+        full_reducer(&q, &tree, &mut rels);
+        assert_eq!(column(&rels[0], 0), vec![1, 3]);
     }
 }

@@ -4,13 +4,16 @@
 //! Pipeline: full reducer (global consistency), then backtracking
 //! enumeration down the join tree. After reduction *every* partial
 //! binding extends to a full answer, so enumeration never dead-ends and
-//! the join phase is output-linear.
+//! the join phase is output-linear. The enumeration reads the join-key
+//! groups the reducer's sorted runs already hold
+//! ([`Reduction::groups`]): a parent row names its group in each child
+//! directly, so no key is extracted or looked up per binding.
 
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::join_tree::JoinTree;
-use anyk_storage::{HashIndex, Relation, RelationBuilder, RowId, Schema, Value, Weight};
+use anyk_storage::{Relation, RelationBuilder, RowId, Schema, Value, Weight};
 
-use crate::semijoin::{full_reducer, join_key_positions};
+use crate::semijoin::{row_bound, JoinGroups, Reduction};
 
 /// Output schema of a full CQ: one column per variable, in `VarId`
 /// order, named after the query's variable names.
@@ -21,7 +24,9 @@ pub fn output_schema(q: &ConjunctiveQuery) -> Schema {
 /// Run Yannakakis, invoking `f` once per answer with the (reduced)
 /// relations and the row ids chosen at each join-tree node (indexed by
 /// *node id*) — callers reconstruct values or weights as they wish.
-/// Relations are consumed (the reducer filters them in place).
+/// Relations are consumed (the reducer filters them in place). Answers
+/// come in pre-order odometer order: root rows in input order, and
+/// under each binding a child's matching rows in input order.
 ///
 /// Returns the (reduced) relations for further use.
 pub fn yannakakis_for_each<F: FnMut(&[Relation], &[RowId])>(
@@ -30,23 +35,17 @@ pub fn yannakakis_for_each<F: FnMut(&[Relation], &[RowId])>(
     mut rels: Vec<Relation>,
     mut f: F,
 ) -> Vec<Relation> {
-    full_reducer(q, tree, &mut rels);
+    let reduction = Reduction::run(q, tree, &mut rels);
     if rels.iter().any(|r| r.is_empty()) {
         return rels; // no answers
     }
     let order = tree.preorder();
-    // Per non-root node (by preorder slot): hash index on its join key,
-    // plus the positions of the key inside the parent's relation.
-    let mut indexes: Vec<Option<(HashIndex, Vec<usize>)>> = Vec::with_capacity(order.len());
-    for &node in &order {
-        if tree.node(node).parent.is_none() {
-            indexes.push(None);
-        } else {
-            let (cpos, ppos) = join_key_positions(q, tree, node);
-            let idx = HashIndex::build(&rels[tree.node(node).atom], &cpos);
-            indexes.push(Some((idx, ppos)));
-        }
-    }
+    let m = order.len();
+    // Per non-root slot (pre-order position): its join-key groups.
+    let groups: Vec<Option<JoinGroups>> = (order.iter())
+        .map(|&node| tree.node(node).parent.map(|_| reduction.groups(node)))
+        .collect();
+    drop(reduction);
     // Map node id -> slot in preorder, and parent slot per slot.
     let mut slot_of = vec![usize::MAX; tree.len()];
     for (s, &n) in order.iter().enumerate() {
@@ -56,49 +55,44 @@ pub fn yannakakis_for_each<F: FnMut(&[Relation], &[RowId])>(
         .iter()
         .map(|&n| tree.node(n).parent.map_or(usize::MAX, |p| slot_of[p]))
         .collect();
+    let root_rows = row_bound(&rels[tree.node(order[0]).atom]);
 
-    // Backtracking over preorder slots.
-    let m = order.len();
+    // Backtracking over preorder slots. A slot's candidates are a
+    // cursor range: row ids themselves at the root, positions in the
+    // slot's group rows below it.
     let mut chosen_rows: Vec<RowId> = vec![0; m]; // by slot
-    let mut iters: Vec<(usize, usize)> = vec![(0, 0); m]; // (pos, len) per slot
-    let mut group_cache: Vec<Vec<RowId>> = vec![Vec::new(); m];
+    let mut cursors: Vec<(u32, u32)> = vec![(0, 0); m]; // (next, end) per slot
     let mut by_node: Vec<RowId> = vec![0; tree.len()];
-    let mut key_buf: Vec<Value> = Vec::new();
 
     let mut slot = 0usize;
     'outer: loop {
-        // Initialize candidate group for `slot`.
-        let node = order[slot];
-        let atom = tree.node(node).atom;
-        let group: &[RowId] = if slot == 0 {
-            group_cache[0].clear();
-            group_cache[0].extend(0..rels[atom].len() as RowId);
-            &group_cache[0]
-        } else {
-            let (idx, ppos) = indexes[slot].as_ref().unwrap();
-            let pslot = parent_slot[slot];
-            let prow = chosen_rows[pslot];
-            let patom = tree.node(order[pslot]).atom;
-            rels[patom].key_into(prow, ppos, &mut key_buf);
-            let g = idx.get(&key_buf);
-            group_cache[slot].clear();
-            group_cache[slot].extend_from_slice(g);
-            &group_cache[slot]
+        // Candidate range for `slot` under the rows chosen above it.
+        cursors[slot] = match &groups[slot] {
+            None => (0, root_rows),
+            Some(g) => {
+                let group = g.of_parent_row[chosen_rows[parent_slot[slot]] as usize] as usize;
+                (g.offsets[group], g.offsets[group + 1])
+            }
         };
-        debug_assert!(!group.is_empty(), "full reducer guarantees matches");
-        iters[slot] = (0, group.len());
+        debug_assert!(
+            cursors[slot].0 < cursors[slot].1,
+            "full reducer guarantees matches"
+        );
         // Descend / emit loop.
         loop {
-            let (pos, len) = iters[slot];
-            if pos < len {
-                chosen_rows[slot] = group_cache[slot][pos];
+            let (next, end) = cursors[slot];
+            if next < end {
+                chosen_rows[slot] = match &groups[slot] {
+                    None => next,
+                    Some(g) => g.rows[next as usize],
+                };
                 if slot + 1 == m {
                     // Emit.
                     for s in 0..m {
                         by_node[order[s]] = chosen_rows[s];
                     }
                     f(&rels, &by_node);
-                    iters[slot].0 += 1;
+                    cursors[slot].0 += 1;
                     continue;
                 }
                 slot += 1;
@@ -109,7 +103,7 @@ pub fn yannakakis_for_each<F: FnMut(&[Relation], &[RowId])>(
                 break 'outer;
             }
             slot -= 1;
-            iters[slot].0 += 1;
+            cursors[slot].0 += 1;
         }
     }
     rels
@@ -158,31 +152,29 @@ pub fn yannakakis_join(q: &ConjunctiveQuery, tree: &JoinTree, rels: Vec<Relation
 /// `sum over root tuples`. Linear time after reduction — used to verify
 /// AGM-bound experiments without paying materialization.
 pub fn yannakakis_count(q: &ConjunctiveQuery, tree: &JoinTree, mut rels: Vec<Relation>) -> u128 {
-    full_reducer(q, tree, &mut rels);
+    let reduction = Reduction::run(q, tree, &mut rels);
     if rels.iter().any(|r| r.is_empty()) {
         return 0;
     }
-    let order = tree.preorder();
-    // counts[node][row] = number of answers in the subtree of `node`
-    // consistent with `row`.
+    // counts[atom][row] = number of answers in the subtree of the
+    // atom's node consistent with `row`. Reverse pre-order finishes a
+    // node's subtree before the node multiplies into its parent.
     let mut counts: Vec<Vec<u128>> = rels.iter().map(|r| vec![1u128; r.len()]).collect();
-    for &node in order.iter().rev() {
-        let children: Vec<usize> = tree.node(node).children.clone();
-        let atom = tree.node(node).atom;
-        for child in children {
-            let catom = tree.node(child).atom;
-            let (cpos, ppos) = join_key_positions(q, tree, child);
-            let idx = HashIndex::build(&rels[catom], &cpos);
-            let mut key = Vec::new();
-            for row in 0..rels[atom].len() as RowId {
-                rels[atom].key_into(row, &ppos, &mut key);
-                let s: u128 = idx
-                    .get(&key)
-                    .iter()
-                    .map(|&r| counts[catom][r as usize])
-                    .sum();
-                counts[atom][row as usize] = counts[atom][row as usize].saturating_mul(s);
-            }
+    for &node in tree.preorder().iter().rev() {
+        let Some(parent) = tree.node(node).parent else {
+            continue;
+        };
+        let g = reduction.groups(node);
+        let of_child = &counts[tree.node(node).atom];
+        let group_sums: Vec<u128> = (g.offsets.windows(2))
+            .map(|w| {
+                let members = &g.rows[w[0] as usize..w[1] as usize];
+                members.iter().map(|&r| of_child[r as usize]).sum()
+            })
+            .collect();
+        let of_parent = &mut counts[tree.node(parent).atom];
+        for (count, &group) in of_parent.iter_mut().zip(&g.of_parent_row) {
+            *count = count.saturating_mul(group_sums[group as usize]);
         }
     }
     let root_atom = tree.node(tree.root()).atom;

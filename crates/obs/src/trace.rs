@@ -404,13 +404,21 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let ring = TraceRing::new(8);
         let stop = AtomicBool::new(false);
+        // Set by the reader at its first trace. Every writer waits for
+        // it half-way through, so reads overlap writes however the
+        // threads are scheduled (a busy two-core host ran all four
+        // writers to completion before the reader's first scan).
+        let overlapped = AtomicBool::new(false);
         const WRITERS: u64 = 4;
         const PER_WRITER: u64 = 2000;
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
-                let ring = &ring;
+                let (ring, overlapped) = (&ring, &overlapped);
                 scope.spawn(move || {
                     for i in 0..PER_WRITER {
+                        while i == PER_WRITER / 2 && !overlapped.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
                         ring.publish(&trace(w * PER_WRITER + i));
                     }
                 });
@@ -425,6 +433,7 @@ mod tests {
                         // so any mixed-lap snapshot fails this check.
                         assert_eq!(t, trace(t.id), "torn read escaped the seqlock");
                     }
+                    overlapped.store(seen > 0, Ordering::Relaxed);
                 }
                 seen
             });

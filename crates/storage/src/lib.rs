@@ -1,8 +1,8 @@
 //! # anyk-storage
 //!
 //! The relational substrate underlying the `anyk` project: compact values,
-//! weighted in-memory relations, and the index structures (hash, trie)
-//! that the join and ranked-enumeration algorithms are built on.
+//! weighted in-memory relations, and the one index family — sorted
+//! tries — that the join and ranked-enumeration algorithms are built on.
 //!
 //! The paper's complexity model (*Optimal Join Algorithms Meet Top-k*,
 //! SIGMOD 2020) assumes no pre-built indexes at query time — algorithms
@@ -20,8 +20,9 @@
 //! * [`relation`] — row-major weighted relations and builders.
 //! * [`delta`] — delta-backed relations: immutable base + append-only
 //!   `Arc`-shared delta batches, with threshold-driven compaction.
-//! * [`index`] — the per-plan hash index over join keys.
-//! * [`trie`] — sorted nested tries for worst-case-optimal joins.
+//! * [`trie`] — sorted nested tries: the levels of worst-case-optimal
+//!   joins, and (built on a join key) the sort behind every semi-join
+//!   and join-key grouping. There is no hash index.
 //! * [`index_catalog`] — catalog-resident shared trie indexes
 //!   (lazy, LRU-bounded, payload-identity keyed).
 //! * [`partition`] — deterministic full-row hash partitioning of
@@ -35,7 +36,6 @@ pub mod csv;
 pub mod delta;
 pub mod error;
 pub mod fxhash;
-pub mod index;
 pub mod index_catalog;
 pub mod partition;
 pub mod relation;
@@ -48,7 +48,6 @@ pub use csv::{read_csv, read_csv_with_catalog, write_csv};
 pub use delta::{DeltaRelation, MIN_COMPACT_ROWS};
 pub use error::StorageError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use index::HashIndex;
 pub use index_catalog::{
     BuildEachTime, IndexCatalog, IndexProvider, IndexStats, DEFAULT_INDEX_CATALOG_BYTES,
 };

@@ -7,6 +7,16 @@
 //! Before join output landed in slabs, every materialized triangle was
 //! its own `Vec<Value>` (and the first stream's heap held one `Arc`
 //! clone per answer), so the block count grew by one per answer.
+//!
+//! The same holds for T-DP preprocessing — a cold 4-cycle `prepare` +
+//! top-10 and a bare path `TdpInstance::prepare`: per join-tree edge two
+//! key tries, three run vectors and the slot's CSR groups, whatever the
+//! row count. While the reducer and the grouping hashed, every distinct
+//! join key was an owned `Box<[Value]>` (several times over) and the
+//! counts followed `n`: at the parent commit (d815e40) the 4-cycle op
+//! below took 14 408 blocks at 1 600 edges per relation and 52 961 at
+//! 6 400 (now 585 and 632), the path prepare 23 322 at 2 000 rows and
+//! 184 415 at 16 000 (now 324 and 375).
 
 mod common;
 
@@ -86,5 +96,62 @@ fn a_cold_triangle_allocates_by_doublings_not_by_answers() {
     assert!(
         large <= small + 64,
         "blocks of a cold prepare + top-10: {small} for {few} triangles, {large} for {many}"
+    );
+}
+
+/// Blocks of one cold 4-cycle op — fresh engine, prepare, top-10 — over
+/// four `edges`-row relations of mean degree 4.
+fn cold_cycle4(edges: u64) -> u64 {
+    let q = cycle_query(4);
+    let rels: Vec<Relation> = (1..=4)
+        .map(|seed| scrambled_edges(edges, (edges / 4) as i64, seed))
+        .collect();
+    let before = BLOCKS.get();
+    let engine = Engine::from_query_bindings(&q, rels);
+    let prepared = engine.prepare(q, RankSpec::Sum).expect("prepare");
+    let top = prepared.stream().top_k(10);
+    let after = BLOCKS.get();
+    assert_eq!(top.len(), 10, "the instance has at least ten 4-cycles");
+    after - before
+}
+
+#[test]
+fn a_cold_four_cycle_allocates_by_edges_of_the_plan_not_by_rows() {
+    // 4x the edges: 4x the rows in the light-light bags, 4x the
+    // distinct join keys T-DP groups them by.
+    let (small, large) = (cold_cycle4(1_600), cold_cycle4(6_400));
+    assert!(
+        large <= small + 64,
+        "blocks of a cold 4-cycle prepare + top-10: {small} at 1 600 edges, {large} at 6 400"
+    );
+}
+
+/// `(reduced rows, blocks)` of one cold `TdpInstance::prepare` over a
+/// 4-path of `rows`-row relations.
+fn cold_path4(rows: u64) -> (usize, u64) {
+    let q = path_query(4);
+    let GyoResult::Acyclic(tree) = gyo_reduce(&q) else {
+        unreachable!("a path is acyclic");
+    };
+    let rels: Vec<Relation> = (1..=4)
+        .map(|seed| scrambled_edges(rows, (rows / 2) as i64, seed))
+        .collect();
+    let before = BLOCKS.get();
+    let inst = TdpInstance::<SumCost>::prepare(&q, &tree, rels).expect("prepare");
+    let after = BLOCKS.get();
+    (inst.reduced_input_size(), after - before)
+}
+
+#[test]
+fn a_cold_path_prepare_allocates_by_slots_not_by_rows() {
+    let (few, small) = cold_path4(2_000);
+    let (many, large) = cold_path4(16_000);
+    assert!(
+        few > 1_000 && many > 6 * few,
+        "the reducer keeps rows in proportion ({few} vs {many})"
+    );
+    assert!(
+        large <= small + 64,
+        "blocks of a cold path4 T-DP prepare: {small} for {few} kept rows, {large} for {many}"
     );
 }

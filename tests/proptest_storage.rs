@@ -1,7 +1,7 @@
 //! Property-based tests of the storage substrate against simple models:
-//! tries vs sorted scans, indexes vs linear filters, dedup vs maps.
+//! tries vs sorted scans and linear filters, dedup vs maps.
 
-use anyk::storage::{HashIndex, Relation, RelationBuilder, Schema, Trie, Value};
+use anyk::storage::{Relation, RelationBuilder, Schema, Trie, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -69,17 +69,34 @@ proptest! {
         prop_assert_eq!(got as usize, expect);
     }
 
-    /// HashIndex groups match a model filter.
+    /// A trie point lookup (`find` + `rows_below`) equals a linear
+    /// scan, row ids ascending — the contract every join-key grouping
+    /// and the binary join's probe rely on.
     #[test]
-    fn hash_index_matches_filter(rows in arb_rows(40, 6), probe in 0i64..8) {
+    fn trie_point_lookup_matches_linear_scan(rows in arb_rows(40, 6), probe in 0i64..8) {
+        prop_assume!(!rows.is_empty());
         let rel = build(&rows);
-        let idx = HashIndex::build(&rel, &[0]);
-        let mut got: Vec<u32> = idx.get(&[Value::Int(probe)]).to_vec();
-        got.sort();
-        let expect: Vec<u32> = (0..rel.len() as u32)
-            .filter(|&i| rel.row(i)[0].int() == probe)
-            .collect();
-        prop_assert_eq!(got, expect);
+        for positions in [&[0usize][..], &[0, 1]] {
+            let trie = Trie::build(&rel, positions);
+            let root = trie.root();
+            let got: &[u32] = match trie.find(root, Value::Int(probe)) {
+                Some(i) => trie.rows_below(root, i),
+                None => &[],
+            };
+            let expect: Vec<u32> = (rel.iter())
+                .filter(|(_, row, _)| row[0].int() == probe)
+                .map(|(id, _, _)| id)
+                .collect();
+            if positions.len() == 1 {
+                prop_assert_eq!(got, &expect[..]);
+            } else {
+                // Below an inner level rows are ordered by the deeper
+                // columns first; the set is the same.
+                let mut sorted = got.to_vec();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, expect);
+            }
+        }
     }
 
     /// Dedup keeps exactly the distinct tuples with minimal weights.
