@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use anyk_core::batch::BatchSorted;
-use anyk_core::cyclic::c4_ranked_part;
-use anyk_core::decomposed::decomposed_ranked_part;
+use anyk_core::cyclic::c4_trees;
+use anyk_core::decomposed::ghd_trees;
 use anyk_core::part::AnyKPart;
 use anyk_core::ranking::SumCost;
 use anyk_core::rec::AnyKRec;
@@ -17,6 +17,7 @@ use anyk_query::cq::cycle_query;
 use anyk_query::cycles::heavy_threshold;
 use anyk_query::decompose::fhw_exact;
 use anyk_query::hypergraph::Hypergraph;
+use anyk_storage::BuildEachTime;
 use anyk_workloads::adversarial::worst_case_triangle;
 use anyk_workloads::graphs::WeightDist;
 use anyk_workloads::patterns::path_instance;
@@ -107,7 +108,8 @@ fn bench_cyclic(c: &mut Criterion) {
             |b, rels| {
                 b.iter(|| {
                     black_box(
-                        c4_ranked_part::<SumCost>(rels, thr, SuccessorKind::Lazy)
+                        (c4_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap())
+                            .part(SuccessorKind::Lazy)
                             .take(k)
                             .count(),
                     )
@@ -124,7 +126,8 @@ fn bench_cyclic(c: &mut Criterion) {
         |b, rels| {
             b.iter(|| {
                 black_box(
-                    decomposed_ranked_part::<SumCost>(&q, rels, &ghd, SuccessorKind::Lazy)
+                    (ghd_trees::<SumCost>(&q, rels, &ghd, &BuildEachTime).unwrap())
+                        .part(SuccessorKind::Lazy)
                         .take(100)
                         .count(),
                 )

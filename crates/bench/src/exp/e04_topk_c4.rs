@@ -7,13 +7,14 @@
 //! and (b) full-join-then-sort (the ceiling).
 
 use crate::util::{banner, fmt_secs, time, Table};
-use anyk_core::cyclic::c4_ranked_part;
+use anyk_core::cyclic::c4_trees;
 use anyk_core::ranking::SumCost;
 use anyk_core::succorder::SuccessorKind;
 use anyk_join::boolean::c4_exists;
 use anyk_join::generic_join::generic_join_materialize;
 use anyk_query::cq::cycle_query;
 use anyk_query::cycles::heavy_threshold;
+use anyk_storage::BuildEachTime;
 use anyk_workloads::adversarial::worst_case_triangle;
 
 pub fn run(scale: f64) {
@@ -40,7 +41,8 @@ pub fn run(scale: f64) {
     let mut t = Table::new(["k", "anyk_TT(k)", "vs_boolean", "vs_batch_full"]);
     for &k in &[1usize, 10, 100, 1000] {
         let (got, t_k) = time(|| {
-            c4_ranked_part::<SumCost>(&rels, thr, SuccessorKind::Lazy)
+            (c4_trees::<SumCost>(&rels, thr, &BuildEachTime).expect("sum collapses"))
+                .part(SuccessorKind::Lazy)
                 .take(k)
                 .map(|a| a.cost.get())
                 .collect::<Vec<f64>>()

@@ -5,20 +5,21 @@
 //! submodular width is 1.5."
 //!
 //! We run ranked 4-cycle enumeration twice — through the single-tree
-//! fhw = 2 decomposition (`decomposed_ranked_part`) and through the
-//! union-of-trees subw = 1.5 plan (`c4_ranked_part`) — and compare
+//! fhw = 2 decomposition (`ghd_trees`) and through the
+//! union-of-trees subw = 1.5 plan (`c4_trees`) — and compare
 //! preprocessing + TT(k) scaling on hub-skewed inputs where the gap is
 //! asymptotic, not just constant.
 
 use crate::util::{banner, fmt_secs, loglog_slope, time, Table};
-use anyk_core::cyclic::c4_ranked_part;
-use anyk_core::decomposed::decomposed_ranked_part;
+use anyk_core::cyclic::c4_trees;
+use anyk_core::decomposed::ghd_trees;
 use anyk_core::ranking::SumCost;
 use anyk_core::succorder::SuccessorKind;
 use anyk_query::cq::cycle_query;
 use anyk_query::cycles::heavy_threshold;
 use anyk_query::decompose::fhw_exact;
 use anyk_query::hypergraph::Hypergraph;
+use anyk_storage::BuildEachTime;
 use anyk_workloads::adversarial::worst_case_triangle;
 
 pub fn run(scale: f64) {
@@ -47,13 +48,15 @@ pub fn run(scale: f64) {
         let thr = heavy_threshold(rels[0].len());
 
         let (subw_costs, t_subw) = time(|| {
-            c4_ranked_part::<SumCost>(&rels, thr, SuccessorKind::Lazy)
+            (c4_trees::<SumCost>(&rels, thr, &BuildEachTime).expect("sum collapses"))
+                .part(SuccessorKind::Lazy)
                 .take(k)
                 .map(|a| a.cost.get())
                 .collect::<Vec<_>>()
         });
         let (fhw_costs, t_fhw) = time(|| {
-            decomposed_ranked_part::<SumCost>(&q, &rels, &ghd, SuccessorKind::Lazy)
+            (ghd_trees::<SumCost>(&q, &rels, &ghd, &BuildEachTime).expect("sum collapses"))
+                .part(SuccessorKind::Lazy)
                 .take(k)
                 .map(|a| a.cost.get())
                 .collect::<Vec<_>>()

@@ -7,12 +7,15 @@
 //!   ([`LazySortedAnswers`]): the slab is the only copy of the answers,
 //!   shared by the first stream's id heap and by the sorted id column
 //!   that replaces it; a row is copied out when a stream emits it.
-//! * 4-cycle: submodular width 1.5 — the union-of-trees case split of
-//!   [`anyk_join::c4`] gives disjoint *acyclic* instances; each gets its
-//!   own [`AnyKPart`] enumerator and a [`RankedUnion`] merges them.
-//!   Preprocessing O~(n^1.5), delay O~(1): for small `k`, the k
-//!   lightest 4-cycles cost about as much as the Boolean query — the
-//!   paper's §1 headline.
+//! * Everything else is a **union of T-DP trees** ([`Trees`]): a list
+//!   of acyclic cases ([`anyk_join::cases`]) with disjoint answers, one
+//!   [`TdpInstance`] per case, one plain [`AnyKPart`] / [`AnyKRec`] per
+//!   instance, merged by a [`RankedUnion`]. The 4-cycle's
+//!   submodular-width case split ([`c4_trees`]) gives many trees for
+//!   preprocessing O~(n^1.5) and delay O~(1) — for small `k`, the k
+//!   lightest 4-cycles cost about as much as the Boolean query, the
+//!   paper's §1 headline; a tree decomposition
+//!   ([`crate::decomposed::ghd_trees`]) gives one tree at O~(n^fhw).
 //!
 //! Ranking functions must be **commutative** here (sum/max/min/prod):
 //! the per-case queries serialize the original atoms in different
@@ -28,9 +31,10 @@ use crate::ranking::RankingFunction;
 use crate::rec::AnyKRec;
 use crate::slab::{AnswerSlab, SlabHeap};
 use crate::succorder::SuccessorKind;
-use crate::tdp::TdpInstance;
+use crate::tdp::{TdpError, TdpInstance};
 use crate::union::RankedUnion;
-use anyk_join::c4::{c4_cases_provider, CaseOut};
+use anyk_join::c4::c4_cases_provider;
+use anyk_join::cases::TreeCase;
 use anyk_join::generic_join::generic_join_with;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
 use anyk_storage::{BuildEachTime, IndexProvider, Relation};
@@ -369,169 +373,56 @@ pub fn prepare_triangle_with<R: RankingFunction>(
     ))
 }
 
-/// One case stream of the C4 plan: an acyclic enumerator whose answers
-/// are remapped to the original `(x1, x2, x3, x4)` output.
-pub struct CaseStream<I: AnyK> {
-    inner: I,
-    out: [CaseOut; 4],
-}
-
-impl<I: AnyK> Iterator for CaseStream<I> {
-    type Item = RankedAnswer<I::Cost>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let a = self.inner.next()?;
-        let values = self
-            .out
-            .iter()
-            .map(|o| match *o {
-                CaseOut::Fixed(v) => v,
-                CaseOut::Var(cv) => a.values[cv],
-            })
-            .collect();
-        Some(RankedAnswer {
-            cost: a.cost,
-            values,
-        })
-    }
-}
-
-impl<I: AnyK> AnyK for CaseStream<I> {
-    type Cost = I::Cost;
-}
-
-/// Which any-k engine drives each case of a cyclic plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CyclicEngine {
-    /// ANYK-PART with the given successor order.
-    Part(SuccessorKind),
-    /// ANYK-REC.
-    Rec,
-}
-
-/// The prepared 4-cycle plan: every case of the submodular-width
-/// union-of-trees split with its T-DP instance behind an `Arc`, so any
-/// number of ranked streams (PART or REC, on any thread) enumerate from
-/// one `O~(n^1.5)` preprocessing pass.
+/// The prepared form of every any-k plan: the T-DP instances of a
+/// union of trees — one for an acyclic query or a GHD plan, one per
+/// case of the 4-cycle split — each behind an `Arc`, so any number of
+/// ranked streams (PART or REC, on any thread) enumerate from one
+/// preprocessing pass. Every instance writes the original query's
+/// output columns itself ([`TdpInstance::prepare_case`]), so a stream
+/// over the union is a plain [`RankedUnion`] of plain enumerators.
 #[derive(Clone)]
-pub struct PreparedC4<R: RankingFunction> {
-    cases: Vec<(Arc<TdpInstance<R>>, [CaseOut; 4])>,
-}
+pub struct Trees<R: RankingFunction>(pub Vec<Arc<TdpInstance<R>>>);
 
-impl<R: RankingFunction> PreparedC4<R> {
-    /// Run the case split and T-DP preprocessing once. `threshold` is
-    /// the heavy cutoff (see [`anyk_query::cycles::heavy_threshold`]).
-    /// The light-light case merges pre-joined edge weights under `R`'s
-    /// weight-level `⊗`, so any scalar ranking ranks correctly;
-    /// rankings without one (lexicographic) get
-    /// [`TdpError::NonCollapsibleRanking`](crate::tdp::TdpError).
-    pub fn prepare(rels: &[Relation], threshold: usize) -> Result<Self, crate::tdp::TdpError> {
-        Self::prepare_with(rels, threshold, &BuildEachTime)
-    }
-
-    /// [`PreparedC4::prepare`] with trie construction delegated to a
-    /// shared [`IndexProvider`] — the case split's degree counting,
-    /// residual extraction, and bag joins all resolve their tries
-    /// through it.
-    pub fn prepare_with(
-        rels: &[Relation],
-        threshold: usize,
-        indexes: &dyn IndexProvider,
-    ) -> Result<Self, crate::tdp::TdpError> {
-        let dioid = R::weight_dioid().ok_or(crate::tdp::TdpError::NonCollapsibleRanking)?;
-        let mut cases = Vec::new();
-        for case in c4_cases_provider(rels, threshold, dioid.combine, indexes) {
-            let inst = TdpInstance::<R>::prepare(&case.query, &case.tree, case.relations)?;
-            cases.push((Arc::new(inst), case.out));
-        }
-        Ok(PreparedC4 { cases })
-    }
-
-    /// Number of cases in the union-of-trees split.
-    pub fn num_cases(&self) -> usize {
-        self.cases.len()
+impl<R: RankingFunction> Trees<R> {
+    /// Run T-DP preprocessing once per case. The cases' answer sets
+    /// must be disjoint: the union does not de-duplicate.
+    pub fn prepare(cases: Vec<TreeCase>) -> Result<Self, TdpError> {
+        (cases.into_iter())
+            .map(|case| TdpInstance::prepare_case(case).map(Arc::new))
+            .collect::<Result<_, _>>()
+            .map(Trees)
     }
 
     /// A fresh ranked stream driven by ANYK-PART with successor order
-    /// `kind`, enumerating from the shared prepared cases.
-    pub fn stream_part(&self, kind: SuccessorKind) -> RankedUnion<CaseStream<AnyKPart<R>>> {
-        RankedUnion::new(
-            self.cases
-                .iter()
-                .map(|(inst, out)| CaseStream {
-                    inner: AnyKPart::new(Arc::clone(inst), kind),
-                    out: *out,
-                })
-                .collect(),
-        )
+    /// `kind`, enumerating from the shared prepared trees.
+    pub fn part(&self, kind: SuccessorKind) -> RankedUnion<AnyKPart<R>> {
+        let trees = self.0.iter();
+        RankedUnion::new(trees.map(|t| AnyKPart::new(Arc::clone(t), kind)).collect())
     }
 
     /// A fresh ranked stream driven by ANYK-REC.
-    pub fn stream_rec(&self) -> RankedUnion<CaseStream<AnyKRec<R>>> {
-        RankedUnion::new(
-            self.cases
-                .iter()
-                .map(|(inst, out)| CaseStream {
-                    inner: AnyKRec::new(Arc::clone(inst)),
-                    out: *out,
-                })
-                .collect(),
-        )
+    pub fn rec(&self) -> RankedUnion<AnyKRec<R>> {
+        let trees = self.0.iter();
+        RankedUnion::new(trees.map(|t| AnyKRec::new(Arc::clone(t))).collect())
     }
 }
 
-/// Ranked enumeration of 4-cycles via the submodular-width
-/// union-of-trees plan, driven by ANYK-PART. `threshold` is the heavy
-/// cutoff (see [`anyk_query::cycles::heavy_threshold`]). Output
-/// variables are `(x1, x2, x3, x4)`; cost = ranking over all four edge
-/// weights.
-///
-/// # Panics
-///
-/// If `R` has no weight-level view ([`RankingFunction::weight_dioid`]
-/// is `None`, e.g. [`LexCost`](crate::ranking::LexCost)) — use
-/// [`try_c4_ranked_part`] for the typed error.
-pub fn c4_ranked_part<R: RankingFunction>(
+/// The 4-cycle's submodular-width union-of-trees plan, prepared: the
+/// case split of [`anyk_join::c4`] at heavy cutoff `threshold` (see
+/// [`anyk_query::cycles::heavy_threshold`]), tries resolved through
+/// `indexes`, T-DP run once per case. Output variables are
+/// `(x1, x2, x3, x4)`; cost = ranking over all four edge weights. The
+/// light-light case merges pre-joined edge weights under `R`'s
+/// weight-level `⊗`, so any scalar ranking ranks correctly; rankings
+/// without one (lexicographic) get
+/// [`TdpError::NonCollapsibleRanking`].
+pub fn c4_trees<R: RankingFunction>(
     rels: &[Relation],
     threshold: usize,
-    kind: SuccessorKind,
-) -> RankedUnion<CaseStream<AnyKPart<R>>> {
-    try_c4_ranked_part(rels, threshold, kind)
-        .unwrap_or_else(|e| panic!("C4 plan preparation failed: {e:?}; use try_c4_ranked_part"))
-}
-
-/// Fallible form of [`c4_ranked_part`]: surfaces a case query/tree
-/// mismatch or an unsupported (non-collapsible) ranking as a
-/// [`TdpError`](crate::tdp::TdpError) instead of panicking (the seam
-/// the engine layer routes through).
-pub fn try_c4_ranked_part<R: RankingFunction>(
-    rels: &[Relation],
-    threshold: usize,
-    kind: SuccessorKind,
-) -> Result<RankedUnion<CaseStream<AnyKPart<R>>>, crate::tdp::TdpError> {
-    Ok(PreparedC4::prepare(rels, threshold)?.stream_part(kind))
-}
-
-/// Ranked enumeration of 4-cycles driven by ANYK-REC.
-///
-/// # Panics
-///
-/// If `R` has no weight-level view (see [`c4_ranked_part`]) — use
-/// [`try_c4_ranked_rec`] for the typed error.
-pub fn c4_ranked_rec<R: RankingFunction>(
-    rels: &[Relation],
-    threshold: usize,
-) -> RankedUnion<CaseStream<AnyKRec<R>>> {
-    try_c4_ranked_rec(rels, threshold)
-        .unwrap_or_else(|e| panic!("C4 plan preparation failed: {e:?}; use try_c4_ranked_rec"))
-}
-
-/// Fallible form of [`c4_ranked_rec`].
-pub fn try_c4_ranked_rec<R: RankingFunction>(
-    rels: &[Relation],
-    threshold: usize,
-) -> Result<RankedUnion<CaseStream<AnyKRec<R>>>, crate::tdp::TdpError> {
-    Ok(PreparedC4::prepare(rels, threshold)?.stream_rec())
+    indexes: &dyn IndexProvider,
+) -> Result<Trees<R>, TdpError> {
+    let dioid = R::weight_dioid().ok_or(TdpError::NonCollapsibleRanking)?;
+    Trees::prepare(c4_cases_provider(rels, threshold, dioid.combine, indexes))
 }
 
 #[cfg(test)]
@@ -566,8 +457,13 @@ mod tests {
         out
     }
 
+    fn c4<R: RankingFunction>(rels: &[Relation], thr: usize) -> Trees<R> {
+        c4_trees(rels, thr, &BuildEachTime).unwrap()
+    }
+
     fn run_part(rels: &[Relation], thr: usize, kind: SuccessorKind) -> Vec<(f64, Vec<i64>)> {
-        c4_ranked_part::<SumCost>(rels, thr, kind)
+        c4::<SumCost>(rels, thr)
+            .part(kind)
             .map(|a| {
                 (
                     a.cost.get(),
@@ -593,7 +489,8 @@ mod tests {
                 assert_eq!(got, oracle, "thr {thr} kind {kind:?}");
             }
             // REC engine too.
-            let mut got: Vec<(f64, Vec<i64>)> = c4_ranked_rec::<SumCost>(&rels, thr)
+            let mut got: Vec<(f64, Vec<i64>)> = c4::<SumCost>(&rels, thr)
+                .rec()
                 .map(|a| {
                     (
                         a.cost.get(),
@@ -756,7 +653,8 @@ mod tests {
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(!want.is_empty());
         for thr in [0, 1, 2, 100] {
-            let got: Vec<f64> = c4_ranked_part::<MaxCost>(&rels, thr, SuccessorKind::Lazy)
+            let got: Vec<f64> = c4::<MaxCost>(&rels, thr)
+                .part(SuccessorKind::Lazy)
                 .map(|a| a.cost.get())
                 .collect();
             assert_eq!(got, want, "thr {thr}");
@@ -767,10 +665,10 @@ mod tests {
     fn lex_on_c4_is_a_typed_rejection() {
         let e = edge_rel(&[(1, 2, 0.5), (2, 3, 1.0), (3, 4, 0.25), (4, 1, 2.0)]);
         let rels = vec![e.clone(), e.clone(), e.clone(), e];
-        let err = match PreparedC4::<crate::ranking::LexCost>::prepare(&rels, 1) {
+        let err = match c4_trees::<crate::ranking::LexCost>(&rels, 1, &BuildEachTime) {
             Err(e) => e,
             Ok(_) => panic!("lex must be rejected on the C4 plan"),
         };
-        assert_eq!(err, crate::tdp::TdpError::NonCollapsibleRanking);
+        assert_eq!(err, TdpError::NonCollapsibleRanking);
     }
 }

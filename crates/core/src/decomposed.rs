@@ -3,188 +3,43 @@
 //! §4: materialize decomposition bags (worst-case-optimally), then run
 //! any-k over the acyclic bag-level query.
 //!
-//! This complements [`crate::cyclic`]:
+//! [`ghd_trees`] is the one-tree instance of the union-of-trees shape
+//! ([`crate::cyclic::Trees`]); it complements
+//! [`crate::cyclic::c4_trees`]:
 //!
-//! * [`crate::cyclic::c4_ranked_part`] uses the 4-cycle's *submodular
-//!   width* union-of-trees plan (preprocessing n^1.5);
-//! * [`decomposed_ranked_part`] works for every query but pays the
-//!   (possibly higher) fractional hypertree width — fhw = 2 for the
-//!   4-cycle. Experiment E13 measures exactly this gap (the reason §3
-//!   calls submodular width "the current frontier").
+//! * `c4_trees` uses the 4-cycle's *submodular width* union-of-trees
+//!   plan (preprocessing n^1.5);
+//! * `ghd_trees` works for every query but pays the (possibly higher)
+//!   fractional hypertree width — fhw = 2 for the 4-cycle. Experiment
+//!   E13 measures exactly this gap (the reason §3 calls submodular
+//!   width "the current frontier").
 
-use crate::answer::{AnyK, RankedAnswer};
-use crate::part::AnyKPart;
+use crate::cyclic::Trees;
 use crate::ranking::RankingFunction;
-use crate::rec::AnyKRec;
-use crate::succorder::SuccessorKind;
-use crate::tdp::TdpInstance;
+use crate::tdp::TdpError;
 use anyk_join::decomposed::ghd_plan_provider;
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::decompose::{fhw_exact, fhw_greedy, Decomposition};
 use anyk_query::hypergraph::Hypergraph;
-use anyk_storage::{BuildEachTime, IndexProvider, Relation};
-use std::sync::Arc;
+use anyk_storage::{IndexProvider, Relation};
 
-/// An any-k stream whose answers are re-ordered from bag-query variable
-/// order back to the original query's `VarId` order.
-pub struct DecomposedRanked<I: AnyK> {
-    inner: I,
-    /// `perm[v]` = bag-query VarId of original variable `v`.
-    perm: Vec<usize>,
-}
-
-impl<I: AnyK> Iterator for DecomposedRanked<I> {
-    type Item = RankedAnswer<I::Cost>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let a = self.inner.next()?;
-        let values = self.perm.iter().map(|&p| a.values[p]).collect();
-        Some(RankedAnswer {
-            cost: a.cost,
-            values,
-        })
-    }
-}
-
-impl<I: AnyK> DecomposedRanked<I> {
-    /// Wrap an any-k stream over a bag query with the permutation that
-    /// maps bag-query variable order back to the original query's.
-    pub fn new(inner: I, perm: Vec<usize>) -> Self {
-        DecomposedRanked { inner, perm }
-    }
-}
-
-impl<I: AnyK> AnyK for DecomposedRanked<I> {
-    type Cost = I::Cost;
-}
-
-fn var_permutation(q: &ConjunctiveQuery, bag_query: &ConjunctiveQuery) -> Vec<usize> {
-    (0..q.num_vars())
-        .map(|v| {
-            bag_query
-                .var(q.var_name(v))
-                .expect("bags cover every variable")
-        })
-        .collect()
-}
-
-/// The prepared GHD plan: bags materialized worst-case-optimally, the
-/// bag-level T-DP run once, the instance shared behind an `Arc` — any
-/// number of PART/REC streams (on any thread) enumerate from one
-/// `O~(n^fhw)` preprocessing pass.
-#[derive(Clone)]
-pub struct PreparedDecomposed<R: RankingFunction> {
-    inst: Arc<TdpInstance<R>>,
-    perm: Vec<usize>,
-}
-
-impl<R: RankingFunction> PreparedDecomposed<R> {
-    /// Materialize the bags of `decomp` and run T-DP once. Bag weights
-    /// are merged under `R`'s weight-level `⊗`, so any scalar ranking
-    /// ranks correctly; rankings without one (lexicographic) get
-    /// [`TdpError::NonCollapsibleRanking`](crate::tdp::TdpError).
-    pub fn prepare(
-        q: &ConjunctiveQuery,
-        rels: &[Relation],
-        decomp: &Decomposition,
-    ) -> Result<Self, crate::tdp::TdpError> {
-        Self::prepare_with(q, rels, decomp, &BuildEachTime)
-    }
-
-    /// [`PreparedDecomposed::prepare`] with trie construction delegated
-    /// to a shared [`IndexProvider`] — every bag's worst-case-optimal
-    /// materialization resolves its tries through it.
-    pub fn prepare_with(
-        q: &ConjunctiveQuery,
-        rels: &[Relation],
-        decomp: &Decomposition,
-        indexes: &dyn IndexProvider,
-    ) -> Result<Self, crate::tdp::TdpError> {
-        let dioid = R::weight_dioid().ok_or(crate::tdp::TdpError::NonCollapsibleRanking)?;
-        let plan = ghd_plan_provider(q, rels, decomp, dioid.identity, dioid.combine, indexes);
-        let perm = var_permutation(q, &plan.bag_query);
-        let inst = TdpInstance::<R>::prepare(&plan.bag_query, &plan.bag_tree, plan.bag_relations)?;
-        Ok(PreparedDecomposed {
-            inst: Arc::new(inst),
-            perm,
-        })
-    }
-
-    /// A fresh ranked stream driven by ANYK-PART with successor order
-    /// `kind`, enumerating from the shared prepared instance.
-    pub fn stream_part(&self, kind: SuccessorKind) -> DecomposedRanked<AnyKPart<R>> {
-        DecomposedRanked {
-            inner: AnyKPart::new(Arc::clone(&self.inst), kind),
-            perm: self.perm.clone(),
-        }
-    }
-
-    /// A fresh ranked stream driven by ANYK-REC.
-    pub fn stream_rec(&self) -> DecomposedRanked<AnyKRec<R>> {
-        DecomposedRanked {
-            inner: AnyKRec::new(Arc::clone(&self.inst)),
-            perm: self.perm.clone(),
-        }
-    }
-}
-
-/// Ranked enumeration of a (possibly cyclic) query through `decomp`,
-/// driven by ANYK-PART. Ranking must be commutative (see
-/// [`crate::cyclic`] for why lexicographic is excluded on decomposed
-/// plans).
-///
-/// # Panics
-///
-/// If `R` has no weight-level view ([`RankingFunction::weight_dioid`]
-/// is `None`, e.g. [`LexCost`](crate::ranking::LexCost)) — use
-/// [`try_decomposed_ranked_part`] for the typed error.
-pub fn decomposed_ranked_part<R: RankingFunction>(
+/// The GHD plan of a (possibly cyclic) query, prepared: the bags of
+/// `decomp` materialized worst-case-optimally (tries resolved through
+/// `indexes`) and T-DP run once over the bag tree — one tree, whose
+/// answers come out in `q`'s `VarId` order. Bag weights are merged
+/// under `R`'s weight-level `⊗`, so any scalar ranking ranks correctly;
+/// rankings without one (lexicographic — see [`crate::cyclic`] for why
+/// it is excluded on decomposed plans) get
+/// [`TdpError::NonCollapsibleRanking`].
+pub fn ghd_trees<R: RankingFunction>(
     q: &ConjunctiveQuery,
     rels: &[Relation],
     decomp: &Decomposition,
-    kind: SuccessorKind,
-) -> DecomposedRanked<AnyKPart<R>> {
-    try_decomposed_ranked_part(q, rels, decomp, kind).unwrap_or_else(|e| {
-        panic!("GHD plan preparation failed: {e:?}; use try_decomposed_ranked_part")
-    })
-}
-
-/// Fallible form of [`decomposed_ranked_part`]: surfaces a bag
-/// query/tree mismatch or an unsupported (non-collapsible) ranking as
-/// a [`TdpError`](crate::tdp::TdpError) instead of panicking (the seam
-/// the engine layer routes through).
-pub fn try_decomposed_ranked_part<R: RankingFunction>(
-    q: &ConjunctiveQuery,
-    rels: &[Relation],
-    decomp: &Decomposition,
-    kind: SuccessorKind,
-) -> Result<DecomposedRanked<AnyKPart<R>>, crate::tdp::TdpError> {
-    Ok(PreparedDecomposed::prepare(q, rels, decomp)?.stream_part(kind))
-}
-
-/// Ranked enumeration through `decomp`, driven by ANYK-REC.
-///
-/// # Panics
-///
-/// If `R` has no weight-level view (see [`decomposed_ranked_part`]) —
-/// use [`try_decomposed_ranked_rec`] for the typed error.
-pub fn decomposed_ranked_rec<R: RankingFunction>(
-    q: &ConjunctiveQuery,
-    rels: &[Relation],
-    decomp: &Decomposition,
-) -> DecomposedRanked<AnyKRec<R>> {
-    try_decomposed_ranked_rec(q, rels, decomp).unwrap_or_else(|e| {
-        panic!("GHD plan preparation failed: {e:?}; use try_decomposed_ranked_rec")
-    })
-}
-
-/// Fallible form of [`decomposed_ranked_rec`].
-pub fn try_decomposed_ranked_rec<R: RankingFunction>(
-    q: &ConjunctiveQuery,
-    rels: &[Relation],
-    decomp: &Decomposition,
-) -> Result<DecomposedRanked<AnyKRec<R>>, crate::tdp::TdpError> {
-    Ok(PreparedDecomposed::prepare(q, rels, decomp)?.stream_rec())
+    indexes: &dyn IndexProvider,
+) -> Result<Trees<R>, TdpError> {
+    let dioid = R::weight_dioid().ok_or(TdpError::NonCollapsibleRanking)?;
+    let plan = ghd_plan_provider(q, rels, decomp, dioid.identity, dioid.combine, indexes);
+    Trees::prepare(vec![plan])
 }
 
 /// Pick a decomposition for `q` automatically: exact fhw for queries
@@ -199,24 +54,14 @@ pub fn auto_decomposition(q: &ConjunctiveQuery) -> Decomposition {
     }
 }
 
-/// Convenience: pick a decomposition automatically via
-/// [`auto_decomposition`] and enumerate ranked answers with
-/// ANYK-PART(Lazy) under the caller's ranking function `R`.
-pub fn ranked_auto<R: RankingFunction>(
-    q: &ConjunctiveQuery,
-    rels: &[Relation],
-) -> DecomposedRanked<AnyKPart<R>> {
-    let decomp = auto_decomposition(q);
-    decomposed_ranked_part::<R>(q, rels, &decomp, SuccessorKind::Lazy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ranking::{MaxCost, SumCost};
+    use crate::succorder::SuccessorKind;
     use anyk_join::generic_join::generic_join_materialize;
     use anyk_query::cq::{cycle_query, triangle_query};
-    use anyk_storage::{RelationBuilder, Schema};
+    use anyk_storage::{BuildEachTime, RelationBuilder, Schema};
 
     fn edge_rel(rows: &[(i64, i64, f64)]) -> Relation {
         let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
@@ -246,32 +91,17 @@ mod tests {
         let want = oracle(q, rels);
         let h = Hypergraph::of_query(q);
         let d = fhw_exact(&h);
+        let pairs = |a: crate::RankedAnswer<anyk_storage::Weight>| {
+            let values: Vec<i64> = a.values.iter().map(|v| v.int()).collect();
+            (a.cost.get(), values)
+        };
+        let trees = ghd_trees::<SumCost>(q, rels, &d, &BuildEachTime).unwrap();
+        let auto = ghd_trees::<SumCost>(q, rels, &auto_decomposition(q), &BuildEachTime).unwrap();
         for engine in ["part", "rec", "auto"] {
             let mut got: Vec<(f64, Vec<i64>)> = match engine {
-                "part" => decomposed_ranked_part::<SumCost>(q, rels, &d, SuccessorKind::Take2)
-                    .map(|a| {
-                        (
-                            a.cost.get(),
-                            a.values.iter().map(|v| v.int()).collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect(),
-                "rec" => decomposed_ranked_rec::<SumCost>(q, rels, &d)
-                    .map(|a| {
-                        (
-                            a.cost.get(),
-                            a.values.iter().map(|v| v.int()).collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect(),
-                _ => ranked_auto::<SumCost>(q, rels)
-                    .map(|a| {
-                        (
-                            a.cost.get(),
-                            a.values.iter().map(|v| v.int()).collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect(),
+                "part" => trees.part(SuccessorKind::Take2).map(pairs).collect(),
+                "rec" => trees.rec().map(pairs).collect(),
+                _ => auto.part(SuccessorKind::Lazy).map(pairs).collect(),
             };
             assert!(
                 got.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -355,7 +185,8 @@ mod tests {
             .collect();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(!want.is_empty());
-        let got: Vec<f64> = decomposed_ranked_part::<MaxCost>(&q, &rels, &d, SuccessorKind::Lazy)
+        let got: Vec<f64> = (ghd_trees::<MaxCost>(&q, &rels, &d, &BuildEachTime).unwrap())
+            .part(SuccessorKind::Lazy)
             .map(|a| a.cost.get())
             .collect();
         assert_eq!(got, want);
@@ -368,10 +199,10 @@ mod tests {
         let q = triangle_query();
         let h = Hypergraph::of_query(&q);
         let d = fhw_exact(&h);
-        let err = match PreparedDecomposed::<crate::ranking::LexCost>::prepare(&q, &rels, &d) {
+        let err = match ghd_trees::<crate::ranking::LexCost>(&q, &rels, &d, &BuildEachTime) {
             Err(e) => e,
             Ok(_) => panic!("lex must be rejected on decomposed plans"),
         };
-        assert_eq!(err, crate::tdp::TdpError::NonCollapsibleRanking);
+        assert_eq!(err, TdpError::NonCollapsibleRanking);
     }
 }

@@ -18,10 +18,12 @@
 //! * [`rec`] — **ANYK-REC** (recursive enumeration with memoized shared
 //!   suffix streams, the k-shortest-path lineage).
 //! * [`batch`] — join-then-sort / join-then-heap baselines.
-//! * [`union`] + [`cyclic`] — union-of-trees plans for cyclic queries
-//!   (triangle via WCO materialization, 4-cycle via the submodular-width
-//!   case split) merged into one global ranked stream.
-//! * [`decomposed`] — ranked enumeration for *arbitrary* cyclic queries
+//! * [`union`] + [`cyclic`] — the one prepared shape of every any-k
+//!   plan, a union of T-DP trees ([`Trees`]) merged into one global
+//!   ranked stream: many trees for the 4-cycle's submodular-width case
+//!   split, one for an acyclic query — plus the triangle's WCO
+//!   materialization.
+//! * [`decomposed`] — the one-tree plan for *arbitrary* cyclic queries
 //!   through tree decompositions (pays fhw instead of subw).
 //! * [`unranked`] — constant-delay *unordered* enumeration (the §4
 //!   baseline that ranked enumeration adds ordering on top of).
@@ -71,14 +73,10 @@ pub mod unranked;
 pub use answer::{AnyK, RankedAnswer};
 pub use batch::{materialize_ranked, BatchHeap, BatchSorted};
 pub use cyclic::{
-    c4_ranked_part, c4_ranked_rec, prepare_triangle, triangle_ranked, try_c4_ranked_part,
-    try_c4_ranked_rec, wco_ranked_materialize, LazySortedAnswers, LazySortedStream, PreparedC4,
-    SortedAnswers, SortedStream,
+    c4_trees, prepare_triangle, triangle_ranked, wco_ranked_materialize, LazySortedAnswers,
+    LazySortedStream, SortedAnswers, SortedStream, Trees,
 };
-pub use decomposed::{
-    auto_decomposition, decomposed_ranked_part, decomposed_ranked_rec, ranked_auto,
-    try_decomposed_ranked_part, try_decomposed_ranked_rec, DecomposedRanked, PreparedDecomposed,
-};
+pub use decomposed::{auto_decomposition, ghd_trees};
 pub use ksp::{k_shortest_paths, LayeredDag};
 pub use part::AnyKPart;
 pub use ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, SumCost, WeightDioid};

@@ -362,9 +362,7 @@ impl<R: RankingFunction> Iterator for AnyKPart<R> {
         let cand = self.heap.pop()?;
         self.materialize(&cand);
         let m = self.inst.num_slots();
-        let mut values = Vec::new();
-        self.inst
-            .assemble(&self.rows[sol.index() * m..][..m], &mut values);
+        let values = self.inst.assemble(&self.rows[sol.index() * m..][..m]);
         self.push_children(sol, cand.dev_slot, cand.group, cand.member);
         self.emitted += 1;
         Some(RankedAnswer {

@@ -342,8 +342,7 @@ impl<R: RankingFunction> Iterator for AnyKRec<R> {
         self.next_rank += 1;
         let mut rows = vec![0 as RowId; self.inst.num_slots()];
         self.assemble_rows(0, 0, r, &mut rows);
-        let mut values = Vec::new();
-        self.inst.assemble(&rows, &mut values);
+        let values = self.inst.assemble(&rows);
         Some(RankedAnswer { cost, values })
     }
 }

@@ -26,6 +26,14 @@
 //! follows best-pointers from the root; ranked enumeration on top of
 //! this structure is [`crate::part`] / [`crate::rec`].
 //!
+//! The instance also owns the **output map**: which column of the
+//! emitted tuple each slot's tuple positions land in, and which columns
+//! are constants. For a plain acyclic query ([`TdpInstance::prepare`])
+//! that is the identity — one column per variable, `VarId` order; for
+//! one tree of a union-of-trees plan ([`TdpInstance::prepare_case`]) it
+//! is the case's [`TreeCase::out`], so every enumerator writes the
+//! *original* query's columns directly and nothing downstream remaps.
+//!
 //! Everything above is built by [`TdpInstance::prepare`] in `Õ(n)` and
 //! is immutable afterwards. One piece is filled in later: each group's
 //! **successor order** — its members sorted by `(subcost, row)` — is
@@ -51,6 +59,7 @@
 //! Lex — to the bytes the hash-numbered parent emitted.
 
 use crate::ranking::RankingFunction;
+use anyk_join::cases::{CaseOut, TreeCase};
 use anyk_join::semijoin::{JoinGroups, Reduction};
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_query::join_tree::JoinTree;
@@ -194,18 +203,45 @@ pub struct TdpInstance<R: RankingFunction> {
     pub(crate) group_best: Vec<Vec<(R::Cost, RowId)>>,
     /// True iff the (reduced) query has no answers.
     pub(crate) empty: bool,
+    /// An output row before any slot has written to it: the constants
+    /// of the output map, `Int(0)` elsewhere.
+    template: Vec<Value>,
+    /// slot -> `(tuple position, output column)` for every column this
+    /// slot's tuple fills. Each non-constant column has one writer.
+    scatter: Vec<Vec<(u32, u32)>>,
 }
 
 impl<R: RankingFunction> TdpInstance<R> {
     /// Run the preprocessing phase. `rels` are consumed (reduced in
     /// place). The query/tree must describe an acyclic join (one tree
     /// node per atom, running-intersection holds — as produced by
-    /// [`anyk_query::gyo::gyo_reduce`]).
+    /// [`anyk_query::gyo::gyo_reduce`]). Answers carry one value per
+    /// variable, in `VarId` order.
     pub fn prepare(
         q: &ConjunctiveQuery,
         tree: &JoinTree,
-        mut rels: Vec<Relation>,
+        rels: Vec<Relation>,
     ) -> Result<Self, TdpError> {
+        Self::prepare_case(TreeCase {
+            label: String::new(),
+            query: q.clone(),
+            tree: tree.clone(),
+            relations: rels,
+            out: (0..q.num_vars()).map(CaseOut::Var).collect(),
+        })
+    }
+
+    /// [`prepare`](Self::prepare) for one tree of a union-of-trees
+    /// plan: answers carry one value per entry of `case.out` — the
+    /// original query's columns — constants included.
+    pub fn prepare_case(case: TreeCase) -> Result<Self, TdpError> {
+        let TreeCase {
+            query: q,
+            tree,
+            relations: mut rels,
+            out,
+            ..
+        } = case;
         if tree.len() != q.num_atoms() || rels.len() != q.num_atoms() {
             return Err(TdpError::TreeAtomMismatch);
         }
@@ -214,7 +250,7 @@ impl<R: RankingFunction> TdpInstance<R> {
         for rel in &rels {
             id_bound(rel.len())?;
         }
-        let reduction = Reduction::run(q, tree, &mut rels);
+        let reduction = Reduction::run(&q, &tree, &mut rels);
         let empty = rels.iter().any(|r| r.is_empty());
 
         let slots = tree.preorder();
@@ -314,9 +350,30 @@ impl<R: RankingFunction> TdpInstance<R> {
             }
         }
 
+        // The output map. A variable bound at several tuple positions
+        // is read at the last of them in slot order — all hold the same
+        // value in an answer, and one read per column is all it takes.
+        let mut last_binding = vec![(0, 0); q.num_vars()];
+        for (s, &atom) in atom_of_slot.iter().enumerate() {
+            for (pos, &v) in q.atom(atom).vars.iter().enumerate() {
+                last_binding[v] = (s, id_bound(pos)?);
+            }
+        }
+        let mut template = vec![Value::Int(0); out.len()];
+        let mut scatter = vec![Vec::new(); m];
+        for (col, from) in out.iter().enumerate() {
+            match *from {
+                CaseOut::Fixed(v) => template[col] = v,
+                CaseOut::Var(v) => {
+                    let (s, pos) = last_binding[v];
+                    scatter[s].push((pos, id_bound(col)?));
+                }
+            }
+        }
+
         Ok(TdpInstance {
-            query: q.clone(),
-            tree: tree.clone(),
+            query: q,
+            tree,
             rels,
             slots,
             atom_of_slot,
@@ -328,6 +385,8 @@ impl<R: RankingFunction> TdpInstance<R> {
             subcost,
             group_best,
             empty,
+            template,
+            scatter,
         })
     }
 
@@ -409,19 +468,18 @@ impl<R: RankingFunction> TdpInstance<R> {
         R::lift(self.rels[self.atom_of_slot[slot]].weight(row))
     }
 
-    /// Assemble the output tuple (one value per variable, `VarId`
-    /// order) from per-slot row choices.
-    pub(crate) fn assemble(&self, rows_by_slot: &[RowId], out: &mut Vec<Value>) {
-        out.clear();
-        out.resize(self.query.num_vars(), Value::Int(0));
+    /// Assemble the output tuple from per-slot row choices: the
+    /// constants of the output map, then each slot's tuple scattered
+    /// into the columns it fills.
+    pub(crate) fn assemble(&self, rows_by_slot: &[RowId]) -> Vec<Value> {
+        let mut out = self.template.clone();
         for (s, &row) in rows_by_slot.iter().enumerate() {
-            let atom_idx = self.atom_of_slot[s];
-            let atom = self.query.atom(atom_idx);
-            let tuple = self.rels[atom_idx].row(row);
-            for (pos, &v) in atom.vars.iter().enumerate() {
-                out[v] = tuple[pos];
+            let tuple = self.rels[self.atom_of_slot[s]].row(row);
+            for &(pos, col) in &self.scatter[s] {
+                out[col as usize] = tuple[pos as usize];
             }
         }
+        out
     }
 
     /// The group id at `slot` given the (already chosen) parent row.

@@ -13,7 +13,7 @@
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
 use crate::tdp::{Members, TdpInstance};
-use anyk_storage::{RowId, Value};
+use anyk_storage::RowId;
 
 /// Unordered constant-delay enumeration over a prepared
 /// [`TdpInstance`]. Yields [`RankedAnswer`]s whose `cost` is computed
@@ -75,8 +75,7 @@ impl<R: RankingFunction> UnrankedEnum<R> {
         for (s, &row) in self.rows.iter().enumerate() {
             cost = R::combine(&cost, &self.inst.slot_weight(s, row));
         }
-        let mut values: Vec<Value> = Vec::new();
-        self.inst.assemble(&self.rows, &mut values);
+        let values = self.inst.assemble(&self.rows);
         RankedAnswer { cost, values }
     }
 }

@@ -25,9 +25,9 @@ use crate::stream::{ErasedAnswers, RankedAnswer, RankedStream};
 
 use anyk_core::batch::materialize_ranked;
 use anyk_core::cyclic::{
-    prepare_triangle_with, wco_ranked_materialize_with, LazySortedAnswers, PreparedC4,
+    c4_trees, prepare_triangle_with, wco_ranked_materialize_with, LazySortedAnswers, Trees,
 };
-use anyk_core::decomposed::PreparedDecomposed;
+use anyk_core::decomposed::ghd_trees;
 use anyk_core::part::AnyKPart;
 use anyk_core::ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, SumCost};
 use anyk_core::rec::AnyKRec;
@@ -125,19 +125,16 @@ struct PreparedUnion {
     leaves: Vec<(usize, PreparedLeaf)>,
 }
 
-/// What preprocessing produced, by route family. Everything is behind
-/// an `Arc`: a stream borrows nothing and copies nothing at spawn time.
+/// What preprocessing produced. Everything is behind an `Arc`: a
+/// stream borrows nothing and copies nothing at spawn time.
 #[derive(Clone)]
 enum PreparedRoute<R: RankingFunction> {
-    /// Acyclic: the shared T-DP instance (reduced relations, groups,
-    /// bottom-up costs). PART and REC both enumerate from it.
-    Tdp(Arc<TdpInstance<R>>),
-    /// General cyclic: the GHD plan's bag-level T-DP instance plus the
-    /// output permutation.
-    Ghd(PreparedDecomposed<R>),
-    /// 4-cycle: the union-of-trees case split, one shared T-DP
-    /// instance per case.
-    Cases(PreparedC4<R>),
+    /// Every any-k plan: a union of shared T-DP instances (reduced
+    /// relations, groups, bottom-up costs) that PART and REC both
+    /// enumerate from — one tree for an acyclic query or a GHD plan,
+    /// one per case of the 4-cycle split. Each instance writes the
+    /// query's output columns itself.
+    Trees(Trees<R>),
     /// Every materialized-answer plan — the triangle route, `Batch`
     /// plans on any route, and non-commutative rankings on cyclic
     /// routes — with the sort **deferred**: prepare is materialize-only
@@ -402,11 +399,8 @@ where
                     rels,
                 ))?)
             } else {
-                PreparedRoute::Tdp(Arc::new(TdpInstance::<R>::prepare(
-                    &plan.query,
-                    tree,
-                    rels,
-                )?))
+                let inst = TdpInstance::<R>::prepare(&plan.query, tree, rels)?;
+                PreparedRoute::Trees(Trees(vec![Arc::new(inst)]))
             }
         }
         // The triangle plan is materialize-then-rank with the sort
@@ -416,19 +410,14 @@ where
             if batch || R::weight_dioid().is_none() {
                 wco_lazy(&rels)?
             } else {
-                PreparedRoute::Cases(PreparedC4::prepare_with(&rels, *threshold, indexes)?)
+                PreparedRoute::Trees(c4_trees(&rels, *threshold, indexes)?)
             }
         }
         Route::Decomposed { decomp } => {
             if batch || R::weight_dioid().is_none() {
                 wco_lazy(&rels)?
             } else {
-                PreparedRoute::Ghd(PreparedDecomposed::prepare_with(
-                    &plan.query,
-                    &rels,
-                    decomp,
-                    indexes,
-                )?)
+                PreparedRoute::Trees(ghd_trees(&plan.query, &rels, decomp, indexes)?)
             }
         }
     })
@@ -445,17 +434,13 @@ where
         _ => SuccessorKind::Eager,
     };
     match route {
-        PreparedRoute::Tdp(inst) => match variant {
-            AnyKVariant::Rec => erase(AnyKRec::new(Arc::clone(inst))),
-            v => erase(AnyKPart::new(Arc::clone(inst), part_kind(v))),
-        },
-        PreparedRoute::Ghd(prep) => match variant {
-            AnyKVariant::Rec => erase(prep.stream_rec()),
-            v => erase(prep.stream_part(part_kind(v))),
-        },
-        PreparedRoute::Cases(prep) => match variant {
-            AnyKVariant::Rec => erase(prep.stream_rec()),
-            v => erase(prep.stream_part(part_kind(v))),
+        // A one-input arrival-order merge is the identity: a lone tree
+        // is streamed as the enumerator itself.
+        PreparedRoute::Trees(trees) => match (&trees.0[..], variant) {
+            ([tree], AnyKVariant::Rec) => erase(AnyKRec::new(Arc::clone(tree))),
+            ([tree], v) => erase(AnyKPart::new(Arc::clone(tree), part_kind(v))),
+            (_, AnyKVariant::Rec) => erase(trees.rec()),
+            (_, v) => erase(trees.part(part_kind(v))),
         },
         PreparedRoute::LazySorted(lazy) => erase(lazy.stream()),
     }

@@ -12,6 +12,7 @@ use anyk_storage::Relation;
 use std::ops::ControlFlow;
 
 use crate::c4::c4_cases;
+use crate::cases::cases_exist;
 use crate::semijoin::full_reducer;
 
 /// Boolean evaluation of an *acyclic* query: run the full reducer; the
@@ -35,12 +36,7 @@ pub fn boolean_generic_join(q: &ConjunctiveQuery, rels: &[Relation]) -> bool {
 /// O~(n^1.5) Boolean 4-cycle detection through the union-of-trees plan
 /// (§1's "Is there any 4-cycle?" in O(n^1.5)).
 pub fn c4_exists(rels: &[Relation], threshold: usize) -> bool {
-    for case in c4_cases(rels, threshold) {
-        if boolean_acyclic(&case.query, &case.tree, case.relations) {
-            return true;
-        }
-    }
-    false
+    cases_exist(&c4_cases(rels, threshold))
 }
 
 #[cfg(test)]

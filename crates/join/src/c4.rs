@@ -17,11 +17,12 @@
 //!   size ≤ Δ·n = O(n^1.5), joined as a two-node acyclic tree.
 //!
 //! Total preprocessing O~(n^1.5); enumeration output-linear. Batch,
-//! Boolean, and ranked execution all share this case construction
-//! (ranked enumeration merges the per-case ranked streams in
-//! `anyk_core::cyclic`).
+//! Boolean, and ranked execution all consume this case list
+//! ([`crate::cases`]; ranked enumeration merges one T-DP stream per
+//! case in `anyk_core::cyclic`).
 
-use anyk_query::cq::{ConjunctiveQuery, QueryBuilder, VarId};
+use crate::cases::{cases_join, CaseOut, TreeCase};
+use anyk_query::cq::{ConjunctiveQuery, QueryBuilder};
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::join_tree::JoinTree;
 use anyk_storage::{
@@ -29,32 +30,6 @@ use anyk_storage::{
     Trie, Value, Weight,
 };
 use std::sync::Arc;
-
-/// Where an original output variable's value comes from in a case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaseOut {
-    /// The variable is fixed to a constant in this case (heavy value).
-    Fixed(Value),
-    /// Read from the case query's variable.
-    Var(VarId),
-}
-
-/// One acyclic instance of the union-of-trees plan.
-#[derive(Debug)]
-pub struct C4Case {
-    /// Human-readable label (`heavy-x1=v`, `light-light`, ...).
-    pub label: String,
-    /// The acyclic case query over derived relations.
-    pub query: ConjunctiveQuery,
-    /// A join tree for it.
-    pub tree: JoinTree,
-    /// Relations parallel to the case query's atoms. Weights are
-    /// assigned so each original tuple's weight is counted exactly once
-    /// per answer.
-    pub relations: Vec<Relation>,
-    /// Projection of the case's answers back to `(x1, x2, x3, x4)`.
-    pub out: [CaseOut; 4],
-}
 
 /// Heavy values of `t`'s first level: more than `threshold` rows below.
 /// The first trie level enumerates the column's distinct values, so the
@@ -155,7 +130,7 @@ fn tree_of(q: &ConjunctiveQuery) -> JoinTree {
 /// `R2 ⋈ R3ˡ` into bag relations, so two edge weights collapse into
 /// one bag-tuple weight *under the ranking's own `⊗`* — summing here
 /// and then `max`-ing downstream would rank wrong answers first.
-pub fn c4_cases(rels: &[Relation], threshold: usize) -> Vec<C4Case> {
+pub fn c4_cases(rels: &[Relation], threshold: usize) -> Vec<TreeCase> {
     c4_cases_with(rels, threshold, |a, b| Weight::new(a.get() + b.get()))
 }
 
@@ -167,7 +142,7 @@ pub fn c4_cases_with(
     rels: &[Relation],
     threshold: usize,
     merge: impl Fn(Weight, Weight) -> Weight,
-) -> Vec<C4Case> {
+) -> Vec<TreeCase> {
     c4_cases_provider(rels, threshold, merge, &BuildEachTime)
 }
 
@@ -195,7 +170,7 @@ pub fn c4_cases_provider(
     threshold: usize,
     merge: impl Fn(Weight, Weight) -> Weight,
     indexes: &dyn IndexProvider,
-) -> Vec<C4Case> {
+) -> Vec<TreeCase> {
     assert_eq!(rels.len(), 4, "4-cycle needs exactly 4 relations");
     for r in rels {
         assert_eq!(r.arity(), 2, "4-cycle relations are binary");
@@ -234,9 +209,9 @@ pub fn c4_cases_provider(
         }
         let q = case_a_query.clone();
         let tree = tree_of(&q);
-        cases.push(C4Case {
+        cases.push(TreeCase {
             label: format!("heavy-x1={v}"),
-            out: [
+            out: vec![
                 CaseOut::Fixed(v),
                 CaseOut::Var(q.var("x2").unwrap()),
                 CaseOut::Var(q.var("x3").unwrap()),
@@ -280,9 +255,9 @@ pub fn c4_cases_provider(
         }
         let q = case_b_query.clone();
         let tree = tree_of(&q);
-        cases.push(C4Case {
+        cases.push(TreeCase {
             label: format!("light-x1,heavy-x3={u}"),
-            out: [
+            out: vec![
                 CaseOut::Var(q.var("x1").unwrap()),
                 CaseOut::Var(q.var("x2").unwrap()),
                 CaseOut::Fixed(u),
@@ -337,9 +312,9 @@ pub fn c4_cases_provider(
             .atom("W2", &["x2", "x3", "x4"])
             .build();
         let tree = tree_of(&q);
-        cases.push(C4Case {
+        cases.push(TreeCase {
             label: "light-light".to_string(),
-            out: [
+            out: vec![
                 CaseOut::Var(q.var("x1").unwrap()),
                 CaseOut::Var(q.var("x2").unwrap()),
                 CaseOut::Var(q.var("x3").unwrap()),
@@ -357,26 +332,10 @@ pub fn c4_cases_provider(
 /// Output schema `(x1,x2,x3,x4)`, weight = sum of the four edge weights.
 /// Equivalent to Generic-Join on the cycle, but O~(n^1.5 + r).
 pub fn c4_join(rels: &[Relation], threshold: usize) -> Relation {
-    let schema = Schema::new(["x1", "x2", "x3", "x4"]);
-    let mut out = RelationBuilder::new(schema);
-    for case in c4_cases(rels, threshold) {
-        let nvars = case.query.num_vars();
-        let mut row = vec![Value::Int(0); nvars];
-        let q = &case.query;
-        let tree = &case.tree;
-        crate::yannakakis::yannakakis_for_each(q, tree, case.relations, |rels, by_node| {
-            let w = crate::yannakakis::assemble_answer(q, tree, rels, by_node, &mut row);
-            let mut orow = [Value::Int(0); 4];
-            for (i, o) in case.out.iter().enumerate() {
-                orow[i] = match *o {
-                    CaseOut::Fixed(v) => v,
-                    CaseOut::Var(cv) => row[cv],
-                };
-            }
-            out.push(&orow, w);
-        });
-    }
-    out.finish()
+    cases_join(
+        &c4_cases(rels, threshold),
+        Schema::new(["x1", "x2", "x3", "x4"]),
+    )
 }
 
 #[cfg(test)]

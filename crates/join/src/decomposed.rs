@@ -12,39 +12,30 @@
 //! **ranking's `⊗`** over its assigned atoms' tuple weights
 //! ([`ghd_plan_with`]; plain [`ghd_plan`] uses `+`) — so a bag-level
 //! answer's weight equals the original answer's weight, and
-//! `anyk_core` can rank over the bag tree unchanged.
+//! `anyk_core` can rank over the bag tree unchanged. The plan is a
+//! single [`TreeCase`]: its `out` puts the bag query's variables back
+//! in the original query's `VarId` order.
 //!
 //! Semantics note: bags are materialized as **sets** of variable
 //! bindings; duplicate input tuples (same values) are collapsed to the
 //! lightest. For inputs without duplicates (all graph workloads here)
 //! this coincides with bag semantics.
 
-use crate::generic_join::generic_join_with;
-use anyk_query::cq::{Atom, ConjunctiveQuery, QueryBuilder};
+use crate::cases::{cases_exist, cases_join, CaseOut, TreeCase};
+use crate::generic_join::{
+    atom_levels, generic_join_trie_requests, generic_join_with, resolve_atom,
+};
+use crate::semijoin::KeptTrie;
+use anyk_query::cq::{Atom, ConjunctiveQuery, QueryBuilder, VarId};
 use anyk_query::decompose::Decomposition;
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::hypergraph::iter_vars;
-use anyk_query::join_tree::JoinTree;
 use anyk_storage::fxhash::FxHasher;
 use anyk_storage::{
-    BuildEachTime, FxHashMap, IndexProvider, Relation, RelationBuilder, Schema, Trie, Value, Weight,
+    BuildEachTime, FxHashMap, IndexProvider, Relation, RelationBuilder, Schema, Value, Weight,
 };
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
-use std::sync::Arc;
-
-/// A materialized decomposition plan: an acyclic query over bag
-/// relations, equivalent to the original query.
-#[derive(Debug)]
-pub struct GhdPlan {
-    /// One atom per bag, over the original variable names.
-    pub bag_query: ConjunctiveQuery,
-    /// A join tree for the bag query.
-    pub bag_tree: JoinTree,
-    /// Materialized bag relations (weights: the chosen merge — the
-    /// ranking's `⊗` — over each bag's assigned atoms).
-    pub bag_relations: Vec<Relation>,
-}
 
 /// Build and materialize a GHD plan for `q` using `decomp`, merging
 /// the weights of a bag's assigned atoms with `+` (the Sum ranking's
@@ -53,7 +44,7 @@ pub struct GhdPlan {
 /// Cost: O~(n^w) where `w` is the decomposition's width (each bag is
 /// materialized by Generic-Join over its cover, whose output is bounded
 /// by the bag's AGM bound).
-pub fn ghd_plan(q: &ConjunctiveQuery, rels: &[Relation], decomp: &Decomposition) -> GhdPlan {
+pub fn ghd_plan(q: &ConjunctiveQuery, rels: &[Relation], decomp: &Decomposition) -> TreeCase {
     ghd_plan_with(q, rels, decomp, Weight::ZERO, |a, b| {
         Weight::new(a.get() + b.get())
     })
@@ -70,7 +61,7 @@ pub fn ghd_plan_with(
     decomp: &Decomposition,
     identity: Weight,
     merge: impl Fn(Weight, Weight) -> Weight,
-) -> GhdPlan {
+) -> TreeCase {
     ghd_plan_provider(q, rels, decomp, identity, merge, &BuildEachTime)
 }
 
@@ -88,7 +79,7 @@ pub fn ghd_plan_provider(
     identity: Weight,
     merge: impl Fn(Weight, Weight) -> Weight,
     indexes: &dyn IndexProvider,
-) -> GhdPlan {
+) -> TreeCase {
     assert_eq!(rels.len(), q.num_atoms());
     let nbags = decomp.bags.len();
     // Assigned atoms per bag (weight accounting + enforcement).
@@ -97,70 +88,16 @@ pub fn ghd_plan_provider(
         assigned[home].push(e);
     }
 
-    // Weight lookup + enforcement per atom. An atom whose variables
-    // are all distinct is answered straight from the shared trie over
-    // its columns (ascending VarId order): an index *lookup* per bag
-    // row, not a per-plan O(n) hash-map build — with a warm catalog
-    // this whole step costs nothing up front. Atoms with repeated
-    // variables keep the hash path: they also need the intra-atom
-    // consistency filter, which a raw trie over all rows cannot
-    // express.
-    enum Weigher {
-        /// Shared trie whose levels are the atom's columns in
-        /// ascending-VarId order; leaves collapse duplicate tuples to
-        /// the lightest weight at lookup time.
-        Trie(Arc<Trie>),
-        /// Binding -> lightest weight over consistent rows.
-        Hash(FxHashMap<Vec<Value>, Weight>),
-    }
-    struct AtomWeigher {
-        /// The atom's distinct variables, ascending VarId (the lookup
-        /// key order for both variants).
-        vars: Vec<usize>,
-        how: Weigher,
-    }
-    let atom_weighers: Vec<AtomWeigher> = (0..q.num_atoms())
-        .map(|e| {
-            let atom = q.atom(e);
-            let mut vars: Vec<usize> = atom.vars.clone();
-            vars.sort_unstable();
-            vars.dedup();
-            let positions: Vec<usize> = vars.iter().map(|&v| atom.positions_of(v)[0]).collect();
-            if vars.len() == atom.vars.len() {
-                // Repeat-free: `positions` is a full column
-                // permutation, so the catalog trie serves lookups.
-                let how = Weigher::Trie(indexes.trie(&rels[e], &positions));
-                return AtomWeigher { vars, how };
-            }
-            let mut map: FxHashMap<Vec<Value>, Weight> = FxHashMap::default();
-            map.reserve(rels[e].len());
-            for i in 0..rels[e].len() as u32 {
-                // Enforce intra-atom repeated variables here.
-                let row = rels[e].row(i);
-                let consistent = atom
-                    .vars
-                    .iter()
-                    .enumerate()
-                    .all(|(pos, &v)| row[pos] == row[atom.positions_of(v)[0]]);
-                if !consistent {
-                    continue;
-                }
-                let key: Vec<Value> = positions.iter().map(|&p| row[p]).collect();
-                // Duplicates collapse to the lightest weight.
-                let w = rels[e].weight(i);
-                map.entry(key)
-                    .and_modify(|old| {
-                        if w < *old {
-                            *old = w;
-                        }
-                    })
-                    .or_insert(w);
-            }
-            AtomWeigher {
-                vars,
-                how: Weigher::Hash(map),
-            }
-        })
+    // Weight lookup + enforcement per atom: a trie over the atom's
+    // distinct variables in ascending VarId order, resolved the way the
+    // cover joins resolve theirs — the catalog's shared trie, so with a
+    // warm catalog this step costs nothing up front, or, when the atom
+    // repeats a variable and rows disagree on it, a private trie over
+    // the rows that agree.
+    let var_order: Vec<VarId> = (0..q.num_vars()).collect();
+    let atom_vars = atom_levels(q, &var_order);
+    let atom_weighers: Vec<KeptTrie> = (0..q.num_atoms())
+        .map(|e| resolve_atom(q, rels, e, &atom_vars[e], indexes))
         .collect();
 
     // Materialize each bag.
@@ -205,8 +142,7 @@ pub fn ghd_plan_provider(
         let key_indices: Vec<(usize, Vec<usize>)> = assigned[b]
             .iter()
             .map(|&e| {
-                let idxs = atom_weighers[e]
-                    .vars
+                let idxs = atom_vars[e]
                     .iter()
                     .map(|&v| {
                         bag_vars
@@ -223,39 +159,26 @@ pub fn ghd_plan_provider(
         'rows: for row in rows.chunks_exact(arity) {
             let mut w = identity;
             for (e, idxs) in &key_indices {
-                let weight = match &atom_weighers[*e].how {
-                    Weigher::Trie(t) => {
-                        let mut h = t.root();
-                        let mut leaf = None;
-                        for (d, &bi) in idxs.iter().enumerate() {
-                            let Some(i) = t.find(h, row[bi]) else {
-                                continue 'rows; // enforcement: not in R_e
-                            };
-                            if d + 1 == idxs.len() {
-                                leaf = Some(t.rows_below(h, i));
-                            } else {
-                                h = t.descend(h, i);
-                            }
-                        }
-                        let leaf = leaf.expect("atoms bind at least one variable");
-                        // Duplicates collapse to the lightest weight.
-                        let mut best = rels[*e].weight(leaf[0]);
-                        for &r in &leaf[1..] {
-                            let rw = rels[*e].weight(r);
-                            if rw < best {
-                                best = rw;
-                            }
-                        }
-                        best
+                let weigher = &atom_weighers[*e];
+                let t = &weigher.trie;
+                let mut h = t.root();
+                let mut leaf = None;
+                for (d, &bi) in idxs.iter().enumerate() {
+                    let Some(i) = t.find(h, row[bi]) else {
+                        continue 'rows; // enforcement: not in R_e
+                    };
+                    if d + 1 == idxs.len() {
+                        leaf = Some(t.rows_below(h, i));
+                    } else {
+                        h = t.descend(h, i);
                     }
-                    Weigher::Hash(map) => {
-                        let key: Vec<Value> = idxs.iter().map(|&bi| row[bi]).collect();
-                        match map.get(&key) {
-                            Some(&weight) => weight,
-                            None => continue 'rows, // enforcement: not in R_e
-                        }
-                    }
-                };
+                }
+                let leaf = leaf.expect("atoms bind at least one variable");
+                // Duplicates collapse to the lightest input row.
+                let weight = (leaf.iter())
+                    .map(|&r| rels[*e].weight(weigher.input_row(r)))
+                    .min()
+                    .expect("a matched trie value has rows below it");
                 w = merge(w, weight);
             }
             builder.push(row, w);
@@ -264,34 +187,30 @@ pub fn ghd_plan_provider(
         bag_var_lists.push(bag_vars);
     }
 
-    // Bag-level query: one atom per bag over the original variables.
+    // Bag-level query: one atom per bag over the original variable
+    // names. Its variables are numbered in bag order, which generally
+    // differs from the original `VarId` order: `out` maps them back.
     let mut qb = QueryBuilder::new();
-    // Declare variables in original VarId order so bag-query VarIds ==
-    // original VarIds (simplifies output handling).
-    {
-        // QueryBuilder declares on first use; force order with a seed
-        // atom? Instead: build atoms with vars named by original names,
-        // then verify the mapping.
-        for (b, bag_vars) in bag_var_lists.iter().enumerate() {
-            let names: Vec<&str> = bag_vars.iter().map(|&v| q.var_name(v)).collect();
-            qb = qb.atom(format!("B{b}"), &names);
-        }
+    for (b, bag_vars) in bag_var_lists.iter().enumerate() {
+        let names: Vec<&str> = bag_vars.iter().map(|&v| q.var_name(v)).collect();
+        qb = qb.atom(format!("B{b}"), &names);
     }
-    let bag_query = qb.build();
-    // Map original var id -> bag query var id (may differ if bag order
-    // introduces vars in a different order).
-    // Reorder bag relation columns? Not needed: atoms bind positionally
-    // per bag relation and those match the atom's var list. ✓
-    let bag_tree = match gyo_reduce(&bag_query) {
+    let query = qb.build();
+    let tree = match gyo_reduce(&query) {
         GyoResult::Acyclic(t) => t,
         GyoResult::Cyclic(_) => {
             unreachable!("tree decompositions yield acyclic bag queries")
         }
     };
-    GhdPlan {
-        bag_query,
-        bag_tree,
-        bag_relations,
+    let out = (q.var_names().iter())
+        .map(|name| CaseOut::Var(query.var(name).expect("bags cover every variable")))
+        .collect();
+    TreeCase {
+        label: "ghd".to_string(),
+        query,
+        tree,
+        relations: bag_relations,
+        out,
     }
 }
 
@@ -334,28 +253,20 @@ impl SeenRows {
 /// The `(original atom index, trie positions)` requests
 /// [`ghd_plan_provider`] makes against a shared [`IndexProvider`]: one
 /// Generic-Join (default variable order) per bag over its cover atoms,
-/// plus one weight-lookup trie per repeat-free atom (its columns in
-/// ascending-VarId order). Repeated-variable atoms are omitted in both
-/// parts, mirroring
-/// [`crate::generic_join::generic_join_trie_requests`] and the hash
-/// fallback of the weight lookup.
+/// plus one weight-lookup trie per atom — the one a default-order
+/// Generic-Join over the whole query would request. Repeated-variable
+/// atoms are omitted in both parts, as in
+/// [`generic_join_trie_requests`]: whether they reach the shared
+/// catalog depends on the data.
 pub fn ghd_trie_requests(q: &ConjunctiveQuery, decomp: &Decomposition) -> Vec<(usize, Vec<usize>)> {
     let mut reqs = Vec::new();
     for bag in &decomp.bags {
         let (sub_q, _) = subquery(q, &bag.cover);
-        for (j, positions) in crate::generic_join::generic_join_trie_requests(&sub_q, None) {
+        for (j, positions) in generic_join_trie_requests(&sub_q, None) {
             reqs.push((bag.cover[j], positions));
         }
     }
-    for e in 0..q.num_atoms() {
-        let atom = q.atom(e);
-        let mut vars: Vec<usize> = atom.vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        if vars.len() == atom.vars.len() {
-            reqs.push((e, vars.iter().map(|&v| atom.positions_of(v)[0]).collect()));
-        }
-    }
+    reqs.extend(generic_join_trie_requests(q, None));
     reqs
 }
 
@@ -388,26 +299,15 @@ pub fn decomposed_join(
     rels: &[Relation],
     decomp: &Decomposition,
 ) -> Relation {
-    let plan = ghd_plan(q, rels, decomp);
-    let res =
-        crate::yannakakis::yannakakis_join(&plan.bag_query, &plan.bag_tree, plan.bag_relations);
-    // The bag query declares variables in bag order, which generally
-    // differs from the original VarId order — reorder columns back.
-    let positions: Vec<usize> = (0..q.num_vars())
-        .map(|v| {
-            plan.bag_query
-                .var(q.var_name(v))
-                .expect("bags cover every variable")
-        })
-        .collect();
-    res.project(&positions)
-        .with_schema(Schema::new(q.var_names().iter().cloned()))
+    cases_join(
+        &[ghd_plan(q, rels, decomp)],
+        crate::yannakakis::output_schema(q),
+    )
 }
 
 /// Boolean evaluation through a decomposition.
 pub fn decomposed_boolean(q: &ConjunctiveQuery, rels: &[Relation], decomp: &Decomposition) -> bool {
-    let plan = ghd_plan(q, rels, decomp);
-    crate::boolean::boolean_acyclic(&plan.bag_query, &plan.bag_tree, plan.bag_relations)
+    cases_exist(&[ghd_plan(q, rels, decomp)])
 }
 
 #[cfg(test)]

@@ -20,16 +20,20 @@
 //!   independent implementation the tests cross-check against.
 //! * [`boolean`] — Boolean query evaluation with early exit, including
 //!   the O~(n^1.5) 4-cycle detection through the submodular-width plan.
-//! * [`c4`] — the union-of-trees case split for the 4-cycle (shared by
-//!   Boolean, batch and ranked execution).
-//! * [`decomposed`] — general O~(n^fhw + r) execution for *any* cyclic
-//!   query: materialize decomposition bags, then Yannakakis over the
-//!   bag tree.
+//! * [`cases`] — the one shape of every decomposed plan: a list of
+//!   acyclic cases, each knowing where its columns go in the original
+//!   output; Boolean and batch execution over such a list.
+//! * [`c4`] — the union-of-trees case split for the 4-cycle: many
+//!   cases with disjoint answers.
+//! * [`decomposed`] — general O~(n^fhw) preprocessing for *any* cyclic
+//!   query: materialize decomposition bags into one case over the bag
+//!   tree.
 //! * [`nested_loop`] — the brute-force oracle used by the test suite.
 
 pub mod binary;
 pub mod boolean;
 pub mod c4;
+pub mod cases;
 pub mod decomposed;
 pub mod generic_join;
 pub mod leapfrog;
@@ -38,7 +42,8 @@ pub mod semijoin;
 pub mod yannakakis;
 
 pub use binary::{binary_join, BinaryJoinStats};
-pub use decomposed::{decomposed_boolean, decomposed_join, ghd_plan, ghd_plan_with, GhdPlan};
+pub use cases::{cases_exist, cases_join, CaseOut, TreeCase};
+pub use decomposed::{decomposed_boolean, decomposed_join, ghd_plan, ghd_plan_with};
 pub use generic_join::{
     generic_join, generic_join_materialize, generic_join_trie_requests, GenericJoinStats,
 };

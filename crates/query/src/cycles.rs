@@ -4,7 +4,7 @@
 //! hypertree width 2 but **submodular width 1.5**, achieved by
 //! decomposing into a *union of multiple trees*, each receiving a subset
 //! of the input (§3, referencing Marx and PANDA). The executable C4 plan
-//! (heavy/light case split) lives in `anyk_core::cyclic`; this module
+//! (heavy/light case split) lives in `anyk_join::c4`; this module
 //! provides the structural side: recognizing cycle queries, the known
 //! subw values, and the heavy-degree threshold.
 

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example cyclic_decompositions`
 
-use anyk::core::cyclic::c4_ranked_part;
-use anyk::core::decomposed::{decomposed_ranked_part, ranked_auto};
+use anyk::core::cyclic::c4_trees;
+use anyk::core::decomposed::{auto_decomposition, ghd_trees};
 use anyk::core::{SuccessorKind, SumCost};
 use anyk::engine::{Engine, RankSpec};
 use anyk::query::agm::fractional_edge_cover;
@@ -17,6 +17,7 @@ use anyk::query::cq::cycle_query;
 use anyk::query::cycles::{cycle_submodular_width, heavy_threshold};
 use anyk::query::decompose::fhw_exact;
 use anyk::query::hypergraph::{iter_vars, Hypergraph};
+use anyk::storage::BuildEachTime;
 use anyk::workloads::graphs::{random_edge_relation, WeightDist};
 use std::time::Instant;
 
@@ -53,9 +54,11 @@ fn main() {
     let rels = vec![edges; 6];
     let k = 5;
     let t0 = Instant::now();
-    let top: Vec<_> = decomposed_ranked_part::<SumCost>(&q, &rels, &decomp, SuccessorKind::Lazy)
-        .take(k)
-        .collect();
+    let top: Vec<_> = (ghd_trees::<SumCost>(&q, &rels, &decomp, &BuildEachTime)
+        .expect("sum collapses"))
+    .part(SuccessorKind::Lazy)
+    .take(k)
+    .collect();
     println!(
         "\ntop-{k} lightest 6-cycles via the fhw-2 decomposition ({:?}):",
         t0.elapsed()
@@ -70,14 +73,19 @@ fn main() {
         );
     }
 
-    // `ranked_auto` picks the decomposition for you.
+    // `auto_decomposition` picks the decomposition for you.
     let t0 = Instant::now();
-    let same: Vec<_> = ranked_auto::<SumCost>(&q, &rels).take(k).collect();
+    let auto = auto_decomposition(&q);
+    let same: Vec<_> = (ghd_trees::<SumCost>(&q, &rels, &auto, &BuildEachTime)
+        .expect("sum collapses"))
+    .part(SuccessorKind::Lazy)
+    .take(k)
+    .collect();
     assert_eq!(top.len(), same.len());
     for (a, b) in top.iter().zip(&same) {
         assert!((a.cost.get() - b.cost.get()).abs() < 1e-9);
     }
-    println!("ranked_auto agrees ({:?})", t0.elapsed());
+    println!("auto_decomposition agrees ({:?})", t0.elapsed());
 
     // And the unified Engine routes here automatically: a 6-cycle is
     // neither acyclic nor a specialized cycle, so the planner picks
@@ -107,16 +115,19 @@ fn main() {
     let thr = heavy_threshold(4000);
 
     let t0 = Instant::now();
-    let a: Vec<f64> = c4_ranked_part::<SumCost>(&rels4, thr, SuccessorKind::Lazy)
+    let a: Vec<f64> = (c4_trees::<SumCost>(&rels4, thr, &BuildEachTime).expect("sum collapses"))
+        .part(SuccessorKind::Lazy)
         .take(100)
         .map(|x| x.cost.get())
         .collect();
     let t_subw = t0.elapsed();
     let t0 = Instant::now();
-    let b: Vec<f64> = decomposed_ranked_part::<SumCost>(&q4, &rels4, &d4, SuccessorKind::Lazy)
-        .take(100)
-        .map(|x| x.cost.get())
-        .collect();
+    let b: Vec<f64> = (ghd_trees::<SumCost>(&q4, &rels4, &d4, &BuildEachTime)
+        .expect("sum collapses"))
+    .part(SuccessorKind::Lazy)
+    .take(100)
+    .map(|x| x.cost.get())
+    .collect();
     let t_fhw = t0.elapsed();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {

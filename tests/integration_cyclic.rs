@@ -2,7 +2,7 @@
 //! union-of-trees plan and the triangle materialize-then-rank pipeline
 //! against Generic-Join oracles, across thresholds, skew, and engines.
 
-use anyk::core::cyclic::{c4_ranked_part, c4_ranked_rec, triangle_ranked};
+use anyk::core::cyclic::{c4_trees, triangle_ranked};
 use anyk::core::{SuccessorKind, SumCost};
 use anyk::join::boolean::{boolean_generic_join, c4_exists};
 use anyk::join::c4::c4_join;
@@ -10,7 +10,7 @@ use anyk::join::generic_join::generic_join_materialize;
 use anyk::join::nested_loop::assert_same_result;
 use anyk::query::cq::{cycle_query, triangle_query};
 use anyk::query::cycles::heavy_threshold;
-use anyk::storage::Relation;
+use anyk::storage::{BuildEachTime, Relation};
 use anyk::workloads::graphs::{random_edge_relation, WeightDist};
 
 /// Sorted (cost, tuple) oracle via Generic-Join.
@@ -38,14 +38,13 @@ fn check_c4(rels: &[Relation]) {
         let (gj, _) = generic_join_materialize(&cycle_query(4), rels, None);
         assert_same_result(&batch, &gj);
         // Ranked plans emit the same costs in order.
+        let trees = c4_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap();
         for engine in ["part", "rec"] {
             let got: Vec<f64> = match engine {
-                "part" => c4_ranked_part::<SumCost>(rels, thr, SuccessorKind::Lazy)
+                "part" => (trees.part(SuccessorKind::Lazy))
                     .map(|a| a.cost.get())
                     .collect(),
-                _ => c4_ranked_rec::<SumCost>(rels, thr)
-                    .map(|a| a.cost.get())
-                    .collect(),
+                _ => trees.rec().map(|a| a.cost.get()).collect(),
             };
             assert_eq!(got.len(), oracle.len(), "{engine} thr {thr}");
             assert!(got.windows(2).all(|w| w[0] <= w[1]), "{engine}: order");
@@ -132,11 +131,12 @@ fn c4_prefix_stability() {
     let e = random_edge_relation(70, 9, WeightDist::Uniform, None, 55);
     let rels = vec![e.clone(), e.clone(), e.clone(), e];
     let thr = heavy_threshold(70);
-    let full: Vec<f64> = c4_ranked_part::<SumCost>(&rels, thr, SuccessorKind::Take2)
+    let trees = c4_trees::<SumCost>(&rels, thr, &BuildEachTime).unwrap();
+    let full: Vec<f64> = (trees.part(SuccessorKind::Take2))
         .map(|a| a.cost.get())
         .collect();
     for k in [1usize, 3, 10, full.len()] {
-        let partial: Vec<f64> = c4_ranked_part::<SumCost>(&rels, thr, SuccessorKind::Take2)
+        let partial: Vec<f64> = (trees.part(SuccessorKind::Take2))
             .take(k)
             .map(|a| a.cost.get())
             .collect();

@@ -4,13 +4,14 @@
 //! routes to, under rankings chosen at runtime.
 
 use anyk::core::{
-    c4_ranked_part, decomposed_ranked_part, triangle_ranked, AnyKPart, MaxCost, RankingFunction,
-    SuccessorKind, SumCost, TdpInstance,
+    c4_trees, ghd_trees, triangle_ranked, AnyKPart, MaxCost, RankingFunction, SuccessorKind,
+    SumCost, TdpInstance, Trees,
 };
 use anyk::prelude::*;
 use anyk::query::cycles::heavy_threshold;
 use anyk::query::decompose::fhw_exact;
 use anyk::query::hypergraph::Hypergraph;
+use anyk::storage::BuildEachTime;
 
 fn edge_rel(rows: &[(i64, i64, f64)]) -> Relation {
     let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
@@ -188,6 +189,18 @@ fn triangle_routes_and_agrees() {
     }
 }
 
+/// The hand-wired stream of a prepared union of trees: PART(Lazy).
+fn lazy_part<R>(trees: Result<Trees<R>, anyk::core::TdpError>) -> Vec<(f64, Vec<i64>)>
+where
+    R: RankingFunction<Cost = Weight>,
+{
+    (trees
+        .expect("scalar rankings collapse")
+        .part(SuccessorKind::Lazy))
+    .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
+    .collect()
+}
+
 #[test]
 fn four_cycle_routes_and_agrees() {
     let q = cycle_query(4);
@@ -203,13 +216,9 @@ fn four_cycle_routes_and_agrees() {
 
     for rank in [RankSpec::Sum, RankSpec::Max] {
         let got = run_engine(&q, rels.clone(), rank);
-        let want: Vec<(f64, Vec<i64>)> = match rank {
-            RankSpec::Sum => c4_ranked_part::<SumCost>(&rels, threshold, SuccessorKind::Lazy)
-                .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
-                .collect(),
-            _ => c4_ranked_part::<MaxCost>(&rels, threshold, SuccessorKind::Lazy)
-                .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
-                .collect(),
+        let want = match rank {
+            RankSpec::Sum => lazy_part(c4_trees::<SumCost>(&rels, threshold, &BuildEachTime)),
+            _ => lazy_part(c4_trees::<MaxCost>(&rels, threshold, &BuildEachTime)),
         };
         assert_same_ranked(&got, &want, &format!("c4/{rank}"));
     }
@@ -234,15 +243,9 @@ fn generic_cyclic_routes_and_agrees() {
 
     for rank in [RankSpec::Sum, RankSpec::Max] {
         let got = run_engine(&q, rels.clone(), rank);
-        let want: Vec<(f64, Vec<i64>)> = match rank {
-            RankSpec::Sum => {
-                decomposed_ranked_part::<SumCost>(&q, &rels, &decomp, SuccessorKind::Lazy)
-                    .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
-                    .collect()
-            }
-            _ => decomposed_ranked_part::<MaxCost>(&q, &rels, &decomp, SuccessorKind::Lazy)
-                .map(|a| (a.cost.get(), a.values.iter().map(|v| v.int()).collect()))
-                .collect(),
+        let want = match rank {
+            RankSpec::Sum => lazy_part(ghd_trees::<SumCost>(&q, &rels, &decomp, &BuildEachTime)),
+            _ => lazy_part(ghd_trees::<MaxCost>(&q, &rels, &decomp, &BuildEachTime)),
         };
         assert_same_ranked(&got, &want, &format!("c5/{rank}"));
     }

@@ -1,0 +1,229 @@
+//! The stream-identity contract of the any-k routes **across commits**:
+//! FNV digests of the full emitted streams — every output tuple and
+//! every cost's bits, in emission order — recorded by running these
+//! very functions at 7897235, before acyclic, GHD and 4-cycle plans
+//! became one "union of T-DP trees" shape whose instances write the
+//! output columns themselves.
+//!
+//! The serve/shard/delta byte-identity suites compare two paths of one
+//! commit; they cannot see an emission order that moves on both paths
+//! at once. This can: a changed tie order, a remapped column or a cost
+//! combined in another order changes a digest.
+
+use anyk::core::UnrankedEnum;
+use anyk::join::c4::c4_cases_provider;
+use anyk::join::cases::TreeCase;
+use anyk::prelude::*;
+use anyk::query::cq::ConjunctiveQuery;
+use anyk::query::cycles::heavy_threshold;
+use anyk::storage::BuildEachTime;
+
+/// `rows` pseudo-random edges over `domain` nodes, weights from
+/// {0, ¼, ½, ¾} so cost ties are everywhere, plus a fan of `fan` edges
+/// out of and into every hub node.
+fn edges(rows: u64, domain: u64, seed: u64, hubs: &[i64], fan: i64) -> Relation {
+    let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
+    let mut x = seed | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for _ in 0..rows {
+        let x = next();
+        let (u, v) = ((x % domain) as i64, ((x >> 17) % domain) as i64);
+        b.push_ints(&[u, v], ((x >> 37) % 4) as f64 / 4.0);
+    }
+    for &hub in hubs {
+        for i in 0..fan {
+            b.push_ints(&[hub, i], (next() % 4) as f64 / 4.0);
+            b.push_ints(&[i, hub], (next() % 4) as f64 / 4.0);
+        }
+    }
+    b.finish()
+}
+
+fn instance(
+    atoms: u64,
+    rows: u64,
+    domain: u64,
+    seed: u64,
+    hubs: &[i64],
+    fan: i64,
+) -> Vec<Relation> {
+    (0..atoms)
+        .map(|i| edges(rows, domain, seed + 977 * i, hubs, fan))
+        .collect()
+}
+
+/// FNV-1a over an emitted sequence: values, then the cost's bits.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn answer(&mut self, values: &[Value], cost: f64) {
+        for v in values {
+            self.word(v.int() as u64);
+        }
+        self.word(cost.to_bits());
+    }
+}
+
+/// `(answers, digest)` of the engine's stream for `q` under `rank`,
+/// once per enumerator: the five PART successor kinds, then REC.
+fn route_digests(
+    q: &ConjunctiveQuery,
+    rels: &[Relation],
+    rank: RankSpec,
+    route: &str,
+) -> Vec<(usize, u64)> {
+    let engine = Engine::from_query_bindings(q, rels.to_vec());
+    let variants = (SuccessorKind::ALL_KINDS.iter())
+        .map(|&kind| AnyKVariant::Part(kind))
+        .chain([AnyKVariant::Rec]);
+    variants
+        .map(|variant| {
+            let stream = (engine.query(q.clone()))
+                .rank_by(rank)
+                .with_variant(variant)
+                .plan()
+                .expect("plan");
+            assert_eq!(stream.plan().route.label(), route);
+            let (mut d, mut n) = (Digest::new(), 0);
+            for a in stream {
+                n += 1;
+                d.answer(&a.values, a.cost.scalar().expect("scalar ranking"));
+            }
+            (n, d.0)
+        })
+        .collect()
+}
+
+/// The 4-cycle instance with hubs: heavy values on `x1` *and* on `x3`,
+/// and a light-light remainder.
+fn heavy_four_cycle() -> Vec<Relation> {
+    instance(4, 40, 8, 42, &[100, 101], 12)
+}
+
+/// The 4-cycle case split the engine's planner makes of `rels`.
+fn cases(rels: &[Relation]) -> Vec<TreeCase> {
+    let threshold = heavy_threshold(rels.iter().map(Relation::len).max().unwrap());
+    let sum = |a: Weight, b: Weight| Weight::new(a.get() + b.get());
+    c4_cases_provider(rels, threshold, sum, &BuildEachTime)
+}
+
+fn case_labels(rels: &[Relation]) -> Vec<String> {
+    (cases(rels).into_iter()).map(|case| case.label).collect()
+}
+
+#[test]
+fn every_route_emits_the_bytes_recorded_before_the_routes_were_one_shape() {
+    #[rustfmt::skip]
+    const GOLDEN: [[(usize, u64); 6]; 12] = [
+        [(3116, 0xe03c4eeba1b0dd13), (3116, 0x15044e3fa4549683), (3116, 0x19ff5e050717e65b), (3116, 0xe03c4eeba1b0dd13), (3116, 0xe03c4eeba1b0dd13), (3116, 0x94fd8b4948e5611b)],
+        [(3116, 0xe9b2ebd28dda9b4d), (3116, 0xbf3f75501db01f6d), (3116, 0x769e263f50fe37e9), (3116, 0xe9b2ebd28dda9b4d), (3116, 0xe9b2ebd28dda9b4d), (3116, 0x733fb040ea18a945)],
+        [(576, 0xea33a4e3cb664d2c), (576, 0xd0344243b38bce58), (576, 0xdd6ae7192acbb8c0), (576, 0xea33a4e3cb664d2c), (576, 0xea33a4e3cb664d2c), (576, 0x17a6b6d2e613b914)],
+        [(576, 0xc64ced8b0717177c), (576, 0xd6858dd750786f1c), (576, 0xd92cf2dfde1f3918), (576, 0xc64ced8b0717177c), (576, 0xc64ced8b0717177c), (576, 0x877a19b8037e3cf8)],
+        [(952, 0x74a20a29e63171fd), (952, 0x45f0ac5861bf60b1), (952, 0xf0b96639e1987135), (952, 0x74a20a29e63171fd), (952, 0x74a20a29e63171fd), (952, 0x3f3525eccc5b3af1)],
+        [(952, 0x8d1f983529bca745), (952, 0xbdef4bafd2a97a25), (952, 0xe27bfc44a0561855), (952, 0x8d1f983529bca745), (952, 0x8d1f983529bca745), (952, 0x22339a39066a6c59)],
+        [(1501, 0xf23f129e56c72efb), (1501, 0xc0d9efb7348754df), (1501, 0x792f5fdfb868cd53), (1501, 0xf23f129e56c72efb), (1501, 0xf23f129e56c72efb), (1501, 0x03a2b42611fa584b)],
+        [(1501, 0xfbaa37cc6057bafb), (1501, 0xb924306b5c126b6b), (1501, 0x4821437875b64c37), (1501, 0xfbaa37cc6057bafb), (1501, 0xfbaa37cc6057bafb), (1501, 0x130229af07048563)],
+        [(5692, 0xa846b789083e8a04), (5692, 0x13806fa78f7940a0), (5692, 0x360e9d49df60940c), (5692, 0xa846b789083e8a04), (5692, 0xa846b789083e8a04), (5692, 0xe81a9fdac42542b4)],
+        [(5692, 0x7c1e4a894d3b5cde), (5692, 0x7513134651463f7a), (5692, 0x80c37005557c562a), (5692, 0x7c1e4a894d3b5cde), (5692, 0x7c1e4a894d3b5cde), (5692, 0x999042b318ba948e)],
+        [(1607, 0x84671848635d2af7), (1607, 0x15566660cba0fc97), (1607, 0xbb05e21639884743), (1607, 0x84671848635d2af7), (1607, 0x84671848635d2af7), (1607, 0x356c19a6aca75253)],
+        [(1607, 0x74eaacabf0348d9a), (1607, 0x510c60504e17527e), (1607, 0x76d545910fdddbea), (1607, 0x74eaacabf0348d9a), (1607, 0x74eaacabf0348d9a), (1607, 0x5f81a6d5f2043ffe)],
+    ];
+
+    let heavy = heavy_four_cycle();
+    let labels = case_labels(&heavy);
+    for kind in ["heavy-x1=", "light-x1,heavy-x3=", "light-light"] {
+        assert!(
+            labels.iter().any(|l| l.starts_with(kind)),
+            "the hub instance has a {kind} case: {labels:?}"
+        );
+    }
+    let light = instance(4, 200, 40, 7, &[], 0);
+    assert_eq!(case_labels(&light), ["light-light"], "the lone-tree path");
+
+    let inputs = [
+        ("4-cycle, heavy", cycle_query(4), heavy, "four-cycle"),
+        ("4-cycle, one tree", cycle_query(4), light, "four-cycle"),
+        (
+            "5-cycle",
+            cycle_query(5),
+            instance(5, 40, 7, 3, &[], 0),
+            "decomposed",
+        ),
+        (
+            "6-cycle",
+            cycle_query(6),
+            instance(6, 30, 6, 11, &[], 0),
+            "decomposed",
+        ),
+        (
+            "path4",
+            path_query(4),
+            instance(4, 30, 5, 42, &[], 0),
+            "acyclic",
+        ),
+        (
+            "star3",
+            star_query(3),
+            instance(3, 40, 6, 7, &[], 0),
+            "acyclic",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (label, q, rels, route) in &inputs {
+        for rank in [RankSpec::Sum, RankSpec::Max] {
+            let digests = route_digests(q, rels, rank, route);
+            assert!(digests[0].0 > 300, "{label}: hundreds of answers");
+            got.push((format!("{label} {rank:?}"), digests));
+        }
+    }
+    let literal: Vec<String> = (got.iter())
+        .map(|(_, ds)| {
+            let row: Vec<String> = ds
+                .iter()
+                .map(|(n, d)| format!("({n}, {d:#018x})"))
+                .collect();
+            format!("        [{}],", row.join(", "))
+        })
+        .collect();
+    for ((label, got), want) in got.iter().zip(GOLDEN) {
+        assert_eq!(
+            got[..],
+            want[..],
+            "{label}: Eager, All, Take2, Lazy, Quick, REC; all rows:\n{}",
+            literal.join("\n")
+        );
+    }
+}
+
+#[test]
+fn the_unranked_odometer_over_a_case_tree_with_a_fixed_column() {
+    const GOLDEN: (usize, u64) = (260, 0x0dd2_5b0d_4e65_9a76);
+
+    let case = cases(&heavy_four_cycle())
+        .into_iter()
+        .find(|case| case.label.starts_with("light-x1,heavy-x3="))
+        .expect("a heavy-x3 case");
+    let inst = TdpInstance::<SumCost>::prepare_case(case).expect("prepare");
+    let (mut d, mut n) = (Digest::new(), 0);
+    for a in UnrankedEnum::new(inst) {
+        n += 1;
+        d.answer(&a.values, a.cost.get());
+    }
+    assert!(n > 100, "a case with over a hundred answers");
+    assert_eq!((n, d.0), GOLDEN, "got ({n}, {:#018x})", d.0);
+}
