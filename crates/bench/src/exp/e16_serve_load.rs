@@ -6,8 +6,9 @@
 //! the answers pulled, a *service* can hand many clients small pages
 //! of many queries concurrently — cheap first pages, no repeated
 //! preprocessing. Since PR 5 the transport under test is the
-//! readiness event loop (one I/O thread + a worker pool), driven
-//! end-to-end over real sockets:
+//! readiness event loop (since PR 19: serving threads over one shared
+//! one-shot poller, no per-request hand-off), driven end-to-end over
+//! real sockets:
 //!
 //! * acyclic (path-3), triangle, and 4-cycle queries over one shared
 //!   catalog, under rotating rankings (sum/max/min);

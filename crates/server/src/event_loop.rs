@@ -1,67 +1,79 @@
-//! The event-driven transport: one readiness loop, many connections,
-//! a small worker pool — `std` + the in-tree [`polling`] shim only.
+//! The event-driven transport: a few identical serving threads over one
+//! shared readiness poller, many connections — `std` + the in-tree
+//! [`polling`] shim only.
 //!
 //! The thread-per-connection transport ([`crate::tcp`]) spends one OS
 //! thread per client, parked in `read(2)` almost all the time; at
 //! thousands of connections the stacks and scheduler churn become the
-//! bottleneck long before the engine does. This module replaces that
-//! with the classic readiness architecture:
+//! bottleneck long before the engine does. This module serves any
+//! number of connections from a fixed number of threads instead.
 //!
 //! ## Threading model
 //!
-//! * **One event thread** owns the nonblocking listener, every
-//!   nonblocking connection socket, and the [`Poller`]. It does *all*
-//!   socket I/O: accepting, reading bytes into each connection's
-//!   [`LineFramer`], and flushing each connection's write buffer. It
-//!   never parses or executes a command, so a slow query can never
-//!   stall another connection's reads.
-//! * **A worker pool** (default: one thread per core, at least two) takes
-//!   framed command lines off an MPSC channel, executes them against
-//!   the connection's [`Session`] (behind a mutex that is never
-//!   contended — see ordering below), and pushes the rendered reply
-//!   onto a completion queue, waking the event thread via
-//!   [`Poller::notify`].
-//! * **Ordering**: at most one command per connection is in flight at
-//!   a time. Pipelined commands queue in arrival order on the
-//!   connection and dispatch one-by-one as replies come back, so
-//!   replies are written in exactly the order commands were received —
-//!   the same observable behavior as the threaded transport, which is
-//!   what keeps the two transports byte-identical.
+//! * **N serving threads** ([`TransportConfig::workers`]) all sit in
+//!   [`Poller::wait`] on the same poller. Every interest is
+//!   **one-shot**: a readiness is delivered to exactly one thread and
+//!   the socket then reports nothing until it is re-armed.
+//! * **Whoever is handed a connection owns it** until it re-arms it: it
+//!   takes the `Conn` out of the connection table, reads and frames
+//!   the bytes, executes one command against the connection's own
+//!   [`Session`], writes the reply, puts the `Conn` back and re-arms —
+//!   all on that thread. A request costs a `wait`, a
+//!   `read`, a `write` and a re-arm, and crosses no thread boundary.
+//!   The connection table (key → `Conn`) is the only shared state.
+//! * **Pooled, not partitioned**: no connection belongs to a thread.
+//!   A thread takes one ready connection per `wait`, so while one
+//!   thread is inside a slow cold `SELECT` every other thread keeps
+//!   taking whatever becomes ready, and nothing queues behind the slow
+//!   command that another thread could have served.
+//! * **Ordering**: one command per turn, in arrival order, each reply
+//!   written before the next command starts — replies come back in
+//!   request order, observably identical to the threaded transport,
+//!   which is what keeps the two transports byte-identical.
+//! * **Accepting** is one more one-shot interest: whichever thread is
+//!   handed the listener accepts until it would block and re-arms it.
 //!
-//! ## Backpressure
+//! ## Backpressure and fairness
 //!
-//! A connection's read interest is *dropped* while it has a command
-//! executing, queued pipelined lines, or unflushed reply bytes, and
-//! re-armed only when all three drain; symmetrically, the next queued
-//! command only dispatches once the previous reply has fully reached
-//! the socket, so at most one rendered reply block is ever buffered
-//! per connection. A client that pipelines thousands of commands or
-//! stops reading its replies therefore stops being served — its
-//! bytes back up into the kernel's TCP windows instead of this
-//! process's memory. Combined with the framer's per-line byte bound
-//! and the service's admission semaphore, every per-connection buffer
-//! is bounded.
+//! A connection is armed for *reading* only when it has no framed line
+//! waiting and no unflushed reply byte, and the next queued command
+//! only runs once the previous reply has fully reached the socket, so
+//! at most one rendered reply block is ever buffered per connection. A
+//! client that pipelines thousands of commands or stops reading its
+//! replies therefore stops being served — its bytes back up into the
+//! kernel's TCP windows instead of this process's memory. Combined
+//! with the framer's per-line byte bound and the service's admission
+//! semaphore, every per-connection buffer is bounded.
+//!
+//! A connection with more lines queued is re-armed for *writability*
+//! after each command. That one re-arm is both halves of the rule: it
+//! fires when the socket can take bytes again (so "the previous reply
+//! has reached the socket" holds before the next command runs), and it
+//! sends the connection to the back of the poller's ready list (so a
+//! pipelining client gives the thread up between commands whenever
+//! another connection is ready).
 //!
 //! ## Cursor deadlines
 //!
-//! Because connection state no longer lives on a per-session thread,
-//! nothing here blocks on a silent client: the event thread's wait
-//! timeout doubles as a timer tick that calls
+//! Nothing here blocks on a silent client: the wait timeout doubles as
+//! a timer tick. Whichever thread comes out of `wait` a tick after the
+//! last sweep (an atomic stamp decides, so it is one of them) calls
 //! [`Service::reap_expired_cursors`], sweeping the service-level
 //! deadline map so idle cursors release their admission slots without
 //! their session ever speaking.
+//!
+//! [`TransportConfig::workers`]: crate::TransportConfig::workers
 
-use crate::frame::{encode_frame_error, LineFramer};
+use crate::frame::{encode_frame_error, FrameError, LineFramer};
 use crate::service::{ConnectionSlot, Service};
-use crate::wire::{encode_connection_rejected, respond};
+use crate::wire::{encode_connection_rejected, respond_into};
 use crate::Session;
 use polling::{Event, Poller};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,41 +81,33 @@ use std::time::Duration;
 const LISTENER_KEY: usize = 0;
 /// First key handed to an accepted connection.
 const FIRST_CONN_KEY: usize = 1;
-/// The event thread's wait timeout — also the cursor-deadline sweep
-/// interval (each timeout tick calls `Service::reap_expired_cursors`).
+/// The serving threads' wait timeout — also the cursor-deadline sweep
+/// interval.
 const TICK: Duration = Duration::from_millis(100);
-/// Read chunk size; multiple chunks are drained per readiness event.
+/// Read chunk size; a read that fills it is followed by another.
 const READ_CHUNK: usize = 4096;
+/// Connections a thread claims per `wait`. One: a second claimed
+/// connection would sit behind the first one's command while another
+/// thread may be idle.
+const CLAIM: usize = 1;
 
-/// A framed command headed for the worker pool.
-struct Job {
-    key: usize,
-    line: String,
-    session: Arc<Mutex<Session>>,
-}
-
-/// Replies travelling back from workers to the event thread.
-type Completions = Arc<Mutex<Vec<(usize, String)>>>;
-
-/// Per-connection state, owned by the event thread.
+/// Per-connection state. It lives in the connection table while the
+/// connection is armed and with the serving thread in between.
 struct Conn {
-    stream: TcpStream,
+    /// Shared only so that the thread putting the `Conn` back into the
+    /// table can still name the socket when it re-arms it.
+    stream: Arc<TcpStream>,
     framer: LineFramer,
     /// Framed-but-unexecuted lines (or framing errors), arrival order.
-    pending: VecDeque<Result<String, crate::frame::FrameError>>,
+    pending: VecDeque<Result<String, FrameError>>,
     /// Reply bytes not yet accepted by the socket.
     write_buf: Vec<u8>,
     write_pos: usize,
-    session: Arc<Mutex<Session>>,
-    /// A command is executing on the worker pool; its reply must come
-    /// back before anything else runs for this connection.
-    inflight: bool,
+    session: Session,
     /// Peer closed its write half; finish what's queued, then drop.
     eof: bool,
     /// Unrecoverable socket error; drop as soon as seen.
     dead: bool,
-    /// Interest currently registered with the poller.
-    interest: (bool, bool),
     /// This connection's slot in the service's connection gauge;
     /// dropping the `Conn` releases it.
     _slot: ConnectionSlot,
@@ -114,9 +118,30 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
-    /// Idle = nothing queued, nothing executing, nothing to flush.
+    /// Idle = nothing queued, nothing to flush: the only state in which
+    /// the connection reads (the backpressure rule).
     fn idle(&self) -> bool {
-        !self.inflight && self.pending.is_empty() && self.unsent() == 0
+        self.pending.is_empty() && self.unsent() == 0
+    }
+}
+
+/// What the serving threads share.
+struct Shared {
+    service: Service,
+    listener: TcpListener,
+    poller: Arc<Poller>,
+    stop: Arc<AtomicBool>,
+    /// Every connection that is armed (or about to be), by poller key.
+    conns: Mutex<HashMap<usize, Box<Conn>>>,
+    next_key: AtomicUsize,
+    /// Service-clock time of the last deadline sweep, µs.
+    last_sweep_us: AtomicU64,
+    max_line_len: usize,
+}
+
+impl Shared {
+    fn conns(&self) -> MutexGuard<'_, HashMap<usize, Box<Conn>>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -126,8 +151,8 @@ pub(crate) struct EventTransport {
     pub threads: Vec<JoinHandle<()>>,
 }
 
-/// Start the event loop plus `workers` pool threads over an already
-/// nonblocking `listener`.
+/// Start `workers` serving threads over an already nonblocking
+/// `listener`.
 pub(crate) fn spawn(
     service: Service,
     listener: TcpListener,
@@ -137,197 +162,85 @@ pub(crate) fn spawn(
 ) -> std::io::Result<EventTransport> {
     let poller = Arc::new(Poller::new()?);
     poller.add(&listener, Event::readable(LISTENER_KEY))?;
-
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let completions: Completions = Arc::new(Mutex::new(Vec::new()));
-
-    let mut threads = Vec::with_capacity(workers + 1);
-    for _ in 0..workers {
-        let rx = Arc::clone(&job_rx);
-        let done = Arc::clone(&completions);
-        let waker = Arc::clone(&poller);
-        threads.push(std::thread::spawn(move || worker_loop(&rx, &done, &waker)));
-    }
-
-    let loop_poller = Arc::clone(&poller);
-    threads.push(std::thread::spawn(move || {
-        event_loop(
-            &service,
-            &listener,
-            &loop_poller,
-            &stop,
-            &job_tx,
-            &completions,
-            max_line_len,
-        );
-    }));
+    let shared = Arc::new(Shared {
+        last_sweep_us: AtomicU64::new(service.obs().now_us()),
+        service,
+        listener,
+        poller: Arc::clone(&poller),
+        stop,
+        conns: Mutex::new(HashMap::new()),
+        next_key: AtomicUsize::new(FIRST_CONN_KEY),
+        max_line_len,
+    });
+    let threads = (0..workers)
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || serve_loop(&shared))
+        })
+        .collect();
     Ok(EventTransport { poller, threads })
 }
 
-/// One pool thread: pull a job, run it against the session, hand the
-/// reply back, wake the event thread. Exits when the event thread
-/// drops the channel.
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<Job>>>, done: &Completions, waker: &Arc<Poller>) {
-    loop {
-        // Hold the receiver lock only for the blocking recv — workers
-        // queue on the mutex, which distributes jobs just the same.
-        let job = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        // The mutex is uncontended by construction: the event thread
-        // dispatches at most one job per connection at a time, and
-        // only workers lock sessions.
-        let reply = {
-            let mut session = job.session.lock().unwrap_or_else(PoisonError::into_inner);
-            respond(&mut session, &job.line)
-        };
-        done.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((job.key, reply));
-        // A failed wake means the loop is gone; the reply is moot.
-        let _ = waker.notify();
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn event_loop(
-    service: &Service,
-    listener: &TcpListener,
-    poller: &Arc<Poller>,
-    stop: &AtomicBool,
-    job_tx: &mpsc::Sender<Job>,
-    completions: &Completions,
-    max_line_len: usize,
-) {
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_key = FIRST_CONN_KEY;
-    let mut events: Vec<Event> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new();
-    // Sweep cadence runs on the service clock (µs), like every other
-    // timestamp in the serving stack — no raw `Instant` outside the
-    // obs crate (the timing-discipline lint pins this).
-    let tick_us = TICK.as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut last_sweep_us = service.obs().now_us();
-
-    while !stop.load(Ordering::Acquire) {
-        if poller.wait(&mut events, Some(TICK)).is_err() {
+/// One serving thread: wait, serve what was handed over, repeat.
+fn serve_loop(shared: &Shared) {
+    let mut events: Vec<Event> = Vec::with_capacity(CLAIM);
+    while !shared.stop.load(Ordering::Acquire) {
+        if shared.poller.wait(&mut events, CLAIM, Some(TICK)).is_err() {
             break;
         }
-        // The wait timeout doubles as the deadline sweep: silent
-        // sessions' expired cursors release their admission slots here
-        // even if no admission pressure ever consults the map. Gated
-        // to TICK cadence — under load every worker completion wakes
-        // the wait early, and the sweep is O(open cursors) under the
-        // shared map mutex, so it must not run per wakeup.
-        let now_us = service.obs().now_us();
-        if now_us.saturating_sub(last_sweep_us) >= tick_us {
-            service.reap_expired_cursors();
-            last_sweep_us = now_us;
-        }
-
-        touched.clear();
-
-        // Replies computed since the last pass: buffer them and let
-        // the connection dispatch its next pipelined command.
-        for (key, reply) in completions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-        {
-            if let Some(conn) = conns.get_mut(&key) {
-                conn.write_buf.extend_from_slice(reply.as_bytes());
-                conn.inflight = false;
-                touched.push(key);
-            }
-        }
-
+        sweep_if_due(shared);
         for ev in &events {
             if ev.key == LISTENER_KEY {
-                accept_ready(
-                    listener,
-                    poller,
-                    &mut conns,
-                    &mut next_key,
-                    service,
-                    max_line_len,
-                );
-                continue;
+                accept_ready(shared);
+            } else {
+                serve_ready(shared, *ev);
             }
-            let Some(conn) = conns.get_mut(&ev.key) else {
-                continue;
-            };
-            if ev.readable {
-                read_ready(conn);
-            }
-            if ev.writable {
-                flush_writes(conn);
-            }
-            touched.push(ev.key);
-        }
-
-        // Service every connection something happened to: dispatch,
-        // flush, retune interest, close.
-        touched.sort_unstable();
-        touched.dedup();
-        for &key in &touched {
-            let Some(conn) = conns.get_mut(&key) else {
-                continue;
-            };
-            // Alternate flush and dispatch until neither can progress:
-            // a reply must reach the socket (or fill its buffer)
-            // before the next pipelined command even starts, so a
-            // client that never reads its replies is never served
-            // ahead — at most one rendered reply block is ever
-            // buffered per connection.
-            loop {
-                flush_writes(conn);
-                if !pump(conn, key, job_tx) {
-                    break;
-                }
-            }
-            let finished = conn.dead || (conn.eof && conn.idle());
-            if finished {
-                let _ = poller.delete(&conn.stream);
-                // Dropping the last Arc drops the Session, closing its
-                // cursors; a still-running job keeps it alive until
-                // the reply lands (and is then discarded above).
-                conns.remove(&key);
-                continue;
-            }
-            retune_interest(conn, key, poller);
         }
     }
-    // Shutdown: deregister and drop every connection (sessions close
-    // their cursors); dropping `job_tx` lets the workers drain out.
-    for (_, conn) in conns.drain() {
-        let _ = poller.delete(&conn.stream);
+    // Shutdown: every thread closes what is in the table as it leaves,
+    // so the last one out closes whatever a slower thread put back
+    // (sessions close their cursors as they drop).
+    for (_, conn) in shared.conns().drain() {
+        let _ = shared.poller.delete(&*conn.stream);
     }
-    let _ = poller.delete(listener);
 }
 
-/// Accept until the listener would block; register each connection
-/// read-ready with its own key and session.
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Arc<Poller>,
-    conns: &mut HashMap<usize, Conn>,
-    next_key: &mut usize,
-    service: &Service,
-    max_line_len: usize,
-) {
+/// The wait timeout doubles as the deadline sweep: silent sessions'
+/// expired cursors release their admission slots here even if no
+/// admission pressure ever consults the map. Gated to TICK cadence on
+/// the service clock (µs, like every other timestamp in the serving
+/// stack — no raw `Instant` outside the obs crate): under load every
+/// request ends a wait early, and the sweep is O(open cursors) under
+/// the shared map mutex, so it runs once a tick, on the thread that
+/// wins the stamp.
+fn sweep_if_due(shared: &Shared) {
+    let tick_us = TICK.as_micros().min(u128::from(u64::MAX)) as u64;
+    let now_us = shared.service.obs().now_us();
+    let last = shared.last_sweep_us.load(Ordering::Relaxed);
+    if now_us.saturating_sub(last) >= tick_us
+        && shared
+            .last_sweep_us
+            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+    {
+        shared.service.reap_expired_cursors();
+    }
+}
+
+/// Accept until the listener would block, arming each connection for
+/// reading under its own key and session, then re-arm the listener.
+fn accept_ready(shared: &Shared) {
     loop {
-        match listener.accept() {
+        match shared.listener.accept() {
             Ok((mut stream, _)) => {
                 // Accept-time load shedding: over the connection bound,
                 // send one typed reject and close before any state is
                 // allocated. The write is best-effort — a peer that
                 // cannot take one line of bytes is dropped regardless.
-                let Some(slot) = service.try_admit_connection() else {
+                let Some(slot) = shared.service.try_admit_connection() else {
                     let reply = encode_connection_rejected(
-                        service.open_connections(),
-                        service.config().max_connections,
+                        shared.service.open_connections(),
+                        shared.service.config().max_connections,
                     );
                     let _ = stream.write_all(reply.as_bytes());
                     continue;
@@ -335,42 +248,89 @@ fn accept_ready(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                let key = *next_key;
-                *next_key += 1;
-                if poller.add(&stream, Event::readable(key)).is_err() {
-                    continue;
+                let stream = Arc::new(stream);
+                let key = shared.next_key.fetch_add(1, Ordering::Relaxed);
+                let conn = Box::new(Conn {
+                    stream: Arc::clone(&stream),
+                    framer: LineFramer::new(shared.max_line_len),
+                    pending: VecDeque::new(),
+                    write_buf: Vec::new(),
+                    write_pos: 0,
+                    session: shared.service.session(),
+                    eof: false,
+                    dead: false,
+                    _slot: slot,
+                });
+                // In the table before it is armed: the event may reach
+                // another thread at once.
+                shared.conns().insert(key, conn);
+                if shared.poller.add(&*stream, Event::readable(key)).is_err() {
+                    shared.conns().remove(&key);
                 }
-                conns.insert(
-                    key,
-                    Conn {
-                        stream,
-                        framer: LineFramer::new(max_line_len),
-                        pending: VecDeque::new(),
-                        write_buf: Vec::new(),
-                        write_pos: 0,
-                        session: Arc::new(Mutex::new(service.session())),
-                        inflight: false,
-                        eof: false,
-                        dead: false,
-                        interest: (true, false),
-                        _slot: slot,
-                    },
-                );
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
     }
+    let _ = shared
+        .poller
+        .modify(&shared.listener, Event::readable(LISTENER_KEY));
 }
 
-/// Drain the socket into the framer and the framer into the pending
-/// queue (blank lines skipped, framing errors queued as such so their
-/// replies stay in arrival order).
+/// Serve one turn of the connection `ev` was delivered for: read if it
+/// was armed for reading, flush, run at most one queued command, flush
+/// its reply, and put the connection back armed for whatever it waits
+/// on next — or close it.
+fn serve_ready(shared: &Shared, ev: Event) {
+    let Some(mut conn) = shared.conns().remove(&ev.key) else {
+        return;
+    };
+    // Idle is exactly the state that was armed for reading.
+    if ev.readable && conn.idle() && !conn.eof {
+        read_ready(&mut conn);
+    }
+    flush_writes(&mut conn);
+    // The previous reply has left (or the socket is full and this turn
+    // ends here): the next command may run, in queue order. Framing
+    // errors carry no session state but keep their place in the queue.
+    if conn.unsent() == 0 && !conn.dead {
+        match conn.pending.pop_front() {
+            Some(Ok(line)) => respond_into(&mut conn.session, &line, &mut conn.write_buf),
+            Some(Err(frame_err)) => conn
+                .write_buf
+                .extend_from_slice(encode_frame_error(&frame_err).as_bytes()),
+            None => {}
+        }
+        flush_writes(&mut conn);
+    }
+    if conn.dead || (conn.eof && conn.idle()) {
+        let _ = shared.poller.delete(&*conn.stream);
+        // Dropping the connection drops its session, closing its cursors.
+        return;
+    }
+    // Read only when idle (the backpressure rule); otherwise wait for
+    // writability — with reply bytes left that is when the socket
+    // drains, with only lines queued it is at once, behind every other
+    // ready connection.
+    let interest = if conn.idle() {
+        Event::readable(ev.key)
+    } else {
+        Event::writable(ev.key)
+    };
+    let stream = Arc::clone(&conn.stream);
+    shared.conns().insert(ev.key, conn);
+    let _ = shared.poller.modify(&*stream, interest);
+}
+
+/// Read the socket into the framer until a read comes back short (the
+/// socket is drained; if more arrives meanwhile the re-arm reports it),
+/// and the framer into the pending queue (blank lines skipped, framing
+/// errors queued as such so their replies stay in arrival order).
 fn read_ready(conn: &mut Conn) {
     let mut buf = [0u8; READ_CHUNK];
     loop {
-        match conn.stream.read(&mut buf) {
+        match (&*conn.stream).read(&mut buf) {
             Ok(0) => {
                 conn.eof = true;
                 // A half-close without a trailing newline still
@@ -378,7 +338,12 @@ fn read_ready(conn: &mut Conn) {
                 conn.framer.finish();
                 break;
             }
-            Ok(n) => conn.framer.feed(&buf[..n]),
+            Ok(n) => {
+                conn.framer.feed(&buf[..n]);
+                if n < buf.len() {
+                    break;
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -395,41 +360,10 @@ fn read_ready(conn: &mut Conn) {
     }
 }
 
-/// Take one step on the connection's command queue — only when no
-/// command is in flight **and every previous reply byte is flushed**
-/// (the write half of the backpressure rule: replies may back up in
-/// the peer's TCP window, never in this process). Framing errors
-/// render inline (no worker round-trip) — they carry no session
-/// state — but still strictly in queue order. Returns whether it made
-/// progress (the caller alternates pump with flush until it didn't).
-fn pump(conn: &mut Conn, key: usize, job_tx: &mpsc::Sender<Job>) -> bool {
-    if conn.inflight || conn.unsent() > 0 {
-        return false;
-    }
-    match conn.pending.pop_front() {
-        Some(Err(frame_err)) => {
-            conn.write_buf
-                .extend_from_slice(encode_frame_error(&frame_err).as_bytes());
-            true
-        }
-        Some(Ok(line)) => {
-            conn.inflight = true;
-            // Send can only fail after shutdown began.
-            let _ = job_tx.send(Job {
-                key,
-                line,
-                session: Arc::clone(&conn.session),
-            });
-            true
-        }
-        None => false,
-    }
-}
-
 /// Push buffered reply bytes until the socket would block.
 fn flush_writes(conn: &mut Conn) {
     while conn.unsent() > 0 {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+        match (&*conn.stream).write(&conn.write_buf[conn.write_pos..]) {
             Ok(0) => {
                 conn.dead = true;
                 break;
@@ -446,24 +380,5 @@ fn flush_writes(conn: &mut Conn) {
     if conn.unsent() == 0 {
         conn.write_buf.clear();
         conn.write_pos = 0;
-    }
-}
-
-/// Re-register the poller interest to match the connection's state:
-/// read only when fully idle (the backpressure rule), write only while
-/// bytes wait.
-fn retune_interest(conn: &mut Conn, key: usize, poller: &Arc<Poller>) {
-    let want_read = !conn.eof && conn.idle();
-    let want_write = conn.unsent() > 0;
-    if conn.interest == (want_read, want_write) {
-        return;
-    }
-    let ev = Event {
-        key,
-        readable: want_read,
-        writable: want_write,
-    };
-    if poller.modify(&conn.stream, ev).is_ok() {
-        conn.interest = (want_read, want_write);
     }
 }

@@ -33,9 +33,10 @@
 //!    `std::net` on either of two accept architectures behind one
 //!    [`Server`]: the default **readiness event loop** (nonblocking
 //!    sockets on the in-tree `polling` shim — raw-syscall epoll with
-//!    a portable `poll(2)` fallback — plus a worker pool, so slow
-//!    queries never block another connection's I/O) or the classic
-//!    **thread-per-connection** loop. Both TCP transports share one
+//!    a portable `poll(2)` fallback — shared by a few serving threads,
+//!    each request served whole on the thread that was handed it, so
+//!    a slow query holds one thread and no connection but its own) or
+//!    the classic **thread-per-connection** loop. Both TCP transports share one
 //!    incremental [`LineFramer`], and all three clients — the two
 //!    TCP paths and the in-process [`LocalClient`] (which takes whole
 //!    command strings, no framing) — share one encoder, so reply
@@ -104,7 +105,8 @@ pub use service::{
 };
 pub use tcp::{BindError, Server, TcpClient, Transport, TransportConfig};
 pub use wire::{
-    encode_answer, encode_connection_rejected, encode_response, respond, write_answer, LocalClient,
+    encode_answer, encode_connection_rejected, encode_response, respond, respond_into,
+    write_answer, LocalClient,
 };
 
 /// A tiny single-relation engine for the crate's unit tests.

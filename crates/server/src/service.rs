@@ -73,10 +73,11 @@ pub struct ServiceConfig {
     /// connection flood degrades into cheap rejects instead of
     /// unbounded per-connection state.
     pub max_connections: usize,
-    /// Event-loop worker threads. `None` (the default) sizes the pool
-    /// from [`std::thread::available_parallelism`] with a floor of 2
-    /// and **no upper clamp** — big machines get big pools. `Some(n)`
-    /// pins the pool; `Some(0)` is rejected at bind time with a typed
+    /// Event-loop serving threads — all of them: each polls, reads,
+    /// executes and writes. `None` (the default) takes the count from
+    /// [`std::thread::available_parallelism`] with a floor of 2 and
+    /// **no upper clamp** — big machines get big pools. `Some(n)` pins
+    /// the count; `Some(0)` is rejected at bind time with a typed
     /// [`BindError`](crate::BindError). Overridden by the
     /// `ANYK_SERVE_WORKERS` environment variable and by an explicit
     /// [`TransportConfig::workers`](crate::TransportConfig::workers),
@@ -96,7 +97,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     /// 64 concurrent streams, 60 s cursor TTL, 10-answer pages,
-    /// 1024 connections, auto-sized worker pool, 250 ms slow-query
+    /// 1024 connections, auto-sized serving threads, 250 ms slow-query
     /// threshold, 4096-row write batches.
     fn default() -> Self {
         ServiceConfig {

@@ -3,10 +3,11 @@
 //! no external dependencies (the readiness syscalls come from the
 //! in-tree [`polling`] shim).
 //!
-//! * [`Transport::EventLoop`] (the default): one nonblocking
-//!   readiness loop plus a worker pool — see [`crate::event_loop`] for
-//!   the threading model and backpressure rules. Scales to thousands
-//!   of mostly-idle connections.
+//! * [`Transport::EventLoop`] (the default): a few identical serving
+//!   threads over one shared one-shot readiness poller, each request
+//!   served start to finish on the thread that was handed it — see
+//!   [`crate::event_loop`] for the threading model and backpressure
+//!   rules. Scales to thousands of mostly-idle connections.
 //! * [`Transport::ThreadPerConn`]: the classic blocking loop, one
 //!   thread (and one [`Session`](crate::Session)) per connection.
 //!   Simple, great for a handful of clients, kept as the portable
@@ -23,7 +24,7 @@
 use crate::event_loop;
 use crate::frame::{encode_frame_error, LineFramer};
 use crate::service::{ConnectionSlot, Service};
-use crate::wire::{encode_connection_rejected, respond};
+use crate::wire::{encode_connection_rejected, respond_into};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,16 +35,16 @@ use std::thread::JoinHandle;
 /// Why [`Server::bind`] / [`Server::bind_with`] could not start.
 ///
 /// Binding fails either on the socket (wrapped [`std::io::Error`]) or
-/// at worker-pool validation time, *before* any thread is spawned —
-/// a zero-sized pool would accept connections and then never execute
-/// a command, so it is rejected up front with a typed error instead
-/// of being silently "fixed" to some clamp.
+/// at thread-count validation time, *before* any thread is spawned —
+/// a server with zero serving threads would bind its port and then
+/// never accept a connection, so it is rejected up front with a typed
+/// error instead of being silently "fixed" to some clamp.
 #[derive(Debug)]
 pub enum BindError {
     /// Socket-level failure (bind, local_addr, nonblocking setup, ...).
     Io(std::io::Error),
     /// [`crate::ServiceConfig::workers`] was `Some(0)` — an explicit
-    /// request for a pool that could never serve a command.
+    /// request for a server with nobody to serve a command.
     InvalidWorkers,
     /// `ANYK_SERVE_WORKERS` was set but is not a positive integer.
     InvalidWorkersEnv {
@@ -85,7 +86,8 @@ impl From<std::io::Error> for BindError {
 /// Which accept architecture a [`Server`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// Readiness event loop + worker pool (Unix; the default there).
+    /// Serving threads over a shared readiness poller (Unix; the
+    /// default there).
     EventLoop,
     /// One blocking thread per connection (every platform).
     ThreadPerConn,
@@ -115,10 +117,11 @@ pub struct TransportConfig {
     /// suites and deployments can switch transports without code
     /// changes.
     pub transport: Transport,
-    /// Worker threads executing commands (event loop only). `0` means
-    /// "not set here": the pool size then comes from the
+    /// Serving threads (event loop only) — every thread the transport
+    /// runs: each one polls, reads, executes and writes. `0` means
+    /// "not set here": the count then comes from the
     /// `ANYK_SERVE_WORKERS` environment variable, then
-    /// [`crate::ServiceConfig::workers`], then auto-sizing (one worker
+    /// [`crate::ServiceConfig::workers`], then auto-sizing (one thread
     /// per available core, floor 2, **no upper clamp** — an earlier
     /// revision silently capped the pool at 8, starving wide hosts).
     pub workers: usize,
@@ -146,12 +149,12 @@ impl TransportConfig {
     }
 }
 
-/// Worker-pool sizing, by precedence: an explicit
+/// Serving-thread count, by precedence: an explicit
 /// [`TransportConfig::workers`], then `ANYK_SERVE_WORKERS`, then
-/// [`crate::ServiceConfig::workers`], then one worker per available
-/// core with a floor of 2 (so a busy command never starves the loop on
-/// a single-core box) and **no upper clamp**. Zero anywhere explicit is
-/// a [`BindError`], not a silent correction.
+/// [`crate::ServiceConfig::workers`], then one thread per available
+/// core with a floor of 2 (so one long command never leaves nobody
+/// polling on a single-core box) and **no upper clamp**. Zero anywhere
+/// explicit is a [`BindError`], not a silent correction.
 fn resolve_workers(
     explicit: usize,
     env: Option<&str>,
@@ -235,14 +238,14 @@ impl Server {
     }
 
     /// Bind with an explicit transport and tuning. Fails with a typed
-    /// [`BindError`] on socket errors or an invalid worker-pool size
+    /// [`BindError`] on socket errors or an invalid thread count
     /// (see [`TransportConfig::workers`] for the sizing precedence).
     pub fn bind_with(
         service: Service,
         addr: &str,
         config: TransportConfig,
     ) -> Result<Server, BindError> {
-        // Validate the pool before touching the socket: a bad worker
+        // Validate the count before touching the socket: a bad worker
         // config should fail identically whether or not the port binds.
         let workers = config.resolved_workers(service.config().workers)?;
         let listener = TcpListener::bind(addr)?;
@@ -352,6 +355,7 @@ fn serve_connection(
     let mut writer = conn;
     let mut framer = LineFramer::new(max_line_len);
     let mut buf = [0u8; 4096];
+    let mut reply = Vec::new();
     let mut eof = false;
     while !eof {
         match reader.read(&mut buf) {
@@ -366,12 +370,15 @@ fn serve_connection(
             Err(_) => return,
         }
         while let Some(item) = framer.next_line() {
-            let reply = match item {
+            reply.clear();
+            match item {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => respond(&mut session, &line),
-                Err(frame_err) => encode_frame_error(&frame_err),
-            };
-            if writer.write_all(reply.as_bytes()).is_err() || writer.flush().is_err() {
+                Ok(line) => respond_into(&mut session, &line, &mut reply),
+                Err(frame_err) => {
+                    reply.extend_from_slice(encode_frame_error(&frame_err).as_bytes())
+                }
+            }
+            if writer.write_all(&reply).is_err() || writer.flush().is_err() {
                 return;
             }
         }
@@ -384,6 +391,8 @@ fn serve_connection(
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The outgoing line of [`send`](TcpClient::send), reused.
+    request: String,
 }
 
 impl TcpClient {
@@ -394,13 +403,18 @@ impl TcpClient {
         Ok(TcpClient {
             reader,
             writer: stream,
+            request: String::new(),
         })
     }
 
     /// Send one command line and read the full `END`-terminated reply
     /// block (bytes as the server wrote them).
     pub fn send(&mut self, line: &str) -> std::io::Result<String> {
-        self.send_raw(format!("{line}\n").as_bytes())?;
+        self.request.clear();
+        self.request.push_str(line);
+        self.request.push('\n');
+        self.writer.write_all(self.request.as_bytes())?;
+        self.writer.flush()?;
         self.read_reply()
     }
 
@@ -415,17 +429,16 @@ impl TcpClient {
     pub fn read_reply(&mut self) -> std::io::Result<String> {
         let mut block = String::new();
         loop {
-            let mut reply_line = String::new();
-            let n = self.reader.read_line(&mut reply_line)?;
-            if n == 0 {
+            // Each line lands on the end of the block; only that tail
+            // is tested for the terminator.
+            let line_start = block.len();
+            if self.reader.read_line(&mut block)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-reply",
                 ));
             }
-            let done = crate::wire::is_terminator(&reply_line);
-            block.push_str(&reply_line);
-            if done {
+            if crate::wire::is_terminator(&block[line_start..]) {
                 return Ok(block);
             }
         }

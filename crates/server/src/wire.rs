@@ -21,7 +21,7 @@
 use crate::service::{AnalyzeReport, Page, Response, ServeError, Service, ServiceStats, Session};
 use anyk_engine::RankedAnswer;
 use anyk_obs::{QueryTrace, Stage, RANKS, ROUTES};
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// True when `line` is the reply terminator (`END`, any trailing
 /// whitespace ignored). Decoders — [`TcpClient`](crate::TcpClient)'s
@@ -43,13 +43,13 @@ pub fn encode_answer(a: &RankedAnswer) -> String {
 }
 
 /// Append one answer's `ROW` line (no newline) to `out` — the row
-/// encoder itself; [`encode_response`] writes a page's rows straight
-/// into the reply buffer through it.
-pub fn write_answer(out: &mut String, a: &RankedAnswer) {
-    out.push_str("ROW ");
+/// encoder itself; a page's rows go straight into the reply buffer
+/// through it, be that a `String` or a connection's write buffer.
+pub fn write_answer(out: &mut impl Write, a: &RankedAnswer) {
+    let _ = out.write_str("ROW ");
     for (i, v) in a.values.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            let _ = out.write_char(',');
         }
         let _ = write!(out, "{v}");
     }
@@ -60,23 +60,27 @@ pub fn write_answer(out: &mut String, a: &RankedAnswer) {
 /// in `\n`.
 pub fn encode_response(resp: &Response) -> String {
     let mut out = String::new();
+    write_response(&mut out, resp);
+    out
+}
+
+/// [`encode_response`] into any text sink.
+fn write_response(out: &mut impl Write, resp: &Response) {
     match resp {
         Response::Page(Page {
             cursor,
             answers,
             done,
         }) => {
-            out.push_str("OK cursor=");
-            match cursor {
-                Some(id) => {
-                    let _ = write!(out, "{id}");
-                }
-                None => out.push('-'),
-            }
+            let _ = out.write_str("OK cursor=");
+            let _ = match cursor {
+                Some(id) => write!(out, "{id}"),
+                None => out.write_char('-'),
+            };
             let _ = writeln!(out, " rows={} done={done}", answers.len());
             for a in answers {
-                write_answer(&mut out, a);
-                out.push('\n');
+                write_answer(out, a);
+                let _ = out.write_char('\n');
             }
         }
         Response::Explained(plan) => {
@@ -92,14 +96,13 @@ pub fn encode_response(resp: &Response) -> String {
             }
         }
         Response::Analyzed(report) => {
-            encode_analyze(&mut out, report);
+            encode_analyze(out, report);
         }
         Response::Traces { slow, traces } => {
             let source = if *slow { "slow" } else { "ring" };
             let _ = writeln!(out, "OK traces count={} source={source}", traces.len());
             for t in traces.iter() {
-                out.push_str(&encode_trace(t));
-                out.push('\n');
+                let _ = writeln!(out, "{}", encode_trace(t));
             }
         }
         Response::Closed { cursor } => {
@@ -116,13 +119,12 @@ pub fn encode_response(resp: &Response) -> String {
             );
         }
     }
-    out.push_str("END\n");
-    out
+    let _ = out.write_str("END\n");
 }
 
 /// Render the `EXPLAIN ANALYZE` report: one `INFO` line per fact, one
 /// per stage (`stage.<name>_us=`), one per shard (`shard.<i>.rows=`).
-fn encode_analyze(out: &mut String, r: &AnalyzeReport) {
+fn encode_analyze(out: &mut impl Write, r: &AnalyzeReport) {
     let _ = writeln!(out, "OK analyze");
     let _ = writeln!(out, "INFO route={}", r.route);
     let _ = writeln!(out, "INFO rank={}", r.rank);
@@ -281,25 +283,48 @@ fn stats_fields(s: &ServiceStats) -> Vec<(String, String)> {
 }
 
 /// Serve one protocol line against a session, returning the exact
-/// bytes a transport writes back. The one entry point both transports
-/// share.
+/// bytes a transport writes back — what [`LocalClient`] sends back and
+/// what [`respond_into`] appends to a socket's write buffer.
 pub fn respond(session: &mut Session, line: &str) -> String {
+    let mut out = String::new();
+    respond_to(session, line, &mut out);
+    out
+}
+
+/// [`respond`], rendered straight onto the end of a transport's write
+/// buffer: the one entry point both TCP transports share.
+pub fn respond_into(session: &mut Session, line: &str, out: &mut Vec<u8>) {
+    respond_to(session, line, &mut Utf8Sink(out));
+}
+
+/// A byte buffer as a text sink.
+struct Utf8Sink<'a>(&'a mut Vec<u8>);
+
+impl Write for Utf8Sink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+fn respond_to(session: &mut Session, line: &str, out: &mut impl Write) {
     let result = session.execute(line);
     // The pending trace (a `SELECT`'s) is missing only its encode
     // stage; time the rendering on the service clock and publish.
     let tracing = session.tracing();
     let t0 = if tracing { session.now_us() } else { 0 };
-    let out = match result {
-        Ok(resp) => encode_response(&resp),
-        Err(err) => encode_error(&err),
-    };
+    match result {
+        Ok(resp) => write_response(out, &resp),
+        Err(err) => {
+            let _ = out.write_str(&encode_error(&err));
+        }
+    }
     let encode_us = if tracing {
         session.now_us().saturating_sub(t0)
     } else {
         0
     };
     session.finish_trace(encode_us);
-    out
 }
 
 /// An in-process client: the full protocol without a socket. Wraps a

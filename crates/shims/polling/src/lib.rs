@@ -1,6 +1,7 @@
 //! Offline in-tree shim exposing the readiness-polling API subset this
 //! workspace uses (modeled on the `polling` crate): a [`Poller`] that
-//! watches raw file descriptors for read/write readiness, plus a
+//! watches raw file descriptors for read/write readiness and hands each
+//! readiness to **one** of the threads waiting on it, plus a
 //! cross-thread [`notify`](Poller::notify) wake-up.
 //!
 //! The workspace must build without network access **and** without the
@@ -9,33 +10,57 @@
 //! they resolve at link time). Two backends:
 //!
 //! * **epoll** (Linux, the default there): one `epoll` instance,
-//!   level-triggered, `O(ready)` wakeups — the scalable path for the
+//!   `EPOLLONESHOT` interests, `O(ready)` wakeups, any number of
+//!   threads inside `epoll_wait` at once — the scalable path for the
 //!   event-loop transport.
 //! * **poll** (every Unix, and `ANYK_POLLER=poll` forces it on Linux):
-//!   a portable `poll(2)` loop over a registered-fd table — `O(fds)`
-//!   per wakeup, but it runs anywhere and keeps the epoll path honest
-//!   (the test suites run against both).
+//!   a portable `poll(2)` over a registered-fd table — `O(fds)` per
+//!   wakeup, but it runs anywhere and keeps the epoll path honest (the
+//!   test suites run against both). One waiter at a time sits in
+//!   `poll(2)`; the others queue behind it and take over as it leaves.
 //!
-//! Semantics are **level-triggered** and **persistent**: an interest
-//! set with [`add`](Poller::add)/[`modify`](Poller::modify) keeps
-//! firing while the fd stays ready, until modified or
-//! [`delete`](Poller::delete)d. Error/hang-up conditions are reported
-//! as both readable and writable so the owner's next I/O call observes
-//! the failure. This is a deliberate simplification of the upstream
-//! crate's oneshot default — the in-tree event loop re-computes
-//! interest after every wakeup anyway.
+//! ## Semantics
+//!
+//! Interests are **one-shot**, as in the upstream crate: an interest
+//! set with [`add`](Poller::add)/[`modify`](Poller::modify) is
+//! delivered at most once and the fd is then *disarmed* until the next
+//! `modify` — which fires at once if the fd became ready in between, so
+//! nothing is lost while an owner works on a disarmed fd. Error/hang-up
+//! conditions are reported as both readable and writable so the owner's
+//! next I/O call observes the failure.
+//!
+//! A fd that is re-armed while it is ready goes behind every other
+//! ready fd, so owners that re-arm after each step of work take turns:
+//! epoll delivers in the order fds became ready (or were re-armed
+//! ready), the `poll(2)` backend oldest-armed first.
+//!
+//! [`wait`](Poller::wait) may be called from **several threads at
+//! once**, and every delivered readiness goes to exactly one of them:
+//! the thread that receives an event owns that fd until it re-arms it.
+//! This is where the shim departs from upstream, whose `wait` takes a
+//! lock and so lets one thread poll at a time. Each call names how many
+//! events it will take; the rest stay armed for other waiters. On the
+//! `poll(2)` backend an interest is cleared under the registry lock at
+//! the moment it is delivered, and `add`/`modify` wake the thread
+//! sleeping in `poll(2)` so that it polls the new interest set rather
+//! than the one it went to sleep with. That backend's timeout bounds
+//! each idle stretch, not the whole call: it starts again whenever such
+//! a wake-up brings no event for the caller.
+//!
+//! [`notify`](Poller::notify) releases **every** `wait` in progress —
+//! or, when there is none, the next one — with no event, which is how a
+//! server tells all of its threads to shut down with one call.
 //!
 //! ```
 //! use polling::Poller;
 //! use std::sync::Arc;
 //!
-//! // `notify` wakes a `wait` from any thread — the worker-pool →
-//! // event-thread handoff in the server's event loop.
+//! // `notify` wakes a `wait` from any thread.
 //! let poller = Arc::new(Poller::new().unwrap());
 //! let waker = Arc::clone(&poller);
 //! let t = std::thread::spawn(move || waker.notify().unwrap());
 //! let mut events = Vec::new();
-//! poller.wait(&mut events, None).unwrap(); // returns on notify()
+//! poller.wait(&mut events, 1, None).unwrap(); // returns on notify()
 //! assert!(events.is_empty(), "a bare notify carries no fd event");
 //! t.join().unwrap();
 //! ```
@@ -155,6 +180,7 @@ mod sys {
         pub const EPOLLOUT: u32 = 0x004;
         pub const EPOLLERR: u32 = 0x008;
         pub const EPOLLHUP: u32 = 0x010;
+        pub const EPOLLONESHOT: u32 = 1 << 30;
         pub const EPOLL_CTL_ADD: i32 = 1;
         pub const EPOLL_CTL_DEL: i32 = 2;
         pub const EPOLL_CTL_MOD: i32 = 3;
@@ -179,13 +205,14 @@ mod imp {
     use std::collections::HashMap;
     use std::io;
     use std::os::unix::io::{AsRawFd, RawFd};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex, MutexGuard};
     use std::time::Duration;
 
-    /// Upper bound on events translated per [`Poller::wait`] call (the
-    /// rest surface on the next call — level-triggered interests
-    /// re-fire).
-    const MAX_EVENTS: usize = 1024;
+    /// Most events one [`Poller::wait`] call translates, whatever
+    /// capacity its caller names (the rest stay armed and surface on a
+    /// later call, on this thread or another).
+    const MAX_EVENTS: usize = 64;
 
     fn last_err() -> io::Error {
         io::Error::last_os_error()
@@ -196,6 +223,18 @@ mod imp {
             Err(last_err())
         } else {
             Ok(ret)
+        }
+    }
+
+    /// Run a blocking syscall until it returns something other than
+    /// `EINTR`; its non-negative result is a count.
+    fn retry_interrupted(mut call: impl FnMut() -> i32) -> io::Result<usize> {
+        loop {
+            match check(call()) {
+                Ok(n) => return Ok(n as usize),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -215,19 +254,41 @@ mod imp {
         }
     }
 
-    #[derive(Debug, Clone, Copy)]
-    struct Interest {
-        key: usize,
-        readable: bool,
-        writable: bool,
+    /// The `poll(2)` backend's state, all of it under one lock.
+    #[derive(Debug, Default)]
+    struct PollState {
+        /// Every registered fd's interest, stamped with `arms` as it
+        /// was set; one with neither direction set is disarmed.
+        registry: HashMap<RawFd, (u64, Event)>,
+        /// `add`/`modify` calls so far. Ready fds are delivered oldest
+        /// stamp first, so a fd that is re-armed while ready goes
+        /// behind every other ready fd — the order of epoll's ready
+        /// list, which callers rely on to take turns.
+        arms: u64,
+        /// A thread is inside `poll(2)` with a snapshot of `registry`.
+        /// The notify pipe holds bytes only while this is set: they are
+        /// written to wake that thread and it drains them as it leaves.
+        polling: bool,
+        /// `notify` calls so far...
+        notified: u64,
+        /// ...and how many of them a `wait` has already returned for.
+        released: u64,
     }
 
     #[derive(Debug)]
     enum Backend {
         #[cfg(target_os = "linux")]
-        Epoll { epfd: RawFd },
+        Epoll {
+            epfd: RawFd,
+            /// Threads inside `epoll_wait`. A pending `notify` stays in
+            /// the pipe, waking one waiter after another, until the
+            /// last of them leaves and drains it.
+            waiting: AtomicUsize,
+        },
         Poll {
-            registry: Mutex<HashMap<RawFd, Interest>>,
+            state: Mutex<PollState>,
+            /// Where waiters queue while another thread polls.
+            turn: Condvar,
         },
     }
 
@@ -240,15 +301,20 @@ mod imp {
 
     // SAFETY: every field is either plain data or independently
     // thread-safe — the epoll fd may be used from any thread by kernel
-    // contract, the poll registry is behind a `Mutex`, and the pipe
-    // ends are raw fds (read only by `wait`, written only by
-    // `notify`; concurrent pipe reads/writes are kernel-serialized).
+    // contract, the poll state is behind a `Mutex`, and the pipe ends
+    // are raw fds (read only by `wait`, written only by `notify` and
+    // the registry calls; concurrent pipe reads/writes are
+    // kernel-serialized).
     unsafe impl Send for Poller {}
     // SAFETY: `&Poller` only exposes `epoll_ctl`/`epoll_wait` on the
-    // epoll fd (thread-safe per epoll(7)), mutex-guarded registry
-    // access, and byte-sized pipe I/O — all safe to call from many
-    // threads at once.
+    // epoll fd (thread-safe per epoll(7), from any number of threads at
+    // once), mutex-guarded state access, and byte-sized pipe I/O — all
+    // safe to call from many threads at once.
     unsafe impl Sync for Poller {}
+
+    fn lock(state: &Mutex<PollState>) -> MutexGuard<'_, PollState> {
+        state.lock().expect("poller state")
+    }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
@@ -261,7 +327,10 @@ mod imp {
                 // SAFETY: epoll_create1 takes no pointers; it either
                 // yields a fresh fd we own or -1 (checked below).
                 let epfd = check(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
-                Poller::finish(Backend::Epoll { epfd })
+                Poller::finish(Backend::Epoll {
+                    epfd,
+                    waiting: AtomicUsize::new(0),
+                })
             }
             #[cfg(not(target_os = "linux"))]
             {
@@ -271,7 +340,8 @@ mod imp {
 
         pub fn portable() -> io::Result<Poller> {
             Poller::finish(Backend::Poll {
-                registry: Mutex::new(HashMap::new()),
+                state: Mutex::new(PollState::default()),
+                turn: Condvar::new(),
             })
         }
 
@@ -279,7 +349,7 @@ mod imp {
         /// must not leak the epoll fd; `Backend` has no `Drop`).
         fn close_backend(backend: &Backend) {
             #[cfg(target_os = "linux")]
-            if let Backend::Epoll { epfd } = backend {
+            if let Backend::Epoll { epfd, .. } = backend {
                 // SAFETY: `epfd` came from `epoll_create1` and is owned
                 // exclusively by this `Backend`, which is being torn
                 // down — nothing can use the fd after this close.
@@ -322,7 +392,19 @@ mod imp {
                 notify_read: r,
                 notify_write: w,
             };
-            poller.register_fd(r, Event::readable(NOTIFY_KEY))?;
+            // The pipe is the one persistent, level-triggered interest:
+            // it must keep firing until the last waiter has seen it.
+            // (The poll backend polls it beside every snapshot.)
+            #[cfg(target_os = "linux")]
+            if let Backend::Epoll { epfd, .. } = &poller.backend {
+                epoll_ctl(
+                    *epfd,
+                    sys::epoll::EPOLL_CTL_ADD,
+                    r,
+                    sys::epoll::EPOLLIN,
+                    NOTIFY_KEY,
+                )?;
+            }
             Ok(poller)
         }
 
@@ -335,71 +417,44 @@ mod imp {
         }
 
         pub fn add(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-            self.register_fd(source.as_raw_fd(), interest)
-        }
-
-        fn register_fd(&self, fd: RawFd, interest: Event) -> io::Result<()> {
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev = sys::epoll::epoll_event {
-                        events: epoll_bits(interest),
-                        data: interest.key as u64,
-                    };
-                    // SAFETY: `epfd` is our live epoll fd and `ev`
-                    // points to a stack-local epoll_event that outlives
-                    // the call (epoll_ctl does not retain the pointer).
-                    check(unsafe {
-                        sys::epoll::epoll_ctl(*epfd, sys::epoll::EPOLL_CTL_ADD, fd, &mut ev)
-                    })?;
-                    Ok(())
-                }
-                Backend::Poll { registry } => {
-                    registry.lock().expect("poller registry").insert(
-                        fd,
-                        Interest {
-                            key: interest.key,
-                            readable: interest.readable,
-                            writable: interest.writable,
-                        },
-                    );
-                    Ok(())
-                }
-            }
+            self.arm(source.as_raw_fd(), interest, true)
         }
 
         pub fn modify(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-            let fd = source.as_raw_fd();
+            self.arm(source.as_raw_fd(), interest, false)
+        }
+
+        /// Set `fd`'s one-shot interest, registering it first if `new`.
+        fn arm(&self, fd: RawFd, interest: Event, new: bool) -> io::Result<()> {
             match &self.backend {
                 #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev = sys::epoll::epoll_event {
-                        events: epoll_bits(interest),
-                        data: interest.key as u64,
+                Backend::Epoll { epfd, .. } => {
+                    let op = if new {
+                        sys::epoll::EPOLL_CTL_ADD
+                    } else {
+                        sys::epoll::EPOLL_CTL_MOD
                     };
-                    // SAFETY: same contract as ADD — live epoll fd,
-                    // stack-local event struct, pointer not retained.
-                    check(unsafe {
-                        sys::epoll::epoll_ctl(*epfd, sys::epoll::EPOLL_CTL_MOD, fd, &mut ev)
-                    })?;
-                    Ok(())
+                    epoll_ctl(*epfd, op, fd, oneshot_bits(interest), interest.key)
                 }
-                Backend::Poll { registry } => {
-                    let mut reg = registry.lock().expect("poller registry");
-                    match reg.get_mut(&fd) {
-                        Some(i) => {
-                            *i = Interest {
-                                key: interest.key,
-                                readable: interest.readable,
-                                writable: interest.writable,
-                            };
-                            Ok(())
-                        }
-                        None => Err(io::Error::new(
+                Backend::Poll { state, .. } => {
+                    let mut st = lock(state);
+                    if !new && !st.registry.contains_key(&fd) {
+                        return Err(io::Error::new(
                             io::ErrorKind::NotFound,
                             "modify on an unregistered fd",
-                        )),
+                        ));
                     }
+                    st.arms += 1;
+                    let stamped = (st.arms, interest);
+                    st.registry.insert(fd, stamped);
+                    // A thread asleep in `poll(2)` holds a snapshot
+                    // without this interest: wake it to take a new one.
+                    // (The pipe is ours and nonblocking: a write fails
+                    // only when full, and then the sleeper wakes anyway.)
+                    if st.polling {
+                        let _ = self.write_pipe();
+                    }
+                    Ok(())
                 }
             }
         }
@@ -408,19 +463,13 @@ mod imp {
             let fd = source.as_raw_fd();
             match &self.backend {
                 #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
-                    let mut ev = sys::epoll::epoll_event { events: 0, data: 0 };
-                    // SAFETY: live epoll fd; DEL ignores the event but
-                    // pre-2.6.9 kernels require a non-null pointer, so
-                    // we pass a stack-local dummy that outlives the
-                    // call.
-                    check(unsafe {
-                        sys::epoll::epoll_ctl(*epfd, sys::epoll::EPOLL_CTL_DEL, fd, &mut ev)
-                    })?;
-                    Ok(())
+                // DEL ignores the event, but pre-2.6.9 kernels want a
+                // non-null pointer, which `epoll_ctl` always passes.
+                Backend::Epoll { epfd, .. } => {
+                    epoll_ctl(*epfd, sys::epoll::EPOLL_CTL_DEL, fd, 0, 0)
                 }
-                Backend::Poll { registry } => {
-                    registry.lock().expect("poller registry").remove(&fd);
+                Backend::Poll { state, .. } => {
+                    lock(state).registry.remove(&fd);
                     Ok(())
                 }
             }
@@ -429,35 +478,31 @@ mod imp {
         pub fn wait(
             &self,
             events: &mut Vec<Event>,
+            capacity: usize,
             timeout: Option<Duration>,
         ) -> io::Result<usize> {
             events.clear();
+            let capacity = capacity.clamp(1, MAX_EVENTS);
             let ms = timeout_ms(timeout);
             match &self.backend {
                 #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd } => {
+                Backend::Epoll { epfd, waiting } => {
                     let mut raw = [sys::epoll::epoll_event { events: 0, data: 0 }; MAX_EVENTS];
-                    let n = loop {
-                        // SAFETY: `raw` is a stack buffer of exactly
-                        // MAX_EVENTS epoll_events and we pass that same
-                        // capacity, so the kernel writes only within
-                        // bounds; `epfd` is our live epoll fd.
-                        let n = unsafe {
-                            sys::epoll::epoll_wait(*epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, ms)
-                        };
-                        if n >= 0 {
-                            break n as usize;
-                        }
-                        let err = last_err();
-                        if err.kind() != io::ErrorKind::Interrupted {
-                            return Err(err);
-                        }
-                    };
-                    for ev in &raw[..n] {
+                    waiting.fetch_add(1, Ordering::AcqRel);
+                    // SAFETY: `raw` is a stack buffer of MAX_EVENTS
+                    // epoll_events and `capacity` is clamped to that, so
+                    // the kernel writes only within bounds; `epfd` is
+                    // our live epoll fd.
+                    let polled = retry_interrupted(|| unsafe {
+                        sys::epoll::epoll_wait(*epfd, raw.as_mut_ptr(), capacity as i32, ms)
+                    });
+                    let last_out = waiting.fetch_sub(1, Ordering::AcqRel) == 1;
+                    let mut notified = false;
+                    for ev in &raw[..polled?] {
                         // Copy the (possibly packed) fields out first.
                         let (bits, data) = (ev.events, ev.data);
                         if data == NOTIFY_KEY as u64 {
-                            self.drain_notify();
+                            notified = true;
                             continue;
                         }
                         let hup = bits & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0;
@@ -467,68 +512,127 @@ mod imp {
                             writable: bits & sys::epoll::EPOLLOUT != 0 || hup,
                         });
                     }
+                    // Left in the pipe, the byte wakes the next waiter
+                    // in turn; only the last one out may take it.
+                    if notified && last_out {
+                        self.drain_notify();
+                    }
                     Ok(events.len())
                 }
-                Backend::Poll { registry } => {
-                    // Snapshot the registry so the poll syscall runs
-                    // without holding the lock (notify/add from other
-                    // threads must never block on a sleeping wait).
-                    let mut fds: Vec<sys::pollfd> = Vec::new();
-                    let mut keys: Vec<Interest> = Vec::new();
-                    {
-                        let reg = registry.lock().expect("poller registry");
-                        fds.reserve(reg.len());
-                        for (&fd, &interest) in reg.iter() {
-                            let mut bits = 0i16;
-                            if interest.readable {
-                                bits |= sys::POLLIN;
-                            }
-                            if interest.writable {
-                                bits |= sys::POLLOUT;
-                            }
-                            fds.push(sys::pollfd {
-                                fd,
-                                events: bits,
-                                revents: 0,
-                            });
-                            keys.push(interest);
-                        }
-                    }
+                Backend::Poll { state, turn } => {
+                    let mut st = lock(state);
+                    let seen = st.released;
                     loop {
+                        if st.notified > seen {
+                            st.released = st.notified;
+                            return Ok(0);
+                        }
+                        if st.polling {
+                            // Queue behind the thread inside poll(2).
+                            let patience = timeout.unwrap_or(Duration::MAX);
+                            let (guard, res) =
+                                turn.wait_timeout(st, patience).expect("poller state");
+                            st = guard;
+                            if res.timed_out() {
+                                // A hand-over this thread may have
+                                // swallowed goes on.
+                                if !st.polling {
+                                    turn.notify_one();
+                                }
+                                return Ok(0);
+                            }
+                            continue;
+                        }
+                        // Poll a snapshot of the armed interests with
+                        // the lock released: `add`/`modify`/`notify`
+                        // from other threads never block on a sleeper.
+                        st.polling = true;
+                        let mut armed: Vec<(u64, RawFd, i16)> = st
+                            .registry
+                            .iter()
+                            .filter(|(_, (_, i))| i.readable || i.writable)
+                            .map(|(&fd, &(stamp, i))| (stamp, fd, poll_bits(i)))
+                            .collect();
+                        armed.sort_unstable();
+                        armed.push((0, self.notify_read, sys::POLLIN));
+                        let mut fds: Vec<sys::pollfd> = armed
+                            .iter()
+                            .map(|&(_, fd, events)| sys::pollfd {
+                                fd,
+                                events,
+                                revents: 0,
+                            })
+                            .collect();
+                        drop(st);
                         // SAFETY: `fds` is a live Vec<pollfd> and we
                         // pass its exact length; poll only mutates the
                         // `revents` field of those entries.
-                        let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len(), ms) };
-                        if n >= 0 {
-                            break;
-                        }
-                        let err = last_err();
-                        if err.kind() != io::ErrorKind::Interrupted {
-                            return Err(err);
-                        }
-                    }
-                    for (pfd, interest) in fds.iter().zip(&keys) {
-                        let bits = pfd.revents;
-                        if bits == 0 {
-                            continue;
-                        }
-                        if interest.key == NOTIFY_KEY {
-                            self.drain_notify();
-                            continue;
-                        }
-                        let hup = bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                        events.push(Event {
-                            key: interest.key,
-                            readable: bits & sys::POLLIN != 0 || hup,
-                            writable: bits & sys::POLLOUT != 0 || hup,
+                        let polled = retry_interrupted(|| unsafe {
+                            sys::poll(fds.as_mut_ptr(), fds.len(), ms)
                         });
+                        st = lock(state);
+                        st.polling = false;
+                        turn.notify_one();
+                        let timed_out = polled? == 0;
+                        let Some((pipe, socks)) = fds.split_last() else {
+                            return Ok(0); // unreachable: the pipe is always there
+                        };
+                        if pipe.revents != 0 {
+                            self.drain_notify();
+                        }
+                        for pfd in socks {
+                            if pfd.revents == 0 || events.len() == capacity {
+                                continue;
+                            }
+                            // Deliver against the registry as it is
+                            // now, and disarm under the same lock: the
+                            // fd may have been re-registered or deleted
+                            // while this thread slept.
+                            let Some((_, slot)) = st.registry.get_mut(&pfd.fd) else {
+                                continue;
+                            };
+                            if !(slot.readable || slot.writable) {
+                                continue;
+                            }
+                            let bits = pfd.revents;
+                            let hup = bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
+                            events.push(Event {
+                                key: slot.key,
+                                readable: bits & sys::POLLIN != 0 || hup,
+                                writable: bits & sys::POLLOUT != 0 || hup,
+                            });
+                            *slot = Event::none(slot.key);
+                        }
+                        if timed_out || !events.is_empty() {
+                            return Ok(events.len());
+                        }
+                        // Woken for a new snapshot or a `notify`.
                     }
-                    Ok(events.len())
                 }
             }
         }
 
         pub fn notify(&self) -> io::Result<()> {
+            match &self.backend {
+                #[cfg(target_os = "linux")]
+                Backend::Epoll { .. } => self.write_pipe(),
+                Backend::Poll { state, turn } => {
+                    let mut st = lock(state);
+                    st.notified += 1;
+                    let woke = if st.polling {
+                        self.write_pipe()
+                    } else {
+                        Ok(())
+                    };
+                    drop(st);
+                    turn.notify_all();
+                    woke
+                }
+            }
+        }
+
+        /// Make the notify pipe readable.
+        fn write_pipe(&self) -> io::Result<()> {
             let buf = [1u8];
             // SAFETY: writes 1 byte from a live 1-byte stack buffer to
             // the pipe fd this Poller owns.
@@ -545,7 +649,7 @@ mod imp {
             }
         }
 
-        /// Empty the notify pipe so the next `notify` produces a fresh
+        /// Empty the notify pipe so the next write produces a fresh
         /// edge (the pipe is nonblocking; stop on empty).
         fn drain_notify(&self) {
             let mut buf = [0u8; 64];
@@ -565,21 +669,48 @@ mod imp {
                 sys::close(self.notify_read);
                 sys::close(self.notify_write);
                 #[cfg(target_os = "linux")]
-                if let Backend::Epoll { epfd } = self.backend {
+                if let Backend::Epoll { epfd, .. } = self.backend {
                     sys::close(epfd);
                 }
             }
         }
     }
 
+    /// One `epoll_ctl` call: `bits` and `key` as the fd's new event.
     #[cfg(target_os = "linux")]
-    fn epoll_bits(interest: Event) -> u32 {
-        let mut bits = 0;
+    fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, bits: u32, key: usize) -> io::Result<()> {
+        let mut ev = sys::epoll::epoll_event {
+            events: bits,
+            data: key as u64,
+        };
+        // SAFETY: `epfd` is a live epoll fd owned by the calling Poller
+        // and `ev` points to a stack-local epoll_event that outlives
+        // the call (epoll_ctl does not retain the pointer).
+        check(unsafe { sys::epoll::epoll_ctl(epfd, op, fd, &mut ev) })?;
+        Ok(())
+    }
+
+    /// The epoll event mask of a one-shot interest. With neither
+    /// direction set the fd stays registered and reports nothing.
+    #[cfg(target_os = "linux")]
+    fn oneshot_bits(interest: Event) -> u32 {
+        let mut bits = sys::epoll::EPOLLONESHOT;
         if interest.readable {
             bits |= sys::epoll::EPOLLIN;
         }
         if interest.writable {
             bits |= sys::epoll::EPOLLOUT;
+        }
+        bits
+    }
+
+    fn poll_bits(interest: Event) -> i16 {
+        let mut bits = 0;
+        if interest.readable {
+            bits |= sys::POLLIN;
+        }
+        if interest.writable {
+            bits |= sys::POLLOUT;
         }
         bits
     }
@@ -632,6 +763,7 @@ mod imp {
         pub fn wait(
             &self,
             _events: &mut Vec<Event>,
+            _capacity: usize,
             _timeout: Option<Duration>,
         ) -> io::Result<usize> {
             Err(unsupported())
@@ -650,12 +782,14 @@ mod imp {
 /// * [`new`](Poller::new) / [`portable`](Poller::portable) — create
 ///   (env `ANYK_POLLER=poll` forces the portable backend);
 /// * [`add`](Poller::add) / [`modify`](Poller::modify) /
-///   [`delete`](Poller::delete) — manage per-fd interests (the fd must
-///   outlive its registration; sockets should be nonblocking);
+///   [`delete`](Poller::delete) — manage per-fd one-shot interests
+///   (the fd must outlive its registration; sockets should be
+///   nonblocking); `modify` is also how a delivered fd is re-armed;
 /// * [`wait`](Poller::wait) — block for readiness (or a timeout),
-///   filling a caller-owned `Vec<Event>`;
-/// * [`notify`](Poller::notify) — wake a concurrent `wait` from any
-///   thread.
+///   filling a caller-owned `Vec<Event>` with at most `capacity`
+///   events, from any number of threads at once;
+/// * [`notify`](Poller::notify) — release every concurrent `wait`
+///   from any thread.
 pub use imp::Poller;
 
 #[cfg(all(test, unix))]
@@ -663,7 +797,8 @@ mod tests {
     use super::{Event, Poller};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// Both backends under one test body: epoll where available, and
     /// the portable poll(2) path everywhere.
@@ -677,12 +812,25 @@ mod tests {
         v
     }
 
+    /// A connected loopback pair: the client end, and the accepted end
+    /// (nonblocking, the one tests register).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        server_side.set_nonblocking(true).expect("nonblocking");
+        (client, server_side)
+    }
+
+    const SHORT: Option<Duration> = Some(Duration::from_millis(30));
+    const LONG: Option<Duration> = Some(Duration::from_secs(10));
+
     #[test]
     fn timeout_elapses_without_events() {
         for poller in pollers() {
             let mut events = Vec::new();
             let n = poller
-                .wait(&mut events, Some(Duration::from_millis(5)))
+                .wait(&mut events, 8, Some(Duration::from_millis(5)))
                 .expect("wait");
             assert_eq!(n, 0, "{}", poller.backend_name());
         }
@@ -691,16 +839,213 @@ mod tests {
     #[test]
     fn notify_wakes_a_blocking_wait() {
         for poller in pollers() {
-            let poller = std::sync::Arc::new(poller);
-            let waker = std::sync::Arc::clone(&poller);
+            let poller = Arc::new(poller);
+            let waker = Arc::clone(&poller);
             let t = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
                 waker.notify().expect("notify");
             });
             let mut events = Vec::new();
-            poller.wait(&mut events, None).expect("wait");
+            poller.wait(&mut events, 8, None).expect("wait");
             assert!(events.is_empty());
             t.join().expect("notifier");
+            // Consumed: the next wait blocks again.
+            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+            assert_eq!(n, 0, "{}", poller.backend_name());
+        }
+    }
+
+    #[test]
+    fn notify_releases_every_waiter() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let poller = Arc::new(poller);
+            let waiters: Vec<_> = (0..4)
+                .map(|_| {
+                    let poller = Arc::clone(&poller);
+                    std::thread::spawn(move || {
+                        let started = Instant::now();
+                        let mut events = Vec::new();
+                        poller.wait(&mut events, 1, LONG).expect("wait");
+                        (events.len(), started.elapsed())
+                    })
+                })
+                .collect();
+            // Let them all block first (one that arrives late returns
+            // at once, which is allowed and passes too).
+            std::thread::sleep(Duration::from_millis(50));
+            poller.notify().expect("notify");
+            for w in waiters {
+                let (n, took) = w.join().expect("waiter");
+                assert_eq!(n, 0, "{name}: a notify carries no event");
+                assert!(
+                    took < Duration::from_secs(5),
+                    "{name}: waiter slept {took:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_readiness_is_one_delivery_until_rearmed() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let (mut client, server_side) = pair();
+            poller.add(&server_side, Event::readable(3)).expect("add");
+            client.write_all(b"ping").expect("send");
+
+            let mut events = Vec::new();
+            poller.wait(&mut events, 8, LONG).expect("wait");
+            assert_eq!(events, [Event::readable(3)], "{name}");
+            // Still readable (nothing was read), but disarmed.
+            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+            assert_eq!(n, 0, "{name}: a disarmed fd fired {events:?}");
+            // Re-armed, it fires once more — and only once.
+            poller
+                .modify(&server_side, Event::readable(3))
+                .expect("modify");
+            poller.wait(&mut events, 8, LONG).expect("wait");
+            assert_eq!(events, [Event::readable(3)], "{name}");
+            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+            assert_eq!(n, 0, "{name}: fired twice on one re-arm {events:?}");
+            poller.delete(&server_side).expect("delete");
+        }
+    }
+
+    #[test]
+    fn rearming_a_socket_that_became_readable_while_disarmed_fires_at_once() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let (mut client, server_side) = pair();
+            poller.add(&server_side, Event::none(5)).expect("add");
+            client.write_all(b"early").expect("send");
+            let mut events = Vec::new();
+            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+            assert_eq!(n, 0, "{name}: no interest, no event");
+            poller
+                .modify(&server_side, Event::readable(5))
+                .expect("modify");
+            let started = Instant::now();
+            poller.wait(&mut events, 8, LONG).expect("wait");
+            assert_eq!(events, [Event::readable(5)], "{name}");
+            assert!(started.elapsed() < Duration::from_secs(5), "{name}");
+            poller.delete(&server_side).expect("delete");
+        }
+    }
+
+    #[test]
+    fn two_waiters_share_one_readiness_exactly_once() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let poller = Arc::new(poller);
+            let (mut client, server_side) = pair();
+            poller.add(&server_side, Event::readable(11)).expect("add");
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let poller = Arc::clone(&poller);
+                    std::thread::spawn(move || {
+                        let mut events = Vec::new();
+                        poller
+                            .wait(&mut events, 1, Some(Duration::from_millis(300)))
+                            .expect("wait");
+                        events
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(50));
+            client.write_all(b"one").expect("send");
+            let delivered: Vec<Event> = waiters
+                .into_iter()
+                .flat_map(|w| w.join().expect("waiter"))
+                .collect();
+            assert_eq!(delivered, [Event::readable(11)], "{name}");
+            poller.delete(&server_side).expect("delete");
+        }
+    }
+
+    /// The `poll(2)` stale-snapshot trap: a thread asleep in `wait`
+    /// went to sleep with the old interest set.
+    #[test]
+    fn a_modify_reaches_a_thread_already_asleep_in_wait() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let poller = Arc::new(poller);
+            let (mut client, server_side) = pair();
+            // Readable from the start, but nobody is interested yet.
+            client.write_all(b"ready").expect("send");
+            poller.add(&server_side, Event::none(13)).expect("add");
+            let sleeper = {
+                let poller = Arc::clone(&poller);
+                std::thread::spawn(move || {
+                    let started = Instant::now();
+                    let mut events = Vec::new();
+                    poller.wait(&mut events, 1, LONG).expect("wait");
+                    (events, started.elapsed())
+                })
+            };
+            std::thread::sleep(Duration::from_millis(50));
+            poller
+                .modify(&server_side, Event::readable(13))
+                .expect("modify");
+            let (events, took) = sleeper.join().expect("sleeper");
+            assert_eq!(events, [Event::readable(13)], "{name}");
+            assert!(took < Duration::from_secs(5), "{name}: slept {took:?}");
+            poller.delete(&server_side).expect("delete");
+        }
+    }
+
+    #[test]
+    fn capacity_bounds_one_call_and_the_rest_stay_armed() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
+            for (key, (client, server_side)) in pairs.iter().enumerate() {
+                poller.add(server_side, Event::readable(key)).expect("add");
+                let mut client = client;
+                client.write_all(b"x").expect("send");
+            }
+            let mut keys = Vec::new();
+            let mut events = Vec::new();
+            for _ in 0..3 {
+                let n = poller.wait(&mut events, 1, LONG).expect("wait");
+                assert_eq!(n, 1, "{name}: capacity 1, got {events:?}");
+                keys.push(events[0].key);
+            }
+            keys.sort_unstable();
+            assert_eq!(keys, [0, 1, 2], "{name}");
+            assert_eq!(poller.wait(&mut events, 1, SHORT).expect("wait"), 0);
+        }
+    }
+
+    /// What lets owners take turns: re-arming a fd that is still ready
+    /// sends it behind every other ready fd.
+    #[test]
+    fn a_fd_rearmed_while_ready_goes_behind_the_other_ready_fds() {
+        for poller in pollers() {
+            let name = poller.backend_name();
+            let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
+            for (key, (client, server_side)) in pairs.iter().enumerate() {
+                poller.add(server_side, Event::readable(key)).expect("add");
+                let mut client = client;
+                client.write_all(b"x").expect("send");
+            }
+            // Nothing is ever read, so all three stay ready throughout.
+            std::thread::sleep(Duration::from_millis(20));
+            let mut events = Vec::new();
+            let mut order = Vec::new();
+            for _ in 0..9 {
+                assert_eq!(poller.wait(&mut events, 1, LONG).expect("wait"), 1);
+                let key = events[0].key;
+                order.push(key);
+                poller
+                    .modify(&pairs[key].1, Event::readable(key))
+                    .expect("re-arm");
+            }
+            let (first, rest) = order.split_at(3);
+            let mut turn = first.to_vec();
+            turn.sort_unstable();
+            assert_eq!(turn, [0, 1, 2], "{name}: {order:?}");
+            assert_eq!(rest, [first, first].concat(), "{name}: {order:?}");
         }
     }
 
@@ -716,9 +1061,7 @@ mod tests {
             let mut client =
                 TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
             let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
+            poller.wait(&mut events, 8, LONG).expect("wait");
             assert!(
                 events.iter().any(|e| e.key == 7 && e.readable),
                 "{name}: accept readiness, got {events:?}"
@@ -728,38 +1071,31 @@ mod tests {
 
             // A fresh stream is writable but not readable...
             poller.add(&server_side, Event::all(9)).expect("add stream");
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
+            poller.wait(&mut events, 8, LONG).expect("wait");
             let ev = events.iter().find(|e| e.key == 9).expect("stream event");
             assert!(ev.writable && !ev.readable, "{name}: {ev:?}");
 
-            // ...until the peer sends bytes (interest narrowed to
-            // reads so the always-writable side stops firing).
+            // ...until the peer sends bytes.
             poller
                 .modify(&server_side, Event::readable(9))
                 .expect("modify");
             client.write_all(b"ping").expect("send");
             client.flush().expect("flush");
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .expect("wait");
+            poller.wait(&mut events, 8, LONG).expect("wait");
             let ev = events.iter().find(|e| e.key == 9).expect("read event");
             assert!(ev.readable, "{name}: {ev:?}");
             let mut buf = [0u8; 8];
             let mut s = &server_side;
             assert_eq!(s.read(&mut buf).expect("read"), 4);
 
-            // Deleted fds stop reporting.
+            // Deleted fds stop reporting, armed or not.
+            poller
+                .modify(&server_side, Event::readable(9))
+                .expect("modify");
             poller.delete(&server_side).expect("delete");
             client.write_all(b"more").expect("send");
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .expect("wait");
-            assert!(
-                events.iter().all(|e| e.key != 9),
-                "{name}: deleted fd fired {events:?}"
-            );
+            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+            assert_eq!(n, 0, "{name}: deleted fd fired {events:?}");
             poller.delete(&listener).expect("delete listener");
         }
     }
