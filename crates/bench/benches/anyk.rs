@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use anyk_core::batch::BatchSorted;
-use anyk_core::cyclic::c4_trees;
+use anyk_core::cyclic::cycle_trees;
 use anyk_core::decomposed::ghd_trees;
 use anyk_core::part::AnyKPart;
 use anyk_core::ranking::SumCost;
@@ -108,7 +108,7 @@ fn bench_cyclic(c: &mut Criterion) {
             |b, rels| {
                 b.iter(|| {
                     black_box(
-                        (c4_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap())
+                        (cycle_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap())
                             .part(SuccessorKind::Lazy)
                             .take(k)
                             .count(),

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use anyk_join::binary::binary_join;
-use anyk_join::boolean::c4_exists;
+use anyk_join::boolean::cycle_exists;
 use anyk_join::generic_join::generic_join_materialize;
 use anyk_join::leapfrog::leapfrog_materialize;
 use anyk_join::yannakakis::yannakakis_join;
@@ -71,7 +71,7 @@ fn bench_c4_boolean(c: &mut Criterion) {
         let rels = vec![e.clone(), e.clone(), e.clone(), e];
         let thr = heavy_threshold(rels[0].len());
         g.bench_with_input(BenchmarkId::new("c4_detect", n), &rels, |b, rels| {
-            b.iter(|| black_box(c4_exists(rels, thr)))
+            b.iter(|| black_box(cycle_exists(rels, thr)))
         });
     }
     g.finish();

@@ -7,7 +7,7 @@
 //! union-of-trees detection stays near n^1.5.
 
 use crate::util::{banner, fmt_secs, loglog_slope, time, Table};
-use anyk_join::boolean::c4_exists;
+use anyk_join::boolean::cycle_exists;
 use anyk_join::generic_join::generic_join_materialize;
 use anyk_query::cq::cycle_query;
 use anyk_query::cycles::heavy_threshold;
@@ -30,7 +30,7 @@ pub fn run(scale: f64) {
         let e = tri[0].clone();
         let rels = vec![e.clone(), e.clone(), e.clone(), e];
         let thr = heavy_threshold(rels[0].len());
-        let (found, t_detect) = time(|| c4_exists(&rels, thr));
+        let (found, t_detect) = time(|| cycle_exists(&rels, thr));
         assert!(found, "hub instance always has 4-cycles");
         let ((res, _), t_full) = time(|| generic_join_materialize(&q, &rels, None));
         pts_detect.push((n as f64, t_detect));

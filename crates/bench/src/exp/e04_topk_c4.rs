@@ -7,10 +7,10 @@
 //! and (b) full-join-then-sort (the ceiling).
 
 use crate::util::{banner, fmt_secs, time, Table};
-use anyk_core::cyclic::c4_trees;
+use anyk_core::cyclic::cycle_trees;
 use anyk_core::ranking::SumCost;
 use anyk_core::succorder::SuccessorKind;
-use anyk_join::boolean::c4_exists;
+use anyk_join::boolean::cycle_exists;
 use anyk_join::generic_join::generic_join_materialize;
 use anyk_query::cq::cycle_query;
 use anyk_query::cycles::heavy_threshold;
@@ -30,7 +30,7 @@ pub fn run(scale: f64) {
     let rels = vec![e.clone(), e.clone(), e.clone(), e];
     let thr = heavy_threshold(rels[0].len());
 
-    let (_, t_bool) = time(|| c4_exists(&rels, thr));
+    let (_, t_bool) = time(|| cycle_exists(&rels, thr));
     let (sorted_all, t_batch) = time(|| {
         let (res, _) = generic_join_materialize(&q, &rels, None);
         let mut ws: Vec<f64> = (0..res.len() as u32).map(|i| res.weight(i).get()).collect();
@@ -41,7 +41,7 @@ pub fn run(scale: f64) {
     let mut t = Table::new(["k", "anyk_TT(k)", "vs_boolean", "vs_batch_full"]);
     for &k in &[1usize, 10, 100, 1000] {
         let (got, t_k) = time(|| {
-            (c4_trees::<SumCost>(&rels, thr, &BuildEachTime).expect("sum collapses"))
+            (cycle_trees::<SumCost>(&rels, thr, &BuildEachTime).expect("sum collapses"))
                 .part(SuccessorKind::Lazy)
                 .take(k)
                 .map(|a| a.cost.get())

@@ -6,9 +6,10 @@
 //! 1. **Routing is free at enumeration time** — on an acyclic path the
 //!    Engine's erased stream pays only a boxed-iterator dispatch over
 //!    the hand-wired `AnyKPart` (same algorithm underneath).
-//! 2. **Every shape gets its specialized plan** — triangle and 4-cycle
-//!    take the width-1.5 plans, the 5-cycle falls back to a GHD, all
-//!    through the same four lines of caller code.
+//! 2. **Every shape gets its specialized plan** — the triangle and
+//!    every longer simple cycle take their submodular-width plans
+//!    (asserted: `cycle` for ℓ ∈ {4, 5, 6}), a chorded 5-cycle falls
+//!    back to a GHD, all through the same four lines of caller code.
 
 use crate::util::{banner, fmt_secs, time, write_bench_json, Json, Table};
 use anyk_core::part::AnyKPart;
@@ -16,20 +17,21 @@ use anyk_core::ranking::SumCost;
 use anyk_core::succorder::SuccessorKind;
 use anyk_core::tdp::TdpInstance;
 use anyk_engine::{Engine, RankSpec};
-use anyk_query::cq::ConjunctiveQuery;
+use anyk_query::cq::{chorded_cycle_query, ConjunctiveQuery};
 use anyk_storage::Relation;
 use anyk_workloads::graphs::WeightDist;
 use anyk_workloads::patterns::{cycle_instance, path_instance};
 
 fn engine_row(
     t: &mut Table,
-    label: &str,
+    (label, route): (&str, &str),
     q: &ConjunctiveQuery,
     rels: Vec<Relation>,
     k: usize,
 ) -> Json {
     let engine = Engine::from_query_bindings(q, rels);
     let plan = engine.query(q.clone()).explain().expect("plannable");
+    assert_eq!(plan.route.label(), route, "{label}: planner route");
     let (mut stream, prep) = time(|| {
         engine
             .query(q.clone())
@@ -70,20 +72,36 @@ pub fn run(scale: f64) {
     let path = path_instance(3, edges, nodes, WeightDist::Uniform, 23);
     workloads.push(engine_row(
         &mut t,
-        "path-3",
+        ("path-3", "acyclic"),
         &path.query,
         path.relations_clone(),
         k,
     ));
 
     // Cyclic shapes run on a sparser graph: their preprocessing is
-    // O~(n^1.5) / O~(n^fhw).
+    // O~(n^subw) / O~(n^fhw).
     let cyc_edges = (edges / 10).max(200);
     let cyc_nodes = ((cyc_edges / 5).max(10)) as u64;
-    for (label, len) in [("triangle", 3usize), ("cycle-4", 4), ("cycle-5", 5)] {
-        let (q, rels) = cycle_instance(len, cyc_edges, cyc_nodes, WeightDist::Uniform, None, 29);
-        workloads.push(engine_row(&mut t, label, &q, rels, k));
+    let cycle = |len| cycle_instance(len, cyc_edges, cyc_nodes, WeightDist::Uniform, None, 29);
+    for (label, route, len) in [
+        ("triangle", "triangle", 3usize),
+        ("cycle-4", "cycle", 4),
+        ("cycle-5", "cycle", 5),
+        ("cycle-6", "cycle", 6),
+    ] {
+        let (q, rels) = cycle(len);
+        workloads.push(engine_row(&mut t, (label, route), &q, rels, k));
     }
+    // Not a simple cycle: the 5-cycle with the chord R6(x1,x3), all six
+    // atoms over the one edge set.
+    let row = ("chorded cycle-5", "decomposed");
+    workloads.push(engine_row(
+        &mut t,
+        row,
+        &chorded_cycle_query(5),
+        cycle(6).1,
+        k,
+    ));
     t.print();
 
     // Dispatch overhead: Engine vs hand-wired AnyKPart on the same

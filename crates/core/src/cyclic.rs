@@ -10,12 +10,13 @@
 //! * Everything else is a **union of T-DP trees** ([`Trees`]): a list
 //!   of acyclic cases ([`anyk_join::cases`]) with disjoint answers, one
 //!   [`TdpInstance`] per case, one plain [`AnyKPart`] / [`AnyKRec`] per
-//!   instance, merged by a [`RankedUnion`]. The 4-cycle's
-//!   submodular-width case split ([`c4_trees`]) gives many trees for
-//!   preprocessing O~(n^1.5) and delay O~(1) — for small `k`, the k
-//!   lightest 4-cycles cost about as much as the Boolean query, the
-//!   paper's §1 headline; a tree decomposition
-//!   ([`crate::decomposed::ghd_trees`]) gives one tree at O~(n^fhw).
+//!   instance, merged by a [`RankedUnion`]. A simple ℓ-cycle's
+//!   submodular-width case split ([`cycle_trees`]) gives many trees for
+//!   preprocessing O~(n^(2−1/⌈ℓ/2⌉)) and delay O~(1) — O~(n^1.5) at
+//!   ℓ = 4: for small `k`, the k lightest 4-cycles cost about as much
+//!   as the Boolean query, the paper's §1 headline; a tree
+//!   decomposition ([`crate::decomposed::ghd_trees`]) gives one tree at
+//!   O~(n^fhw).
 //!
 //! Ranking functions must be **commutative** here (sum/max/min/prod):
 //! the per-case queries serialize the original atoms in different
@@ -33,8 +34,8 @@ use crate::slab::{AnswerSlab, SlabHeap};
 use crate::succorder::SuccessorKind;
 use crate::tdp::{TdpError, TdpInstance};
 use crate::union::RankedUnion;
-use anyk_join::c4::c4_cases_provider;
 use anyk_join::cases::TreeCase;
+use anyk_join::cycle::cycle_cases_provider;
 use anyk_join::generic_join::generic_join_with;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
 use anyk_storage::{BuildEachTime, IndexProvider, Relation};
@@ -375,7 +376,7 @@ pub fn prepare_triangle_with<R: RankingFunction>(
 
 /// The prepared form of every any-k plan: the T-DP instances of a
 /// union of trees — one for an acyclic query or a GHD plan, one per
-/// case of the 4-cycle split — each behind an `Arc`, so any number of
+/// case of a cycle's split — each behind an `Arc`, so any number of
 /// ranked streams (PART or REC, on any thread) enumerate from one
 /// preprocessing pass. Every instance writes the original query's
 /// output columns itself ([`TdpInstance::prepare_case`]), so a stream
@@ -407,22 +408,24 @@ impl<R: RankingFunction> Trees<R> {
     }
 }
 
-/// The 4-cycle's submodular-width union-of-trees plan, prepared: the
-/// case split of [`anyk_join::c4`] at heavy cutoff `threshold` (see
-/// [`anyk_query::cycles::heavy_threshold`]), tries resolved through
-/// `indexes`, T-DP run once per case. Output variables are
-/// `(x1, x2, x3, x4)`; cost = ranking over all four edge weights. The
+/// The ℓ-cycle's submodular-width union-of-trees plan, prepared: the
+/// case split of [`anyk_join::cycle`] over `rels = [R1, …, Rℓ]` at heavy
+/// cutoff `threshold` (see
+/// [`anyk_query::cycles::cycle_heavy_threshold`]), tries resolved
+/// through `indexes`, T-DP run once per case. Output variables are
+/// `(x1, …, xℓ)`; cost = ranking over all ℓ edge weights. The
 /// light-light case merges pre-joined edge weights under `R`'s
 /// weight-level `⊗`, so any scalar ranking ranks correctly; rankings
 /// without one (lexicographic) get
 /// [`TdpError::NonCollapsibleRanking`].
-pub fn c4_trees<R: RankingFunction>(
+pub fn cycle_trees<R: RankingFunction>(
     rels: &[Relation],
     threshold: usize,
     indexes: &dyn IndexProvider,
 ) -> Result<Trees<R>, TdpError> {
     let dioid = R::weight_dioid().ok_or(TdpError::NonCollapsibleRanking)?;
-    Trees::prepare(c4_cases_provider(rels, threshold, dioid.combine, indexes))
+    let cases = cycle_cases_provider(rels, threshold, dioid.combine, indexes);
+    Trees::prepare(cases)
 }
 
 #[cfg(test)]
@@ -458,7 +461,7 @@ mod tests {
     }
 
     fn c4<R: RankingFunction>(rels: &[Relation], thr: usize) -> Trees<R> {
-        c4_trees(rels, thr, &BuildEachTime).unwrap()
+        cycle_trees(rels, thr, &BuildEachTime).unwrap()
     }
 
     fn run_part(rels: &[Relation], thr: usize, kind: SuccessorKind) -> Vec<(f64, Vec<i64>)> {
@@ -662,10 +665,45 @@ mod tests {
     }
 
     #[test]
+    fn longer_cycles_match_the_wco_oracle_under_sum_and_max() {
+        // A hub (heavy on every split attribute at small thresholds), a
+        // light tail, a repeated row; dyadic weights.
+        let mut rows = vec![(20, 21, 0.5), (21, 20, 0.25), (20, 21, 0.5)];
+        for i in 2..7 {
+            rows.push((1, i, 0.25 * i as f64));
+            rows.push((i, 1, 0.125 * i as f64));
+        }
+        rows.extend([(2, 3, 1.0), (3, 4, 0.5), (4, 2, 0.75), (3, 2, 2.0)]);
+        let e = edge_rel(&rows);
+        fn sorted_costs<C: Ord + Clone>(slab: AnswerSlab<C>) -> Vec<C> {
+            let mut costs = slab.costs().to_vec();
+            costs.sort();
+            costs
+        }
+        for l in 5..=7 {
+            let rels = vec![e.clone(); l];
+            let q = cycle_query(l);
+            let want_sum = sorted_costs(wco_ranked_materialize::<SumCost>(&q, &rels));
+            let want_max = sorted_costs(wco_ranked_materialize::<MaxCost>(&q, &rels));
+            assert!(want_sum.len() > 50, "l = {l}");
+            for thr in [0, 2, 3, 100] {
+                let sum = cycle_trees::<SumCost>(&rels, thr, &BuildEachTime).unwrap();
+                let got: Vec<_> = sum.part(SuccessorKind::Lazy).map(|a| a.cost).collect();
+                assert_eq!(got, want_sum, "sum, l = {l}, thr {thr}");
+                let got: Vec<_> = sum.rec().map(|a| a.cost).collect();
+                assert_eq!(got, want_sum, "sum rec, l = {l}, thr {thr}");
+                let max = cycle_trees::<MaxCost>(&rels, thr, &BuildEachTime).unwrap();
+                let got: Vec<_> = max.part(SuccessorKind::Eager).map(|a| a.cost).collect();
+                assert_eq!(got, want_max, "max, l = {l}, thr {thr}");
+            }
+        }
+    }
+
+    #[test]
     fn lex_on_c4_is_a_typed_rejection() {
         let e = edge_rel(&[(1, 2, 0.5), (2, 3, 1.0), (3, 4, 0.25), (4, 1, 2.0)]);
         let rels = vec![e.clone(), e.clone(), e.clone(), e];
-        let err = match c4_trees::<crate::ranking::LexCost>(&rels, 1, &BuildEachTime) {
+        let err = match cycle_trees::<crate::ranking::LexCost>(&rels, 1, &BuildEachTime) {
             Err(e) => e,
             Ok(_) => panic!("lex must be rejected on the C4 plan"),
         };

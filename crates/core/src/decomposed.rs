@@ -5,12 +5,12 @@
 //!
 //! [`ghd_trees`] is the one-tree instance of the union-of-trees shape
 //! ([`crate::cyclic::Trees`]); it complements
-//! [`crate::cyclic::c4_trees`]:
+//! [`crate::cyclic::cycle_trees`]:
 //!
-//! * `c4_trees` uses the 4-cycle's *submodular width* union-of-trees
-//!   plan (preprocessing n^1.5);
+//! * `cycle_trees` uses a simple ℓ-cycle's *submodular width*
+//!   union-of-trees plan (preprocessing n^(2−1/⌈ℓ/2⌉), n^1.5 at ℓ = 4);
 //! * `ghd_trees` works for every query but pays the (possibly higher)
-//!   fractional hypertree width — fhw = 2 for the 4-cycle. Experiment
+//!   fractional hypertree width — fhw = 2 for every cycle. Experiment
 //!   E13 measures exactly this gap (the reason §3 calls submodular
 //!   width "the current frontier").
 
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn six_cycle_ranked_via_ghd() {
-        // fhw(C6) = 2: this is a query the C4-specific plan cannot touch.
+        // fhw(C6) = 2, against subw 5/3 on the cycle route.
         let e = edge_rel(&[
             (1, 2, 0.5),
             (2, 3, 1.0),

@@ -20,8 +20,8 @@
 //! * [`batch`] — join-then-sort / join-then-heap baselines.
 //! * [`union`] + [`cyclic`] — the one prepared shape of every any-k
 //!   plan, a union of T-DP trees ([`Trees`]) merged into one global
-//!   ranked stream: many trees for the 4-cycle's submodular-width case
-//!   split, one for an acyclic query — plus the triangle's WCO
+//!   ranked stream: many trees for a simple cycle's submodular-width
+//!   case split, one for an acyclic query — plus the triangle's WCO
 //!   materialization.
 //! * [`decomposed`] — the one-tree plan for *arbitrary* cyclic queries
 //!   through tree decompositions (pays fhw instead of subw).
@@ -73,7 +73,7 @@ pub mod unranked;
 pub use answer::{AnyK, RankedAnswer};
 pub use batch::{materialize_ranked, BatchHeap, BatchSorted};
 pub use cyclic::{
-    c4_trees, prepare_triangle, triangle_ranked, wco_ranked_materialize, LazySortedAnswers,
+    cycle_trees, prepare_triangle, triangle_ranked, wco_ranked_materialize, LazySortedAnswers,
     LazySortedStream, SortedAnswers, SortedStream, Trees,
 };
 pub use decomposed::{auto_decomposition, ghd_trees};

@@ -28,8 +28,8 @@ use std::fmt::Debug;
 /// * `lift(combine(a, b)) == combine(lift(a), lift(b))`, and
 /// * `lift(identity) == identity()`.
 ///
-/// Plans that **pre-join input tuples** — the 4-cycle's light-light
-/// bags (`anyk_join::c4`) and GHD bag materialization
+/// Plans that **pre-join input tuples** — a cycle's light-light
+/// bags (`anyk_join::cycle`) and GHD bag materialization
 /// (`anyk_join::decomposed`) — must collapse several tuple weights
 /// into the single weight slot of a derived tuple; this view is what
 /// lets them do so under *any* scalar ranking instead of baking in

@@ -74,7 +74,7 @@ pub enum TdpError {
     /// The ranking has no weight-level view
     /// ([`RankingFunction::weight_dioid`] is `None`, e.g.
     /// lexicographic), but the plan pre-joins input tuples and must
-    /// collapse their weights (the 4-cycle's light-light bags, GHD bag
+    /// collapse their weights (a cycle's light-light bags, GHD bag
     /// materialization). The engine's planner rejects such rankings on
     /// cyclic routes before reaching this; hand-built plans get the
     /// typed error instead of wrong costs.

@@ -6,8 +6,9 @@
 //! contract as an API. Callers describe *what* they want — a
 //! conjunctive query over a catalog, ranked by a runtime-chosen
 //! function — and the planner decides *how*: GYO + T-DP for acyclic
-//! queries, the specialized union-of-trees plans for triangles and
-//! 4-cycles, GHD decompositions for everything else.
+//! queries, the specialized width-1.5 plan for triangles, the
+//! union-of-trees plan for every longer simple cycle, GHD
+//! decompositions for everything else.
 //!
 //! ## Serving model
 //!
@@ -68,11 +69,11 @@ pub use stream::{RankedAnswer, RankedStream};
 pub use anyk_obs::ObsRegistry;
 
 use anyk_core::decomposed::auto_decomposition;
-use anyk_join::c4::c4_trie_requests;
+use anyk_join::cycle::cycle_trie_requests;
 use anyk_join::decomposed::ghd_trie_requests;
 use anyk_join::generic_join_trie_requests;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
-use anyk_query::cycles::{cycle_length, cycle_submodular_width, heavy_threshold};
+use anyk_query::cycles::{cycle_heavy_threshold, cycle_length, cycle_submodular_width};
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_storage::{Catalog, FxHashMap, IndexCatalog, IndexProvider, IndexStats, Relation};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -85,7 +86,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// |---|---|---|---|---|
 /// | α-acyclic (GYO succeeds) | [`Route::Acyclic`] | T-DP + ANYK-PART / ANYK-REC / batch | `O~(n)` | `O~(1)` |
 /// | triangle `R(a,b)⋈S(b,c)⋈T(c,a)` | [`Route::Triangle`] | Generic-Join materialization + shared sorted answers | `O~(n^1.5)` | `O(1)` |
-/// | 4-cycle | [`Route::FourCycle`] | submodular-width union-of-trees, k-way merge | `O~(n^1.5)` | `O~(1)` |
+/// | simple ℓ-cycle, ℓ ≥ 4 | [`Route::Cycle`] | submodular-width union-of-trees (heavy/light split at `n^(1/⌈ℓ/2⌉)`), k-way merge | `O~(n^(2−1/⌈ℓ/2⌉))` | `O~(1)` |
 /// | any other cyclic query | [`Route::Decomposed`] | GHD bags (exact fhw ≤ 9 vars, greedy beyond) + any-k | `O~(n^fhw)` | `O~(1)` |
 ///
 /// The ranking function is a runtime value ([`RankSpec`]); the engine
@@ -1171,9 +1172,9 @@ fn resolve_live(
     Ok(atoms)
 }
 
-/// Route the query. Relations are needed for the 4-cycle's heavy
-/// threshold (≈ √n) and for probing `indexes` (are the shared tries
-/// this route will request already catalog-resident?).
+/// Route the query. Relations are needed for a cycle's heavy
+/// threshold (`n^(1/⌈ℓ/2⌉)`) and for probing `indexes` (are the shared
+/// tries this route will request already catalog-resident?).
 fn make_plan(
     cq: &ConjunctiveQuery,
     rank: RankSpec,
@@ -1185,13 +1186,14 @@ fn make_plan(
         GyoResult::Acyclic(tree) => Route::Acyclic { tree },
         GyoResult::Cyclic(_) => match cycle_length(cq) {
             Some(3) => Route::Triangle,
-            Some(4) => {
+            Some(len) => {
                 let n = rels.iter().map(Relation::len).max().unwrap_or(0);
-                Route::FourCycle {
-                    threshold: heavy_threshold(n),
+                Route::Cycle {
+                    len,
+                    threshold: cycle_heavy_threshold(n, len),
                 }
             }
-            _ => Route::Decomposed {
+            None => Route::Decomposed {
                 decomp: auto_decomposition(cq),
             },
         },
@@ -1199,7 +1201,7 @@ fn make_plan(
     let width = match &route {
         Route::Acyclic { .. } => 1.0,
         Route::Triangle => cycle_submodular_width(3),
-        Route::FourCycle { .. } => cycle_submodular_width(4),
+        Route::Cycle { len, .. } => cycle_submodular_width(*len),
         Route::Decomposed { decomp } => decomp.width,
     };
     // Record the *effective* variant so `explain` never reports a
@@ -1214,7 +1216,7 @@ fn make_plan(
     // worst-case-optimally.
     let variant = match &route {
         Route::Triangle => None,
-        Route::FourCycle { .. } | Route::Decomposed { .. } if !rank.is_commutative() => None,
+        Route::Cycle { .. } | Route::Decomposed { .. } if !rank.is_commutative() => None,
         _ => Some(opts.variant),
     };
     let index = index_use(cq, &route, rank, opts, rels, indexes);
@@ -1235,7 +1237,7 @@ fn make_plan(
 /// request, without building anything: [`IndexUse::Cached`] iff every
 /// unconditional request is already resident. The request listings
 /// mirror what the route's prepare actually does — the canonical
-/// triangle join, the 4-cycle case split (or its worst-case-optimal
+/// triangle join, a cycle's case split (or its worst-case-optimal
 /// materialization under Batch / a non-commutative ranking, which
 /// cannot drive the case plans), and the GHD per-bag cover joins.
 /// Acyclic plans never consult the catalog (T-DP builds its own
@@ -1253,8 +1255,8 @@ fn index_use(
     let requests: Vec<(usize, Vec<usize>)> = match route {
         Route::Acyclic { .. } => return IndexUse::NotApplicable,
         Route::Triangle => generic_join_trie_requests(&triangle_query(), None),
-        Route::FourCycle { .. } if wco => generic_join_trie_requests(cq, None),
-        Route::FourCycle { .. } => c4_trie_requests(),
+        Route::Cycle { .. } if wco => generic_join_trie_requests(cq, None),
+        Route::Cycle { len, .. } => cycle_trie_requests(*len),
         Route::Decomposed { .. } if wco => generic_join_trie_requests(cq, None),
         Route::Decomposed { decomp } => ghd_trie_requests(cq, decomp),
     };
@@ -1347,7 +1349,9 @@ impl QueryRequest<'_> {
 mod tests {
     use super::*;
     use anyk_core::succorder::SuccessorKind;
-    use anyk_query::cq::{cycle_query, path_query, triangle_query, QueryBuilder};
+    use anyk_query::cq::{
+        chorded_cycle_query, cycle_query, path_query, triangle_query, QueryBuilder,
+    };
     use anyk_storage::{RelationBuilder, Schema, StorageError};
 
     fn edge_rel(rows: &[(i64, i64, f64)]) -> Relation {
@@ -1429,33 +1433,64 @@ mod tests {
         let q = cycle_query(4);
         let engine = Engine::from_query_bindings(&q, vec![e.clone(), e.clone(), e.clone(), e]);
         let plan = engine.query(q.clone()).explain().unwrap();
-        assert_eq!(plan.route.label(), "four-cycle");
+        assert_eq!(plan.route.label(), "cycle");
+        assert!(matches!(
+            plan.route,
+            Route::Cycle {
+                len: 4,
+                threshold: 2
+            }
+        ));
         assert!((plan.width - 1.5).abs() < 1e-12);
         let answers: Vec<_> = engine.query(q).plan().unwrap().collect();
         assert_eq!(answers.len(), 4, "4 rotations of the single cycle");
         assert!(answers.windows(2).all(|w| w[0].cost <= w[1].cost));
     }
 
-    #[test]
-    fn six_cycle_routes_to_decomposition() {
-        let e = edge_rel(&[
+    fn six_ring() -> Relation {
+        edge_rel(&[
             (1, 2, 0.5),
             (2, 3, 1.0),
             (3, 4, 0.25),
             (4, 5, 0.125),
             (5, 6, 2.0),
             (6, 1, 0.0625),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn six_cycle_routes_to_the_cycle_route() {
         let q = cycle_query(6);
-        let engine = Engine::from_query_bindings(
-            &q,
-            vec![e.clone(), e.clone(), e.clone(), e.clone(), e.clone(), e],
-        );
+        let engine = Engine::from_query_bindings(&q, vec![six_ring(); 6]);
+        let plan = engine.query(q.clone()).explain().unwrap();
+        assert_eq!(plan.route.label(), "cycle");
+        // Δ = the smallest t with t³ ≥ 6.
+        assert!(matches!(
+            plan.route,
+            Route::Cycle {
+                len: 6,
+                threshold: 2
+            }
+        ));
+        assert!((plan.width - 5.0 / 3.0).abs() < 1e-12);
+        assert!(plan.explain().contains("cycle(6) threshold=2 width=1.667"));
+        let answers: Vec<_> = engine.query(q).plan().unwrap().collect();
+        assert_eq!(answers.len(), 6);
+    }
+
+    #[test]
+    fn chorded_six_cycle_routes_to_decomposition() {
+        // The chord R7(x1,x3) closes over the ring's 2-step pairs.
+        let chord = edge_rel(&[(1, 3, 0.5), (3, 5, 0.25), (5, 1, 1.0)]);
+        let q = chorded_cycle_query(6);
+        let mut rels = vec![six_ring(); 6];
+        rels.push(chord);
+        let engine = Engine::from_query_bindings(&q, rels);
         let plan = engine.query(q.clone()).explain().unwrap();
         assert_eq!(plan.route.label(), "decomposed");
         assert!(plan.width > 1.0);
         let answers: Vec<_> = engine.query(q).plan().unwrap().collect();
-        assert_eq!(answers.len(), 6);
+        assert_eq!(answers.len(), 3);
     }
 
     #[test]
@@ -1645,6 +1680,7 @@ mod tests {
             ("triangle", triangle_query(), 3usize),
             ("c4", cycle_query(4), 4),
             ("c5", cycle_query(5), 5),
+            ("chorded c5", chorded_cycle_query(5), 6),
         ] {
             let rels: Vec<Relation> = (0..m).map(|_| e.clone()).collect();
             let engine = Engine::from_query_bindings(&q, rels);
@@ -2209,8 +2245,9 @@ mod tests {
         let e = dense_edges();
         for (label, q, n) in [
             ("triangle", triangle_query(), 3),
-            ("four-cycle", cycle_query(4), 4),
-            ("six-cycle", cycle_query(6), 6),
+            ("cycle(4)", cycle_query(4), 4),
+            ("cycle(6)", cycle_query(6), 6),
+            ("chorded cycle(6)", chorded_cycle_query(6), 7),
         ] {
             let rels: Vec<Relation> = (0..n).map(|_| e.clone()).collect();
             let warm = Engine::from_query_bindings(&q, rels.clone());

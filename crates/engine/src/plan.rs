@@ -87,14 +87,18 @@ pub enum Route {
     /// The triangle query: worst-case-optimal materialization of the
     /// single width-1.5 bag (Generic-Join), ranked lazily via a heap.
     Triangle,
-    /// The 4-cycle: submodular-width union-of-trees plan (heavy/light
-    /// case split at `threshold`), one any-k stream per case, merged.
-    /// Preprocessing `O~(n^1.5)` — subw 1.5 beats fhw 2.
-    FourCycle {
-        /// Heavy-degree cutoff (≈ √n).
+    /// A simple cycle of length `len` ≥ 4: submodular-width
+    /// union-of-trees plan (heavy/light case split at `threshold` over
+    /// the attributes inside the cycle's two half-chains), one any-k
+    /// stream per case, merged. Preprocessing `O~(n^(2−1/⌈len/2⌉))` —
+    /// subw beats fhw 2; `O~(n^1.5)` at `len` = 4.
+    Cycle {
+        /// Number of atoms ℓ.
+        len: usize,
+        /// Heavy-degree cutoff Δ (the smallest `t` with `t^⌈ℓ/2⌉ ≥ n`).
         threshold: usize,
     },
-    /// General cyclic: GHD decomposition, bags materialized
+    /// Any other cyclic query: GHD decomposition, bags materialized
     /// worst-case-optimally, any-k over the acyclic bag query.
     /// Preprocessing `O~(n^fhw)`.
     Decomposed {
@@ -109,7 +113,7 @@ impl Route {
         match self {
             Route::Acyclic { .. } => "acyclic",
             Route::Triangle => "triangle",
-            Route::FourCycle { .. } => "four-cycle",
+            Route::Cycle { .. } => "cycle",
             Route::Decomposed { .. } => "decomposed",
         }
     }
@@ -179,10 +183,11 @@ impl Plan {
                      O~(n^1.5)), then rank via lazy heap\n",
                 );
             }
-            Route::FourCycle { threshold } => {
+            Route::Cycle { len, threshold } => {
                 out.push_str(&format!(
-                    "  union-of-trees case split (submodular width 1.5), heavy \
-                     threshold {threshold}; one any-k stream per case, k-way merged\n"
+                    "  cycle({len}) threshold={threshold} width={:.3}: union-of-trees case \
+                     split, one any-k stream per case, k-way merged\n",
+                    self.width
                 ));
             }
             Route::Decomposed { decomp } => {

@@ -12,7 +12,7 @@
 //! The contract on the any-k routes, under the default variant:
 //! `prepare` is `O~(n)` (`O~(n^w)` cyclic); `stream()` is `O(1)` per
 //! T-DP instance — one for acyclic and GHD plans, one per case tree of
-//! the 4-cycle union, one per leaf of a shard/delta union — whatever
+//! a cycle's union, one per leaf of a shard/delta union — whatever
 //! `n` is; the first stream to deviate through a join-key group sorts
 //! that group once, for all streams and threads; each answer then costs
 //! `O(log k)`.
@@ -25,7 +25,7 @@ use crate::stream::{ErasedAnswers, RankedAnswer, RankedStream};
 
 use anyk_core::batch::materialize_ranked;
 use anyk_core::cyclic::{
-    c4_trees, prepare_triangle_with, wco_ranked_materialize_with, LazySortedAnswers, Trees,
+    cycle_trees, prepare_triangle_with, wco_ranked_materialize_with, LazySortedAnswers, Trees,
 };
 use anyk_core::decomposed::ghd_trees;
 use anyk_core::part::AnyKPart;
@@ -132,7 +132,7 @@ enum PreparedRoute<R: RankingFunction> {
     /// Every any-k plan: a union of shared T-DP instances (reduced
     /// relations, groups, bottom-up costs) that PART and REC both
     /// enumerate from — one tree for an acyclic query or a GHD plan,
-    /// one per case of the 4-cycle split. Each instance writes the
+    /// one per case of a cycle's split. Each instance writes the
     /// query's output columns itself.
     Trees(Trees<R>),
     /// Every materialized-answer plan — the triangle route, `Batch`
@@ -406,11 +406,11 @@ where
         // The triangle plan is materialize-then-rank with the sort
         // deferred; Batch and any-k requests share the same artifact.
         Route::Triangle => PreparedRoute::LazySorted(prepare_triangle_with::<R>(&rels, indexes)?),
-        Route::FourCycle { threshold } => {
+        Route::Cycle { threshold, .. } => {
             if batch || R::weight_dioid().is_none() {
                 wco_lazy(&rels)?
             } else {
-                PreparedRoute::Trees(c4_trees(&rels, *threshold, indexes)?)
+                PreparedRoute::Trees(cycle_trees(&rels, *threshold, indexes)?)
             }
         }
         Route::Decomposed { decomp } => {

@@ -11,8 +11,8 @@ use anyk_query::join_tree::JoinTree;
 use anyk_storage::Relation;
 use std::ops::ControlFlow;
 
-use crate::c4::c4_cases;
 use crate::cases::cases_exist;
+use crate::cycle::cycle_cases;
 use crate::semijoin::full_reducer;
 
 /// Boolean evaluation of an *acyclic* query: run the full reducer; the
@@ -33,10 +33,10 @@ pub fn boolean_generic_join(q: &ConjunctiveQuery, rels: &[Relation]) -> bool {
     found
 }
 
-/// O~(n^1.5) Boolean 4-cycle detection through the union-of-trees plan
-/// (§1's "Is there any 4-cycle?" in O(n^1.5)).
-pub fn c4_exists(rels: &[Relation], threshold: usize) -> bool {
-    cases_exist(&c4_cases(rels, threshold))
+/// Boolean ℓ-cycle detection through the union-of-trees plan, in
+/// O~(n^(2−1/⌈ℓ/2⌉)) — §1's "Is there any 4-cycle?" in O(n^1.5).
+pub fn cycle_exists(rels: &[Relation], threshold: usize) -> bool {
+    cases_exist(&cycle_cases(rels, threshold))
 }
 
 #[cfg(test)]
@@ -99,7 +99,7 @@ mod tests {
             let expect = boolean_generic_join(&q, &rels);
             for thr in [0usize, 1, 2, 100] {
                 assert_eq!(
-                    c4_exists(&rels, thr),
+                    cycle_exists(&rels, thr),
                     expect,
                     "edges {edges:?} threshold {thr}"
                 );

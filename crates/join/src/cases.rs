@@ -3,7 +3,7 @@
 //! where its columns go in the original query's output.
 //!
 //! §3's answer to cyclic queries is a union of trees, each receiving a
-//! subset of the input. The 4-cycle's heavy/light split ([`crate::c4`])
+//! subset of the input. A cycle's heavy/light split ([`crate::cycle`])
 //! yields many cases with disjoint answer sets; a tree decomposition
 //! ([`crate::decomposed`]) yields one. Boolean ([`cases_exist`]), batch
 //! ([`cases_join`]) and ranked execution (`anyk_core::cyclic::Trees`)

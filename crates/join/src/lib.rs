@@ -19,12 +19,15 @@
 //!   optimality in the classic trie-iterator formulation; an
 //!   independent implementation the tests cross-check against.
 //! * [`boolean`] — Boolean query evaluation with early exit, including
-//!   the O~(n^1.5) 4-cycle detection through the submodular-width plan.
+//!   O~(n^(2−1/⌈ℓ/2⌉)) ℓ-cycle detection through the submodular-width
+//!   plan (O~(n^1.5) for the 4-cycle).
 //! * [`cases`] — the one shape of every decomposed plan: a list of
 //!   acyclic cases, each knowing where its columns go in the original
 //!   output; Boolean and batch execution over such a list.
-//! * [`c4`] — the union-of-trees case split for the 4-cycle: many
-//!   cases with disjoint answers.
+//! * [`cycle`] — the union-of-trees case split for the simple ℓ-cycle,
+//!   any ℓ: heavy/light over the attributes inside the two half-chains,
+//!   many cases with disjoint answers, bag semantics. [`c4`] is its
+//!   ℓ = 4 entry point.
 //! * [`decomposed`] — general O~(n^fhw) preprocessing for *any* cyclic
 //!   query: materialize decomposition bags into one case over the bag
 //!   tree.
@@ -34,6 +37,7 @@ pub mod binary;
 pub mod boolean;
 pub mod c4;
 pub mod cases;
+pub mod cycle;
 pub mod decomposed;
 pub mod generic_join;
 pub mod leapfrog;

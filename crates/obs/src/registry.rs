@@ -19,7 +19,7 @@ use crate::trace::{QueryTrace, RingStats, TraceRing};
 /// Planner route labels, in stable order (`QueryTrace::route` /
 /// [`RouteCell`] indices point here). Must stay in sync with the
 /// engine's `Route::label` strings.
-pub const ROUTES: [&str; 4] = ["acyclic", "triangle", "four-cycle", "decomposed"];
+pub const ROUTES: [&str; 4] = ["acyclic", "triangle", "cycle", "decomposed"];
 
 /// Ranking labels, in stable order (mirrors `RankSpec::ALL`).
 pub const RANKS: [&str; 5] = ["sum", "max", "min", "prod", "lex"];

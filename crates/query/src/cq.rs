@@ -190,6 +190,10 @@ pub fn path_query(l: usize) -> ConjunctiveQuery {
 /// 4-cycle.
 pub fn cycle_query(l: usize) -> ConjunctiveQuery {
     assert!(l >= 3);
+    cycle_atoms(l).build()
+}
+
+fn cycle_atoms(l: usize) -> QueryBuilder {
     let mut b = QueryBuilder::new();
     for i in 0..l {
         let r = format!("R{}", i + 1);
@@ -197,7 +201,15 @@ pub fn cycle_query(l: usize) -> ConjunctiveQuery {
         let x1 = format!("x{}", (i + 1) % l + 1);
         b = b.atom(r, &[x0.as_str(), x1.as_str()]);
     }
-    b.build()
+    b
+}
+
+/// The `l`-cycle with the chord `R_{l+1}(x1,x3)` (l >= 4): the smallest
+/// cyclic queries that are *not* simple cycles, so the planner sends
+/// them down the general decomposition route.
+pub fn chorded_cycle_query(l: usize) -> ConjunctiveQuery {
+    assert!(l >= 4);
+    (cycle_atoms(l).atom(format!("R{}", l + 1), &["x1", "x3"])).build()
 }
 
 /// The triangle query `R(A,B) ⋈ S(B,C) ⋈ T(C,A)` from §3.

@@ -260,7 +260,7 @@ pub enum Response {
 /// between clock reads — E19 pins the two within 10% end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeReport {
-    /// Planner route label (`acyclic` / `triangle` / `four-cycle` /
+    /// Planner route label (`acyclic` / `triangle` / `cycle` /
     /// `decomposed`).
     pub route: String,
     /// Ranking label (`sum` / `max` / `min` / `prod` / `lex`).

@@ -1,19 +1,20 @@
 //! General cyclic queries through tree decompositions: the full §3
-//! pipeline on a 6-cycle — a query the specialized 4-cycle plan cannot
-//! touch, but the decomposition engine handles automatically.
+//! pipeline on a 6-cycle, and on the chorded 6-cycle the engine's
+//! planner sends down that route on its own.
 //!
 //! Shows: width analysis (ρ*, fhw, subw), GHD materialization, and
-//! ranked enumeration over the bag tree; plus the E13 moral on the
-//! 4-cycle (union of trees vs single tree).
+//! ranked enumeration over the bag tree; plus the E13 moral (union of
+//! trees vs single tree) on the 6-cycle — which the planner routes to
+//! the cycle plan — and on the 4-cycle.
 //!
 //! Run with: `cargo run --release --example cyclic_decompositions`
 
-use anyk::core::cyclic::c4_trees;
+use anyk::core::cyclic::cycle_trees;
 use anyk::core::decomposed::{auto_decomposition, ghd_trees};
 use anyk::core::{SuccessorKind, SumCost};
 use anyk::engine::{Engine, RankSpec};
 use anyk::query::agm::fractional_edge_cover;
-use anyk::query::cq::cycle_query;
+use anyk::query::cq::{chorded_cycle_query, cycle_query};
 use anyk::query::cycles::{cycle_submodular_width, heavy_threshold};
 use anyk::query::decompose::fhw_exact;
 use anyk::query::hypergraph::{iter_vars, Hypergraph};
@@ -87,23 +88,43 @@ fn main() {
     }
     println!("auto_decomposition agrees ({:?})", t0.elapsed());
 
-    // And the unified Engine routes here automatically: a 6-cycle is
-    // neither acyclic nor a specialized cycle, so the planner picks
-    // the decomposition route on its own.
+    // The unified Engine does better on a simple cycle: its planner
+    // takes the union-of-trees plan (subw 5/3 instead of fhw 2) and
+    // reaches the same answers.
     let engine = Engine::from_query_bindings(&q, rels.clone());
     let t0 = Instant::now();
-    let via_engine = engine
+    let stream = engine
         .query(q.clone())
         .rank_by(RankSpec::Sum)
         .plan()
-        .expect("plannable")
-        .take(k)
-        .collect::<Vec<_>>();
+        .expect("plannable");
+    let route = stream.plan().route.label();
+    let via_engine = stream.take(k).collect::<Vec<_>>();
     assert_eq!(top.len(), via_engine.len());
     for (a, b) in top.iter().zip(&via_engine) {
         assert!((a.cost.get() - b.cost.scalar().unwrap()).abs() < 1e-9);
     }
-    println!("Engine (route = decomposed) agrees ({:?})", t0.elapsed());
+    println!("Engine (route = {route}) agrees ({:?})", t0.elapsed());
+
+    // With the chord R7(x1,x3) the query is cyclic but no longer a
+    // simple cycle, and the planner picks the decomposition route on
+    // its own.
+    let chorded = chorded_cycle_query(6);
+    let mut chorded_rels = rels.clone();
+    chorded_rels.push(rels[0].clone());
+    let engine = Engine::from_query_bindings(&chorded, chorded_rels);
+    let t0 = Instant::now();
+    let stream = engine
+        .query(chorded)
+        .rank_by(RankSpec::Sum)
+        .plan()
+        .expect("plannable");
+    let (route, width) = (stream.plan().route.label(), stream.plan().width);
+    let found = stream.take(k).count();
+    println!(
+        "chorded 6-cycle: Engine (route = {route}, width {width}) finds its top-{found} ({:?})",
+        t0.elapsed()
+    );
 
     // --- The E13 moral on the 4-cycle. ---
     let q4 = cycle_query(4);
@@ -115,7 +136,7 @@ fn main() {
     let thr = heavy_threshold(4000);
 
     let t0 = Instant::now();
-    let a: Vec<f64> = (c4_trees::<SumCost>(&rels4, thr, &BuildEachTime).expect("sum collapses"))
+    let a: Vec<f64> = (cycle_trees::<SumCost>(&rels4, thr, &BuildEachTime).expect("sum collapses"))
         .part(SuccessorKind::Lazy)
         .take(100)
         .map(|x| x.cost.get())

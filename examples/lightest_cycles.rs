@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example lightest_cycles`
 
-use anyk::join::boolean::c4_exists;
+use anyk::join::boolean::cycle_exists;
 use anyk::join::generic_join::generic_join_with;
 use anyk::prelude::*;
 use anyk::query::cycles::heavy_threshold;
@@ -34,7 +34,7 @@ fn main() {
 
     // Boolean floor: "is there any 4-cycle?" — O~(n^1.5).
     let t0 = Instant::now();
-    let any = c4_exists(&rels, threshold);
+    let any = cycle_exists(&rels, threshold);
     let t_bool = t0.elapsed();
     println!("boolean 4-cycle detection: {any} in {t_bool:?}");
 

@@ -86,7 +86,9 @@ pub mod prelude {
         AnyKVariant, Cost, Engine, EngineError, EngineOpts, Plan, PreparedQuery, RankSpec,
         RankedAnswer, RankedStream, Route, ShardedEngine,
     };
-    pub use anyk_query::cq::{cycle_query, path_query, star_query, triangle_query, QueryBuilder};
+    pub use anyk_query::cq::{
+        chorded_cycle_query, cycle_query, path_query, star_query, triangle_query, QueryBuilder,
+    };
     pub use anyk_query::gyo::{gyo_reduce, is_acyclic, GyoResult};
     pub use anyk_serve::{BindError, LocalClient, ServeError, Service, ServiceConfig};
     pub use anyk_storage::{

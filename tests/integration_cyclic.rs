@@ -2,10 +2,10 @@
 //! union-of-trees plan and the triangle materialize-then-rank pipeline
 //! against Generic-Join oracles, across thresholds, skew, and engines.
 
-use anyk::core::cyclic::{c4_trees, triangle_ranked};
+use anyk::core::cyclic::{cycle_trees, triangle_ranked};
 use anyk::core::{SuccessorKind, SumCost};
-use anyk::join::boolean::{boolean_generic_join, c4_exists};
-use anyk::join::c4::c4_join;
+use anyk::join::boolean::{boolean_generic_join, cycle_exists};
+use anyk::join::cycle::cycle_join;
 use anyk::join::generic_join::generic_join_materialize;
 use anyk::join::nested_loop::assert_same_result;
 use anyk::query::cq::{cycle_query, triangle_query};
@@ -34,11 +34,11 @@ fn check_c4(rels: &[Relation]) {
     let n = rels.iter().map(Relation::len).max().unwrap_or(0);
     for thr in [0usize, heavy_threshold(n), usize::MAX / 2] {
         // Batch plan agrees with Generic-Join.
-        let batch = c4_join(rels, thr);
+        let batch = cycle_join(rels, thr);
         let (gj, _) = generic_join_materialize(&cycle_query(4), rels, None);
         assert_same_result(&batch, &gj);
         // Ranked plans emit the same costs in order.
-        let trees = c4_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap();
+        let trees = cycle_trees::<SumCost>(rels, thr, &BuildEachTime).unwrap();
         for engine in ["part", "rec"] {
             let got: Vec<f64> = match engine {
                 "part" => (trees.part(SuccessorKind::Lazy))
@@ -56,7 +56,7 @@ fn check_c4(rels: &[Relation]) {
             }
         }
         // Boolean detection consistent with output emptiness.
-        assert_eq!(c4_exists(rels, thr), !oracle.is_empty(), "thr {thr}");
+        assert_eq!(cycle_exists(rels, thr), !oracle.is_empty(), "thr {thr}");
     }
 }
 
@@ -131,7 +131,7 @@ fn c4_prefix_stability() {
     let e = random_edge_relation(70, 9, WeightDist::Uniform, None, 55);
     let rels = vec![e.clone(), e.clone(), e.clone(), e];
     let thr = heavy_threshold(70);
-    let trees = c4_trees::<SumCost>(&rels, thr, &BuildEachTime).unwrap();
+    let trees = cycle_trees::<SumCost>(&rels, thr, &BuildEachTime).unwrap();
     let full: Vec<f64> = (trees.part(SuccessorKind::Take2))
         .map(|a| a.cost.get())
         .collect();

@@ -4,11 +4,11 @@
 //! routes to, under rankings chosen at runtime.
 
 use anyk::core::{
-    c4_trees, ghd_trees, triangle_ranked, AnyKPart, MaxCost, RankingFunction, SuccessorKind,
+    cycle_trees, ghd_trees, triangle_ranked, AnyKPart, MaxCost, RankingFunction, SuccessorKind,
     SumCost, TdpInstance, Trees,
 };
 use anyk::prelude::*;
-use anyk::query::cycles::heavy_threshold;
+use anyk::query::cycles::{cycle_heavy_threshold, heavy_threshold};
 use anyk::query::decompose::fhw_exact;
 use anyk::query::hypergraph::Hypergraph;
 use anyk::storage::BuildEachTime;
@@ -209,28 +209,52 @@ fn four_cycle_routes_and_agrees() {
     let engine = Engine::from_query_bindings(&q, rels.clone());
     let plan = engine.query(q.clone()).explain().unwrap();
     let threshold = match plan.route {
-        Route::FourCycle { threshold } => threshold,
-        ref r => panic!("expected four-cycle route, got {}", r.label()),
+        Route::Cycle { len: 4, threshold } => threshold,
+        ref r => panic!("expected the cycle route at length 4, got {}", r.label()),
     };
     assert_eq!(threshold, heavy_threshold(e.len()));
 
     for rank in [RankSpec::Sum, RankSpec::Max] {
         let got = run_engine(&q, rels.clone(), rank);
         let want = match rank {
-            RankSpec::Sum => lazy_part(c4_trees::<SumCost>(&rels, threshold, &BuildEachTime)),
-            _ => lazy_part(c4_trees::<MaxCost>(&rels, threshold, &BuildEachTime)),
+            RankSpec::Sum => lazy_part(cycle_trees::<SumCost>(&rels, threshold, &BuildEachTime)),
+            _ => lazy_part(cycle_trees::<MaxCost>(&rels, threshold, &BuildEachTime)),
         };
         assert_same_ranked(&got, &want, &format!("c4/{rank}"));
     }
 }
 
 #[test]
-fn generic_cyclic_routes_and_agrees() {
-    // A 5-cycle: cyclic, not a triangle, not a 4-cycle — must take the
-    // decomposition route.
+fn five_cycle_routes_and_agrees() {
     let q = cycle_query(5);
     let e = dense_edges(5);
-    let rels: Vec<Relation> = (0..5).map(|_| e.clone()).collect();
+    let rels = vec![e.clone(); 5];
+    let engine = Engine::from_query_bindings(&q, rels.clone());
+    let plan = engine.query(q.clone()).explain().unwrap();
+    let threshold = match plan.route {
+        Route::Cycle { len: 5, threshold } => threshold,
+        ref r => panic!("expected the cycle route at length 5, got {}", r.label()),
+    };
+    assert_eq!(threshold, cycle_heavy_threshold(e.len(), 5));
+    assert!((plan.width - 5.0 / 3.0).abs() < 1e-9);
+
+    for rank in [RankSpec::Sum, RankSpec::Max] {
+        let got = run_engine(&q, rels.clone(), rank);
+        let want = match rank {
+            RankSpec::Sum => lazy_part(cycle_trees::<SumCost>(&rels, threshold, &BuildEachTime)),
+            _ => lazy_part(cycle_trees::<MaxCost>(&rels, threshold, &BuildEachTime)),
+        };
+        assert_same_ranked(&got, &want, &format!("c5/{rank}"));
+    }
+}
+
+#[test]
+fn generic_cyclic_routes_and_agrees() {
+    // A chorded 5-cycle: cyclic, not a simple cycle — must take the
+    // decomposition route.
+    let q = chorded_cycle_query(5);
+    let e = dense_edges(5);
+    let rels: Vec<Relation> = (0..6).map(|_| e.clone()).collect();
     let engine = Engine::from_query_bindings(&q, rels.clone());
     let plan = engine.query(q.clone()).explain().unwrap();
     let decomp = match &plan.route {
@@ -247,7 +271,7 @@ fn generic_cyclic_routes_and_agrees() {
             RankSpec::Sum => lazy_part(ghd_trees::<SumCost>(&q, &rels, &decomp, &BuildEachTime)),
             _ => lazy_part(ghd_trees::<MaxCost>(&q, &rels, &decomp, &BuildEachTime)),
         };
-        assert_same_ranked(&got, &want, &format!("c5/{rank}"));
+        assert_same_ranked(&got, &want, &format!("chorded c5/{rank}"));
     }
 }
 
@@ -256,12 +280,12 @@ fn lex_runs_on_every_cyclic_shape_in_canonical_atom_order() {
     // Lex on cyclic routes serves the materialized answer set with
     // weights serialized in canonical atom order — cross-check the
     // full ranked order against WCO materialization sorted the same
-    // way, on every cyclic shape (triangle / C4 / GHD).
+    // way, on every cyclic shape (triangle / cycle / GHD).
     use anyk::core::LexCost;
-    for l in [3usize, 4, 5] {
-        let q = cycle_query(l);
+    let shapes = [3usize, 4, 5].map(|l| (l, cycle_query(l)));
+    for (l, q) in shapes.into_iter().chain([(6, chorded_cycle_query(5))]) {
         let e = dense_edges(4);
-        let rels: Vec<Relation> = (0..l).map(|_| e.clone()).collect();
+        let rels: Vec<Relation> = (0..q.num_atoms()).map(|_| e.clone()).collect();
         let mut want: Vec<(Vec<Weight>, Vec<Value>)> =
             anyk::core::cyclic::wco_ranked_materialize::<LexCost>(&q, &rels)
                 .iter()
@@ -294,6 +318,7 @@ fn prod_ranking_runs_on_all_routes() {
         ("triangle", triangle_query(), 3),
         ("c4", cycle_query(4), 4),
         ("c5", cycle_query(5), 5),
+        ("chorded c5", chorded_cycle_query(5), 6),
     ] {
         let e = dense_edges(4);
         let rels: Vec<Relation> = (0..m).map(|_| e.clone()).collect();

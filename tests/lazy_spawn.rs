@@ -229,15 +229,16 @@ fn non_materialized_routes_report_no_sort_state() {
 #[test]
 fn batch_artifacts_defer_their_sort_on_every_route() {
     // The triangle route's deferred-sort machinery generalizes to the
-    // `Batch` artifact of the acyclic, four-cycle, and GHD routes:
+    // `Batch` artifact of the acyclic, cycle, and GHD routes:
     // prepare is materialize-only, a partial first stream never pays
     // the O(r log r) sort, and the second spawn installs the shared
     // sorted artifact without changing any answer.
     let e = scrambled_edges(200, 12, 11);
-    let shapes: [(&str, anyk::query::cq::ConjunctiveQuery, usize); 3] = [
+    let shapes: [(&str, anyk::query::cq::ConjunctiveQuery, usize); 4] = [
         ("acyclic", path_query(2), 2),
-        ("four-cycle", cycle_query(4), 4),
-        ("decomposed", cycle_query(5), 5),
+        ("cycle", cycle_query(4), 4),
+        ("cycle", cycle_query(5), 5),
+        ("decomposed", chorded_cycle_query(5), 6),
     ];
     for (route, q, m) in shapes {
         let rels: Vec<Relation> = (0..m).map(|_| e.clone()).collect();

@@ -4,8 +4,9 @@
 //! instances.
 //!
 //! Routes covered: acyclic (path, star, snowflake), triangle (WCO
-//! materialization), four-cycle (submodular-width union-of-trees), and
-//! decomposed (GHD — via C5). Rankings: **all five everywhere** —
+//! materialization), cycle (submodular-width union-of-trees, ℓ = 4…7,
+//! bag semantics) and decomposed (GHD — via the chorded 5-cycle).
+//! Rankings: **all five everywhere** —
 //! Sum/Max/Min/Prod drive the any-k plans, and Lex is served on cyclic
 //! routes from the materialized answers under canonical atom order.
 //! Any-k variants (PART orders, REC, Batch) are pinned against the
@@ -14,7 +15,9 @@
 mod common;
 
 use anyk::prelude::*;
-use common::gen::{edge_rel, scrambled_edges, snowflake_query};
+use common::gen::{
+    cycle_case_kinds, edge_rel, hub_edges, scrambled_edges, snowflake_query, sparse_ring_edges,
+};
 use common::oracle::{
     assert_matches_oracle, brute_force_ranked, check_engine_against_oracle,
     check_write_path_against_oracle, LiveEngine, OracleAnswer,
@@ -100,18 +103,68 @@ fn triangle_matches_oracle_under_every_ranking() {
 fn four_cycle_matches_oracle_under_every_ranking() {
     let q = cycle_query(4);
     let e = edge_rel(&fixture_edges());
-    check_route(&q, &[e.clone(), e.clone(), e.clone(), e], "four-cycle");
+    check_route(&q, &[e.clone(), e.clone(), e.clone(), e], "cycle");
 }
 
 #[test]
 fn five_cycle_decomposed_matches_oracle_under_every_ranking() {
-    let q = cycle_query(5);
+    // The 5-cycle with the chord R6(x1,x3): cyclic, not a simple cycle.
+    let q = chorded_cycle_query(5);
     let e = edge_rel(&fixture_edges());
-    check_route(
-        &q,
-        &[e.clone(), e.clone(), e.clone(), e.clone(), e],
-        "decomposed",
-    );
+    check_route(&q, &vec![e; 6], "decomposed");
+}
+
+#[test]
+fn longer_cycles_match_oracle_under_every_ranking_with_duplicate_rows() {
+    // `fixture_edges` plus rows repeating the values of (1,2), (3,1)
+    // and (4,4) under other weights: every answer through one of them
+    // must come out once per row combination.
+    let mut rows = fixture_edges();
+    rows.extend([(1, 2, 0.75), (3, 1, 0.25), (4, 4, 0.125)]);
+    let e = edge_rel(&rows[..12]);
+    let dup = edge_rel(&rows);
+    for l in 5..=7 {
+        // Distinct payloads on the atoms, so a case that reads the
+        // wrong relation shows.
+        let rels: Vec<Relation> = (0..l)
+            .map(|i| if i % 2 == 0 { dup.clone() } else { e.clone() })
+            .collect();
+        check_route(&cycle_query(l), &rels, "cycle");
+    }
+}
+
+#[test]
+fn hub_skewed_cycles_match_oracle_in_every_case_family() {
+    let e = edge_rel(&hub_edges());
+    for l in 5..=7 {
+        let rels = vec![e.clone(); l];
+        // Heavy cases for every split attribute — x1 … x(h−1), then
+        // x(h+1) … x(ℓ−1), each with all earlier ones light — and a
+        // light-light remainder.
+        let h = l.div_ceil(2);
+        let split: Vec<usize> = (1..h).chain(h + 1..l).collect();
+        let mut want: Vec<String> = (0..split.len())
+            .map(|k| {
+                let lights: String = (split[..k].iter())
+                    .map(|t| format!("light-x{t},"))
+                    .collect();
+                format!("{lights}heavy-x{}", split[k])
+            })
+            .collect();
+        want.push("light-light".to_string());
+        assert_eq!(cycle_case_kinds(&rels), want, "{l}-cycle case families");
+        check_route(&cycle_query(l), &rels, "cycle");
+    }
+}
+
+#[test]
+fn sparse_cycles_match_oracle_on_the_lone_light_tree() {
+    let e = edge_rel(&sparse_ring_edges());
+    for l in 5..=7 {
+        let rels = vec![e.clone(); l];
+        assert_eq!(cycle_case_kinds(&rels), ["light-light"], "{l}-cycle");
+        check_route(&cycle_query(l), &rels, "cycle");
+    }
 }
 
 #[test]
@@ -158,7 +211,7 @@ fn every_anyk_variant_matches_the_oracle() {
             .plan()
             .expect("c4 plan")
             .collect();
-        common::oracle::assert_matches_oracle(&got, &want4, &format!("four-cycle × {v:?}"));
+        common::oracle::assert_matches_oracle(&got, &want4, &format!("cycle(4) × {v:?}"));
     }
 }
 
@@ -295,7 +348,7 @@ fn live_appends_match_oracle_on_the_four_cycle_route() {
         (2, edge_rel(&[(52, 53, 0.125)])),
         (3, edge_rel(&[(53, 50, 0.5), (3, 2, 0.25)])),
     ];
-    check_write_path_all_ranks(&q, &base, &appends, "four-cycle live");
+    check_write_path_all_ranks(&q, &base, &appends, "cycle(4) live");
 }
 
 #[test]
@@ -306,17 +359,38 @@ fn live_appends_match_oracle_on_the_decomposed_route() {
     // duplicates a base tuple's values would change multiplicity across
     // compaction. The other routes preserve multiplicity and their
     // fixtures above exercise duplicated values deliberately.
-    let q = cycle_query(5);
+    let q = chorded_cycle_query(5);
     let e = edge_rel(&fixture_edges());
-    let base = vec![e.clone(), e.clone(), e.clone(), e.clone(), e];
+    let base = vec![e; 6];
     let appends = vec![
         (0, edge_rel(&[(50, 51, 0.5)])),
         (1, edge_rel(&[(51, 52, 0.25)])),
         (2, edge_rel(&[(52, 53, 0.125)])),
         (3, edge_rel(&[(53, 54, 0.5)])),
         (4, edge_rel(&[(54, 50, 0.25), (2, 2, 0.375)])),
+        (5, edge_rel(&[(50, 52, 0.75)])),
     ];
     check_write_path_all_ranks(&q, &base, &appends, "decomposed live");
+}
+
+#[test]
+fn live_appends_match_oracle_on_the_five_cycle_route() {
+    // The cycle route keeps multiplicities, so — unlike the GHD fixture
+    // above — batches may repeat the values of base tuples ((1,2) on
+    // R1, (4,4) on R3) and of each other ((51,52) twice on R2): the
+    // answers through them must come out once per row, before and
+    // after compaction folds the duplicates into one payload.
+    let q = cycle_query(5);
+    let e = edge_rel(&fixture_edges());
+    let base = vec![e; 5];
+    let appends = vec![
+        (0, edge_rel(&[(50, 51, 0.5), (1, 2, 0.25)])),
+        (1, edge_rel(&[(51, 52, 0.25), (51, 52, 0.75)])),
+        (2, edge_rel(&[(52, 53, 0.125), (4, 4, 0.5)])),
+        (3, edge_rel(&[(53, 54, 0.5)])),
+        (4, edge_rel(&[(54, 50, 0.25), (2, 2, 0.375)])),
+    ];
+    check_write_path_all_ranks(&q, &base, &appends, "cycle(5) live");
 }
 
 #[test]
@@ -492,18 +566,21 @@ fn sharded_triangle_is_byte_identical_to_single_engine() {
 fn sharded_four_cycle_is_byte_identical_to_single_engine() {
     let q = cycle_query(4);
     let e = edge_rel(&fixture_edges());
-    check_sharded_matches_single(&q, &[e.clone(), e.clone(), e.clone(), e], "four-cycle");
+    check_sharded_matches_single(&q, &[e.clone(), e.clone(), e.clone(), e], "cycle(4)");
 }
 
 #[test]
 fn sharded_five_cycle_is_byte_identical_to_single_engine() {
     let q = cycle_query(5);
     let e = edge_rel(&fixture_edges());
-    check_sharded_matches_single(
-        &q,
-        &[e.clone(), e.clone(), e.clone(), e.clone(), e],
-        "decomposed",
-    );
+    check_sharded_matches_single(&q, &vec![e; 5], "cycle(5)");
+}
+
+#[test]
+fn sharded_chorded_five_cycle_is_byte_identical_to_single_engine() {
+    let q = chorded_cycle_query(5);
+    let e = edge_rel(&fixture_edges());
+    check_sharded_matches_single(&q, &vec![e; 6], "decomposed");
 }
 
 #[test]

@@ -17,6 +17,12 @@
 //! below took 14 408 blocks at 1 600 edges per relation and 52 961 at
 //! 6 400 (now 585 and 632), the path prepare 23 322 at 2 000 rows and
 //! 184 415 at 16 000 (now 324 and 375).
+//!
+//! The cold 5-cycle — the cycle route's union of trees — is pinned the
+//! same way: blocks follow the join-tree edges summed over the cases of
+//! the heavy/light split, not the rows of the light bags, and those
+//! bags stay within the `n·Δ^(h−1)` each that the plan's exponent
+//! rests on.
 
 mod common;
 
@@ -123,6 +129,65 @@ fn a_cold_four_cycle_allocates_by_edges_of_the_plan_not_by_rows() {
     assert!(
         large <= small + 64,
         "blocks of a cold 4-cycle prepare + top-10: {small} at 1 600 edges, {large} at 6 400"
+    );
+}
+
+/// One cold 5-cycle op — fresh engine, prepare, top-10 — over five
+/// `edges`-row relations of mean degree 3 (the benchmark's
+/// `cold_cyclic` class 2 at 105): `(blocks, plan edges, light bag rows,
+/// n·Δ^(h−1))`, the plan edges being the join-tree edges summed over
+/// the cases of the split.
+fn cold_cycle5(edges: u64) -> (u64, usize, usize, usize) {
+    use anyk::join::cycle::cycle_cases;
+    use anyk::query::cycles::cycle_heavy_threshold;
+    let q = cycle_query(5);
+    let rels: Vec<Relation> = (1..=5)
+        .map(|seed| scrambled_edges(edges, (edges / 3) as i64, seed))
+        .collect();
+    let delta = cycle_heavy_threshold(edges as usize, 5);
+    let cases = cycle_cases(&rels, delta);
+    let plan_edges = cases.iter().map(|c| c.relations.len() - 1).sum();
+    let light = cases.last().expect("a light-light case");
+    assert_eq!(light.label, "light-light");
+    let bag_rows = light.relations.iter().map(Relation::len).sum();
+    drop(cases);
+    let before = BLOCKS.get();
+    let engine = Engine::from_query_bindings(&q, rels);
+    let prepared = engine.prepare(q, RankSpec::Sum).expect("prepare");
+    let top = prepared.stream().top_k(10);
+    let after = BLOCKS.get();
+    assert_eq!(top.len(), 10, "the instance has at least ten 5-cycles");
+    (
+        after - before,
+        plan_edges,
+        bag_rows,
+        edges as usize * delta * delta,
+    )
+}
+
+#[test]
+fn a_cold_five_cycle_allocates_by_edges_of_the_plan_and_fills_bags_within_the_bound() {
+    // 105 edges is the benchmark's instance: Δ = 5 against a mean
+    // degree of 3 leaves a few heavy values per split attribute, so the
+    // plan is some ten 5-atom paths beside the two-bag tree. At 64x the
+    // edges Δ = 19 and the light-light tree is alone over bags a
+    // hundred times as long — in a sixth of the blocks.
+    let mut measured = Vec::new();
+    for edges in [105, 840, 6_720] {
+        let (blocks, plan_edges, bag_rows, bound) = cold_cycle5(edges);
+        assert!(
+            bag_rows <= 2 * bound,
+            "{edges} edges: {bag_rows} rows in the two light bags, n·Δ² = {bound}"
+        );
+        assert!(
+            blocks <= 768 + 128 * plan_edges as u64,
+            "{edges} edges: {blocks} blocks for {plan_edges} plan edges, {bag_rows} bag rows"
+        );
+        measured.push((plan_edges, bag_rows));
+    }
+    assert!(
+        measured[0].0 > 4 * measured[2].0 && measured[2].1 > 50 * measured[0].1,
+        "the small instance has the edges, the large one the rows: {measured:?}"
     );
 }
 

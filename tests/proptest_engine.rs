@@ -191,6 +191,22 @@ proptest! {
         }
     }
 
+    /// Random 5-, 6- and 7-cycle instances over a relation per atom,
+    /// rows repeating values freely (nine rows over a 3 × 3 domain):
+    /// the cycle route must equal the bag-semantics oracle, prepared
+    /// or ad-hoc, under Sum and Max, whichever values come out heavy.
+    #[test]
+    fn longer_cycle_engine_matches_oracle(
+        l in 5usize..=7,
+        pool in prop::collection::vec(arb_relation(9, 3), 7),
+    ) {
+        let q = cycle_query(l);
+        let rels = pool[..l].to_vec();
+        for rank in [RankSpec::Sum, RankSpec::Max] {
+            check_prepared_adhoc_oracle(&q, &rels, rank);
+        }
+    }
+
     /// Random append/prepare/stream interleavings on one shared
     /// acyclic engine. After every appended batch: (a) a stream opened
     /// *before* the append drains the pre-append snapshot untouched,

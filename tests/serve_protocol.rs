@@ -54,8 +54,9 @@ fn shapes() -> Vec<(&'static str, anyk::query::cq::ConjunctiveQuery, usize)> {
         ("acyclic", path_query(3), 3),
         ("acyclic", star_query(3), 3),
         ("triangle", triangle_query(), 3),
-        ("four-cycle", cycle_query(4), 4),
-        ("decomposed", cycle_query(5), 5),
+        ("cycle", cycle_query(4), 4),
+        ("cycle", cycle_query(5), 5),
+        ("decomposed", chorded_cycle_query(5), 6),
     ]
 }
 

@@ -96,16 +96,18 @@ fn a_warm_spawn_allocates_the_same_at_every_input_size() {
 }
 
 /// Blocks per answer over a warm 2 000-answer drain of a prepared query
-/// over 1 000-row relations of constant degree 10.
-fn drain_blocks_per_answer(q: &ConjunctiveQuery) -> f64 {
+/// over 1 000-row relations of constant degree 10, counted after the
+/// stream's first `skip` answers.
+fn drain_blocks_per_answer(q: &ConjunctiveQuery, skip: usize) -> f64 {
     let rels = (0..q.num_atoms() as u64)
         .map(|i| scrambled_edges(1_000, 100, 2 * i + 1))
         .collect();
     let engine = Engine::from_query_bindings(q, rels);
     let prepared = engine.prepare(q.clone(), RankSpec::Sum).expect("prepare");
     // Warm: a first drain builds every shared order the second touches.
-    assert_eq!(prepared.stream().take(2_000).count(), 2_000);
-    let stream = prepared.stream();
+    assert_eq!(prepared.stream().take(skip + 2_000).count(), skip + 2_000);
+    let mut stream = prepared.stream();
+    assert_eq!(stream.by_ref().take(skip).count(), skip);
     let before = ASKED.get().0;
     let drained = stream.take(2_000).count();
     let after = ASKED.get().0;
@@ -115,21 +117,30 @@ fn drain_blocks_per_answer(q: &ConjunctiveQuery) -> f64 {
 
 /// One block per answer — its `values` — on every any-k route: the
 /// T-DP instance writes each tuple straight into the final output
-/// columns (the rest is the enumerator's slabs doubling). At the parent
-/// commit (7897235) this function read 1.0225 on the acyclic route and
-/// 2.0225 / 2.0235 on the 4-cycle / 5-cycle routes, whose case and
-/// permutation wrappers collected every answer a second time; it now
-/// reads 1.0225, 1.0215 and 1.0235.
+/// columns (the rest is the enumerator's slabs doubling). At 7897235
+/// this function read 1.0225 on the acyclic route and 2.0225 / 2.0235
+/// on the 4-cycle / 5-cycle routes, whose case and permutation wrappers
+/// collected every answer a second time; it now reads 1.0225, 1.0215
+/// and — on the GHD route, which the chorded 5-cycle takes — 1.0235.
+///
+/// The 5-cycle takes the cycle route, and at mean degree 10 = Δ a
+/// third of the values are heavy: a union of over a hundred trees, each
+/// with an enumerator whose slabs start empty, so the stream's first
+/// answers pay the early doublings a hundred times over: 2.2 blocks
+/// per answer over the first 2 000, 1.17 over answers 4 001 to 6 000 —
+/// still one block per answer plus doublings, now of a hundred small
+/// slabs instead of one large one.
 #[test]
 fn a_warm_drain_allocates_one_block_per_answer_on_every_route() {
-    for (label, q) in [
-        ("path-3", path_query(3)),
-        ("4-cycle", cycle_query(4)),
-        ("5-cycle", cycle_query(5)),
+    for (label, q, skip, bound) in [
+        ("path-3", path_query(3), 0, 1.03),
+        ("4-cycle", cycle_query(4), 0, 1.03),
+        ("chorded 5-cycle", chorded_cycle_query(5), 0, 1.03),
+        ("5-cycle", cycle_query(5), 4_000, 1.25),
     ] {
-        let per_answer = drain_blocks_per_answer(&q);
+        let per_answer = drain_blocks_per_answer(&q, skip);
         assert!(
-            per_answer <= 1.03,
+            per_answer <= bound,
             "{label}: {per_answer} blocks per answer"
         );
     }
