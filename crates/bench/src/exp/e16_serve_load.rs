@@ -34,10 +34,7 @@
 use crate::util::{banner, fmt_secs, time, write_bench_json, Json, Table};
 use anyk_engine::{Engine, RankSpec};
 use anyk_query::cq::{cycle_query, path_query, ConjunctiveQuery};
-use anyk_serve::{
-    encode_answer, select_text, Server, Service, ServiceConfig, TcpClient, Transport,
-    TransportConfig,
-};
+use anyk_serve::{encode_answer, select_text, Server, Service, ServiceConfig, TcpClient};
 use anyk_storage::Catalog;
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
 use std::sync::Mutex;
@@ -134,15 +131,7 @@ pub fn run(scale: f64) {
         fmt_secs(prep_time)
     );
 
-    let mut server = Server::bind_with(
-        service.clone(),
-        "127.0.0.1:0",
-        TransportConfig {
-            transport: Transport::EventLoop,
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind event-loop server");
+    let mut server = Server::bind(service.clone(), "127.0.0.1:0").expect("bind event-loop server");
     let addr = server.addr();
 
     let mut table = Table::new([
@@ -328,15 +317,7 @@ fn silent_session_scene() {
             ..ServiceConfig::default()
         },
     );
-    let mut server = Server::bind_with(
-        service.clone(),
-        "127.0.0.1:0",
-        TransportConfig {
-            transport: Transport::EventLoop,
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind");
+    let mut server = Server::bind(service.clone(), "127.0.0.1:0").expect("bind");
     let select = "SELECT R1(a,b), R2(b,c) RANK BY sum LIMIT 5;";
 
     let mut silent = TcpClient::connect(server.addr()).expect("connect");

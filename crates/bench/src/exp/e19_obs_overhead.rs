@@ -18,9 +18,9 @@
 //!   reported wall (the stage taxonomy is contiguous by construction,
 //!   so this guards the carve-out arithmetic end-to-end).
 //! * **transport identity** — the same `EXPLAIN ANALYZE` sequence
-//!   against both TCP transports must be byte-identical after masking
-//!   the `_us=<digits>` timing fields (the only nondeterminism
-//!   allowed is the clock itself).
+//!   over TCP and through an in-process `LocalClient` must be
+//!   byte-identical after masking the `_us=<digits>` timing fields
+//!   (the only nondeterminism allowed is the clock itself).
 //!
 //! Emits `BENCH_E19.json`.
 
@@ -29,8 +29,7 @@ use anyk_engine::{Engine, EngineOpts, RankSpec};
 use anyk_obs::{monotonic_clock, ObsRegistry};
 use anyk_query::cq::{cycle_query, path_query, ConjunctiveQuery};
 use anyk_serve::{
-    encode_answer, select_text, Server, Service, ServiceConfig, TcpClient, Transport,
-    TransportConfig,
+    encode_answer, select_text, LocalClient, Server, Service, ServiceConfig, TcpClient,
 };
 use anyk_storage::Catalog;
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
@@ -115,15 +114,8 @@ pub fn run(scale: f64) {
                     ..ServiceConfig::default()
                 },
             );
-            let mut server = Server::bind_with(
-                service.clone(),
-                "127.0.0.1:0",
-                TransportConfig {
-                    transport: Transport::EventLoop,
-                    ..TransportConfig::default()
-                },
-            )
-            .expect("bind event-loop server");
+            let mut server =
+                Server::bind(service.clone(), "127.0.0.1:0").expect("bind event-loop server");
             let addr = server.addr();
             let (_, wall) = time(|| {
                 thread::scope(|s| {
@@ -184,15 +176,7 @@ pub fn run(scale: f64) {
     let obs = Arc::new(ObsRegistry::with_enabled(true, monotonic_clock()));
     let engine = Engine::with_obs(build_catalog(edges, nodes), EngineOpts::default(), obs);
     let service = Service::with_config(engine, ServiceConfig::default());
-    let mut server = Server::bind_with(
-        service,
-        "127.0.0.1:0",
-        TransportConfig {
-            transport: Transport::EventLoop,
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind analyze server");
+    let mut server = Server::bind(service, "127.0.0.1:0").expect("bind analyze server");
     let mut client = TcpClient::connect(server.addr()).expect("analyze client");
     let mut stage_table = Table::new(["combo", "stage_sum_us", "wall_us", "gap"]);
     let mut stage_rows = Vec::new();
@@ -246,37 +230,30 @@ pub fn run(scale: f64) {
     server.shutdown();
 
     // --- Scene 3: transport identity ------------------------------
-    let mut replies: Vec<Vec<String>> = Vec::new();
-    for transport in [Transport::EventLoop, Transport::ThreadPerConn] {
+    // Over TCP and through a `LocalClient`, each on its own fresh
+    // service so both see a cold plan cache.
+    let fresh_service = || {
         let obs = Arc::new(ObsRegistry::with_enabled(true, monotonic_clock()));
         let engine = Engine::with_obs(build_catalog(edges, nodes), EngineOpts::default(), obs);
-        let service = Service::with_config(engine, ServiceConfig::default());
-        let mut server = Server::bind_with(
-            service,
-            "127.0.0.1:0",
-            TransportConfig {
-                transport,
-                ..TransportConfig::default()
-            },
-        )
-        .expect("bind transport server");
-        let mut client = TcpClient::connect(server.addr()).expect("transport client");
-        replies.push(
-            combos
-                .iter()
-                .map(|combo| {
-                    let reply = client
-                        .send(&format!("EXPLAIN ANALYZE {}", combo.select))
-                        .expect("analyze round-trip");
-                    mask_timings(&reply)
-                })
-                .collect(),
-        );
-        server.shutdown();
-    }
+        Service::with_config(engine, ServiceConfig::default())
+    };
+    let analyze = |combo: &Combo| format!("EXPLAIN ANALYZE {}", combo.select);
+    let mut server = Server::bind(fresh_service(), "127.0.0.1:0").expect("bind transport server");
+    let mut client = TcpClient::connect(server.addr()).expect("transport client");
+    let over_tcp: Vec<String> = combos
+        .iter()
+        .map(|combo| mask_timings(&client.send(&analyze(combo)).expect("analyze round-trip")))
+        .collect();
+    server.shutdown();
+    let reference = fresh_service();
+    let mut local = LocalClient::new(&reference);
+    let in_process: Vec<String> = combos
+        .iter()
+        .map(|combo| mask_timings(&local.send(&analyze(combo))))
+        .collect();
     assert_eq!(
-        replies[0], replies[1],
-        "EXPLAIN ANALYZE must be byte-identical across transports once \
+        over_tcp, in_process,
+        "EXPLAIN ANALYZE must be byte-identical over TCP and in-process once \
          `_us=` timings are masked"
     );
     println!(
@@ -372,7 +349,7 @@ fn info_u64(reply: &str, key: &str) -> u64 {
 }
 
 /// Mask every `_us=<digits>` value — the only field whose value is
-/// allowed to differ between transports.
+/// allowed to differ between the TCP and the in-process transcript.
 fn mask_timings(reply: &str) -> String {
     reply
         .lines()

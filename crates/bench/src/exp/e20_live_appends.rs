@@ -35,10 +35,7 @@
 use crate::util::{banner, write_bench_json, Json, Table};
 use anyk_engine::Engine;
 use anyk_query::cq::QueryBuilder;
-use anyk_serve::{
-    encode_answer, select_text, Server, Service, ServiceConfig, TcpClient, Transport,
-    TransportConfig,
-};
+use anyk_serve::{encode_answer, select_text, Server, Service, ServiceConfig, TcpClient};
 use anyk_storage::{Catalog, Relation, RelationBuilder, Schema};
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
 use std::thread;
@@ -177,15 +174,7 @@ fn serve_phase(
             ..ServiceConfig::default()
         },
     );
-    let mut server = Server::bind_with(
-        service.clone(),
-        "127.0.0.1:0",
-        TransportConfig {
-            transport: Transport::EventLoop,
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind event-loop server");
+    let mut server = Server::bind(service.clone(), "127.0.0.1:0").expect("bind event-loop server");
     let addr = server.addr();
 
     // Warm the untouched plan before any write, then pin its cache

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness that regenerates every quantitative claim of
 //! *Optimal Join Algorithms Meet Top-k* (experiment index E1–E12 in
-//! DESIGN.md / EXPERIMENTS.md), plus criterion microbenchmarks.
+//! DESIGN.md / EXPERIMENTS.md).
 //!
 //! Run all experiments:
 //!

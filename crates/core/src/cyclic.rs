@@ -382,7 +382,14 @@ pub fn prepare_triangle_with<R: RankingFunction>(
 /// output columns itself ([`TdpInstance::prepare_case`]), so a stream
 /// over the union is a plain [`RankedUnion`] of plain enumerators.
 #[derive(Clone)]
-pub struct Trees<R: RankingFunction>(pub Vec<Arc<TdpInstance<R>>>);
+pub struct Trees<R: RankingFunction>(Vec<Arc<TdpInstance<R>>>);
+
+/// The union of one tree: an acyclic query's own instance.
+impl<R: RankingFunction> From<TdpInstance<R>> for Trees<R> {
+    fn from(tree: TdpInstance<R>) -> Self {
+        Trees(vec![Arc::new(tree)])
+    }
+}
 
 impl<R: RankingFunction> Trees<R> {
     /// Run T-DP preprocessing once per case. The cases' answer sets
@@ -392,6 +399,11 @@ impl<R: RankingFunction> Trees<R> {
             .map(|case| TdpInstance::prepare_case(case).map(Arc::new))
             .collect::<Result<_, _>>()
             .map(Trees)
+    }
+
+    /// The prepared trees, in case order.
+    pub fn trees(&self) -> &[Arc<TdpInstance<R>>] {
+        &self.0
     }
 
     /// A fresh ranked stream driven by ANYK-PART with successor order

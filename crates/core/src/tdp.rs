@@ -253,30 +253,14 @@ impl<R: RankingFunction> TdpInstance<R> {
         let reduction = Reduction::run(&q, &tree, &mut rels);
         let empty = rels.iter().any(|r| r.is_empty());
 
-        let slots = tree.preorder();
+        let (slots, parent_slot) = tree.preorder_slots();
         let m = slots.len();
-        let mut slot_of_node = vec![usize::MAX; m];
-        for (s, &n) in slots.iter().enumerate() {
-            slot_of_node[n] = s;
-        }
         let atom_of_slot: Vec<usize> = slots.iter().map(|&n| tree.node(n).atom).collect();
-        let parent_slot: Vec<usize> = slots
-            .iter()
-            .map(|&n| tree.node(n).parent.map_or(usize::MAX, |p| slot_of_node[p]))
-            .collect();
-        let child_slots: Vec<Vec<usize>> = slots
-            .iter()
-            .map(|&n| {
-                let mut cs: Vec<usize> = tree
-                    .node(n)
-                    .children
-                    .iter()
-                    .map(|&c| slot_of_node[c])
-                    .collect();
-                cs.sort_unstable(); // serialization order
-                cs
-            })
-            .collect();
+        // Ascending `s` leaves every list in serialization order.
+        let mut child_slots: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for s in 1..m {
+            child_slots[parent_slot[s]].push(s);
+        }
         // subtree_end: max slot in subtree + 1, computable right-to-left.
         let mut subtree_end = vec![0usize; m];
         for s in (0..m).rev() {

@@ -399,8 +399,7 @@ where
                     rels,
                 ))?)
             } else {
-                let inst = TdpInstance::<R>::prepare(&plan.query, tree, rels)?;
-                PreparedRoute::Trees(Trees(vec![Arc::new(inst)]))
+                PreparedRoute::Trees(TdpInstance::<R>::prepare(&plan.query, tree, rels)?.into())
             }
         }
         // The triangle plan is materialize-then-rank with the sort
@@ -436,7 +435,7 @@ where
     match route {
         // A one-input arrival-order merge is the identity: a lone tree
         // is streamed as the enumerator itself.
-        PreparedRoute::Trees(trees) => match (&trees.0[..], variant) {
+        PreparedRoute::Trees(trees) => match (trees.trees(), variant) {
             ([tree], AnyKVariant::Rec) => erase(AnyKRec::new(Arc::clone(tree))),
             ([tree], v) => erase(AnyKPart::new(Arc::clone(tree), part_kind(v))),
             (_, AnyKVariant::Rec) => erase(trees.rec()),

@@ -36,7 +36,7 @@ pub fn boolean_generic_join(q: &ConjunctiveQuery, rels: &[Relation]) -> bool {
 /// Boolean ℓ-cycle detection through the union-of-trees plan, in
 /// O~(n^(2−1/⌈ℓ/2⌉)) — §1's "Is there any 4-cycle?" in O(n^1.5).
 pub fn cycle_exists(rels: &[Relation], threshold: usize) -> bool {
-    cases_exist(&cycle_cases(rels, threshold))
+    cases_exist(cycle_cases(rels, threshold))
 }
 
 #[cfg(test)]

@@ -42,22 +42,21 @@ pub struct TreeCase {
 
 /// Does any case have an answer? Each case costs one full reducer, and
 /// the first non-empty one ends the search.
-pub fn cases_exist(cases: &[TreeCase]) -> bool {
-    (cases.iter()).any(|case| {
-        crate::boolean::boolean_acyclic(&case.query, &case.tree, case.relations.clone())
-    })
+pub fn cases_exist(cases: Vec<TreeCase>) -> bool {
+    (cases.into_iter())
+        .any(|case| crate::boolean::boolean_acyclic(&case.query, &case.tree, case.relations))
 }
 
 /// Materialize the answers of every case (Yannakakis per case) under
 /// `schema`, the original query's output columns. Weight = sum of each
 /// answer's tuple weights.
-pub fn cases_join(cases: &[TreeCase], schema: Schema) -> Relation {
+pub fn cases_join(cases: Vec<TreeCase>, schema: Schema) -> Relation {
     let mut out = RelationBuilder::new(schema);
     for case in cases {
         let (q, tree) = (&case.query, &case.tree);
         let mut row = vec![Value::Int(0); q.num_vars()];
         let mut orow = vec![Value::Int(0); case.out.len()];
-        crate::yannakakis::yannakakis_for_each(q, tree, case.relations.clone(), |rels, by_node| {
+        crate::yannakakis::yannakakis_for_each(q, tree, case.relations, |rels, by_node| {
             let w = crate::yannakakis::assemble_answer(q, tree, rels, by_node, &mut row);
             for (o, from) in orow.iter_mut().zip(&case.out) {
                 *o = match *from {

@@ -390,7 +390,7 @@ pub fn cycle_cases_provider(
 /// Equivalent to Generic-Join on the cycle, but O~(n^(2−1/⌈ℓ/2⌉) + r).
 pub fn cycle_join(rels: &[Relation], threshold: usize) -> Relation {
     let schema = Schema::new((1..=rels.len()).map(|i| format!("x{i}")));
-    cases_join(&cycle_cases(rels, threshold), schema)
+    cases_join(cycle_cases(rels, threshold), schema)
 }
 
 #[cfg(test)]

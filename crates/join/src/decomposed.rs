@@ -300,14 +300,14 @@ pub fn decomposed_join(
     decomp: &Decomposition,
 ) -> Relation {
     cases_join(
-        &[ghd_plan(q, rels, decomp)],
+        vec![ghd_plan(q, rels, decomp)],
         crate::yannakakis::output_schema(q),
     )
 }
 
 /// Boolean evaluation through a decomposition.
 pub fn decomposed_boolean(q: &ConjunctiveQuery, rels: &[Relation], decomp: &Decomposition) -> bool {
-    cases_exist(&[ghd_plan(q, rels, decomp)])
+    cases_exist(vec![ghd_plan(q, rels, decomp)])
 }
 
 #[cfg(test)]

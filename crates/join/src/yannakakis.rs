@@ -39,22 +39,13 @@ pub fn yannakakis_for_each<F: FnMut(&[Relation], &[RowId])>(
     if rels.iter().any(|r| r.is_empty()) {
         return rels; // no answers
     }
-    let order = tree.preorder();
+    let (order, parent_slot) = tree.preorder_slots();
     let m = order.len();
     // Per non-root slot (pre-order position): its join-key groups.
     let groups: Vec<Option<JoinGroups>> = (order.iter())
         .map(|&node| tree.node(node).parent.map(|_| reduction.groups(node)))
         .collect();
     drop(reduction);
-    // Map node id -> slot in preorder, and parent slot per slot.
-    let mut slot_of = vec![usize::MAX; tree.len()];
-    for (s, &n) in order.iter().enumerate() {
-        slot_of[n] = s;
-    }
-    let parent_slot: Vec<usize> = order
-        .iter()
-        .map(|&n| tree.node(n).parent.map_or(usize::MAX, |p| slot_of[p]))
-        .collect();
     let root_rows = row_bound(&rels[tree.node(order[0]).atom]);
 
     // Backtracking over preorder slots. A slot's candidates are a

@@ -610,9 +610,7 @@ fn no_boxed_dyn_error(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// even this linter — must go through an injected
 /// [`Clock`](anyk_obs::Clock) (or `anyk_obs::global_clock()` at the
 /// edges), so tests run on a deterministic clock and timing behavior
-/// is replayable. Shims that mirror an external timing API (the
-/// criterion shim) carry an explicit `LINT-ALLOW` instead of a scope
-/// carve-out, so every exception is visible and justified in place.
+/// is replayable.
 fn timing_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let scope = Scope::of(file);
     if scope.in_crate_src("obs") {

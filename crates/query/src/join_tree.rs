@@ -108,6 +108,22 @@ impl JoinTree {
         out
     }
 
+    /// [`preorder`](Self::preorder) together with, per pre-order
+    /// position ("slot"), the slot of that node's parent
+    /// (`usize::MAX` at the root) — the bookkeeping every pre-order
+    /// walk over the tree starts from.
+    pub fn preorder_slots(&self) -> (Vec<NodeId>, Vec<usize>) {
+        let order = self.preorder();
+        let mut slot_of = vec![usize::MAX; self.nodes.len()];
+        for (s, &n) in order.iter().enumerate() {
+            slot_of[n] = s;
+        }
+        let parent_slot = (order.iter())
+            .map(|&n| self.nodes[n].parent.map_or(usize::MAX, |p| slot_of[p]))
+            .collect();
+        (order, parent_slot)
+    }
+
     /// Check the running-intersection property against `q`: for each
     /// variable, the atoms using it must induce a connected subtree.
     pub fn satisfies_running_intersection(&self, q: &ConjunctiveQuery) -> bool {

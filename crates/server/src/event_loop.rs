@@ -1,9 +1,8 @@
-//! The event-driven transport: a few identical serving threads over one
-//! shared readiness poller, many connections — `std` + the in-tree
+//! The transport: a few identical serving threads over one shared
+//! readiness poller, many connections — `std` + the in-tree
 //! [`polling`] shim only.
 //!
-//! The thread-per-connection transport ([`crate::tcp`]) spends one OS
-//! thread per client, parked in `read(2)` almost all the time; at
+//! A thread per client would spend its life parked in `read(2)`; at
 //! thousands of connections the stacks and scheduler churn become the
 //! bottleneck long before the engine does. This module serves any
 //! number of connections from a fixed number of threads instead.
@@ -27,9 +26,10 @@
 //!   taking whatever becomes ready, and nothing queues behind the slow
 //!   command that another thread could have served.
 //! * **Ordering**: one command per turn, in arrival order, each reply
-//!   written before the next command starts — replies come back in
-//!   request order, observably identical to the threaded transport,
-//!   which is what keeps the two transports byte-identical.
+//!   written before the next command starts — a connection's replies
+//!   come back in request order, and its transcript is byte for byte
+//!   what a [`LocalClient`](crate::LocalClient) fed the same lines
+//!   returns.
 //! * **Accepting** is one more one-shot interest: whichever thread is
 //!   handed the listener accepts until it would block and re-arms it.
 //!
@@ -145,21 +145,15 @@ impl Shared {
     }
 }
 
-/// Everything `Server::bind_with` spawns for the event transport.
-pub(crate) struct EventTransport {
-    pub poller: Arc<Poller>,
-    pub threads: Vec<JoinHandle<()>>,
-}
-
 /// Start `workers` serving threads over an already nonblocking
-/// `listener`.
+/// `listener`; returns what `Server::shutdown` wakes and joins.
 pub(crate) fn spawn(
     service: Service,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     workers: usize,
     max_line_len: usize,
-) -> std::io::Result<EventTransport> {
+) -> std::io::Result<(Arc<Poller>, Vec<JoinHandle<()>>)> {
     let poller = Arc::new(Poller::new()?);
     poller.add(&listener, Event::readable(LISTENER_KEY))?;
     let shared = Arc::new(Shared {
@@ -178,7 +172,7 @@ pub(crate) fn spawn(
             std::thread::spawn(move || serve_loop(&shared))
         })
         .collect();
-    Ok(EventTransport { poller, threads })
+    Ok((poller, threads))
 }
 
 /// One serving thread: wait, serve what was handed over, repeat.

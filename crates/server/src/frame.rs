@@ -1,4 +1,4 @@
-//! Incremental line framing: how both transports turn a TCP byte
+//! Incremental line framing: how the transport turns a TCP byte
 //! stream into protocol command lines.
 //!
 //! A [`LineFramer`] accumulates arbitrary byte chunks
@@ -13,9 +13,8 @@
 //! longer than the configured bound yields a typed
 //! [`FrameError::Oversized`] instead of buffering without limit, and
 //! the framer then *discards* bytes until the next `\n` so the
-//! connection can keep serving subsequent commands. Both transports
-//! render that error with [`encode_frame_error`] — one more place the
-//! byte-identity contract is kept by construction.
+//! connection can keep serving subsequent commands. The error is
+//! rendered with [`encode_frame_error`].
 
 use std::collections::VecDeque;
 
@@ -43,8 +42,8 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Render a framing error as a wire block: `ERR proto: <msg>` + `END`.
-/// Shared by both transports, like [`respond`](crate::wire::respond)
-/// is for parsed commands.
+/// The counterpart of [`respond`](crate::wire::respond) for a line
+/// that never reached the parser.
 pub fn encode_frame_error(err: &FrameError) -> String {
     format!("ERR proto: {err}\nEND\n")
 }

@@ -30,17 +30,15 @@
 //! 3. **Transport** ([`wire`] + [`frame`] + [`tcp`] + [`event_loop`]):
 //!    a line-oriented protocol — every reply is an `OK`/`ERR` header,
 //!    `ROW`/`INFO` lines, and an `END` terminator — served over
-//!    `std::net` on either of two accept architectures behind one
-//!    [`Server`]: the default **readiness event loop** (nonblocking
-//!    sockets on the in-tree `polling` shim — raw-syscall epoll with
-//!    a portable `poll(2)` fallback — shared by a few serving threads,
-//!    each request served whole on the thread that was handed it, so
-//!    a slow query holds one thread and no connection but its own) or
-//!    the classic **thread-per-connection** loop. Both TCP transports share one
-//!    incremental [`LineFramer`], and all three clients — the two
-//!    TCP paths and the in-process [`LocalClient`] (which takes whole
-//!    command strings, no framing) — share one encoder, so reply
-//!    bytes are identical by construction.
+//!    `std::net` by one [`Server`]: a **readiness event loop**
+//!    (nonblocking sockets on the in-tree `polling` shim — raw-syscall
+//!    epoll, so Linux is the serving platform — shared by a few
+//!    serving threads, each request served whole on the thread that
+//!    was handed it, so a slow query holds one thread and no
+//!    connection but its own). The server frames lines with an
+//!    incremental [`LineFramer`]; it and the in-process
+//!    [`LocalClient`] (which takes whole command strings, no framing)
+//!    share one encoder, so reply bytes are identical by construction.
 //!
 //! The full layer map — including the event loop's threading model,
 //! backpressure rules, and the deadline-map design — is documented in

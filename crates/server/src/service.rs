@@ -66,23 +66,12 @@ pub struct ServiceConfig {
     pub cursor_ttl: Duration,
     /// Page size when a `SELECT` carries no `LIMIT`.
     pub default_page: usize,
-    /// Maximum concurrently established connections across all
-    /// transports — accept-time load shedding. A connection admitted
-    /// past this bound gets one typed `ERR admission: connections`
-    /// reply and is closed before it ever reaches a worker, so a
-    /// connection flood degrades into cheap rejects instead of
-    /// unbounded per-connection state.
+    /// Maximum concurrently established connections — accept-time
+    /// load shedding. A connection admitted past this bound gets one
+    /// typed `ERR admission: connections` reply and is closed before
+    /// it gets a session, so a connection flood degrades into cheap
+    /// rejects instead of unbounded per-connection state.
     pub max_connections: usize,
-    /// Event-loop serving threads — all of them: each polls, reads,
-    /// executes and writes. `None` (the default) takes the count from
-    /// [`std::thread::available_parallelism`] with a floor of 2 and
-    /// **no upper clamp** — big machines get big pools. `Some(n)` pins
-    /// the count; `Some(0)` is rejected at bind time with a typed
-    /// [`BindError`](crate::BindError). Overridden by the
-    /// `ANYK_SERVE_WORKERS` environment variable and by an explicit
-    /// [`TransportConfig::workers`](crate::TransportConfig::workers),
-    /// in that order of increasing precedence.
-    pub workers: Option<usize>,
     /// A completed query whose end-to-end wall time reaches this
     /// threshold has its trace copied into the bounded slow-query log
     /// (readable via `TRACE SLOW`). `Duration::ZERO` disables the
@@ -97,15 +86,14 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     /// 64 concurrent streams, 60 s cursor TTL, 10-answer pages,
-    /// 1024 connections, auto-sized serving threads, 250 ms slow-query
-    /// threshold, 4096-row write batches.
+    /// 1024 connections, 250 ms slow-query threshold, 4096-row write
+    /// batches.
     fn default() -> Self {
         ServiceConfig {
             max_open_cursors: 64,
             cursor_ttl: Duration::from_secs(60),
             default_page: 10,
             max_connections: 1024,
-            workers: None,
             slow_query: Duration::from_millis(250),
             max_batch_rows: 4096,
         }
@@ -1693,44 +1681,38 @@ mod tests {
 
     #[test]
     fn accept_shedding_rejects_and_counts() {
-        use crate::tcp::{Server, TcpClient, Transport, TransportConfig};
-        for transport in [Transport::ThreadPerConn, Transport::EventLoop] {
-            let service = Service::with_config(
-                crate::tests_engine(),
-                ServiceConfig {
-                    max_connections: 1,
-                    ..ServiceConfig::default()
-                },
-            );
-            let mut server = Server::bind_with(
-                service.clone(),
-                "127.0.0.1:0",
-                TransportConfig {
-                    transport,
-                    workers: 2,
-                    ..TransportConfig::default()
-                },
-            )
-            .expect("bind");
-            let mut first = TcpClient::connect(server.addr()).expect("connect");
-            let reply = first
-                .send("SELECT R(a,b) RANK BY sum LIMIT 1;")
-                .expect("select");
-            assert!(reply.starts_with("OK"), "{transport:?}: {reply}");
-            assert_eq!(service.stats().open_connections, 1, "{transport:?}");
-            // The second connection is shed at accept time with one
-            // typed reply, before any session state exists.
-            let mut second = TcpClient::connect(server.addr()).expect("connect");
-            let reply = second.read_reply().expect("reject block");
-            assert_eq!(
-                reply, "ERR admission: connections 1 of 1 open\nEND\n",
-                "{transport:?}"
-            );
-            let stats = service.stats();
-            assert_eq!(stats.connections_rejected, 1, "{transport:?}");
-            assert_eq!(stats.open_connections, 1, "{transport:?}");
-            server.shutdown();
-        }
+        use crate::tcp::{Server, TcpClient, TransportConfig};
+        let service = Service::with_config(
+            crate::tests_engine(),
+            ServiceConfig {
+                max_connections: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let mut server = Server::bind_with(
+            service.clone(),
+            "127.0.0.1:0",
+            TransportConfig {
+                workers: 2,
+                ..TransportConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut first = TcpClient::connect(server.addr()).expect("connect");
+        let reply = first
+            .send("SELECT R(a,b) RANK BY sum LIMIT 1;")
+            .expect("select");
+        assert!(reply.starts_with("OK"), "{reply}");
+        assert_eq!(service.stats().open_connections, 1);
+        // The second connection is shed at accept time with one
+        // typed reply, before any session state exists.
+        let mut second = TcpClient::connect(server.addr()).expect("connect");
+        let reply = second.read_reply().expect("reject block");
+        assert_eq!(reply, "ERR admission: connections 1 of 1 open\nEND\n");
+        let stats = service.stats();
+        assert_eq!(stats.connections_rejected, 1);
+        assert_eq!(stats.open_connections, 1);
+        server.shutdown();
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub fn respond(session: &mut Session, line: &str) -> String {
 }
 
 /// [`respond`], rendered straight onto the end of a transport's write
-/// buffer: the one entry point both TCP transports share.
+/// buffer: the event loop's one entry point.
 pub fn respond_into(session: &mut Session, line: &str, out: &mut Vec<u8>) {
     respond_to(session, line, &mut Utf8Sink(out));
 }

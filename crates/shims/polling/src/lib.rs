@@ -7,17 +7,13 @@
 //! The workspace must build without network access **and** without the
 //! `libc` crate, so the syscalls are declared in-tree with thin
 //! `extern "C"` bindings (std already links the platform C library, so
-//! they resolve at link time). Two backends:
+//! they resolve at link time).
 //!
-//! * **epoll** (Linux, the default there): one `epoll` instance,
-//!   `EPOLLONESHOT` interests, `O(ready)` wakeups, any number of
-//!   threads inside `epoll_wait` at once — the scalable path for the
-//!   event-loop transport.
-//! * **poll** (every Unix, and `ANYK_POLLER=poll` forces it on Linux):
-//!   a portable `poll(2)` over a registered-fd table — `O(fds)` per
-//!   wakeup, but it runs anywhere and keeps the epoll path honest (the
-//!   test suites run against both). One waiter at a time sits in
-//!   `poll(2)`; the others queue behind it and take over as it leaves.
+//! A `Poller` is one `epoll` instance plus a notify pipe:
+//! `EPOLLONESHOT` interests, `O(ready)` wakeups, any number of threads
+//! inside `epoll_wait` at once. Linux is the serving platform; on every
+//! other target the type still compiles and each operation, starting
+//! with [`Poller::new`], returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Semantics
 //!
@@ -30,22 +26,16 @@
 //! next I/O call observes the failure.
 //!
 //! A fd that is re-armed while it is ready goes behind every other
-//! ready fd, so owners that re-arm after each step of work take turns:
-//! epoll delivers in the order fds became ready (or were re-armed
-//! ready), the `poll(2)` backend oldest-armed first.
+//! ready fd (epoll's ready list is in the order fds became ready or
+//! were re-armed ready), so owners that re-arm after each step of work
+//! take turns.
 //!
 //! [`wait`](Poller::wait) may be called from **several threads at
 //! once**, and every delivered readiness goes to exactly one of them:
 //! the thread that receives an event owns that fd until it re-arms it.
 //! This is where the shim departs from upstream, whose `wait` takes a
 //! lock and so lets one thread poll at a time. Each call names how many
-//! events it will take; the rest stay armed for other waiters. On the
-//! `poll(2)` backend an interest is cleared under the registry lock at
-//! the moment it is delivered, and `add`/`modify` wake the thread
-//! sleeping in `poll(2)` so that it polls the new interest set rather
-//! than the one it went to sleep with. That backend's timeout bounds
-//! each idle stretch, not the whole call: it starts again whenever such
-//! a wake-up brings no event for the caller.
+//! events it will take; the rest stay armed for other waiters.
 //!
 //! [`notify`](Poller::notify) releases **every** `wait` in progress —
 //! or, when there is none, the next one — with no event, which is how a
@@ -124,38 +114,18 @@ impl Event {
 /// under; never delivered to callers.
 const NOTIFY_KEY: usize = usize::MAX;
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod sys {
-    //! The in-tree syscall bindings: just the symbols the two backends
-    //! need, declared directly (std links the C library already).
+    //! The in-tree syscall bindings: just the symbols the poller
+    //! needs, declared directly (std links the C library already).
     #![allow(non_camel_case_types)]
 
     pub type RawFd = i32;
 
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct pollfd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
     pub const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
     pub const O_NONBLOCK: i32 = 0x800;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: i32 = 0x4;
 
     extern "C" {
-        // `nfds_t` is the platform's `unsigned long`, which matches
-        // `usize` on every Unix LP64/ILP32 ABI this workspace targets.
-        pub fn poll(fds: *mut pollfd, nfds: usize, timeout: i32) -> i32;
         pub fn pipe(fds: *mut RawFd) -> i32;
         pub fn fcntl(fd: RawFd, cmd: i32, arg: i32) -> i32;
         pub fn close(fd: RawFd) -> i32;
@@ -163,7 +133,6 @@ mod sys {
         pub fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
     }
 
-    #[cfg(target_os = "linux")]
     pub mod epoll {
         use super::RawFd;
 
@@ -199,14 +168,12 @@ mod sys {
     }
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod imp {
     use super::{sys, Event, NOTIFY_KEY};
-    use std::collections::HashMap;
     use std::io;
     use std::os::unix::io::{AsRawFd, RawFd};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, MutexGuard};
     use std::time::Duration;
 
     /// Most events one [`Poller::wait`] call translates, whatever
@@ -238,8 +205,8 @@ mod imp {
         }
     }
 
-    /// Millisecond timeout for `poll`/`epoll_wait`: `None` blocks
-    /// forever; sub-millisecond waits round up so they stay waits.
+    /// Millisecond timeout for `epoll_wait`: `None` blocks forever;
+    /// sub-millisecond waits round up so they stay waits.
     fn timeout_ms(timeout: Option<Duration>) -> i32 {
         match timeout {
             None => -1,
@@ -254,225 +221,87 @@ mod imp {
         }
     }
 
-    /// The `poll(2)` backend's state, all of it under one lock.
-    #[derive(Debug, Default)]
-    struct PollState {
-        /// Every registered fd's interest, stamped with `arms` as it
-        /// was set; one with neither direction set is disarmed.
-        registry: HashMap<RawFd, (u64, Event)>,
-        /// `add`/`modify` calls so far. Ready fds are delivered oldest
-        /// stamp first, so a fd that is re-armed while ready goes
-        /// behind every other ready fd — the order of epoll's ready
-        /// list, which callers rely on to take turns.
-        arms: u64,
-        /// A thread is inside `poll(2)` with a snapshot of `registry`.
-        /// The notify pipe holds bytes only while this is set: they are
-        /// written to wake that thread and it drains them as it leaves.
-        polling: bool,
-        /// `notify` calls so far...
-        notified: u64,
-        /// ...and how many of them a `wait` has already returned for.
-        released: u64,
-    }
-
-    #[derive(Debug)]
-    enum Backend {
-        #[cfg(target_os = "linux")]
-        Epoll {
-            epfd: RawFd,
-            /// Threads inside `epoll_wait`. A pending `notify` stays in
-            /// the pipe, waking one waiter after another, until the
-            /// last of them leaves and drains it.
-            waiting: AtomicUsize,
-        },
-        Poll {
-            state: Mutex<PollState>,
-            /// Where waiters queue while another thread polls.
-            turn: Condvar,
-        },
-    }
-
     #[derive(Debug)]
     pub struct Poller {
-        backend: Backend,
+        epfd: RawFd,
+        /// Threads inside `epoll_wait`. A pending `notify` stays in the
+        /// pipe, waking one waiter after another, until the last of
+        /// them leaves and drains it.
+        waiting: AtomicUsize,
         notify_read: RawFd,
         notify_write: RawFd,
     }
 
     // SAFETY: every field is either plain data or independently
     // thread-safe — the epoll fd may be used from any thread by kernel
-    // contract, the poll state is behind a `Mutex`, and the pipe ends
-    // are raw fds (read only by `wait`, written only by `notify` and
-    // the registry calls; concurrent pipe reads/writes are
-    // kernel-serialized).
+    // contract, `waiting` is atomic, and the pipe ends are raw fds
+    // (read only by `wait`, written only by `notify`; concurrent pipe
+    // reads/writes are kernel-serialized).
     unsafe impl Send for Poller {}
     // SAFETY: `&Poller` only exposes `epoll_ctl`/`epoll_wait` on the
     // epoll fd (thread-safe per epoll(7), from any number of threads at
-    // once), mutex-guarded state access, and byte-sized pipe I/O — all
-    // safe to call from many threads at once.
+    // once), an atomic counter, and byte-sized pipe I/O — all safe to
+    // call from many threads at once.
     unsafe impl Sync for Poller {}
-
-    fn lock(state: &Mutex<PollState>) -> MutexGuard<'_, PollState> {
-        state.lock().expect("poller state")
-    }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
-            let force_poll = std::env::var("ANYK_POLLER").is_ok_and(|v| v == "poll");
-            if force_poll {
-                return Poller::portable();
-            }
-            #[cfg(target_os = "linux")]
-            {
-                // SAFETY: epoll_create1 takes no pointers; it either
-                // yields a fresh fd we own or -1 (checked below).
-                let epfd = check(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
-                Poller::finish(Backend::Epoll {
-                    epfd,
-                    waiting: AtomicUsize::new(0),
-                })
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Poller::portable()
-            }
-        }
-
-        pub fn portable() -> io::Result<Poller> {
-            Poller::finish(Backend::Poll {
-                state: Mutex::new(PollState::default()),
-                turn: Condvar::new(),
-            })
-        }
-
-        /// Close whatever fds `backend` owns (the error paths below
-        /// must not leak the epoll fd; `Backend` has no `Drop`).
-        fn close_backend(backend: &Backend) {
-            #[cfg(target_os = "linux")]
-            if let Backend::Epoll { epfd, .. } = backend {
-                // SAFETY: `epfd` came from `epoll_create1` and is owned
-                // exclusively by this `Backend`, which is being torn
-                // down — nothing can use the fd after this close.
-                unsafe {
-                    sys::close(*epfd);
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            let _ = backend;
-        }
-
-        fn finish(backend: Backend) -> io::Result<Poller> {
+            // SAFETY: epoll_create1 takes no pointers; it either
+            // yields a fresh fd we own or -1 (checked below).
+            let epfd = check(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
+            // From here on the three fds are the poller's: every error
+            // path below drops it, and `Drop` closes them.
+            let mut poller = Poller {
+                epfd,
+                waiting: AtomicUsize::new(0),
+                notify_read: -1,
+                notify_write: -1,
+            };
             let mut fds: [RawFd; 2] = [-1, -1];
             // SAFETY: `pipe` writes exactly two fds through the
             // pointer; `fds` is a live [RawFd; 2] on this stack frame.
-            if let Err(e) = check(unsafe { sys::pipe(fds.as_mut_ptr()) }) {
-                Self::close_backend(&backend);
-                return Err(e);
-            }
-            let (r, w) = (fds[0], fds[1]);
-            for fd in [r, w] {
-                // Capture the fcntl error before the close calls can
-                // clobber errno.
+            check(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
+            (poller.notify_read, poller.notify_write) = (fds[0], fds[1]);
+            for fd in fds {
                 // SAFETY: pure-integer syscall on a pipe fd we just
                 // created; no pointers involved.
-                if let Err(e) = check(unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) }) {
-                    // SAFETY: `r` and `w` are the two pipe fds created
-                    // above, owned here and not yet shared; closing
-                    // them on this error path cannot race anything.
-                    unsafe {
-                        sys::close(r);
-                        sys::close(w);
-                    }
-                    Self::close_backend(&backend);
-                    return Err(e);
-                }
+                check(unsafe { sys::fcntl(fd, sys::F_SETFL, sys::O_NONBLOCK) })?;
             }
-            let poller = Poller {
-                backend,
-                notify_read: r,
-                notify_write: w,
-            };
             // The pipe is the one persistent, level-triggered interest:
             // it must keep firing until the last waiter has seen it.
-            // (The poll backend polls it beside every snapshot.)
-            #[cfg(target_os = "linux")]
-            if let Backend::Epoll { epfd, .. } = &poller.backend {
-                epoll_ctl(
-                    *epfd,
-                    sys::epoll::EPOLL_CTL_ADD,
-                    r,
-                    sys::epoll::EPOLLIN,
-                    NOTIFY_KEY,
-                )?;
-            }
+            epoll_ctl(
+                poller.epfd,
+                sys::epoll::EPOLL_CTL_ADD,
+                poller.notify_read,
+                sys::epoll::EPOLLIN,
+                NOTIFY_KEY,
+            )?;
             Ok(poller)
         }
 
-        pub fn backend_name(&self) -> &'static str {
-            match self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { .. } => "epoll",
-                Backend::Poll { .. } => "poll",
-            }
-        }
-
         pub fn add(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-            self.arm(source.as_raw_fd(), interest, true)
+            self.arm(sys::epoll::EPOLL_CTL_ADD, source.as_raw_fd(), interest)
         }
 
         pub fn modify(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-            self.arm(source.as_raw_fd(), interest, false)
+            self.arm(sys::epoll::EPOLL_CTL_MOD, source.as_raw_fd(), interest)
         }
 
-        /// Set `fd`'s one-shot interest, registering it first if `new`.
-        fn arm(&self, fd: RawFd, interest: Event, new: bool) -> io::Result<()> {
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd, .. } => {
-                    let op = if new {
-                        sys::epoll::EPOLL_CTL_ADD
-                    } else {
-                        sys::epoll::EPOLL_CTL_MOD
-                    };
-                    epoll_ctl(*epfd, op, fd, oneshot_bits(interest), interest.key)
-                }
-                Backend::Poll { state, .. } => {
-                    let mut st = lock(state);
-                    if !new && !st.registry.contains_key(&fd) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::NotFound,
-                            "modify on an unregistered fd",
-                        ));
-                    }
-                    st.arms += 1;
-                    let stamped = (st.arms, interest);
-                    st.registry.insert(fd, stamped);
-                    // A thread asleep in `poll(2)` holds a snapshot
-                    // without this interest: wake it to take a new one.
-                    // (The pipe is ours and nonblocking: a write fails
-                    // only when full, and then the sleeper wakes anyway.)
-                    if st.polling {
-                        let _ = self.write_pipe();
-                    }
-                    Ok(())
-                }
-            }
+        /// Set `fd`'s one-shot interest with `op` (register or re-arm).
+        fn arm(&self, op: i32, fd: RawFd, interest: Event) -> io::Result<()> {
+            epoll_ctl(self.epfd, op, fd, oneshot_bits(interest), interest.key)
         }
 
         pub fn delete(&self, source: &impl AsRawFd) -> io::Result<()> {
-            let fd = source.as_raw_fd();
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                // DEL ignores the event, but pre-2.6.9 kernels want a
-                // non-null pointer, which `epoll_ctl` always passes.
-                Backend::Epoll { epfd, .. } => {
-                    epoll_ctl(*epfd, sys::epoll::EPOLL_CTL_DEL, fd, 0, 0)
-                }
-                Backend::Poll { state, .. } => {
-                    lock(state).registry.remove(&fd);
-                    Ok(())
-                }
-            }
+            // DEL ignores the event, but pre-2.6.9 kernels want a
+            // non-null pointer, which `epoll_ctl` always passes.
+            epoll_ctl(
+                self.epfd,
+                sys::epoll::EPOLL_CTL_DEL,
+                source.as_raw_fd(),
+                0,
+                0,
+            )
         }
 
         pub fn wait(
@@ -484,155 +313,41 @@ mod imp {
             events.clear();
             let capacity = capacity.clamp(1, MAX_EVENTS);
             let ms = timeout_ms(timeout);
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { epfd, waiting } => {
-                    let mut raw = [sys::epoll::epoll_event { events: 0, data: 0 }; MAX_EVENTS];
-                    waiting.fetch_add(1, Ordering::AcqRel);
-                    // SAFETY: `raw` is a stack buffer of MAX_EVENTS
-                    // epoll_events and `capacity` is clamped to that, so
-                    // the kernel writes only within bounds; `epfd` is
-                    // our live epoll fd.
-                    let polled = retry_interrupted(|| unsafe {
-                        sys::epoll::epoll_wait(*epfd, raw.as_mut_ptr(), capacity as i32, ms)
-                    });
-                    let last_out = waiting.fetch_sub(1, Ordering::AcqRel) == 1;
-                    let mut notified = false;
-                    for ev in &raw[..polled?] {
-                        // Copy the (possibly packed) fields out first.
-                        let (bits, data) = (ev.events, ev.data);
-                        if data == NOTIFY_KEY as u64 {
-                            notified = true;
-                            continue;
-                        }
-                        let hup = bits & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0;
-                        events.push(Event {
-                            key: data as usize,
-                            readable: bits & sys::epoll::EPOLLIN != 0 || hup,
-                            writable: bits & sys::epoll::EPOLLOUT != 0 || hup,
-                        });
-                    }
-                    // Left in the pipe, the byte wakes the next waiter
-                    // in turn; only the last one out may take it.
-                    if notified && last_out {
-                        self.drain_notify();
-                    }
-                    Ok(events.len())
+            let mut raw = [sys::epoll::epoll_event { events: 0, data: 0 }; MAX_EVENTS];
+            self.waiting.fetch_add(1, Ordering::AcqRel);
+            // SAFETY: `raw` is a stack buffer of MAX_EVENTS
+            // epoll_events and `capacity` is clamped to that, so
+            // the kernel writes only within bounds; `epfd` is
+            // our live epoll fd.
+            let polled = retry_interrupted(|| unsafe {
+                sys::epoll::epoll_wait(self.epfd, raw.as_mut_ptr(), capacity as i32, ms)
+            });
+            let last_out = self.waiting.fetch_sub(1, Ordering::AcqRel) == 1;
+            let mut notified = false;
+            for ev in &raw[..polled?] {
+                // Copy the (possibly packed) fields out first.
+                let (bits, data) = (ev.events, ev.data);
+                if data == NOTIFY_KEY as u64 {
+                    notified = true;
+                    continue;
                 }
-                Backend::Poll { state, turn } => {
-                    let mut st = lock(state);
-                    let seen = st.released;
-                    loop {
-                        if st.notified > seen {
-                            st.released = st.notified;
-                            return Ok(0);
-                        }
-                        if st.polling {
-                            // Queue behind the thread inside poll(2).
-                            let patience = timeout.unwrap_or(Duration::MAX);
-                            let (guard, res) =
-                                turn.wait_timeout(st, patience).expect("poller state");
-                            st = guard;
-                            if res.timed_out() {
-                                // A hand-over this thread may have
-                                // swallowed goes on.
-                                if !st.polling {
-                                    turn.notify_one();
-                                }
-                                return Ok(0);
-                            }
-                            continue;
-                        }
-                        // Poll a snapshot of the armed interests with
-                        // the lock released: `add`/`modify`/`notify`
-                        // from other threads never block on a sleeper.
-                        st.polling = true;
-                        let mut armed: Vec<(u64, RawFd, i16)> = st
-                            .registry
-                            .iter()
-                            .filter(|(_, (_, i))| i.readable || i.writable)
-                            .map(|(&fd, &(stamp, i))| (stamp, fd, poll_bits(i)))
-                            .collect();
-                        armed.sort_unstable();
-                        armed.push((0, self.notify_read, sys::POLLIN));
-                        let mut fds: Vec<sys::pollfd> = armed
-                            .iter()
-                            .map(|&(_, fd, events)| sys::pollfd {
-                                fd,
-                                events,
-                                revents: 0,
-                            })
-                            .collect();
-                        drop(st);
-                        // SAFETY: `fds` is a live Vec<pollfd> and we
-                        // pass its exact length; poll only mutates the
-                        // `revents` field of those entries.
-                        let polled = retry_interrupted(|| unsafe {
-                            sys::poll(fds.as_mut_ptr(), fds.len(), ms)
-                        });
-                        st = lock(state);
-                        st.polling = false;
-                        turn.notify_one();
-                        let timed_out = polled? == 0;
-                        let Some((pipe, socks)) = fds.split_last() else {
-                            return Ok(0); // unreachable: the pipe is always there
-                        };
-                        if pipe.revents != 0 {
-                            self.drain_notify();
-                        }
-                        for pfd in socks {
-                            if pfd.revents == 0 || events.len() == capacity {
-                                continue;
-                            }
-                            // Deliver against the registry as it is
-                            // now, and disarm under the same lock: the
-                            // fd may have been re-registered or deleted
-                            // while this thread slept.
-                            let Some((_, slot)) = st.registry.get_mut(&pfd.fd) else {
-                                continue;
-                            };
-                            if !(slot.readable || slot.writable) {
-                                continue;
-                            }
-                            let bits = pfd.revents;
-                            let hup = bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                            events.push(Event {
-                                key: slot.key,
-                                readable: bits & sys::POLLIN != 0 || hup,
-                                writable: bits & sys::POLLOUT != 0 || hup,
-                            });
-                            *slot = Event::none(slot.key);
-                        }
-                        if timed_out || !events.is_empty() {
-                            return Ok(events.len());
-                        }
-                        // Woken for a new snapshot or a `notify`.
-                    }
-                }
+                let hup = bits & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0;
+                events.push(Event {
+                    key: data as usize,
+                    readable: bits & sys::epoll::EPOLLIN != 0 || hup,
+                    writable: bits & sys::epoll::EPOLLOUT != 0 || hup,
+                });
             }
-        }
-
-        pub fn notify(&self) -> io::Result<()> {
-            match &self.backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll { .. } => self.write_pipe(),
-                Backend::Poll { state, turn } => {
-                    let mut st = lock(state);
-                    st.notified += 1;
-                    let woke = if st.polling {
-                        self.write_pipe()
-                    } else {
-                        Ok(())
-                    };
-                    drop(st);
-                    turn.notify_all();
-                    woke
-                }
+            // Left in the pipe, the byte wakes the next waiter
+            // in turn; only the last one out may take it.
+            if notified && last_out {
+                self.drain_notify();
             }
+            Ok(events.len())
         }
 
         /// Make the notify pipe readable.
-        fn write_pipe(&self) -> io::Result<()> {
+        pub fn notify(&self) -> io::Result<()> {
             let buf = [1u8];
             // SAFETY: writes 1 byte from a live 1-byte stack buffer to
             // the pipe fd this Poller owns.
@@ -661,23 +376,22 @@ mod imp {
 
     impl Drop for Poller {
         fn drop(&mut self) {
-            // SAFETY: all three fds are owned exclusively by this
-            // Poller (created in `finish`/`new`, never duplicated or
-            // exposed), and Drop means no other reference exists — so
-            // no close can race a concurrent use of the same fd.
+            // SAFETY: the fds are owned exclusively by this Poller
+            // (created in `new`, never duplicated or exposed), and Drop
+            // means no other reference exists — so no close can race a
+            // concurrent use of the same fd. A pipe end still at -1
+            // (`new` failed before the pipe existed) is skipped.
             unsafe {
-                sys::close(self.notify_read);
-                sys::close(self.notify_write);
-                #[cfg(target_os = "linux")]
-                if let Backend::Epoll { epfd, .. } = self.backend {
-                    sys::close(epfd);
+                for fd in [self.notify_read, self.notify_write, self.epfd] {
+                    if fd >= 0 {
+                        sys::close(fd);
+                    }
                 }
             }
         }
     }
 
     /// One `epoll_ctl` call: `bits` and `key` as the fd's new event.
-    #[cfg(target_os = "linux")]
     fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, bits: u32, key: usize) -> io::Result<()> {
         let mut ev = sys::epoll::epoll_event {
             events: bits,
@@ -692,7 +406,6 @@ mod imp {
 
     /// The epoll event mask of a one-shot interest. With neither
     /// direction set the fd stays registered and reports nothing.
-    #[cfg(target_os = "linux")]
     fn oneshot_bits(interest: Event) -> u32 {
         let mut bits = sys::epoll::EPOLLONESHOT;
         if interest.readable {
@@ -703,24 +416,14 @@ mod imp {
         }
         bits
     }
-
-    fn poll_bits(interest: Event) -> i16 {
-        let mut bits = 0;
-        if interest.readable {
-            bits |= sys::POLLIN;
-        }
-        if interest.writable {
-            bits |= sys::POLLOUT;
-        }
-        bits
-    }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
-    //! Non-Unix stub: the event-loop transport is Unix-only; every
-    //! operation reports `Unsupported` so the workspace still compiles
-    //! (the server falls back to the threaded transport there).
+    //! Stub for every other target: Linux is the serving platform, so
+    //! every operation reports `Unsupported` and the workspace still
+    //! compiles (`Server::bind` fails with that error; the library and
+    //! `LocalClient` need no poller).
     use super::Event;
     use std::io;
     use std::time::Duration;
@@ -738,14 +441,6 @@ mod imp {
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Err(unsupported())
-        }
-
-        pub fn portable() -> io::Result<Poller> {
-            Err(unsupported())
-        }
-
-        pub fn backend_name(&self) -> &'static str {
-            "unsupported"
         }
 
         pub fn add<T>(&self, _source: &T, _interest: Event) -> io::Result<()> {
@@ -776,11 +471,10 @@ mod imp {
 }
 
 /// A readiness poller over raw file descriptors. See the crate docs
-/// for backend selection and semantics; the API mirrors the subset of
-/// the upstream `polling` crate this workspace uses:
+/// for the semantics; the API mirrors the subset of the upstream
+/// `polling` crate this workspace uses:
 ///
-/// * [`new`](Poller::new) / [`portable`](Poller::portable) — create
-///   (env `ANYK_POLLER=poll` forces the portable backend);
+/// * [`new`](Poller::new) — create;
 /// * [`add`](Poller::add) / [`modify`](Poller::modify) /
 ///   [`delete`](Poller::delete) — manage per-fd one-shot interests
 ///   (the fd must outlive its registration; sockets should be
@@ -792,25 +486,13 @@ mod imp {
 ///   from any thread.
 pub use imp::Poller;
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::{Event, Poller};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-
-    /// Both backends under one test body: epoll where available, and
-    /// the portable poll(2) path everywhere.
-    fn pollers() -> Vec<Poller> {
-        let mut v = vec![Poller::portable().expect("portable poller")];
-        if cfg!(target_os = "linux") {
-            // `new` may still pick poll if ANYK_POLLER=poll is set;
-            // either way it must work.
-            v.push(Poller::new().expect("default poller"));
-        }
-        v
-    }
 
     /// A connected loopback pair: the client end, and the accepted end
     /// (nonblocking, the one tests register).
@@ -827,276 +509,250 @@ mod tests {
 
     #[test]
     fn timeout_elapses_without_events() {
-        for poller in pollers() {
-            let mut events = Vec::new();
-            let n = poller
-                .wait(&mut events, 8, Some(Duration::from_millis(5)))
-                .expect("wait");
-            assert_eq!(n, 0, "{}", poller.backend_name());
-        }
+        let poller = Poller::new().expect("poller");
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, 8, Some(Duration::from_millis(5)))
+            .expect("wait");
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn notify_wakes_a_blocking_wait() {
-        for poller in pollers() {
-            let poller = Arc::new(poller);
-            let waker = Arc::clone(&poller);
-            let t = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                waker.notify().expect("notify");
-            });
-            let mut events = Vec::new();
-            poller.wait(&mut events, 8, None).expect("wait");
-            assert!(events.is_empty());
-            t.join().expect("notifier");
-            // Consumed: the next wait blocks again.
-            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
-            assert_eq!(n, 0, "{}", poller.backend_name());
-        }
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let waker = Arc::clone(&poller);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            waker.notify().expect("notify");
+        });
+        let mut events = Vec::new();
+        poller.wait(&mut events, 8, None).expect("wait");
+        assert!(events.is_empty());
+        t.join().expect("notifier");
+        // Consumed: the next wait blocks again.
+        let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn notify_releases_every_waiter() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let poller = Arc::new(poller);
-            let waiters: Vec<_> = (0..4)
-                .map(|_| {
-                    let poller = Arc::clone(&poller);
-                    std::thread::spawn(move || {
-                        let started = Instant::now();
-                        let mut events = Vec::new();
-                        poller.wait(&mut events, 1, LONG).expect("wait");
-                        (events.len(), started.elapsed())
-                    })
-                })
-                .collect();
-            // Let them all block first (one that arrives late returns
-            // at once, which is allowed and passes too).
-            std::thread::sleep(Duration::from_millis(50));
-            poller.notify().expect("notify");
-            for w in waiters {
-                let (n, took) = w.join().expect("waiter");
-                assert_eq!(n, 0, "{name}: a notify carries no event");
-                assert!(
-                    took < Duration::from_secs(5),
-                    "{name}: waiter slept {took:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn one_readiness_is_one_delivery_until_rearmed() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let (mut client, server_side) = pair();
-            poller.add(&server_side, Event::readable(3)).expect("add");
-            client.write_all(b"ping").expect("send");
-
-            let mut events = Vec::new();
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            assert_eq!(events, [Event::readable(3)], "{name}");
-            // Still readable (nothing was read), but disarmed.
-            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
-            assert_eq!(n, 0, "{name}: a disarmed fd fired {events:?}");
-            // Re-armed, it fires once more — and only once.
-            poller
-                .modify(&server_side, Event::readable(3))
-                .expect("modify");
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            assert_eq!(events, [Event::readable(3)], "{name}");
-            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
-            assert_eq!(n, 0, "{name}: fired twice on one re-arm {events:?}");
-            poller.delete(&server_side).expect("delete");
-        }
-    }
-
-    #[test]
-    fn rearming_a_socket_that_became_readable_while_disarmed_fires_at_once() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let (mut client, server_side) = pair();
-            poller.add(&server_side, Event::none(5)).expect("add");
-            client.write_all(b"early").expect("send");
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
-            assert_eq!(n, 0, "{name}: no interest, no event");
-            poller
-                .modify(&server_side, Event::readable(5))
-                .expect("modify");
-            let started = Instant::now();
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            assert_eq!(events, [Event::readable(5)], "{name}");
-            assert!(started.elapsed() < Duration::from_secs(5), "{name}");
-            poller.delete(&server_side).expect("delete");
-        }
-    }
-
-    #[test]
-    fn two_waiters_share_one_readiness_exactly_once() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let poller = Arc::new(poller);
-            let (mut client, server_side) = pair();
-            poller.add(&server_side, Event::readable(11)).expect("add");
-            let waiters: Vec<_> = (0..2)
-                .map(|_| {
-                    let poller = Arc::clone(&poller);
-                    std::thread::spawn(move || {
-                        let mut events = Vec::new();
-                        poller
-                            .wait(&mut events, 1, Some(Duration::from_millis(300)))
-                            .expect("wait");
-                        events
-                    })
-                })
-                .collect();
-            std::thread::sleep(Duration::from_millis(50));
-            client.write_all(b"one").expect("send");
-            let delivered: Vec<Event> = waiters
-                .into_iter()
-                .flat_map(|w| w.join().expect("waiter"))
-                .collect();
-            assert_eq!(delivered, [Event::readable(11)], "{name}");
-            poller.delete(&server_side).expect("delete");
-        }
-    }
-
-    /// The `poll(2)` stale-snapshot trap: a thread asleep in `wait`
-    /// went to sleep with the old interest set.
-    #[test]
-    fn a_modify_reaches_a_thread_already_asleep_in_wait() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let poller = Arc::new(poller);
-            let (mut client, server_side) = pair();
-            // Readable from the start, but nobody is interested yet.
-            client.write_all(b"ready").expect("send");
-            poller.add(&server_side, Event::none(13)).expect("add");
-            let sleeper = {
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let waiters: Vec<_> = (0..4)
+            .map(|_| {
                 let poller = Arc::clone(&poller);
                 std::thread::spawn(move || {
                     let started = Instant::now();
                     let mut events = Vec::new();
                     poller.wait(&mut events, 1, LONG).expect("wait");
-                    (events, started.elapsed())
+                    (events.len(), started.elapsed())
                 })
-            };
-            std::thread::sleep(Duration::from_millis(50));
-            poller
-                .modify(&server_side, Event::readable(13))
-                .expect("modify");
-            let (events, took) = sleeper.join().expect("sleeper");
-            assert_eq!(events, [Event::readable(13)], "{name}");
-            assert!(took < Duration::from_secs(5), "{name}: slept {took:?}");
-            poller.delete(&server_side).expect("delete");
+            })
+            .collect();
+        // Let them all block first (one that arrives late returns
+        // at once, which is allowed and passes too).
+        std::thread::sleep(Duration::from_millis(50));
+        poller.notify().expect("notify");
+        for w in waiters {
+            let (n, took) = w.join().expect("waiter");
+            assert_eq!(n, 0, "a notify carries no event");
+            assert!(took < Duration::from_secs(5), "waiter slept {took:?}");
         }
     }
 
     #[test]
+    fn one_readiness_is_one_delivery_until_rearmed() {
+        let poller = Poller::new().expect("poller");
+        let (mut client, server_side) = pair();
+        poller.add(&server_side, Event::readable(3)).expect("add");
+        client.write_all(b"ping").expect("send");
+
+        let mut events = Vec::new();
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        assert_eq!(events, [Event::readable(3)]);
+        // Still readable (nothing was read), but disarmed.
+        let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+        assert_eq!(n, 0, "a disarmed fd fired {events:?}");
+        // Re-armed, it fires once more — and only once.
+        poller
+            .modify(&server_side, Event::readable(3))
+            .expect("modify");
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        assert_eq!(events, [Event::readable(3)]);
+        let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+        assert_eq!(n, 0, "fired twice on one re-arm {events:?}");
+        poller.delete(&server_side).expect("delete");
+    }
+
+    #[test]
+    fn rearming_a_socket_that_became_readable_while_disarmed_fires_at_once() {
+        let poller = Poller::new().expect("poller");
+        let (mut client, server_side) = pair();
+        poller.add(&server_side, Event::none(5)).expect("add");
+        client.write_all(b"early").expect("send");
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+        assert_eq!(n, 0, "no interest, no event");
+        poller
+            .modify(&server_side, Event::readable(5))
+            .expect("modify");
+        let started = Instant::now();
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        assert_eq!(events, [Event::readable(5)]);
+        assert!(started.elapsed() < Duration::from_secs(5));
+        poller.delete(&server_side).expect("delete");
+    }
+
+    #[test]
+    fn two_waiters_share_one_readiness_exactly_once() {
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let (mut client, server_side) = pair();
+        poller.add(&server_side, Event::readable(11)).expect("add");
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let poller = Arc::clone(&poller);
+                std::thread::spawn(move || {
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, 1, Some(Duration::from_millis(300)))
+                        .expect("wait");
+                    events
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        client.write_all(b"one").expect("send");
+        let delivered: Vec<Event> = waiters
+            .into_iter()
+            .flat_map(|w| w.join().expect("waiter"))
+            .collect();
+        assert_eq!(delivered, [Event::readable(11)]);
+        poller.delete(&server_side).expect("delete");
+    }
+
+    /// A thread asleep in `wait` went to sleep with the old interest
+    /// set; the new one must still reach it.
+    #[test]
+    fn a_modify_reaches_a_thread_already_asleep_in_wait() {
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let (mut client, server_side) = pair();
+        // Readable from the start, but nobody is interested yet.
+        client.write_all(b"ready").expect("send");
+        poller.add(&server_side, Event::none(13)).expect("add");
+        let sleeper = {
+            let poller = Arc::clone(&poller);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let mut events = Vec::new();
+                poller.wait(&mut events, 1, LONG).expect("wait");
+                (events, started.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        poller
+            .modify(&server_side, Event::readable(13))
+            .expect("modify");
+        let (events, took) = sleeper.join().expect("sleeper");
+        assert_eq!(events, [Event::readable(13)]);
+        assert!(took < Duration::from_secs(5), "slept {took:?}");
+        poller.delete(&server_side).expect("delete");
+    }
+
+    #[test]
     fn capacity_bounds_one_call_and_the_rest_stay_armed() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
-            for (key, (client, server_side)) in pairs.iter().enumerate() {
-                poller.add(server_side, Event::readable(key)).expect("add");
-                let mut client = client;
-                client.write_all(b"x").expect("send");
-            }
-            let mut keys = Vec::new();
-            let mut events = Vec::new();
-            for _ in 0..3 {
-                let n = poller.wait(&mut events, 1, LONG).expect("wait");
-                assert_eq!(n, 1, "{name}: capacity 1, got {events:?}");
-                keys.push(events[0].key);
-            }
-            keys.sort_unstable();
-            assert_eq!(keys, [0, 1, 2], "{name}");
-            assert_eq!(poller.wait(&mut events, 1, SHORT).expect("wait"), 0);
+        let poller = Poller::new().expect("poller");
+        let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
+        for (key, (client, server_side)) in pairs.iter().enumerate() {
+            poller.add(server_side, Event::readable(key)).expect("add");
+            let mut client = client;
+            client.write_all(b"x").expect("send");
         }
+        let mut keys = Vec::new();
+        let mut events = Vec::new();
+        for _ in 0..3 {
+            let n = poller.wait(&mut events, 1, LONG).expect("wait");
+            assert_eq!(n, 1, "capacity 1, got {events:?}");
+            keys.push(events[0].key);
+        }
+        keys.sort_unstable();
+        assert_eq!(keys, [0, 1, 2]);
+        assert_eq!(poller.wait(&mut events, 1, SHORT).expect("wait"), 0);
     }
 
     /// What lets owners take turns: re-arming a fd that is still ready
     /// sends it behind every other ready fd.
     #[test]
     fn a_fd_rearmed_while_ready_goes_behind_the_other_ready_fds() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
-            for (key, (client, server_side)) in pairs.iter().enumerate() {
-                poller.add(server_side, Event::readable(key)).expect("add");
-                let mut client = client;
-                client.write_all(b"x").expect("send");
-            }
-            // Nothing is ever read, so all three stay ready throughout.
-            std::thread::sleep(Duration::from_millis(20));
-            let mut events = Vec::new();
-            let mut order = Vec::new();
-            for _ in 0..9 {
-                assert_eq!(poller.wait(&mut events, 1, LONG).expect("wait"), 1);
-                let key = events[0].key;
-                order.push(key);
-                poller
-                    .modify(&pairs[key].1, Event::readable(key))
-                    .expect("re-arm");
-            }
-            let (first, rest) = order.split_at(3);
-            let mut turn = first.to_vec();
-            turn.sort_unstable();
-            assert_eq!(turn, [0, 1, 2], "{name}: {order:?}");
-            assert_eq!(rest, [first, first].concat(), "{name}: {order:?}");
+        let poller = Poller::new().expect("poller");
+        let pairs: Vec<_> = (0..3).map(|_| pair()).collect();
+        for (key, (client, server_side)) in pairs.iter().enumerate() {
+            poller.add(server_side, Event::readable(key)).expect("add");
+            let mut client = client;
+            client.write_all(b"x").expect("send");
         }
+        // Nothing is ever read, so all three stay ready throughout.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut events = Vec::new();
+        let mut order = Vec::new();
+        for _ in 0..9 {
+            assert_eq!(poller.wait(&mut events, 1, LONG).expect("wait"), 1);
+            let key = events[0].key;
+            order.push(key);
+            poller
+                .modify(&pairs[key].1, Event::readable(key))
+                .expect("re-arm");
+        }
+        let (first, rest) = order.split_at(3);
+        let mut turn = first.to_vec();
+        turn.sort_unstable();
+        assert_eq!(turn, [0, 1, 2], "{order:?}");
+        assert_eq!(rest, [first, first].concat(), "{order:?}");
     }
 
     #[test]
     fn listener_and_stream_readiness_round_trip() {
-        for poller in pollers() {
-            let name = poller.backend_name();
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.set_nonblocking(true).expect("nonblocking");
-            poller.add(&listener, Event::readable(7)).expect("add");
+        let poller = Poller::new().expect("poller");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        poller.add(&listener, Event::readable(7)).expect("add");
 
-            // A connection makes the listener readable.
-            let mut client =
-                TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            let mut events = Vec::new();
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            assert!(
-                events.iter().any(|e| e.key == 7 && e.readable),
-                "{name}: accept readiness, got {events:?}"
-            );
-            let (server_side, _) = listener.accept().expect("accept");
-            server_side.set_nonblocking(true).expect("nonblocking");
+        // A connection makes the listener readable.
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut events = Vec::new();
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        assert!(
+            events.iter().any(|e| e.key == 7 && e.readable),
+            "accept readiness, got {events:?}"
+        );
+        let (server_side, _) = listener.accept().expect("accept");
+        server_side.set_nonblocking(true).expect("nonblocking");
 
-            // A fresh stream is writable but not readable...
-            poller.add(&server_side, Event::all(9)).expect("add stream");
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            let ev = events.iter().find(|e| e.key == 9).expect("stream event");
-            assert!(ev.writable && !ev.readable, "{name}: {ev:?}");
+        // A fresh stream is writable but not readable...
+        poller.add(&server_side, Event::all(9)).expect("add stream");
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        let ev = events.iter().find(|e| e.key == 9).expect("stream event");
+        assert!(ev.writable && !ev.readable, "{ev:?}");
 
-            // ...until the peer sends bytes.
-            poller
-                .modify(&server_side, Event::readable(9))
-                .expect("modify");
-            client.write_all(b"ping").expect("send");
-            client.flush().expect("flush");
-            poller.wait(&mut events, 8, LONG).expect("wait");
-            let ev = events.iter().find(|e| e.key == 9).expect("read event");
-            assert!(ev.readable, "{name}: {ev:?}");
-            let mut buf = [0u8; 8];
-            let mut s = &server_side;
-            assert_eq!(s.read(&mut buf).expect("read"), 4);
+        // ...until the peer sends bytes.
+        poller
+            .modify(&server_side, Event::readable(9))
+            .expect("modify");
+        client.write_all(b"ping").expect("send");
+        client.flush().expect("flush");
+        poller.wait(&mut events, 8, LONG).expect("wait");
+        let ev = events.iter().find(|e| e.key == 9).expect("read event");
+        assert!(ev.readable, "{ev:?}");
+        let mut buf = [0u8; 8];
+        let mut s = &server_side;
+        assert_eq!(s.read(&mut buf).expect("read"), 4);
 
-            // Deleted fds stop reporting, armed or not.
-            poller
-                .modify(&server_side, Event::readable(9))
-                .expect("modify");
-            poller.delete(&server_side).expect("delete");
-            client.write_all(b"more").expect("send");
-            let n = poller.wait(&mut events, 8, SHORT).expect("wait");
-            assert_eq!(n, 0, "{name}: deleted fd fired {events:?}");
-            poller.delete(&listener).expect("delete listener");
-        }
+        // Deleted fds stop reporting, armed or not.
+        poller
+            .modify(&server_side, Event::readable(9))
+            .expect("modify");
+        poller.delete(&server_side).expect("delete");
+        client.write_all(b"more").expect("send");
+        let n = poller.wait(&mut events, 8, SHORT).expect("wait");
+        assert_eq!(n, 0, "deleted fd fired {events:?}");
+        poller.delete(&listener).expect("delete listener");
     }
 }

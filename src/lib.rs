@@ -17,8 +17,8 @@
 //!   (`SELECT R(x,y), S(y,z) RANK BY sum LIMIT 10;`), per-session
 //!   cursor registries with shared TTL deadlines + admission control,
 //!   and a line protocol over TCP — an event-driven readiness
-//!   transport by default, thread-per-connection as the fallback —
-//!   or the in-process [`LocalClient`](serve::LocalClient). See
+//!   transport on epoll — or the in-process
+//!   [`LocalClient`](serve::LocalClient). See
 //!   `docs/ARCHITECTURE.md` for the full layer map.
 //! * [`storage`] — relational substrate (values, relations, indexes,
 //!   tries).

@@ -12,7 +12,7 @@
 mod common;
 
 use anyk::prelude::*;
-use anyk::serve::{encode_answer, Server, TcpClient, Transport, TransportConfig};
+use anyk::serve::{encode_answer, Server, TcpClient};
 use common::gen::scrambled_edges;
 
 const READERS: usize = 8;
@@ -261,25 +261,12 @@ fn live_appends_stay_leak_free_in_process() {
     run_live_append_scenario("local", &service, Mode::Local, &rels);
 }
 
+// Listed under this name in the tier-1 floor; there is one TCP
+// transport, and this runs the scenario over it.
 #[test]
 fn live_appends_stay_leak_free_over_tcp_on_both_transports() {
-    for transport in [Transport::ThreadPerConn, Transport::EventLoop] {
-        let (service, rels) = live_service();
-        let mut server = Server::bind_with(
-            service.clone(),
-            "127.0.0.1:0",
-            TransportConfig {
-                transport,
-                ..TransportConfig::default()
-            },
-        )
-        .expect("bind");
-        run_live_append_scenario(
-            &format!("{transport:?}"),
-            &service,
-            Mode::Tcp(server.addr()),
-            &rels,
-        );
-        server.shutdown();
-    }
+    let (service, rels) = live_service();
+    let mut server = Server::bind(service.clone(), "127.0.0.1:0").expect("bind");
+    run_live_append_scenario("tcp", &service, Mode::Tcp(server.addr()), &rels);
+    server.shutdown();
 }

@@ -7,27 +7,14 @@ mod common;
 
 use anyk::prelude::*;
 use anyk::serve::{
-    encode_answer, parse, select_text, Response, Server, TcpClient, Transport, TransportConfig,
+    encode_answer, parse, select_text, Response, Server, TcpClient, TransportConfig,
 };
 use common::gen::edge_rel;
 use common::oracle::{assert_matches_oracle, brute_force_ranked};
 use std::time::Duration;
 
-/// Both accept architectures: every wire-level test runs against each
-/// (and `Server::bind` additionally picks one via
-/// `ANYK_SERVE_TRANSPORT`, which CI exercises both ways).
-const TRANSPORTS: [Transport; 2] = [Transport::ThreadPerConn, Transport::EventLoop];
-
-fn bind(service: &Service, transport: Transport) -> Server {
-    Server::bind_with(
-        service.clone(),
-        "127.0.0.1:0",
-        TransportConfig {
-            transport,
-            ..TransportConfig::default()
-        },
-    )
-    .expect("bind")
+fn bind(service: &Service) -> Server {
+    Server::bind(service.clone(), "127.0.0.1:0").expect("bind")
 }
 
 /// The shared fixture edge set (dyadic weights, deliberate ties).
@@ -143,77 +130,66 @@ fn server_pages_match_direct_streams_and_oracle_on_every_route() {
 #[test]
 fn tcp_and_local_transports_are_byte_identical() {
     let q = path_query(3);
-    for transport in TRANSPORTS {
-        // A fresh service per transport so cursor ids line up with the
-        // LocalClient's.
-        let (service, _) = service_for(&q, 3);
-        let mut server = bind(&service, transport);
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
-        let mut local = LocalClient::new(&service);
+    // A fresh service, so cursor ids line up with the LocalClient's.
+    let (service, _) = service_for(&q, 3);
+    let mut server = bind(&service);
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    let mut local = LocalClient::new(&service);
 
-        let script = [
-            "SELECT R1(x0,x1), R2(x1,x2), R3(x2,x3) RANK BY sum LIMIT 4;".to_string(),
-            "NEXT 4 ON 0;".to_string(),
-            "EXPLAIN SELECT R1(a,b), R2(b,c) RANK BY max;".to_string(),
-            "SELECT R1(a,b) RANK BY lex LIMIT 2;".to_string(),
-            "CLOSE 1;".to_string(),
-            // Typed failures must render identically too.
-            "NEXT 5 ON 99;".to_string(),
-            "CLOSE 99;".to_string(),
-            "SELECT Nope(a,b);".to_string(),
-            "SELECT R1(a,b) RANK BY median;".to_string(),
-            "NONSENSE;".to_string(),
-        ];
-        for cmd in script {
-            let via_tcp = tcp.send(&cmd).expect("tcp round-trip");
-            let via_local = local.send(&cmd);
-            assert_eq!(
-                via_tcp, via_local,
-                "{transport:?}: transport divergence on `{cmd}`"
-            );
-        }
-        server.shutdown();
+    let script = [
+        "SELECT R1(x0,x1), R2(x1,x2), R3(x2,x3) RANK BY sum LIMIT 4;".to_string(),
+        "NEXT 4 ON 0;".to_string(),
+        "EXPLAIN SELECT R1(a,b), R2(b,c) RANK BY max;".to_string(),
+        "SELECT R1(a,b) RANK BY lex LIMIT 2;".to_string(),
+        "CLOSE 1;".to_string(),
+        // Typed failures must render identically too.
+        "NEXT 5 ON 99;".to_string(),
+        "CLOSE 99;".to_string(),
+        "SELECT Nope(a,b);".to_string(),
+        "SELECT R1(a,b) RANK BY median;".to_string(),
+        "NONSENSE;".to_string(),
+    ];
+    for cmd in script {
+        let via_tcp = tcp.send(&cmd).expect("tcp round-trip");
+        let via_local = local.send(&cmd);
+        assert_eq!(via_tcp, via_local, "transport divergence on `{cmd}`");
     }
+    server.shutdown();
 }
 
 #[test]
 fn insert_and_load_round_trip_byte_identically_across_transports() {
     let q = path_query(3);
-    for transport in TRANSPORTS {
-        // Writes mutate the backing catalog, so the TCP and local
-        // clients each run the script against their own fresh service —
-        // sharing one would double-append and diverge the delta counts.
-        let (tcp_service, _) = service_for(&q, 3);
-        let (local_service, _) = service_for(&q, 3);
-        let mut server = bind(&tcp_service, transport);
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
-        let mut local = LocalClient::new(&local_service);
+    // Writes mutate the backing catalog, so the TCP and local
+    // clients each run the script against their own fresh service —
+    // sharing one would double-append and diverge the delta counts.
+    let (tcp_service, _) = service_for(&q, 3);
+    let (local_service, _) = service_for(&q, 3);
+    let mut server = bind(&tcp_service);
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    let mut local = LocalClient::new(&local_service);
 
-        let script = [
-            // The write path proper: literal rows and an inline CSV
-            // block, then a SELECT that reads base ⊎ both deltas.
-            "INSERT INTO R1 VALUES (7,8,0.5),(8,9,0.25);",
-            "LOAD R2 FROM CSV 'u,v,weight\\n8,9,0.125\\n9,7,0.5\\n';",
-            "SELECT R1(a,b), R2(b,c) RANK BY sum LIMIT 5;",
-            "NEXT 5 ON 0;",
-            "CLOSE 0;",
-            "EXPLAIN SELECT R1(a,b), R2(b,c) RANK BY sum;",
-            // Typed write failures must render identically too.
-            "INSERT INTO Nope VALUES (1,2,0.5);",
-            "INSERT INTO R1 VALUES (1,0.5);",
-            "INSERT INTO R1 VALUES (1,2,0.5),(3,4);",
-            "LOAD R1 FROM CSV 'u,v,weight\\nbogus\\n';",
-        ];
-        for cmd in script {
-            let via_tcp = tcp.send(cmd).expect("tcp round-trip");
-            let via_local = local.send(cmd);
-            assert_eq!(
-                via_tcp, via_local,
-                "{transport:?}: transport divergence on `{cmd}`"
-            );
-        }
-        server.shutdown();
+    let script = [
+        // The write path proper: literal rows and an inline CSV
+        // block, then a SELECT that reads base ⊎ both deltas.
+        "INSERT INTO R1 VALUES (7,8,0.5),(8,9,0.25);",
+        "LOAD R2 FROM CSV 'u,v,weight\\n8,9,0.125\\n9,7,0.5\\n';",
+        "SELECT R1(a,b), R2(b,c) RANK BY sum LIMIT 5;",
+        "NEXT 5 ON 0;",
+        "CLOSE 0;",
+        "EXPLAIN SELECT R1(a,b), R2(b,c) RANK BY sum;",
+        // Typed write failures must render identically too.
+        "INSERT INTO Nope VALUES (1,2,0.5);",
+        "INSERT INTO R1 VALUES (1,0.5);",
+        "INSERT INTO R1 VALUES (1,2,0.5),(3,4);",
+        "LOAD R1 FROM CSV 'u,v,weight\\nbogus\\n';",
+    ];
+    for cmd in script {
+        let via_tcp = tcp.send(cmd).expect("tcp round-trip");
+        let via_local = local.send(cmd);
+        assert_eq!(via_tcp, via_local, "transport divergence on `{cmd}`");
     }
+    server.shutdown();
 }
 
 #[test]
@@ -325,57 +301,53 @@ fn explain_and_stats_surface_the_write_path() {
 #[test]
 fn framing_survives_partial_and_pipelined_segments_on_both_transports() {
     let q = path_query(3);
-    for transport in TRANSPORTS {
-        let (service, _) = service_for(&q, 3);
-        let mut server = bind(&service, transport);
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
-        // The expected bytes come from a LocalClient running the same
-        // commands against an identical fresh service.
-        let (reference, _) = service_for(&q, 3);
-        let mut local = LocalClient::new(&reference);
+    let (service, _) = service_for(&q, 3);
+    let mut server = bind(&service);
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    // The expected bytes come from a LocalClient running the same
+    // commands against an identical fresh service.
+    let (reference, _) = service_for(&q, 3);
+    let mut local = LocalClient::new(&reference);
 
-        // One command dribbled in across four TCP segments.
-        for piece in [
-            "SELECT R1(x0,x1), R2(",
-            "x1,x2), R3(x2",
-            ",x3) RANK",
-            " BY sum LIMIT 3;\n",
-        ] {
-            tcp.send_raw(piece.as_bytes()).expect("partial write");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let got = tcp.read_reply().expect("reply after last segment");
-        let want = local.send("SELECT R1(x0,x1), R2(x1,x2), R3(x2,x3) RANK BY sum LIMIT 3;");
-        assert_eq!(got, want, "{transport:?}: partial-line framing");
-
-        // Three commands pipelined into one segment: three reply
-        // blocks, in order, byte-identical to the serial transcript.
-        tcp.send_raw(b"NEXT 2 ON 0;\nSTATS;\nCLOSE 0;\n")
-            .expect("pipelined write");
-        let got: Vec<String> = (0..3).map(|_| tcp.read_reply().expect("reply")).collect();
-        let want_next = local.send("NEXT 2 ON 0;");
-        let want_stats_header = "OK stats\n";
-        let want_close = local.send("CLOSE 0;");
-        assert_eq!(got[0], want_next, "{transport:?}: pipelined NEXT");
-        assert!(
-            got[1].starts_with(want_stats_header),
-            "{transport:?}: pipelined STATS: {}",
-            got[1]
-        );
-        assert_eq!(got[2], want_close, "{transport:?}: pipelined CLOSE");
-        server.shutdown();
+    // One command dribbled in across four TCP segments.
+    for piece in [
+        "SELECT R1(x0,x1), R2(",
+        "x1,x2), R3(x2",
+        ",x3) RANK",
+        " BY sum LIMIT 3;\n",
+    ] {
+        tcp.send_raw(piece.as_bytes()).expect("partial write");
+        std::thread::sleep(Duration::from_millis(2));
     }
+    let got = tcp.read_reply().expect("reply after last segment");
+    let want = local.send("SELECT R1(x0,x1), R2(x1,x2), R3(x2,x3) RANK BY sum LIMIT 3;");
+    assert_eq!(got, want, "partial-line framing");
+
+    // Three commands pipelined into one segment: three reply
+    // blocks, in order, byte-identical to the serial transcript.
+    tcp.send_raw(b"NEXT 2 ON 0;\nSTATS;\nCLOSE 0;\n")
+        .expect("pipelined write");
+    let got: Vec<String> = (0..3).map(|_| tcp.read_reply().expect("reply")).collect();
+    let want_next = local.send("NEXT 2 ON 0;");
+    let want_stats_header = "OK stats\n";
+    let want_close = local.send("CLOSE 0;");
+    assert_eq!(got[0], want_next, "pipelined NEXT");
+    assert!(
+        got[1].starts_with(want_stats_header),
+        "pipelined STATS: {}",
+        got[1]
+    );
+    assert_eq!(got[2], want_close, "pipelined CLOSE");
+    server.shutdown();
 }
 
 #[test]
-fn env_selected_default_bind_serves_the_protocol() {
-    // `Server::bind` picks its transport from ANYK_SERVE_TRANSPORT —
-    // this is the one test that goes through that path, so the CI
-    // reruns with the env pinned to each transport genuinely cover
-    // both accept architectures end-to-end.
+fn default_bind_serves_the_protocol() {
+    // One session's whole life — open, page, close, and the STATS it
+    // leaves behind — through `Server::bind`'s defaults.
     let q = path_query(3);
     let (service, _) = service_for(&q, 3);
-    let mut server = Server::bind(service.clone(), "127.0.0.1:0").expect("bind");
+    let mut server = bind(&service);
     let mut tcp = TcpClient::connect(server.addr()).expect("connect");
     let mut local = LocalClient::new(&service);
     for cmd in [
@@ -393,59 +365,53 @@ fn env_selected_default_bind_serves_the_protocol() {
 #[test]
 fn half_close_without_newline_still_serves_the_final_command() {
     // `printf 'STATS;' | nc` — no trailing newline, client shuts its
-    // write half: the command must still get its reply on both
-    // transports (the framer flushes the partial line at EOF).
+    // write half: the command must still get its reply (the framer
+    // flushes the partial line at EOF).
     let q = path_query(3);
-    for transport in TRANSPORTS {
-        let (service, _) = service_for(&q, 3);
-        let mut server = bind(&service, transport);
-        let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        std::io::Write::write_all(&mut writer, b"STATS;").expect("write");
-        stream
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        let mut reply = String::new();
-        std::io::Read::read_to_string(&mut { stream }, &mut reply).expect("read");
-        assert!(
-            reply.starts_with("OK stats\n") && reply.ends_with("END\n"),
-            "{transport:?}: unterminated final command must be served: {reply:?}"
-        );
-        server.shutdown();
-    }
+    let (service, _) = service_for(&q, 3);
+    let mut server = bind(&service);
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    std::io::Write::write_all(&mut writer, b"STATS;").expect("write");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reply = String::new();
+    std::io::Read::read_to_string(&mut { stream }, &mut reply).expect("read");
+    assert!(
+        reply.starts_with("OK stats\n") && reply.ends_with("END\n"),
+        "unterminated final command must be served: {reply:?}"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn oversized_lines_get_a_typed_proto_error_and_the_connection_survives() {
     let q = path_query(3);
-    for transport in TRANSPORTS {
-        let (service, _) = service_for(&q, 3);
-        let mut server = Server::bind_with(
-            service.clone(),
-            "127.0.0.1:0",
-            TransportConfig {
-                transport,
-                max_line_len: 64,
-                ..TransportConfig::default()
-            },
-        )
-        .expect("bind");
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    let (service, _) = service_for(&q, 3);
+    let mut server = Server::bind_with(
+        service.clone(),
+        "127.0.0.1:0",
+        TransportConfig {
+            max_line_len: 64,
+            ..TransportConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
 
-        // A 200-byte monster line: one typed ERR block, then the
-        // connection keeps serving.
-        let monster = format!("SELECT {};\n", "R1(a,b), ".repeat(22));
-        assert!(monster.len() > 200);
-        tcp.send_raw(monster.as_bytes()).expect("oversized write");
-        assert_eq!(
-            tcp.read_reply().expect("proto error"),
-            "ERR proto: line exceeds 64 bytes\nEND\n",
-            "{transport:?}"
-        );
-        let stats = tcp.send("STATS;").expect("follow-up command");
-        assert!(stats.starts_with("OK stats\n"), "{transport:?}: {stats}");
-        server.shutdown();
-    }
+    // A 200-byte monster line: one typed ERR block, then the
+    // connection keeps serving.
+    let monster = format!("SELECT {};\n", "R1(a,b), ".repeat(22));
+    assert!(monster.len() > 200);
+    tcp.send_raw(monster.as_bytes()).expect("oversized write");
+    assert_eq!(
+        tcp.read_reply().expect("proto error"),
+        "ERR proto: line exceeds 64 bytes\nEND\n"
+    );
+    let stats = tcp.send("STATS;").expect("follow-up command");
+    assert!(stats.starts_with("OK stats\n"), "{stats}");
+    server.shutdown();
 }
 
 #[test]
@@ -463,7 +429,7 @@ fn event_loop_serves_concurrent_tcp_clients_byte_identically() {
         .collect();
     assert!(want.len() > 4, "needs several pages to interleave");
 
-    let mut server = bind(&service, Transport::EventLoop);
+    let mut server = bind(&service);
     let addr = server.addr();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
@@ -588,7 +554,7 @@ fn event_loop_tick_reaps_silent_connections_without_admission_pressure() {
             ..ServiceConfig::default()
         },
     );
-    let mut server = bind(&service, Transport::EventLoop);
+    let mut server = bind(&service);
     let mut tcp = TcpClient::connect(server.addr()).expect("connect");
     let reply = tcp
         .send("SELECT R1(a,b), R2(b,c) LIMIT 1;")
@@ -849,12 +815,12 @@ fn stats_report_real_serving_numbers() {
 
 #[test]
 fn explain_analyze_and_trace_round_trip_on_both_transports() {
-    // The observability commands through real sockets, once per accept
-    // architecture: EXPLAIN ANALYZE executes (but holds no cursor) and
-    // reports the stage taxonomy; TRACE replays the ring; TRACE SLOW
-    // is empty under the default 250 ms threshold. Masking the
-    // `_us=<digits>` timing values, the analyze reply must be
-    // byte-identical across both transports.
+    // The observability commands through a real socket: EXPLAIN
+    // ANALYZE executes (but holds no cursor) and reports the stage
+    // taxonomy; TRACE replays the ring; TRACE SLOW is empty under the
+    // default 250 ms threshold. Masking the `_us=<digits>` timing
+    // values, the analyze reply must be byte-identical to the one a
+    // LocalClient gets from an identical fresh service.
     let mask = |reply: &str| -> String {
         reply
             .split(' ')
@@ -873,76 +839,69 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
     };
     let q = path_query(3);
     let select = select_text(&q, RankSpec::Sum, Some(3));
-    let mut masked_replies = Vec::new();
-    for transport in TRANSPORTS {
-        let (service, _) = service_for(&q, 3);
-        let mut server = bind(&service, transport);
-        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    let (service, _) = service_for(&q, 3);
+    let mut server = bind(&service);
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
 
-        let analyze = tcp
-            .send(&format!("EXPLAIN ANALYZE {select}"))
-            .expect("analyze round-trip");
+    let analyze = tcp
+        .send(&format!("EXPLAIN ANALYZE {select}"))
+        .expect("analyze round-trip");
+    assert!(analyze.starts_with("OK analyze\n"), "{analyze}");
+    for field in [
+        "INFO route=acyclic",
+        "INFO rank=sum",
+        "INFO cache=miss",
+        "INFO stage.parse_us=",
+        "INFO stage.prepare_us=",
+        "INFO stage.pull_us=",
+        "INFO stage_sum_us=",
+        "INFO wall_us=",
+        "INFO rows=3",
+    ] {
         assert!(
-            analyze.starts_with("OK analyze\n"),
-            "{transport:?}: {analyze}"
+            analyze.contains(field),
+            "analyze reply missing `{field}`:\n{analyze}"
         );
-        for field in [
-            "INFO route=acyclic",
-            "INFO rank=sum",
-            "INFO cache=miss",
-            "INFO stage.parse_us=",
-            "INFO stage.prepare_us=",
-            "INFO stage.pull_us=",
-            "INFO stage_sum_us=",
-            "INFO wall_us=",
-            "INFO rows=3",
-        ] {
-            assert!(
-                analyze.contains(field),
-                "{transport:?}: analyze reply missing `{field}`:\n{analyze}"
-            );
-        }
-        assert_eq!(
-            service.stats().open_cursors,
-            0,
-            "{transport:?}: EXPLAIN ANALYZE must hold no cursor"
-        );
-        masked_replies.push(mask(&analyze));
-
-        // A real SELECT publishes a trace too; TRACE 2 replays both,
-        // newest first.
-        let first = tcp.send(&select).expect("select round-trip");
-        assert!(first.starts_with("OK cursor="), "{transport:?}: {first}");
-        let traces = tcp.send("TRACE 2;").expect("trace round-trip");
-        assert!(
-            traces.starts_with("OK traces count=2 source=ring\n"),
-            "{transport:?}: {traces}"
-        );
-        assert_eq!(
-            traces
-                .lines()
-                .filter(|l| l.starts_with("INFO trace "))
-                .count(),
-            2,
-            "{transport:?}: {traces}"
-        );
-        assert!(
-            traces.contains("route=acyclic") && traces.contains("rank=sum"),
-            "{transport:?}: {traces}"
-        );
-
-        // Nothing here is anywhere near the default slow threshold.
-        let slow = tcp.send("TRACE SLOW;").expect("trace slow round-trip");
-        assert_eq!(
-            slow, "OK traces count=0 source=slow\nEND\n",
-            "{transport:?}"
-        );
-        server.shutdown();
     }
     assert_eq!(
-        masked_replies[0], masked_replies[1],
+        service.stats().open_cursors,
+        0,
+        "EXPLAIN ANALYZE must hold no cursor"
+    );
+    let (reference, _) = service_for(&q, 3);
+    let via_local = LocalClient::new(&reference).send(&format!("EXPLAIN ANALYZE {select}"));
+    assert_eq!(
+        mask(&analyze),
+        mask(&via_local),
         "EXPLAIN ANALYZE must be transport-identical modulo timings"
     );
+
+    // A real SELECT publishes a trace too; TRACE 2 replays both,
+    // newest first.
+    let first = tcp.send(&select).expect("select round-trip");
+    assert!(first.starts_with("OK cursor="), "{first}");
+    let traces = tcp.send("TRACE 2;").expect("trace round-trip");
+    assert!(
+        traces.starts_with("OK traces count=2 source=ring\n"),
+        "{traces}"
+    );
+    assert_eq!(
+        traces
+            .lines()
+            .filter(|l| l.starts_with("INFO trace "))
+            .count(),
+        2,
+        "{traces}"
+    );
+    assert!(
+        traces.contains("route=acyclic") && traces.contains("rank=sum"),
+        "{traces}"
+    );
+
+    // Nothing here is anywhere near the default slow threshold.
+    let slow = tcp.send("TRACE SLOW;").expect("trace slow round-trip");
+    assert_eq!(slow, "OK traces count=0 source=slow\nEND\n");
+    server.shutdown();
 }
 
 #[test]

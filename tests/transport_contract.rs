@@ -1,10 +1,8 @@
-//! What the event-loop transport promises beyond "the same bytes as the
-//! threaded one": who gets served while somebody else is slow.
+//! What the transport promises beyond "the same bytes as a
+//! `LocalClient`": who gets served while somebody else is slow.
 //!
-//! Every server here binds [`Transport::EventLoop`] explicitly, so the
-//! suite needs no threaded leg; CI runs it on the epoll backend and
-//! again with `ANYK_POLLER=poll`. Cases (a) and (b) each rule out a
-//! transport design that would pass every byte-identity test:
+//! Cases (a) and (b) each rule out a transport design that would pass
+//! every byte-identity test:
 //!
 //! * (a) fails on a **reactor-per-thread** design (connections
 //!   partitioned over the threads at accept time): with two threads and
@@ -17,7 +15,7 @@
 mod common;
 
 use anyk::prelude::*;
-use anyk::serve::{select_text, Server, TcpClient, Transport, TransportConfig};
+use anyk::serve::{select_text, Server, TcpClient, TransportConfig};
 use common::gen::scrambled_edges;
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
@@ -33,12 +31,11 @@ fn deep_service() -> (Service, String) {
     (service, select_text(&q, RankSpec::Sum, Some(1)))
 }
 
-fn bind(service: &Service, transport: Transport, workers: usize) -> Server {
+fn bind(service: &Service, workers: usize) -> Server {
     Server::bind_with(
         service.clone(),
         "127.0.0.1:0",
         TransportConfig {
-            transport,
             workers,
             ..TransportConfig::default()
         },
@@ -67,7 +64,7 @@ const LONG_PAGE: usize = 300_000;
 #[test]
 fn a_slow_command_occupies_one_thread_not_a_share_of_the_connections() {
     let (service, select) = deep_service();
-    let mut server = bind(&service, Transport::EventLoop, 2);
+    let mut server = bind(&service, 2);
     let (mut slow, slow_cursor) = open_cursor(&server, &select);
     let mut quick: Vec<_> = (0..2).map(|_| open_cursor(&server, &select)).collect();
 
@@ -122,7 +119,7 @@ fn a_slow_command_occupies_one_thread_not_a_share_of_the_connections() {
 fn a_pipelining_client_gives_the_thread_up_between_commands() {
     const PIPELINED: u64 = 200;
     let (service, select) = deep_service();
-    let mut server = bind(&service, Transport::EventLoop, 1);
+    let mut server = bind(&service, 1);
     let (mut piper, piper_cursor) = open_cursor(&server, &select);
     let (mut other, other_cursor) = open_cursor(&server, &select);
     let pages_before = service.stats().pages_served;
@@ -179,9 +176,9 @@ fn script() -> String {
 
 /// Pipeline the whole script in one write, read nothing for 200 ms
 /// while a second client pages, then read to EOF.
-fn run_script_unread(transport: Transport) -> String {
+fn run_script_unread() -> String {
     let (service, select) = deep_service();
-    let mut server = bind(&service, transport, 2);
+    let mut server = bind(&service, 2);
     let lines = script();
 
     let mut stalled = TcpStream::connect(server.addr()).expect("connect");
@@ -219,7 +216,7 @@ fn run_script_unread(transport: Transport) -> String {
 
 #[test]
 fn an_unread_pipeline_is_served_in_order_and_starves_nobody() {
-    let event = run_script_unread(Transport::EventLoop);
+    let event = run_script_unread();
     assert_eq!(event.matches("END\n").count(), script().lines().count());
     // In order: the i-th select's cursor id is i, and its close follows.
     let mut at = 0;
@@ -234,20 +231,23 @@ fn an_unread_pipeline_is_served_in_order_and_starves_nobody() {
         }
     }
     assert_eq!(event.matches("ERR cursor: ").count(), 100);
-    let threaded = run_script_unread(Transport::ThreadPerConn);
+    // The same script, line by line, through a LocalClient on a fresh
+    // service: the reference transcript.
+    let (reference, _) = deep_service();
+    let mut local = LocalClient::new(&reference);
+    let in_process: String = script().lines().map(|line| local.send(line)).collect();
     assert!(
-        event == threaded,
-        "event loop and thread-per-connection differ on the same script \
-         ({} vs {} bytes)",
+        event == in_process,
+        "the server and a LocalClient differ on the same script ({} vs {} bytes)",
         event.len(),
-        threaded.len()
+        in_process.len()
     );
 }
 
 #[test]
 fn shutdown_closes_idle_and_busy_connections_and_the_books_balance() {
     let (service, select) = deep_service();
-    let mut server = bind(&service, Transport::EventLoop, 2);
+    let mut server = bind(&service, 2);
     let idle: Vec<_> = (0..3).map(|_| open_cursor(&server, &select)).collect();
     let (mut busy, busy_cursor) = open_cursor(&server, &select);
     busy.send_raw(format!("NEXT {LONG_PAGE} ON {busy_cursor};\n").as_bytes())
