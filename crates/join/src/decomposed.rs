@@ -25,17 +25,17 @@ use crate::cases::{cases_exist, cases_join, CaseOut, TreeCase};
 use crate::generic_join::{
     atom_levels, generic_join_trie_requests, generic_join_with, resolve_atom,
 };
-use crate::semijoin::KeptTrie;
 use anyk_query::cq::{Atom, ConjunctiveQuery, QueryBuilder, VarId};
 use anyk_query::decompose::Decomposition;
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::hypergraph::iter_vars;
 use anyk_storage::fxhash::FxHasher;
 use anyk_storage::{
-    BuildEachTime, FxHashMap, IndexProvider, Relation, RelationBuilder, Schema, Value, Weight,
+    BuildEachTime, FxHashMap, IndexProvider, Relation, RelationBuilder, Schema, Trie, Value, Weight,
 };
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Build and materialize a GHD plan for `q` using `decomp`, merging
 /// the weights of a bag's assigned atoms with `+` (the Sum ranking's
@@ -96,7 +96,7 @@ pub fn ghd_plan_provider(
     // the rows that agree.
     let var_order: Vec<VarId> = (0..q.num_vars()).collect();
     let atom_vars = atom_levels(q, &var_order);
-    let atom_weighers: Vec<KeptTrie> = (0..q.num_atoms())
+    let atom_weighers: Vec<Arc<Trie>> = (0..q.num_atoms())
         .map(|e| resolve_atom(q, rels, e, &atom_vars[e], indexes))
         .collect();
 
@@ -159,8 +159,7 @@ pub fn ghd_plan_provider(
         'rows: for row in rows.chunks_exact(arity) {
             let mut w = identity;
             for (e, idxs) in &key_indices {
-                let weigher = &atom_weighers[*e];
-                let t = &weigher.trie;
+                let t = &atom_weighers[*e];
                 let mut h = t.root();
                 let mut leaf = None;
                 for (d, &bi) in idxs.iter().enumerate() {
@@ -176,7 +175,7 @@ pub fn ghd_plan_provider(
                 let leaf = leaf.expect("atoms bind at least one variable");
                 // Duplicates collapse to the lightest input row.
                 let weight = (leaf.iter())
-                    .map(|&r| rels[*e].weight(weigher.input_row(r)))
+                    .map(|&r| rels[*e].weight(r))
                     .min()
                     .expect("a matched trie value has rows below it");
                 w = merge(w, weight);

@@ -31,13 +31,14 @@
 //! from this sequence, which is what keeps ranked streams
 //! byte-identical across index providers.
 
-use crate::semijoin::{KeptTrie, RepeatedVars};
+use crate::semijoin::{kept_trie, RepeatedVars};
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::trie::{gallop, NodeHandle};
 use anyk_storage::{
-    BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Value, Weight,
+    BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight,
 };
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Instrumentation counters for a Generic-Join run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,9 +72,9 @@ pub fn generic_join(
 
 /// [`generic_join`] with trie construction delegated to `indexes`.
 ///
-/// Shared catalog tries are keyed by payload identity, so the provider
-/// is only consulted for atoms whose prefilter left the input payload
-/// shared; a filtered (ephemeral) payload always gets a private build.
+/// Shared catalog tries are over whole payloads, so the provider is
+/// only consulted for atoms whose prefilter kept every row; an atom
+/// that lost rows gets a private build over the rows it kept.
 /// Provider tries may be *deeper* than the atom's distinct-variable
 /// count (the catalog canonicalizes every request to a full column
 /// permutation so prefix orders share one trie) — the walk binds only
@@ -91,7 +92,7 @@ pub fn generic_join_with(
     assert_eq!(order.len(), q.num_vars(), "var order must cover all vars");
 
     let atom_levels = atom_levels(q, order);
-    let atoms: Vec<KeptTrie> = (0..rels.len())
+    let atoms: Vec<Arc<Trie>> = (0..rels.len())
         .map(|i| resolve_atom(q, rels, i, &atom_levels[i], indexes))
         .collect();
     let plan = Plan::new(order, &atom_levels);
@@ -139,12 +140,12 @@ pub(crate) fn resolve_atom(
     atom: usize,
     levels: &[VarId],
     indexes: &dyn IndexProvider,
-) -> KeptTrie {
+) -> Arc<Trie> {
     let positions = level_positions(q, atom, levels);
     let input = &rels[atom];
     match RepeatedVars::of(q.atom(atom)).mask(input) {
-        None => KeptTrie::whole(indexes.trie(input, &positions)),
-        Some(keep) => KeptTrie::of_kept(input, &positions, &keep),
+        None => indexes.trie(input, &positions),
+        Some(keep) => Arc::new(kept_trie(input, &positions, &keep)),
     }
 }
 
@@ -224,7 +225,7 @@ impl<'a> Plan<'a> {
 /// The mutable state of one run: every array is sized once, up front.
 struct Walk<'a> {
     plan: &'a Plan<'a>,
-    atoms: &'a [KeptTrie],
+    atoms: &'a [Arc<Trie>],
     /// Per `(atom, level)` slot: the children span the level walks.
     handles: Vec<NodeHandle>,
     /// Per participant: the values of its slot's span, and the cursor
@@ -244,7 +245,7 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(plan: &'a Plan<'a>, atoms: &'a [KeptTrie], num_vars: usize) -> Self {
+    fn new(plan: &'a Plan<'a>, atoms: &'a [Arc<Trie>], num_vars: usize) -> Self {
         let mut handles = vec![
             NodeHandle {
                 level: 0,
@@ -254,7 +255,7 @@ impl<'a> Walk<'a> {
             plan.slots
         ];
         for (atom, index) in atoms.iter().enumerate() {
-            handles[plan.root_slot[atom]] = index.trie.root();
+            handles[plan.root_slot[atom]] = index.root();
         }
         Walk {
             plan,
@@ -262,7 +263,7 @@ impl<'a> Walk<'a> {
             handles,
             spans: vec![&[]; plan.participants.len()],
             cursors: vec![0; plan.participants.len()],
-            leaves: vec![(atoms[0].trie.root(), 0); atoms.len()],
+            leaves: vec![(atoms[0].root(), 0); atoms.len()],
             binding: vec![Value::Int(0); num_vars],
             lists: vec![&[]; atoms.len()],
             odometer: vec![0; atoms.len()],
@@ -306,9 +307,7 @@ impl<'a> Walk<'a> {
     fn open(&mut self, d: usize) {
         for p in self.plan.depth(d) {
             let part = self.plan.participants[p];
-            self.spans[p] = self.atoms[part.atom]
-                .trie
-                .child_values(self.handles[part.slot]);
+            self.spans[p] = self.atoms[part.atom].child_values(self.handles[part.slot]);
             self.cursors[p] = 0;
         }
     }
@@ -346,7 +345,7 @@ impl<'a> Walk<'a> {
             if part.last {
                 self.leaves[part.atom] = (h, child);
             } else {
-                self.handles[part.slot + 1] = self.atoms[part.atom].trie.descend(h, child);
+                self.handles[part.slot + 1] = self.atoms[part.atom].descend(h, child);
             }
         }
     }
@@ -366,9 +365,9 @@ impl<'a> Walk<'a> {
         for (atom, index) in atoms.iter().enumerate() {
             let (h, child) = leaves[atom];
             // Never empty: every trie node has at least one row below.
-            lists[atom] = index.trie.rows_below(h, child);
+            lists[atom] = index.rows_below(h, child);
             odometer[atom] = 0;
-            rows[atom] = index.input_row(lists[atom][0]);
+            rows[atom] = lists[atom][0];
         }
         loop {
             f(binding, rows)?;
@@ -382,7 +381,7 @@ impl<'a> Walk<'a> {
                 if odometer[atom] == lists[atom].len() {
                     odometer[atom] = 0;
                 }
-                rows[atom] = atoms[atom].input_row(lists[atom][odometer[atom]]);
+                rows[atom] = lists[atom][odometer[atom]];
                 if odometer[atom] > 0 {
                     break;
                 }
@@ -659,9 +658,8 @@ mod tests {
 
     #[test]
     fn repeated_var_atom_reports_input_row_ids() {
-        // E(x,x) drops (2,3): the survivors' ids in the filtered copy
-        // are 0 and 1, in E they are 0 and 2 — weights must come from
-        // the latter.
+        // E(x,x) drops (2,3): the trie is over rows 0 and 2 of E, and
+        // the weights must come from those ids.
         let q = QueryBuilder::new()
             .atom("E", &["x", "x"])
             .atom("F", &["x", "y"])

@@ -10,13 +10,13 @@
 //! cross-check them against each other (and both against nested loops).
 
 use crate::generic_join::{atom_levels, resolve_atom, SolutionCallback};
-use crate::semijoin::KeptTrie;
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::trie::NodeHandle;
 use anyk_storage::{
     BuildEachTime, IndexProvider, Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight,
 };
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// A cursor walking one trie level-by-level (the "trie iterator" of the
 /// LFTJ paper): a stack of `(children handle, position)` frames.
@@ -156,16 +156,16 @@ pub fn leapfrog_triejoin_with(
     let order: &[VarId] = var_order.unwrap_or(&default_order);
     assert_eq!(order.len(), q.num_vars());
 
-    // Per atom: trie in global-order-sorted levels (over a filtered
-    // copy when a repeated-variable prefilter dropped rows).
+    // Per atom: trie in global-order-sorted levels (over the rows a
+    // repeated-variable prefilter kept, when it dropped any).
     let atom_levels = atom_levels(q, order);
-    let atoms: Vec<KeptTrie> = (0..rels.len())
+    let atoms: Vec<Arc<Trie>> = (0..rels.len())
         .map(|i| resolve_atom(q, rels, i, &atom_levels[i], indexes))
         .collect();
-    if atoms.iter().any(|a| a.trie.root().is_empty()) {
+    if atoms.iter().any(|a| a.root().is_empty()) {
         return;
     }
-    let mut cursors: Vec<TrieCursor<'_>> = atoms.iter().map(|a| TrieCursor::new(&a.trie)).collect();
+    let mut cursors: Vec<TrieCursor<'_>> = atoms.iter().map(|a| TrieCursor::new(a)).collect();
 
     // Participants per depth: atoms using that depth's variable. Since
     // each atom's trie levels are sorted by global rank, an atom's
@@ -190,7 +190,7 @@ pub fn leapfrog_triejoin_with(
     'outer: loop {
         if depth == m {
             // Emit cross products of leaf rows.
-            let flow = emit(&cursors, &atoms, 0, &binding, &mut rows_per_atom, f);
+            let flow = emit(&cursors, 0, &binding, &mut rows_per_atom, f);
             if flow.is_break() {
                 return;
             }
@@ -231,7 +231,6 @@ pub fn leapfrog_triejoin_with(
 /// row ids of the input relations.
 fn emit(
     cursors: &[TrieCursor<'_>],
-    atoms: &[KeptTrie],
     atom: usize,
     binding: &[Value],
     rows_per_atom: &mut Vec<RowId>,
@@ -241,8 +240,8 @@ fn emit(
         return f(binding, rows_per_atom);
     }
     for &r in cursors[atom].rows() {
-        rows_per_atom[atom] = atoms[atom].input_row(r);
-        emit(cursors, atoms, atom + 1, binding, rows_per_atom, f)?;
+        rows_per_atom[atom] = r;
+        emit(cursors, atom + 1, binding, rows_per_atom, f)?;
     }
     ControlFlow::Continue(())
 }

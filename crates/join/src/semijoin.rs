@@ -46,8 +46,7 @@
 use anyk_query::cq::{Atom, ConjunctiveQuery};
 use anyk_query::join_tree::{JoinTree, NodeId};
 use anyk_storage::trie::NodeHandle;
-use anyk_storage::{Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight};
-use std::sync::Arc;
+use anyk_storage::{Relation, RowId, Trie, Value};
 
 /// `rel`'s row count as the exclusive bound of its row ids — the one
 /// checked conversion behind every id this module hands out.
@@ -129,56 +128,20 @@ struct Side<'a> {
     keep: &'a mut [bool],
 }
 
-/// A trie over the kept rows of a relation. When every row is kept it
-/// is a trie over the relation itself; otherwise it is over a copy of
-/// the kept rows' key columns — a sort costs the rows that are left,
-/// not the rows that were there — and `origin` maps its row ids back to
-/// the relation's.
-pub(crate) struct KeptTrie {
-    pub(crate) trie: Arc<Trie>,
-    origin: Option<Vec<RowId>>,
-}
-
-impl KeptTrie {
-    /// `trie` is over every row of its relation.
-    pub(crate) fn whole(trie: Arc<Trie>) -> Self {
-        KeptTrie { trie, origin: None }
-    }
-
-    /// Sort on `positions` the rows of `rel` whose keep-bit is set, a
-    /// proper subset of its rows, in input order.
-    pub(crate) fn of_kept(rel: &Relation, positions: &[usize], keep: &[bool]) -> Self {
-        let origin: Vec<RowId> = (0..row_bound(rel)).filter(|&r| keep[r as usize]).collect();
-        let columns: Vec<usize> = (0..positions.len()).collect();
-        let schema = Schema::new(columns.iter().map(|c| format!("k{c}")));
-        let mut keys = RelationBuilder::with_capacity(schema, origin.len());
-        let mut key = Vec::with_capacity(columns.len());
-        for &r in &origin {
-            rel.key_into(r, positions, &mut key);
-            keys.push(&key, Weight::ZERO);
-        }
-        KeptTrie {
-            trie: Arc::new(Trie::build(&keys.finish(), &columns)),
-            origin: Some(origin),
-        }
-    }
-
-    /// The relation's id of the trie's row `r`.
-    #[inline]
-    pub(crate) fn input_row(&self, r: RowId) -> RowId {
-        match &self.origin {
-            Some(origin) => origin[r as usize],
-            None => r,
-        }
-    }
+/// A trie on `positions` over the rows of `rel` whose keep-bit is set:
+/// a sort costs the rows that are left, not the rows that were there,
+/// and its rows are `rel`'s ids.
+pub(crate) fn kept_trie(rel: &Relation, positions: &[usize], keep: &[bool]) -> Trie {
+    let kept: Vec<RowId> = (0..row_bound(rel)).filter(|&r| keep[r as usize]).collect();
+    Trie::build_rows(rel, positions, &kept)
 }
 
 /// Sort the kept rows of `side` on its key positions.
-fn key_trie(side: &Side<'_>) -> KeptTrie {
+fn key_trie(side: &Side<'_>) -> Trie {
     if side.keep.contains(&false) {
-        KeptTrie::of_kept(side.rel, side.pos, side.keep)
+        kept_trie(side.rel, side.pos, side.keep)
     } else {
-        KeptTrie::whole(Arc::new(Trie::build(side.rel, side.pos)))
+        Trie::build(side.rel, side.pos)
     }
 }
 
@@ -221,7 +184,7 @@ impl EdgeRuns {
                 (&parent, &mut child)
             };
             let first_trie = key_trie(first);
-            if let [only] = first_trie.trie.child_values(first_trie.trie.root()) {
+            if let [only] = first_trie.child_values(first_trie.root()) {
                 let column = second.pos[0];
                 for (r, keep) in (0..).zip(second.keep.iter_mut()) {
                     *keep = *keep && second.rel.row(r)[column] == *only;
@@ -240,15 +203,9 @@ impl EdgeRuns {
             ends: Vec::new(),
         };
         match tries {
-            Some((c, p)) => {
-                let (ct, pt) = (&c.trie, &p.trie);
-                merge_matches(ct, ct.root(), pt, pt.root(), &mut |crows, prows| {
-                    runs.push(
-                        crows.iter().map(|&r| c.input_row(r)),
-                        prows.iter().map(|&r| p.input_row(r)),
-                    );
-                })
-            }
+            Some((c, p)) => merge_matches(&c, c.root(), &p, p.root(), &mut |crows, prows| {
+                runs.push(crows.iter().copied(), prows.iter().copied());
+            }),
             None => runs.push(0..row_bound(child.rel), 0..row_bound(parent.rel)),
         }
         keep_only(&runs.child_rows, child.keep);

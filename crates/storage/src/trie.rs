@@ -14,11 +14,39 @@
 //! with ties in row-id order — so every trie leaf can recover the
 //! original tuples (and weights), in input order.
 //!
-//! Build: [`Trie::build`] never compares `Value`s. Each row becomes one
-//! `u128` sort record — the value's order-preserving `(tag, key)` pair
-//! above the row id — and every level is an integer sort of each
-//! parent's segment followed by one scan for equal-key runs; see
-//! [`Trie::build`].
+//! # Build
+//!
+//! [`Trie::build`] never compares `Value`s, and sorts once. A first
+//! pass over the key columns takes each column's range of order keys
+//! ([`Value`]'s `(tag, key)` pair); when every column holds one type
+//! and the bits of the columns' spans plus the bits of the last row
+//! index are at most 64, each row becomes one `u64` sort record,
+//!
+//! ```text
+//! key₀ − lo₀ | key₁ − lo₁ | … | row index
+//! ```
+//!
+//! level 0 on top, a constant column taking no bits. The records are
+//! sorted as plain integers — by `sort_unstable` below 160 rows, by
+//! least-significant-digit counting passes of at most 11 bits over the
+//! key bits from there on. The row bits are never sorted on: records
+//! start in row order and counting passes are stable, so equal keys
+//! keep it. One scan over the sorted records then emits every level's
+//! `values` and `starts` and the `rows`: a record opens new nodes from
+//! the level whose field holds the highest bit in which it differs
+//! from its predecessor, a node's value is its field plus the column's
+//! `lo`, and each level's nodes are counted before its vectors are
+//! allocated. The build holds 16 bytes a row beyond its output at the
+//! most (the records and the counting passes' scratch, freed before
+//! emission).
+//!
+//! Rows that do not fit — a key column mixing types, or more than 64
+//! bits in all — are built level by level over `u128` records
+//! (`tag:8 | key:64 | row:32`): every level re-keys the records with
+//! its column, sorts each parent's segment and scans it for equal-key
+//! runs. The data picks the path, in [`Trie::build_rows`] alone, and
+//! the two produce the same trie field for field
+//! (`tests/kernel_contract.rs`).
 
 use crate::relation::{Relation, RowId};
 use crate::value::Value;
@@ -50,28 +78,204 @@ impl NodeHandle {
     }
 }
 
-/// Bits of a sort record holding the row id.
+/// Bits of a per-level sort record holding the row's index.
 const ROW_BITS: u32 = RowId::BITS;
 
-/// The `u128` [`Trie::build`] sorts: `value`'s order-preserving
-/// `(tag, key)` pair above the row id — `tag:8 | key:64 | row:32` — so
-/// integer order on records is `(value, row)` order and equal values
-/// share everything above [`ROW_BITS`].
+/// The `u128` the per-level build sorts: `value`'s order-preserving
+/// `(tag, key)` pair above the row's index — `tag:8 | key:64 | row:32`
+/// — so integer order on records is `(value, row)` order and equal
+/// values share everything above [`ROW_BITS`].
 #[inline]
 fn sort_record(value: Value, row: RowId) -> u128 {
     let (tag, key) = value.order_key();
     (tag as u128) << (64 + ROW_BITS) | (key as u128) << ROW_BITS | row as u128
 }
 
-/// The row id in a sort record's low bits.
+/// The row index in a per-level sort record's low bits.
 #[inline]
 fn record_row(rec: u128) -> RowId {
-    // Truncation is the point: the id is the low `ROW_BITS`.
+    // Truncation is the point: the index is the low `ROW_BITS`.
     rec as RowId
 }
 
+/// Bits needed to hold `span`.
+#[inline]
+fn bit_width(span: u64) -> u32 {
+    u64::BITS - span.leading_zeros()
+}
+
+/// A count of a trie's rows, or of one level's nodes, as a span offset.
+#[inline]
+fn offset(count: usize) -> u32 {
+    debug_assert!(u32::try_from(count).is_ok());
+    // At most the build's row count, which was checked to fit a `RowId`.
+    count as u32
+}
+
+/// One level's field of a packed sort record: the column's keys as
+/// offsets from its smallest.
+#[derive(Clone, Copy)]
+struct Field {
+    /// The order tag every value of the column has.
+    tag: u8,
+    /// The column's smallest order key.
+    lo: u64,
+    /// Bit offset of the field in a record (0 for an empty field).
+    shift: u32,
+    /// The field's bits, right-aligned; 0 for a constant column.
+    mask: u64,
+}
+
+impl Field {
+    /// `value` (a value of this field's column) as its bits of a record.
+    #[inline]
+    fn pack(&self, value: Value) -> u64 {
+        (value.order_key().1 - self.lo) << self.shift
+    }
+
+    /// The value whose field `rec` holds.
+    #[inline]
+    fn value(&self, rec: u64) -> Value {
+        Value::from_order_key(self.tag, self.lo + (rec >> self.shift & self.mask))
+    }
+}
+
+/// How one build's rows pack into `u64` sort records: level 0's field
+/// on top, the last level's above the row index in the low `row_bits`.
+struct PackedLayout {
+    fields: Vec<Field>,
+    row_bits: u32,
+    /// Bits in use: the fields' and the row index's.
+    bits: u32,
+}
+
+impl PackedLayout {
+    /// The layout of `rows` on `positions`, or `None` when a column
+    /// mixes types or a record needs more than 64 bits. One column at
+    /// a time, so the running range stays in registers.
+    fn of(rel: &Relation, positions: &[usize], rows: Rows<'_>) -> Option<Self> {
+        let mut fields = Vec::with_capacity(positions.len());
+        for &p in positions {
+            let (mut tags, mut keys) = (0u8, (u64::MAX, u64::MIN));
+            for i in 0..rows.len() {
+                let (tag, key) = rel.row(rows.id(i))[p].order_key();
+                tags |= 1 << tag;
+                keys = (keys.0.min(key), keys.1.max(key));
+            }
+            if tags.count_ones() > 1 {
+                return None;
+            }
+            // No rows leave the range inside out: an empty field.
+            let span = keys.1.saturating_sub(keys.0);
+            fields.push(Field {
+                // The one tag seen (8 with no rows, and then never read).
+                tag: tags.trailing_zeros() as u8,
+                lo: keys.0,
+                shift: 0,
+                mask: u64::MAX.checked_shr(span.leading_zeros()).unwrap_or(0),
+            });
+        }
+        let row_bits = bit_width(u64::from(rows.len().saturating_sub(1)));
+        let mut bits = row_bits;
+        for field in fields.iter_mut().rev() {
+            let width = bit_width(field.mask);
+            if width > 0 {
+                field.shift = bits;
+            }
+            bits += width;
+        }
+        (bits <= u64::BITS).then_some(PackedLayout {
+            fields,
+            row_bits,
+            bits,
+        })
+    }
+}
+
+/// The rows a build sorts, by index: every row of the relation, or the
+/// listed ones.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    All(RowId),
+    Listed(&'a [RowId]),
+}
+
+impl Rows<'_> {
+    /// Every row of `rel`; panics if a [`RowId`] cannot address them.
+    fn all(rel: &Relation) -> Self {
+        Rows::All(RowId::try_from(rel.len()).expect("a relation's rows are addressable by RowId"))
+    }
+
+    /// How many rows.
+    #[inline]
+    fn len(self) -> RowId {
+        match self {
+            Rows::All(n) => n,
+            Rows::Listed(ids) => {
+                RowId::try_from(ids.len()).expect("the listed rows are countable by RowId")
+            }
+        }
+    }
+
+    /// The relation's id of row `i`.
+    #[inline]
+    fn id(self, i: RowId) -> RowId {
+        match self {
+            Rows::All(_) => i,
+            Rows::Listed(ids) => ids[i as usize],
+        }
+    }
+}
+
+/// Below this many rows the packed records are sorted by comparison;
+/// from it on, by counting passes. Measured on two 7-bit columns (PR 22
+/// in CHANGES.md): a tie at 128 rows, the counting passes ahead from
+/// 192.
+const RADIX_MIN_ROWS: usize = 160;
+
+/// Most bits one counting pass sorts on: 2¹¹ counters stay in L1.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Sort packed records that start in row-index order. Only bits
+/// `row_bits..bits` are sorted on: least-significant-digit counting
+/// passes are stable, so equal keys keep the row order they came in.
+fn sort_packed(recs: &mut Vec<u64>, row_bits: u32, bits: u32) {
+    let key_bits = bits - row_bits;
+    if key_bits == 0 {
+        return; // every key is equal: row order is the order
+    }
+    if recs.len() < RADIX_MIN_ROWS {
+        return recs.sort_unstable(); // records are distinct
+    }
+    let digit_bits = key_bits.div_ceil(key_bits.div_ceil(MAX_DIGIT_BITS));
+    let mut scratch = vec![0u64; recs.len()];
+    let mut counts = [0u32; 1 << MAX_DIGIT_BITS];
+    for shift in (row_bits..bits).step_by(digit_bits as usize) {
+        let mask = (1u64 << digit_bits.min(bits - shift)) - 1;
+        let digit = |rec: u64| (rec >> shift & mask) as usize;
+        let counts = &mut counts[..=mask as usize];
+        counts.fill(0);
+        for &rec in recs.iter() {
+            counts[digit(rec)] += 1;
+        }
+        if counts[digit(recs[0])] as usize == recs.len() {
+            continue; // one bucket: the pass would move nothing
+        }
+        let mut next = 0;
+        for count in counts.iter_mut() {
+            next += std::mem::replace(count, next);
+        }
+        for &rec in recs.iter() {
+            let at = &mut counts[digit(rec)];
+            scratch[*at as usize] = rec;
+            *at += 1;
+        }
+        std::mem::swap(recs, &mut scratch);
+    }
+}
+
 /// A materialized sorted trie over a relation (see module docs).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Trie {
     /// Attribute positions (into the base relation) per level.
     positions: Vec<usize>,
@@ -87,29 +291,172 @@ pub struct Trie {
 
 impl Trie {
     /// Build a trie over `rel` with one level per position in
-    /// `positions` (a permutation or subset of the relation's columns).
-    ///
-    /// Rows are ordered level by level over packed `u128` sort records
-    /// (`tag:8 | key:64 | row:32`, see `sort_record`): level `l` re-keys every record with its
-    /// row's level-`l` value and sorts each level-`(l-1)` node's
-    /// segment as plain integers, so equal-key runs — the level's
-    /// distinct values and their child spans — fall out of the same
-    /// pass. The row id in a record's low bits breaks ties, so `rows`
-    /// is the relation sorted by `(positions…, RowId)`.
+    /// `positions` (a permutation or subset of the relation's columns):
+    /// [`Trie::build_rows`] over every row.
     ///
     /// # Panics
     ///
     /// If `positions` is empty or `rel` has more rows than a [`RowId`]
     /// can address.
     pub fn build(rel: &Relation, positions: &[usize]) -> Self {
+        Self::build_from(rel, positions, Rows::all(rel))
+    }
+
+    /// Build a trie over the rows of `rel` listed in `rows`, with one
+    /// level per position in `positions`. The trie's rows are `rel`'s
+    /// ids, sorted by `(positions…, place in rows)` — a sort costs the
+    /// rows that are listed, not the rows that are there.
+    ///
+    /// Every row becomes one `u64` sort record when that fits — each
+    /// level's value as an offset into its column's range of order
+    /// keys, level 0 on top, above the row's place in `rows` — sorted
+    /// once, and one scan emits every level; rows that do not fit go
+    /// level by level over `u128` records (see the module docs). Which
+    /// of the two ran cannot be told from the trie.
+    ///
+    /// # Panics
+    ///
+    /// If `positions` is empty, `rows` lists more rows than a
+    /// [`RowId`] can count, or an id is out of `rel`'s bounds.
+    pub fn build_rows(rel: &Relation, positions: &[usize], rows: &[RowId]) -> Self {
+        Self::build_from(rel, positions, Rows::Listed(rows))
+    }
+
+    fn build_from(rel: &Relation, positions: &[usize], rows: Rows<'_>) -> Self {
         assert!(!positions.is_empty(), "trie needs at least one level");
+        match PackedLayout::of(rel, positions, rows) {
+            Some(layout) => Self::build_packed_from(rel, positions, rows, &layout),
+            None => Self::build_per_level_from(rel, positions, rows),
+        }
+    }
+
+    /// [`Trie::build`] by the packed `u64` records alone, or `None`
+    /// when they do not fit. Public for the contract tests, which hold
+    /// the two builds against each other.
+    #[doc(hidden)]
+    pub fn build_packed(rel: &Relation, positions: &[usize]) -> Option<Self> {
+        let rows = Rows::all(rel);
+        let layout = PackedLayout::of(rel, positions, rows)?;
+        Some(Self::build_packed_from(rel, positions, rows, &layout))
+    }
+
+    /// [`Trie::build`] by the per-level `u128` records alone. Public
+    /// for the contract tests, as [`Trie::build_packed`] is.
+    #[doc(hidden)]
+    pub fn build_per_level(rel: &Relation, positions: &[usize]) -> Self {
+        Self::build_per_level_from(rel, positions, Rows::all(rel))
+    }
+
+    fn build_packed_from(
+        rel: &Relation,
+        positions: &[usize],
+        rows: Rows<'_>,
+        layout: &PackedLayout,
+    ) -> Self {
+        let fields = &layout.fields[..];
+        let mut recs: Vec<u64> = (0..rows.len())
+            .map(|i| {
+                let row = rel.row(rows.id(i));
+                let key = fields.iter().zip(positions).map(|(f, &p)| f.pack(row[p]));
+                key.fold(u64::from(i), |rec, field| rec | field)
+            })
+            .collect();
+        sort_packed(&mut recs, layout.row_bits, layout.bits);
+
+        // The level at which a record opens its first new node, by the
+        // leading zeros of its XOR with the predecessor: the field the
+        // highest differing bit falls in, and no level when that bit
+        // is of the row index. Records are distinct, so an XOR of zero
+        // is free to mean the first record, which opens every level.
+        let last = positions.len() - 1;
+        let mut first_new = [last + 1; u64::BITS as usize + 1];
+        first_new[u64::BITS as usize] = 0;
+        for (l, f) in fields.iter().enumerate() {
+            for bit in f.shift..f.shift + bit_width(f.mask) {
+                first_new[(u64::BITS - 1 - bit) as usize] = l;
+            }
+        }
+        let opens = |prev: u64, rec: u64| first_new[(prev ^ rec).leading_zeros() as usize];
+        let first = recs.first().copied().unwrap_or(0);
+
+        // One pass reads the sorted rows off the records and counts
+        // every level's nodes, so each vector is allocated once.
+        let row_mask = (1u64 << layout.row_bits) - 1;
+        let mut nodes = vec![0usize; last + 2];
+        let mut prev = first;
+        let sorted: Vec<RowId> = (recs.iter())
+            .map(|&rec| {
+                nodes[opens(prev, rec)] += 1;
+                prev = rec;
+                // Masked down to a row index, which is below `rows.len()`.
+                rows.id((rec & row_mask) as RowId)
+            })
+            .collect();
+        for l in 1..=last {
+            nodes[l] += nodes[l - 1];
+        }
+
+        let mut values: Vec<Vec<Value>> = Vec::with_capacity(last + 1);
+        let mut starts: Vec<Vec<u32>> = Vec::with_capacity(last + 1);
+        for &count in &nodes[..last] {
+            values.push(Vec::with_capacity(count));
+            starts.push(Vec::with_capacity(count + 1));
+        }
+        // The last level, where most records open a node, is written
+        // without a branch: every record writes the slot after the
+        // nodes so far, and only one that opens a node keeps it.
+        let leaf = fields[last];
+        let mut leaf_values = vec![Value::Int(0); nodes[last] + 1];
+        let mut leaf_starts = vec![0u32; nodes[last] + 1];
+        let mut leaves = 0;
+        // Where the children of a new level-`l` node start: where the
+        // next level stands now.
+        let below = |values: &[Vec<Value>], leaves: usize, l: usize| match values.get(l + 1) {
+            Some(next) => offset(next.len()),
+            None => offset(leaves),
+        };
+        let mut prev = first;
+        for (i, &rec) in recs.iter().enumerate() {
+            let opened = opens(prev, rec);
+            prev = rec;
+            for l in opened..last {
+                starts[l].push(below(&values, leaves, l));
+                values[l].push(fields[l].value(rec));
+            }
+            leaf_values[leaves] = leaf.value(rec);
+            leaf_starts[leaves] = offset(i);
+            leaves += usize::from(opened <= last);
+        }
+        leaf_values.truncate(leaves);
+        leaf_starts[leaves] = offset(recs.len());
+        for (l, level) in starts.iter_mut().enumerate() {
+            level.push(below(&values, leaves, l));
+        }
+        values.push(leaf_values);
+        starts.push(leaf_starts);
+        Trie {
+            positions: positions.to_vec(),
+            values,
+            starts,
+            rows: sorted,
+        }
+    }
+
+    /// Rows are ordered level by level over `u128` sort records
+    /// (`tag:8 | key:64 | row:32`, see `sort_record`): level `l`
+    /// re-keys every record with its row's level-`l` value and sorts
+    /// each level-`(l-1)` node's segment as plain integers, so
+    /// equal-key runs — the level's distinct values and their child
+    /// spans — fall out of the same pass. The row index in a record's
+    /// low bits breaks ties.
+    fn build_per_level_from(rel: &Relation, positions: &[usize], rows: Rows<'_>) -> Self {
         // The one checked bound: every id, span and offset below
         // counts rows or distinct values, so none exceeds `n`.
-        let n = RowId::try_from(rel.len()).expect("a relation's rows are addressable by RowId");
+        let n = rows.len();
         let depth = positions.len();
         let mut values: Vec<Vec<Value>> = vec![Vec::new(); depth];
         let mut starts: Vec<Vec<u32>> = vec![Vec::new(); depth];
-        // Row ids first; every level keys them with its own column.
+        // Row indexes first; every level keys them with its own column.
         let mut recs: Vec<u128> = (0..n).map(u128::from).collect();
 
         // `segments` holds one record range per node of the *previous*
@@ -120,8 +467,8 @@ impl Trie {
         let mut segments: Vec<(u32, u32)> = vec![(0, n)];
         for (l, &p) in positions.iter().enumerate() {
             for rec in &mut recs {
-                let id = record_row(*rec);
-                *rec = sort_record(rel.row(id)[p], id);
+                let i = record_row(*rec);
+                *rec = sort_record(rel.row(rows.id(i))[p], i);
             }
             let level = &mut values[l];
             let mut next_segments: Vec<(u32, u32)> = Vec::with_capacity(segments.len());
@@ -137,7 +484,7 @@ impl Trie {
                     while j < seg_end && recs[j as usize] >> ROW_BITS == first >> ROW_BITS {
                         j += 1;
                     }
-                    level.push(rel.row(record_row(first))[p]);
+                    level.push(rel.row(rows.id(record_row(first)))[p]);
                     count += 1;
                     next_segments.push((i, j));
                     i = j;
@@ -159,7 +506,9 @@ impl Trie {
             positions: positions.to_vec(),
             values,
             starts,
-            rows: recs.into_iter().map(record_row).collect(),
+            rows: (recs.into_iter())
+                .map(|rec| rows.id(record_row(rec)))
+                .collect(),
         }
     }
 
@@ -181,7 +530,7 @@ impl Trie {
         NodeHandle {
             level: 0,
             start: 0,
-            end: self.values[0].len() as u32,
+            end: offset(self.values[0].len()),
         }
     }
 
@@ -279,7 +628,7 @@ impl Trie {
     #[inline]
     pub fn find(&self, h: NodeHandle, v: Value) -> Option<u32> {
         let vals = self.child_values(h);
-        vals.binary_search(&v).ok().map(|off| h.start + off as u32)
+        vals.binary_search(&v).ok().map(|off| h.start + offset(off))
     }
 
     /// Galloping seek: the smallest absolute index `i >= from` with
@@ -287,8 +636,7 @@ impl Trie {
     /// `h.start <= from <= h.end`.
     pub fn seek(&self, h: NodeHandle, from: u32, v: Value) -> u32 {
         let vals = &self.values[h.level as usize][..h.end as usize];
-        // At most `h.end`, which is a `u32`.
-        gallop(vals, from as usize, v) as u32
+        offset(gallop(vals, from as usize, v))
     }
 }
 

@@ -68,6 +68,25 @@ impl Value {
             Value::Sym(s) => (2, s as u64),
         }
     }
+
+    /// The value [`Value::order_key`] maps to `(tag, key)`: the trie
+    /// build reads a level's values back out of its sort records.
+    ///
+    /// # Panics
+    ///
+    /// If no value has this pair.
+    #[inline]
+    pub(crate) fn from_order_key(tag: u8, key: u64) -> Self {
+        match tag {
+            0 => Value::Int((key ^ (1 << 63)) as i64),
+            // `key` set the top bit of a non-negative float's pattern
+            // and flipped every bit of a negative one's.
+            1 if key >> 63 == 1 => Value::Float(FloatBits(key ^ (1 << 63))),
+            1 => Value::Float(FloatBits(!key)),
+            2 => Value::Sym(u32::try_from(key).expect("a symbol's key is its id")),
+            _ => panic!("no value has order tag {tag}"),
+        }
+    }
 }
 
 impl PartialOrd for Value {
@@ -234,6 +253,8 @@ mod tests {
             Value::Sym(u32::MAX),
         ];
         for a in vals {
+            let (tag, key) = a.order_key();
+            assert_eq!(Value::from_order_key(tag, key), a);
             for b in vals {
                 assert_eq!(
                     a.cmp(&b),

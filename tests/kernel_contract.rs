@@ -5,7 +5,9 @@
 //!   answers — bindings **and** per-atom row ids — in lexicographic
 //!   order of the variable order, the per-atom row combinations of one
 //!   binding atom-major (last atom fastest, rows ascending);
-//! * `Trie::build` equals a per-level reference on mixed-type columns;
+//! * `Trie::build` equals a per-level reference — on inputs whose rows
+//!   pack into `u64` sort records, on inputs whose rows do not, and on
+//!   the seam — and its two builds equal each other field for field;
 //! * the bag relations `ghd_plan_provider` materializes equal a
 //!   nested-loop construction row for row — values, weights and order,
 //!   which they inherit from the callback order above.
@@ -207,14 +209,171 @@ fn empty_relation_and_deeper_catalog_trie() {
     }
 }
 
-/// Mixed-type cell: small pools per type so duplicates are common, with
-/// negative numbers and both float zeros.
-fn arb_cell() -> impl Strategy<Value = Value> {
-    (0usize..3, 0i64..4).prop_map(|(kind, x)| match kind {
-        0 => Value::Int(x - 2),
-        1 => Value::float([-1.5, -0.0, 0.0, 2.25][x as usize]),
-        _ => Value::Sym(x as u32),
-    })
+/// What one column of a trie-build instance holds. A build packs its
+/// rows into `u64` records when every key column has one type and the
+/// columns' key spans and the row count fit 64 bits together; the
+/// kinds below land on both sides of that, and on it.
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    /// Ints spanning exactly `bits` bits around zero (rows 0 and 1 hold
+    /// the two ends): 0 bits is a constant column, 2 a pool of four.
+    Window { bits: u32 },
+    /// Symbols from a pool of four.
+    Syms,
+    /// `i64::MIN` and `i64::MAX` in rows 0 and 1, then those and 0: a
+    /// span of 64 bits, which fits beside nothing.
+    Extremes,
+    /// Ints, floats (negative numbers, both zeros) and symbols from
+    /// small pools, an int in row 0 and a symbol in row 1.
+    Mixed,
+}
+
+impl Column {
+    fn cell(self, row: usize, x: u64) -> Value {
+        match self {
+            Column::Window { bits: 0 } => Value::Int(7),
+            Column::Window { bits } => {
+                let span = u64::MAX >> (64 - bits);
+                let offset = [0, span].get(row).copied().unwrap_or(x & span);
+                Value::Int((-1i64 << (bits - 1)).wrapping_add(offset as i64))
+            }
+            Column::Syms => Value::Sym((x % 4) as u32),
+            Column::Extremes => {
+                Value::Int([i64::MIN, i64::MAX, 0][[0, 1].get(row).map_or(x % 3, |&r| r) as usize])
+            }
+            Column::Mixed => match [0, 2].get(row).map_or(x % 3, |&k| k) {
+                0 => Value::Int((x >> 8) as i64 % 4 - 2),
+                1 => Value::float([-1.5, -0.0, 0.0, 2.25][(x >> 8) as usize % 4]),
+                _ => Value::Sym((x >> 8) as u32 % 4),
+            },
+        }
+    }
+}
+
+/// Which build an instance is made for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fit {
+    /// Records of at most 63 bits.
+    Packed,
+    /// Records of 62 to 67 bits: either side of the 64 a record has.
+    Seam,
+    /// A key column that is mixed, or 64 bits wide, or two that are
+    /// more than 64 together.
+    PerLevel,
+}
+
+/// A three-column relation and the trie positions (1 to 3 of its
+/// columns, in any order) of a build made for `fit`. Row counts are 0,
+/// 1, a few, either side of the 160 at which the packed build goes
+/// from a comparison sort to counting passes, and a few hundred.
+fn arb_build(fit: Fit) -> impl Strategy<Value = (Relation, Vec<usize>)> {
+    (
+        (0usize..5, 0usize..1000, 1usize..=3),
+        prop::collection::vec(0u32..100, 3..=3),
+        prop::collection::vec((0usize..4, 0u32..=18), 3..=3),
+        (0usize..3, 0u32..6, 1u64..u64::MAX),
+    )
+        .prop_map(
+            move |((size, n, depth), keys, draws, (culprit, over, seed))| {
+                let sizes = [0, 1, 2 + n % 23, 150 + n % 21, 171 + n % 230];
+                // Only 2 rows or more can fail to fit.
+                let n = sizes[if fit == Fit::Packed {
+                    size
+                } else {
+                    size.max(2)
+                }];
+                let row_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+                let depth = if fit == Fit::Packed {
+                    depth
+                } else {
+                    depth.max(2)
+                };
+                let positions = order_from(&keys, 3)[..depth].to_vec();
+                let mut columns = [Column::Syms; 3];
+                for (column, &(kind, bits)) in columns.iter_mut().zip(&draws) {
+                    *column = match kind {
+                        0 => Column::Syms,
+                        1 => Column::Window { bits: bits % 3 },
+                        _ => Column::Window { bits },
+                    };
+                }
+                match fit {
+                    Fit::Packed => {}
+                    Fit::Seam => {
+                        // The key columns' bits add up to 62..=67 less the row's.
+                        let mut left = 62 + over - row_bits;
+                        for (i, &p) in positions.iter().enumerate() {
+                            let bits = if i + 1 < depth { 4 + draws[p].1 } else { left };
+                            columns[p] = Column::Window { bits };
+                            left -= bits;
+                        }
+                    }
+                    Fit::PerLevel => match culprit {
+                        0 => columns[positions[0]] = Column::Extremes,
+                        1 => columns[positions[0]] = Column::Mixed,
+                        _ => {
+                            for &p in &positions[..2] {
+                                columns[p] = Column::Window { bits: 33 + over }
+                            }
+                        }
+                    },
+                }
+                let mut x = seed;
+                let rows: Vec<Vec<Value>> = (0..n)
+                    .map(|row| {
+                        let cell = |column: &Column| {
+                            // xorshift64
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            column.cell(row, x)
+                        };
+                        columns.iter().map(cell).collect()
+                    })
+                    .collect();
+                let rel = Relation::from_unweighted_rows(Schema::new(["p", "q", "r"]), &rows);
+                (rel, positions)
+            },
+        )
+}
+
+/// The `(tag, key)` storage orders values by, re-derived here: ints
+/// before floats before symbols, each as an unsigned key.
+fn order_key(v: Value) -> (u8, u64) {
+    match v {
+        Value::Int(i) => (0, i as u64 ^ 1 << 63),
+        Value::Float(f) => {
+            let bits = f.get().to_bits();
+            (
+                1,
+                if bits >> 63 == 0 {
+                    bits | 1 << 63
+                } else {
+                    !bits
+                },
+            )
+        }
+        Value::Sym(s) => (2, s as u64),
+    }
+}
+
+/// Must the rows of `rel`, keyed on `positions`, pack into `u64` sort
+/// records? Every key column of one type, and the bits of their key
+/// spans plus the bits of the last row index at most 64.
+fn records_fit(rel: &Relation, positions: &[usize]) -> bool {
+    let bits_of = |span: u64| u64::BITS - span.leading_zeros();
+    let mut bits = bits_of(rel.len().saturating_sub(1) as u64);
+    for &p in positions {
+        let keys: Vec<(u8, u64)> = rel.iter().map(|(_, row, _)| order_key(row[p])).collect();
+        let (Some(lo), Some(hi)) = (keys.iter().min(), keys.iter().max()) else {
+            continue;
+        };
+        if lo.0 != hi.0 {
+            return false;
+        }
+        bits += bits_of(hi.1 - lo.1);
+    }
+    bits <= u64::BITS
 }
 
 /// `ids` (sorted by the trie's key, then id) grouped by their value at
@@ -249,23 +408,108 @@ fn check_node(trie: &Trie, h: NodeHandle, rel: &Relation, ids: &[RowId], level: 
     }
 }
 
+/// `Trie::build`, and `Trie::build_rows` over the rows whose bit of
+/// `kept` is set, against the per-level reference.
+fn check_against_reference(rel: &Relation, positions: &[usize], kept: u64) {
+    let all: Vec<RowId> = rel.iter().map(|(id, _, _)| id).collect();
+    let some: Vec<RowId> = (all.iter().copied())
+        .filter(|id| kept >> (id % 64) & 1 == 1)
+        .collect();
+    for (trie, mut ids) in [
+        (Trie::build(rel, positions), all),
+        (Trie::build_rows(rel, positions, &some), some.clone()),
+    ] {
+        assert_eq!(trie.positions(), positions);
+        // Reference row order: by the key columns, ties by row id.
+        ids.sort_by_key(|&id| (rel.key(id, positions), id));
+        check_node(&trie, trie.root(), rel, &ids, 0);
+    }
+}
+
+/// The packed build and the per-level build of one input, field for
+/// field (`Trie`'s equality is its four fields'), and the packed one
+/// there exactly when the records fit.
+fn check_both_builds(rel: &Relation, positions: &[usize]) {
+    let per_level = Trie::build_per_level(rel, positions);
+    assert_eq!(Trie::build(rel, positions), per_level);
+    let packed = Trie::build_packed(rel, positions);
+    assert_eq!(packed.is_some(), records_fit(rel, positions));
+    if let Some(packed) = packed {
+        assert_eq!(packed, per_level);
+    }
+}
+
 proptest! {
     #![proptest_config(cases_from_env(48))]
 
     #[test]
     fn trie_build_equals_the_per_level_reference(
-        rows in prop::collection::vec(prop::collection::vec(arb_cell(), 3..=3), 0..=24),
-        keys in prop::collection::vec(0u32..100, 3..=3),
-        depth in 1usize..=3,
+        packed in arb_build(Fit::Packed),
+        seam in arb_build(Fit::Seam),
+        per_level in arb_build(Fit::PerLevel),
+        kept in 0u64..u64::MAX,
     ) {
+        for (rel, positions) in [packed, seam, per_level] {
+            check_against_reference(&rel, &positions, kept);
+        }
+    }
+
+    #[test]
+    fn packed_and_per_level_builds_are_equal_field_for_field(
+        packed in arb_build(Fit::Packed),
+        seam in arb_build(Fit::Seam),
+        per_level in arb_build(Fit::PerLevel),
+    ) {
+        // One instance per build path in every case, and one on the seam.
+        prop_assert!(records_fit(&packed.0, &packed.1));
+        prop_assert!(!records_fit(&per_level.0, &per_level.1));
+        for (rel, positions) in [packed, seam, per_level] {
+            check_both_builds(&rel, &positions);
+        }
+    }
+}
+
+#[test]
+fn records_of_exactly_64_bits_pack_and_of_65_do_not() {
+    let build = |columns: [Column; 3], n: usize, positions: &[usize]| {
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|row| {
+                columns
+                    .iter()
+                    .map(|c| c.cell(row, 5 * row as u64))
+                    .collect()
+            })
+            .collect();
         let rel = Relation::from_unweighted_rows(Schema::new(["p", "q", "r"]), &rows);
-        let positions = &order_from(&keys, 3)[..depth];
-        let trie = Trie::build(&rel, positions);
-        prop_assert_eq!(trie.positions(), positions);
-        // Reference row order: by the key columns, ties by row id.
-        let mut ids: Vec<RowId> = rel.iter().map(|(id, _, _)| id).collect();
-        ids.sort_by_key(|&id| (rel.key(id, positions), id));
-        check_node(&trie, trie.root(), &rel, &ids, 0);
+        check_both_builds(&rel, positions);
+        check_against_reference(&rel, positions, 0b1011_0110);
+        Trie::build_packed(&rel, positions).is_some()
+    };
+    let window = |bits| Column::Window { bits };
+    // 5 rows take 3 bits.
+    assert!(build([window(30), window(31), window(40)], 5, &[1, 0]));
+    assert!(!build([window(31), window(31), window(40)], 5, &[1, 0]));
+    assert!(build([window(20), window(21), window(20)], 5, &[2, 0, 1]));
+    assert!(!build([window(20), window(21), window(21)], 5, &[2, 0, 1]));
+    // One level: 2 rows take 1 bit, and a constant column none.
+    assert!(build([window(63), window(40), window(0)], 2, &[0]));
+    assert!(build([window(63), window(40), window(0)], 2, &[2, 0]));
+    assert!(!build([window(63), window(1), window(0)], 2, &[0, 1]));
+    assert!(!build([Column::Extremes, window(0), window(0)], 2, &[0]));
+    // No rows and one row fit whatever the columns hold.
+    assert!(build(
+        [Column::Extremes, Column::Mixed, window(40)],
+        0,
+        &[1, 0, 2]
+    ));
+    assert!(build(
+        [Column::Extremes, Column::Mixed, window(40)],
+        1,
+        &[1, 0, 2]
+    ));
+    // Duplicates only, on both sides of the sort switch.
+    for n in [2, 159, 160, 400] {
+        assert!(build([window(0), window(0), Column::Syms], n, &[0, 1]));
     }
 }
 
