@@ -7,12 +7,19 @@
 //! shipping if writes stay out of the readers' way. The workload is
 //! read-dominated — the normal serving regime, and the one the design
 //! targets: each append invalidates exactly the plans reading the
-//! appended relation, those re-prepare against the delta (reusing the
-//! stashed all-base term, so the rebuild is delta-sized, not
-//! base-sized), and every other read is an untouched cache hit. An
-//! epoch-style invalidation would fail this bench twice over: the
-//! untouched-relation probe would observe rebuilds, and the read tail
-//! would absorb a full re-prepare per append. Three scenes:
+//! appended relation, the writer refreshes those from the entries it
+//! invalidated, and every other read is an untouched cache hit. What a
+//! refresh costs depends on the term: the all-base term is kept, a
+//! materialized delta term (the triangle's) is extended by the join
+//! over the batch, a T-DP delta term (the paths') is rebuilt — one
+//! pass over every relation of the term, measured at 39–68 / 137–188 /
+//! 378–441 µs for a 64-row batch against a 1 000 / 4 000 / 16 000-row
+//! partner (docs/ARCHITECTURE.md § Live data has the table), so not
+//! delta-sized; `anykbench --workload live_writes --trace 1` is the
+//! timed read (`server.write_p50_us`). An epoch-style invalidation
+//! would fail this bench twice over: the untouched-relation probe would
+//! observe rebuilds, and the read tail would absorb a full re-prepare
+//! per append. Four scenes:
 //!
 //! * **read-only baseline** — the reader workload alone; its TTF p95
 //!   is the yardstick.
@@ -27,14 +34,21 @@
 //!   phase it must still be served from cache with **zero** new plan
 //!   misses and **zero** new index builds — counter-asserted, so an
 //!   over-broad invalidation (epoch-style) fails the bench.
+//! * **extension** — with the readers gone and a triangle plan over
+//!   `R1` warm beside the two paths, 32 more batches go into `R1`.
+//!   Counter-asserted: every append keeps the three all-base terms,
+//!   extends the triangle's delta term and rebuilds the two paths' —
+//!   no triangle term is rebuilt — and the untouched plan still has
+//!   not moved.
 //!
-//! Ends with a correctness pin: the served ranked prefix over the
-//! appended relation equals a direct stream on a fresh engine whose
-//! `R1` was built base ⊎ appends up front. Emits `BENCH_E20.json`.
+//! The mixed and extension scenes each end with a correctness pin: the
+//! served ranked prefix over the appended relation equals a direct
+//! stream on a fresh engine whose `R1` was built base ⊎ appends up
+//! front. Emits `BENCH_E20.json`.
 
 use crate::util::{banner, write_bench_json, Json, Table};
-use anyk_engine::Engine;
-use anyk_query::cq::QueryBuilder;
+use anyk_engine::{Engine, RankSpec};
+use anyk_query::cq::{ConjunctiveQuery, QueryBuilder};
 use anyk_serve::{encode_answer, select_text, Server, Service, ServiceConfig, TcpClient};
 use anyk_storage::{Catalog, Relation, RelationBuilder, Schema};
 use anyk_workloads::graphs::{random_edge_relation, WeightDist};
@@ -49,6 +63,8 @@ const K: usize = 40;
 const CLIENTS: usize = 8;
 /// Rows per writer `INSERT` batch.
 const BATCH: usize = 8;
+/// Batches of the extension scene.
+const EXTENSIONS: usize = 32;
 
 pub fn run(scale: f64) {
     banner(
@@ -76,10 +92,10 @@ pub fn run(scale: f64) {
         .atom("R4", &["b", "c"])
         .build();
     let selects = [
-        select_text(&touched_q, anyk_engine::RankSpec::Sum, Some(PAGE)),
-        select_text(&untouched_q, anyk_engine::RankSpec::Sum, Some(PAGE)),
-        select_text(&touched_q, anyk_engine::RankSpec::Max, Some(PAGE)),
-        select_text(&untouched_q, anyk_engine::RankSpec::Min, Some(PAGE)),
+        select_text(&touched_q, RankSpec::Sum, Some(PAGE)),
+        select_text(&untouched_q, RankSpec::Sum, Some(PAGE)),
+        select_text(&touched_q, RankSpec::Max, Some(PAGE)),
+        select_text(&untouched_q, RankSpec::Min, Some(PAGE)),
     ];
     println!(
         "catalog: 4 × {edges} edges over {nodes} nodes; {CLIENTS} readers × \
@@ -119,8 +135,15 @@ pub fn run(scale: f64) {
     println!(
         "acceptance: mixed TTF p95 {}µs ≤ 1.5 × baseline {}µs (+0.5ms slack); \
          {} appends invalidated {} dependent plans; untouched plan kept its \
-         cache entry and index across the write phase",
-        mixed.ttf_p95_us, baseline.ttf_p95_us, mixed.appends, mixed.append_invalidations
+         cache entry and index across the write phase; {EXTENSIONS} more appends kept {} terms, \
+         extended {} (the triangle's, every time) and rebuilt {} (the two paths')",
+        mixed.ttf_p95_us,
+        baseline.ttf_p95_us,
+        mixed.appends,
+        mixed.append_invalidations,
+        mixed.terms[0],
+        mixed.terms[1],
+        mixed.terms[2]
     );
 
     let doc = Json::obj([
@@ -142,6 +165,10 @@ pub fn run(scale: f64) {
         ),
         ("compactions", Json::Int(mixed.compactions)),
         ("untouched_rebuilds", Json::Int(0)),
+        ("extension_batches", Json::Int(EXTENSIONS as u64)),
+        ("terms_kept", Json::Int(mixed.terms[0])),
+        ("terms_extended", Json::Int(mixed.terms[1])),
+        ("terms_rebuilt", Json::Int(mixed.terms[2])),
     ]);
     write_bench_json("BENCH_E20.json", &doc).expect("write BENCH_E20.json");
 }
@@ -152,6 +179,8 @@ struct PhaseStats {
     appended_rows: u64,
     append_invalidations: u64,
     compactions: u64,
+    /// `[kept, extended, rebuilt]` over the extension scene.
+    terms: [u64; 3],
 }
 
 /// One serving phase over a fresh service: `CLIENTS` readers paging
@@ -240,11 +269,10 @@ fn serve_phase(
         "an index on an untouched relation was rebuilt"
     );
 
-    if writing {
-        // Correctness pin: the served ranked prefix over the appended
-        // relation equals a direct stream on a fresh engine whose R1
-        // carries the same rows base-first.
-        let batches_done = before_probe.appends as usize;
+    // Correctness pin: the served ranked prefix over the appended
+    // relation equals a direct stream on a fresh engine whose R1
+    // carries the same rows base-first.
+    let pin = |probe: &mut TcpClient, select: &str, q: &ConjunctiveQuery, batches_done: usize| {
         let mut flat = build_catalog(edges, nodes);
         let r1 = flat.get("R1").expect("R1").clone();
         let appended = Relation::concat(
@@ -253,28 +281,80 @@ fn serve_phase(
                 .collect::<Vec<_>>(),
         );
         flat.register("R1", appended);
-        let reference = Engine::new(flat);
-        let touched_q = QueryBuilder::new()
-            .atom("R1", &["a", "b"])
-            .atom("R2", &["b", "c"])
-            .build();
-        let expect: Vec<String> = reference
-            .prepare(touched_q, anyk_engine::RankSpec::Sum)
+        let expect: Vec<String> = Engine::new(flat)
+            .prepare(q.clone(), RankSpec::Sum)
             .expect("reference prepare")
             .stream()
             .canonical_ties()
             .take(K)
             .map(|a| encode_answer(&a))
             .collect();
-        let got = page_rows(&mut probe, &selects[0]);
+        let got = page_rows(probe, select);
         assert_eq!(
             got,
             expect[..got.len().min(expect.len())],
-            "served answers over the live relation diverge from base ⊎ appends"
+            "served answers of {q} over the live relation diverge from base ⊎ appends"
         );
+    };
+    if writing {
+        let touched_q = QueryBuilder::new()
+            .atom("R1", &["a", "b"])
+            .atom("R2", &["b", "c"])
+            .build();
+        pin(&mut probe, &selects[0], &touched_q, batches);
+    }
+    // The phase's own figures: the extension scene is not part of them.
+    let stats = service.stats();
+
+    let mut terms = [0; 3];
+    if writing {
+        // Extension: the readers are gone, so every append below
+        // refreshes exactly the three plans over R1 — the two paths and
+        // a triangle prepared here, over a tail the writer left.
+        let triangle_q = QueryBuilder::new()
+            .atom("R1", &["a", "b"])
+            .atom("R2", &["b", "c"])
+            .atom("R3", &["c", "a"])
+            .build();
+        let triangle = select_text(&triangle_q, RankSpec::Sum, Some(PAGE));
+        for select in selects.iter().chain([&triangle]) {
+            run_one_query(&mut probe, select);
+        }
+        let before = service.stats();
+        for b in batches..batches + EXTENSIONS {
+            let reply = probe
+                .send(&insert_batch_text(b, nodes))
+                .expect("insert round-trip");
+            assert!(reply.ends_with("compacted=false\nEND\n"), "{reply}");
+            run_one_query(&mut probe, &triangle);
+        }
+        run_one_query(&mut probe, &selects[1]);
+        let after = service.stats();
+        let n = EXTENSIONS as u64;
+        assert_eq!(
+            after.append_invalidations - before.append_invalidations,
+            3 * n
+        );
+        terms = [
+            after.terms_kept - before.terms_kept,
+            after.terms_extended - before.terms_extended,
+            after.terms_rebuilt - before.terms_rebuilt,
+        ];
+        assert_eq!(
+            terms,
+            [3 * n, n, 2 * n],
+            "[kept, extended, rebuilt]: every append keeps three all-base terms, extends \
+             the triangle's delta term and rebuilds only the two paths'"
+        );
+        assert_eq!(
+            (after.cache.misses, after.index.builds),
+            (before.cache.misses + 3 * n, before.index.builds),
+            "the only misses are the writer's own refreshes — no read, the untouched \
+             plan's included, prepared anything — and none built an index"
+        );
+        pin(&mut probe, &triangle, &triangle_q, batches + EXTENSIONS);
     }
 
-    let stats = service.stats();
     server.shutdown();
     PhaseStats {
         ttf_p95_us: stats.ttf_p95_us,
@@ -282,6 +362,7 @@ fn serve_phase(
         appended_rows: stats.appended_rows,
         append_invalidations: stats.append_invalidations,
         compactions: stats.compactions,
+        terms,
     }
 }
 

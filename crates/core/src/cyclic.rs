@@ -218,6 +218,22 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
         })
     }
 
+    /// These answers followed by `more`'s, as a fresh artifact whose
+    /// sort is deferred again — what a refresh after an append installs
+    /// instead of materializing the whole set again: joins are
+    /// multilinear, so the answers a batch adds are the join over that
+    /// batch alone. `self` is untouched; its streams, open or yet to
+    /// spawn, keep the slab they have. Heap and sort order rows by
+    /// `(cost, values)`, total up to exact duplicates, so the result
+    /// streams byte for byte what one materialization over the
+    /// concatenated inputs streams, whatever state `self` was in.
+    /// [`TdpError::TooLarge`] when the sum passes 2³² answers.
+    pub fn extend(&self, more: &Self) -> Result<Self, TdpError> {
+        let mut slab = AnswerSlab::clone(&self.slab);
+        slab.extend(&more.slab);
+        LazySortedAnswers::new(slab)
+    }
+
     /// Total number of answers.
     pub fn len(&self) -> usize {
         self.slab.len()
@@ -642,6 +658,93 @@ mod tests {
         assert!(lazy.stream().next().is_none());
         assert!(lazy.is_sorted(), "empty first stream exhausts immediately");
         assert!(lazy.stream().next().is_none());
+    }
+
+    #[test]
+    fn an_extended_artifact_streams_what_one_over_the_concatenated_slab_does() {
+        use anyk_storage::Value;
+        // Cost ties across the two slabs, and an exact duplicate of an
+        // old row among the new ones.
+        let slab = |rows: &[(i64, [i64; 2])]| {
+            let mut s = AnswerSlab::new(2);
+            for (c, r) in rows {
+                s.push(*c, &[Value::Int(r[0]), Value::Int(r[1])]);
+            }
+            s
+        };
+        let old_rows = [
+            (5, [1, 1]),
+            (2, [9, 0]),
+            (2, [3, 7]),
+            (7, [0, 0]),
+            (1, [4, 4]),
+        ];
+        let new_rows = [(2, [3, 7]), (2, [0, 8]), (6, [2, 2]), (0, [5, 5])];
+        let drain = |lazy: &LazySortedAnswers<i64>| -> Vec<_> {
+            lazy.stream().map(|a| (a.cost, a.values)).collect()
+        };
+        let want =
+            drain(&LazySortedAnswers::new(slab(&[&old_rows[..], &new_rows[..]].concat())).unwrap());
+        assert_eq!(want.len(), 9);
+        assert_eq!(
+            want[2..5].iter().map(|a| a.0).collect::<Vec<_>>(),
+            [2, 2, 2]
+        );
+        assert_eq!(want[3], want[4], "the duplicate comes out twice");
+        let more = LazySortedAnswers::new(slab(&new_rows)).unwrap();
+
+        // Extended while sorted.
+        let sorted = LazySortedAnswers::new(slab(&old_rows)).unwrap();
+        let before = drain(&sorted);
+        assert!(sorted.is_sorted());
+        let extended = sorted.extend(&more).unwrap();
+        assert!(!extended.is_sorted(), "the sort is deferred again");
+        assert_eq!(drain(&extended), want, "lazy-heap first stream");
+        assert_eq!(drain(&extended), want, "cursor over the installed order");
+        assert_eq!(drain(&sorted), before, "the extended artifact is untouched");
+
+        // Extended while its lazy-heap first stream is half drained.
+        let lazy = LazySortedAnswers::new(slab(&old_rows)).unwrap();
+        let mut first = lazy.stream();
+        let head: Vec<_> = (&mut first).take(2).map(|a| (a.cost, a.values)).collect();
+        let extended = lazy.extend(&more).unwrap();
+        assert!(!lazy.is_sorted() && !extended.is_sorted());
+        let mut early = extended.stream();
+        let early_head: Vec<_> = (&mut early).take(4).map(|a| (a.cost, a.values)).collect();
+        assert_eq!(drain(&extended), want, "second spawn pays the sort");
+        let early_all: Vec<_> = early_head
+            .into_iter()
+            .chain(early.map(|a| (a.cost, a.values)))
+            .collect();
+        assert_eq!(early_all, want, "heap stream across the install");
+        let first_all: Vec<_> = head
+            .into_iter()
+            .chain(first.map(|a| (a.cost, a.values)))
+            .collect();
+        assert_eq!(first_all, before, "the open stream finishes on its slab");
+
+        // An extension of an extension, and by nothing.
+        let twice = extended.extend(&more).unwrap();
+        assert_eq!(twice.len(), 13);
+        let none = LazySortedAnswers::new(slab(&[])).unwrap();
+        assert_eq!(drain(&extended.extend(&none).unwrap()), want);
+    }
+
+    #[test]
+    fn an_extension_past_32_bit_row_ids_is_refused() {
+        // Zero-sized costs and zero-width rows: doubling copies nothing.
+        let mut slab: AnswerSlab<()> = AnswerSlab::new(0);
+        slab.push((), &[]);
+        for _ in 0..31 {
+            let half = slab.clone();
+            slab.extend(&half);
+        }
+        assert_eq!(slab.len(), 1 << 31);
+        let half = LazySortedAnswers::new(slab).unwrap();
+        assert_eq!(
+            half.extend(&half).map(|_| ()),
+            Err(TdpError::TooLarge { len: 1 << 32 })
+        );
     }
 
     #[test]

@@ -91,6 +91,16 @@ impl<C> AnswerSlab<C> {
 }
 
 impl<C: Clone> AnswerSlab<C> {
+    /// Append every answer of `more`, in its order, growing each column
+    /// once and to exactly the sum.
+    pub fn extend(&mut self, more: &AnswerSlab<C>) {
+        assert_eq!(more.arity, self.arity, "answer arity mismatch");
+        self.costs.reserve_exact(more.costs.len());
+        self.costs.extend_from_slice(&more.costs);
+        self.values.reserve_exact(more.values.len());
+        self.values.extend_from_slice(&more.values);
+    }
+
     /// Copy answer `i` out.
     #[inline]
     pub fn answer(&self, i: usize) -> RankedAnswer<C> {

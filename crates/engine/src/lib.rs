@@ -144,14 +144,18 @@ struct WriteCounters {
     appended_rows: std::sync::atomic::AtomicU64,
     compactions: std::sync::atomic::AtomicU64,
     invalidated_plans: std::sync::atomic::AtomicU64,
+    terms_kept: std::sync::atomic::AtomicU64,
+    terms_extended: std::sync::atomic::AtomicU64,
+    terms_rebuilt: std::sync::atomic::AtomicU64,
 }
 
 /// A snapshot of the engine's write-path counters
 /// ([`Engine::write_stats`]): appends accepted, rows appended,
-/// compactions run (explicit and threshold-triggered), and cached
-/// plans dropped by relation-scoped invalidation. Fragment appends in
-/// a sharded deployment are bookkeeping, not logical writes, and are
-/// not counted.
+/// compactions run (explicit and threshold-triggered), cached plans
+/// dropped by relation-scoped invalidation, and what refreshing those
+/// plans did to each of their terms. Fragment appends in a sharded
+/// deployment are bookkeeping, not logical writes, and are not
+/// counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteStats {
     /// Append batches accepted (empty batches included).
@@ -163,6 +167,18 @@ pub struct WriteStats {
     /// Cached plans dropped because a relation they read was appended
     /// to (or compacted under them).
     pub invalidated_plans: u64,
+    /// Terms a refresh took over from the invalidated plan as they
+    /// were: every relation they read still has the payloads they were
+    /// built over (the all-base term after an append, and the delta
+    /// terms of the atoms before the appended one).
+    pub terms_kept: u64,
+    /// Materialized terms a refresh extended by the join over the new
+    /// batches alone.
+    pub terms_extended: u64,
+    /// Terms a refresh built from their relations: T-DP terms, terms
+    /// that changed in two positions (self-joins), terms over a
+    /// compacted base, and an atom's first delta term.
+    pub terms_rebuilt: u64,
 }
 
 /// Default plan-cache capacity: generous enough that steady workloads
@@ -180,14 +196,6 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 /// still purges everything at once.
 struct PlanCache {
     map: FxHashMap<CacheKey, CacheSlot>,
-    /// The all-base terms of delta-union prepares, kept across
-    /// relation-scoped invalidations: an append changes only a
-    /// relation's delta tail, so the (expensive) prepared state over
-    /// the bases stays valid and the re-prepare pays only for the
-    /// delta-sized terms. Entries are validated by epoch and base
-    /// payload ids (a compaction swaps the base payload out), and
-    /// LRU-bounded by the same `capacity` as the main map.
-    base_terms: FxHashMap<CacheKey, BaseTermSlot>,
     capacity: usize,
     /// Monotone use counter backing the LRU order.
     tick: u64,
@@ -244,7 +252,9 @@ struct CacheSlot {
     /// served only while every dependency still has exactly these
     /// sources — so an [`Engine::append`] invalidates precisely the
     /// plans that read the appended relation, even if a racing prepare
-    /// inserts a stale entry after the eager purge.
+    /// inserts a stale entry after the eager purge. They are also the
+    /// record of what each term of `prepared` was built over: a term
+    /// reads, per atom position, one [`TermRead`] slice of these ids.
     deps: Vec<(String, Vec<u64>)>,
     /// The exact prepare inputs, kept so the write path can re-prepare
     /// (refresh) this plan right after invalidating it — readers then
@@ -252,11 +262,103 @@ struct CacheSlot {
     origin: (ConjunctiveQuery, RankSpec, EngineOpts),
 }
 
-struct BaseTermSlot {
-    prepared: PreparedQuery,
-    /// Base payload ids of every atom at build time, in atom order.
-    base_ids: Vec<u64>,
-    last_used: u64,
+/// What the write path hands the prepare that refreshes a plan: the
+/// terms of the entry it just invalidated (none when a compaction
+/// swapped the base under every one of them), the payload ids they
+/// were built over, and whether the terms of the refresh are counted
+/// in [`WriteStats`]. The terms are owned, so that one the refresh
+/// does not take over is freed before its replacement is built.
+struct Refresh<'a> {
+    stale: Vec<Option<PreparedQuery>>,
+    deps: &'a [(String, Vec<u64>)],
+    counted: bool,
+}
+
+/// What a term of the telescoped union reads of one atom's sources
+/// `[base, δ₁…δ_j]`: the base `B`, the full content `F` = base ⊎
+/// deltas, or the delta rows `D`.
+#[derive(Clone, Copy)]
+enum TermRead {
+    Base,
+    Full,
+    Delta,
+}
+
+impl TermRead {
+    /// What `term` — `None` the all-base term, `Some(i)` atom `i`'s
+    /// delta term `(F_1, …, F_{i-1}, D_i, B_{i+1}, …, B_m)` — reads at
+    /// atom position `pos`.
+    fn of(term: Option<usize>, pos: usize) -> TermRead {
+        match term {
+            Some(i) if pos < i => TermRead::Full,
+            Some(i) if pos == i => TermRead::Delta,
+            _ => TermRead::Base,
+        }
+    }
+
+    /// The part of `sources` (`[base, δ₁…δ_j]`, payloads or their ids)
+    /// this read covers.
+    fn slice<T>(self, sources: &[T]) -> &[T] {
+        match self {
+            TermRead::Base => &sources[..1],
+            TermRead::Full => sources,
+            TermRead::Delta => &sources[1..],
+        }
+    }
+}
+
+impl Refresh<'_> {
+    /// Take the invalidated entry's `term` of `cq`, if the payloads it
+    /// was built over are still what `live` has or a prefix of it:
+    /// with `None` when they are the same at every atom position — the
+    /// term is what a build would produce — and with `Some((pos,
+    /// from))` when position `pos` alone has more, its sources from
+    /// `from` on being batches appended since. `None` — and the term,
+    /// if there was one, dropped — for a term the entry never had (the
+    /// atom had no deltas yet), one whose base a compaction swapped,
+    /// one that grew in two positions (a self-join), or an entry from
+    /// another epoch.
+    fn take_term(
+        &mut self,
+        cq: &ConjunctiveQuery,
+        live: &[ResolvedAtom],
+        epoch: u64,
+        term: Option<usize>,
+    ) -> Option<(PreparedQuery, Option<(usize, usize)>)> {
+        let deps = self.deps;
+        let was = |pos: usize| {
+            let name = &cq.atom(pos).relation;
+            let (_, ids) = deps.iter().find(|(n, _)| n == name)?;
+            Some(&ids[..])
+        };
+        // The entry's terms are the all-base term, then one per atom
+        // that had deltas, in atom order.
+        let had_deltas = |pos: usize| was(pos).is_some_and(|ids| ids.len() > 1);
+        let index = match term {
+            None => 0,
+            Some(i) if had_deltas(i) => 1 + (0..i).filter(|&j| had_deltas(j)).count(),
+            Some(_) => return None,
+        };
+        let old = self.stale.get_mut(index)?.take()?;
+        if old.epoch() != epoch {
+            return None;
+        }
+        let mut grew = None;
+        for (pos, atom) in live.iter().enumerate() {
+            let read = TermRead::of(term, pos);
+            let (was, now) = (read.slice(was(pos)?), read.slice(&atom.sources));
+            let prefix = was.len() <= now.len()
+                && (was.iter().zip(now)).all(|(id, rel)| *id == rel.payload_id());
+            let more = was.len() < now.len();
+            if !prefix || (more && grew.is_some()) {
+                return None;
+            }
+            if more {
+                grew = Some((pos, was.len()));
+            }
+        }
+        Some((old, grew))
+    }
 }
 
 /// Is every dependency fingerprint still current in `catalog`?
@@ -290,7 +392,6 @@ impl PlanCache {
     fn new(capacity: usize) -> Self {
         PlanCache {
             map: FxHashMap::default(),
-            base_terms: FxHashMap::default(),
             capacity,
             tick: 0,
             hits: 0,
@@ -356,70 +457,18 @@ impl PlanCache {
         self.evict_to_capacity(Some(&key));
     }
 
-    /// A still-valid all-base term for `key`, if one was stashed by a
-    /// previous delta-union prepare over the same base payloads.
-    /// Deliberately *not* dropped by `invalidate_relation`:
-    /// appends leave bases untouched, so
-    /// the stale union's most expensive term outlives the union itself.
-    fn base_term(&mut self, key: &CacheKey, epoch: u64, base_ids: &[u64]) -> Option<PreparedQuery> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.base_terms.get_mut(key) {
-            Some(slot) if slot.prepared.epoch() == epoch && slot.base_ids == base_ids => {
-                slot.last_used = tick;
-                Some(slot.prepared.clone())
-            }
-            _ => None,
-        }
-    }
-
-    /// Stash a delta-union prepare's all-base term for reuse, evicting
-    /// the coldest entries past `capacity`.
-    fn store_base_term(&mut self, key: CacheKey, prepared: PreparedQuery, base_ids: Vec<u64>) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.base_terms.insert(
-            key,
-            BaseTermSlot {
-                prepared,
-                base_ids,
-                last_used: tick,
-            },
-        );
-        while self.base_terms.len() > self.capacity {
-            let Some(coldest) = self
-                .base_terms
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.base_terms.remove(&coldest);
-        }
-    }
-
     /// Drop every entry whose dependency set includes `relation` —
     /// the relation-scoped invalidation behind [`Engine::append`].
-    /// Returns each removed entry's prepare inputs so the write path
-    /// can refresh it. These are invalidations, not capacity
-    /// evictions, and do not count as such.
-    fn invalidate_relation(
-        &mut self,
-        relation: &str,
-    ) -> Vec<(ConjunctiveQuery, RankSpec, EngineOpts)> {
-        let mut removed = Vec::new();
-        self.map.retain(|_, slot| {
-            let keep = !slot.deps.iter().any(|(name, _)| name == relation);
-            if !keep {
-                removed.push(slot.origin.clone());
-            }
-            keep
-        });
-        removed
+    /// Returns the removed entries themselves: the write path refreshes
+    /// each from its `origin`, and takes over from its `prepared`
+    /// whatever the write left valid. These are invalidations, not
+    /// capacity evictions, and do not count as such.
+    fn invalidate_relation(&mut self, relation: &str) -> Vec<CacheSlot> {
+        let reads = |slot: &CacheSlot| slot.deps.iter().any(|(name, _)| name == relation);
+        self.map
+            .extract_if(|_, slot| reads(slot))
+            .map(|(_, slot)| slot)
+            .collect()
     }
 
     /// Pick and remove victims until the map fits `capacity`.
@@ -691,19 +740,27 @@ impl Engine {
         self.update_catalog(|c| c.register(name, rel));
     }
 
-    /// Append one immutable batch to the named relation. `O(batch)`:
-    /// the batch payload is adopted as a delta — the base payload, its
-    /// shared trie indexes, and every cached plan over *other*
-    /// relations stay untouched. Unlike [`Engine::update_catalog`]
-    /// this does **not** bump the epoch: only cached plans that read
-    /// `name` are invalidated (relation-scoped), so a streaming writer
-    /// never recreates the cold-start cliff for the rest of the
-    /// workload. Each invalidated plan is then refreshed on this call
-    /// (re-prepared against base ⊎ deltas, reusing the stashed
-    /// all-base term) so concurrent readers keep hitting the cache —
-    /// the rebuild cost rides on the writer. Open streams keep their
-    /// `Arc` snapshots — a mid-stream append is invisible to them
-    /// (snapshot isolation).
+    /// Append one immutable batch to the named relation. The append
+    /// itself is `O(batch)`: the batch payload is adopted as a delta —
+    /// the base payload, its shared trie indexes, and every cached plan
+    /// over *other* relations stay untouched. Unlike
+    /// [`Engine::update_catalog`] this does **not** bump the epoch: only
+    /// cached plans that read `name` are invalidated (relation-scoped),
+    /// so a streaming writer never recreates the cold-start cliff for
+    /// the rest of the workload. Each invalidated plan is then
+    /// refreshed on this call, from the entry it just lost, so
+    /// concurrent readers keep hitting the cache and the rebuild cost
+    /// rides on the writer. What a refresh costs depends on the term
+    /// ([`WriteStats`] counts each kind): a term that reads none of
+    /// the new rows is **kept** as it is (the all-base term, always);
+    /// a materialized term — the triangle route, `Batch` plans,
+    /// lexicographic ranking on cyclic routes — is **extended** by the
+    /// join over the batch alone plus one copy of its answers; a T-DP
+    /// term is **rebuilt**, one pass over every relation of the term,
+    /// so a path's refresh grows with the relations the appended one
+    /// joins, not with the batch. Open streams keep their `Arc`
+    /// snapshots — a mid-stream append is invisible to them (snapshot
+    /// isolation).
     ///
     /// Once the relation's delta tail outgrows its base (past a floor,
     /// [`anyk_storage::MIN_COMPACT_ROWS`]), the deltas are folded into
@@ -756,7 +813,8 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .invalidate_relation(name);
-        if !name.contains('#') {
+        let counted = !name.contains('#');
+        if counted {
             let w = &self.shared.writes;
             w.appends.fetch_add(1, Relaxed);
             w.appended_rows.fetch_add(rows, Relaxed);
@@ -765,19 +823,36 @@ impl Engine {
             }
             w.invalidated_plans.fetch_add(removed.len() as u64, Relaxed);
         }
-        self.refresh_plans(removed);
+        self.refresh_plans(removed, counted, compacted);
         Ok(())
     }
 
     /// Re-prepare plans the write path just invalidated, so the next
-    /// reader of each is a cache hit instead of paying the delta-union
-    /// rebuild. The cost lands on the writer — with the stashed
-    /// all-base term the rebuild is delta-sized, so a streaming writer
-    /// keeps the read tail flat. A failing re-prepare is dropped
-    /// silently: the next reader re-derives the same typed error.
-    fn refresh_plans(&self, removed: Vec<(ConjunctiveQuery, RankSpec, EngineOpts)>) {
-        for (cq, rank, opts) in removed {
-            let _ = self.prepare_cached(&cq, rank, opts);
+    /// reader of each is a cache hit instead of paying the rebuild. The
+    /// cost lands on the writer, and each prepare is handed the entry
+    /// it replaces: terms the write left valid are taken over from it
+    /// (see [`Engine::append`]). `counted` says whether the terms go
+    /// into [`WriteStats`] (fragment bookkeeping does not), `compacted`
+    /// whether the write folded the relation's deltas into a new base.
+    /// A failing re-prepare is dropped silently: the next reader
+    /// re-derives the same typed error.
+    fn refresh_plans(&self, removed: Vec<CacheSlot>, counted: bool, compacted: bool) {
+        for slot in removed {
+            let (cq, rank, opts) = &slot.origin;
+            // A compaction swapped the base under every term; otherwise
+            // the terms outlive the entry that held them together.
+            let stale = if compacted {
+                Vec::new()
+            } else {
+                slot.prepared.parts().iter().cloned().map(Some).collect()
+            };
+            drop(slot.prepared);
+            let refresh = Refresh {
+                stale,
+                deps: &slot.deps,
+                counted,
+            };
+            let _ = self.prepare_cached(cq, *rank, *opts, Some(refresh));
         }
     }
 
@@ -804,19 +879,21 @@ impl Engine {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .invalidate_relation(name);
-            if !name.contains('#') {
+            let counted = !name.contains('#');
+            if counted {
                 let w = &self.shared.writes;
                 w.compactions.fetch_add(1, Relaxed);
                 w.invalidated_plans.fetch_add(removed.len() as u64, Relaxed);
             }
-            self.refresh_plans(removed);
+            self.refresh_plans(removed, counted, true);
         }
         Ok(compacted)
     }
 
     /// A snapshot of the write-path counters: appends, appended rows,
-    /// compactions, and relation-scoped plan invalidations. Cumulative
-    /// over the engine's lifetime and shared by all clones.
+    /// compactions, relation-scoped plan invalidations, and the terms
+    /// their refreshes kept, extended and rebuilt. Cumulative over the
+    /// engine's lifetime and shared by all clones.
     pub fn write_stats(&self) -> WriteStats {
         use std::sync::atomic::Ordering::Relaxed;
         let w = &self.shared.writes;
@@ -825,6 +902,9 @@ impl Engine {
             appended_rows: w.appended_rows.load(Relaxed),
             compactions: w.compactions.load(Relaxed),
             invalidated_plans: w.invalidated_plans.load(Relaxed),
+            terms_kept: w.terms_kept.load(Relaxed),
+            terms_extended: w.terms_extended.load(Relaxed),
+            terms_rebuilt: w.terms_rebuilt.load(Relaxed),
         }
     }
 
@@ -917,7 +997,7 @@ impl Engine {
         let obs = &self.shared.obs;
         let enabled = obs.enabled();
         let t0 = if enabled { obs.now_us() } else { 0 };
-        let (prepared, cache_hit) = self.prepare_cached(cq, rank, opts)?;
+        let (prepared, cache_hit) = self.prepare_cached(cq, rank, opts, None)?;
         let prepare_us = if enabled {
             let us = obs.now_us().saturating_sub(t0);
             obs.record_prepare(us);
@@ -937,12 +1017,16 @@ impl Engine {
     /// Get-or-build the prepared query for `(cq, rank, opts)` through
     /// the cache (`true` = served from it). Concurrent misses may
     /// prepare twice (last insert wins) — wasted work, never wrong
-    /// results.
+    /// results. `refresh` is the write path's: the entry this prepare
+    /// replaces, whose still-valid terms a miss takes over instead of
+    /// building them; a reader's miss passes none and builds every
+    /// term.
     fn prepare_cached(
         &self,
         cq: &ConjunctiveQuery,
         rank: RankSpec,
         opts: EngineOpts,
+        mut refresh: Option<Refresh<'_>>,
     ) -> Result<(PreparedQuery, bool), EngineError> {
         let mut key = CacheKey::new(cq, rank, opts);
         let (catalog, epoch) = self.read_state();
@@ -992,90 +1076,82 @@ impl Engine {
         }
         let live = resolve_live(&catalog, cq)?;
         let fulls: Vec<Relation> = live.iter().map(|a| a.full.clone()).collect();
-        let delta_atoms = live.iter().filter(|a| a.delta.is_some()).count();
+        let delta_atoms = live.iter().filter(|a| a.has_deltas()).count();
         let mut plan = make_plan(cq, rank, opts, &fulls, catalog.indexes())?;
         plan.deltas = delta_atoms;
         if plan.variant.is_none() {
             // Normalize: one cache entry serves Batch and any-k alike.
             key.batch = false;
         }
-        let prepared = if delta_atoms == 0 {
-            // Delta-free: `fulls` share the base payloads, so this is
-            // exactly the classic single-stream prepare — warm shared
-            // tries included.
-            PreparedQuery::build(plan, fulls, key.batch, epoch, &**catalog.indexes())?
-        } else {
-            // Delta union, telescoped so the terms partition the full
-            // cross product of (base ⊎ deltas) per atom:
-            //   term 0:          (B_1, …, B_m)            — all bases
-            //   term for atom i: (F_1, …, F_{i-1}, D_i, B_{i+1}, …, B_m)
-            // where F = base ⊎ deltas and D_i = atom i's delta rows.
-            // Disjoint and complete by telescoping, and positional — a
-            // self-join's occurrences telescope independently. Delta
-            // terms route index requests through [`DurableOnly`]: base
-            // payloads (and delta-free fulls, which alias their base)
-            // are append-stable, so their tries come from the shared
-            // catalog — a re-prepare after an append then costs only
-            // the delta-sized private builds, not a rebuild of every
-            // base trie. Delta and flattened payloads change on every
-            // append and stay private.
-            let bases: Vec<Relation> = live.iter().map(|a| a.base.clone()).collect();
-            // Delta-free fulls alias their base payload, so base ids
-            // cover every append-stable relation a term can mention.
-            let durable: Vec<u64> = live.iter().map(|a| a.base.payload_id()).collect();
-            // The all-base term is by far the heaviest build and is
-            // untouched by appends — reuse the one stashed by the
-            // previous prepare of this key whenever the bases (and
-            // epoch) still match, so successive appends pay only for
-            // the delta-sized terms.
-            let stashed = self
-                .shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .base_term(&key, epoch, &durable);
-            let mut terms = Vec::with_capacity(delta_atoms + 1);
-            terms.push(match stashed {
-                Some(term) => term,
-                None => PreparedQuery::build(
-                    plan.clone(),
-                    bases.clone(),
-                    key.batch,
-                    epoch,
-                    &**catalog.indexes(),
-                )?,
-            });
-            let provider = DurableOnly {
-                shared: &**catalog.indexes(),
-                durable: durable.clone(),
-            };
-            for (i, atom) in live.iter().enumerate() {
-                let Some(delta) = &atom.delta else { continue };
-                let rels: Vec<Relation> = live
-                    .iter()
-                    .enumerate()
-                    .map(|(j, a)| match j.cmp(&i) {
-                        std::cmp::Ordering::Less => a.full.clone(),
-                        std::cmp::Ordering::Equal => delta.clone(),
-                        std::cmp::Ordering::Greater => a.base.clone(),
+        // The answers over (base ⊎ deltas) per atom, telescoped so the
+        // terms partition the full cross product:
+        //   the all-base term: (B_1, …, B_m)
+        //   atom i's term:     (F_1, …, F_{i-1}, D_i, B_{i+1}, …, B_m)
+        // where F = base ⊎ deltas and D_i = atom i's delta rows
+        // ([`TermRead`]). Disjoint and complete by telescoping, and
+        // positional — a self-join's occurrences telescope
+        // independently. A delta-free query is its all-base term alone.
+        // Index requests go through [`DurableOnly`]: base payloads (and
+        // delta-free fulls, which alias their base) are append-stable,
+        // so their tries come from the shared catalog — all of the
+        // all-base term's do — and a term pays private builds only for
+        // the delta and flattened payloads, which change on every
+        // append.
+        let indexes = DurableOnly {
+            shared: &**catalog.indexes(),
+            live: &live,
+        };
+        let batch = key.batch;
+        let mut build_term = |term: Option<usize>, plan: Plan| {
+            // The term's relations, position `news.0` reading only the
+            // batches `news.1` when given.
+            let rels = |news: Option<(usize, &[Relation])>| -> Vec<Relation> {
+                (live.iter().enumerate())
+                    .map(|(pos, atom)| match news {
+                        Some((at, batches)) if at == pos => Relation::concat(batches),
+                        _ => atom.read(TermRead::of(term, pos)),
                     })
-                    .collect();
-                terms.push(PreparedQuery::build(
-                    plan.clone(),
-                    rels,
-                    key.batch,
-                    epoch,
-                    &provider,
-                )?);
+                    .collect()
+            };
+            // The one shortcut: a term of the entry this prepare
+            // replaces is taken over when it was built over the same
+            // payloads, and — joins being multilinear — extended by the
+            // join over the new batches when one position grew by them
+            // and its answers are materialized.
+            let writes = &self.shared.writes;
+            let stale = refresh.as_mut();
+            let taken = match stale.and_then(|r| r.take_term(cq, &live, epoch, term)) {
+                Some((old, None)) => Some((old, &writes.terms_kept)),
+                Some((old, Some((pos, from)))) if old.holds_materialized_answers() => {
+                    let sources = TermRead::of(term, pos).slice(&live[pos].sources);
+                    let rels = rels(Some((pos, &sources[from..])));
+                    let more = PreparedQuery::build(plan.clone(), rels, batch, epoch, &indexes)?;
+                    let extended = old.extend(&more).transpose()?;
+                    extended.map(|term| (term, &writes.terms_extended))
+                }
+                _ => None,
+            };
+            let (built, counter) = match taken {
+                Some(taken) => taken,
+                None => {
+                    let built = PreparedQuery::build(plan, rels(None), batch, epoch, &indexes)?;
+                    (built, &writes.terms_rebuilt)
+                }
+            };
+            if refresh.as_ref().is_some_and(|r| r.counted) {
+                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            let base_term = terms[0].clone();
-            let union = PreparedQuery::union(plan, terms, epoch);
-            self.shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .store_base_term(key.clone(), base_term, durable);
-            union
+            Ok::<_, EngineError>(built)
+        };
+        let prepared = if delta_atoms == 0 {
+            build_term(None, plan)?
+        } else {
+            let delta_terms = (0..live.len()).filter(|&i| live[i].has_deltas());
+            let terms = std::iter::once(None)
+                .chain(delta_terms.map(Some))
+                .map(|term| build_term(term, plan.clone()))
+                .collect::<Result<Vec<_>, _>>()?;
+            PreparedQuery::union(plan, terms, epoch)
         };
         let deps = query_deps(&catalog, cq);
         self.shared
@@ -1098,21 +1174,28 @@ pub struct PrepareReport {
     pub prepare_us: u64,
 }
 
-/// An [`IndexProvider`] for delta-union terms: requests over the
-/// append-stable payloads in `durable` (bases — immutable until a
-/// compaction swaps the payload out) are delegated to the shared
-/// catalog, everything else (delta batches, flattened base ⊎ delta
-/// payloads) gets a private ephemeral build. This keeps the cost of a
-/// post-append re-prepare proportional to the *delta*, while the
-/// short-lived payloads never pollute the shared catalog.
+/// The [`IndexProvider`] of a prepare's terms: requests over the
+/// append-stable payloads (the bases of `live` — immutable until a
+/// compaction swaps the payload out; a delta-free full aliases its
+/// base) are delegated to the shared catalog, everything else (delta
+/// batches, flattened base ⊎ delta payloads) gets a private ephemeral
+/// build. This keeps the index cost of a delta term proportional to
+/// the *delta*, while the short-lived payloads never pollute the
+/// shared catalog.
 struct DurableOnly<'a> {
     shared: &'a dyn IndexProvider,
-    durable: Vec<u64>,
+    live: &'a [ResolvedAtom],
+}
+
+impl DurableOnly<'_> {
+    fn durable(&self, rel: &Relation) -> bool {
+        (self.live.iter()).any(|a| a.sources[0].payload_id() == rel.payload_id())
+    }
 }
 
 impl IndexProvider for DurableOnly<'_> {
     fn trie(&self, rel: &Relation, positions: &[usize]) -> Arc<anyk_storage::Trie> {
-        if self.durable.contains(&rel.payload_id()) {
+        if self.durable(rel) {
             self.shared.trie(rel, positions)
         } else {
             anyk_storage::BuildEachTime.trie(rel, positions)
@@ -1120,25 +1203,40 @@ impl IndexProvider for DurableOnly<'_> {
     }
 
     fn probe(&self, rel: &Relation, positions: &[usize]) -> bool {
-        self.durable.contains(&rel.payload_id()) && self.shared.probe(rel, positions)
+        self.durable(rel) && self.shared.probe(rel, positions)
     }
 }
 
-/// One atom's relation resolved against the live catalog entry: the
-/// base payload, the flattened full content (base ⊎ deltas — shares
-/// the base payload when delta-free), and the concatenated delta rows
-/// when any exist. All three are `Arc`-backed handles.
+/// One atom's relation resolved against the live catalog entry: its
+/// sources `[base, δ₁…δ_j]` and the flattened full content (base ⊎
+/// deltas — the base payload itself when delta-free). All `Arc`-backed
+/// handles.
 struct ResolvedAtom {
-    base: Relation,
+    sources: Vec<Relation>,
     full: Relation,
-    delta: Option<Relation>,
+}
+
+impl ResolvedAtom {
+    fn has_deltas(&self) -> bool {
+        self.sources.len() > 1
+    }
+
+    /// The relation a term reads here: a handle for `B` and `F`, the
+    /// concatenated batches for `D` (itself a handle while there is
+    /// one batch).
+    fn read(&self, read: TermRead) -> Relation {
+        match read {
+            TermRead::Full => self.full.clone(),
+            _ => Relation::concat(read.slice(&self.sources)),
+        }
+    }
 }
 
 /// Resolve each atom against the live (delta-aware) catalog entries:
-/// per atom, the base, the flattened full content, and the pending
-/// delta rows (if any), with typed arity/existence errors. On a
-/// delta-free catalog every `full` shares its base payload — each
-/// entry is a refcount bump, never a tuple copy.
+/// per atom, its sources and the flattened full content, with typed
+/// arity/existence errors. On a delta-free catalog every `full`
+/// shares its base payload — each entry is a refcount bump, never a
+/// tuple copy.
 fn resolve_live(
     catalog: &Catalog,
     cq: &ConjunctiveQuery,
@@ -1162,11 +1260,9 @@ fn resolve_live(
                 found: base.arity(),
             });
         }
-        let delta = entry.has_deltas().then(|| Relation::concat(entry.deltas()));
         atoms.push(ResolvedAtom {
-            base: base.clone(),
+            sources: entry.sources().cloned().collect(),
             full: entry.flatten(),
-            delta,
         });
     }
     Ok(atoms)
@@ -1305,7 +1401,7 @@ impl QueryRequest<'_> {
         let live = resolve_live(&catalog, &self.cq)?;
         let fulls: Vec<Relation> = live.iter().map(|a| a.full.clone()).collect();
         let mut plan = make_plan(&self.cq, self.rank, self.opts, &fulls, catalog.indexes())?;
-        plan.deltas = live.iter().filter(|a| a.delta.is_some()).count();
+        plan.deltas = live.iter().filter(|a| a.has_deltas()).count();
         Ok(plan)
     }
 
@@ -1314,7 +1410,7 @@ impl QueryRequest<'_> {
     pub fn prepare(self) -> Result<PreparedQuery, EngineError> {
         Ok(self
             .engine
-            .prepare_cached(&self.cq, self.rank, self.opts)?
+            .prepare_cached(&self.cq, self.rank, self.opts, None)?
             .0)
     }
 
@@ -2114,7 +2210,7 @@ mod tests {
                     .shares_payload(catalog.get(&atom.relation).unwrap()),
                 "delta-free resolution must be a refcount bump, not a copy"
             );
-            assert!(resolved.delta.is_none());
+            assert!(!resolved.has_deltas());
         }
     }
 
@@ -2377,6 +2473,132 @@ mod tests {
             "a mid-stream append is invisible to the open stream"
         );
         assert_eq!(engine.query(q).plan().unwrap().count(), 6);
+    }
+
+    /// Three complete 6-node graphs with dyadic weights: every row of
+    /// an [`r1_batch`] closes six triangles.
+    fn refresh_engine() -> Engine {
+        let edges = |salt: i64| -> Vec<(i64, i64, f64)> {
+            (0..36)
+                .map(|i| (i / 6, i % 6, 0.125 * ((i * 7 + salt) % 9) as f64))
+                .collect()
+        };
+        let mut catalog = Catalog::new();
+        for (name, salt) in [("R1", 1), ("R2", 2), ("R3", 3)] {
+            catalog.register(name, edge_rel(&edges(salt)));
+        }
+        Engine::new(catalog)
+    }
+
+    fn r1_batch(step: i64) -> Relation {
+        edge_rel(&[
+            (step % 6, (step + 1) % 6, 0.25 * (step % 5) as f64),
+            ((step + 3) % 6, step % 6, 0.5),
+        ])
+    }
+
+    #[test]
+    fn a_refresh_keeps_extends_or_rebuilds_each_term_and_counts_it() {
+        let engine = refresh_engine();
+        let path = QueryBuilder::new()
+            .atom("R1", &["x", "y"])
+            .atom("R2", &["y", "z"])
+            .build();
+        let triangle = QueryBuilder::new()
+            .atom("R1", &["x", "y"])
+            .atom("R2", &["y", "z"])
+            .atom("R3", &["z", "x"])
+            .build();
+        let self_join = QueryBuilder::new()
+            .atom("R1", &["x", "y"])
+            .atom("R1", &["y", "z"])
+            .build();
+        let plans = [path, triangle, self_join];
+        for q in &plans {
+            engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        }
+        // (kept, extended, rebuilt) of one write's refreshes.
+        let terms_of = |write: &dyn Fn()| {
+            let before = engine.write_stats();
+            write();
+            let after = engine.write_stats();
+            assert_eq!(after.invalidated_plans - before.invalidated_plans, 3);
+            (
+                after.terms_kept - before.terms_kept,
+                after.terms_extended - before.terms_extended,
+                after.terms_rebuilt - before.terms_rebuilt,
+            )
+        };
+        let append = |step: i64| terms_of(&|| engine.append("R1", r1_batch(step)).unwrap());
+        // The first append to a delta-free relation: every plan keeps
+        // the term it was (the all-base term) and builds R1's first
+        // delta term(s) — one for the path and the triangle, one per
+        // occurrence for the self-join.
+        let first = (3, 0, 1 + 1 + 2);
+        // Every later one: all-base terms kept; the triangle's
+        // materialized delta term extended by the batch; the path's
+        // T-DP term rebuilt; the self-join's `(D, B)` rebuilt because
+        // it is T-DP state and its `(F, D)` because it grew twice.
+        let later = (3, 1, 1 + 2);
+        assert_eq!(append(0), first);
+        for step in 1..16 {
+            assert_eq!(append(step), later, "append {step}");
+        }
+        // A compaction swaps the base under every term.
+        assert_eq!(
+            terms_of(&|| assert!(engine.compact("R1").unwrap())),
+            (0, 0, 3)
+        );
+        assert_eq!(append(16), first, "the compacted base's term is kept");
+        assert_eq!(append(17), later);
+        let w = engine.write_stats();
+        assert_eq!(
+            (w.terms_kept, w.terms_extended, w.terms_rebuilt),
+            (18 * 3, 15 + 1, 2 * 4 + 16 * 3 + 3)
+        );
+
+        // What the chain of refreshes left in the cache serves the
+        // bytes of a fresh engine over the same rows.
+        let fresh = Engine::new(engine.catalog().flattened());
+        for q in &plans {
+            let (prepared, report) = engine.query(q.clone()).prepare_report().unwrap();
+            assert!(report.cache_hit, "{q}: the refresh left the plan cached");
+            let got: Vec<_> = prepared.stream().collect();
+            let want: Vec<_> = (fresh.prepare(q.clone(), RankSpec::Sum).unwrap())
+                .stream()
+                .canonical_ties()
+                .collect();
+            assert!(got.len() > 24, "{q}");
+            assert_eq!(got, want, "{q}");
+        }
+    }
+
+    #[test]
+    fn a_stream_open_across_an_extension_finishes_on_its_snapshot() {
+        let engine = refresh_engine();
+        let q = triangle_query();
+        engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        engine.append("R1", r1_batch(0)).unwrap();
+        // A reference stream makes the delta term's artifact sorted; the
+        // held one then reads it as a cursor, half-way through.
+        let prepared = engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        let want: Vec<_> = prepared.stream().collect();
+        let mut held = prepared.stream();
+        let head = held.next_batch(want.len() / 2);
+
+        engine.append("R1", r1_batch(1)).unwrap();
+        assert_eq!(engine.write_stats().terms_extended, 1);
+        let grown: Vec<_> = (engine.prepare(q.clone(), RankSpec::Sum).unwrap())
+            .stream()
+            .collect();
+        assert!(grown.len() > want.len(), "the batch closes new triangles");
+
+        let tail: Vec<_> = held.collect();
+        assert_eq!(
+            [head, tail].concat(),
+            want,
+            "the extension copied, it did not grow in place"
+        );
     }
 
     #[test]

@@ -218,6 +218,34 @@ impl PreparedQuery {
         }
     }
 
+    /// This term with the answers of `more` behind its own: `more` is
+    /// the same [`build`](Self::build) over the same relations with one
+    /// of them replaced by the rows appended to it since, so by
+    /// multilinearity of the join the result holds exactly what a build
+    /// over the grown relation would. `None` unless both are single
+    /// materialized artifacts ([`PreparedRoute::LazySorted`]) under one
+    /// ranking — T-DP state has no such concatenation.
+    pub(crate) fn extend(&self, more: &PreparedQuery) -> Option<Result<Self, EngineError>> {
+        let (PreparedInner::Leaf(old), PreparedInner::Leaf(new)) = (&self.inner, &more.inner)
+        else {
+            return None;
+        };
+        use {PreparedLeaf as L, PreparedRoute::LazySorted as Lazy};
+        let leaf = match (old, new) {
+            (L::Sum(Lazy(a)), L::Sum(Lazy(b))) => a.extend(b).map(|x| L::Sum(Lazy(x))),
+            (L::Max(Lazy(a)), L::Max(Lazy(b))) => a.extend(b).map(|x| L::Max(Lazy(x))),
+            (L::Min(Lazy(a)), L::Min(Lazy(b))) => a.extend(b).map(|x| L::Min(Lazy(x))),
+            (L::Prod(Lazy(a)), L::Prod(Lazy(b))) => a.extend(b).map(|x| L::Prod(Lazy(x))),
+            (L::Lex(Lazy(a)), L::Lex(Lazy(b))) => a.extend(b).map(|x| L::Lex(Lazy(x))),
+            _ => return None,
+        };
+        Some(leaf.map_err(EngineError::from).map(|leaf| PreparedQuery {
+            plan: more.plan.clone(),
+            epoch: more.epoch,
+            inner: PreparedInner::Leaf(leaf),
+        }))
+    }
+
     /// The plan this query was prepared under (route, ranking, width).
     pub fn plan(&self) -> &Plan {
         &self.plan

@@ -271,16 +271,18 @@ impl ShardedEngine {
     /// Write-path counters for the sharded deployment. Appends,
     /// appended rows, and compactions are logical (every shard sees
     /// the same logical writes, so shard 0 speaks for all — fragment
-    /// bookkeeping is never counted); invalidated plans are summed
-    /// across shards, since each shard caches its own plans.
+    /// bookkeeping is never counted); invalidated plans and the terms
+    /// their refreshes kept, extended and rebuilt are summed across
+    /// shards, since each shard caches its own plans.
     pub fn write_stats(&self) -> WriteStats {
         let mut out = self.shared.engines[0].write_stats();
-        out.invalidated_plans = self
-            .shared
-            .engines
-            .iter()
-            .map(|e| e.write_stats().invalidated_plans)
-            .sum();
+        for engine in &self.shared.engines[1..] {
+            let w = engine.write_stats();
+            out.invalidated_plans += w.invalidated_plans;
+            out.terms_kept += w.terms_kept;
+            out.terms_extended += w.terms_extended;
+            out.terms_rebuilt += w.terms_rebuilt;
+        }
         out
     }
 

@@ -382,6 +382,12 @@ pub struct ServiceStats {
     /// Prepared plans dropped by relation-scoped append invalidation
     /// (summed across shards on a sharded backend).
     pub append_invalidations: u64,
+    /// Terms of those plans their refresh took over as they were.
+    pub terms_kept: u64,
+    /// Materialized terms their refresh extended by the new batches.
+    pub terms_extended: u64,
+    /// Terms their refresh built from their relations.
+    pub terms_rebuilt: u64,
     /// Per route × ranking breakdown, indexed `[route][rank]` in
     /// [`ROUTES`] × [`RANKS`] order.
     pub routes: [[RouteRankStats; RANKS.len()]; ROUTES.len()],
@@ -1004,6 +1010,9 @@ impl Service {
             appended_rows: writes.appended_rows,
             compactions: writes.compactions,
             append_invalidations: writes.invalidated_plans,
+            terms_kept: writes.terms_kept,
+            terms_extended: writes.terms_extended,
+            terms_rebuilt: writes.terms_rebuilt,
             routes,
         }
     }

@@ -264,6 +264,9 @@ fn stats_fields(s: &ServiceStats) -> Vec<(String, String)> {
         ("appended_rows", s.appended_rows.to_string()),
         ("compactions", s.compactions.to_string()),
         ("append_invalidations", s.append_invalidations.to_string()),
+        ("terms_kept", s.terms_kept.to_string()),
+        ("terms_extended", s.terms_extended.to_string()),
+        ("terms_rebuilt", s.terms_rebuilt.to_string()),
     ];
     let mut out: Vec<(String, String)> =
         fixed.into_iter().map(|(k, v)| (k.to_string(), v)).collect();

@@ -12,6 +12,7 @@
 //! the cross-check asserts (a) the exact cost sequence and (b) multiset
 //! equality of the answers inside every cost-tie group.
 
+use anyk::engine::WriteStats;
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
 
@@ -192,62 +193,102 @@ impl LiveEngine {
             LiveEngine::Sharded(e) => Ok(e.prepare(q, rank)?.stream()),
         }
     }
+
+    fn write_stats(&self) -> WriteStats {
+        match self {
+            LiveEngine::Single(e) => e.write_stats(),
+            LiveEngine::Sharded(e) => e.write_stats(),
+        }
+    }
 }
 
 /// Write-path cross-check on one `(q, base, appends, rank)` instance.
 ///
-/// `live` — freshly built over `base` — takes `appends` — `(atom
-/// index, batch)` pairs, in order — through its `append`, and its
-/// delta-backed prepared stream must (a) match the brute-force oracle
-/// over base ⊎ deltas and (b) be **byte-identical** to a fresh
-/// single-payload engine's canonical-tie stream: the union merges its
-/// leaves (delta terms, or shards × delta terms) with the canonical
-/// `(cost, values, leaf)` tie-break, so the equality is positional,
-/// not just tie-group-wise. Compacting every delta and re-preparing
-/// must serve the identical bytes again.
+/// `live` — freshly built over `base`, its plan prepared and its first
+/// stream half-read, so every write refreshes a cached plan from the
+/// entry it invalidates — takes `appends` — `(atom index, batch)`
+/// pairs, in order — through its `append`, and a `compact` of the
+/// relation just appended to after each step listed in
+/// `compact_after`. After **every** step the served stream must be
+/// **byte-identical** to a fresh single-payload engine's
+/// canonical-tie stream over the rows so far: a term the refresh kept
+/// or extended serves what a rebuilt one does. After the last, the
+/// delta-backed stream must also (a) match the brute-force oracle over
+/// base ⊎ deltas and (b) be canonical by construction: the union
+/// merges its leaves (delta terms, or shards × delta terms) with the
+/// canonical `(cost, values, leaf)` tie-break, so the equality is
+/// positional, not just tie-group-wise. Compacting every delta and
+/// re-preparing must serve the identical bytes again.
 ///
-/// Atoms must carry distinct relation names (the per-atom base ⊎
-/// deltas reconstruction maps batches by atom index).
+/// A batch appended for one atom lands in every atom that reads the
+/// same relation, so self-joins reconstruct correctly. Returns what
+/// the refreshes of the schedule's own writes did
+/// ([`WriteStats::terms_extended`] and its siblings).
 pub fn check_write_path_against_oracle(
     live: LiveEngine,
     q: &ConjunctiveQuery,
     base: &[Relation],
     appends: &[(usize, Relation)],
+    compact_after: &[usize],
     rank: RankSpec,
     label: &str,
-) {
-    for (atom, batch) in appends {
-        live.append(&q.atom(*atom).relation, batch.clone())
-            .unwrap_or_else(|e| panic!("{label}: append: {e}"));
-    }
+) -> WriteStats {
+    let fresh = |rels: &[Relation]| -> Vec<RankedAnswer> {
+        Engine::from_query_bindings(q, rels.to_vec())
+            .prepare(q.clone(), rank)
+            .unwrap_or_else(|e| panic!("{label}: single prepare: {e}"))
+            .stream()
+            .canonical_ties()
+            .collect()
+    };
+    let serve = |at: &str| {
+        live.stream(q, rank)
+            .unwrap_or_else(|e| panic!("{label}: {at}: prepare: {e}"))
+    };
     // Ground truth: base ⊎ deltas flattened per atom, in append order —
     // both the oracle and the single-payload reference run on it.
-    let combined: Vec<Relation> = (0..q.num_atoms())
-        .map(|i| {
-            let mut parts = vec![base[i].clone()];
-            parts.extend(
-                appends
-                    .iter()
-                    .filter(|(a, _)| *a == i)
-                    .map(|(_, b)| b.clone()),
-            );
-            Relation::concat(&parts)
-        })
-        .collect();
+    let mut combined = base.to_vec();
+    let all = fresh(&combined);
+    let warm: Vec<RankedAnswer> = serve("warm-up").take(all.len() / 2).collect();
+    assert_eq!(warm.len(), all.len() / 2, "{label}: warm-up");
+    for (step, (atom, batch)) in appends.iter().enumerate() {
+        let name = &q.atom(*atom).relation;
+        live.append(name, batch.clone())
+            .unwrap_or_else(|e| panic!("{label}: append: {e}"));
+        for (i, rel) in combined.iter_mut().enumerate() {
+            if q.atom(i).relation == *name {
+                *rel = Relation::concat(&[rel.clone(), batch.clone()]);
+            }
+        }
+        if compact_after.contains(&step) {
+            live.compact(name)
+                .unwrap_or_else(|e| panic!("{label}: mid-schedule compact: {e}"));
+        }
+        // Every other step leaves its stream half-read, so the next
+        // refresh meets a materialized term once with its sort still
+        // deferred and once with the sorted artifact installed. (A
+        // delta-free single engine serves route tie order; on a merged
+        // stream the adapter is the identity.)
+        let at = format!("after write {step}");
+        let want = fresh(&combined);
+        let read = if step % 2 == 0 {
+            want.len()
+        } else {
+            want.len() / 2
+        };
+        let served: Vec<RankedAnswer> = serve(&at).canonical_ties().take(read).collect();
+        assert_eq!(
+            served,
+            want[..read],
+            "{label}: {at}: the refreshed plan must serve a fresh engine's bytes"
+        );
+    }
+    let writes = live.write_stats();
     let want = brute_force_ranked(q, &combined, rank);
-    let delta_backed: Vec<RankedAnswer> = live
-        .stream(q, rank)
-        .unwrap_or_else(|e| panic!("{label}: delta prepare: {e}"))
-        .collect();
+    let delta_backed: Vec<RankedAnswer> = serve("delta-backed").collect();
     assert_matches_oracle(&delta_backed, &want, &format!("{label}: delta-backed"));
 
-    let single = Engine::from_query_bindings(q, combined);
-    let canonical: Vec<RankedAnswer> = single
-        .prepare(q.clone(), rank)
-        .unwrap_or_else(|e| panic!("{label}: single prepare: {e}"))
-        .stream()
-        .canonical_ties()
-        .collect();
+    let canonical = fresh(&combined);
     assert_eq!(
         delta_backed, canonical,
         "{label}: delta-backed stream must be byte-identical to the \
@@ -262,15 +303,12 @@ pub fn check_write_path_against_oracle(
         live.compact(&q.atom(i).relation)
             .unwrap_or_else(|e| panic!("{label}: compact: {e}"));
     }
-    let compacted: Vec<RankedAnswer> = live
-        .stream(q, rank)
-        .unwrap_or_else(|e| panic!("{label}: post-compact prepare: {e}"))
-        .canonical_ties()
-        .collect();
+    let compacted: Vec<RankedAnswer> = serve("post-compact").canonical_ties().collect();
     assert_eq!(
         compacted, canonical,
         "{label}: compacted stream must serve the identical bytes"
     );
+    writes
 }
 
 /// The serving-path equivalences on one instance: prepared-then-stream

@@ -22,15 +22,18 @@ const BATCH_ROWS: usize = 4;
 const PAGE: usize = 4;
 const PAGES: usize = 3; // rows pulled per query = PAGE * PAGES
 
-/// The four warm selects: two touch `R1` (the appended relation), two
-/// live entirely on `R3 ⋈ R4` and must never be invalidated.
-const SELECTS: [&str; 4] = [
+/// The five warm selects: three touch `R1` (the appended relation) —
+/// two paths, whose delta term every append rebuilds, and a triangle,
+/// whose materialized delta term every append extends — and two live
+/// entirely on `R3 ⋈ R4` and must never be invalidated.
+const SELECTS: [&str; 5] = [
     "SELECT R1(a,b), R2(b,c) RANK BY sum LIMIT 4;",
     "SELECT R1(a,b), R2(b,c) RANK BY max LIMIT 4;",
     "SELECT R3(a,b), R4(b,c) RANK BY sum LIMIT 4;",
     "SELECT R3(a,b), R4(b,c) RANK BY min LIMIT 4;",
+    "SELECT R1(a,b), R2(b,c), R3(c,a) RANK BY sum LIMIT 4;",
 ];
-const TOUCHED_PER_APPEND: u64 = 2; // cached plans depending on R1
+const TOUCHED_PER_APPEND: u64 = 3; // cached plans depending on R1
 
 /// Deterministic writer batches: values land inside the base domain so
 /// every batch creates new join partners against `R2`.
@@ -134,12 +137,12 @@ fn live_service() -> (Service, Vec<Relation>) {
     (Service::new(engine), rels)
 }
 
-/// The scenario: warm all four plans, then run 1 writer + 8 readers to
+/// The scenario: warm all five plans, then run 1 writer + 8 readers to
 /// completion, then audit every counter the service publishes.
 fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[Relation]) {
-    // Warm every select so all four plans are cache-resident before
+    // Warm every select so all five plans are cache-resident before
     // the first append: from here on, each append invalidates exactly
-    // the two R1-dependent plans and refresh-on-append re-prepares
+    // the three R1-dependent plans and refresh-on-append re-prepares
     // them, so the invalidation counter is exact arithmetic.
     let mut warm = connect(mode, service);
     for select in SELECTS {
@@ -207,7 +210,7 @@ fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[
     assert_eq!(
         stats.append_invalidations,
         BATCHES as u64 * TOUCHED_PER_APPEND,
-        "{label}: each append invalidates exactly the two R1 plans"
+        "{label}: each append invalidates exactly the three R1 plans"
     );
 
     // Untouched plans rode through every append: probing them again
@@ -227,32 +230,42 @@ fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[
         "{label}: untouched shared indexes must not rebuild"
     );
 
-    // Correctness pin: the touched select now serves base ⊎ all five
-    // deltas, byte-identical to a fresh single-payload engine's
-    // canonical-tie stream through the same encoder.
-    let got = pull_pages(&mut probe, SELECTS[0]);
+    // Correctness pin: the touched selects now serve base ⊎ all five
+    // deltas — the path through a delta term rebuilt five times, the
+    // triangle through one built once and extended four times — byte-
+    // identical to a fresh single-payload engine's canonical-tie
+    // stream through the same encoder.
     let mut combined = vec![rels[0].clone()];
     for b in 0..BATCHES {
         combined.push(common::gen::edge_rel(&batch_rows(b)));
     }
-    let q = QueryBuilder::new()
+    let mut fresh = rels[..3].to_vec();
+    fresh[0] = Relation::concat(&combined);
+    let path = QueryBuilder::new()
         .atom("R1", &["a", "b"])
         .atom("R2", &["b", "c"])
         .build();
-    let reference =
-        Engine::from_query_bindings(&q, vec![Relation::concat(&combined), rels[1].clone()]);
-    let want: Vec<String> = reference
-        .prepare(q.clone(), RankSpec::Sum)
-        .expect("reference prepare")
-        .stream()
-        .canonical_ties()
-        .take(PAGE * PAGES)
-        .map(|a| encode_answer(&a))
-        .collect();
-    assert_eq!(
-        got, want,
-        "{label}: post-append pages must be byte-identical to the reference stream"
-    );
+    let triangle = QueryBuilder::new()
+        .atom("R1", &["a", "b"])
+        .atom("R2", &["b", "c"])
+        .atom("R3", &["c", "a"])
+        .build();
+    for (select, q, atoms) in [(SELECTS[0], path, 2), (SELECTS[4], triangle, 3)] {
+        let got = pull_pages(&mut probe, select);
+        let reference = Engine::from_query_bindings(&q, fresh[..atoms].to_vec());
+        let want: Vec<String> = reference
+            .prepare(q.clone(), RankSpec::Sum)
+            .expect("reference prepare")
+            .stream()
+            .canonical_ties()
+            .take(PAGE * PAGES)
+            .map(|a| encode_answer(&a))
+            .collect();
+        assert_eq!(
+            got, want,
+            "{label}: post-append pages of {q} must be byte-identical to the reference stream"
+        );
+    }
 }
 
 #[test]

@@ -257,17 +257,34 @@ fn check_write_path_all_ranks(
     base: &[Relation],
     appends: &[(usize, Relation)],
     route: &str,
-) {
+) -> Vec<(RankSpec, [u64; 3])> {
+    check_write_schedule_all_ranks(q, base, appends, &[], route)
+}
+
+/// [`check_write_path_all_ranks`] with a `compact()` of the relation
+/// just appended to after each step of `appends` that `compact_after`
+/// lists. Returns, per ranking, the terms the single engine's
+/// refreshes `[kept, extended, rebuilt]`.
+fn check_write_schedule_all_ranks(
+    q: &anyk::query::cq::ConjunctiveQuery,
+    base: &[Relation],
+    appends: &[(usize, Relation)],
+    compact_after: &[usize],
+    route: &str,
+) -> Vec<(RankSpec, [u64; 3])> {
+    let mut terms = Vec::new();
     for rank in RankSpec::ALL {
         let single = LiveEngine::Single(Engine::from_query_bindings(q, base.to_vec()));
-        check_write_path_against_oracle(
+        let w = check_write_path_against_oracle(
             single,
             q,
             base,
             appends,
+            compact_after,
             rank,
             &format!("{route} × {rank}"),
         );
+        terms.push((rank, [w.terms_kept, w.terms_extended, w.terms_rebuilt]));
         for shards in [1usize, 2, 3] {
             let sharded = ShardedEngine::try_from_query_bindings(q, base.to_vec(), shards)
                 .unwrap_or_else(|e| panic!("{route}: sharded build: {e}"));
@@ -276,11 +293,13 @@ fn check_write_path_all_ranks(
                 q,
                 base,
                 appends,
+                compact_after,
                 rank,
                 &format!("{route} × {rank} × {shards} shard(s)"),
             );
         }
     }
+    terms
 }
 
 #[test]
@@ -431,6 +450,167 @@ fn live_appends_with_all_ties_weights_stay_canonical() {
         &appends3,
         "all-ties triangle live",
     );
+}
+
+// ---------------------------------------------------------------------
+// Refresh from the stale entry: the plan is warm before the first
+// append, so every step below refreshes it — keeping the terms the
+// batch does not reach, extending the materialized ones by the batch
+// (triangle, `Batch` plans, lex on cyclic routes), rebuilding the rest
+// — and every step is held to a fresh engine's bytes.
+// ---------------------------------------------------------------------
+
+/// Batch `i` of a schedule: two edges inside the fixture's domain, so
+/// they close answers against base rows and against earlier batches,
+/// with dyadic weights that tie across batches.
+fn small_batch(i: usize) -> Relation {
+    let k = i as i64;
+    edge_rel(&[
+        (1 + k % 4, 1 + (k + 1) % 4, 0.25 * (1 + k % 3) as f64),
+        (1 + (k + 2) % 4, 1 + k % 4, 0.5),
+    ])
+}
+
+#[test]
+fn consecutive_appends_extend_the_triangle_term_upon_itself() {
+    // Nine batches into R1: the first builds `(D1, B2, B3)`, the other
+    // eight each extend what the one before left.
+    let e = edge_rel(&fixture_edges());
+    let appends: Vec<_> = (0..9).map(|i| (0, small_batch(i))).collect();
+    let terms = check_write_path_all_ranks(
+        &triangle_query(),
+        &[e.clone(), e.clone(), e],
+        &appends,
+        "triangle, one relation live",
+    );
+    for (rank, terms) in terms {
+        assert_eq!(terms, [9, 8, 1], "{rank}: all-base term kept 9 times");
+    }
+}
+
+#[test]
+fn alternating_appends_extend_a_triangle_term_in_either_position() {
+    // R1 and R2 in turn: R2's term `(F1, D2, B3)` sees `F1` grow in one
+    // refresh and its own `D2` in the next — one changed position each
+    // time — while R1's term `(D1, B2, B3)` is extended, then kept.
+    let e = edge_rel(&fixture_edges());
+    let appends: Vec<_> = (0..8).map(|i| (i % 2, small_batch(i))).collect();
+    let terms = check_write_path_all_ranks(
+        &triangle_query(),
+        &[e.clone(), e.clone(), e],
+        &appends,
+        "triangle, two relations live",
+    );
+    // Steps 0 and 1 build the two delta terms. From then on an append
+    // to R1 keeps the all-base term and extends both delta terms, one
+    // to R2 keeps R1's term too and extends its own.
+    for (rank, terms) in terms {
+        assert_eq!(terms, [1 + 2 + 3 * (1 + 2), 3 * (2 + 1), 2], "{rank}");
+    }
+}
+
+#[test]
+fn extensions_resume_after_a_compaction_and_an_auto_compaction() {
+    // An explicit `compact()` of R1 after step 3 and, at step 6, a
+    // batch long enough to fold R2's tail into its base on arrival
+    // (its rows join nothing: the values are outside the domain).
+    // Either way the next refresh finds a swapped base, rebuilds, and
+    // the steps after it extend again.
+    let e = edge_rel(&fixture_edges());
+    let long: Vec<(i64, i64, f64)> = (0..anyk::storage::MIN_COMPACT_ROWS as i64)
+        .map(|i| (1000 + i, 5000 + i, 0.5))
+        .collect();
+    let mut appends: Vec<_> = (0..10).map(|i| (i % 2, small_batch(i))).collect();
+    appends[6] = (1, edge_rel(&long));
+    let terms = check_write_schedule_all_ranks(
+        &triangle_query(),
+        &[e.clone(), e.clone(), e],
+        &appends,
+        &[3],
+        "triangle through compactions",
+    );
+    // Rebuilt: a delta term's first build at steps 0, 1, 5 and 7, and
+    // the all-base term with R1's delta term after each compaction.
+    // Extended: steps 2 (both delta terms), 3, 4, 8 (both) and 9.
+    for (rank, terms) in terms {
+        assert_eq!(terms[1..], [7, 4 + 2 * 2], "{rank}");
+    }
+}
+
+#[test]
+fn consecutive_appends_extend_lex_on_the_four_cycle() {
+    // On a cyclic route lexicographic ranking runs off the materialized
+    // answers — extended — while the other four rankings drive the
+    // case trees, rebuilt on every step of the same schedule.
+    let e = edge_rel(&fixture_edges());
+    let appends: Vec<_> = (0..6).map(|i| ((i % 2) * 2, small_batch(i))).collect();
+    let terms = check_write_path_all_ranks(
+        &cycle_query(4),
+        &vec![e; 4],
+        &appends,
+        "cycle(4) live twice",
+    );
+    for (rank, terms) in terms {
+        let extended = if rank == RankSpec::Lex {
+            2 * (2 + 1)
+        } else {
+            0
+        };
+        assert_eq!(terms[1], extended, "{rank}");
+    }
+}
+
+#[test]
+fn consecutive_appends_extend_a_batch_plan_on_the_path() {
+    // `Batch` materializes on the acyclic route too: an engine whose
+    // default variant it is extends the path's delta terms.
+    let q = path_query(3);
+    let base = vec![
+        edge_rel(&fixture_edges()),
+        edge_rel(&fixture_edges()[2..]),
+        edge_rel(&fixture_edges()[..10]),
+    ];
+    let appends: Vec<_> = (0..8).map(|i| (i % 3, small_batch(i))).collect();
+    let batch = EngineOpts {
+        variant: AnyKVariant::Batch,
+    };
+    for rank in RankSpec::ALL {
+        let catalog = Engine::from_query_bindings(&q, base.clone()).catalog();
+        let live = LiveEngine::Single(Engine::with_opts((*catalog).clone(), batch));
+        let label = format!("path batch × {rank}");
+        let w = check_write_path_against_oracle(live, &q, &base, &appends, &[4], rank, &label);
+        // Extended at steps 3 (all three delta terms), 4 (two), 5, 6
+        // (two) and 7; rebuilt at a delta term's first build (steps 0,
+        // 1, 2 and, after the compaction dropped R2's, 7) and at the
+        // compaction (three terms).
+        assert_eq!([w.terms_extended, w.terms_rebuilt], [9, 4 + 3], "{label}");
+    }
+}
+
+#[test]
+fn a_self_join_extends_one_occurrence_and_rebuilds_the_others() {
+    // The triangle over one relation: a batch lands in all three
+    // positions, so `(D, B, B)` grows in one and is extended, `(F, D,
+    // B)` and `(F, F, D)` grow in two and three and are rebuilt.
+    let q = QueryBuilder::new()
+        .atom("E", &["x", "y"])
+        .atom("E", &["y", "z"])
+        .atom("E", &["z", "x"])
+        .build();
+    let e = edge_rel(&fixture_edges());
+    let appends: Vec<_> = (0..5).map(|i| (0, small_batch(i))).collect();
+    let terms = check_write_schedule_all_ranks(
+        &q,
+        &[e.clone(), e.clone(), e],
+        &appends,
+        &[2],
+        "self-join triangle live",
+    );
+    // Steps 0 and 3 build all three delta terms, the compaction the
+    // one term there is; steps 1, 2 and 4 extend one and rebuild two.
+    for (rank, terms) in terms {
+        assert_eq!(terms, [5, 3, 2 * 3 + 1 + 3 * 2], "{rank}");
+    }
 }
 
 #[test]

@@ -293,6 +293,10 @@ fn explain_and_stats_surface_the_write_path() {
         "INFO appended_rows=2",
         "INFO compactions=0",
         "INFO append_invalidations=1",
+        // The refresh kept the all-base term and built R1's delta term.
+        "INFO terms_kept=1",
+        "INFO terms_extended=0",
+        "INFO terms_rebuilt=1",
     ] {
         assert!(stats.contains(field), "missing `{field}`:\n{stats}");
     }
