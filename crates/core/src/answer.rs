@@ -43,6 +43,22 @@ impl<C> RankedAnswer<C> {
 pub trait AnyK: Iterator<Item = RankedAnswer<<Self as AnyK>::Cost>> {
     /// The ranking function's cost type.
     type Cost: Clone + Ord + Debug;
+
+    /// [`next`](Iterator::next) with the answer's values written into
+    /// `row` — one slot per output column — instead of a vector of
+    /// their own: how a page of answers is filled in place
+    /// ([`AnswerSlab::push_with`](crate::slab::AnswerSlab::push_with)).
+    /// Enumerators that hold their answers as row choices or slab rows
+    /// override it to write each value once.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is not as long as the stream's answers.
+    fn next_into(&mut self, row: &mut [Value]) -> Option<Self::Cost> {
+        let answer = self.next()?;
+        row.copy_from_slice(&answer.values);
+        Some(answer.cost)
+    }
 }
 
 #[cfg(test)]

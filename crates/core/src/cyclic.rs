@@ -38,7 +38,7 @@ use anyk_join::cases::TreeCase;
 use anyk_join::cycle::cycle_cases_provider;
 use anyk_join::generic_join::generic_join_with;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
-use anyk_storage::{BuildEachTime, IndexProvider, Relation};
+use anyk_storage::{BuildEachTime, IndexProvider, Relation, Value};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -142,18 +142,32 @@ pub struct SortedStream<C> {
     pos: usize,
 }
 
+impl<C> SortedStream<C> {
+    /// The slab row the cursor stands on, stepping past it.
+    #[inline]
+    fn next_row(&mut self) -> Option<usize> {
+        let &row = self.answers.order.get(self.pos)?;
+        self.pos += 1;
+        Some(row as usize)
+    }
+}
+
 impl<C: Ord + Clone + std::fmt::Debug> Iterator for SortedStream<C> {
     type Item = RankedAnswer<C>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let &row = self.answers.order.get(self.pos)?;
-        self.pos += 1;
-        Some(self.answers.slab.answer(row as usize))
+        let row = self.next_row()?;
+        Some(self.answers.slab.answer(row))
     }
 }
 
 impl<C: Ord + Clone + std::fmt::Debug + Send + Sync> AnyK for SortedStream<C> {
     type Cost = C;
+
+    fn next_into(&mut self, out: &mut [Value]) -> Option<C> {
+        let row = self.next_row()?;
+        Some(self.answers.slab.copy_row(row, out))
+    }
 }
 
 /// A materialized answer set whose `O(r log r)` sort is **deferred**:
@@ -318,12 +332,20 @@ enum LazyInner<C: Ord> {
     Cursor(SortedStream<C>),
 }
 
-impl<C: Ord + Clone + std::fmt::Debug> Iterator for LazySortedStream<C> {
-    type Item = RankedAnswer<C>;
+impl<C: Ord + Clone + std::fmt::Debug> LazySortedStream<C> {
+    /// The slab every row id of this stream refers to.
+    fn slab(&self) -> &AnswerSlab<C> {
+        match &self.inner {
+            LazyInner::Heap { answers, .. } => &answers.slab,
+            LazyInner::Cursor(c) => &c.answers.slab,
+        }
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The slab row of the next answer in `(cost, values)` order.
+    #[inline]
+    fn next_row(&mut self) -> Option<usize> {
         let (heap, emitted, answers) = match &mut self.inner {
-            LazyInner::Cursor(c) => return c.next(),
+            LazyInner::Cursor(c) => return c.next_row(),
             LazyInner::Heap {
                 heap,
                 emitted,
@@ -341,7 +363,7 @@ impl<C: Ord + Clone + std::fmt::Debug> Iterator for LazySortedStream<C> {
             } else {
                 emitted.push(row);
             }
-            return Some(answers.slab.answer(row as usize));
+            return Some(row as usize);
         }
         // Exhausted: the emission order is the sorted order — install
         // it as the artifact with no extra sort (unless a concurrent
@@ -362,8 +384,22 @@ impl<C: Ord + Clone + std::fmt::Debug> Iterator for LazySortedStream<C> {
     }
 }
 
+impl<C: Ord + Clone + std::fmt::Debug> Iterator for LazySortedStream<C> {
+    type Item = RankedAnswer<C>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let row = self.next_row()?;
+        Some(self.slab().answer(row))
+    }
+}
+
 impl<C: Ord + Clone + std::fmt::Debug + Send + Sync> AnyK for LazySortedStream<C> {
     type Cost = C;
+
+    fn next_into(&mut self, out: &mut [Value]) -> Option<C> {
+        let row = self.next_row()?;
+        Some(self.slab().copy_row(row, out))
+    }
 }
 
 /// The prepared triangle plan: all triangles materialized
@@ -397,13 +433,14 @@ pub fn prepare_triangle_with<R: RankingFunction>(
 /// preprocessing pass. Every instance writes the original query's
 /// output columns itself ([`TdpInstance::prepare_case`]), so a stream
 /// over the union is a plain [`RankedUnion`] of plain enumerators.
+/// The list is shared too: a clone is one reference count.
 #[derive(Clone)]
-pub struct Trees<R: RankingFunction>(Vec<Arc<TdpInstance<R>>>);
+pub struct Trees<R: RankingFunction>(Arc<[Arc<TdpInstance<R>>]>);
 
 /// The union of one tree: an acyclic query's own instance.
 impl<R: RankingFunction> From<TdpInstance<R>> for Trees<R> {
     fn from(tree: TdpInstance<R>) -> Self {
-        Trees(vec![Arc::new(tree)])
+        Trees([Arc::new(tree)].into())
     }
 }
 
@@ -413,8 +450,8 @@ impl<R: RankingFunction> Trees<R> {
     pub fn prepare(cases: Vec<TreeCase>) -> Result<Self, TdpError> {
         (cases.into_iter())
             .map(|case| TdpInstance::prepare_case(case).map(Arc::new))
-            .collect::<Result<_, _>>()
-            .map(Trees)
+            .collect::<Result<Vec<_>, _>>()
+            .map(|trees| Trees(trees.into()))
     }
 
     /// The prepared trees, in case order.

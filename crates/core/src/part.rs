@@ -27,14 +27,16 @@
 //! per-group state: [`AnyKPart::new`] is `O(1)`, the first stream to
 //! deviate through a group sorts it once for all streams, and each
 //! answer costs `O(log k)` heap work plus one allocation (the `values`
-//! vector the caller receives). The other four kinds organize their
-//! groups per stream, root group included, at spawn and on first touch.
+//! vector the caller receives; none through
+//! [`next_into`](crate::AnyK::next_into), which writes a row the caller
+//! already owns). The other four kinds organize their groups per
+//! stream, root group included, at spawn and on first touch.
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
 use crate::succorder::{GroupOrder, MemberRef, SuccessorKind};
 use crate::tdp::TdpInstance;
-use anyk_storage::{FxHashMap, RowId};
+use anyk_storage::{FxHashMap, RowId, Value};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::num::NonZeroU32;
@@ -237,7 +239,11 @@ impl<R: RankingFunction> AnyKPart<R> {
 
     /// Materialize a popped candidate at the end of the arena: fix the
     /// prefix from its parent, apply the deviation, complete the rest
-    /// optimally.
+    /// optimally. (`#[inline]` here, on [`Self::push_children`] and on
+    /// [`Self::advance`]: `next` and `next_into` both end up calling
+    /// them, and with two callers and no hint they are left out of
+    /// line — a scalar deep drain then reads 4 % slower.)
+    #[inline]
     fn materialize(&mut self, cand: &Candidate<R::Cost>) {
         let inst = &*self.inst;
         let m = inst.num_slots();
@@ -281,6 +287,7 @@ impl<R: RankingFunction> AnyKPart<R> {
 
     /// Push all Lawler children of solution `sol` (which was produced by
     /// deviating at `dev` in `group` from `member`).
+    #[inline]
     fn push_children(&mut self, sol: SolId, dev: u32, group: u32, member: MemberRef) {
         let AnyKPart {
             inst,
@@ -352,28 +359,64 @@ fn per_stream_order<'a, R: RankingFunction>(
     })
 }
 
-impl<R: RankingFunction> Iterator for AnyKPart<R> {
-    type Item = RankedAnswer<R::Cost>;
+/// Answers a page-serving stream takes arena room for up front: a
+/// served page is ten answers by default, one more of lookahead.
+const FIRST_PAGE: usize = 16;
 
-    fn next(&mut self) -> Option<Self::Item> {
+impl<R: RankingFunction> AnyKPart<R> {
+    /// Room for `answers` more answers in the arena and for the
+    /// candidates they leave pending, taken once instead of by
+    /// doubling from empty.
+    fn reserve(&mut self, answers: usize) {
+        let m = self.inst.num_slots();
+        self.rows.reserve(answers * m);
+        self.prefix.reserve(answers * (m + 1));
+        self.suffix.reserve(answers * (m + 1));
+        self.heap.reserve(answers * m);
+    }
+
+    /// Pop the next-cheapest candidate, materialize it and queue its
+    /// children: its cost, and where its row per slot sits in `rows`.
+    #[inline]
+    fn advance(&mut self) -> Option<(R::Cost, std::ops::Range<usize>)> {
         // A stream that has materialized 2³² solutions holds over a
         // hundred GiB of arena; it ends there rather than wrap an id.
         let sol = SolId::after(self.emitted)?;
         let cand = self.heap.pop()?;
         self.materialize(&cand);
-        let m = self.inst.num_slots();
-        let values = self.inst.assemble(&self.rows[sol.index() * m..][..m]);
         self.push_children(sol, cand.dev_slot, cand.group, cand.member);
         self.emitted += 1;
-        Some(RankedAnswer {
-            cost: cand.cost,
-            values,
-        })
+        let m = self.inst.num_slots();
+        Some((cand.cost, sol.index() * m..(sol.index() + 1) * m))
+    }
+}
+
+impl<R: RankingFunction> Iterator for AnyKPart<R> {
+    type Item = RankedAnswer<R::Cost>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (cost, at) = self.advance()?;
+        let values = self.inst.assemble(&self.rows[at]);
+        Some(RankedAnswer { cost, values })
     }
 }
 
 impl<R: RankingFunction> crate::answer::AnyK for AnyKPart<R> {
     type Cost = R::Cost;
+
+    /// A stream asked for rows is serving pages: its arena starts with
+    /// room for one (`FIRST_PAGE`) instead of doubling up to it. A
+    /// stream read through `next` — a union's members, most of which
+    /// emit an answer or two, and a deep drain, whose first answer
+    /// would wait for the larger blocks — starts empty as before.
+    fn next_into(&mut self, row: &mut [Value]) -> Option<R::Cost> {
+        if self.rows.capacity() == 0 {
+            self.reserve(FIRST_PAGE);
+        }
+        let (cost, at) = self.advance()?;
+        self.inst.assemble_into(&self.rows[at], row);
+        Some(cost)
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
 use crate::tdp::TdpInstance;
-use anyk_storage::{FxHashMap, RowId};
+use anyk_storage::{FxHashMap, RowId, Value};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -128,6 +128,8 @@ pub struct AnyKRec<R: RankingFunction> {
     tstreams: Vec<FxHashMap<RowId, TupleStream<R::Cost>>>,
     next_rank: usize,
     seq: u64,
+    /// The row per slot of the answer being emitted (scratch).
+    rows: Vec<RowId>,
 }
 
 impl<R: RankingFunction> AnyKRec<R> {
@@ -145,6 +147,7 @@ impl<R: RankingFunction> AnyKRec<R> {
             tstreams: std::iter::repeat_with(FxHashMap::default).take(m).collect(),
             next_rank: 0,
             seq: 0,
+            rows: vec![0; m],
         }
     }
 
@@ -330,25 +333,41 @@ impl<R: RankingFunction> AnyKRec<R> {
     }
 }
 
-impl<R: RankingFunction> Iterator for AnyKRec<R> {
-    type Item = RankedAnswer<R::Cost>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<R: RankingFunction> AnyKRec<R> {
+    /// Extend the root stream by one rank: its cost, its row per slot
+    /// left in `self.rows`.
+    fn advance(&mut self) -> Option<R::Cost> {
         if self.inst.is_empty() {
             return None;
         }
         let r = self.next_rank;
         let cost = self.group_cost(0, 0, r)?; // root = slot 0, group 0
         self.next_rank += 1;
-        let mut rows = vec![0 as RowId; self.inst.num_slots()];
+        let mut rows = std::mem::take(&mut self.rows);
         self.assemble_rows(0, 0, r, &mut rows);
-        let values = self.inst.assemble(&rows);
+        self.rows = rows;
+        Some(cost)
+    }
+}
+
+impl<R: RankingFunction> Iterator for AnyKRec<R> {
+    type Item = RankedAnswer<R::Cost>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let cost = self.advance()?;
+        let values = self.inst.assemble(&self.rows);
         Some(RankedAnswer { cost, values })
     }
 }
 
 impl<R: RankingFunction> crate::answer::AnyK for AnyKRec<R> {
     type Cost = R::Cost;
+
+    fn next_into(&mut self, row: &mut [Value]) -> Option<R::Cost> {
+        let cost = self.advance()?;
+        self.inst.assemble_into(&self.rows, row);
+        Some(cost)
+    }
 }
 
 #[cfg(test)]

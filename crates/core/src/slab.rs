@@ -39,6 +39,16 @@ impl<C> AnswerSlab<C> {
         }
     }
 
+    /// An empty slab with room for `rows` answers of `arity` values:
+    /// a page, which knows how many answers it is about to take.
+    pub fn with_capacity(arity: usize, rows: usize) -> Self {
+        AnswerSlab {
+            arity,
+            costs: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows.saturating_mul(arity)),
+        }
+    }
+
     /// Append one answer.
     #[inline]
     pub fn push(&mut self, cost: C, row: &[Value]) {
@@ -47,11 +57,49 @@ impl<C> AnswerSlab<C> {
         self.values.extend_from_slice(row);
     }
 
+    /// Append the answer `write` produces: it is handed the new row to
+    /// fill and returns the cost, or `None` — nothing is appended — when
+    /// there is no answer. True iff an answer was appended.
+    #[inline]
+    pub fn push_with(&mut self, write: impl FnOnce(&mut [Value]) -> Option<C>) -> bool {
+        let at = self.values.len();
+        self.values.resize(at + self.arity, Value::Int(0));
+        match write(&mut self.values[at..]) {
+            Some(cost) => {
+                self.costs.push(cost);
+                true
+            }
+            None => {
+                self.values.truncate(at);
+                false
+            }
+        }
+    }
+
+    /// Move the last answer, if any, to the end of `to` — no cost is
+    /// cloned. How a served page hands its lookahead row to the cursor
+    /// and takes it back.
+    pub fn move_last_to(&mut self, to: &mut AnswerSlab<C>) {
+        assert_eq!(to.arity, self.arity, "answer arity mismatch");
+        if let Some(cost) = self.costs.pop() {
+            let at = self.costs.len() * self.arity;
+            to.costs.push(cost);
+            to.values.extend_from_slice(&self.values[at..]);
+            self.values.truncate(at);
+        }
+    }
+
     /// Give back the growth slack of both columns: what an artifact
     /// does before it settles in to be held for a plan's lifetime.
     pub fn shrink_to_fit(&mut self) {
         self.costs.shrink_to_fit();
         self.values.shrink_to_fit();
+    }
+
+    /// Values per answer.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Number of answers.
@@ -99,6 +147,13 @@ impl<C: Clone> AnswerSlab<C> {
         self.costs.extend_from_slice(&more.costs);
         self.values.reserve_exact(more.values.len());
         self.values.extend_from_slice(&more.values);
+    }
+
+    /// Copy answer `i`'s values into `out` and return its cost.
+    #[inline]
+    pub fn copy_row(&self, i: usize, out: &mut [Value]) -> C {
+        out.copy_from_slice(self.row(i));
+        self.costs[i].clone()
     }
 
     /// Copy answer `i` out.
@@ -219,6 +274,33 @@ mod tests {
             sorted.map(|_| ()),
             Err(TdpError::TooLarge { len: at_limit + 1 })
         );
+    }
+
+    #[test]
+    fn a_page_takes_rows_in_place_and_hands_its_last_one_over() {
+        let mut page: AnswerSlab<i64> = AnswerSlab::with_capacity(2, 3);
+        let mut next = [(7, [1, 2]), (9, [3, 4])].into_iter();
+        let mut fill = |row: &mut [Value]| {
+            let (cost, values) = next.next()?;
+            row.copy_from_slice(&values.map(Value::Int));
+            Some(cost)
+        };
+        assert!(page.push_with(&mut fill));
+        assert!(page.push_with(&mut fill));
+        // No answer: the row offered to the writer is taken back.
+        assert!(!page.push_with(&mut fill));
+        assert_eq!(page, slab(&[(7, [1, 2]), (9, [3, 4])]));
+        let mut carry = AnswerSlab::new(2);
+        page.move_last_to(&mut carry);
+        assert_eq!((page.len(), carry.len()), (1, 1));
+        assert_eq!(carry.answer(0), slab(&[(9, [3, 4])]).answer(0));
+        carry.move_last_to(&mut page);
+        AnswerSlab::new(2).move_last_to(&mut page); // nothing to move
+        assert!(carry.is_empty());
+        assert_eq!(page, slab(&[(7, [1, 2]), (9, [3, 4])]));
+        let mut row = [Value::Int(0); 2];
+        assert_eq!(page.copy_row(1, &mut row), 9);
+        assert_eq!(row, [Value::Int(3), Value::Int(4)]);
     }
 
     #[test]

@@ -457,13 +457,26 @@ impl<R: RankingFunction> TdpInstance<R> {
     /// into the columns it fills.
     pub(crate) fn assemble(&self, rows_by_slot: &[RowId]) -> Vec<Value> {
         let mut out = self.template.clone();
+        self.scatter(rows_by_slot, &mut out);
+        out
+    }
+
+    /// [`assemble`](Self::assemble) into a row the caller owns — a row
+    /// of a page's slab — which must have one slot per output column.
+    pub(crate) fn assemble_into(&self, rows_by_slot: &[RowId], out: &mut [Value]) {
+        out.copy_from_slice(&self.template);
+        self.scatter(rows_by_slot, out);
+    }
+
+    /// Write each slot's tuple into the output columns it fills.
+    #[inline]
+    fn scatter(&self, rows_by_slot: &[RowId], out: &mut [Value]) {
         for (s, &row) in rows_by_slot.iter().enumerate() {
             let tuple = self.rels[self.atom_of_slot[s]].row(row);
             for &(pos, col) in &self.scatter[s] {
                 out[col as usize] = tuple[pos as usize];
             }
         }
-        out
     }
 
     /// The group id at `slot` given the (already chosen) parent row.

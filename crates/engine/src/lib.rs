@@ -66,6 +66,8 @@ pub use rank::{Cost, IntoCost, RankSpec};
 pub use shard::{ShardedEngine, FRAGMENT_SUFFIX};
 pub use stream::{RankedAnswer, RankedStream};
 
+pub use anyk_core::slab::AnswerSlab;
+
 pub use anyk_obs::ObsRegistry;
 
 use anyk_core::decomposed::auto_decomposition;
@@ -256,10 +258,11 @@ struct CacheSlot {
     /// record of what each term of `prepared` was built over: a term
     /// reads, per atom position, one [`TermRead`] slice of these ids.
     deps: Vec<(String, Vec<u64>)>,
-    /// The exact prepare inputs, kept so the write path can re-prepare
-    /// (refresh) this plan right after invalidating it — readers then
-    /// keep hitting the cache instead of absorbing the rebuild.
-    origin: (ConjunctiveQuery, RankSpec, EngineOpts),
+    /// The options the plan was prepared under — with the key's query
+    /// and ranking, the exact prepare inputs: the write path re-prepares
+    /// (refreshes) a plan right after invalidating it, so readers keep
+    /// hitting the cache instead of absorbing the rebuild.
+    opts: EngineOpts,
 }
 
 /// What the write path hands the prepare that refreshes a plan: the
@@ -438,7 +441,7 @@ impl PlanCache {
         key: CacheKey,
         prepared: PreparedQuery,
         deps: Vec<(String, Vec<u64>)>,
-        origin: (ConjunctiveQuery, RankSpec, EngineOpts),
+        opts: EngineOpts,
     ) {
         if self.capacity == 0 {
             return;
@@ -451,7 +454,7 @@ impl PlanCache {
                 prepared,
                 last_used: tick,
                 deps,
-                origin,
+                opts,
             },
         );
         self.evict_to_capacity(Some(&key));
@@ -460,15 +463,12 @@ impl PlanCache {
     /// Drop every entry whose dependency set includes `relation` —
     /// the relation-scoped invalidation behind [`Engine::append`].
     /// Returns the removed entries themselves: the write path refreshes
-    /// each from its `origin`, and takes over from its `prepared`
+    /// each from its key and `opts`, and takes over from its `prepared`
     /// whatever the write left valid. These are invalidations, not
     /// capacity evictions, and do not count as such.
-    fn invalidate_relation(&mut self, relation: &str) -> Vec<CacheSlot> {
+    fn invalidate_relation(&mut self, relation: &str) -> Vec<(CacheKey, CacheSlot)> {
         let reads = |slot: &CacheSlot| slot.deps.iter().any(|(name, _)| name == relation);
-        self.map
-            .extract_if(|_, slot| reads(slot))
-            .map(|(_, slot)| slot)
-            .collect()
+        self.map.extract_if(|_, slot| reads(slot)).collect()
     }
 
     /// Pick and remove victims until the map fits `capacity`.
@@ -525,21 +525,22 @@ struct CatalogState {
     epoch: u64,
 }
 
-/// Cache key for prepared plans. The `batch` flag is part of the key
-/// because batch plans prepare a different artifact (materialized
-/// sorted answers) than the any-k variants (T-DP state) — while all
-/// PART successor orders and REC share one entry.
+/// Cache key for prepared plans: the query itself, hashed and compared
+/// structurally — a lookup renders and copies nothing. The `batch` flag
+/// is part of the key because batch plans prepare a different artifact
+/// (materialized sorted answers) than the any-k variants (T-DP state) —
+/// while all PART successor orders and REC share one entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    sig: String,
+    cq: ConjunctiveQuery,
     rank: RankSpec,
     batch: bool,
 }
 
 impl CacheKey {
-    fn new(cq: &ConjunctiveQuery, rank: RankSpec, opts: EngineOpts) -> Self {
+    fn new(cq: ConjunctiveQuery, rank: RankSpec, opts: EngineOpts) -> Self {
         CacheKey {
-            sig: cq.to_string(),
+            cq,
             rank,
             batch: matches!(opts.variant, AnyKVariant::Batch),
         }
@@ -836,9 +837,8 @@ impl Engine {
     /// whether the write folded the relation's deltas into a new base.
     /// A failing re-prepare is dropped silently: the next reader
     /// re-derives the same typed error.
-    fn refresh_plans(&self, removed: Vec<CacheSlot>, counted: bool, compacted: bool) {
-        for slot in removed {
-            let (cq, rank, opts) = &slot.origin;
+    fn refresh_plans(&self, removed: Vec<(CacheKey, CacheSlot)>, counted: bool, compacted: bool) {
+        for (key, slot) in removed {
             // A compaction swapped the base under every term; otherwise
             // the terms outlive the entry that held them together.
             let stale = if compacted {
@@ -852,7 +852,7 @@ impl Engine {
                 deps: &slot.deps,
                 counted,
             };
-            let _ = self.prepare_cached(cq, *rank, *opts, Some(refresh));
+            let _ = self.prepare_cached(key.cq, key.rank, slot.opts, Some(refresh));
         }
     }
 
@@ -990,7 +990,7 @@ impl Engine {
     /// prepare histogram (zero-cost when recording is disabled).
     pub(crate) fn prepare_cached_report(
         &self,
-        cq: &ConjunctiveQuery,
+        cq: ConjunctiveQuery,
         rank: RankSpec,
         opts: EngineOpts,
     ) -> Result<(PreparedQuery, PrepareReport), EngineError> {
@@ -1020,10 +1020,11 @@ impl Engine {
     /// results. `refresh` is the write path's: the entry this prepare
     /// replaces, whose still-valid terms a miss takes over instead of
     /// building them; a reader's miss passes none and builds every
-    /// term.
+    /// term. The query is taken by value: it becomes the cache key, so
+    /// a hit copies nothing of it.
     fn prepare_cached(
         &self,
-        cq: &ConjunctiveQuery,
+        cq: ConjunctiveQuery,
         rank: RankSpec,
         opts: EngineOpts,
         mut refresh: Option<Refresh<'_>>,
@@ -1056,33 +1057,32 @@ impl Engine {
             // probe must not refresh the entry's LRU position unless
             // it is actually served.
             if key.batch {
-                let alt = CacheKey {
-                    batch: false,
-                    ..key.clone()
-                };
-                if let Some(slot) = cache.peek(&alt) {
+                key.batch = false;
+                if let Some(slot) = cache.peek(&key) {
                     if slot.prepared.epoch() == epoch
                         && slot.prepared.plan().variant.is_none()
                         && deps_current(&catalog, &slot.deps)
                     {
                         let served = slot.prepared.adopt_variant(opts.variant);
-                        cache.touch(&alt);
+                        cache.touch(&key);
                         cache.hits += 1;
                         return Ok((served, true));
                     }
                 }
+                key.batch = true;
             }
             cache.misses += 1;
         }
+        let cq = &key.cq;
         let live = resolve_live(&catalog, cq)?;
         let fulls: Vec<Relation> = live.iter().map(|a| a.full.clone()).collect();
         let delta_atoms = live.iter().filter(|a| a.has_deltas()).count();
         let mut plan = make_plan(cq, rank, opts, &fulls, catalog.indexes())?;
         plan.deltas = delta_atoms;
-        if plan.variant.is_none() {
-            // Normalize: one cache entry serves Batch and any-k alike.
-            key.batch = false;
-        }
+        // Normalize: one cache entry serves Batch and any-k alike.
+        let batch = key.batch && plan.variant.is_some();
+        // One plan for the prepared query, its terms and their streams.
+        let plan = Arc::new(plan);
         // The answers over (base ⊎ deltas) per atom, telescoped so the
         // terms partition the full cross product:
         //   the all-base term: (B_1, …, B_m)
@@ -1101,8 +1101,8 @@ impl Engine {
             shared: &**catalog.indexes(),
             live: &live,
         };
-        let batch = key.batch;
-        let mut build_term = |term: Option<usize>, plan: Plan| {
+        let mut build_term = |term: Option<usize>| {
+            let plan = Arc::clone(&plan);
             // The term's relations, position `news.0` reading only the
             // batches `news.1` when given.
             let rels = |news: Option<(usize, &[Relation])>| -> Vec<Relation> {
@@ -1125,7 +1125,8 @@ impl Engine {
                 Some((old, Some((pos, from)))) if old.holds_materialized_answers() => {
                     let sources = TermRead::of(term, pos).slice(&live[pos].sources);
                     let rels = rels(Some((pos, &sources[from..])));
-                    let more = PreparedQuery::build(plan.clone(), rels, batch, epoch, &indexes)?;
+                    let more =
+                        PreparedQuery::build(Arc::clone(&plan), rels, batch, epoch, &indexes)?;
                     let extended = old.extend(&more).transpose()?;
                     extended.map(|term| (term, &writes.terms_extended))
                 }
@@ -1144,21 +1145,22 @@ impl Engine {
             Ok::<_, EngineError>(built)
         };
         let prepared = if delta_atoms == 0 {
-            build_term(None, plan)?
+            build_term(None)?
         } else {
             let delta_terms = (0..live.len()).filter(|&i| live[i].has_deltas());
             let terms = std::iter::once(None)
                 .chain(delta_terms.map(Some))
-                .map(|term| build_term(term, plan.clone()))
+                .map(&mut build_term)
                 .collect::<Result<Vec<_>, _>>()?;
             PreparedQuery::union(plan, terms, epoch)
         };
         let deps = query_deps(&catalog, cq);
+        key.batch = batch;
         self.shared
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, prepared.clone(), deps, (cq.clone(), rank, opts));
+            .insert(key, prepared.clone(), deps, opts);
         Ok((prepared, false))
     }
 }
@@ -1410,7 +1412,7 @@ impl QueryRequest<'_> {
     pub fn prepare(self) -> Result<PreparedQuery, EngineError> {
         Ok(self
             .engine
-            .prepare_cached(&self.cq, self.rank, self.opts, None)?
+            .prepare_cached(self.cq, self.rank, self.opts, None)?
             .0)
     }
 
@@ -1418,7 +1420,7 @@ impl QueryRequest<'_> {
     /// prepare wall time ([`PrepareReport`]).
     pub fn prepare_report(self) -> Result<(PreparedQuery, PrepareReport), EngineError> {
         self.engine
-            .prepare_cached_report(&self.cq, self.rank, self.opts)
+            .prepare_cached_report(self.cq, self.rank, self.opts)
     }
 
     /// Plan **and** prepare: returns a ranked stream. Backed by the
@@ -1436,7 +1438,7 @@ impl QueryRequest<'_> {
     pub fn plan_report(self) -> Result<(RankedStream, PrepareReport), EngineError> {
         let (prepared, report) = self
             .engine
-            .prepare_cached_report(&self.cq, self.rank, self.opts)?;
+            .prepare_cached_report(self.cq, self.rank, self.opts)?;
         Ok((prepared.stream().sampled(self.engine.obs()), report))
     }
 }
@@ -1903,6 +1905,17 @@ mod tests {
             .collect();
         assert_eq!(engine.cached_plans(), 1);
         assert_eq!(part.iter().map(|a| a.ints()).collect::<Vec<_>>(), rec);
+        // A hit under the cached variant shares the entry's one plan;
+        // only a request for another variant gets a copy recording it.
+        let cached = engine.query(q.clone()).prepare().unwrap();
+        let again = engine.query(q.clone()).prepare().unwrap();
+        assert!(std::ptr::eq(cached.plan(), again.plan()));
+        assert!(std::ptr::eq(cached.plan(), cached.stream().plan()));
+        let as_rec = engine.query(q.clone()).with_variant(AnyKVariant::Rec);
+        let as_rec = as_rec.prepare().unwrap();
+        assert!(!std::ptr::eq(cached.plan(), as_rec.plan()));
+        assert_eq!(as_rec.stream().plan().variant, Some(AnyKVariant::Rec));
+        assert_eq!(cached.plan().variant, Some(AnyKVariant::default()));
         // Batch prepares a different artifact: second entry.
         let _ = engine
             .query(q)

@@ -14,7 +14,7 @@
 //! produced it ([`RankedStream::canonical_ties`]).
 
 use crate::rank::Cost;
-use crate::stream::{ErasedAnswers, RankedAnswer, RankedStream};
+use crate::stream::{ErasedAnswers, ErasedStream, RankedAnswer, RankedStream};
 use anyk_core::{AnyK, CanonicalOrder, RankedMerge};
 use anyk_obs::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,6 +122,10 @@ impl Iterator for Merged {
     }
 }
 
+/// A merge holds its leaves' head answers, so its pages are taken from
+/// `next`.
+impl ErasedStream for Merged {}
+
 /// Merge `leaves` — `(top-level member, stream)` pairs that partition
 /// the answer multiset — into one canonical ranked stream over a single
 /// tournament tree. Spawning is shell-only: no leaf is pulled until the
@@ -163,3 +167,6 @@ impl RankedStream {
         }
     }
 }
+
+/// Tie runs are buffered as answers, so pages are taken from `next`.
+impl ErasedStream for CanonicalOrder<Cost, ErasedAnswers> {}

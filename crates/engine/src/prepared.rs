@@ -20,8 +20,8 @@
 use crate::error::EngineError;
 use crate::merge::ShardFanIn;
 use crate::plan::{AnyKVariant, Plan, Route};
-use crate::rank::{IntoCost, RankSpec};
-use crate::stream::{ErasedAnswers, RankedAnswer, RankedStream};
+use crate::rank::{Cost, IntoCost, RankSpec};
+use crate::stream::{ErasedAnswers, ErasedStream, RankedAnswer, RankedStream};
 
 use anyk_core::batch::materialize_ranked;
 use anyk_core::cyclic::{
@@ -31,8 +31,10 @@ use anyk_core::decomposed::ghd_trees;
 use anyk_core::part::AnyKPart;
 use anyk_core::ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, SumCost};
 use anyk_core::rec::AnyKRec;
+use anyk_core::slab::AnswerSlab;
 use anyk_core::succorder::SuccessorKind;
 use anyk_core::tdp::TdpInstance;
+use anyk_core::AnyK;
 use anyk_obs::{Clock, ObsRegistry};
 use anyk_storage::{IndexProvider, Relation};
 use std::sync::Arc;
@@ -79,7 +81,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct PreparedQuery {
-    plan: Plan,
+    /// One plan per prepared query: clones, the streams they spawn and
+    /// the terms of a union all share it.
+    plan: Arc<Plan>,
     /// Catalog epoch this query was prepared against (cache validity).
     epoch: u64,
     inner: PreparedInner,
@@ -165,7 +169,7 @@ impl PreparedQuery {
     /// path, so a warm catalog turns prepare's index-build portion into
     /// lookups.
     pub(crate) fn build(
-        plan: Plan,
+        plan: Arc<Plan>,
         rels: Vec<Relation>,
         batch: bool,
         epoch: u64,
@@ -201,7 +205,7 @@ impl PreparedQuery {
     /// members canonically. Members that are themselves unions are
     /// flattened, so shards × delta terms merge through a single tree.
     /// `plan` is the facade plan: it reports the original query.
-    pub(crate) fn union(plan: Plan, members: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
+    pub(crate) fn union(plan: Arc<Plan>, members: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
         let mut leaves = Vec::with_capacity(members.len());
         for (i, member) in members.iter().enumerate() {
             match &member.inner {
@@ -240,7 +244,7 @@ impl PreparedQuery {
             _ => return None,
         };
         Some(leaf.map_err(EngineError::from).map(|leaf| PreparedQuery {
-            plan: more.plan.clone(),
+            plan: Arc::clone(&more.plan),
             epoch: more.epoch,
             inner: PreparedInner::Leaf(leaf),
         }))
@@ -321,15 +325,22 @@ impl PreparedQuery {
         self.spawn(obs.enabled().then(|| Arc::clone(obs.clock())))
     }
 
-    /// A copy of this prepared query whose plan records `requested` as
-    /// the effective variant (the prepared artifact is shared — only
+    /// A handle on this prepared query whose plan records `requested`
+    /// as the effective variant (the prepared artifact is shared — only
     /// the stream-time enumerator choice differs). Plans with a single
     /// implementation (`variant == None`: the triangle route, and
     /// non-commutative rankings on cyclic routes) stay variant-free —
-    /// no requested variant affects what runs.
+    /// no requested variant affects what runs. The plan is copied only
+    /// when the variant it records is not already `requested`.
     pub(crate) fn adopt_variant(&self, requested: AnyKVariant) -> PreparedQuery {
         let mut p = self.clone();
-        p.plan.variant = p.plan.variant.map(|_| requested);
+        let variant = p.plan.variant.map(|_| requested);
+        if variant != p.plan.variant {
+            p.plan = Arc::new(Plan {
+                variant,
+                ..Plan::clone(&p.plan)
+            });
+        }
         p
     }
 
@@ -354,7 +365,7 @@ impl PreparedQuery {
                 (inner, Some(fan_in))
             }
         };
-        let plan = self.plan.clone();
+        let plan = Arc::clone(&self.plan);
         (RankedStream { inner, plan }, fan_in)
     }
 }
@@ -381,16 +392,48 @@ impl PreparedLeaf {
     }
 }
 
-/// Erase a concrete any-k iterator into the engine's answer type.
-fn erase<C, I>(it: I) -> ErasedAnswers
+/// A concrete any-k enumerator behind the engine's answer type.
+struct Erased<I>(I);
+
+impl<I: AnyK> Iterator for Erased<I>
 where
-    C: IntoCost,
-    I: Iterator<Item = anyk_core::answer::RankedAnswer<C>> + Send + 'static,
+    I::Cost: IntoCost,
 {
-    Box::new(it.map(|a| RankedAnswer {
-        cost: a.cost.into_cost(),
-        values: a.values,
-    }))
+    type Item = RankedAnswer;
+
+    fn next(&mut self) -> Option<RankedAnswer> {
+        self.0.next().map(|a| RankedAnswer {
+            cost: a.cost.into_cost(),
+            values: a.values,
+        })
+    }
+}
+
+impl<I: AnyK + Send> ErasedStream for Erased<I>
+where
+    I::Cost: IntoCost,
+{
+    /// Rows written where they stay ([`AnyK::next_into`]): natively by
+    /// a lone PART or REC enumerator and by a materialized artifact's
+    /// streams, through `next` by a union of trees.
+    fn fill(&mut self, page: &mut AnswerSlab<Cost>, n: usize) -> usize {
+        for got in 0..n {
+            let next = |row: &mut [_]| self.0.next_into(row).map(IntoCost::into_cost);
+            if !page.push_with(next) {
+                return got;
+            }
+        }
+        n
+    }
+}
+
+/// Erase a concrete any-k enumerator into the engine's answer type.
+fn erase<I>(it: I) -> ErasedAnswers
+where
+    I: AnyK + Send + 'static,
+    I::Cost: IntoCost,
+{
+    Box::new(Erased(it))
 }
 
 /// Build the prepared artifact for one route under a concrete ranking.

@@ -63,27 +63,32 @@ impl RankSpec {
 
     /// Parse a case-insensitive name (`"sum"`, `"max"`, ...).
     pub fn parse(s: &str) -> Option<RankSpec> {
-        match s.to_ascii_lowercase().as_str() {
-            "sum" => Some(RankSpec::Sum),
-            "max" => Some(RankSpec::Max),
-            "min" => Some(RankSpec::Min),
-            "prod" | "product" => Some(RankSpec::Prod),
-            "lex" | "lexicographic" => Some(RankSpec::Lex),
-            _ => None,
+        let names = RankSpec::ALL.iter().map(|spec| (spec.label(), *spec));
+        let aliases = [
+            ("product", RankSpec::Prod),
+            ("lexicographic", RankSpec::Lex),
+        ];
+        names
+            .chain(aliases)
+            .find_map(|(name, spec)| s.eq_ignore_ascii_case(name).then_some(spec))
+    }
+
+    /// The canonical lowercase name: what [`Display`](fmt::Display)
+    /// writes and [`parse`](Self::parse) reads back.
+    pub fn label(self) -> &'static str {
+        match self {
+            RankSpec::Sum => "sum",
+            RankSpec::Max => "max",
+            RankSpec::Min => "min",
+            RankSpec::Prod => "prod",
+            RankSpec::Lex => "lex",
         }
     }
 }
 
 impl fmt::Display for RankSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            RankSpec::Sum => "sum",
-            RankSpec::Max => "max",
-            RankSpec::Min => "min",
-            RankSpec::Prod => "prod",
-            RankSpec::Lex => "lex",
-        };
-        write!(f, "{name}")
+        f.write_str(self.label())
     }
 }
 

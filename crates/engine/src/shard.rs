@@ -366,7 +366,7 @@ impl ShardedEngine {
             prepare_us: 0,
         };
         for engine in &self.shared.engines {
-            let (part, r) = engine.prepare_cached_report(&scattered, rank, engine.opts)?;
+            let (part, r) = engine.prepare_cached_report(scattered.clone(), rank, engine.opts)?;
             report.cache_hit &= r.cache_hit;
             report.prepare_us += r.prepare_us;
             parts.push(part);
@@ -375,7 +375,7 @@ impl ShardedEngine {
         // rewrite is an internal addressing detail.
         let mut plan = parts[0].plan().clone();
         plan.query = cq.clone();
-        Ok((PreparedQuery::union(plan, parts, *coord), report))
+        Ok((PreparedQuery::union(Arc::new(plan), parts, *coord), report))
     }
 
     /// This sharded engine's shard-0 observability registry (the

@@ -2,6 +2,7 @@
 
 use crate::plan::Plan;
 use crate::rank::Cost;
+use anyk_core::slab::AnswerSlab;
 use anyk_obs::ObsRegistry;
 use std::sync::Arc;
 
@@ -12,8 +13,26 @@ use std::sync::Arc;
 /// conversion.
 pub type RankedAnswer = anyk_core::RankedAnswer<Cost>;
 
-/// What every route's enumerator is erased into.
-pub(crate) type ErasedAnswers = Box<dyn Iterator<Item = RankedAnswer> + Send>;
+/// What every route's enumerator is erased into: answers one at a
+/// time, or a page of them written as rows of a slab.
+pub(crate) trait ErasedStream: Iterator<Item = RankedAnswer> + Send {
+    /// Append up to `n` more answers to `page`, in order; returns how
+    /// many — fewer than `n` only when the stream is exhausted. This
+    /// default takes them from `next`; a lone enumerator writes each
+    /// row in place instead.
+    fn fill(&mut self, page: &mut AnswerSlab<Cost>, n: usize) -> usize {
+        for got in 0..n {
+            match self.next() {
+                Some(a) => page.push(a.cost, &a.values),
+                None => return got,
+            }
+        }
+        n
+    }
+}
+
+/// The boxed [`ErasedStream`] a [`RankedStream`] drives.
+pub(crate) type ErasedAnswers = Box<dyn ErasedStream>;
 
 /// A planner-routed ranked enumeration stream: answers arrive in
 /// non-decreasing cost order, one at a time, any `k`, without fixing
@@ -25,7 +44,8 @@ pub(crate) type ErasedAnswers = Box<dyn Iterator<Item = RankedAnswer> + Send>;
 /// shared [`PreparedQuery`](crate::PreparedQuery).
 pub struct RankedStream {
     pub(crate) inner: ErasedAnswers,
-    pub(crate) plan: Plan,
+    /// Shared with the prepared query that spawned the stream.
+    pub(crate) plan: Arc<Plan>,
 }
 
 impl std::fmt::Debug for RankedStream {
@@ -46,6 +66,30 @@ impl RankedStream {
     /// stream advances: a second `top_k(k)` returns the *next* k.
     pub fn top_k(&mut self, k: usize) -> Vec<RankedAnswer> {
         self.next_batch(k)
+    }
+
+    /// An empty page for this stream's answers with room for `rows`
+    /// of them: what [`fill`](Self::fill) writes into.
+    pub fn page(&self, rows: usize) -> AnswerSlab<Cost> {
+        AnswerSlab::with_capacity(self.plan.query.num_vars(), rows)
+    }
+
+    /// Pull up to `n` more answers into `page` as rows — a cost beside
+    /// one value per query variable — without a vector per answer.
+    /// Returns how many were appended; fewer than `n` means the stream
+    /// is exhausted. Same answers, same order as [`Iterator::next`].
+    ///
+    /// # Panics
+    ///
+    /// If `page` is not a page of this stream's width
+    /// ([`page`](Self::page) makes one).
+    pub fn fill(&mut self, page: &mut AnswerSlab<Cost>, n: usize) -> usize {
+        assert_eq!(
+            page.arity(),
+            self.plan.query.num_vars(),
+            "a page holds one value per query variable"
+        );
+        self.inner.fill(page, n)
     }
 
     /// Pull up to `n` more answers.
@@ -88,21 +132,44 @@ struct SampledPulls {
     window_start_us: u64,
 }
 
+impl SampledPulls {
+    /// Count `pulled` answers; they never cross a window edge.
+    fn pulled(&mut self, pulled: u64) {
+        self.pulls += pulled;
+        if pulled > 0 && self.pulls.is_multiple_of(SAMPLE_EVERY) {
+            let now = self.obs.now_us();
+            let window = now.saturating_sub(self.window_start_us);
+            self.obs.record_delay(window / SAMPLE_EVERY);
+            self.window_start_us = now;
+        }
+    }
+}
+
 impl Iterator for SampledPulls {
     type Item = RankedAnswer;
 
     fn next(&mut self) -> Option<RankedAnswer> {
         let item = self.inner.next();
-        if item.is_some() {
-            self.pulls += 1;
-            if self.pulls.is_multiple_of(SAMPLE_EVERY) {
-                let now = self.obs.now_us();
-                let window = now.saturating_sub(self.window_start_us);
-                self.obs.record_delay(window / SAMPLE_EVERY);
-                self.window_start_us = now;
+        self.pulled(u64::from(item.is_some()));
+        item
+    }
+}
+
+impl ErasedStream for SampledPulls {
+    /// The inner stream's `fill`, one sampling window at a time.
+    fn fill(&mut self, page: &mut AnswerSlab<Cost>, n: usize) -> usize {
+        let mut got = 0;
+        while got < n {
+            let to_edge = SAMPLE_EVERY - self.pulls % SAMPLE_EVERY;
+            let want = (n - got).min(to_edge as usize);
+            let pulled = self.inner.fill(page, want);
+            self.pulled(pulled as u64);
+            got += pulled;
+            if pulled < want {
+                break;
             }
         }
-        item
+        got
     }
 }
 
@@ -137,13 +204,25 @@ mod tests {
     use anyk_query::cq::triangle_query;
     use anyk_storage::{Value, Weight};
 
-    fn dummy_stream(costs: Vec<f64>) -> RankedStream {
-        RankedStream {
-            inner: Box::new(costs.into_iter().map(|c| RankedAnswer {
+    struct Canned(std::vec::IntoIter<f64>);
+
+    impl Iterator for Canned {
+        type Item = RankedAnswer;
+
+        fn next(&mut self) -> Option<RankedAnswer> {
+            self.0.next().map(|c| RankedAnswer {
                 cost: Cost::Scalar(Weight::new(c)),
                 values: vec![Value::Int(1)],
-            })),
-            plan: Plan {
+            })
+        }
+    }
+
+    impl ErasedStream for Canned {}
+
+    fn dummy_stream(costs: Vec<f64>) -> RankedStream {
+        RankedStream {
+            inner: Box::new(Canned(costs.into_iter())),
+            plan: Arc::new(Plan {
                 query: triangle_query(),
                 route: Route::Triangle,
                 rank: RankSpec::Sum,
@@ -151,7 +230,7 @@ mod tests {
                 width: 1.5,
                 index: IndexUse::Built,
                 deltas: 0,
-            },
+            }),
         }
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 pub type VarId = usize;
 
 /// One query atom: a relation name plus its variable list (positional).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Relation name (purely informational; execution binds by index).
     pub relation: String,
@@ -39,7 +39,9 @@ impl Atom {
 }
 
 /// A full conjunctive query (all variables are output variables).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Equality and hashing are structural — variable names, then atoms —
+/// so a query is its own key in the engine's plan cache.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     var_names: Vec<String>,
     atoms: Vec<Atom>,
@@ -141,24 +143,34 @@ impl QueryBuilder {
         QueryBuilder::default()
     }
 
+    /// The id of variable `name`, declared on first use.
+    fn var_id<S: AsRef<str> + Into<String>>(&mut self, name: S) -> VarId {
+        match self.var_names.iter().position(|n| n == name.as_ref()) {
+            Some(i) => i,
+            None => {
+                self.var_names.push(name.into());
+                self.var_names.len() - 1
+            }
+        }
+    }
+
     /// Add an atom `relation(vars...)`; unseen variable names are
     /// declared automatically.
     pub fn atom<S: Into<String>>(mut self, relation: S, vars: &[&str]) -> Self {
-        let var_ids = vars
-            .iter()
-            .map(|name| {
-                if let Some(i) = self.var_names.iter().position(|n| n == name) {
-                    i
-                } else {
-                    self.var_names.push((*name).to_string());
-                    self.var_names.len() - 1
-                }
-            })
-            .collect();
+        let vars = vars.iter().map(|&name| self.var_id(name)).collect();
         self.atoms.push(Atom {
             relation: relation.into(),
-            vars: var_ids,
+            vars,
         });
+        self
+    }
+
+    /// [`atom`](Self::atom) over names the caller gives away (a parsed
+    /// statement's): a variable's first use moves its name in, so
+    /// lowering copies no string.
+    pub fn atom_owned(mut self, relation: String, vars: Vec<String>) -> Self {
+        let vars = vars.into_iter().map(|name| self.var_id(name)).collect();
+        self.atoms.push(Atom { relation, vars });
         self
     }
 

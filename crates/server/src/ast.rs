@@ -206,17 +206,17 @@ pub struct AtomRef {
 }
 
 impl SelectStmt {
-    /// Lower into the engine's query representation. Variables are
-    /// declared in first-use order across the atoms, exactly like
-    /// [`QueryBuilder`] — so a query rendered by [`select_text`] lowers
-    /// back to an equal [`ConjunctiveQuery`].
-    pub fn to_cq(&self) -> ConjunctiveQuery {
-        let mut b = QueryBuilder::new();
-        for atom in &self.atoms {
-            let vars: Vec<&str> = atom.vars.iter().map(String::as_str).collect();
-            b = b.atom(atom.relation.clone(), &vars);
-        }
-        b.build()
+    /// Lower into the engine's query representation, moving the
+    /// statement's names into it. Variables are declared in first-use
+    /// order across the atoms, exactly like [`QueryBuilder::atom`] — so
+    /// a query rendered by [`select_text`] lowers back to an equal
+    /// [`ConjunctiveQuery`].
+    pub fn into_cq(self) -> ConjunctiveQuery {
+        (self.atoms.into_iter())
+            .fold(QueryBuilder::new(), |b, atom| {
+                b.atom_owned(atom.relation, atom.vars)
+            })
+            .build()
     }
 }
 
@@ -263,7 +263,7 @@ impl fmt::Display for Command {
 
 /// Render a [`ConjunctiveQuery`] as the `SELECT` statement that lowers
 /// back to it: `SELECT R(a,b), S(b,c) RANK BY sum;`. The inverse of
-/// [`SelectStmt::to_cq`] for queries whose variables appear in
+/// [`SelectStmt::into_cq`] for queries whose variables appear in
 /// first-use order (everything [`QueryBuilder`] produces).
 pub fn select_text(q: &ConjunctiveQuery, rank: RankSpec, limit: Option<usize>) -> String {
     let stmt = select_stmt(q, rank, limit);
@@ -383,7 +383,7 @@ mod tests {
         for q in [path_query(3), triangle_query()] {
             let text = select_text(&q, RankSpec::Max, None);
             let stmt = select_stmt(&q, RankSpec::Max, None);
-            assert_eq!(stmt.to_cq(), q, "{text}");
+            assert_eq!(stmt.into_cq(), q, "{text}");
         }
     }
 }

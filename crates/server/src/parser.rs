@@ -1,8 +1,9 @@
 //! A hand-rolled recursive-descent parser for the ranked-CQ language.
 //!
-//! Lexing and parsing are one pass over the input with byte positions
-//! carried into every [`ParseError`], so a malformed command reports
-//! *where* and *what was expected* — typed, never a panic.
+//! Lexing and parsing are one pass over the input — the parser pulls
+//! tokens that borrow it, one at a time — with byte positions carried
+//! into every [`ParseError`], so a malformed command reports *where*
+//! and *what was expected* — typed, never a panic.
 
 use crate::ast::{escape_str, AtomRef, Command, InsertStmt, Literal, LoadStmt, SelectStmt};
 use anyk_engine::RankSpec;
@@ -111,10 +112,13 @@ pub const KEYWORDS: [&str; 18] = [
     "SLOW", "INSERT", "INTO", "VALUES", "LOAD", "FROM", "CSV",
 ];
 
+/// A token. Words borrow the input: a command that carries no name
+/// (`NEXT`, `CLOSE`, `STATS`, `TRACE`) is parsed without allocating,
+/// and a `SELECT` allocates only what its [`SelectStmt`] owns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    /// Identifier or keyword (original spelling preserved).
-    Word(String),
+enum Tok<'a> {
+    /// Identifier or keyword (original spelling).
+    Word(&'a str),
     /// Unsigned integer literal.
     Int(u64),
     /// Non-negative float literal (a `.` or exponent in the lexeme;
@@ -129,10 +133,11 @@ enum Tok {
     Semi,
 }
 
-impl Tok {
+impl Tok<'_> {
+    /// The token as error messages show it.
     fn render(&self) -> String {
         match self {
-            Tok::Word(w) => w.clone(),
+            Tok::Word(w) => (*w).to_string(),
             Tok::Int(n) => n.to_string(),
             Tok::Float(b) => b.get().to_string(),
             Tok::Str(s) => format!("'{}'", escape_str(s)),
@@ -154,182 +159,201 @@ impl Tok {
     }
 }
 
-fn lex(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(pos, ch)) = chars.peek() {
-        match ch {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '(' => {
-                chars.next();
-                out.push((pos, Tok::LParen));
-            }
-            ')' => {
-                chars.next();
-                out.push((pos, Tok::RParen));
-            }
-            ',' => {
-                chars.next();
-                out.push((pos, Tok::Comma));
-            }
-            ';' => {
-                chars.next();
-                out.push((pos, Tok::Semi));
-            }
-            '-' => {
-                chars.next();
-                out.push((pos, Tok::Minus));
-            }
-            '\'' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        None => return Err(ParseError::UnterminatedString { pos }),
-                        Some((_, '\'')) => break,
-                        Some((esc_pos, '\\')) => match chars.next() {
-                            None => return Err(ParseError::UnterminatedString { pos }),
-                            Some((_, '\\')) => s.push('\\'),
-                            Some((_, '\'')) => s.push('\''),
-                            Some((_, 'n')) => s.push('\n'),
-                            Some((_, 'r')) => s.push('\r'),
-                            Some((_, 't')) => s.push('\t'),
-                            Some((_, other)) => {
-                                return Err(ParseError::UnexpectedChar {
-                                    pos: esc_pos,
-                                    ch: other,
-                                })
-                            }
-                        },
-                        Some((_, c)) => s.push(c),
-                    }
+/// The lexer: tokens on demand, each with its byte offset.
+struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread character.
+    at: usize,
+    /// The error this lexer stopped at. Lexical errors outrank
+    /// syntactic ones wherever they sit in the input (a command is
+    /// well-lexed or it is not), so a failed parse asks for it
+    /// ([`Lexer::first_error`]).
+    failed: Option<ParseError>,
+}
+
+impl<'a> Lexer<'a> {
+    fn peek_char(&self) -> Option<char> {
+        self.input[self.at..].chars().next()
+    }
+
+    /// Step over ASCII digits.
+    fn digits(&mut self) {
+        let rest = &self.input.as_bytes()[self.at..];
+        self.at += rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    }
+
+    /// Is the byte `ahead` of the cursor an ASCII digit?
+    fn digit_at(&self, ahead: usize) -> bool {
+        (self.input.as_bytes().get(self.at + ahead)).is_some_and(u8::is_ascii_digit)
+    }
+
+    /// How many `what` bytes lie before the next `stop` byte (or the
+    /// end): how many commas an atom's variable list holds, so the
+    /// parser sizes a vector once.
+    fn count_before(&self, what: u8, stop: u8) -> usize {
+        let rest = &self.input.as_bytes()[self.at..];
+        let until = rest.iter().position(|&b| b == stop).unwrap_or(rest.len());
+        rest[..until].iter().filter(|&&b| b == what).count()
+    }
+
+    /// The next token and its byte offset; `None` at the end of input.
+    fn next_tok(&mut self) -> Result<Option<(usize, Tok<'a>)>, ParseError> {
+        let tok = self.lex();
+        if let Err(e) = &tok {
+            self.failed = Some(e.clone());
+        }
+        tok
+    }
+
+    /// The first lexical error of the input, given that a parse stopped
+    /// here: the one the lexer already hit, else the first one in what
+    /// is left unread.
+    fn first_error(&mut self) -> Option<ParseError> {
+        while self.failed.is_none() && matches!(self.next_tok(), Ok(Some(_))) {}
+        self.failed.take()
+    }
+
+    fn lex(&mut self) -> Result<Option<(usize, Tok<'a>)>, ParseError> {
+        while self.peek_char().is_some_and(char::is_whitespace) {
+            self.at += self.peek_char().map_or(0, char::len_utf8);
+        }
+        let pos = self.at;
+        let Some(ch) = self.peek_char() else {
+            return Ok(None);
+        };
+        let punct = match ch {
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            ',' => Some(Tok::Comma),
+            ';' => Some(Tok::Semi),
+            '-' => Some(Tok::Minus),
+            _ => None,
+        };
+        let tok = if let Some(tok) = punct {
+            self.at += 1;
+            tok
+        } else if ch == '\'' {
+            self.at += 1;
+            Tok::Str(self.string(pos)?)
+        } else if ch.is_ascii_digit() {
+            self.number(pos)?
+        } else if ch.is_ascii_alphabetic() || ch == '_' {
+            let rest = &self.input.as_bytes()[pos..];
+            let len = (rest.iter())
+                .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                .count();
+            self.at += len;
+            Tok::Word(&self.input[pos..pos + len])
+        } else {
+            return Err(ParseError::UnexpectedChar { pos, ch });
+        };
+        Ok(Some((pos, tok)))
+    }
+
+    /// The rest of a string literal whose opening quote sat at `pos`.
+    fn string(&mut self, pos: usize) -> Result<String, ParseError> {
+        let mut s = String::new();
+        let mut chars = self.input[self.at..].char_indices();
+        let unterminated = ParseError::UnterminatedString { pos };
+        loop {
+            let (off, c) = chars.next().ok_or(unterminated.clone())?;
+            match c {
+                '\'' => {
+                    self.at += off + 1;
+                    return Ok(s);
                 }
-                out.push((pos, Tok::Str(s)));
+                '\\' => match chars.next().ok_or(unterminated.clone())?.1 {
+                    '\\' => s.push('\\'),
+                    '\'' => s.push('\''),
+                    'n' => s.push('\n'),
+                    'r' => s.push('\r'),
+                    't' => s.push('\t'),
+                    other => {
+                        return Err(ParseError::UnexpectedChar {
+                            pos: self.at + off,
+                            ch: other,
+                        })
+                    }
+                },
+                c => s.push(c),
             }
-            c if c.is_ascii_digit() => {
-                let mut lexeme = String::new();
-                let mut is_float = false;
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        lexeme.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                // A fraction only if `.` is followed by a digit (so
-                // `R(x).` still reports the stray dot, not a number).
-                if matches!(chars.peek(), Some(&(_, '.'))) {
-                    let mut ahead = chars.clone();
-                    ahead.next();
-                    if matches!(ahead.peek(), Some(&(_, d)) if d.is_ascii_digit()) {
-                        is_float = true;
-                        lexeme.push('.');
-                        chars.next();
-                        while let Some(&(_, d)) = chars.peek() {
-                            if d.is_ascii_digit() {
-                                lexeme.push(d);
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // An exponent only if `e`/`E` is followed by digits
-                // (optionally signed) — identifiers like `3x` never
-                // lex, but `SELECT e(x,y)` must keep `e` a word.
-                if matches!(chars.peek(), Some(&(_, 'e' | 'E'))) {
-                    let mut ahead = chars.clone();
-                    ahead.next();
-                    let signed = matches!(ahead.peek(), Some(&(_, '+' | '-')));
-                    if signed {
-                        ahead.next();
-                    }
-                    if matches!(ahead.peek(), Some(&(_, d)) if d.is_ascii_digit()) {
-                        is_float = true;
-                        let (_, e) = chars.next().unwrap_or((pos, 'e'));
-                        lexeme.push(e);
-                        if signed {
-                            if let Some((_, sign)) = chars.next() {
-                                lexeme.push(sign);
-                            }
-                        }
-                        while let Some(&(_, d)) = chars.peek() {
-                            if d.is_ascii_digit() {
-                                lexeme.push(d);
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if is_float {
-                    let v: f64 = lexeme
-                        .parse()
-                        .map_err(|_| ParseError::NumberOverflow { pos })?;
-                    if !v.is_finite() {
-                        return Err(ParseError::NumberOverflow { pos });
-                    }
-                    out.push((pos, Tok::Float(FloatBits::new(v))));
-                } else {
-                    let n: u64 = lexeme
-                        .parse()
-                        .map_err(|_| ParseError::NumberOverflow { pos })?;
-                    out.push((pos, Tok::Int(n)));
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut w = String::new();
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        w.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push((pos, Tok::Word(w)));
-            }
-            _ => return Err(ParseError::UnexpectedChar { pos, ch }),
         }
     }
-    Ok(out)
+
+    /// A numeric literal starting at `pos` (a digit).
+    fn number(&mut self, pos: usize) -> Result<Tok<'a>, ParseError> {
+        let bytes = self.input.as_bytes();
+        let mut is_float = false;
+        self.digits();
+        // A fraction only if `.` is followed by a digit (so `R(x).`
+        // still reports the stray dot, not a number).
+        if bytes.get(self.at) == Some(&b'.') && self.digit_at(1) {
+            is_float = true;
+            self.at += 1;
+            self.digits();
+        }
+        // An exponent only if `e`/`E` is followed by digits
+        // (optionally signed) — identifiers like `3x` never lex, but
+        // `SELECT e(x,y)` must keep `e` a word.
+        if matches!(bytes.get(self.at), Some(b'e' | b'E')) {
+            let signed = matches!(bytes.get(self.at + 1), Some(b'+' | b'-'));
+            if self.digit_at(1 + usize::from(signed)) {
+                is_float = true;
+                self.at += 1 + usize::from(signed);
+                self.digits();
+            }
+        }
+        let lexeme = &self.input[pos..self.at];
+        let tok = if is_float {
+            let finite = |v: &f64| v.is_finite();
+            (lexeme.parse().ok().filter(finite)).map(|v| Tok::Float(FloatBits::new(v)))
+        } else {
+            lexeme.parse().ok().map(Tok::Int)
+        };
+        tok.ok_or(ParseError::NumberOverflow { pos })
+    }
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
-    at: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The token [`Parser::peek`] read ahead (`Some(None)`: the end).
+    peeked: Option<Option<(usize, Tok<'a>)>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&(usize, Tok)> {
-        self.toks.get(self.at)
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Result<Option<&(usize, Tok<'a>)>, ParseError> {
+        if self.peeked.is_none() {
+            self.peeked = Some(self.lexer.next_tok()?);
+        }
+        Ok(self.peeked.as_ref().and_then(Option::as_ref))
     }
 
-    fn next(&mut self, expected: &'static str) -> Result<(usize, Tok), ParseError> {
-        let t = self
-            .toks
-            .get(self.at)
-            .cloned()
-            .ok_or(ParseError::UnexpectedEnd { expected })?;
-        self.at += 1;
-        Ok(t)
+    /// Is the next token `want`? (Not a keyword test: see
+    /// [`Parser::peek_kw`].)
+    fn peek_is(&mut self, want: &Tok<'_>) -> Result<bool, ParseError> {
+        Ok(self.peek()?.is_some_and(|(_, t)| t == want))
     }
 
-    fn expect_tok(&mut self, want: &Tok, expected: &'static str) -> Result<(), ParseError> {
+    fn peek_kw(&mut self, kw: &str) -> Result<bool, ParseError> {
+        Ok(self.peek()?.is_some_and(|(_, t)| t.is_kw(kw)))
+    }
+
+    /// Step over the token just peeked.
+    fn skip(&mut self) {
+        self.peeked = None;
+    }
+
+    fn next(&mut self, expected: &'static str) -> Result<(usize, Tok<'a>), ParseError> {
+        self.peek()?;
+        (self.peeked.take().flatten()).ok_or(ParseError::UnexpectedEnd { expected })
+    }
+
+    fn expect_tok(&mut self, want: &Tok<'_>, expected: &'static str) -> Result<(), ParseError> {
         let (pos, t) = self.next(expected)?;
         if &t == want {
             Ok(())
         } else {
-            Err(ParseError::UnexpectedToken {
-                pos,
-                expected,
-                found: t.render(),
-            })
+            Err(unexpected(pos, expected, &t))
         }
     }
 
@@ -338,11 +362,7 @@ impl Parser {
         if t.is_kw(kw) {
             Ok(())
         } else {
-            Err(ParseError::UnexpectedToken {
-                pos,
-                expected: kw,
-                found: t.render(),
-            })
+            Err(unexpected(pos, kw, &t))
         }
     }
 
@@ -350,12 +370,8 @@ impl Parser {
     fn ident(&mut self, expected: &'static str) -> Result<String, ParseError> {
         let (pos, t) = self.next(expected)?;
         match t {
-            Tok::Word(w) if !Tok::Word(w.clone()).is_any_keyword() => Ok(w),
-            other => Err(ParseError::UnexpectedToken {
-                pos,
-                expected,
-                found: other.render(),
-            }),
+            Tok::Word(w) if !t.is_any_keyword() => Ok(w.to_string()),
+            other => Err(unexpected(pos, expected, &other)),
         }
     }
 
@@ -364,11 +380,7 @@ impl Parser {
         match t {
             Tok::Int(0) => Err(ParseError::ZeroCount { pos, clause }),
             Tok::Int(n) => usize::try_from(n).map_err(|_| ParseError::NumberOverflow { pos }),
-            other => Err(ParseError::UnexpectedToken {
-                pos,
-                expected: clause,
-                found: other.render(),
-            }),
+            other => Err(unexpected(pos, clause, &other)),
         }
     }
 
@@ -376,20 +388,16 @@ impl Parser {
         let (pos, t) = self.next("cursor id")?;
         match t {
             Tok::Int(n) => Ok(n),
-            other => Err(ParseError::UnexpectedToken {
-                pos,
-                expected: "cursor id",
-                found: other.render(),
-            }),
+            other => Err(unexpected(pos, "cursor id", &other)),
         }
     }
 
     /// Optional trailing `;`, then end-of-input.
     fn finish(&mut self) -> Result<(), ParseError> {
-        if matches!(self.peek(), Some((_, Tok::Semi))) {
-            self.at += 1;
+        if self.peek_is(&Tok::Semi)? {
+            self.skip();
         }
-        match self.peek() {
+        match self.peek()? {
             None => Ok(()),
             Some((pos, t)) => Err(ParseError::TrailingInput {
                 pos: *pos,
@@ -401,19 +409,14 @@ impl Parser {
     fn atom(&mut self) -> Result<AtomRef, ParseError> {
         let relation = self.ident("relation name")?;
         self.expect_tok(&Tok::LParen, "`(`")?;
-        let mut vars = vec![self.ident("variable name")?];
+        let mut vars = Vec::with_capacity(1 + self.lexer.count_before(b',', b')'));
+        vars.push(self.ident("variable name")?);
         loop {
             let (pos, t) = self.next("`,` or `)`")?;
             match t {
                 Tok::Comma => vars.push(self.ident("variable name")?),
                 Tok::RParen => break,
-                other => {
-                    return Err(ParseError::UnexpectedToken {
-                        pos,
-                        expected: "`,` or `)`",
-                        found: other.render(),
-                    })
-                }
+                other => return Err(unexpected(pos, "`,` or `)`", &other)),
             }
         }
         Ok(AtomRef { relation, vars })
@@ -421,31 +424,29 @@ impl Parser {
 
     fn select(&mut self) -> Result<SelectStmt, ParseError> {
         self.keyword("SELECT")?;
-        let mut atoms = vec![self.atom()?];
-        while matches!(self.peek(), Some((_, Tok::Comma))) {
-            self.at += 1;
+        // One `(` per atom: nothing else in a SELECT is parenthesized.
+        let mut atoms = Vec::with_capacity(self.lexer.count_before(b'(', b';').max(1));
+        atoms.push(self.atom()?);
+        while self.peek_is(&Tok::Comma)? {
+            self.skip();
             atoms.push(self.atom()?);
         }
         let mut rank = RankSpec::default();
-        if matches!(self.peek(), Some((_, t)) if t.is_kw("RANK")) {
-            self.at += 1;
+        if self.peek_kw("RANK")? {
+            self.skip();
             self.keyword("BY")?;
             let (pos, t) = self.next("ranking name")?;
-            let name = match t {
-                Tok::Word(w) => w,
-                other => {
-                    return Err(ParseError::UnexpectedToken {
-                        pos,
-                        expected: "ranking name",
-                        found: other.render(),
-                    })
-                }
+            let Tok::Word(name) = t else {
+                return Err(unexpected(pos, "ranking name", &t));
             };
-            rank = RankSpec::parse(&name).ok_or(ParseError::UnknownRanking { pos, name })?;
+            rank = RankSpec::parse(name).ok_or_else(|| ParseError::UnknownRanking {
+                pos,
+                name: name.to_string(),
+            })?;
         }
         let mut limit = None;
-        if matches!(self.peek(), Some((_, t)) if t.is_kw("LIMIT")) {
-            self.at += 1;
+        if self.peek_kw("LIMIT")? {
+            self.skip();
             limit = Some(self.count("LIMIT")?);
         }
         Ok(SelectStmt { atoms, rank, limit })
@@ -453,12 +454,10 @@ impl Parser {
 
     /// A signed numeric literal: `['-'] (int | float)`.
     fn literal(&mut self) -> Result<Literal, ParseError> {
-        let neg = if matches!(self.peek(), Some((_, Tok::Minus))) {
-            self.at += 1;
-            true
-        } else {
-            false
-        };
+        let neg = self.peek_is(&Tok::Minus)?;
+        if neg {
+            self.skip();
+        }
         let (pos, t) = self.next("numeric literal")?;
         match t {
             Tok::Int(n) => {
@@ -472,11 +471,7 @@ impl Parser {
                 let v = if neg { -b.get() } else { b.get() };
                 Ok(Literal::Float(FloatBits::new(v)))
             }
-            other => Err(ParseError::UnexpectedToken {
-                pos,
-                expected: "numeric literal",
-                found: other.render(),
-            }),
+            other => Err(unexpected(pos, "numeric literal", &other)),
         }
     }
 
@@ -489,13 +484,7 @@ impl Parser {
             match t {
                 Tok::Comma => cells.push(self.literal()?),
                 Tok::RParen => break,
-                other => {
-                    return Err(ParseError::UnexpectedToken {
-                        pos,
-                        expected: "`,` or `)`",
-                        found: other.render(),
-                    })
-                }
+                other => return Err(unexpected(pos, "`,` or `)`", &other)),
             }
         }
         Ok(cells)
@@ -507,8 +496,8 @@ impl Parser {
         let relation = self.ident("relation name")?;
         self.keyword("VALUES")?;
         let mut rows = vec![self.row()?];
-        while matches!(self.peek(), Some((_, Tok::Comma))) {
-            self.at += 1;
+        while self.peek_is(&Tok::Comma)? {
+            self.skip();
             rows.push(self.row()?);
         }
         Ok(InsertStmt { relation, rows })
@@ -522,12 +511,66 @@ impl Parser {
         let (pos, t) = self.next("CSV string literal")?;
         match t {
             Tok::Str(csv) => Ok(LoadStmt { relation, csv }),
-            other => Err(ParseError::UnexpectedToken {
-                pos,
-                expected: "CSV string literal",
-                found: other.render(),
-            }),
+            other => Err(unexpected(pos, "CSV string literal", &other)),
         }
+    }
+
+    fn command(&mut self) -> Result<Command, ParseError> {
+        let (pos, head) = self.peek()?.cloned().ok_or(ParseError::UnexpectedEnd {
+            expected: "a command",
+        })?;
+        let cmd = if head.is_kw("SELECT") {
+            Command::Select(self.select()?)
+        } else if head.is_kw("EXPLAIN") {
+            self.skip();
+            if self.peek_kw("ANALYZE")? {
+                self.skip();
+                Command::ExplainAnalyze(self.select()?)
+            } else {
+                Command::Explain(self.select()?)
+            }
+        } else if head.is_kw("INSERT") {
+            Command::Insert(self.insert()?)
+        } else if head.is_kw("LOAD") {
+            Command::Load(self.load()?)
+        } else if head.is_kw("NEXT") {
+            self.skip();
+            let count = self.count("NEXT")?;
+            self.keyword("ON")?;
+            let cursor = self.cursor_id()?;
+            Command::Next { count, cursor }
+        } else if head.is_kw("CLOSE") {
+            self.skip();
+            let cursor = self.cursor_id()?;
+            Command::Close { cursor }
+        } else if head.is_kw("STATS") {
+            self.skip();
+            Command::Stats
+        } else if head.is_kw("TRACE") {
+            self.skip();
+            if self.peek_kw("SLOW")? {
+                self.skip();
+                Command::TraceSlow
+            } else {
+                Command::Trace {
+                    last: self.count("TRACE")?,
+                }
+            }
+        } else {
+            let expected = "SELECT, INSERT, LOAD, EXPLAIN, NEXT, CLOSE, STATS, or TRACE";
+            return Err(unexpected(pos, expected, &head));
+        };
+        self.finish()?;
+        Ok(cmd)
+    }
+}
+
+/// A well-formed token in the wrong place.
+fn unexpected(pos: usize, expected: &'static str, found: &Tok<'_>) -> ParseError {
+    ParseError::UnexpectedToken {
+        pos,
+        expected,
+        found: found.render(),
     }
 }
 
@@ -535,58 +578,15 @@ impl Parser {
 /// trailing `;` is optional.
 pub fn parse(input: &str) -> Result<Command, ParseError> {
     let mut p = Parser {
-        toks: lex(input)?,
-        at: 0,
+        lexer: Lexer {
+            input,
+            at: 0,
+            failed: None,
+        },
+        peeked: None,
     };
-    let (pos, head) = p.peek().cloned().ok_or(ParseError::UnexpectedEnd {
-        expected: "a command",
-    })?;
-    let cmd = if head.is_kw("SELECT") {
-        Command::Select(p.select()?)
-    } else if head.is_kw("EXPLAIN") {
-        p.at += 1;
-        if matches!(p.peek(), Some((_, t)) if t.is_kw("ANALYZE")) {
-            p.at += 1;
-            Command::ExplainAnalyze(p.select()?)
-        } else {
-            Command::Explain(p.select()?)
-        }
-    } else if head.is_kw("INSERT") {
-        Command::Insert(p.insert()?)
-    } else if head.is_kw("LOAD") {
-        Command::Load(p.load()?)
-    } else if head.is_kw("NEXT") {
-        p.at += 1;
-        let count = p.count("NEXT")?;
-        p.keyword("ON")?;
-        let cursor = p.cursor_id()?;
-        Command::Next { count, cursor }
-    } else if head.is_kw("CLOSE") {
-        p.at += 1;
-        let cursor = p.cursor_id()?;
-        Command::Close { cursor }
-    } else if head.is_kw("STATS") {
-        p.at += 1;
-        Command::Stats
-    } else if head.is_kw("TRACE") {
-        p.at += 1;
-        if matches!(p.peek(), Some((_, t)) if t.is_kw("SLOW")) {
-            p.at += 1;
-            Command::TraceSlow
-        } else {
-            Command::Trace {
-                last: p.count("TRACE")?,
-            }
-        }
-    } else {
-        return Err(ParseError::UnexpectedToken {
-            pos,
-            expected: "SELECT, INSERT, LOAD, EXPLAIN, NEXT, CLOSE, STATS, or TRACE",
-            found: head.render(),
-        });
-    };
-    p.finish()?;
-    Ok(cmd)
+    p.command()
+        .map_err(|syntactic| p.lexer.first_error().unwrap_or(syntactic))
 }
 
 #[cfg(test)]
@@ -709,6 +709,220 @@ mod tests {
             parse("SELECT limit(x,y)"),
             Err(ParseError::UnexpectedToken { .. })
         ));
+    }
+
+    /// Sixty-six malformed commands and the error each one got from
+    /// the parser that lexed the whole input into owned tokens first
+    /// (recorded at bcd4253, `Debug` form: variant, byte position,
+    /// rendered token). The borrowing lexer hands tokens out one at a
+    /// time and must still report the same error — in particular a
+    /// lexical error anywhere in the input outranks a syntax error
+    /// before it (the last six). `ERR parse:` replies are rendered from
+    /// these fields, so they are byte-identical too.
+    #[test]
+    fn malformed_commands_report_the_errors_they_always_did() {
+        let golden: &[(&str, &str)] = &[
+            ("", r#"UnexpectedEnd { expected: "a command" }"#),
+            ("   ", r#"UnexpectedEnd { expected: "a command" }"#),
+            (
+                "DROP TABLE users",
+                r#"UnexpectedToken { pos: 0, expected: "SELECT, INSERT, LOAD, EXPLAIN, NEXT, CLOSE, STATS, or TRACE", found: "DROP" }"#,
+            ),
+            ("SELECT", r#"UnexpectedEnd { expected: "relation name" }"#),
+            ("SELECT R", r#"UnexpectedEnd { expected: "`(`" }"#),
+            (
+                "SELECT R(",
+                r#"UnexpectedEnd { expected: "variable name" }"#,
+            ),
+            ("SELECT R(x", r#"UnexpectedEnd { expected: "`,` or `)`" }"#),
+            (
+                "SELECT R(x,",
+                r#"UnexpectedEnd { expected: "variable name" }"#,
+            ),
+            (
+                "SELECT R(x,y",
+                r#"UnexpectedEnd { expected: "`,` or `)`" }"#,
+            ),
+            (
+                "SELECT R(x,y) garbage",
+                r#"TrailingInput { pos: 14, found: "garbage" }"#,
+            ),
+            ("SELECT R(x,y) RANK", r#"UnexpectedEnd { expected: "BY" }"#),
+            (
+                "SELECT R(x,y) RANK BY",
+                r#"UnexpectedEnd { expected: "ranking name" }"#,
+            ),
+            (
+                "SELECT R(x,y) RANK BY median",
+                r#"UnknownRanking { pos: 22, name: "median" }"#,
+            ),
+            (
+                "SELECT R(x,y) RANK BY 5",
+                r#"UnexpectedToken { pos: 22, expected: "ranking name", found: "5" }"#,
+            ),
+            (
+                "SELECT R(x,y) RANK BY 'sum'",
+                r#"UnexpectedToken { pos: 22, expected: "ranking name", found: "'sum'" }"#,
+            ),
+            (
+                "SELECT R(x,y) LIMIT",
+                r#"UnexpectedEnd { expected: "LIMIT" }"#,
+            ),
+            (
+                "SELECT R(x,y) LIMIT 0",
+                r#"ZeroCount { pos: 20, clause: "LIMIT" }"#,
+            ),
+            (
+                "SELECT R(x,y) LIMIT x",
+                r#"UnexpectedToken { pos: 20, expected: "LIMIT", found: "x" }"#,
+            ),
+            (
+                "SELECT R(x,y) LIMIT 3.",
+                "UnexpectedChar { pos: 21, ch: '.' }",
+            ),
+            (
+                "SELECT R(x,y) LIMIT 99999999999999999999",
+                "NumberOverflow { pos: 20 }",
+            ),
+            (
+                "SELECT R(x,y) LIMIT 10 ; ;",
+                r#"TrailingInput { pos: 25, found: ";" }"#,
+            ),
+            ("SELECT R(x¶y)", "UnexpectedChar { pos: 10, ch: '¶' }"),
+            (
+                "SELECT limit(x,y)",
+                r#"UnexpectedToken { pos: 7, expected: "relation name", found: "limit" }"#,
+            ),
+            (
+                "SELECT R(select,y)",
+                r#"UnexpectedToken { pos: 9, expected: "variable name", found: "select" }"#,
+            ),
+            (
+                "SELECT R(x,y),",
+                r#"UnexpectedEnd { expected: "relation name" }"#,
+            ),
+            (
+                "SELECT R(x y)",
+                r#"UnexpectedToken { pos: 11, expected: "`,` or `)`", found: "y" }"#,
+            ),
+            (
+                "SELECT 5(x)",
+                r#"UnexpectedToken { pos: 7, expected: "relation name", found: "5" }"#,
+            ),
+            ("NEXT", r#"UnexpectedEnd { expected: "NEXT" }"#),
+            ("NEXT 0 ON 1", r#"ZeroCount { pos: 5, clause: "NEXT" }"#),
+            ("NEXT 5", r#"UnexpectedEnd { expected: "ON" }"#),
+            ("NEXT 5 ON", r#"UnexpectedEnd { expected: "cursor id" }"#),
+            (
+                "NEXT 5 ON x",
+                r#"UnexpectedToken { pos: 10, expected: "cursor id", found: "x" }"#,
+            ),
+            (
+                "NEXT 1.5 ON 0",
+                r#"UnexpectedToken { pos: 5, expected: "NEXT", found: "1.5" }"#,
+            ),
+            (
+                "NEXT -1 ON 0",
+                r#"UnexpectedToken { pos: 5, expected: "NEXT", found: "-" }"#,
+            ),
+            (
+                "NEXT 5 ON 1 extra",
+                r#"TrailingInput { pos: 12, found: "extra" }"#,
+            ),
+            ("CLOSE", r#"UnexpectedEnd { expected: "cursor id" }"#),
+            (
+                "CLOSE x",
+                r#"UnexpectedToken { pos: 6, expected: "cursor id", found: "x" }"#,
+            ),
+            ("CLOSE 1;;", r#"TrailingInput { pos: 8, found: ";" }"#),
+            ("TRACE", r#"UnexpectedEnd { expected: "TRACE" }"#),
+            ("TRACE 0", r#"ZeroCount { pos: 6, clause: "TRACE" }"#),
+            (
+                "TRACE fast",
+                r#"UnexpectedToken { pos: 6, expected: "TRACE", found: "fast" }"#,
+            ),
+            ("STATS now", r#"TrailingInput { pos: 6, found: "now" }"#),
+            ("EXPLAIN", r#"UnexpectedEnd { expected: "SELECT" }"#),
+            ("EXPLAIN ANALYZE", r#"UnexpectedEnd { expected: "SELECT" }"#),
+            (
+                "ANALYZE SELECT R(x,y)",
+                r#"UnexpectedToken { pos: 0, expected: "SELECT, INSERT, LOAD, EXPLAIN, NEXT, CLOSE, STATS, or TRACE", found: "ANALYZE" }"#,
+            ),
+            (
+                "INSERT INTO R VALUES",
+                r#"UnexpectedEnd { expected: "`(`" }"#,
+            ),
+            (
+                "INSERT INTO R VALUES (1,'x',0.5)",
+                r#"UnexpectedToken { pos: 24, expected: "numeric literal", found: "'x'" }"#,
+            ),
+            (
+                "INSERT INTO R VALUES (9223372036854775808,1,0.5)",
+                "NumberOverflow { pos: 22 }",
+            ),
+            (
+                "INSERT INTO R VALUES (1e999,1,0.5)",
+                "NumberOverflow { pos: 22 }",
+            ),
+            (
+                "INSERT INTO values VALUES (1,2,0.5)",
+                r#"UnexpectedToken { pos: 12, expected: "relation name", found: "values" }"#,
+            ),
+            (
+                "INSERT INTO R VALUES (1,2,0.5",
+                r#"UnexpectedEnd { expected: "`,` or `)`" }"#,
+            ),
+            (
+                "INSERT INTO R VALUES (1,,2)",
+                r#"UnexpectedToken { pos: 24, expected: "numeric literal", found: "," }"#,
+            ),
+            (
+                "INSERT R VALUES (1)",
+                r#"UnexpectedToken { pos: 7, expected: "INTO", found: "R" }"#,
+            ),
+            ("LOAD R FROM CSV 'a,b", "UnterminatedString { pos: 16 }"),
+            (
+                r#"LOAD R FROM CSV 'bad \q escape'"#,
+                "UnexpectedChar { pos: 21, ch: 'q' }",
+            ),
+            (
+                r#"LOAD R FROM CSV 'tail\"#,
+                "UnterminatedString { pos: 16 }",
+            ),
+            (
+                "LOAD R FROM CSV 5",
+                r#"UnexpectedToken { pos: 16, expected: "CSV string literal", found: "5" }"#,
+            ),
+            (
+                "LOAD R CSV 'x'",
+                r#"UnexpectedToken { pos: 7, expected: "FROM", found: "CSV" }"#,
+            ),
+            (
+                "-",
+                r#"UnexpectedToken { pos: 0, expected: "SELECT, INSERT, LOAD, EXPLAIN, NEXT, CLOSE, STATS, or TRACE", found: "-" }"#,
+            ),
+            ("'unterminated", "UnterminatedString { pos: 0 }"),
+            (
+                "SELECT R(x,y) garbage ¶",
+                "UnexpectedChar { pos: 22, ch: '¶' }",
+            ),
+            ("NEXT 0 ON 1 'open", "UnterminatedString { pos: 12 }"),
+            ("DROP 99999999999999999999", "NumberOverflow { pos: 5 }"),
+            (
+                "INSERT INTO R VALUES (9223372036854775808,1,0.5) ¶",
+                "UnexpectedChar { pos: 49, ch: '¶' }",
+            ),
+            (
+                "SELECT R(x,y) RANK BY median ?",
+                "UnexpectedChar { pos: 29, ch: '?' }",
+            ),
+            ("CLOSE x 1e999", "NumberOverflow { pos: 8 }"),
+        ];
+        assert!(golden.len() >= 30);
+        for (input, want) in golden {
+            let got = parse(input).expect_err(input);
+            assert_eq!(format!("{got:?}"), *want, "`{input}`");
+        }
     }
 
     #[test]
@@ -870,7 +1084,7 @@ mod tests {
                     assert_eq!(parsed, Command::Select(stmt.clone()), "{text}");
                     match parsed {
                         Command::Select(s) => {
-                            assert_eq!(s.to_cq(), q, "{text}: lowering must reproduce the query")
+                            assert_eq!(s.into_cq(), q, "{text}: lowering must reproduce the query")
                         }
                         _ => unreachable!(),
                     }
@@ -916,7 +1130,7 @@ mod tests {
             // Lowering commutes with rendering: the parsed statement
             // lowers to the same CQ as the original.
             match parsed {
-                Command::Select(s) => prop_assert_eq!(s.to_cq(), stmt.to_cq()),
+                Command::Select(s) => prop_assert_eq!(s.into_cq(), stmt.into_cq()),
                 _ => unreachable!(),
             }
         }

@@ -39,8 +39,8 @@
 use crate::ast::Command;
 use crate::parser::{parse, ParseError};
 use anyk_engine::{
-    CacheStats, Engine, EngineError, IndexUse, PrepareReport, RankSpec, RankedAnswer, RankedStream,
-    ShardFanIn, ShardedEngine, WriteStats,
+    AnswerSlab, CacheStats, Cost, Engine, EngineError, IndexUse, PrepareReport, RankSpec,
+    RankedStream, ShardFanIn, ShardedEngine, WriteStats,
 };
 use anyk_obs::{rank_id, route_id, Histogram, ObsRegistry, QueryTrace, Stage, RANKS, ROUTES};
 use anyk_query::cq::ConjunctiveQuery;
@@ -282,8 +282,11 @@ pub struct Page {
     /// stream is drained (drained cursors close themselves).
     pub cursor: Option<u64>,
     /// The answers, in ranking order, continuing where the previous
-    /// page stopped.
-    pub answers: Vec<RankedAnswer>,
+    /// page stopped: one row each — a cost beside one value per query
+    /// variable — in the slab the stream wrote them into
+    /// ([`AnswerSlab::iter`] walks them, [`AnswerSlab::answer`] copies
+    /// one out).
+    pub answers: AnswerSlab<Cost>,
     /// True when the stream is exhausted: no further page exists.
     /// Exact — the session pulls one answer of lookahead, so a result
     /// set that ends exactly at a page boundary still reports `done`
@@ -648,11 +651,17 @@ impl SharedDeadlines {
     /// call expired — ids whose entries were already gone were reaped
     /// (and counted) elsewhere. O(own cursors), not O(all cursors):
     /// this runs at the top of every command, so it must not scan the
-    /// whole service. Each id locks only its own stripe.
-    fn reap_session(&self, session: u64, ids: &[u64], now_us: u64) -> (Vec<u64>, usize) {
+    /// whole service — nor allocate while every cursor is alive. Each
+    /// id locks only its own stripe.
+    fn reap_session(
+        &self,
+        session: u64,
+        ids: impl Iterator<Item = u64>,
+        now_us: u64,
+    ) -> (Vec<u64>, usize) {
         let mut dead = Vec::new();
         let mut expired = 0usize;
-        for &c in ids {
+        for c in ids {
             let key = (session, c);
             let shard = self.shard(key);
             let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1129,31 +1138,34 @@ fn insert_batch(stmt: &crate::ast::InsertStmt) -> Result<anyk_storage::Relation,
 /// other threads can reap it.
 struct Cursor {
     stream: RankedStream,
-    /// One answer pulled ahead of the last page, so `done` is exact:
-    /// a page only reports `done=false` when a further answer is
-    /// proven to exist (an exactly-page-sized result must not pin a
-    /// cursor and its admission slot).
-    lookahead: Option<RankedAnswer>,
+    /// At most one row: the answer pulled ahead of the last page, so
+    /// `done` is exact — a page only reports `done=false` when a
+    /// further answer is proven to exist (an exactly-page-sized result
+    /// must not pin a cursor and its admission slot). Kept as a slab so
+    /// the row moves into the next page and back without a vector of
+    /// its own; its two blocks are allocated once per cursor.
+    lookahead: AnswerSlab<Cost>,
 }
 
-/// Pull up to `n` answers plus one lookahead. Returns the page and
-/// whether the stream is now proven exhausted; a surplus answer goes
-/// back into `lookahead` for the next page.
-fn pull_page(
-    stream: &mut RankedStream,
-    lookahead: &mut Option<RankedAnswer>,
-    n: usize,
-) -> (Vec<RankedAnswer>, bool) {
-    let mut answers = Vec::with_capacity(n.min(1024) + 1);
-    answers.extend(lookahead.take());
-    while answers.len() <= n {
-        match stream.next() {
-            Some(a) => answers.push(a),
-            None => return (answers, true),
-        }
+impl Cursor {
+    fn new(stream: RankedStream) -> Cursor {
+        let lookahead = stream.page(0);
+        Cursor { stream, lookahead }
     }
-    *lookahead = answers.pop();
-    (answers, false)
+
+    /// Pull up to `n` answers plus one lookahead. Returns the page and
+    /// whether the stream is now proven exhausted; a surplus answer
+    /// goes back into `lookahead` for the next page.
+    fn pull_page(&mut self, n: usize) -> (AnswerSlab<Cost>, bool) {
+        let mut page = self.stream.page(n.min(1024) + 1);
+        self.lookahead.move_last_to(&mut page);
+        let want = n.saturating_add(1) - page.len();
+        if self.stream.fill(&mut page, want) < want {
+            return (page, true);
+        }
+        page.move_last_to(&mut self.lookahead);
+        (page, false)
+    }
 }
 
 /// The shared front half of `SELECT` and `EXPLAIN ANALYZE`
@@ -1163,7 +1175,7 @@ struct FirstPage {
     /// Held until the caller registers a cursor or returns.
     slot: AdmissionSlot,
     cursor: Cursor,
-    answers: Vec<RankedAnswer>,
+    answers: AnswerSlab<Cost>,
     done: bool,
     fan_in: Option<Arc<ShardFanIn>>,
     /// `Some` when the run was traced; stages filled, encode still 0.
@@ -1239,7 +1251,8 @@ impl Session {
                 traces: self.service.obs.slow(),
             }),
             Command::Explain(stmt) => {
-                let text = self.service.backend.explain(stmt.to_cq(), stmt.rank)?;
+                let rank = stmt.rank;
+                let text = self.service.backend.explain(stmt.into_cq(), rank)?;
                 Ok(Response::Explained(text))
             }
             Command::Insert(stmt) => {
@@ -1352,7 +1365,7 @@ impl Session {
     /// interval is always measured.
     fn first_page(
         &self,
-        stmt: &crate::ast::SelectStmt,
+        stmt: crate::ast::SelectStmt,
         parse_us: u64,
         traced: bool,
     ) -> Result<FirstPage, ServeError> {
@@ -1360,20 +1373,21 @@ impl Session {
         let t_enter_us = if traced { obs.now_us() } else { 0 };
         let slot = self.admit()?;
         let limit = stmt.limit.unwrap_or(self.service.config.default_page);
+        let rank = stmt.rank;
         let started_us = obs.now_us();
-        let (mut stream, report, fan_in) =
-            self.service.backend.plan_report(stmt.to_cq(), stmt.rank)?;
+        let (stream, report, fan_in) = self.service.backend.plan_report(stmt.into_cq(), rank)?;
         let t_planned_us = if traced { obs.now_us() } else { 0 };
-        let mut lookahead = None;
-        let (answers, done) = pull_page(&mut stream, &mut lookahead, limit);
+        let mut cursor = Cursor::new(stream);
+        let (answers, done) = cursor.pull_page(limit);
         let end_us = obs.now_us();
         let trace = traced.then(|| {
+            let plan = cursor.stream.plan();
             let mut trace = QueryTrace {
                 id: obs.next_id(),
-                route: route_id(stream.plan().route.label()),
-                rank: rank_id(&stmt.rank.to_string()),
+                route: route_id(plan.route.label()),
+                rank: rank_id(rank.label()),
                 cache: u64::from(report.cache_hit),
-                index: index_code(stream.plan().index),
+                index: index_code(plan.index),
                 rows: answers.len() as u64,
                 limit: limit as u64,
                 ..QueryTrace::default()
@@ -1391,7 +1405,7 @@ impl Session {
         });
         Ok(FirstPage {
             slot,
-            cursor: Cursor { stream, lookahead },
+            cursor,
             answers,
             done,
             fan_in,
@@ -1407,7 +1421,7 @@ impl Session {
         parse_us: u64,
     ) -> Result<Response, ServeError> {
         let metrics = Arc::clone(&self.service.metrics);
-        let page = self.first_page(&stmt, parse_us, self.service.obs.enabled())?;
+        let page = self.first_page(stmt, parse_us, self.service.obs.enabled())?;
         let (answers, served_us) = (page.answers, page.served_us);
         if !answers.is_empty() {
             metrics.record_ttf(served_us);
@@ -1480,9 +1494,9 @@ impl Session {
         if self.expired.contains(&cursor) {
             return Err(ServeError::CursorExpired { cursor });
         }
-        let mut cur = self
+        let cur = self
             .cursors
-            .remove(&cursor)
+            .get_mut(&cursor)
             .ok_or(ServeError::UnknownCursor { cursor })?;
         // Refresh the shared deadline *before* pulling, so a racing
         // admission reap can't free the slot mid-pull; a failed touch
@@ -1492,12 +1506,13 @@ impl Session {
             self.service.now_us().saturating_add(self.service.ttl_us()),
         );
         if !touched {
+            self.cursors.remove(&cursor);
             self.remember_expired(cursor);
             return Err(ServeError::CursorExpired { cursor });
         }
         let started_us = self.service.now_us();
-        let (answers, done) = pull_page(&mut cur.stream, &mut cur.lookahead, count);
-        let metrics = Arc::clone(&self.service.metrics);
+        let (answers, done) = cur.pull_page(count);
+        let metrics = &self.service.metrics;
         metrics.record_page(self.service.now_us().saturating_sub(started_us));
         metrics.pages_served.fetch_add(1, Ordering::Relaxed);
         metrics
@@ -1508,6 +1523,7 @@ impl Session {
             // the entry vanished mid-pull — a sweep ran after our
             // touch — it was already counted expired; don't also
             // count it closed (opened == closed + expired must hold).
+            self.cursors.remove(&cursor);
             if self.service.deadlines.remove((self.id, cursor)) {
                 metrics.cursors_closed.fetch_add(1, Ordering::Relaxed);
             }
@@ -1517,7 +1533,6 @@ impl Session {
                 done: true,
             }))
         } else {
-            self.cursors.insert(cursor, cur);
             Ok(Response::Page(Page {
                 cursor: Some(cursor),
                 answers,
@@ -1541,7 +1556,8 @@ impl Session {
         stmt: crate::ast::SelectStmt,
         parse_us: u64,
     ) -> Result<Response, ServeError> {
-        let page = self.first_page(&stmt, parse_us, true)?;
+        let rank = stmt.rank;
+        let page = self.first_page(stmt, parse_us, true)?;
         let trace = page.trace.unwrap_or_default();
         let obs = &self.service.obs;
         obs.record_query(trace.route, trace.rank, trace.rows, None);
@@ -1554,7 +1570,7 @@ impl Session {
         let plan = page.cursor.stream.plan();
         let report = AnalyzeReport {
             route: plan.route.label().to_string(),
-            rank: stmt.rank.to_string(),
+            rank: rank.to_string(),
             cache_hit: trace.cache != 0,
             index: plan.index.label(),
             stage_us: trace.stage_us,
@@ -1586,11 +1602,11 @@ impl Session {
         if self.cursors.is_empty() {
             return;
         }
-        let ids: Vec<u64> = self.cursors.keys().copied().collect();
+        let ids = self.cursors.keys().copied();
         let (dead, expired) =
             self.service
                 .deadlines
-                .reap_session(self.id, &ids, self.service.now_us());
+                .reap_session(self.id, ids, self.service.now_us());
         if expired > 0 {
             self.service
                 .metrics
@@ -1683,7 +1699,7 @@ mod tests {
         // The session-scoped sweep reports the reaped ids as dead
         // without double-counting them as expired.
         let ids: Vec<u64> = (0..8).collect();
-        let (dead, expired) = deadlines.reap_session(1, &ids, now + 1_000);
+        let (dead, expired) = deadlines.reap_session(1, ids.into_iter(), now + 1_000);
         assert_eq!(expired, 0);
         assert_eq!(dead, vec![0, 2, 4, 6]);
     }

@@ -261,7 +261,22 @@ impl TcpClient {
 
     /// Send one command line and read the full `END`-terminated reply
     /// block (bytes as the server wrote them).
+    ///
+    /// `line` must be one command: a blank line gets no reply at all
+    /// (the server skips it) and a line break makes it two commands
+    /// with two replies, the second of which would be read as the
+    /// answer to the *next* `send`. Both are refused with
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) before
+    /// anything is written; [`send_raw`](TcpClient::send_raw) with
+    /// [`read_reply`](TcpClient::read_reply) is how to pipeline.
     pub fn send(&mut self, line: &str) -> std::io::Result<String> {
+        let refuse = |why| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        if line.trim().is_empty() {
+            return refuse("a blank line is not a command: the server sends no reply to it");
+        }
+        if line.contains('\n') {
+            return refuse("one command per send: a line break would leave a reply unread");
+        }
         self.request.clear();
         self.request.push_str(line);
         self.request.push('\n');
@@ -277,21 +292,52 @@ impl TcpClient {
         self.writer.flush()
     }
 
-    /// Read one `END`-terminated reply block.
+    /// Read one `END`-terminated reply block. A reply that sits whole
+    /// in the reader's buffer — any page does — is scanned for its
+    /// terminator in place, checked as UTF-8 once and copied out once,
+    /// at its exact size.
     pub fn read_reply(&mut self) -> std::io::Result<String> {
-        let mut block = String::new();
+        use crate::wire::is_terminator;
+        let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        // What earlier buffers held of this reply, and where its last,
+        // unfinished line starts (only a reply longer than the buffer,
+        // or one that arrived in pieces, gets here).
+        let mut block: Vec<u8> = Vec::new();
+        let mut line_start = 0;
         loop {
-            // Each line lands on the end of the block; only that tail
-            // is tested for the terminator.
-            let line_start = block.len();
-            if self.reader.read_line(&mut block)? == 0 {
+            let buf = self.reader.fill_buf()?;
+            if buf.is_empty() {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-reply",
                 ));
             }
-            if crate::wire::is_terminator(&block[line_start..]) {
-                return Ok(block);
+            // `at`: one past the last whole line of `buf` looked at.
+            let (mut at, mut done) = (0, false);
+            for line in buf.split_inclusive(|&b| b == b'\n') {
+                if done || line.last() != Some(&b'\n') {
+                    break;
+                }
+                done = if at == 0 && line_start < block.len() {
+                    is_terminator(&[&block[line_start..], line].concat())
+                } else {
+                    is_terminator(line)
+                };
+                at += line.len();
+            }
+            let take = if done { at } else { buf.len() };
+            if done && block.is_empty() {
+                let reply = std::str::from_utf8(&buf[..take]).map(str::to_owned);
+                self.reader.consume(take);
+                return reply.map_err(invalid);
+            }
+            block.extend_from_slice(&buf[..take]);
+            if at > 0 {
+                line_start = block.len() - (take - at);
+            }
+            self.reader.consume(take);
+            if done {
+                return String::from_utf8(block).map_err(|e| invalid(e.utf8_error()));
             }
         }
     }

@@ -19,16 +19,18 @@
 //! ```
 
 use crate::service::{AnalyzeReport, Page, Response, ServeError, Service, ServiceStats, Session};
-use anyk_engine::RankedAnswer;
+use anyk_engine::{Cost, RankedAnswer};
 use anyk_obs::{QueryTrace, Stage, RANKS, ROUTES};
+use anyk_storage::Value;
 use std::fmt::{self, Write};
 
 /// True when `line` is the reply terminator (`END`, any trailing
-/// whitespace ignored). Decoders — [`TcpClient`](crate::TcpClient)'s
+/// ASCII whitespace ignored) — bytes, so a reader can test a line
+/// still in its buffer. Decoders — [`TcpClient`](crate::TcpClient)'s
 /// reply reader in particular — use this instead of spelling the
 /// literal, so the protocol vocabulary stays in this file.
-pub fn is_terminator(line: &str) -> bool {
-    line.trim_end() == "END"
+pub fn is_terminator(line: &[u8]) -> bool {
+    line.trim_ascii_end() == b"END"
 }
 
 /// Render one answer as its `ROW` line (no trailing newline):
@@ -37,23 +39,79 @@ pub fn is_terminator(line: &str) -> bool {
 /// direct [`PreparedQuery`](anyk_engine::PreparedQuery) streams through
 /// this same function.
 pub fn encode_answer(a: &RankedAnswer) -> String {
-    let mut line = String::new();
-    write_answer(&mut line, a);
+    let mut line = String::with_capacity(ROW_BYTES);
+    write_answer(&mut line, &a.values, &a.cost);
     line
 }
 
+/// Room for a `ROW` line of three or four integer columns and a float
+/// cost: a page's reply buffer is sized from it once (one more growth
+/// for a page of lexicographic costs), not grown by doubling.
+const ROW_BYTES: usize = 64;
+
 /// Append one answer's `ROW` line (no newline) to `out` — the row
-/// encoder itself; a page's rows go straight into the reply buffer
-/// through it, be that a `String` or a connection's write buffer.
-pub fn write_answer(out: &mut impl Write, a: &RankedAnswer) {
+/// encoder itself; a page's slab rows go straight into the reply
+/// buffer through it, be that a `String` or a connection's write
+/// buffer. Bytes are what `Display` renders (`{value},… cost={cost}`),
+/// but the literals, the separators and integer digits — nearly all of
+/// a row — are written by hand, not through `fmt`; floats keep `std`'s
+/// shortest round-trip digits and symbols their `Display`.
+pub fn write_answer(out: &mut impl Write, values: &[Value], cost: &Cost) {
     let _ = out.write_str("ROW ");
-    for (i, v) in a.values.iter().enumerate() {
+    for (i, v) in values.iter().enumerate() {
         if i > 0 {
             let _ = out.write_char(',');
         }
-        let _ = write!(out, "{v}");
+        match *v {
+            Value::Int(n) => write_int(out, n),
+            Value::Float(bits) => write_float(out, bits.get()),
+            sym @ Value::Sym(_) => {
+                let _ = write!(out, "{sym}");
+            }
+        }
     }
-    let _ = write!(out, " cost={}", a.cost);
+    let _ = out.write_str(" cost=");
+    match cost {
+        Cost::Scalar(w) => write_float(out, w.get()),
+        Cost::Lex(ws) => {
+            let _ = out.write_char('[');
+            for (i, w) in ws.iter().enumerate() {
+                if i > 0 {
+                    let _ = out.write_str(", ");
+                }
+                write_float(out, w.get());
+            }
+            let _ = out.write_char(']');
+        }
+    }
+}
+
+/// `n` in decimal, as `Display` writes it.
+fn write_int(out: &mut impl Write, n: i64) {
+    // 19 digits of `u64::MAX / 2 + 1` and a sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    // ASCII digits and a sign: the check cannot fail.
+    let _ = out.write_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// `x` as `Display` writes it: the shortest digits that read back as
+/// `x`. The one part of a row that stays with `std`'s formatter.
+fn write_float(out: &mut impl Write, x: f64) {
+    let _ = write!(out, "{x}");
 }
 
 /// Render a full response block, `END`-terminated, every line ending
@@ -64,22 +122,23 @@ pub fn encode_response(resp: &Response) -> String {
     out
 }
 
-/// [`encode_response`] into any text sink.
-fn write_response(out: &mut impl Write, resp: &Response) {
+/// [`encode_response`] into any reply buffer.
+fn write_response(out: &mut impl ReplyBuf, resp: &Response) {
     match resp {
         Response::Page(Page {
             cursor,
             answers,
             done,
         }) => {
+            out.reserve(ROW_BYTES * (answers.len() + 1));
             let _ = out.write_str("OK cursor=");
             let _ = match cursor {
                 Some(id) => write!(out, "{id}"),
                 None => out.write_char('-'),
             };
             let _ = writeln!(out, " rows={} done={done}", answers.len());
-            for a in answers {
-                write_answer(out, a);
+            for (cost, values) in answers.iter() {
+                write_answer(out, values, cost);
                 let _ = out.write_char('\n');
             }
         }
@@ -310,7 +369,24 @@ impl Write for Utf8Sink<'_> {
     }
 }
 
-fn respond_to(session: &mut Session, line: &str, out: &mut impl Write) {
+/// A reply buffer: a text sink that can be told how much is coming.
+trait ReplyBuf: Write {
+    fn reserve(&mut self, bytes: usize);
+}
+
+impl ReplyBuf for String {
+    fn reserve(&mut self, bytes: usize) {
+        String::reserve(self, bytes);
+    }
+}
+
+impl ReplyBuf for Utf8Sink<'_> {
+    fn reserve(&mut self, bytes: usize) {
+        self.0.reserve(bytes);
+    }
+}
+
+fn respond_to(session: &mut Session, line: &str, out: &mut impl ReplyBuf) {
     let result = session.execute(line);
     // The pending trace (a `SELECT`'s) is missing only its encode
     // stage; time the rendering on the service clock and publish.
@@ -378,5 +454,108 @@ impl LocalClient {
     /// The underlying session (cursor inspection in tests).
     pub fn session(&self) -> &Session {
         &self.session
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anyk_storage::Weight;
+    use proptest::prelude::*;
+
+    /// The row as `Display` renders it, piece by piece through `fmt`:
+    /// what the encoder wrote before it wrote digits by hand.
+    fn formatted(values: &[Value], cost: &Cost) -> String {
+        let values: Vec<String> = values.iter().map(Value::to_string).collect();
+        format!("ROW {} cost={cost}", values.join(","))
+    }
+
+    fn written(values: &[Value], cost: &Cost) -> String {
+        let mut line = String::new();
+        write_answer(&mut line, values, cost);
+        // The connection's byte buffer takes the same bytes.
+        let mut bytes = Vec::new();
+        write_answer(&mut Utf8Sink(&mut bytes), values, cost);
+        assert_eq!(bytes, line.as_bytes());
+        line
+    }
+
+    /// A float from random bits (NaN, which no value or weight can
+    /// hold, mapped to zero): subnormals, infinities and every exponent.
+    fn float_of(bits: u64) -> f64 {
+        Some(f64::from_bits(bits))
+            .filter(|x| !x.is_nan())
+            .unwrap_or(0.0)
+    }
+
+    fn value_of((kind, int, bits): (u32, i64, u64)) -> Value {
+        match kind {
+            0 => Value::Int(int),
+            1 => Value::Int(int % 1_000),
+            2 => Value::float(float_of(bits)),
+            _ => Value::Sym(bits as u32),
+        }
+    }
+
+    #[test]
+    fn the_row_writer_renders_the_edges_as_display_does() {
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -10,
+            -1,
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            i64::MAX,
+        ];
+        let floats = [
+            0.0,
+            -0.0,
+            0.1,
+            1.0,
+            -2.5,
+            1e21,
+            1e-7,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut values: Vec<Value> = ints.iter().map(|&i| Value::Int(i)).collect();
+        values.extend(floats.iter().map(|&x| Value::float(x)));
+        values.extend([Value::Sym(0), Value::Sym(u32::MAX)]);
+        let lex = Cost::Lex(floats.iter().map(|&x| Weight::new(x)).collect());
+        for cost in [Cost::Scalar(Weight::new(0.375)), lex, Cost::Lex(Vec::new())] {
+            assert_eq!(written(&values, &cost), formatted(&values, &cost));
+            assert_eq!(written(&[], &cost), formatted(&[], &cost));
+        }
+        assert_eq!(
+            written(&values[..3], &Cost::Scalar(Weight::new(1.5))),
+            "ROW -9223372036854775808,-9223372036854775807,-10 cost=1.5"
+        );
+    }
+
+    proptest! {
+        /// Byte for byte what `format!` renders, on random rows of
+        /// every value kind under scalar and lexicographic costs; and
+        /// `encode_answer` is the same writer over one answer.
+        #[test]
+        fn the_row_writer_agrees_with_display(
+            cells in prop::collection::vec((0u32..4, i64::MIN..=i64::MAX, 0u64..=u64::MAX), 0..6),
+            weights in prop::collection::vec(0u64..=u64::MAX, 0..4),
+            scalar in 0u64..=u64::MAX,
+        ) {
+            let values: Vec<Value> = cells.into_iter().map(value_of).collect();
+            let lex = Cost::Lex(weights.into_iter().map(|b| Weight::new(float_of(b))).collect());
+            for cost in [Cost::Scalar(Weight::new(float_of(scalar))), lex] {
+                let want = formatted(&values, &cost);
+                prop_assert_eq!(written(&values, &cost), want.clone());
+                let answer = RankedAnswer { cost, values: values.clone() };
+                prop_assert_eq!(encode_answer(&answer), want);
+            }
+        }
     }
 }

@@ -1,0 +1,219 @@
+//! What one served op allocates, counted per step with a test-local
+//! allocator rather than timed — exact on any machine. The op is
+//! `serve_pages`': `SELECT … LIMIT 10`, four `NEXT 10`, `CLOSE`, on the
+//! nine combos {path-3, triangle, 4-cycle} × {sum, max, lex}, warm.
+//!
+//! At bcd4253 the path-3 / sum op took 281 blocks: parsing 86 (every
+//! token a `String`), the warm `SELECT` 97 (lowering 12, the rendered
+//! cache key 12, two deep `Plan` clones 34, a first page of 28 for ten
+//! answers), each `NEXT` page 15, each reply `String` grown to its size
+//! by doubling. Now tokens borrow the input, the query is its own cache
+//! key, one `Plan` is shared, a page is two blocks of rows, and a reply
+//! is sized before it is written.
+
+mod common;
+#[path = "common/counting.rs"]
+mod counting;
+
+use anyk::prelude::*;
+use anyk::query::cq::ConjunctiveQuery;
+use anyk::serve::{parse, select_text, Command, Response};
+use common::gen::scrambled_edges;
+use counting::counted;
+
+const PAGE: usize = 10;
+const PAGES: usize = 5;
+
+/// The nine combos.
+fn combos() -> Vec<(String, ConjunctiveQuery, RankSpec)> {
+    let shapes = [
+        ("path-3", path_query(3)),
+        ("triangle", cycle_query(3)),
+        ("4-cycle", cycle_query(4)),
+    ];
+    let mut out = Vec::new();
+    for (shape, q) in shapes {
+        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Lex] {
+            out.push((format!("{shape} / {rank}"), q.clone(), rank));
+        }
+    }
+    out
+}
+
+/// `serve_pages`' data: four relations of 2 000 edges, degree 10.
+fn service() -> Service {
+    let mut catalog = Catalog::new();
+    for i in 0..4u64 {
+        catalog.register(
+            format!("R{}", i + 1),
+            scrambled_edges(2_000, 200, 2 * i + 1),
+        );
+    }
+    Service::new(Engine::new(catalog))
+}
+
+/// Ceilings on the blocks of a warm `SELECT … LIMIT 10`, of a `NEXT 10`
+/// and of the whole op through [`LocalClient`], parsing and replies
+/// included. Scalar rankings read 14 / 2–5 / 43–57 on every shape (97 /
+/// 15 / 239–321 at bcd4253). A lexicographic cost is a vector: one
+/// clone per answer where the answers are materialized (20 / 12 /
+/// 94–97), about nine per answer on the path, whose enumerator keeps a
+/// prefix and a suffix cost per slot (123 / 82–89 / 487, 694 at
+/// bcd4253; an unoptimized build keeps six more clones an answer the
+/// optimizer removes: 189 / 142–149 / 793) — an inline small weight
+/// vector would take those out.
+fn ceilings(shape_is_path: bool, rank: RankSpec) -> (u64, u64, u64) {
+    match (rank, shape_is_path) {
+        (RankSpec::Lex, true) if cfg!(debug_assertions) => (200, 155, 850),
+        (RankSpec::Lex, true) => (130, 95, 500),
+        (RankSpec::Lex, false) => (24, 14, 110),
+        _ => (20, 6, 70),
+    }
+}
+
+/// Blocks `f` allocates.
+fn blocks<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let ((blocks, _), out) = counted(f);
+    (blocks, out)
+}
+
+#[test]
+fn cursor_commands_parse_without_allocating_and_select_allocates_its_ast() {
+    for text in [
+        "NEXT 10 ON 7;",
+        "CLOSE 7;",
+        "STATS;",
+        "TRACE 8;",
+        "trace slow",
+    ] {
+        let (n, cmd) = blocks(|| parse(text));
+        assert!(cmd.is_ok(), "{text}");
+        assert_eq!(n, 0, "`{text}` allocates nothing");
+    }
+    for (label, q, rank) in combos() {
+        let text = select_text(&q, rank, Some(PAGE));
+        let (n, cmd) = blocks(|| parse(&text));
+        let Ok(Command::Select(stmt)) = cmd else {
+            panic!("{label}: `{text}` is a SELECT")
+        };
+        // The atom list; per atom its name, its variable list and one
+        // name per variable.
+        let owned: usize = 1 + (stmt.atoms.iter()).map(|a| 2 + a.vars.len()).sum::<usize>();
+        assert_eq!(
+            n as usize, owned,
+            "{label}: one block per thing the AST owns"
+        );
+    }
+}
+
+/// The steps of one warm op, each counted: `(select, [next; 4], close)`
+/// through `Session::run` on already-parsed commands.
+fn op_blocks(session: &mut anyk::serve::Session, select: &Command) -> (u64, Vec<u64>, u64) {
+    let (first, resp) = blocks(|| session.run(select.clone()));
+    let Ok(Response::Page(page)) = resp else {
+        panic!("SELECT returns a page")
+    };
+    assert_eq!(page.answers.len(), PAGE);
+    let cursor = page.cursor.expect("more than one page of answers");
+    drop(page);
+    let mut nexts = Vec::new();
+    for _ in 1..PAGES {
+        let cmd = Command::Next {
+            count: PAGE,
+            cursor,
+        };
+        let (n, resp) = blocks(|| session.run(cmd));
+        let Ok(Response::Page(page)) = resp else {
+            panic!("NEXT returns a page")
+        };
+        assert_eq!((page.answers.len(), page.done), (PAGE, false));
+        nexts.push(n);
+    }
+    let (close, resp) = blocks(|| session.run(Command::Close { cursor }));
+    assert_eq!(resp, Ok(Response::Closed { cursor }));
+    (first, nexts, close)
+}
+
+#[test]
+fn a_warm_op_allocates_by_the_page_not_by_the_answer() {
+    let service = service();
+    for (label, q, rank) in combos() {
+        let text = select_text(&q, rank, Some(PAGE));
+        let select = parse(&text).expect("parses");
+        let mut session = service.session();
+        // Warm: the plan is cached, shared orders and the triangle's
+        // sorted artifact are built, the session's cursor map exists.
+        for _ in 0..2 {
+            op_blocks(&mut session, &select);
+        }
+        // `select.clone()` inside the counted region is the parse's
+        // share; take it out.
+        let (parse_share, _) = blocks(|| select.clone());
+        let (first, nexts, close) = op_blocks(&mut session, &select);
+        let first = first - parse_share;
+        assert_eq!(close, 0, "{label}: CLOSE");
+        let (select_max, next_max, _) = ceilings(q.num_atoms() == q.num_vars() - 1, rank);
+        assert!(first <= select_max, "{label}: SELECT {first}");
+        for n in nexts {
+            assert!(n <= next_max, "{label}: NEXT {n}");
+        }
+    }
+}
+
+#[test]
+fn a_whole_op_through_the_wire_encoder_stays_under_its_budget() {
+    let service = service();
+    for (label, q, rank) in combos() {
+        let select = select_text(&q, rank, Some(PAGE));
+        let mut client = LocalClient::new(&service);
+        let op = |client: &mut LocalClient| {
+            let reply = client.send(&select);
+            let header = reply.lines().next().expect("a header line");
+            let cursor: u64 = (header.split(' ').find_map(|f| f.strip_prefix("cursor=")))
+                .and_then(|id| id.parse().ok())
+                .unwrap_or_else(|| panic!("{label}: {header}"));
+            for _ in 1..PAGES {
+                let reply = client.send(&format!("NEXT {PAGE} ON {cursor};"));
+                assert!(reply.starts_with("OK cursor="), "{label}: {reply}");
+            }
+            assert_eq!(
+                client.send(&format!("CLOSE {cursor};")),
+                format!("OK closed={cursor}\nEND\n")
+            );
+        };
+        for _ in 0..2 {
+            op(&mut client);
+        }
+        let (n, ()) = blocks(|| op(&mut client));
+        let (_, _, op_max) = ceilings(q.num_atoms() == q.num_vars() - 1, rank);
+        assert!(n <= op_max, "{label}: {n} blocks an op");
+    }
+}
+
+#[test]
+fn a_warm_stream_shares_its_prepared_querys_plan() {
+    let service = service();
+    let engine = service.engine().expect("single engine");
+    for (label, q, rank) in combos() {
+        let prepared = engine.prepare(q, rank).expect("prepare");
+        for _ in 0..2 {
+            assert_eq!(prepared.stream().take(PAGE).count(), PAGE);
+        }
+        let (n, stream) = blocks(|| prepared.stream());
+        assert!(
+            std::ptr::eq(stream.plan(), prepared.plan()),
+            "{label}: the stream's plan is the prepared query's, not a copy"
+        );
+        // The boxed enumerator and what it seeds: a candidate heap per
+        // tree (one tree, or the 4-cycle's few) and the union over them.
+        assert!(n <= 16, "{label}: stream() allocates {n} blocks");
+        // A cache hit hands out the same plan again.
+        let again = engine
+            .prepare(prepared.plan().query.clone(), rank)
+            .expect("hit");
+        assert!(
+            std::ptr::eq(again.plan(), prepared.plan()),
+            "{label}: one plan per entry"
+        );
+    }
+}

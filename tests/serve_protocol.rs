@@ -115,7 +115,7 @@ fn server_pages_match_direct_streams_and_oracle_on_every_route() {
                 let Response::Page(page) = resp else {
                     panic!("{route} × {rank}: expected a page")
                 };
-                answers.extend(page.answers);
+                answers.extend((0..page.answers.len()).map(|i| page.answers.answer(i)));
                 match page.cursor {
                     Some(id) => resp = session.execute(&format!("NEXT 3 ON {id};")).unwrap(),
                     None => break,
@@ -300,6 +300,81 @@ fn explain_and_stats_surface_the_write_path() {
     ] {
         assert!(stats.contains(field), "missing `{field}`:\n{stats}");
     }
+}
+
+/// A connected client over a fresh path-3 service, with the server to
+/// keep alive beside it.
+fn tcp_client() -> (Server, TcpClient) {
+    let (service, _) = service_for(&path_query(3), 3);
+    let server = bind(&service);
+    let client = TcpClient::connect(server.addr()).expect("connect");
+    (server, client)
+}
+
+#[test]
+fn a_reply_longer_than_the_clients_buffer_is_read_whole() {
+    // A page sits whole in the client's read buffer and is copied out
+    // of it once; a reply of tens of kilobytes spans several fills, its
+    // lines straddle them, and the bytes must still be the encoder's.
+    let q = path_query(3);
+    let rels: Vec<Relation> = (0..3)
+        .map(|i| common::gen::scrambled_edges(300, 30, 2 * i + 1))
+        .collect();
+    let service = Service::new(Engine::from_query_bindings(&q, rels));
+    let mut server = bind(&service);
+    let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+    let mut local = LocalClient::new(&service);
+    for rank in [RankSpec::Sum, RankSpec::Lex] {
+        let select = select_text(&q, rank, Some(2_000));
+        let got = tcp.send(&select).expect("a long page");
+        assert!(got.len() > 32 * 1024, "{} bytes", got.len());
+        assert_eq!(got.lines().count(), 2_002, "header, 2 000 rows, END");
+        // Cursor ids are per session: both clients are on their first.
+        assert_eq!(got, local.send(&select), "{rank}");
+        // The reader is left exactly past the block.
+        let id = if rank == RankSpec::Sum { 0 } else { 1 };
+        let close = format!("OK closed={id}\nEND\n");
+        assert_eq!(tcp.send(&format!("CLOSE {id};")).expect("close"), close);
+        assert_eq!(local.send(&format!("CLOSE {id};")), close);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn send_refuses_a_blank_line_instead_of_waiting_for_a_reply_that_never_comes() {
+    // The server skips blank lines and answers nothing: before the
+    // check, `send("")` wrote the line and blocked in `read_reply` for
+    // good.
+    let (_server, mut tcp) = tcp_client();
+    for blank in ["", "   ", "\t", "\r"] {
+        let err = tcp.send(blank).expect_err("a blank line is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{blank:?}");
+    }
+    // Nothing was written: the connection serves the next command.
+    assert!(tcp.send("STATS;").expect("stats").starts_with("OK stats\n"));
+}
+
+#[test]
+fn send_refuses_two_commands_in_one_line_instead_of_desynchronising() {
+    // Two commands get two replies; `send` reads one, so every later
+    // `send` would return the reply to the command before it.
+    let (_server, mut tcp) = tcp_client();
+    for two in ["STATS;\nSTATS;", "STATS;\n", "\nSTATS;", "STATS;\r\nSTATS;"] {
+        let err = tcp.send(two).expect_err("a line break is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{two:?}");
+    }
+    // Still in step: each command gets its own reply.
+    let select = "SELECT R1(x0,x1), R2(x1,x2), R3(x2,x3) RANK BY sum LIMIT 2;";
+    assert!(tcp
+        .send(select)
+        .expect("select")
+        .starts_with("OK cursor=0 rows=2"));
+    assert_eq!(tcp.send("CLOSE 0;").expect("close"), "OK closed=0\nEND\n");
+    // Pipelining stays possible, spelled out: raw bytes, then one
+    // `read_reply` per command.
+    tcp.send_raw(b"STATS;\nCLOSE 0;\n").expect("two commands");
+    assert!(tcp.read_reply().expect("first").starts_with("OK stats\n"));
+    assert!(tcp.read_reply().expect("second").starts_with("ERR cursor:"));
 }
 
 #[test]
@@ -788,6 +863,62 @@ fn exact_page_boundary_reports_done_and_holds_no_cursor() {
     assert_eq!(last.answers.len(), 1);
     assert!(last.done);
     assert_eq!(service.stats().open_cursors, 0);
+}
+
+#[test]
+fn a_page_that_ends_on_the_last_answer_is_done_on_every_route_and_ranking() {
+    // The lookahead row travels between the page slab and the cursor:
+    // whichever page the last answer lands on — the first or a later
+    // one, filled in place or through a merge — reports `done` and
+    // leaves no cursor pinned.
+    for (route, q, m) in shapes() {
+        let (service, _) = service_for(&q, m);
+        let engine = service.engine().expect("single-engine service");
+        let mut session = service.session();
+        for rank in RankSpec::ALL {
+            let what = format!("{route} × {rank}");
+            let total = engine
+                .prepare(q.clone(), rank)
+                .expect("prepare")
+                .stream()
+                .count();
+            assert!(total > 4, "{what}: fixture has answers");
+            let mut page_of = |command: String| match session.execute(&command) {
+                Ok(Response::Page(page)) => page,
+                other => panic!("{what}: `{command}` returned {other:?}"),
+            };
+            let whole = page_of(select_text(&q, rank, Some(total)));
+            assert_eq!(
+                (whole.answers.len(), whole.done, whole.cursor),
+                (total, true, None)
+            );
+            let head = page_of(select_text(&q, rank, Some(total - 4)));
+            assert_eq!(
+                (head.answers.len(), head.done),
+                (total - 4, false),
+                "{what}"
+            );
+            let id = head.cursor.expect("four answers remain");
+            let tail = page_of(format!("NEXT 4 ON {id};"));
+            assert_eq!(
+                (tail.answers.len(), tail.done, tail.cursor),
+                (4, true, None),
+                "{what}"
+            );
+            // Together the two pages are the whole stream, in order.
+            let rows = |page: &anyk::serve::Page| -> Vec<RankedAnswer> {
+                (0..page.answers.len())
+                    .map(|i| page.answers.answer(i))
+                    .collect()
+            };
+            assert!(
+                [rows(&head), rows(&tail)].concat() == rows(&whole),
+                "{what}"
+            );
+            assert_eq!(service.stats().open_cursors, 0, "{what}: no slot pinned");
+        }
+        assert_eq!(session.open_cursors(), 0);
+    }
 }
 
 #[test]

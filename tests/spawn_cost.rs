@@ -12,54 +12,13 @@
 //! on every any-k route.
 
 mod common;
+#[path = "common/counting.rs"]
+mod counting;
 
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
 use common::gen::scrambled_edges;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts the calling thread's allocations; the test harness runs
-/// tests on threads of their own, so counts do not mix.
-struct Counting;
-
-thread_local! {
-    /// (blocks, bytes) this thread has asked for. `const`-initialized
-    /// and without a destructor, so touching it never allocates.
-    static ASKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn count(bytes: usize) {
-    // `try_with`: a thread may still free memory while it is torn down.
-    let _ = ASKED.try_with(|a| {
-        let (blocks, total) = a.get();
-        a.set((blocks + 1, total + bytes as u64));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter
-// beside it neither allocates nor touches the blocks.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract, passed on as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed on as is.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: the caller's contract, passed on as is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting::counted;
 
 /// (blocks, bytes) one `stream()` allocates on a warm prepared query
 /// over `edges`-row relations of constant degree 10.
@@ -71,11 +30,7 @@ fn spawn_allocations(q: &ConjunctiveQuery, rank: RankSpec, edges: u64) -> (u64, 
     let prepared = engine.prepare(q.clone(), rank).expect("prepare");
     // Warm: the first stream's first answers build the orders they touch.
     assert_eq!(prepared.stream().take(5).count(), 5, "instance has answers");
-    let before = ASKED.get();
-    let stream = prepared.stream();
-    let after = ASKED.get();
-    drop(stream);
-    (after.0 - before.0, after.1 - before.1)
+    counted(|| prepared.stream()).0
 }
 
 #[test]
@@ -108,11 +63,9 @@ fn drain_blocks_per_answer(q: &ConjunctiveQuery, skip: usize) -> f64 {
     assert_eq!(prepared.stream().take(skip + 2_000).count(), skip + 2_000);
     let mut stream = prepared.stream();
     assert_eq!(stream.by_ref().take(skip).count(), skip);
-    let before = ASKED.get().0;
-    let drained = stream.take(2_000).count();
-    let after = ASKED.get().0;
+    let ((blocks, _), drained) = counted(|| stream.take(2_000).count());
     assert_eq!(drained, 2_000);
-    (after - before) as f64 / 2_000.0
+    blocks as f64 / 2_000.0
 }
 
 /// One block per answer — its `values` — on every any-k route: the

@@ -149,6 +149,56 @@ fn heavy_four_cycle() -> Vec<Relation> {
     instance(4, 40, 8, 42, &[100, 101], 12)
 }
 
+/// A 4-cycle instance without heavy values: one case, one tree.
+fn light_four_cycle() -> Vec<Relation> {
+    instance(4, 200, 40, 7, &[], 0)
+}
+
+/// Every fixture of the digest table: `(label, query, relations,
+/// route)`, in the table's row order (two rankings a fixture).
+fn fixtures() -> Vec<(&'static str, ConjunctiveQuery, Vec<Relation>, &'static str)> {
+    vec![
+        (
+            "4-cycle, heavy",
+            cycle_query(4),
+            heavy_four_cycle(),
+            "cycle",
+        ),
+        (
+            "4-cycle, one tree",
+            cycle_query(4),
+            light_four_cycle(),
+            "cycle",
+        ),
+        ("5-cycle", cycle_query(5), five_cycle(), "cycle"),
+        ("6-cycle", cycle_query(6), six_cycle(), "cycle"),
+        (
+            "path4",
+            path_query(4),
+            instance(4, 30, 5, 42, &[], 0),
+            "acyclic",
+        ),
+        (
+            "star3",
+            star_query(3),
+            instance(3, 40, 6, 7, &[], 0),
+            "acyclic",
+        ),
+        (
+            "chorded 5-cycle",
+            chorded_cycle_query(5),
+            chorded(five_cycle(), 5),
+            "decomposed",
+        ),
+        (
+            "chorded 6-cycle",
+            chorded_cycle_query(6),
+            chorded(six_cycle(), 13),
+            "decomposed",
+        ),
+    ]
+}
+
 /// The 4-cycle case split the engine's planner makes of `rels`.
 fn cases(rels: &[Relation]) -> Vec<TreeCase> {
     let threshold = heavy_threshold(rels.iter().map(Relation::len).max().unwrap());
@@ -182,47 +232,20 @@ fn every_route_emits_the_bytes_recorded_before_the_routes_were_one_shape() {
         [(635, 0x1de0e6632f115a15), (635, 0x0f59191602761e0d), (635, 0x61e0bb2fb0bfb02d), (635, 0x1de0e6632f115a15), (635, 0x1de0e6632f115a15), (635, 0x1f63cd8cf13537ed)],
     ];
 
-    let heavy = heavy_four_cycle();
-    let labels = case_labels(&heavy);
+    let labels = case_labels(&heavy_four_cycle());
     for kind in ["heavy-x1=", "light-x1,heavy-x3=", "light-light"] {
         assert!(
             labels.iter().any(|l| l.starts_with(kind)),
             "the hub instance has a {kind} case: {labels:?}"
         );
     }
-    let light = instance(4, 200, 40, 7, &[], 0);
-    assert_eq!(case_labels(&light), ["light-light"], "the lone-tree path");
+    assert_eq!(
+        case_labels(&light_four_cycle()),
+        ["light-light"],
+        "the lone-tree path"
+    );
 
-    let inputs = [
-        ("4-cycle, heavy", cycle_query(4), heavy, "cycle"),
-        ("4-cycle, one tree", cycle_query(4), light, "cycle"),
-        ("5-cycle", cycle_query(5), five_cycle(), "cycle"),
-        ("6-cycle", cycle_query(6), six_cycle(), "cycle"),
-        (
-            "path4",
-            path_query(4),
-            instance(4, 30, 5, 42, &[], 0),
-            "acyclic",
-        ),
-        (
-            "star3",
-            star_query(3),
-            instance(3, 40, 6, 7, &[], 0),
-            "acyclic",
-        ),
-        (
-            "chorded 5-cycle",
-            chorded_cycle_query(5),
-            chorded(five_cycle(), 5),
-            "decomposed",
-        ),
-        (
-            "chorded 6-cycle",
-            chorded_cycle_query(6),
-            chorded(six_cycle(), 13),
-            "decomposed",
-        ),
-    ];
+    let inputs = fixtures();
     let mut got = Vec::new();
     for (label, q, rels, route) in &inputs {
         for rank in [RankSpec::Sum, RankSpec::Max] {
@@ -246,6 +269,108 @@ fn every_route_emits_the_bytes_recorded_before_the_routes_were_one_shape() {
             want[..],
             "{label}: Eager, All, Take2, Lazy, Quick, REC; all rows:\n{}",
             literal.join("\n")
+        );
+    }
+}
+
+/// `stream` drained through `fill`, pages of 1, 7, 10, 64 rows in turn:
+/// every answer, and the sizes of the pages that came back short.
+fn drain_by_pages(mut stream: RankedStream) -> (Vec<RankedAnswer>, Vec<(usize, usize)>) {
+    let (mut answers, mut short) = (Vec::new(), Vec::new());
+    for want in [1, 7, 10, 64].into_iter().cycle() {
+        let mut page = stream.page(want);
+        let got = stream.fill(&mut page, want);
+        assert_eq!(page.len(), got, "fill reports what it appended");
+        answers.extend((0..got).map(|i| page.answer(i)));
+        if got < want {
+            short.push((want, got));
+            if short.len() == 3 {
+                break;
+            }
+        }
+    }
+    (answers, short)
+}
+
+#[test]
+fn a_page_filled_in_place_holds_what_repeated_next_returns() {
+    // Every route × ranking × enumerator of the digest table, the
+    // triangle's materialized artifact (lazy heap first, sorted cursor
+    // after), a delta-backed union and a sharded one (both take the
+    // default `fill` over `next`), each stream wrapped in the engine's
+    // delay sampler: same rows, same order, and exhaustion reported
+    // once — by the first short page — and for good.
+    let variants = (SuccessorKind::ALL_KINDS.iter())
+        .map(|&kind| AnyKVariant::Part(kind))
+        .chain([AnyKVariant::Rec, AnyKVariant::Batch]);
+    let triangle = (
+        "triangle",
+        cycle_query(3),
+        instance(3, 60, 8, 5, &[], 0),
+        "triangle",
+    );
+    for (label, q, rels, route) in fixtures().into_iter().chain([triangle]) {
+        let engine = Engine::from_query_bindings(&q, rels);
+        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Lex] {
+            for variant in variants.clone() {
+                let spawn = || {
+                    let request = engine.query(q.clone()).rank_by(rank);
+                    request.with_variant(variant).plan().expect("plan")
+                };
+                assert_eq!(spawn().plan().route.label(), route);
+                let by_next: Vec<RankedAnswer> = spawn().collect();
+                let (by_fill, short) = drain_by_pages(spawn());
+                let what = format!("{label} {rank:?} {variant:?}");
+                assert!(by_next.len() > 100, "{what}: over a hundred answers");
+                assert!(by_fill == by_next, "{what}: rows and their order");
+                assert!(short[0].1 < short[0].0, "{what}: {short:?}");
+                assert_eq!(short[1].1 + short[2].1, 0, "{what}: exhausted for good");
+                // A page that ends on the last answer is full; the next
+                // one is empty.
+                let mut stream = spawn();
+                let mut page = stream.page(by_next.len());
+                assert_eq!(
+                    stream.fill(&mut page, by_next.len()),
+                    by_next.len(),
+                    "{what}"
+                );
+                assert_eq!(
+                    stream.fill(&mut page, 1),
+                    0,
+                    "{what}: nothing after the last"
+                );
+                assert_eq!(page.len(), by_next.len());
+            }
+        }
+    }
+
+    // Unions: the delta merge of a single engine and the shard merge.
+    let q = path_query(4);
+    let rels = instance(4, 30, 5, 42, &[], 0);
+    let extra = edges(10, 5, 99, &[], 0);
+    let single = Engine::from_query_bindings(&q, rels.clone());
+    single.append("R2", extra.clone()).expect("append");
+    let mut catalog = Catalog::new();
+    for (i, rel) in rels.into_iter().enumerate() {
+        catalog.register(format!("R{}", i + 1), rel);
+    }
+    let sharded = ShardedEngine::new(catalog, 3).expect("three shards");
+    sharded.append("R2", extra).expect("append");
+    for rank in [RankSpec::Sum, RankSpec::Lex] {
+        let delta = || single.query(q.clone()).rank_by(rank).plan().expect("plan");
+        assert_eq!(delta().plan().deltas, 1, "a delta-backed union");
+        let by_next: Vec<RankedAnswer> = delta().collect();
+        assert!(drain_by_pages(delta()).0 == by_next, "delta union {rank:?}");
+        let shards = || sharded.stream(&q, rank).expect("stream");
+        let (by_fill, _) = drain_by_pages(shards());
+        assert!(
+            by_fill == shards().collect::<Vec<_>>(),
+            "shard union {rank:?}"
+        );
+        assert_eq!(
+            by_fill.len(),
+            by_next.len(),
+            "{rank:?}: same answers either way"
         );
     }
 }
