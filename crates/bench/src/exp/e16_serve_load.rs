@@ -22,8 +22,8 @@
 //!   p50/p95/p99 TTF and per-page histograms** and real plan-cache
 //!   counters;
 //! * a **silent-session scene**: a client opens a cursor on a
-//!   capacity-1 service and goes mute; the shared deadline map must
-//!   hand its admission slot to a second client after the TTL, with
+//!   capacity-1 service and goes mute; the cursor table must hand its
+//!   admission slot to a second client after the TTL, with
 //!   the reap observable in `STATS`.
 //!
 //! Acceptance (asserted): every round completes with every page
@@ -294,7 +294,7 @@ pub fn run(scale: f64) {
     silent_session_scene();
 }
 
-/// The shared-deadline-map scene: a capacity-1 service, a client that
+/// The silent-session scene: a capacity-1 service, a client that
 /// opens a cursor and goes mute, and a second client whose `SELECT`
 /// must inherit the slot after the TTL — no cooperation from the
 /// silent session.
@@ -332,7 +332,7 @@ fn silent_session_scene() {
     );
 
     // The TTL passes; the silent client says nothing. Admission's
-    // consult of the shared deadline map frees the slot.
+    // sweep of the cursor table frees the slot.
     thread::sleep(Duration::from_millis(160));
     let granted = eager.send(select).expect("eager client's retry");
     assert!(

@@ -58,7 +58,7 @@ struct ShardedShared {
     /// logical version — no torn cross-shard catalogs.
     ///
     /// Lock order: `coord` is acquired before any per-shard catalog or
-    /// cache lock (session ≺ coord ≺ catalog ≺ cache ≺ deadline map).
+    /// cache lock (coord ≺ catalog ≺ cache ≺ cursor table).
     coord: RwLock<u64>,
 }
 

@@ -10,7 +10,7 @@
 //! |------|-----------|
 //! | `unsafe-needs-safety` | every `unsafe` carries a `// SAFETY:` contract |
 //! | `no-panic-hot-path` | serving hot paths (`server`, `engine`) never panic |
-//! | `lock-order` | session ≺ shard coord ≺ catalog ≺ plan cache ≺ deadline map |
+//! | `lock-order` | shard coord ≺ catalog ≺ plan cache ≺ cursor table |
 //! | `wire-encoder-discipline` | protocol bytes originate only in the shared encoder |
 //! | `shim-purity` | shims import no anyk code; core stays socket-free |
 //! | `no-boxed-dyn-error` | library crates keep typed errors end-to-end |
@@ -204,11 +204,10 @@ fn no_panic_hot_path(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// larger one is held is a potential deadlock.
 fn lock_position(name: &str) -> Option<(usize, &'static str)> {
     match name {
-        "session" => Some((0, "session mutex")),
-        "coord" => Some((1, "shard-coordination RwLock")),
-        "catalog" => Some((2, "catalog RwLock")),
-        "cache" => Some((3, "plan-cache mutex")),
-        "map" | "deadlines" | "shard" | "shards" => Some((4, "shared deadline map")),
+        "coord" => Some((0, "shard-coordination RwLock")),
+        "catalog" => Some((1, "catalog RwLock")),
+        "cache" => Some((2, "plan-cache mutex")),
+        "cursors" => Some((3, "cursor table")),
         _ => None,
     }
 }
@@ -226,7 +225,7 @@ struct LiveGuard {
 /// `crates/engine`: a `let g = <recv>.lock()/.read()/.write()` guard
 /// is live until its enclosing block closes; while any guard is live,
 /// acquiring a known lock out of the documented order
-/// (session ≺ coord ≺ catalog ≺ cache ≺ deadline map) or re-acquiring
+/// (coord ≺ catalog ≺ cache ≺ cursor table) or re-acquiring
 /// the same lock is an error, and any other nested `.lock()` is a
 /// warning
 /// (the cross-function cases this lexical pass cannot prove safe).
@@ -312,8 +311,8 @@ fn lock_order(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                                     format!(
                                         "acquiring the {new_label} while guard `{}` holds the \
                                          {held_label} (line {}) violates the documented order \
-                                         session \u{227a} coord \u{227a} catalog \u{227a} \
-                                         cache \u{227a} deadline map",
+                                         coord \u{227a} catalog \u{227a} cache \u{227a} \
+                                         cursor table",
                                         g.binding, g.line
                                     ),
                                 ));

@@ -22,10 +22,20 @@ pub fn sequential(cache: &Mutex<HashMap<u64, u64>>, catalog: &RwLock<u64>) -> u6
 
 // A `let` binding a *derived* value (not the guard) does not pin the
 // lock: the guard temporary dies at the statement's end.
-pub fn temporary_guard(map: &Mutex<HashMap<u64, u64>>, cache: &Mutex<HashMap<u64, u64>>) -> usize {
-    let n = map.lock().unwrap_or_else(PoisonError::into_inner).len();
+pub fn temporary_guard(
+    cursors: &Mutex<HashMap<u64, u64>>,
+    cache: &Mutex<HashMap<u64, u64>>,
+) -> usize {
+    let n = cursors.lock().unwrap_or_else(PoisonError::into_inner).len();
     let m = cache.lock().unwrap_or_else(PoisonError::into_inner).len();
     n + m
+}
+
+// The cursor table is the leaf: taken last, under the plan cache.
+pub fn cursors_last(cache: &Mutex<HashMap<u64, u64>>, cursors: &Mutex<HashMap<u64, u64>>) -> usize {
+    let plans = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    let table = cursors.lock().unwrap_or_else(PoisonError::into_inner);
+    plans.len() + table.len()
 }
 
 // The sharded prepare path: the coordination lock comes first, then

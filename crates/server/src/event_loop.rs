@@ -58,14 +58,14 @@
 //! Nothing here blocks on a silent client: the wait timeout doubles as
 //! a timer tick. Whichever thread comes out of `wait` a tick after the
 //! last sweep (an atomic stamp decides, so it is one of them) calls
-//! [`Service::reap_expired_cursors`], sweeping the service-level
-//! deadline map so idle cursors release their admission slots without
+//! [`Service::reap_expired_cursors`], sweeping the service's cursor
+//! table so idle cursors free their streams and admission slots without
 //! their session ever speaking.
 //!
 //! [`TransportConfig::workers`]: crate::TransportConfig::workers
 
 use crate::frame::{encode_frame_error, FrameError, LineFramer};
-use crate::service::{ConnectionSlot, Service};
+use crate::service::{Service, Slot};
 use crate::wire::{encode_connection_rejected, respond_into};
 use crate::Session;
 use polling::{Event, Poller};
@@ -110,7 +110,7 @@ struct Conn {
     dead: bool,
     /// This connection's slot in the service's connection gauge;
     /// dropping the `Conn` releases it.
-    _slot: ConnectionSlot,
+    _slot: Slot,
 }
 
 impl Conn {
@@ -200,13 +200,13 @@ fn serve_loop(shared: &Shared) {
 }
 
 /// The wait timeout doubles as the deadline sweep: silent sessions'
-/// expired cursors release their admission slots here even if no
-/// admission pressure ever consults the map. Gated to TICK cadence on
-/// the service clock (µs, like every other timestamp in the serving
+/// expired cursors free their streams and admission slots here even if
+/// no admission pressure ever sweeps the table. Gated to TICK cadence
+/// on the service clock (µs, like every other timestamp in the serving
 /// stack — no raw `Instant` outside the obs crate): under load every
 /// request ends a wait early, and the sweep is O(open cursors) under
-/// the shared map mutex, so it runs once a tick, on the thread that
-/// wins the stamp.
+/// the cursor table's mutex, so it runs once a tick, on the thread
+/// that wins the stamp.
 fn sweep_if_due(shared: &Shared) {
     let tick_us = TICK.as_micros().min(u128::from(u64::MAX)) as u64;
     let now_us = shared.service.obs().now_us();

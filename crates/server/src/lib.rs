@@ -19,11 +19,12 @@
 //!    printable AST (canonical text round-trips).
 //! 2. **Session layer** ([`service`]): a [`Service`] wrapping a shared
 //!    [`Engine`](anyk_engine::Engine); each client gets a [`Session`]
-//!    holding its registry of live cursors ([`RankedStream`](anyk_engine::RankedStream)s
-//!    over the engine's cached prepared state), with paginated `NEXT`
-//!    pulls, a **service-level shared deadline map** (expired cursors
-//!    release their admission slots even while the owning session is
-//!    silent), an admission-control semaphore bounding concurrent
+//!    whose live cursors ([`RankedStream`](anyk_engine::RankedStream)s
+//!    over the engine's cached prepared state) sit in one
+//!    **service-wide cursor table** with their deadlines and admission
+//!    slots (an expired cursor is freed whole even while the owning
+//!    session is silent), with paginated `NEXT` pulls, an
+//!    admission-control semaphore bounding concurrent
 //!    open streams, and per-query metrics — TTF and per-page latency
 //!    with p50/p95/p99 histograms, plan-cache hits/misses — surfaced
 //!    through `STATS`.
@@ -41,7 +42,7 @@
 //!    share one encoder, so reply bytes are identical by construction.
 //!
 //! The full layer map — including the event loop's threading model,
-//! backpressure rules, and the deadline-map design — is documented in
+//! backpressure rules, and the cursor table — is documented in
 //! `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! ## Quickstart

@@ -5,19 +5,18 @@
 //! * **Cursors** — a `SELECT` opens a [`RankedStream`] over the
 //!   engine's (cached) prepared state, serves the first page, and
 //!   registers a cursor for `NEXT` pulls.
-//! * **Shared cursor deadlines** — every open cursor's expiry deadline
-//!   (and its admission slot) lives in a **service-level deadline
-//!   map**, not in the owning session. Streams stay session-owned
-//!   (they are `Send` but not `Sync`), but the *slot* can be reaped
-//!   from anywhere: admission consults the map when the service is
-//!   full, the event-loop transport sweeps it on a timer tick, and a
-//!   session prunes its own orphaned streams at the top of each
-//!   command. A client that goes silent while holding cursors
-//!   therefore cannot pin admission slots past the TTL — its next
-//!   `NEXT`/`CLOSE` reports a typed [`ServeError::CursorExpired`].
+//! * **The cursor table** — every open cursor lives in one
+//!   service-wide table, keyed by (session id, cursor id): its stream
+//!   and lookahead, its expiry deadline and its admission slot in one
+//!   entry. Whoever removes an entry frees all of it — `CLOSE`, a
+//!   drain, a session drop, a `NEXT`/`CLOSE` that finds it overdue,
+//!   the event-loop tick, or a full admission pass. A client that goes
+//!   silent while holding cursors therefore pins neither slots nor
+//!   stream memory past the TTL; its next `NEXT`/`CLOSE` reports a
+//!   typed [`ServeError::CursorExpired`].
 //! * **Admission control** — a service-wide semaphore bounds how many
 //!   streams may be open at once across all sessions; beyond it,
-//!   `SELECT` first reaps expired deadlines and then, still full,
+//!   `SELECT` first reaps expired cursors and then, still full,
 //!   fails with a typed [`ServeError::AdmissionRejected`] instead of
 //!   letting per-stream heap state grow without bound.
 //! * **Metrics** — per-query time-to-first-answer and per-page
@@ -29,12 +28,13 @@
 //! ## Threading model
 //!
 //! [`Service`] is `Clone + Send + Sync`: clones are handles onto one
-//! shared engine, admission semaphore, deadline map, and metrics
+//! shared engine, admission semaphore, cursor table, and metrics
 //! block. A [`Session`] is `Send` but single-owner — exactly one
 //! client (connection or [`LocalClient`](crate::LocalClient)) drives
-//! it, so cursor pulls never contend. Everything cross-session is
-//! either lock-free (metrics, admission) or a short critical section
-//! (the deadline map, the plan cache).
+//! it; it keeps only cursor ids. Everything cross-session is either
+//! lock-free (metrics, admission) or a short critical section (the
+//! cursor table, the plan cache): a `NEXT` takes its entry out of the
+//! table, pulls with no lock held, and puts it back.
 
 use crate::ast::Command;
 use crate::parser::{parse, ParseError};
@@ -47,7 +47,7 @@ use anyk_query::cq::ConjunctiveQuery;
 use anyk_storage::IndexStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Configuration for a [`Service`].
@@ -56,13 +56,13 @@ pub struct ServiceConfig {
     /// Maximum number of concurrently open cursors (streams) across
     /// all sessions — the admission-control bound.
     pub max_open_cursors: usize,
-    /// Idle time after which a cursor expires. Deadlines live in a
-    /// **service-level shared map**, so expiry frees the admission
-    /// slot even while the owning session stays silent: admission
-    /// sweeps the map when the service is full, the event-loop
-    /// transport sweeps it on a timer, and the owning session drops
-    /// the orphaned stream (and reports
-    /// [`ServeError::CursorExpired`]) on its next command.
+    /// Idle time after which a cursor expires. Cursors live in a
+    /// **service-wide table**, so expiry frees the stream and its
+    /// admission slot even while the owning session stays silent:
+    /// admission sweeps the table when the service is full, the
+    /// event-loop transport sweeps it on a timer, and a `NEXT`/`CLOSE`
+    /// that finds its cursor overdue drops it. The owning session
+    /// reports [`ServeError::CursorExpired`] for it from then on.
     pub cursor_ttl: Duration,
     /// Page size when a `SELECT` carries no `LIMIT`.
     pub default_page: usize,
@@ -453,18 +453,33 @@ fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// The admission-control semaphore: a counter bounded by
-/// `max_open_cursors`, acquired per open stream and released by the
-/// guard's `Drop` (so a dropped session can never leak slots).
+/// A bounded counter of held slots: one bounds open cursors
+/// ([`ServiceConfig::max_open_cursors`]), one established connections
+/// ([`ServiceConfig::max_connections`]). A slot is taken by
+/// compare-and-swap below the bound and given back by its [`Slot`]'s
+/// `Drop`, so whatever ends its holder — a close, a reap, an I/O error,
+/// an unwind — returns it.
 #[derive(Debug)]
-struct Admission {
+struct Gauge {
     open: AtomicUsize,
     max: usize,
 }
 
-impl Admission {
-    /// Try to take a slot; `None` when the service is at its bound.
-    fn try_acquire(self: &Arc<Self>) -> Option<AdmissionSlot> {
+impl Gauge {
+    fn new(max: usize) -> Arc<Gauge> {
+        Arc::new(Gauge {
+            open: AtomicUsize::new(0),
+            max,
+        })
+    }
+
+    /// Slots held right now.
+    fn open(&self) -> usize {
+        self.open.load(Ordering::Relaxed)
+    }
+
+    /// Try to take a slot; `None` at the bound.
+    fn try_acquire(self: &Arc<Self>) -> Option<Slot> {
         let mut cur = self.open.load(Ordering::Relaxed);
         loop {
             if cur >= self.max {
@@ -475,50 +490,7 @@ impl Admission {
                 .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
             {
                 Ok(_) => {
-                    return Some(AdmissionSlot {
-                        admission: Arc::clone(self),
-                    })
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct AdmissionSlot {
-    admission: Arc<Admission>,
-}
-
-impl Drop for AdmissionSlot {
-    fn drop(&mut self) {
-        self.admission.open.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// The connection-level admission gauge: a counter bounded by
-/// [`ServiceConfig::max_connections`], acquired at accept time and
-/// released by the slot's `Drop` — a connection that dies on any path
-/// (clean close, I/O error, panic unwind) always returns its slot.
-#[derive(Debug)]
-struct ConnectionGauge {
-    open: AtomicUsize,
-    max: usize,
-}
-
-impl ConnectionGauge {
-    fn try_acquire(self: &Arc<Self>) -> Option<ConnectionSlot> {
-        let mut cur = self.open.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.max {
-                return None;
-            }
-            match self
-                .open
-                .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    return Some(ConnectionSlot {
+                    return Some(Slot {
                         gauge: Arc::clone(self),
                     })
                 }
@@ -528,14 +500,15 @@ impl ConnectionGauge {
     }
 }
 
-/// An admitted connection's slot in the gauge; dropping it is the
-/// release. Held by the transport for the connection's whole lifetime.
+/// One held slot of a [`Gauge`]; dropping it is the release. A cursor's
+/// lives in its table entry, a connection's beside the connection state
+/// for the connection's whole lifetime.
 #[derive(Debug)]
-pub(crate) struct ConnectionSlot {
-    gauge: Arc<ConnectionGauge>,
+pub(crate) struct Slot {
+    gauge: Arc<Gauge>,
 }
 
-impl Drop for ConnectionSlot {
+impl Drop for Slot {
     fn drop(&mut self) {
         self.gauge.open.fetch_sub(1, Ordering::AcqRel);
     }
@@ -544,140 +517,26 @@ impl Drop for ConnectionSlot {
 /// A cursor's service-wide identity: (session id, cursor id).
 type CursorKey = (u64, u64);
 
-/// One open cursor's shared lifecycle state: its expiry deadline and
-/// its admission slot. The *stream* stays in the owning session (it is
-/// not `Sync`); everything another thread may need to act on lives
-/// here.
-#[derive(Debug)]
-struct DeadlineEntry {
+/// One open cursor, whole: the stream with its lookahead, its expiry
+/// deadline and its admission slot. Dropping the entry frees all three,
+/// so whoever removes it from the table has released the cursor.
+struct Entry {
+    cursor: Cursor,
     /// Expiry instant, µs on the service clock (the obs registry's
     /// injected clock, so TTL tests can drive time deterministically).
     deadline_us: u64,
-    _slot: AdmissionSlot,
+    _slot: Slot,
 }
 
-/// How many mutex stripes [`SharedDeadlines`] spreads its entries
-/// over. Every session's per-command sweep and every transport tick
-/// takes these locks; 16 stripes keeps a hot multi-session service
-/// from serializing on one map mutex while staying cheap to scan in
-/// the full reap.
-const DEADLINE_SHARDS: usize = 16;
-
-/// The service-level deadline map: every open cursor across every
-/// session, keyed by [`CursorKey`] and striped over
-/// [`DEADLINE_SHARDS`] independent mutexes (shard chosen by key hash),
-/// so concurrent sessions touching disjoint cursors rarely contend.
-/// Removing an entry *is* releasing the admission slot (the slot guard
-/// drops with it) — which is what lets admission and the transport
-/// reap a silent session's cursors without touching its streams.
-#[derive(Debug)]
-struct SharedDeadlines {
-    shards: Vec<Mutex<HashMap<CursorKey, DeadlineEntry>>>,
-}
-
-impl Default for SharedDeadlines {
-    fn default() -> Self {
-        SharedDeadlines {
-            shards: (0..DEADLINE_SHARDS).map(|_| Mutex::default()).collect(),
-        }
+impl Entry {
+    fn overdue(&self, now_us: u64) -> bool {
+        now_us > self.deadline_us
     }
 }
 
-impl SharedDeadlines {
-    /// The stripe holding `key`: Fibonacci-hash both halves so
-    /// sequentially allocated session/cursor ids spread over shards
-    /// instead of clustering in one.
-    fn shard(&self, key: CursorKey) -> &Mutex<HashMap<CursorKey, DeadlineEntry>> {
-        let h = (key.0.rotate_left(32) ^ key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize % DEADLINE_SHARDS]
-    }
-
-    fn insert(&self, key: CursorKey, deadline_us: u64, slot: AdmissionSlot) {
-        let shard = self.shard(key);
-        shard.lock().unwrap_or_else(PoisonError::into_inner).insert(
-            key,
-            DeadlineEntry {
-                deadline_us,
-                _slot: slot,
-            },
-        );
-    }
-
-    /// Extend `key`'s deadline; false when the entry is gone (the
-    /// cursor was reaped — the caller must treat it as expired).
-    fn touch(&self, key: CursorKey, deadline_us: u64) -> bool {
-        let shard = self.shard(key);
-        match shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_mut(&key)
-        {
-            Some(e) => {
-                e.deadline_us = deadline_us;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Remove `key`, releasing its slot; false when already reaped.
-    fn remove(&self, key: CursorKey) -> bool {
-        let shard = self.shard(key);
-        shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&key)
-            .is_some()
-    }
-
-    /// Drop every entry whose deadline has passed, releasing the
-    /// slots. Locks one shard at a time — the sweep never holds more
-    /// than one stripe, so it cannot deadlock against per-key callers.
-    /// Returns how many were reaped.
-    fn reap(&self, now_us: u64) -> usize {
-        let mut reaped = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = map.len();
-            map.retain(|_, e| now_us <= e.deadline_us);
-            reaped += before - map.len();
-        }
-        reaped
-    }
-
-    /// The session-scoped sweep: for each of `session`'s cursor `ids`,
-    /// remove its entry if the deadline has passed. Returns the ids
-    /// whose streams the session must now drop, plus how many this
-    /// call expired — ids whose entries were already gone were reaped
-    /// (and counted) elsewhere. O(own cursors), not O(all cursors):
-    /// this runs at the top of every command, so it must not scan the
-    /// whole service — nor allocate while every cursor is alive. Each
-    /// id locks only its own stripe.
-    fn reap_session(
-        &self,
-        session: u64,
-        ids: impl Iterator<Item = u64>,
-        now_us: u64,
-    ) -> (Vec<u64>, usize) {
-        let mut dead = Vec::new();
-        let mut expired = 0usize;
-        for c in ids {
-            let key = (session, c);
-            let shard = self.shard(key);
-            let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            match map.get(&key) {
-                None => dead.push(c),
-                Some(e) if now_us > e.deadline_us => {
-                    map.remove(&key);
-                    expired += 1;
-                    dead.push(c);
-                }
-                Some(_) => {}
-            }
-        }
-        (dead, expired)
-    }
-}
+/// Every open cursor of every session. One mutex, held only for single
+/// map operations — never across a prepare, a pull or an encode.
+type CursorTable = Mutex<HashMap<CursorKey, Entry>>;
 
 /// The engine a [`Service`] serves from: one process-local [`Engine`],
 /// or N hash-partitioned shards merged behind [`ShardedEngine`]. The
@@ -788,9 +647,9 @@ pub struct Service {
     /// sharded backend): trace ring, slow-query log, route cells, and
     /// the injected clock every service timestamp reads.
     obs: Arc<ObsRegistry>,
-    admission: Arc<Admission>,
-    connections: Arc<ConnectionGauge>,
-    deadlines: Arc<SharedDeadlines>,
+    admission: Arc<Gauge>,
+    connections: Arc<Gauge>,
+    cursors: Arc<CursorTable>,
     metrics: Arc<Metrics>,
     next_session: Arc<AtomicU64>,
 }
@@ -799,7 +658,7 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("config", &self.config)
-            .field("open_cursors", &self.admission.open.load(Ordering::Relaxed))
+            .field("open_cursors", &self.admission.open())
             .finish_non_exhaustive()
     }
 }
@@ -838,15 +697,9 @@ impl Service {
             backend,
             config,
             obs,
-            admission: Arc::new(Admission {
-                open: AtomicUsize::new(0),
-                max: config.max_open_cursors,
-            }),
-            connections: Arc::new(ConnectionGauge {
-                open: AtomicUsize::new(0),
-                max: config.max_connections,
-            }),
-            deadlines: Arc::new(SharedDeadlines::default()),
+            admission: Gauge::new(config.max_open_cursors),
+            connections: Gauge::new(config.max_connections),
+            cursors: Arc::default(),
             metrics: Arc::new(Metrics {
                 ttf_min_us: AtomicU64::new(u64::MAX),
                 ..Metrics::default()
@@ -914,7 +767,7 @@ impl Service {
     /// `None` means the service is at [`ServiceConfig::max_connections`]
     /// — the transport sends one typed admission error and closes. The
     /// rejection is counted in [`ServiceStats::connections_rejected`].
-    pub(crate) fn try_admit_connection(&self) -> Option<ConnectionSlot> {
+    pub(crate) fn try_admit_connection(&self) -> Option<Slot> {
         let slot = self.connections.try_acquire();
         if slot.is_none() {
             self.metrics
@@ -926,31 +779,44 @@ impl Service {
 
     /// How many connections are established right now.
     pub(crate) fn open_connections(&self) -> usize {
-        self.connections.open.load(Ordering::Relaxed)
+        self.connections.open()
     }
 
-    /// Open a session: the per-client unit owning its cursor registry.
-    /// One session per connection (or per [`LocalClient`](crate::LocalClient)).
+    /// Open a session: the per-client unit whose cursors the service's
+    /// table holds. One session per connection (or per
+    /// [`LocalClient`](crate::LocalClient)).
     pub fn session(&self) -> Session {
         Session {
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
             service: self.clone(),
-            cursors: HashMap::new(),
+            open: Vec::new(),
             expired: VecDeque::new(),
             next_cursor: 0,
             pending: None,
         }
     }
 
-    /// Sweep the shared deadline map: drop every cursor entry whose
-    /// TTL has passed, releasing its admission slot immediately — the
-    /// owning session need not speak. Called by admission when the
-    /// service is full, by the event-loop transport on its timer tick,
-    /// and by every session at the top of each command; also public
-    /// for external reaper threads. Returns how many cursors were
-    /// reaped.
+    /// The cursor table, locked. Each critical section is one map
+    /// operation, so a panic inside one (a stream's drop) leaves the
+    /// map whole and a poisoned lock is safe to recover.
+    fn table(&self) -> MutexGuard<'_, HashMap<CursorKey, Entry>> {
+        self.cursors.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sweep the cursor table: drop every cursor whose TTL has passed,
+    /// freeing its stream and its admission slot at once — the owning
+    /// session need not speak. Called by admission when the service is
+    /// full and by the event-loop transport on its timer tick; also
+    /// public for external reaper threads. Returns how many cursors
+    /// were reaped.
     pub fn reap_expired_cursors(&self) -> usize {
-        let reaped = self.deadlines.reap(self.now_us());
+        let now_us = self.now_us();
+        let reaped = {
+            let mut table = self.table();
+            let before = table.len();
+            table.retain(|_, e| !e.overdue(now_us));
+            before - table.len()
+        };
         if reaped > 0 {
             self.metrics
                 .cursors_expired
@@ -988,7 +854,7 @@ impl Service {
             cursors_closed: m.cursors_closed.load(Ordering::Relaxed),
             cursors_expired: m.cursors_expired.load(Ordering::Relaxed),
             admission_rejected: m.admission_rejected.load(Ordering::Relaxed),
-            open_cursors: self.admission.open.load(Ordering::Relaxed),
+            open_cursors: self.admission.open(),
             ttf_min_us: if count == 0 { 0 } else { min },
             ttf_mean_us: m
                 .ttf_sum_us
@@ -1003,7 +869,7 @@ impl Service {
             page_p95_us: m.page_hist.percentile(0.95),
             page_p99_us: m.page_hist.percentile(0.99),
             connections_rejected: m.connections_rejected.load(Ordering::Relaxed),
-            open_connections: self.connections.open.load(Ordering::Relaxed),
+            open_connections: self.connections.open(),
             cache: self.backend.cache_stats(),
             index: self.backend.index_stats(),
             shards: self.backend.shards(),
@@ -1132,10 +998,8 @@ fn insert_batch(stmt: &crate::ast::InsertStmt) -> Result<anyk_storage::Relation,
     Ok(b.finish())
 }
 
-/// A live cursor's session-owned half: the stream itself. The shared
-/// half — deadline and admission slot — lives in the service's
-/// [`SharedDeadlines`] map under this cursor's [`CursorKey`], where
-/// other threads can reap it.
+/// A live cursor's stream and the answer pulled ahead of its last page.
+/// It lives in its [`Entry`] in the service's cursor table.
 struct Cursor {
     stream: RankedStream,
     /// At most one row: the answer pulled ahead of the last page, so
@@ -1173,7 +1037,7 @@ impl Cursor {
 /// first page pulled, and the provenance both replies are built from.
 struct FirstPage {
     /// Held until the caller registers a cursor or returns.
-    slot: AdmissionSlot,
+    slot: Slot,
     cursor: Cursor,
     answers: AnswerSlab<Cost>,
     done: bool,
@@ -1186,16 +1050,20 @@ struct FirstPage {
     wall_us: u64,
 }
 
-/// One client's session: a registry of live cursors over the shared
-/// service. Sessions are owned by a single client (connection thread
-/// or [`LocalClient`](crate::LocalClient)); the heavy state — prepared
-/// queries, the plan cache, metrics — lives in the shared [`Service`].
+/// One client's session over the shared service. Sessions are owned by
+/// a single client (connection thread or
+/// [`LocalClient`](crate::LocalClient)) and keep only cursor ids; the
+/// cursors themselves, prepared queries, the plan cache and metrics
+/// live in the shared [`Service`].
 pub struct Session {
     /// Service-wide unique id; the session half of every [`CursorKey`]
-    /// this session registers in the shared deadline map.
+    /// this session registers in the cursor table.
     id: u64,
     service: Service,
-    cursors: HashMap<u64, Cursor>,
+    /// Ids this session opened and has not yet seen closed, drained or
+    /// expired. One whose entry is gone from the table was reaped
+    /// there; it moves to `expired` when the session names it.
+    open: Vec<u64>,
     /// Ids reaped by the TTL, kept so `NEXT`/`CLOSE` on them report
     /// [`ServeError::CursorExpired`] instead of "unknown". Bounded at
     /// [`EXPIRED_MEMORY`]: a session cycling cursors under admission
@@ -1238,7 +1106,6 @@ impl Session {
         // reaches `finish_trace`; flush any leftover trace now, with
         // no encode stage, so it still lands in the ring exactly once.
         self.finish_trace(0);
-        self.reap_expired();
         match cmd {
             Command::Select(stmt) => self.select(stmt, parse_us),
             Command::ExplainAnalyze(stmt) => self.explain_analyze(stmt, parse_us),
@@ -1269,34 +1136,64 @@ impl Session {
             }
             Command::Next { count, cursor } => self.next(count, cursor),
             Command::Close { cursor } => {
-                if self.cursors.remove(&cursor).is_some() {
-                    if !self.service.deadlines.remove((self.id, cursor)) {
-                        // Reaped between our sweep and now (a racing
-                        // admission pass): the slot is already free
-                        // and counted expired.
-                        self.remember_expired(cursor);
-                        return Err(ServeError::CursorExpired { cursor });
-                    }
-                    self.service
-                        .metrics
-                        .cursors_closed
-                        .fetch_add(1, Ordering::Relaxed);
-                    Ok(Response::Closed { cursor })
-                } else if self.expired.contains(&cursor) {
-                    // Consistent with NEXT: a timed-out cursor reports
-                    // *expired*, not unknown.
-                    Err(ServeError::CursorExpired { cursor })
-                } else {
-                    Err(ServeError::UnknownCursor { cursor })
-                }
+                self.take(cursor, self.service.now_us())?;
+                self.close(cursor);
+                Ok(Response::Closed { cursor })
             }
             Command::Stats => Ok(Response::Stats(Box::new(self.service.stats()))),
         }
     }
 
-    /// Streams this session holds open right now.
+    /// Streams this session holds open right now: its entries in the
+    /// cursor table.
     pub fn open_cursors(&self) -> usize {
-        self.cursors.len()
+        let table = self.service.table();
+        (self.open.iter())
+            .filter(|&&c| table.contains_key(&(self.id, c)))
+            .count()
+    }
+
+    /// Take `cursor`'s entry out of the table for this command. An
+    /// overdue entry is dropped here and counted expired; one already
+    /// gone was reaped (and counted) elsewhere. Both answer
+    /// [`ServeError::CursorExpired`], as does an id in the expired
+    /// window; any other id is [`ServeError::UnknownCursor`].
+    fn take(&mut self, cursor: u64, now_us: u64) -> Result<Entry, ServeError> {
+        let entry = self.service.table().remove(&(self.id, cursor));
+        match entry {
+            Some(entry) if !entry.overdue(now_us) => return Ok(entry),
+            Some(_) => {
+                self.service
+                    .metrics
+                    .cursors_expired
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            None if self.open.contains(&cursor) => {}
+            None if self.expired.contains(&cursor) => {
+                return Err(ServeError::CursorExpired { cursor })
+            }
+            None => return Err(ServeError::UnknownCursor { cursor }),
+        }
+        self.forget(cursor);
+        self.remember_expired(cursor);
+        Err(ServeError::CursorExpired { cursor })
+    }
+
+    /// Count a cursor this session ended — `CLOSE` or a drain — closed;
+    /// its entry is out of the table and already dropped.
+    fn close(&mut self, cursor: u64) {
+        self.forget(cursor);
+        self.service
+            .metrics
+            .cursors_closed
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drop `cursor` from the open ids.
+    fn forget(&mut self, cursor: u64) {
+        if let Some(i) = self.open.iter().position(|&c| c == cursor) {
+            self.open.swap_remove(i);
+        }
     }
 
     /// Stamp the pending trace's encode stage, total it, and publish
@@ -1334,11 +1231,10 @@ impl Session {
         self.expired.push_back(cursor);
     }
 
-    /// Take an admission slot. A full service first consults the
-    /// shared deadline map — reaping expired cursors releases slots a
-    /// silent session would otherwise pin — then retries once before
-    /// rejecting.
-    fn admit(&self) -> Result<AdmissionSlot, ServeError> {
+    /// Take an admission slot. A full service first sweeps the cursor
+    /// table — reaping expired cursors releases slots a silent session
+    /// would otherwise pin — then retries once before rejecting.
+    fn admit(&self) -> Result<Slot, ServeError> {
         let admission = &self.service.admission;
         if let Some(slot) = admission.try_acquire() {
             return Ok(slot);
@@ -1350,7 +1246,7 @@ impl Session {
                 .admission_rejected
                 .fetch_add(1, Ordering::Relaxed);
             ServeError::AdmissionRejected {
-                open: admission.open.load(Ordering::Relaxed),
+                open: admission.open(),
                 max: admission.max,
             }
         })
@@ -1451,12 +1347,16 @@ impl Session {
         }
         let id = self.next_cursor;
         self.next_cursor += 1;
-        self.cursors.insert(id, page.cursor);
-        self.service.deadlines.insert(
-            (self.id, id),
-            self.service.now_us().saturating_add(self.service.ttl_us()),
-            page.slot,
-        );
+        if self.open.len() >= self.service.config.max_open_cursors.saturating_mul(2) {
+            self.forget_reaped();
+        }
+        self.open.push(id);
+        let entry = Entry {
+            cursor: page.cursor,
+            deadline_us: self.service.now_us().saturating_add(self.service.ttl_us()),
+            _slot: page.slot,
+        };
+        self.service.table().insert((self.id, id), entry);
         metrics.cursors_opened.fetch_add(1, Ordering::Relaxed);
         Ok(Response::Page(Page {
             cursor: Some(id),
@@ -1490,55 +1390,38 @@ impl Session {
         })
     }
 
+    /// `NEXT`: take the cursor's entry out of the table, pull the page
+    /// with no lock held — out of the table the entry is this
+    /// command's alone, so no sweep can free it mid-pull — then put it
+    /// back with a fresh deadline, or drop it when the stream is done.
     fn next(&mut self, count: usize, cursor: u64) -> Result<Response, ServeError> {
-        if self.expired.contains(&cursor) {
-            return Err(ServeError::CursorExpired { cursor });
-        }
-        let cur = self
-            .cursors
-            .get_mut(&cursor)
-            .ok_or(ServeError::UnknownCursor { cursor })?;
-        // Refresh the shared deadline *before* pulling, so a racing
-        // admission reap can't free the slot mid-pull; a failed touch
-        // means the cursor was reaped since our sweep — expired.
-        let touched = self.service.deadlines.touch(
-            (self.id, cursor),
-            self.service.now_us().saturating_add(self.service.ttl_us()),
-        );
-        if !touched {
-            self.cursors.remove(&cursor);
-            self.remember_expired(cursor);
-            return Err(ServeError::CursorExpired { cursor });
-        }
         let started_us = self.service.now_us();
-        let (answers, done) = cur.pull_page(count);
+        let mut entry = self.take(cursor, started_us)?;
+        let (answers, done) = entry.cursor.pull_page(count);
+        let end_us = self.service.now_us();
         let metrics = &self.service.metrics;
-        metrics.record_page(self.service.now_us().saturating_sub(started_us));
+        metrics.record_page(end_us.saturating_sub(started_us));
         metrics.pages_served.fetch_add(1, Ordering::Relaxed);
         metrics
             .answers_served
             .fetch_add(answers.len() as u64, Ordering::Relaxed);
         if done {
-            // Drained: the cursor closes itself (slot released). If
-            // the entry vanished mid-pull — a sweep ran after our
-            // touch — it was already counted expired; don't also
-            // count it closed (opened == closed + expired must hold).
-            self.cursors.remove(&cursor);
-            if self.service.deadlines.remove((self.id, cursor)) {
-                metrics.cursors_closed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Response::Page(Page {
+            // Drained: the cursor closes itself.
+            drop(entry);
+            self.close(cursor);
+            return Ok(Response::Page(Page {
                 cursor: None,
                 answers,
                 done: true,
-            }))
-        } else {
-            Ok(Response::Page(Page {
-                cursor: Some(cursor),
-                answers,
-                done: false,
-            }))
+            }));
         }
+        entry.deadline_us = end_us.saturating_add(self.service.ttl_us());
+        self.service.table().insert((self.id, cursor), entry);
+        Ok(Response::Page(Page {
+            cursor: Some(cursor),
+            answers,
+            done: false,
+        }))
     }
 
     /// `EXPLAIN ANALYZE SELECT …`: run the query to its page limit
@@ -1590,50 +1473,44 @@ impl Session {
         Ok(Response::Analyzed(Box::new(report)))
     }
 
-    /// Reconcile with the shared deadline map at the top of every
-    /// command: expire this session's own overdue cursors and drop
-    /// the streams of any whose entries are already gone (reaped by
-    /// a full admission pass or the transport's timer) so
-    /// `NEXT`/`CLOSE` on them report [`ServeError::CursorExpired`].
-    /// Deliberately session-scoped — O(own cursors) under the map
-    /// lock, never a service-wide scan; global sweeps belong to the
-    /// admission-full path and the event-loop tick.
-    fn reap_expired(&mut self) {
-        if self.cursors.is_empty() {
-            return;
+    /// Move the open ids whose entries were reaped elsewhere to the
+    /// expired window. Such an id waits in `open` until the session
+    /// names it, so a client that never does would grow `open` by one
+    /// id a `SELECT`. At most `max_open_cursors` of the ids are live,
+    /// so running this when `open` holds twice that many frees at least
+    /// half of it: amortized O(1) a `SELECT`, and `open` stays bounded.
+    fn forget_reaped(&mut self) {
+        let mut reaped = std::mem::take(&mut self.open);
+        {
+            let table = self.service.table();
+            reaped.retain(|&c| {
+                let live = table.contains_key(&(self.id, c));
+                if live {
+                    self.open.push(c);
+                }
+                !live
+            });
         }
-        let ids = self.cursors.keys().copied();
-        let (dead, expired) =
-            self.service
-                .deadlines
-                .reap_session(self.id, ids, self.service.now_us());
-        if expired > 0 {
-            self.service
-                .metrics
-                .cursors_expired
-                .fetch_add(expired as u64, Ordering::Relaxed);
-        }
-        for id in dead {
-            // The slot was already released (and counted) when the
-            // shared entry went; this only frees the stream.
-            self.cursors.remove(&id);
-            self.remember_expired(id);
+        for c in reaped {
+            self.remember_expired(c);
         }
     }
 }
 
 impl Drop for Session {
-    /// A dropped session closes its cursors: shared entries are
-    /// removed (admission slots release with them) and counted closed.
-    /// Cursors already reaped by the TTL were counted expired — not
-    /// recounted here.
+    /// A dropped session closes its cursors: removing each entry frees
+    /// its stream and its slot, counted closed. Cursors already reaped
+    /// were counted expired — not recounted here.
     fn drop(&mut self) {
-        let mut closed = 0u64;
-        for (&id, _) in self.cursors.iter() {
-            if self.service.deadlines.remove((self.id, id)) {
-                closed += 1;
-            }
+        if self.open.is_empty() {
+            return;
         }
+        let closed = {
+            let mut table = self.service.table();
+            (self.open.iter())
+                .filter(|&&c| table.remove(&(self.id, c)).is_some())
+                .count() as u64
+        };
         if closed > 0 {
             self.service
                 .metrics
@@ -1656,52 +1533,74 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharded_deadlines_spread_and_account_exactly() {
-        let admission = Arc::new(Admission {
-            open: AtomicUsize::new(0),
-            max: 1024,
-        });
-        let deadlines = SharedDeadlines::default();
-        let now = 1_000_000u64;
-        let far = now + 60_000_000;
-        // 64 entries over 8 sessions; odd-parity keys get an already-
-        // due deadline, even-parity ones a far-future one.
-        for session in 0..8u64 {
-            for cursor in 0..8u64 {
-                let slot = admission.try_acquire().expect("slot");
-                let deadline = if (session + cursor) % 2 == 0 {
-                    far
-                } else {
-                    now
-                };
-                deadlines.insert((session, cursor), deadline, slot);
+    fn cursor_table_accounts_slots_exactly() {
+        use anyk_storage::{Catalog, RelationBuilder, Schema};
+        let mut catalog = Catalog::new();
+        let mut r = RelationBuilder::new(Schema::new(["a", "b"]));
+        for i in 0..8i64 {
+            r.push_ints(&[i, i + 10], 0.1 * (i as f64 + 1.0));
+        }
+        catalog.register("R", r.finish());
+        let clock = anyk_obs::manual_clock(1_000_000);
+        let obs = Arc::new(ObsRegistry::new(clock.clone()));
+        let engine = Engine::with_obs(catalog, anyk_engine::EngineOpts::default(), obs);
+        let service = Service::with_config(
+            engine,
+            ServiceConfig {
+                max_open_cursors: 1024,
+                cursor_ttl: Duration::from_millis(1),
+                ..ServiceConfig::default()
+            },
+        );
+        let open_page = |reply: Result<Response, ServeError>| {
+            matches!(reply, Ok(Response::Page(Page { done: false, .. })))
+        };
+        let held = |service: &Service| (service.table().len(), service.stats().open_cursors);
+        // 64 cursors over 8 sessions, one table entry and one slot each.
+        let mut sessions: Vec<Session> = (0..8).map(|_| service.session()).collect();
+        for session in &mut sessions {
+            for _ in 0..8 {
+                assert!(open_page(session.execute("SELECT R(a,b) LIMIT 1;")));
             }
         }
-        assert_eq!(admission.open.load(Ordering::Relaxed), 64);
-        // The hash actually stripes: more than one shard is occupied.
-        let occupied = deadlines
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap_or_else(PoisonError::into_inner).is_empty())
-            .count();
-        assert!(occupied > 1, "all entries landed in one shard");
-        // touch rescues a due entry; remove releases exactly one slot
-        // and is idempotent-false afterwards.
-        assert!(deadlines.touch((0, 1), far));
-        assert!(deadlines.remove((0, 0)));
-        assert!(!deadlines.remove((0, 0)));
-        assert_eq!(admission.open.load(Ordering::Relaxed), 63);
-        // Reap: exactly the 32 due entries minus the touched one go,
-        // and every reaped entry returns its admission slot.
-        let reaped = deadlines.reap(now + 1_000);
-        assert_eq!(reaped, 31);
-        assert_eq!(admission.open.load(Ordering::Relaxed), 32);
-        // The session-scoped sweep reports the reaped ids as dead
-        // without double-counting them as expired.
-        let ids: Vec<u64> = (0..8).collect();
-        let (dead, expired) = deadlines.reap_session(1, ids.into_iter(), now + 1_000);
-        assert_eq!(expired, 0);
-        assert_eq!(dead, vec![0, 2, 4, 6]);
+        assert_eq!(held(&service), (64, 64));
+        // Before the TTL, a NEXT touches the even-parity keys and
+        // (0, 1); the other 31 odd-parity ones idle on.
+        clock.advance(600);
+        for (s, session) in sessions.iter_mut().enumerate() {
+            for c in 0..8 {
+                if (s + c) % 2 == 0 || (s, c) == (0, 1) {
+                    assert!(open_page(session.execute(&format!("NEXT 1 ON {c};"))));
+                }
+            }
+        }
+        // CLOSE releases exactly one slot and is idempotent afterwards.
+        let closed = Ok(Response::Closed { cursor: 0 });
+        assert_eq!(sessions[0].execute("CLOSE 0;"), closed);
+        let unknown = Err(ServeError::UnknownCursor { cursor: 0 });
+        assert_eq!(sessions[0].execute("CLOSE 0;"), unknown);
+        assert_eq!(held(&service), (63, 63));
+        // Past the untouched deadlines: the reap frees exactly those
+        // 31 entries, streams and slots together.
+        clock.advance(600);
+        assert_eq!(service.reap_expired_cursors(), 31);
+        assert_eq!(held(&service), (32, 32));
+        // A reaped cursor answers expired, and is not counted twice.
+        assert_eq!(sessions[1].open_cursors(), 4);
+        let expired = Err(ServeError::CursorExpired { cursor: 0 });
+        assert_eq!(sessions[1].execute("NEXT 1 ON 0;"), expired);
+        let stats = service.stats();
+        assert_eq!(
+            (
+                stats.cursors_opened,
+                stats.cursors_closed,
+                stats.cursors_expired
+            ),
+            (64, 1, 31)
+        );
+        drop(sessions);
+        assert_eq!(service.table().len(), 0);
+        assert_eq!(service.stats().cursors_closed, 33);
     }
 
     #[test]

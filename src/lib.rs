@@ -14,8 +14,8 @@
 //!   a runtime [`RankSpec`](engine::RankSpec) into a
 //!   [`RankedStream`](engine::RankedStream).
 //! * [`serve`] — the query **service**: a textual ranked-CQ language
-//!   (`SELECT R(x,y), S(y,z) RANK BY sum LIMIT 10;`), per-session
-//!   cursor registries with shared TTL deadlines + admission control,
+//!   (`SELECT R(x,y), S(y,z) RANK BY sum LIMIT 10;`), one service-wide
+//!   cursor table with TTL deadlines + admission control,
 //!   and a line protocol over TCP — an event-driven readiness
 //!   transport on epoll — or the in-process
 //!   [`LocalClient`](serve::LocalClient). See

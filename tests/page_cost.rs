@@ -54,11 +54,11 @@ fn service() -> Service {
 
 /// Ceilings on the blocks of a warm `SELECT … LIMIT 10`, of a `NEXT 10`
 /// and of the whole op through [`LocalClient`], parsing and replies
-/// included. Scalar rankings read 14 / 2–5 / 43–57 on every shape (97 /
+/// included. Scalar rankings read 13 / 2–5 / 42–57 on every shape (97 /
 /// 15 / 239–321 at bcd4253). A lexicographic cost is a vector: one
-/// clone per answer where the answers are materialized (20 / 12 /
-/// 94–97), about nine per answer on the path, whose enumerator keeps a
-/// prefix and a suffix cost per slot (123 / 82–89 / 487, 694 at
+/// clone per answer where the answers are materialized (19 / 12 /
+/// 93–97), about nine per answer on the path, whose enumerator keeps a
+/// prefix and a suffix cost per slot (122 / 82–89 / 486, 694 at
 /// bcd4253; an unoptimized build keeps six more clones an answer the
 /// optimizer removes: 189 / 142–149 / 793) — an inline small weight
 /// vector would take those out.

@@ -555,7 +555,7 @@ fn event_loop_serves_concurrent_tcp_clients_byte_identically() {
 fn silent_sessions_expired_cursors_are_reaped_through_the_shared_deadline_map() {
     // The PR-4 gap, regression-pinned: a session that goes SILENT
     // while holding cursors must not pin its admission slots past the
-    // TTL. The shared deadline map releases them from *outside* the
+    // TTL. The cursor table releases them from *outside* the
     // owning session — here via the admission path of a different
     // session's SELECT.
     let q = path_query(2);
@@ -588,7 +588,7 @@ fn silent_sessions_expired_cursors_are_reaped_through_the_shared_deadline_map() 
     );
 
     // Past the TTL — A still silent — admission's consult of the
-    // deadline map frees A's slot and the SELECT goes through.
+    // cursor table frees A's slot and the SELECT goes through.
     std::thread::sleep(Duration::from_millis(60));
     let resp = other.execute(select).expect("slot reaped by admission");
     let Response::Page(page) = resp else { panic!() };
@@ -621,7 +621,7 @@ fn silent_sessions_expired_cursors_are_reaped_through_the_shared_deadline_map() 
 #[test]
 fn event_loop_tick_reaps_silent_connections_without_admission_pressure() {
     // No admission pressure at all: the event loop's timer tick alone
-    // must sweep the deadline map while the client connection stays
+    // must sweep the cursor table while the client connection stays
     // open but silent.
     let q = path_query(2);
     let e = edge_rel(&fixture_edges());
