@@ -1,5 +1,5 @@
-//! Experiment harness: regenerates every quantitative claim of the
-//! paper (E1–E12; see DESIGN.md §4 and EXPERIMENTS.md).
+//! Experiment harness: regenerates the paper's quantitative claims
+//! (E1–E13) and asserts the engine's (E14, E15, E17, E20).
 //!
 //! ```text
 //! experiments [--scale X] [all | e1 e2 ...]
@@ -27,7 +27,7 @@ fn main() {
         i += 1;
     }
     if ids.is_empty() {
-        eprintln!("usage: experiments [--scale X] [all | e1 e2 ... e19]");
+        eprintln!("usage: experiments [--scale X] [all | e1 e2 ...]");
         eprintln!("experiments: {}", exp::ALL.join(" "));
         std::process::exit(2);
     }

@@ -11,7 +11,7 @@
 //!    (asserted: `cycle` for ℓ ∈ {4, 5, 6}), a chorded 5-cycle falls
 //!    back to a GHD, all through the same four lines of caller code.
 
-use crate::util::{banner, fmt_secs, time, write_bench_json, Json, Table};
+use crate::util::{banner, fmt_secs, time, Table};
 use anyk_core::part::AnyKPart;
 use anyk_core::ranking::SumCost;
 use anyk_core::succorder::SuccessorKind;
@@ -28,7 +28,7 @@ fn engine_row(
     q: &ConjunctiveQuery,
     rels: Vec<Relation>,
     k: usize,
-) -> Json {
+) {
     let engine = Engine::from_query_bindings(q, rels);
     let plan = engine.query(q.clone()).explain().expect("plannable");
     assert_eq!(plan.route.label(), route, "{label}: planner route");
@@ -48,14 +48,6 @@ fn engine_row(
         fmt_secs(run),
         n.to_string(),
     ]);
-    Json::obj([
-        ("workload", Json::Str(label.to_string())),
-        ("route", Json::Str(plan.route.label().to_string())),
-        ("width", Json::Num(plan.width)),
-        ("prep_s", Json::Num(prep)),
-        ("ttk_s", Json::Num(run)),
-        ("answers", Json::Int(n as u64)),
-    ])
 }
 
 pub fn run(scale: f64) {
@@ -68,15 +60,14 @@ pub fn run(scale: f64) {
     let nodes = (edges / 10).max(10) as u64;
 
     let mut t = Table::new(["workload", "route", "width", "prep", "TT(1k)", "answers"]);
-    let mut workloads = Vec::new();
     let path = path_instance(3, edges, nodes, WeightDist::Uniform, 23);
-    workloads.push(engine_row(
+    engine_row(
         &mut t,
         ("path-3", "acyclic"),
         &path.query,
         path.relations_clone(),
         k,
-    ));
+    );
 
     // Cyclic shapes run on a sparser graph: their preprocessing is
     // O~(n^subw) / O~(n^fhw).
@@ -90,18 +81,12 @@ pub fn run(scale: f64) {
         ("cycle-6", "cycle", 6),
     ] {
         let (q, rels) = cycle(len);
-        workloads.push(engine_row(&mut t, (label, route), &q, rels, k));
+        engine_row(&mut t, (label, route), &q, rels, k);
     }
     // Not a simple cycle: the 5-cycle with the chord R6(x1,x3), all six
     // atoms over the one edge set.
     let row = ("chorded cycle-5", "decomposed");
-    workloads.push(engine_row(
-        &mut t,
-        row,
-        &chorded_cycle_query(5),
-        cycle(6).1,
-        k,
-    ));
+    engine_row(&mut t, row, &chorded_cycle_query(5), cycle(6).1, k);
     t.print();
 
     // Dispatch overhead: Engine vs hand-wired AnyKPart on the same
@@ -132,22 +117,4 @@ pub fn run(scale: f64) {
         "expected shape: same route costs as the hand-wired engines; \
          boxed dispatch within a small constant of direct calls"
     );
-
-    let doc = Json::obj([
-        ("experiment", Json::Str("E14".to_string())),
-        ("scale", Json::Num(scale)),
-        ("k", Json::Int(k as u64)),
-        ("edges", Json::Int(edges as u64)),
-        ("workloads", Json::Arr(workloads)),
-        (
-            "dispatch_overhead_path3",
-            Json::obj([
-                ("engine_s", Json::Num(te)),
-                ("hand_wired_s", Json::Num(th)),
-                ("ratio", Json::Num(te / th.max(1e-12))),
-                ("answers", Json::Int(ne as u64)),
-            ]),
-        ),
-    ]);
-    write_bench_json("BENCH_E14.json", &doc).expect("write BENCH_E14.json");
 }

@@ -1,5 +1,6 @@
-//! Experiment implementations E1–E12 (see DESIGN.md §4 for the index
-//! and EXPERIMENTS.md for recorded results).
+//! Experiment implementations: E1–E13 regenerate the paper's figures
+//! and tables, E14, E15, E17 and E20 assert claims about the engine
+//! built on them.
 //!
 //! Each experiment is a `run(scale)` function printing its table(s);
 //! `scale` multiplies input sizes (default 1.0; use 0.25 for a quick
@@ -20,16 +21,13 @@ pub mod e12_widths_table;
 pub mod e13_subw_vs_fhw;
 pub mod e14_engine_routing;
 pub mod e15_prepared_serving;
-pub mod e16_serve_load;
 pub mod e17_index_catalog;
-pub mod e18_sharded_scaling;
-pub mod e19_obs_overhead;
 pub mod e20_live_appends;
 
 /// All experiment ids in order.
-pub const ALL: [&str; 20] = [
+pub const ALL: [&str; 17] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20",
+    "e17", "e20",
 ];
 
 /// Dispatch one experiment by id.
@@ -50,10 +48,7 @@ pub fn run(id: &str, scale: f64) -> bool {
         "e13" => e13_subw_vs_fhw::run(scale),
         "e14" => e14_engine_routing::run(scale),
         "e15" => e15_prepared_serving::run(scale),
-        "e16" => e16_serve_load::run(scale),
         "e17" => e17_index_catalog::run(scale),
-        "e18" => e18_sharded_scaling::run(scale),
-        "e19" => e19_obs_overhead::run(scale),
         "e20" => e20_live_appends::run(scale),
         _ => return false,
     }

@@ -1,8 +1,8 @@
 //! # anyk-bench
 //!
-//! The experiment harness that regenerates every quantitative claim of
-//! *Optimal Join Algorithms Meet Top-k* (experiment index E1–E12 in
-//! DESIGN.md / EXPERIMENTS.md).
+//! The experiment harness that regenerates the quantitative claims of
+//! *Optimal Join Algorithms Meet Top-k* (E1–E13) and asserts the
+//! engine's own claims (E14, E15, E17, E20).
 //!
 //! Run all experiments:
 //!
@@ -13,7 +13,9 @@
 //!
 //! Absolute numbers are machine-dependent; the experiments report the
 //! *shapes* the paper claims (fitted log-log slopes, crossovers, who
-//! wins) alongside raw numbers, and EXPERIMENTS.md records one full run.
+//! wins) alongside raw numbers. Timings with spread, a host reference
+//! and a parent/change comparison are the standalone `benchmark/`
+//! package's job (`anykbench`).
 
 pub mod exp;
 pub mod util;

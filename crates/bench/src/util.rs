@@ -2,7 +2,6 @@
 //! aligned table printing.
 
 use anyk_obs::{global_clock, Clock as _};
-use std::fmt::Write as _;
 
 /// Time a closure once, returning `(result, seconds)`.
 pub fn time<T, F: FnOnce() -> T>(f: F) -> (T, f64) {
@@ -10,22 +9,6 @@ pub fn time<T, F: FnOnce() -> T>(f: F) -> (T, f64) {
     let out = f();
     let end = global_clock().now_ns();
     (out, end.saturating_sub(start) as f64 / 1e9)
-}
-
-/// Time a closure, repeating until `min_total` seconds have elapsed
-/// (at least once), returning the mean seconds per run. For fast
-/// operations; slow operations run once.
-pub fn time_stable<F: FnMut()>(mut f: F, min_total: f64) -> f64 {
-    let mut runs = 0u32;
-    let start = global_clock().now_ns();
-    loop {
-        f();
-        runs += 1;
-        let elapsed = global_clock().now_ns().saturating_sub(start) as f64 / 1e9;
-        if elapsed >= min_total || runs >= 25 {
-            return elapsed / runs as f64;
-        }
-    }
 }
 
 /// Median and median absolute deviation of `samples` (sorted in place).
@@ -130,129 +113,6 @@ impl Table {
     }
 }
 
-/// A hand-rolled JSON value — enough for machine-readable bench
-/// artifacts without pulling serde into the offline build. Object keys
-/// keep insertion order so emitted files diff cleanly run-to-run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Num(f64),
-    Int(u64),
-    Str(String),
-    Bool(bool),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Build an object from `(key, value)` pairs.
-    pub fn obj<S: Into<String>, I: IntoIterator<Item = (S, Json)>>(pairs: I) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// Append a key to an object (panics on non-objects — builder
-    /// misuse, not data).
-    pub fn push<S: Into<String>>(&mut self, key: S, value: Json) {
-        match self {
-            Json::Obj(pairs) => pairs.push((key.into(), value)),
-            other => panic!("Json::push on non-object {other:?}"),
-        }
-    }
-
-    /// Serialize with two-space indentation and a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    // JSON has no NaN/inf; null keeps the file parseable.
-                    out.push_str("null");
-                }
-            }
-            Json::Int(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    let _ = write!(out, "{:?}: ", k);
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Where bench JSON artifacts land: `$ANYK_BENCH_JSON_DIR` if set,
-/// else the current directory. Returns the full path written.
-pub fn write_bench_json(file_name: &str, doc: &Json) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var_os("ANYK_BENCH_JSON_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(file_name);
-    std::fs::write(&path, doc.render())?;
-    println!("wrote {}", path.display());
-    Ok(path)
-}
-
 /// Format seconds human-readably (µs/ms/s).
 pub fn fmt_secs(s: f64) -> String {
     if s < 1e-3 {
@@ -308,53 +168,5 @@ mod tests {
         let (x, t) = time(|| 42);
         assert_eq!(x, 42);
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn json_renders_nested_values() {
-        let mut doc = Json::obj([
-            ("experiment", Json::Str("E14".to_string())),
-            ("scale", Json::Num(1.5)),
-            ("ok", Json::Bool(true)),
-        ]);
-        doc.push(
-            "rows",
-            Json::Arr(vec![Json::Int(1), Json::Int(2), Json::Int(3)]),
-        );
-        let text = doc.render();
-        assert!(text.contains("\"experiment\": \"E14\""));
-        assert!(text.contains("\"scale\": 1.5"));
-        assert!(text.contains("\"ok\": true"));
-        assert!(text.ends_with("}\n"));
-        // Balanced brackets, roughly: same number of open and close.
-        assert_eq!(text.matches('{').count(), text.matches('}').count(),);
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-    }
-
-    #[test]
-    fn json_escapes_strings_and_nan() {
-        let doc = Json::obj([
-            ("quote", Json::Str("a\"b\\c\nd".to_string())),
-            ("nan", Json::Num(f64::NAN)),
-        ]);
-        let text = doc.render();
-        assert!(text.contains("a\\\"b\\\\c\\nd"));
-        assert!(text.contains("\"nan\": null"));
-    }
-
-    #[test]
-    fn write_bench_json_lands_in_env_dir() {
-        let dir = std::env::temp_dir().join(format!("anyk-bench-json-{}", std::process::id()));
-        // Sidestep the env var to keep the test parallel-safe: pass the
-        // directory through the variable the helper reads only when the
-        // caller has not overridden it in the environment already.
-        std::env::set_var("ANYK_BENCH_JSON_DIR", &dir);
-        let doc = Json::obj([("x", Json::Int(7))]);
-        let path = write_bench_json("BENCH_TEST.json", &doc).expect("write");
-        std::env::remove_var("ANYK_BENCH_JSON_DIR");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.contains("\"x\": 7"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -183,6 +183,18 @@ pub struct WriteStats {
     pub terms_rebuilt: u64,
 }
 
+/// What one [`Engine::append`] left its relation with, read under the
+/// catalog write lock that applied it: a concurrent write, to this
+/// relation or any other, cannot show through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Appended {
+    /// The relation's delta batches after this append (0 when it
+    /// compacted).
+    pub deltas: usize,
+    /// Whether this append tripped threshold compaction.
+    pub compacted: bool,
+}
+
 /// Default plan-cache capacity: generous enough that steady workloads
 /// (a fixed set of query shapes) never evict, small enough that a
 /// stream of distinct ad-hoc shapes cannot grow memory without bound.
@@ -767,9 +779,10 @@ impl Engine {
     /// [`anyk_storage::MIN_COMPACT_ROWS`]), the deltas are folded into
     /// a fresh base payload automatically.
     ///
-    /// Typed failures: unknown relation, batch arity mismatch, and the
-    /// reserved `#` fragment namespace.
-    pub fn append(&self, name: &str, batch: Relation) -> Result<(), EngineError> {
+    /// Returns this append's own [`Appended`] outcome. Typed failures:
+    /// unknown relation, batch arity mismatch, and the reserved `#`
+    /// fragment namespace.
+    pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         if name.contains('#') {
             return Err(EngineError::ReservedRelationName {
                 relation: name.to_string(),
@@ -782,10 +795,10 @@ impl Engine {
     /// internal path a [`ShardedEngine`] uses to maintain `{name}#frag`
     /// fragments. Fragment appends skip the write counters (they are
     /// shard bookkeeping, not logical writes).
-    pub(crate) fn append_raw(&self, name: &str, batch: Relation) -> Result<(), EngineError> {
+    pub(crate) fn append_raw(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         use std::sync::atomic::Ordering::Relaxed;
         let rows = batch.len() as u64;
-        let compacted = {
+        let appended = {
             let mut st = self
                 .shared
                 .catalog
@@ -802,8 +815,12 @@ impl Engine {
             if due {
                 cat.compact(name)?;
             }
-            due
+            Appended {
+                deltas: cat.entry(name).map_or(0, |e| e.deltas().len()),
+                compacted: due,
+            }
         };
+        let compacted = appended.compacted;
         // Outside the write lock: eagerly drop dependent plans. Purely
         // an eviction — correctness comes from the per-hit dependency
         // check, so an entry inserted by a racing prepare between the
@@ -825,7 +842,7 @@ impl Engine {
             w.invalidated_plans.fetch_add(removed.len() as u64, Relaxed);
         }
         self.refresh_plans(removed, counted, compacted);
-        Ok(())
+        Ok(appended)
     }
 
     /// Re-prepare plans the write path just invalidated, so the next
@@ -2271,15 +2288,26 @@ mod tests {
     #[test]
     fn explain_reports_index_cached_after_warmup() {
         let e = dense_edges();
-        let q = triangle_query();
-        let engine = Engine::from_query_bindings(&q, vec![e.clone(), e.clone(), e]);
-        let before = engine.query(q.clone()).explain().unwrap();
-        assert_eq!(before.index, IndexUse::Built);
-        assert!(before.explain().contains("index = built"), "{before}");
-        engine.prepare(q.clone(), RankSpec::Sum).unwrap();
-        let after = engine.query(q.clone()).explain().unwrap();
-        assert_eq!(after.index, IndexUse::Cached);
-        assert!(after.explain().contains("index = cached"), "{after}");
+        for q in [
+            triangle_query(),
+            cycle_query(4),
+            cycle_query(5),
+            chorded_cycle_query(5),
+        ] {
+            let engine = Engine::from_query_bindings(&q, vec![e.clone(); q.num_atoms()]);
+            let before = engine.query(q.clone()).explain().unwrap();
+            assert_eq!(before.index, IndexUse::Built, "{before}");
+            assert!(before.explain().contains("index = built"), "{before}");
+            engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+            let after = engine.query(q.clone()).explain().unwrap();
+            assert_eq!(after.index, IndexUse::Cached, "{after}");
+            assert!(after.explain().contains("index = cached"), "{after}");
+            // A fresh plan cache over the warm catalog builds nothing.
+            let builds = engine.index_stats().builds;
+            let warm = Engine::new((*engine.catalog()).clone());
+            warm.prepare(q.clone(), RankSpec::Sum).unwrap();
+            assert_eq!(warm.index_stats().builds, builds, "{after}");
+        }
         // Acyclic plans never consult the shared index catalog.
         let (acyclic, pq) = path_engine();
         let plan = acyclic.query(pq).explain().unwrap();
@@ -2542,7 +2570,11 @@ mod tests {
                 after.terms_rebuilt - before.terms_rebuilt,
             )
         };
-        let append = |step: i64| terms_of(&|| engine.append("R1", r1_batch(step)).unwrap());
+        let append = |step: i64| {
+            terms_of(&|| {
+                engine.append("R1", r1_batch(step)).unwrap();
+            })
+        };
         // The first append to a delta-free relation: every plan keeps
         // the term it was (the all-base term) and builds R1's first
         // delta term(s) — one for the path and the triangle, one per
@@ -2638,5 +2670,35 @@ mod tests {
             "deltas folded into the base"
         );
         assert_eq!(engine.query(q).plan().unwrap().count(), 4);
+    }
+
+    #[test]
+    fn an_append_reports_its_own_deltas_and_only_the_crossing_one_compacts() {
+        let (engine, _) = path_engine();
+        // R1 has 3 base rows, so the floor decides: the fourth quarter
+        // of MIN_COMPACT_ROWS brings the tail to the threshold.
+        let quarter = |from: i64| {
+            let rows = anyk_storage::MIN_COMPACT_ROWS as i64 / 4;
+            edge_rel(&(from..from + rows).map(|u| (u, 1, 5.0)).collect::<Vec<_>>())
+        };
+        let outcome = |deltas, compacted| Appended { deltas, compacted };
+        for deltas in 1..=3 {
+            let appended = engine.append("R1", quarter(1000 * deltas as i64)).unwrap();
+            assert_eq!(appended, outcome(deltas, false));
+        }
+        // A write to another relation reports that relation's state.
+        assert_eq!(
+            engine.append("R2", edge_rel(&[(7, 8, 0.5)])).unwrap(),
+            outcome(1, false)
+        );
+        assert_eq!(
+            engine.append("R1", quarter(5000)).unwrap(),
+            outcome(0, true)
+        );
+        assert_eq!(
+            engine.append("R1", quarter(6000)).unwrap(),
+            outcome(1, false)
+        );
+        assert_eq!(engine.write_stats().compactions, 1);
     }
 }

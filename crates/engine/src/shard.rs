@@ -35,7 +35,7 @@ use anyk_query::cq::ConjunctiveQuery;
 use anyk_storage::{partition_relation, Catalog, Relation};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::{CacheStats, Engine, EngineOpts, PrepareReport, WriteStats};
+use crate::{Appended, CacheStats, Engine, EngineOpts, PrepareReport, WriteStats};
 use anyk_storage::IndexStats;
 
 /// The reserved marker appended to a relation name to address its hash
@@ -228,9 +228,11 @@ impl ShardedEngine {
     /// (no torn cross-shard appends) but — like [`Engine::append`] —
     /// does **not** bump any epoch: per-shard invalidation is
     /// relation-scoped, so cached plans and warm indexes over other
-    /// relations survive. Typed failures: unknown relation, batch
-    /// arity mismatch, reserved `#` names.
-    pub fn append(&self, name: &str, batch: Relation) -> Result<(), EngineError> {
+    /// relations survive. Returns the append's [`Appended`] outcome:
+    /// every shard's logical copy takes the full batch, so every shard
+    /// reports the same one. Typed failures: unknown relation, batch arity
+    /// mismatch, reserved `#` names.
+    pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         if name.contains('#') {
             return Err(EngineError::ReservedRelationName {
                 relation: name.to_string(),
@@ -243,11 +245,15 @@ impl ShardedEngine {
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         let _ = *coord;
+        let mut appended = Appended {
+            deltas: 0,
+            compacted: false,
+        };
         for (engine, part) in self.shared.engines.iter().zip(parts) {
-            engine.append_raw(name, batch.clone())?;
+            appended = engine.append_raw(name, batch.clone())?;
             engine.append_raw(&fragment_name(name), part)?;
         }
-        Ok(())
+        Ok(appended)
     }
 
     /// Fold the named relation's pending deltas (full + fragment) into
@@ -539,7 +545,7 @@ mod tests {
     fn sharded_stream_matches_canonical_single_engine_stream() {
         let (q, catalog) = path_catalog();
         let single = Engine::new(catalog.clone());
-        for shards in [1usize, 2, 3, 5] {
+        for shards in [1usize, 2, 3, 5, 8] {
             let sharded = ShardedEngine::new(catalog.clone(), shards).unwrap();
             for rank in [RankSpec::Sum, RankSpec::Max] {
                 let want: Vec<_> = single
@@ -668,6 +674,24 @@ mod tests {
         assert!(!sharded.compact("R1").unwrap());
         let after: Vec<_> = sharded.stream(&q, RankSpec::Sum).unwrap().collect();
         assert_eq!(after, want, "compaction must not change answers");
+        assert_eq!(sharded.write_stats().compactions, 1);
+    }
+
+    #[test]
+    fn sharded_append_reports_the_logical_relations_outcome() {
+        let (_, catalog) = path_catalog();
+        let sharded = ShardedEngine::new(catalog, 3).unwrap();
+        // Half of MIN_COMPACT_ROWS a batch: the second crosses the
+        // threshold of the full copy on every shard; the fragments,
+        // which hold a third each, never do and are not reported.
+        let half = |from: i64| {
+            let rows = anyk_storage::MIN_COMPACT_ROWS as i64 / 2;
+            edge_rel(&(from..from + rows).map(|u| (u, 1, 0.5)).collect::<Vec<_>>())
+        };
+        let outcome = |deltas, compacted| Appended { deltas, compacted };
+        assert_eq!(sharded.append("R1", half(0)).unwrap(), outcome(1, false));
+        assert_eq!(sharded.append("R1", half(1000)).unwrap(), outcome(0, true));
+        assert_eq!(sharded.append("R1", half(2000)).unwrap(), outcome(1, false));
         assert_eq!(sharded.write_stats().compactions, 1);
     }
 

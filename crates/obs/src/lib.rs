@@ -20,8 +20,7 @@
 //!   counter/histogram cells, the trace ring, a bounded slow-query
 //!   log, and the clock, behind one `Arc` shared by engine and
 //!   server. `ANYK_OBS=off` disables recording (the hot paths check
-//!   one bool) for overhead A/B runs — E19 pins the instrumented
-//!   build within 5% of that baseline.
+//!   one bool).
 
 pub mod clock;
 pub mod hist;

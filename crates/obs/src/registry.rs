@@ -6,7 +6,7 @@
 //! per shard — their histograms merge bucket-wise for `STATS`) plus
 //! one per service (ring + slow log + route cells). Recording is
 //! gated on a single `enabled` bool set at construction from
-//! `ANYK_OBS` (`off`/`0` disables), which is the E19 A/B switch.
+//! `ANYK_OBS` (`off`/`0` disables).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

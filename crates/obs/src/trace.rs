@@ -31,7 +31,7 @@ pub const MAX_TRACE_SHARDS: usize = 8;
 
 /// The life of a query, in order. Every stage is a contiguous span of
 /// the same wall-clock interval, so the stage times of a trace sum to
-/// its total (E19 asserts this within 10% end-to-end).
+/// its total exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Lexing + parsing the command text.

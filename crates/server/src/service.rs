@@ -39,7 +39,7 @@
 use crate::ast::Command;
 use crate::parser::{parse, ParseError};
 use anyk_engine::{
-    AnswerSlab, CacheStats, Cost, Engine, EngineError, IndexUse, PrepareReport, RankSpec,
+    AnswerSlab, Appended, CacheStats, Cost, Engine, EngineError, IndexUse, PrepareReport, RankSpec,
     RankedStream, ShardFanIn, ShardedEngine, WriteStats,
 };
 use anyk_obs::{rank_id, route_id, Histogram, ObsRegistry, QueryTrace, Stage, RANKS, ROUTES};
@@ -244,8 +244,8 @@ pub enum Response {
 /// The `EXPLAIN ANALYZE` report: the query was executed to its page
 /// limit and every stage of its life timed on the service clock. The
 /// stages are contiguous spans of one wall interval, so
-/// `stage_us.iter().sum()` equals `wall_us` up to the (sub-µs) seams
-/// between clock reads — E19 pins the two within 10% end to end.
+/// `stage_us.iter().sum()` equals `wall_us` exactly (pinned over every
+/// route × ranking, single and sharded, in `tests/serve_protocol.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeReport {
     /// Planner route label (`acyclic` / `triangle` / `cycle` /
@@ -603,28 +603,14 @@ impl Backend {
     }
 
     /// Append one batch to `name` (every shard's logical copy plus its
-    /// hash fragment on a sharded backend). Returns the relation's
-    /// delta-batch count afterwards and whether this append tripped
-    /// threshold compaction.
-    fn append(
-        &self,
-        name: &str,
-        batch: anyk_storage::Relation,
-    ) -> Result<(usize, bool), EngineError> {
-        let before = self.write_stats().compactions;
-        let catalog = match self {
-            Backend::Single(engine) => {
-                engine.append(name, batch)?;
-                engine.catalog()
-            }
-            Backend::Sharded(sharded) => {
-                sharded.append(name, batch)?;
-                sharded.shard_engines()[0].catalog()
-            }
-        };
-        let deltas = catalog.entry(name).map_or(0, |e| e.deltas().len());
-        let compacted = self.write_stats().compactions > before;
-        Ok((deltas, compacted))
+    /// hash fragment on a sharded backend): the relation's delta-batch
+    /// count afterwards and whether this append tripped threshold
+    /// compaction, as the engine read them while applying it.
+    fn append(&self, name: &str, batch: anyk_storage::Relation) -> Result<Appended, EngineError> {
+        match self {
+            Backend::Single(engine) => engine.append(name, batch),
+            Backend::Sharded(sharded) => sharded.append(name, batch),
+        }
     }
 
     fn write_stats(&self) -> WriteStats {
@@ -1382,7 +1368,7 @@ impl Session {
             });
         }
         let rows = batch.len() as u64;
-        let (deltas, compacted) = self.service.backend.append(name, batch)?;
+        let Appended { deltas, compacted } = self.service.backend.append(name, batch)?;
         Ok(Response::Appended {
             rows,
             deltas,
@@ -1428,8 +1414,7 @@ impl Session {
     /// with every stage of its life timed on the service clock, and
     /// report where the time went instead of the answers. The stages
     /// are contiguous sub-spans of one measured wall interval, so the
-    /// report's stage sum equals its wall time by construction (E19
-    /// pins the two within 10% over every route × ranking). The run
+    /// report's stage sum equals its wall time by construction. The run
     /// is real — admission, plan cache, index catalog, shard merge —
     /// but holds no cursor: the admission slot frees on return, and
     /// page/answer metrics are left untouched (it is a diagnostic
@@ -1682,7 +1667,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_deadline_map_reaps_only_past_deadlines() {
+    fn cursor_table_reaps_only_past_deadlines() {
         let service = Service::new(crate::tests_engine());
         let mut session = service.session();
         let resp = session

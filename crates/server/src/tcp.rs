@@ -238,8 +238,8 @@ impl Drop for Server {
 }
 
 /// A minimal blocking TCP client for the line protocol — used by the
-/// integration tests and the E16 bench to drive a [`Server`] exactly
-/// like an external process would.
+/// integration tests and the `anykbench` serving workloads to drive a
+/// [`Server`] exactly like an external process would.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

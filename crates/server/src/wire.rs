@@ -35,9 +35,9 @@ pub fn is_terminator(line: &[u8]) -> bool {
 
 /// Render one answer as its `ROW` line (no trailing newline):
 /// `ROW <v1>,<v2>,... cost=<cost>`. The single source of truth for
-/// answer bytes — tests and the E16 bench compare server pages against
-/// direct [`PreparedQuery`](anyk_engine::PreparedQuery) streams through
-/// this same function.
+/// answer bytes — the tests compare server pages against direct
+/// [`PreparedQuery`](anyk_engine::PreparedQuery) streams through this
+/// same function.
 pub fn encode_answer(a: &RankedAnswer) -> String {
     let mut line = String::with_capacity(ROW_BYTES);
     write_answer(&mut line, &a.values, &a.cost);

@@ -12,7 +12,7 @@
 //! the cross-check asserts (a) the exact cost sequence and (b) multiset
 //! equality of the answers inside every cost-tie group.
 
-use anyk::engine::WriteStats;
+use anyk::engine::{Appended, WriteStats};
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
 
@@ -173,7 +173,7 @@ pub enum LiveEngine {
 }
 
 impl LiveEngine {
-    fn append(&self, name: &str, batch: Relation) -> Result<(), EngineError> {
+    fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         match self {
             LiveEngine::Single(e) => e.append(name, batch),
             LiveEngine::Sharded(e) => e.append(name, batch),

@@ -274,6 +274,64 @@ fn live_appends_stay_leak_free_in_process() {
     run_live_append_scenario("local", &service, Mode::Local, &rels);
 }
 
+/// An `INSERT` reply speaks for its own append. One writer appends
+/// small batches to `R1`, which never reaches the compaction
+/// threshold, while a second appends a threshold-sized batch to each
+/// of `C0`, `C1`, … in turn, every one of which compacts: no reply to
+/// the first may say `compacted=true`, and its `deltas=` counts its own
+/// batches.
+#[test]
+fn an_insert_reply_reports_its_own_compaction_not_a_concurrent_one() {
+    const APPENDS: usize = 40;
+    let mut catalog = Catalog::new();
+    for (i, rel) in base_relations().into_iter().enumerate() {
+        catalog.register(format!("R{}", i + 1), rel);
+    }
+    for c in 0..APPENDS {
+        catalog.register(format!("C{c}"), common::gen::edge_rel(&[(0, 0, 0.5)]));
+    }
+    let service = Service::new(Engine::new(catalog));
+    // A warm plan over R1 makes each R1 append refresh it, which
+    // widens the span a concurrent compaction could land in.
+    pull_pages(&mut connect(Mode::Local, &service), SELECTS[0]);
+    let rows: Vec<(i64, i64, f64)> = (0..anyk::storage::MIN_COMPACT_ROWS as i64)
+        .map(|u| (u, u % 9, 0.5))
+        .collect();
+    let compacting = insert_text(&rows);
+    // Both writers start together, so their appends overlap.
+    let start = std::sync::Barrier::new(2);
+    let quiet = std::thread::scope(|s| {
+        let quiet = s.spawn(|| {
+            let mut client = connect(Mode::Local, &service);
+            start.wait();
+            (0..APPENDS)
+                .map(|b| client.send(&insert_text(&batch_rows(b))))
+                .collect::<Vec<_>>()
+        });
+        let mut client = connect(Mode::Local, &service);
+        start.wait();
+        for c in 0..APPENDS {
+            let reply = client.send(&compacting.replace("INTO R1", &format!("INTO C{c}")));
+            assert!(
+                reply.ends_with(" deltas=0 compacted=true\nEND\n"),
+                "C{c}: {reply}"
+            );
+        }
+        quiet.join().expect("R1 writer")
+    });
+    for (b, reply) in quiet.iter().enumerate() {
+        assert_eq!(
+            *reply,
+            format!(
+                "OK appended rows={BATCH_ROWS} deltas={} compacted=false\nEND\n",
+                b + 1
+            ),
+            "R1 batch {b}"
+        );
+    }
+    assert_eq!(service.stats().compactions, APPENDS as u64);
+}
+
 // Listed under this name in the tier-1 floor; there is one TCP
 // transport, and this runs the scenario over it.
 #[test]

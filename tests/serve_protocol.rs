@@ -548,11 +548,37 @@ fn event_loop_serves_concurrent_tcp_clients_byte_identically() {
     let stats = service.stats();
     assert_eq!(stats.queries, 8);
     assert_eq!(stats.open_cursors, 0, "drained cursors release slots");
+    assert!(
+        stats.cache.hits > stats.cache.misses,
+        "one shape, eight clients: the plan cache serves the repeats ({stats:?})"
+    );
+    // The server's latency histograms, over the wire, saw real traffic.
+    let text = TcpClient::connect(addr)
+        .and_then(|mut tcp| tcp.send("STATS;"))
+        .expect("stats round-trip");
+    for field in [
+        "ttf_p50_us",
+        "ttf_p95_us",
+        "ttf_p99_us",
+        "page_p50_us",
+        "page_p95_us",
+        "page_p99_us",
+    ] {
+        let value: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("INFO {field}=")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("STATS must carry {field}:\n{text}"));
+        assert!(
+            value > 0,
+            "{field} must be non-zero after a load round:\n{text}"
+        );
+    }
     server.shutdown();
 }
 
 #[test]
-fn silent_sessions_expired_cursors_are_reaped_through_the_shared_deadline_map() {
+fn silent_sessions_expired_cursors_are_reaped_through_the_cursor_table() {
     // The PR-4 gap, regression-pinned: a session that goes SILENT
     // while holding cursors must not pin its admission slots past the
     // TTL. The cursor table releases them from *outside* the
@@ -1037,6 +1063,54 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
     let slow = tcp.send("TRACE SLOW;").expect("trace slow round-trip");
     assert_eq!(slow, "OK traces count=0 source=slow\nEND\n");
     server.shutdown();
+
+    // Every route × ranking, on a single service over TCP (against a
+    // fresh in-process twin) and on a 3-shard service: the stages carve
+    // one wall interval, so they sum to it exactly.
+    let stages_sum_to_wall = |reply: &str, label: &str| {
+        let info = |key: &str| -> u64 {
+            reply
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("INFO {key}=")))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{label}: no {key}:\n{reply}"))
+        };
+        let stages: u64 = reply
+            .lines()
+            .filter_map(|l| l.strip_prefix("INFO stage."))
+            .filter_map(|l| l.split_once("_us="))
+            .map(|(_, us)| us.parse::<u64>().expect("stage µs"))
+            .sum();
+        assert_eq!(stages, info("stage_sum_us"), "{label}:\n{reply}");
+        assert_eq!(
+            stages,
+            info("wall_us"),
+            "{label}: stages sum to the wall:\n{reply}"
+        );
+    };
+    for (route, q, m) in shapes() {
+        let (single, rels) = service_for(&q, m);
+        let (twin, _) = service_for(&q, m);
+        let sharded = Service::sharded(
+            ShardedEngine::try_from_query_bindings(&q, rels, 3).expect("sharded build"),
+        );
+        let mut server = bind(&single);
+        let mut tcp = TcpClient::connect(server.addr()).expect("connect");
+        let (mut local, mut shards) = (LocalClient::new(&twin), LocalClient::new(&sharded));
+        for rank in RankSpec::ALL {
+            let analyze = format!("EXPLAIN ANALYZE {}", select_text(&q, rank, Some(3)));
+            let label = format!("{route} × {rank}");
+            let over_tcp = tcp.send(&analyze).expect("analyze round-trip");
+            stages_sum_to_wall(&over_tcp, &label);
+            assert_eq!(
+                mask(&over_tcp),
+                mask(&local.send(&analyze)),
+                "{label}: transport-identical modulo timings"
+            );
+            stages_sum_to_wall(&shards.send(&analyze), &format!("{label} × 3 shards"));
+        }
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -1074,6 +1148,14 @@ fn sharded_service_pages_byte_identically_to_single_service() {
                 "{route} × {rank}: sharded pages == single-engine canonical stream"
             );
         }
+        // Every probe paged to exhaustion: no cursor outlives it.
+        let stats = sharded_service.stats();
+        assert_eq!(stats.open_cursors, 0, "{route}: leaked cursors");
+        assert_eq!(
+            stats.cursors_opened,
+            stats.cursors_closed + stats.cursors_expired,
+            "{route}: lifecycle accounting must balance: {stats:?}"
+        );
         // EXPLAIN through the sharded backend reports the fan-out.
         let mut client = LocalClient::new(&sharded_service);
         let explain = client.send(&format!(
