@@ -780,22 +780,21 @@ impl Engine {
     /// a fresh base payload automatically.
     ///
     /// Returns this append's own [`Appended`] outcome. Typed failures:
-    /// unknown relation, batch arity mismatch, and the reserved `#`
-    /// fragment namespace.
+    /// unknown relation and batch arity mismatch.
     pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
-        if name.contains('#') {
-            return Err(EngineError::ReservedRelationName {
-                relation: name.to_string(),
-            });
-        }
-        self.append_raw(name, batch)
+        self.append_counted(name, batch, true)
     }
 
-    /// [`Engine::append`] without the reserved-name guard — the
-    /// internal path a [`ShardedEngine`] uses to maintain `{name}#frag`
-    /// fragments. Fragment appends skip the write counters (they are
-    /// shard bookkeeping, not logical writes).
-    pub(crate) fn append_raw(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
+    /// [`Engine::append`], with `counted` saying whether it is a
+    /// logical write: a [`ShardedEngine`] maintains its fragments
+    /// through uncounted ones, which are shard bookkeeping and stay out
+    /// of [`WriteStats`].
+    pub(crate) fn append_counted(
+        &self,
+        name: &str,
+        batch: Relation,
+        counted: bool,
+    ) -> Result<Appended, EngineError> {
         use std::sync::atomic::Ordering::Relaxed;
         let rows = batch.len() as u64;
         let appended = {
@@ -831,7 +830,6 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .invalidate_relation(name);
-        let counted = !name.contains('#');
         if counted {
             let w = &self.shared.writes;
             w.appends.fetch_add(1, Relaxed);
@@ -880,6 +878,12 @@ impl Engine {
     /// fingerprint names the replaced payloads); everything else stays
     /// warm. Open streams keep serving their old snapshots.
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
+        self.compact_counted(name, true)
+    }
+
+    /// [`Engine::compact`], counted in [`WriteStats`] only when
+    /// `counted` (see [`append_counted`](Self::append_counted)).
+    pub(crate) fn compact_counted(&self, name: &str, counted: bool) -> Result<bool, EngineError> {
         use std::sync::atomic::Ordering::Relaxed;
         let compacted = {
             let mut st = self
@@ -896,7 +900,6 @@ impl Engine {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .invalidate_relation(name);
-            let counted = !name.contains('#');
             if counted {
                 let w = &self.shared.writes;
                 w.compactions.fetch_add(1, Relaxed);
@@ -2417,10 +2420,6 @@ mod tests {
             err,
             EngineError::Storage(StorageError::ArityMismatch { .. })
         ));
-        let err = engine
-            .append("R1#frag", edge_rel(&[(1, 2, 0.0)]))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::ReservedRelationName { .. }));
         assert_eq!(engine.write_stats(), WriteStats::default());
 
         engine.append("R1", edge_rel(&[(9, 10, 0.7)])).unwrap();

@@ -45,17 +45,16 @@ impl ShardFanIn {
         }
     }
 
-    /// Rows pulled from each shard so far (a shard's delta terms count
-    /// towards the shard). Includes each leaf's buffered head and its
-    /// tie-run lookahead, so the sum can exceed the answers emitted.
-    pub fn rows(&self) -> Vec<u64> {
-        self.rows
-            .iter()
-            .map(|r| r.load(Ordering::Relaxed))
-            .collect()
+    /// Rows pulled from each member so far, read as they stand (a
+    /// shard's delta terms count towards the shard). Includes each
+    /// leaf's buffered head and its tie-run lookahead, so the sum can
+    /// exceed the answers emitted.
+    pub fn rows(&self) -> impl Iterator<Item = u64> + '_ {
+        self.rows.iter().map(|r| r.load(Ordering::Relaxed))
     }
 
-    /// Number of shards feeding the merge.
+    /// Number of top-level members feeding the merge: the shards of a
+    /// sharded prepare, or the delta terms of a one-engine union.
     pub fn shards(&self) -> usize {
         self.rows.len()
     }

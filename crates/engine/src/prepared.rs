@@ -204,8 +204,14 @@ impl PreparedQuery {
     /// decomposition — into one prepared query whose streams merge the
     /// members canonically. Members that are themselves unions are
     /// flattened, so shards × delta terms merge through a single tree.
-    /// `plan` is the facade plan: it reports the original query.
+    /// `plan` is the facade plan: it reports the original query. A
+    /// union of one member is that member — its own plan, epoch, tie
+    /// order and page fill, with no merge around it.
     pub(crate) fn union(plan: Arc<Plan>, members: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
+        let members = match <[PreparedQuery; 1]>::try_from(members) {
+            Ok([member]) => return member,
+            Err(members) => members,
+        };
         let mut leaves = Vec::with_capacity(members.len());
         for (i, member) in members.iter().enumerate() {
             match &member.inner {
@@ -532,6 +538,23 @@ mod tests {
     }
 
     #[test]
+    fn a_union_of_one_is_its_member() {
+        let mut catalog = Catalog::new();
+        catalog.register("R1", edge_rel([(1, 2, 0.5), (3, 2, 0.5)]));
+        catalog.register("R2", edge_rel([(2, 9, 0.5), (2, 8, 0.5)]));
+        let engine = crate::Engine::new(catalog);
+        let member = engine.prepare(path_query(2), RankSpec::Sum).unwrap();
+        let facade = Arc::new(Plan::clone(member.plan()));
+        let one = PreparedQuery::union(facade, vec![member.clone()], member.epoch() + 1);
+        assert!(matches!(one.inner, PreparedInner::Leaf(_)), "no merge");
+        assert!(std::ptr::eq(one.plan(), member.plan()));
+        assert_eq!(one.epoch(), member.epoch());
+        assert!(one.stream_traced(engine.obs()).1.is_none());
+        let want: Vec<_> = member.stream().collect();
+        assert_eq!(one.stream().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
     fn union_of_unions_flattens_into_one_tree_with_per_member_rows() {
         // 3 shards, appends to both relations: every shard part is a
         // delta union of the base term plus a term per delta-bearing
@@ -577,7 +600,7 @@ mod tests {
             tags.len().next_power_of_two().ilog2(),
             "⌈log₂ leaves⌉: the real tree over all leaves"
         );
-        assert_eq!(fan_in.rows(), vec![0, 0, 0], "spawning pulls nothing");
+        assert!(fan_in.rows().eq([0, 0, 0]), "spawning pulls nothing");
         // Fully drained, every member was pulled exactly its own answers.
         let total = stream.count() as u64;
         let per_shard: Vec<u64> = prepared
@@ -585,7 +608,7 @@ mod tests {
             .iter()
             .map(|p| p.stream().count() as u64)
             .collect();
-        assert_eq!(fan_in.rows(), per_shard);
+        assert_eq!(fan_in.rows().collect::<Vec<_>>(), per_shard);
         assert_eq!(per_shard.iter().sum::<u64>(), total);
         assert!(total > 0);
         // A non-union has no fan-in and is its own single part.

@@ -24,7 +24,16 @@
 //! per-shard parts (see [`crate::merge`]): one tournament merge with
 //! the canonical (cost, output tuple, leaf) tie-break, so the merged
 //! stream is byte-identical to the single-engine stream's canonical
-//! form ([`RankedStream::canonical_ties`]) at every shard count.
+//! form ([`RankedStream::canonical_ties`]) at every shard count ≥ 2.
+//!
+//! ## One shard is the engine
+//!
+//! With one shard there is nothing to partition: no fragments are
+//! registered, no atom is scattered, `explain` prints no fan-out, and
+//! a prepare is the shard's own — its native tie order and its native
+//! page fill, no merge. `ShardedEngine::from(engine)` wraps an
+//! [`Engine`]'s handle as that one shard, so the engine and its
+//! clones keep seeing the same catalog, plan cache and registry.
 
 use crate::error::EngineError;
 use crate::prepared::PreparedQuery;
@@ -43,8 +52,12 @@ use anyk_storage::IndexStats;
 /// wire protocol, so client queries can never name a fragment directly.
 pub const FRAGMENT_SUFFIX: &str = "#frag";
 
-fn fragment_name(relation: &str) -> String {
-    format!("{relation}{FRAGMENT_SUFFIX}")
+/// The name `relation`'s hash fragment is registered under on every
+/// shard of a `shards`-way deployment — `None` with one shard, which
+/// holds every relation whole. This is the one place the shard count
+/// changes what a write, a prepare or an `explain` does.
+fn fragment(relation: &str, shards: usize) -> Option<String> {
+    (shards > 1).then(|| format!("{relation}{FRAGMENT_SUFFIX}"))
 }
 
 /// State shared by all clones of one [`ShardedEngine`].
@@ -86,13 +99,23 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
+/// One shard: `engine` itself. The handle is wrapped, not forked, so
+/// `engine` and its clones see the same catalog, plan cache and
+/// registry as this sharded engine does.
+impl From<Engine> for ShardedEngine {
+    fn from(engine: Engine) -> Self {
+        ShardedEngine::over(vec![engine])
+    }
+}
+
 impl ShardedEngine {
     /// Shard `catalog` across `shards` engines with default options.
     ///
     /// Every relation is replicated to each shard under its original
-    /// name (refcount bumps, no tuple copies) and hash-partitioned into
-    /// per-shard fragments under `{name}#frag`. Fails on zero shards or
-    /// a relation name that already uses the reserved `#` marker.
+    /// name (refcount bumps, no tuple copies) and, with two shards or
+    /// more, hash-partitioned into per-shard fragments under
+    /// `{name}#frag`. Fails on zero shards or a relation name that
+    /// already uses the reserved `#` marker.
     pub fn new(catalog: Catalog, shards: usize) -> Result<Self, EngineError> {
         ShardedEngine::with_opts(catalog, shards, EngineOpts::default())
     }
@@ -106,42 +129,40 @@ impl ShardedEngine {
         if shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        let mut names: Vec<String> = catalog.names().map(str::to_string).collect();
+        let mut names: Vec<&str> = catalog.names().collect();
         names.sort_unstable();
-        for name in &names {
-            if name.contains('#') {
-                return Err(EngineError::ReservedRelationName {
-                    relation: name.clone(),
-                });
+        if let Some(name) = names.iter().find(|name| name.contains('#')) {
+            return Err(EngineError::ReservedRelationName {
+                relation: name.to_string(),
+            });
+        }
+        // Each shard gets its own index catalog (fresh stats and
+        // budget) but shares every relation payload. A relation is
+        // partitioned once; shard `i` registers part `i`.
+        let mut forks: Vec<Catalog> = (0..shards)
+            .map(|_| catalog.fork_with_fresh_indexes())
+            .collect();
+        for name in names {
+            if let (Some(frag), Some(rel)) = (fragment(name, shards), catalog.get(name)) {
+                for (fork, part) in forks.iter_mut().zip(partition_relation(rel, shards)) {
+                    fork.register(frag.clone(), part);
+                }
             }
         }
-        let engines = (0..shards)
-            .map(|i| {
-                // Each shard gets its own index catalog (fresh stats and
-                // budget) but shares every relation payload.
-                let mut cat = catalog.fork_with_fresh_indexes();
-                for name in &names {
-                    // The fork holds every name just enumerated, and
-                    // `partition_relation` yields exactly `shards`
-                    // parts (one when `shards == 1`), so both lookups
-                    // always hit.
-                    let frag = cat
-                        .get(name)
-                        .map(|rel| partition_relation(rel, shards))
-                        .and_then(|parts| parts.into_iter().nth(i));
-                    if let Some(frag) = frag {
-                        cat.register(fragment_name(name), frag);
-                    }
-                }
-                Engine::with_opts(cat, opts)
-            })
+        let engines = forks
+            .into_iter()
+            .map(|cat| Engine::with_opts(cat, opts))
             .collect();
-        Ok(ShardedEngine {
+        Ok(ShardedEngine::over(engines))
+    }
+
+    fn over(engines: Vec<Engine>) -> Self {
+        ShardedEngine {
             shared: Arc::new(ShardedShared {
                 engines,
                 coord: RwLock::new(0),
             }),
-        })
+        }
     }
 
     /// Build a sharded engine by registering `rels[i]` under the
@@ -192,6 +213,18 @@ impl ShardedEngine {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Each shard paired with its part of `rel`'s hash partition when
+    /// `frag` names a fragment to hold it — with `None` otherwise.
+    fn with_parts<'a>(
+        &'a self,
+        frag: Option<&str>,
+        rel: &Relation,
+    ) -> impl Iterator<Item = (&'a Engine, Option<Relation>)> + 'a {
+        let parts = frag.map(|_| partition_relation(rel, self.num_shards()));
+        let parts = parts.into_iter().flatten().map(Some);
+        (self.shared.engines.iter()).zip(parts.chain(std::iter::repeat(None)))
+    }
+
     /// Register (or replace) a relation on **every** shard: the full
     /// relation under `name`, its hash fragments under `{name}#frag`.
     /// Runs under the coordination write lock, so concurrent prepares
@@ -204,19 +237,20 @@ impl ShardedEngine {
         if name.contains('#') {
             return Err(EngineError::ReservedRelationName { relation: name });
         }
-        let parts = partition_relation(&rel, self.num_shards());
+        let frag = fragment(&name, self.num_shards());
+        let shards = self.with_parts(frag.as_deref(), &rel);
         let mut epoch = self
             .shared
             .coord
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         *epoch += 1;
-        for (engine, part) in self.shared.engines.iter().zip(parts) {
-            let (name, frag) = (name.clone(), fragment_name(&name));
-            let rel = rel.clone();
-            engine.update_catalog(move |c| {
-                c.register(name, rel);
-                c.register(frag, part);
+        for (engine, part) in shards {
+            engine.update_catalog(|c| {
+                c.register(name.clone(), rel.clone());
+                if let (Some(frag), Some(part)) = (&frag, part) {
+                    c.register(frag.clone(), part);
+                }
             });
         }
         Ok(())
@@ -238,7 +272,8 @@ impl ShardedEngine {
                 relation: name.to_string(),
             });
         }
-        let parts = partition_relation(&batch, self.num_shards());
+        let frag = fragment(name, self.num_shards());
+        let shards = self.with_parts(frag.as_deref(), &batch);
         let coord = self
             .shared
             .coord
@@ -249,9 +284,12 @@ impl ShardedEngine {
             deltas: 0,
             compacted: false,
         };
-        for (engine, part) in self.shared.engines.iter().zip(parts) {
-            appended = engine.append_raw(name, batch.clone())?;
-            engine.append_raw(&fragment_name(name), part)?;
+        for (engine, part) in shards {
+            appended = engine.append(name, batch.clone())?;
+            if let (Some(frag), Some(part)) = (&frag, part) {
+                // Fragment bookkeeping, not a logical write.
+                engine.append_counted(frag, part, false)?;
+            }
         }
         Ok(appended)
     }
@@ -260,6 +298,7 @@ impl ShardedEngine {
     /// fresh base payloads on every shard. Returns `true` if any shard
     /// actually compacted.
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
+        let frag = fragment(name, self.num_shards());
         let coord = self
             .shared
             .coord
@@ -269,7 +308,9 @@ impl ShardedEngine {
         let mut compacted = false;
         for engine in &self.shared.engines {
             compacted |= engine.compact(name)?;
-            compacted |= engine.compact(&fragment_name(name))?;
+            if let Some(frag) = &frag {
+                compacted |= engine.compact_counted(frag, false)?;
+            }
         }
         Ok(compacted)
     }
@@ -301,29 +342,36 @@ impl ShardedEngine {
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         *epoch += 1;
+        let frag = fragment(name, self.num_shards());
         let mut removed = false;
         for engine in &self.shared.engines {
-            let frag = fragment_name(name);
-            let name = name.to_string();
-            let hit = std::sync::atomic::AtomicBool::new(false);
+            let mut hit = false;
             engine.update_catalog(|c| {
-                if c.remove(&name).is_some() {
-                    hit.store(true, std::sync::atomic::Ordering::Relaxed);
+                hit = c.remove(name).is_some();
+                if let Some(frag) = &frag {
+                    c.remove(frag);
                 }
-                c.remove(&frag);
             });
-            removed |= hit.load(std::sync::atomic::Ordering::Relaxed);
+            removed |= hit;
         }
         removed
     }
 
-    /// The deterministic pivot atom for `cq`: the atom bound to the
-    /// largest relation (ties to the lowest atom index) — the biggest
-    /// scan is the one worth scattering.
-    fn pivot_atom(&self, catalog: &Catalog, cq: &ConjunctiveQuery) -> Result<usize, EngineError> {
-        if cq.num_atoms() == 0 {
-            return Err(EngineError::EmptyQuery);
+    /// The atom of `cq` a prepare scatters, and the fragment it reads
+    /// instead of its relation: the atom bound to the largest relation
+    /// (ties to the lowest atom index) — the biggest scan is the one
+    /// worth scattering. `None` when relations have no fragments; the
+    /// catalog is then not read, and the query runs as it is.
+    fn scatter(&self, cq: &ConjunctiveQuery) -> Result<Option<(usize, String)>, EngineError> {
+        let shards = self.num_shards();
+        let Some(first) = cq.atoms().first() else {
+            return Ok(None);
+        };
+        // Every relation has a fragment, or none has.
+        if fragment(&first.relation, shards).is_none() {
+            return Ok(None);
         }
+        let catalog = self.shared.engines[0].catalog();
         let mut pivot = 0usize;
         let mut best = 0usize;
         for (i, atom) in cq.atoms().iter().enumerate() {
@@ -333,7 +381,7 @@ impl ShardedEngine {
                 best = len;
             }
         }
-        Ok(pivot)
+        Ok(fragment(&cq.atom(pivot).relation, shards).map(|frag| (pivot, frag)))
     }
 
     /// Prepare `cq` under `rank` on every shard, returning the union
@@ -342,20 +390,23 @@ impl ShardedEngine {
     /// reports the original (un-scattered) query, and its epoch is the
     /// coordination epoch. Runs under the coordination read lock, so
     /// all per-shard prepares see the same logical catalog version.
+    /// With one shard it is that shard's own prepare.
     pub fn prepare(
         &self,
         cq: &ConjunctiveQuery,
         rank: RankSpec,
     ) -> Result<PreparedQuery, EngineError> {
-        Ok(self.prepare_report(cq, rank)?.0)
+        Ok(self.prepare_report(cq.clone(), rank)?.0)
     }
 
     /// [`prepare`](Self::prepare) plus aggregated provenance: a cache
     /// hit only if **every** shard's plan cache served its part, and
-    /// the summed per-shard prepare wall time.
+    /// the summed per-shard prepare wall time. The query is taken by
+    /// value: with one shard it becomes that shard's cache key as it
+    /// is, and nothing of it or of the plan is copied.
     pub fn prepare_report(
         &self,
-        cq: &ConjunctiveQuery,
+        cq: ConjunctiveQuery,
         rank: RankSpec,
     ) -> Result<(PreparedQuery, PrepareReport), EngineError> {
         let coord = self
@@ -363,9 +414,11 @@ impl ShardedEngine {
             .coord
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let catalog = self.shared.engines[0].catalog();
-        let pivot = self.pivot_atom(&catalog, cq)?;
-        let scattered = cq.with_atom_relation(pivot, fragment_name(&cq.atom(pivot).relation));
+        let Some((pivot, frag)) = self.scatter(&cq)? else {
+            let shard = &self.shared.engines[0];
+            return shard.prepare_cached_report(cq, rank, shard.opts);
+        };
+        let scattered = cq.with_atom_relation(pivot, frag);
         let mut parts = Vec::with_capacity(self.num_shards());
         let mut report = PrepareReport {
             cache_hit: true,
@@ -380,7 +433,7 @@ impl ShardedEngine {
         // The facade plan reports the *original* query; the scattered
         // rewrite is an internal addressing detail.
         let mut plan = parts[0].plan().clone();
-        plan.query = cq.clone();
+        plan.query = cq;
         Ok((PreparedQuery::union(Arc::new(plan), parts, *coord), report))
     }
 
@@ -405,31 +458,30 @@ impl ShardedEngine {
 
     /// Render the plan for `cq` plus the shard fan-out per atom: the
     /// pivot atom scatters over hash fragments, every other atom reads
-    /// its replicated relation on all shards.
-    pub fn explain(&self, cq: &ConjunctiveQuery, rank: RankSpec) -> Result<String, EngineError> {
+    /// its replicated relation on all shards. With one shard there is
+    /// no fan-out: the plan alone, as the shard renders it.
+    pub fn explain(&self, cq: ConjunctiveQuery, rank: RankSpec) -> Result<String, EngineError> {
         let coord = self
             .shared
             .coord
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         let _ = *coord;
-        let catalog = self.shared.engines[0].catalog();
-        let pivot = self.pivot_atom(&catalog, cq)?;
-        let plan = self.shared.engines[0]
-            .query(cq.clone())
-            .rank_by(rank)
-            .explain()?;
-        let mut out = plan.explain();
-        out.push_str(&format!("shard fan-out: {} shard(s)\n", self.num_shards()));
-        for (i, atom) in cq.atoms().iter().enumerate() {
-            let role = if i == pivot {
-                "scatter (hash-partitioned pivot)"
-            } else {
-                "replicated"
-            };
-            out.push_str(&format!("  atom #{i} {}: {role}\n", atom.relation));
+        let scatter = self.scatter(&cq)?;
+        let mut fan_out = String::new();
+        if let Some((pivot, _)) = scatter {
+            fan_out = format!("shard fan-out: {} shard(s)\n", self.num_shards());
+            for (i, atom) in cq.atoms().iter().enumerate() {
+                let role = if i == pivot {
+                    "scatter (hash-partitioned pivot)"
+                } else {
+                    "replicated"
+                };
+                fan_out.push_str(&format!("  atom #{i} {}: {role}\n", atom.relation));
+            }
         }
-        Ok(out)
+        let plan = self.shared.engines[0].query(cq).rank_by(rank).explain()?;
+        Ok(plan.explain() + &fan_out)
     }
 
     /// Plan-cache counters summed across all shards.
@@ -533,11 +585,18 @@ mod tests {
             }
             other => panic!("expected ReservedRelationName, got {other:?}"),
         }
-        let (_, catalog) = path_catalog();
-        let sharded = ShardedEngine::new(catalog, 2).unwrap();
-        match sharded.register("bad#name", edge_rel(&[(1, 2, 0.0)])) {
-            Err(EngineError::ReservedRelationName { .. }) => {}
-            other => panic!("expected ReservedRelationName, got {other:?}"),
+        for shards in [1, 2] {
+            let (_, catalog) = path_catalog();
+            let sharded = ShardedEngine::new(catalog, shards).unwrap();
+            match sharded.register("bad#name", edge_rel(&[(1, 2, 0.0)])) {
+                Err(EngineError::ReservedRelationName { .. }) => {}
+                other => panic!("expected ReservedRelationName, got {other:?}"),
+            }
+            match sharded.append("R1#frag", edge_rel(&[(1, 2, 0.0)])) {
+                Err(EngineError::ReservedRelationName { .. }) => {}
+                other => panic!("expected ReservedRelationName, got {other:?}"),
+            }
+            assert_eq!(sharded.write_stats(), WriteStats::default());
         }
     }
 
@@ -548,17 +607,70 @@ mod tests {
         for shards in [1usize, 2, 3, 5, 8] {
             let sharded = ShardedEngine::new(catalog.clone(), shards).unwrap();
             for rank in [RankSpec::Sum, RankSpec::Max] {
-                let want: Vec<_> = single
-                    .query(q.clone())
-                    .rank_by(rank)
-                    .plan()
-                    .unwrap()
-                    .canonical_ties()
-                    .collect();
+                let native = single.query(q.clone()).rank_by(rank).plan().unwrap();
+                // One shard is the engine: its native stream, ties and
+                // all. More merge into the canonical one.
+                let want: Vec<_> = if shards == 1 {
+                    native.collect()
+                } else {
+                    native.canonical_ties().collect()
+                };
                 let got: Vec<_> = sharded.stream(&q, rank).unwrap().collect();
                 assert_eq!(got, want, "shards={shards} rank={rank:?}");
             }
         }
+    }
+
+    #[test]
+    fn one_shard_is_its_engine() {
+        // Every answer ties with another, so a merge would reorder them.
+        let q = path_query(2);
+        let mut catalog = Catalog::new();
+        catalog.register("R1", edge_rel(&[(3, 1, 0.5), (2, 1, 0.5), (1, 1, 0.5)]));
+        catalog.register("R2", edge_rel(&[(1, 9, 0.5), (1, 8, 0.5)]));
+        let engine = Engine::new(catalog.clone());
+        let sharded = ShardedEngine::new(catalog.clone(), 1).unwrap();
+        let wrapped = ShardedEngine::from(engine.clone());
+        for one in [&sharded, &wrapped] {
+            let names: Vec<String> = one.shard_engines()[0]
+                .catalog()
+                .names()
+                .map(str::to_string)
+                .collect();
+            assert!(names.iter().all(|n| !n.contains('#')), "{names:?}");
+            let prepared = one.prepare(&q, RankSpec::Sum).unwrap();
+            assert!(prepared.stream_traced(one.obs()).1.is_none(), "no merge");
+            let want: Vec<_> = engine
+                .prepare(q.clone(), RankSpec::Sum)
+                .unwrap()
+                .stream()
+                .collect();
+            let got: Vec<_> = prepared.stream().collect();
+            assert_eq!(got, want, "the native stream, ties in native order");
+            let explained = one.explain(q.clone(), RankSpec::Sum).unwrap();
+            let plan = engine.query(q.clone()).explain().unwrap().explain();
+            assert_eq!(explained, plan, "no fan-out block");
+        }
+        // The wrapped handle is the engine's: a write through it is the
+        // engine's write, counted once.
+        wrapped.append("R1", edge_rel(&[(4, 1, 0.25)])).unwrap();
+        assert_eq!(engine.write_stats().appends, 1);
+        assert_eq!(engine.catalog().entry("R1").unwrap().deltas().len(), 1);
+
+        // Under the same writes a one-shard engine counts what a plain
+        // engine counts: no fragment bookkeeping shows.
+        let plain = Engine::new(catalog.clone());
+        let sharded = ShardedEngine::new(catalog, 1).unwrap();
+        plain.prepare(q.clone(), RankSpec::Sum).unwrap();
+        sharded.prepare(&q, RankSpec::Sum).unwrap();
+        for (name, rows) in [("R1", &[(4, 1, 0.25)][..]), ("R2", &[(1, 7, 0.75)])] {
+            plain.append(name, edge_rel(rows)).unwrap();
+            sharded.append(name, edge_rel(rows)).unwrap();
+        }
+        assert!(plain.compact("R1").unwrap());
+        assert!(sharded.compact("R1").unwrap());
+        assert_eq!(sharded.write_stats(), plain.write_stats());
+        assert_ne!(plain.write_stats().terms_rebuilt, 0);
     }
 
     #[test]
@@ -591,7 +703,7 @@ mod tests {
     fn explain_shows_fan_out_roles() {
         let (q, catalog) = path_catalog();
         let sharded = ShardedEngine::new(catalog, 4).unwrap();
-        let text = sharded.explain(&q, RankSpec::Sum).unwrap();
+        let text = sharded.explain(q, RankSpec::Sum).unwrap();
         assert!(text.contains("shard fan-out: 4 shard(s)"), "{text}");
         assert!(text.contains("scatter (hash-partitioned pivot)"), "{text}");
         assert!(text.contains("replicated"), "{text}");

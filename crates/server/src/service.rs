@@ -1,6 +1,7 @@
-//! The session layer: a [`Service`] wraps a shared
-//! [`Engine`] and turns parsed [`Command`]s into paginated responses
-//! over live ranked streams.
+//! The session layer: a [`Service`] wraps one shared
+//! [`ShardedEngine`] — an [`Engine`](anyk_engine::Engine) serves as
+//! its one shard — and turns parsed [`Command`]s into paginated
+//! responses over live ranked streams.
 //!
 //! * **Cursors** — a `SELECT` opens a [`RankedStream`] over the
 //!   engine's (cached) prepared state, serves the first page, and
@@ -39,11 +40,10 @@
 use crate::ast::Command;
 use crate::parser::{parse, ParseError};
 use anyk_engine::{
-    AnswerSlab, Appended, CacheStats, Cost, Engine, EngineError, IndexUse, PrepareReport, RankSpec,
-    RankedStream, ShardFanIn, ShardedEngine, WriteStats,
+    AnswerSlab, Appended, CacheStats, Cost, EngineError, IndexUse, RankedStream, ShardFanIn,
+    ShardedEngine,
 };
 use anyk_obs::{rank_id, route_id, Histogram, ObsRegistry, QueryTrace, Stage, RANKS, ROUTES};
-use anyk_query::cq::ConjunctiveQuery;
 use anyk_storage::IndexStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -267,11 +267,14 @@ pub struct AnalyzeReport {
     /// Answers requested — the page limit the router was asked to
     /// fill (the *routed* cardinality).
     pub limit: u64,
-    /// Shards that served the query (1 on a single-engine backend).
+    /// Shards that served the query (1 for a service over an
+    /// [`Engine`](anyk_engine::Engine)).
     pub shards: usize,
-    /// Rows each shard fed the tournament merge (empty unsharded).
+    /// Rows each shard fed the tournament merge (empty when none ran:
+    /// one shard with no delta terms to merge).
     pub shard_rows: Vec<u64>,
-    /// Tournament-tree depth of the shard merge (0 unsharded).
+    /// Tournament-tree depth of the merge over shards × delta terms
+    /// (0 when none ran).
     pub merge_depth: u32,
 }
 
@@ -344,14 +347,13 @@ pub struct ServiceStats {
     /// Connections established right now (the connection gauge).
     pub open_connections: usize,
     /// The engine's plan-cache counters (hits/misses/evictions/...) —
-    /// summed across all shards on a sharded backend.
+    /// summed across all shards.
     pub cache: CacheStats,
     /// The index catalog's counters (hits/misses/builds/...) — summed
-    /// across all shards on a sharded backend (each shard owns its own
-    /// index catalog).
+    /// across all shards (each shard owns its own index catalog).
     pub index: IndexStats,
-    /// How many engine shards serve this service (1 for a
-    /// single-engine backend).
+    /// How many engine shards serve this service (1 for a service over
+    /// an [`Engine`](anyk_engine::Engine)).
     pub shards: usize,
     /// Median engine prepare wall time (cache hits and misses alike),
     /// merged **bucket-wise** across every shard's registry so the
@@ -376,14 +378,14 @@ pub struct ServiceStats {
     /// Entries currently held in the bounded slow-query log.
     pub slow_queries: usize,
     /// Append batches accepted (`INSERT`/`LOAD` and direct engine
-    /// appends alike; one per logical batch on a sharded backend).
+    /// appends alike; one per logical batch at any shard count).
     pub appends: u64,
     /// Rows appended across all batches.
     pub appended_rows: u64,
     /// Threshold compactions folded delta batches into fresh bases.
     pub compactions: u64,
     /// Prepared plans dropped by relation-scoped append invalidation
-    /// (summed across shards on a sharded backend).
+    /// (summed across shards).
     pub append_invalidations: u64,
     /// Terms of those plans their refresh took over as they were.
     pub terms_kept: u64,
@@ -538,100 +540,18 @@ impl Entry {
 /// map operations — never across a prepare, a pull or an encode.
 type CursorTable = Mutex<HashMap<CursorKey, Entry>>;
 
-/// The engine a [`Service`] serves from: one process-local [`Engine`],
-/// or N hash-partitioned shards merged behind [`ShardedEngine`]. The
-/// session layer — cursors, admission, deadlines, metrics — is
-/// identical either way; only planning and stats sourcing dispatch.
-#[derive(Clone)]
-enum Backend {
-    Single(Engine),
-    Sharded(ShardedEngine),
-}
-
-impl Backend {
-    /// Plan `cq` under `rank` into a ranked stream (through the plan
-    /// cache on a single engine; through every shard's cache plus the
-    /// tournament merge on a sharded one), with provenance: the
-    /// prepare report (cache hit, prepare wall time) and — sharded —
-    /// the live [`ShardFanIn`] handle behind the tournament merge.
-    fn plan_report(
-        &self,
-        cq: ConjunctiveQuery,
-        rank: RankSpec,
-    ) -> Result<(RankedStream, PrepareReport, Option<Arc<ShardFanIn>>), EngineError> {
-        match self {
-            Backend::Single(engine) => {
-                let (stream, report) = engine.query(cq).rank_by(rank).plan_report()?;
-                Ok((stream, report, None))
-            }
-            Backend::Sharded(sharded) => {
-                let (prepared, report) = sharded.prepare_report(&cq, rank)?;
-                let obs = sharded.obs();
-                let (stream, fan_in) = prepared.stream_traced(obs);
-                Ok((stream.sampled(obs), report, fan_in))
-            }
-        }
-    }
-
-    /// Render the plan; a sharded backend appends its per-atom fan-out.
-    fn explain(&self, cq: ConjunctiveQuery, rank: RankSpec) -> Result<String, EngineError> {
-        match self {
-            Backend::Single(engine) => Ok(engine.query(cq).rank_by(rank).explain()?.explain()),
-            Backend::Sharded(sharded) => sharded.explain(&cq, rank),
-        }
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        match self {
-            Backend::Single(engine) => engine.cache_stats(),
-            Backend::Sharded(sharded) => sharded.cache_stats(),
-        }
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        match self {
-            Backend::Single(engine) => engine.index_stats(),
-            Backend::Sharded(sharded) => sharded.index_stats(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            Backend::Single(_) => 1,
-            Backend::Sharded(sharded) => sharded.num_shards(),
-        }
-    }
-
-    /// Append one batch to `name` (every shard's logical copy plus its
-    /// hash fragment on a sharded backend): the relation's delta-batch
-    /// count afterwards and whether this append tripped threshold
-    /// compaction, as the engine read them while applying it.
-    fn append(&self, name: &str, batch: anyk_storage::Relation) -> Result<Appended, EngineError> {
-        match self {
-            Backend::Single(engine) => engine.append(name, batch),
-            Backend::Sharded(sharded) => sharded.append(name, batch),
-        }
-    }
-
-    fn write_stats(&self) -> WriteStats {
-        match self {
-            Backend::Single(engine) => engine.write_stats(),
-            Backend::Sharded(sharded) => sharded.write_stats(),
-        }
-    }
-}
-
-/// The query service: a shared engine backend — single or sharded —
-/// plus the service-wide admission bound and metrics.
-/// `Clone + Send + Sync` — clones are handles to the same service;
-/// spawn one [`Session`] per client.
+/// The query service: one shared [`ShardedEngine`] — an
+/// [`Engine`](anyk_engine::Engine) serves as its one shard — plus the
+/// service-wide admission bound and metrics. `Clone + Send + Sync` —
+/// clones are handles to the same service; spawn one [`Session`] per
+/// client.
 #[derive(Clone)]
 pub struct Service {
-    backend: Backend,
+    engine: ShardedEngine,
     config: ServiceConfig,
-    /// The backend engine's observability registry (shard 0's on a
-    /// sharded backend): trace ring, slow-query log, route cells, and
-    /// the injected clock every service timestamp reads.
+    /// The engine's observability registry (shard 0's): trace ring,
+    /// slow-query log, route cells, and the injected clock every
+    /// service timestamp reads.
     obs: Arc<ObsRegistry>,
     admission: Arc<Gauge>,
     connections: Arc<Gauge>,
@@ -650,37 +570,21 @@ impl std::fmt::Debug for Service {
 }
 
 impl Service {
-    /// A service over `engine` with the default
-    /// [`ServiceConfig`].
-    pub fn new(engine: Engine) -> Self {
+    /// A service over `engine` — an [`Engine`](anyk_engine::Engine),
+    /// or a [`ShardedEngine`] of any shard count — with the default
+    /// [`ServiceConfig`]. Over several shards, sessions stream through
+    /// the globally-ranked shard merge, `EXPLAIN` reports shard
+    /// fan-out, and `STATS` sums per-shard cache and index counters.
+    pub fn new(engine: impl Into<ShardedEngine>) -> Self {
         Service::with_config(engine, ServiceConfig::default())
     }
 
     /// A service with an explicit configuration.
-    pub fn with_config(engine: Engine, config: ServiceConfig) -> Self {
-        Service::from_backend(Backend::Single(engine), config)
-    }
-
-    /// A service over a [`ShardedEngine`] with the default
-    /// [`ServiceConfig`]: sessions stream through the globally-ranked
-    /// shard merge, `EXPLAIN` reports shard fan-out, and `STATS`
-    /// aggregates per-shard cache and index counters.
-    pub fn sharded(engine: ShardedEngine) -> Self {
-        Service::sharded_with_config(engine, ServiceConfig::default())
-    }
-
-    /// [`Service::sharded`] with an explicit configuration.
-    pub fn sharded_with_config(engine: ShardedEngine, config: ServiceConfig) -> Self {
-        Service::from_backend(Backend::Sharded(engine), config)
-    }
-
-    fn from_backend(backend: Backend, config: ServiceConfig) -> Self {
-        let obs = match &backend {
-            Backend::Single(engine) => Arc::clone(engine.obs()),
-            Backend::Sharded(sharded) => Arc::clone(sharded.obs()),
-        };
+    pub fn with_config(engine: impl Into<ShardedEngine>, config: ServiceConfig) -> Self {
+        let engine = engine.into();
+        let obs = Arc::clone(engine.obs());
         Service {
-            backend,
+            engine,
             config,
             obs,
             admission: Gauge::new(config.max_open_cursors),
@@ -694,29 +598,17 @@ impl Service {
         }
     }
 
-    /// The underlying single-process engine (catalog updates, cache
-    /// configuration) — `None` when this service fronts a sharded
-    /// backend; use [`Service::sharded_engine`] there.
-    pub fn engine(&self) -> Option<&Engine> {
-        match &self.backend {
-            Backend::Single(engine) => Some(engine),
-            Backend::Sharded(_) => None,
-        }
+    /// The engine this service serves from (catalog updates, prepares,
+    /// counters). A service built over an [`Engine`](anyk_engine::Engine) holds that engine
+    /// as its one shard ([`ShardedEngine::shard_engines`]).
+    pub fn engine(&self) -> &ShardedEngine {
+        &self.engine
     }
 
-    /// The underlying sharded engine — `None` on a single-engine
-    /// service.
-    pub fn sharded_engine(&self) -> Option<&ShardedEngine> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
-    }
-
-    /// How many engine shards serve this service (1 for a
-    /// single-engine backend).
+    /// How many engine shards serve this service (1 for a service built
+    /// over an [`Engine`](anyk_engine::Engine)).
     pub fn shards(&self) -> usize {
-        self.backend.shards()
+        self.engine.num_shards()
     }
 
     /// The active configuration.
@@ -819,7 +711,7 @@ impl Service {
         let min = m.ttf_min_us.load(Ordering::Relaxed);
         let (prepare, delay) = self.merged_engine_hists();
         let ring = self.obs.ring_stats();
-        let writes = self.backend.write_stats();
+        let writes = self.engine.write_stats();
         let mut routes = [[RouteRankStats::default(); RANKS.len()]; ROUTES.len()];
         for (r, row) in routes.iter_mut().enumerate() {
             for (k, out) in row.iter_mut().enumerate() {
@@ -856,9 +748,9 @@ impl Service {
             page_p99_us: m.page_hist.percentile(0.99),
             connections_rejected: m.connections_rejected.load(Ordering::Relaxed),
             open_connections: self.connections.open(),
-            cache: self.backend.cache_stats(),
-            index: self.backend.index_stats(),
-            shards: self.backend.shards(),
+            cache: self.engine.cache_stats(),
+            index: self.engine.index_stats(),
+            shards: self.shards(),
             prepare_p50_us: prepare.percentile(0.50),
             prepare_p95_us: prepare.percentile(0.95),
             prepare_p99_us: prepare.percentile(0.99),
@@ -885,21 +777,11 @@ impl Service {
     /// one histogram over all shards' samples would report, at any
     /// shard count.
     fn merged_engine_hists(&self) -> (Histogram, Histogram) {
-        match &self.backend {
-            Backend::Single(engine) => (
-                Histogram::merged([engine.obs().prepare_hist()]),
-                Histogram::merged([engine.obs().delay_hist()]),
-            ),
-            Backend::Sharded(sharded) => (
-                Histogram::merged(
-                    sharded
-                        .shard_engines()
-                        .iter()
-                        .map(|e| e.obs().prepare_hist()),
-                ),
-                Histogram::merged(sharded.shard_engines().iter().map(|e| e.obs().delay_hist())),
-            ),
-        }
+        let shards = self.engine.shard_engines();
+        (
+            Histogram::merged(shards.iter().map(|e| e.obs().prepare_hist())),
+            Histogram::merged(shards.iter().map(|e| e.obs().delay_hist())),
+        )
     }
 }
 
@@ -913,20 +795,29 @@ fn index_code(index: anyk_engine::IndexUse) -> u64 {
     }
 }
 
-/// Copy a merged stream's live [`ShardFanIn`] counters into `trace`:
-/// shard count, tournament depth, per-shard rows (truncated at the
-/// trace's fixed fan-in width), and — staged temporarily in the merge
-/// slot for [`fill_stages`] to clamp — merge-machinery wall time.
-fn stage_fan_in(trace: &mut QueryTrace, fan_in: Option<&ShardFanIn>) {
+/// Copy the shard count and a merged stream's live [`ShardFanIn`]
+/// counters into `trace`: tournament depth, per-shard rows (truncated
+/// at the trace's fixed fan-in width), and — staged temporarily in the
+/// merge slot for [`fill_stages`] to clamp — merge-machinery wall time.
+fn stage_fan_in(trace: &mut QueryTrace, fan_in: Option<&ShardFanIn>, shards: usize) {
+    trace.shards = shards as u64;
     let Some(fan_in) = fan_in else {
-        trace.shards = 1;
         return;
     };
-    trace.shards = fan_in.shards() as u64;
     trace.merge_depth = u64::from(fan_in.depth());
     trace.stage_us[Stage::Merge as usize] = fan_in.merge_us();
-    for (slot, rows) in trace.shard_rows.iter_mut().zip(fan_in.rows()) {
-        *slot = rows;
+    add_shard_rows(fan_in, shards, &mut trace.shard_rows);
+}
+
+/// Add the rows each merge member fed to its shard's slot in `out`,
+/// dropping shards past its end. The members are the shards, or the
+/// delta terms of a lone shard: member `m` belongs to shard
+/// `m % shards`.
+fn add_shard_rows(fan_in: &ShardFanIn, shards: usize, out: &mut [u64]) {
+    for (member, rows) in fan_in.rows().enumerate() {
+        if let Some(slot) = out.get_mut(member % shards) {
+            *slot += rows;
+        }
     }
 }
 
@@ -1105,7 +996,7 @@ impl Session {
             }),
             Command::Explain(stmt) => {
                 let rank = stmt.rank;
-                let text = self.service.backend.explain(stmt.into_cq(), rank)?;
+                let text = self.service.engine.explain(stmt.into_cq(), rank)?;
                 Ok(Response::Explained(text))
             }
             Command::Insert(stmt) => {
@@ -1239,9 +1130,9 @@ impl Session {
     }
 
     /// What `SELECT` and `EXPLAIN ANALYZE` share: admit, plan through
-    /// the engine's plan cache (every shard's, on a sharded backend —
-    /// repeated queries of one shape share preprocessing across all
-    /// sessions), pull the first page, and — when `traced` — assemble
+    /// every shard's plan cache (repeated queries of one shape share
+    /// preprocessing across all sessions), pull the first page, and —
+    /// when `traced` — assemble
     /// the query's trace. Untraced runs skip the stage-seam clock reads
     /// and the trace (`trace` is `None`, `wall_us` 0); the plan → page
     /// interval is always measured.
@@ -1257,7 +1148,9 @@ impl Session {
         let limit = stmt.limit.unwrap_or(self.service.config.default_page);
         let rank = stmt.rank;
         let started_us = obs.now_us();
-        let (stream, report, fan_in) = self.service.backend.plan_report(stmt.into_cq(), rank)?;
+        let (prepared, report) = self.service.engine.prepare_report(stmt.into_cq(), rank)?;
+        let (stream, fan_in) = prepared.stream_traced(obs);
+        let stream = stream.sampled(obs);
         let t_planned_us = if traced { obs.now_us() } else { 0 };
         let mut cursor = Cursor::new(stream);
         let (answers, done) = cursor.pull_page(limit);
@@ -1274,7 +1167,7 @@ impl Session {
                 limit: limit as u64,
                 ..QueryTrace::default()
             };
-            stage_fan_in(&mut trace, fan_in.as_deref());
+            stage_fan_in(&mut trace, fan_in.as_deref(), self.service.shards());
             fill_stages(
                 &mut trace,
                 parse_us,
@@ -1352,7 +1245,7 @@ impl Session {
     }
 
     /// The shared write path behind `INSERT` and `LOAD`: bound the
-    /// batch, append through the backend (delta batch + relation-scoped
+    /// batch, append through the engine (delta batch + relation-scoped
     /// plan invalidation; open cursors keep their snapshot), and
     /// acknowledge with the relation's live delta state.
     fn append(
@@ -1368,7 +1261,7 @@ impl Session {
             });
         }
         let rows = batch.len() as u64;
-        let Appended { deltas, compacted } = self.service.backend.append(name, batch)?;
+        let Appended { deltas, compacted } = self.service.engine.append(name, batch)?;
         Ok(Response::Appended {
             rows,
             deltas,
@@ -1448,10 +1341,12 @@ impl Session {
             rows: trace.rows,
             limit: trace.limit,
             shards: trace.shards as usize,
-            shard_rows: page
-                .fan_in
-                .as_deref()
-                .map(ShardFanIn::rows)
+            shard_rows: (page.fan_in.as_deref())
+                .map(|fan_in| {
+                    let mut rows = vec![0; self.service.shards()];
+                    add_shard_rows(fan_in, rows.len(), &mut rows);
+                    rows
+                })
                 .unwrap_or_default(),
             merge_depth: trace.merge_depth as u32,
         };
@@ -1516,6 +1411,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anyk_engine::Engine;
 
     #[test]
     fn cursor_table_accounts_slots_exactly() {
@@ -1688,7 +1584,6 @@ mod tests {
     /// would report a p99 near shard 0's (tiny) tail instead.
     #[test]
     fn sharded_stats_percentiles_are_truthful_under_skew() {
-        use anyk_engine::ShardedEngine;
         use anyk_storage::{Catalog, RelationBuilder, Schema};
         let mut catalog = Catalog::new();
         let mut r = RelationBuilder::new(Schema::new(["a", "b"]));
@@ -1697,8 +1592,8 @@ mod tests {
         }
         catalog.register("R", r.finish());
         let sharded = ShardedEngine::new(catalog, 2).expect("2 shards");
-        let service = Service::sharded(sharded);
-        let engines = service.sharded_engine().expect("sharded").shard_engines();
+        let service = Service::new(sharded);
+        let engines = service.engine().shard_engines();
         // Shard 0 is fast (90 × 8 µs), shard 1 slow (10 × 8000 µs).
         let reference = Histogram::default();
         for _ in 0..90 {
@@ -1819,7 +1714,6 @@ mod tests {
 
     #[test]
     fn explain_analyze_reports_shard_fan_in() {
-        use anyk_engine::ShardedEngine;
         use anyk_storage::{Catalog, RelationBuilder, Schema};
         let mut catalog = Catalog::new();
         let mut r = RelationBuilder::new(Schema::new(["a", "b"]));
@@ -1827,23 +1721,41 @@ mod tests {
             r.push_ints(&[i, i + 10], 0.1 * (i as f64 + 1.0));
         }
         catalog.register("R", r.finish());
-        let sharded = ShardedEngine::new(catalog, 2).expect("2 shards");
-        let service = Service::sharded(sharded);
-        let mut session = service.session();
-        let resp = session
-            .execute("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;")
-            .expect("analyze");
-        let Response::Analyzed(report) = resp else {
-            panic!("expected Analyzed, got {resp:?}");
-        };
-        assert_eq!(report.shards, 2);
-        assert_eq!(report.merge_depth, 1);
-        assert_eq!(report.shard_rows.len(), 2);
-        // All 16 rows came through the merge: fan-in accounts ≥ the
-        // answers (lookahead may pull extra rows per shard).
-        let fed: u64 = report.shard_rows.iter().sum();
-        assert!(fed >= report.rows, "{fed} < {}", report.rows);
-        assert!(report.shard_rows.iter().all(|&r| r > 0), "{report:?}");
+        // Two shards merge; so does one shard after an INSERT, over its
+        // base and delta terms — still one shard with one row count.
+        let two = Service::new(ShardedEngine::new(catalog.clone(), 2).expect("2 shards"));
+        let one = Service::new(Engine::new(catalog));
+        let insert = one
+            .session()
+            .execute("INSERT INTO R VALUES (16, 26, 0.05);");
+        assert!(matches!(insert, Ok(Response::Appended { deltas: 1, .. })));
+        for (service, shards) in [(two, 2), (one, 1)] {
+            let mut session = service.session();
+            let resp = session
+                .execute("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;")
+                .expect("analyze");
+            let Response::Analyzed(report) = resp else {
+                panic!("expected Analyzed, got {resp:?}");
+            };
+            assert_eq!(report.shards, shards);
+            assert_eq!(report.merge_depth, 1);
+            assert_eq!(report.shard_rows.len(), shards);
+            // All 16 rows came through the merge: fan-in accounts ≥ the
+            // answers (lookahead may pull extra rows per shard).
+            let fed: u64 = report.shard_rows.iter().sum();
+            assert!(fed >= report.rows, "{fed} < {}", report.rows);
+            assert!(report.shard_rows.iter().all(|&r| r > 0), "{report:?}");
+            // The published trace carries the same fan-in, merge stage
+            // included.
+            let trace = service.obs().recent(1)[0];
+            assert_eq!(trace.shards, shards as u64);
+            assert_eq!(trace.merge_depth, 1);
+            assert_eq!(trace.shard_rows[..shards], report.shard_rows[..]);
+            assert_eq!(trace.stage_us, report.stage_us);
+            let text =
+                crate::LocalClient::new(&service).send("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;");
+            assert_eq!(text.matches(".rows=").count(), shards, "{text}");
+        }
     }
 
     #[test]

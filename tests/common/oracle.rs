@@ -12,7 +12,7 @@
 //! the cross-check asserts (a) the exact cost sequence and (b) multiset
 //! equality of the answers inside every cost-tie group.
 
-use anyk::engine::{Appended, WriteStats};
+use anyk::engine::WriteStats;
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
 
@@ -165,46 +165,11 @@ pub fn check_engine_against_oracle(
     got
 }
 
-/// The engine a write-path check drives: a single [`Engine`], or a
-/// [`ShardedEngine`] whose delta terms flatten into the shard merge.
-pub enum LiveEngine {
-    Single(Engine),
-    Sharded(ShardedEngine),
-}
-
-impl LiveEngine {
-    fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
-        match self {
-            LiveEngine::Single(e) => e.append(name, batch),
-            LiveEngine::Sharded(e) => e.append(name, batch),
-        }
-    }
-
-    fn compact(&self, name: &str) -> Result<bool, EngineError> {
-        match self {
-            LiveEngine::Single(e) => e.compact(name),
-            LiveEngine::Sharded(e) => e.compact(name),
-        }
-    }
-
-    fn stream(&self, q: &ConjunctiveQuery, rank: RankSpec) -> Result<RankedStream, EngineError> {
-        match self {
-            LiveEngine::Single(e) => Ok(e.prepare(q.clone(), rank)?.stream()),
-            LiveEngine::Sharded(e) => Ok(e.prepare(q, rank)?.stream()),
-        }
-    }
-
-    fn write_stats(&self) -> WriteStats {
-        match self {
-            LiveEngine::Single(e) => e.write_stats(),
-            LiveEngine::Sharded(e) => e.write_stats(),
-        }
-    }
-}
-
 /// Write-path cross-check on one `(q, base, appends, rank)` instance.
 ///
-/// `live` — freshly built over `base`, its plan prepared and its first
+/// `live` — one engine (`Engine::into()`) or several shards whose
+/// delta terms flatten into the shard merge, freshly built over
+/// `base`, its plan prepared and its first
 /// stream half-read, so every write refreshes a cached plan from the
 /// entry it invalidates — takes `appends` — `(atom index, batch)`
 /// pairs, in order — through its `append`, and a `compact` of the
@@ -225,7 +190,7 @@ impl LiveEngine {
 /// the refreshes of the schedule's own writes did
 /// ([`WriteStats::terms_extended`] and its siblings).
 pub fn check_write_path_against_oracle(
-    live: LiveEngine,
+    live: ShardedEngine,
     q: &ConjunctiveQuery,
     base: &[Relation],
     appends: &[(usize, Relation)],
@@ -242,8 +207,9 @@ pub fn check_write_path_against_oracle(
             .collect()
     };
     let serve = |at: &str| {
-        live.stream(q, rank)
+        live.prepare(q, rank)
             .unwrap_or_else(|e| panic!("{label}: {at}: prepare: {e}"))
+            .stream()
     };
     // Ground truth: base ⊎ deltas flattened per atom, in append order —
     // both the oracle and the single-payload reference run on it.

@@ -351,16 +351,17 @@ fn spawning_a_merged_stream_pulls_nothing_until_the_first_next() {
         let (mut stream, fan_in) = prepared.stream_traced(single.obs());
         let fan_in = fan_in.expect("a union reports fan-in");
         assert_eq!(fan_in.shards(), prepared.parts().len());
+        let rows = || fan_in.rows().collect::<Vec<_>>();
         assert!(
-            fan_in.rows().iter().all(|&r| r == 0),
+            rows().iter().all(|&r| r == 0),
             "{label}: spawn pulled from a member: {:?}",
-            fan_in.rows()
+            rows()
         );
         assert!(stream.next().is_some());
         assert!(
-            fan_in.rows().iter().all(|&r| r >= 1),
+            rows().iter().all(|&r| r >= 1),
             "{label}: the first next() primes every member: {:?}",
-            fan_in.rows()
+            rows()
         );
     }
 }

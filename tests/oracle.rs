@@ -20,7 +20,7 @@ use common::gen::{
 };
 use common::oracle::{
     assert_matches_oracle, brute_force_ranked, check_engine_against_oracle,
-    check_write_path_against_oracle, LiveEngine, OracleAnswer,
+    check_write_path_against_oracle, OracleAnswer,
 };
 
 /// A dense-ish fixed edge set with dyadic weights and deliberate
@@ -249,8 +249,8 @@ fn triangle_first_and_upgraded_streams_both_match_the_oracle() {
 // ---------------------------------------------------------------------
 
 /// All five rankings over one `(q, base, appends)` write-path
-/// instance, on a single engine and on a sharded one at N ∈ {1, 2, 3}
-/// — where each shard part is itself a delta union, so the stream is
+/// instance, on a single engine and on a sharded one at N ∈ {2, 3} —
+/// where each shard part is itself a delta union, so the stream is
 /// one merge tree over shards × terms leaves.
 fn check_write_path_all_ranks(
     q: &anyk::query::cq::ConjunctiveQuery,
@@ -274,9 +274,9 @@ fn check_write_schedule_all_ranks(
 ) -> Vec<(RankSpec, [u64; 3])> {
     let mut terms = Vec::new();
     for rank in RankSpec::ALL {
-        let single = LiveEngine::Single(Engine::from_query_bindings(q, base.to_vec()));
+        let single = Engine::from_query_bindings(q, base.to_vec());
         let w = check_write_path_against_oracle(
-            single,
+            single.into(),
             q,
             base,
             appends,
@@ -285,11 +285,11 @@ fn check_write_schedule_all_ranks(
             &format!("{route} × {rank}"),
         );
         terms.push((rank, [w.terms_kept, w.terms_extended, w.terms_rebuilt]));
-        for shards in [1usize, 2, 3] {
+        for shards in [2usize, 3] {
             let sharded = ShardedEngine::try_from_query_bindings(q, base.to_vec(), shards)
                 .unwrap_or_else(|e| panic!("{route}: sharded build: {e}"));
             check_write_path_against_oracle(
-                LiveEngine::Sharded(sharded),
+                sharded,
                 q,
                 base,
                 appends,
@@ -576,9 +576,10 @@ fn consecutive_appends_extend_a_batch_plan_on_the_path() {
     };
     for rank in RankSpec::ALL {
         let catalog = Engine::from_query_bindings(&q, base.clone()).catalog();
-        let live = LiveEngine::Single(Engine::with_opts((*catalog).clone(), batch));
+        let live = Engine::with_opts((*catalog).clone(), batch);
         let label = format!("path batch × {rank}");
-        let w = check_write_path_against_oracle(live, &q, &base, &appends, &[4], rank, &label);
+        let w =
+            check_write_path_against_oracle(live.into(), &q, &base, &appends, &[4], rank, &label);
         // Extended at steps 3 (all three delta terms), 4 (two), 5, 6
         // (two) and 7; rebuilt at a delta term's first build (steps 0,
         // 1, 2 and, after the compaction dropped R2's, 7) and at the

@@ -94,8 +94,7 @@ fn server_pages_match_direct_streams_and_oracle_on_every_route() {
             // Direct prepared stream, one shot, same encoder.
             let prepared = service
                 .engine()
-                .expect("single-engine service")
-                .prepare(q.clone(), rank)
+                .prepare(&q, rank)
                 .unwrap_or_else(|e| panic!("{route} × {rank}: {e}"));
             let want_rows: Vec<String> = prepared.stream().map(|a| encode_answer(&a)).collect();
             assert!(
@@ -500,8 +499,7 @@ fn event_loop_serves_concurrent_tcp_clients_byte_identically() {
     let select = select_text(&q, RankSpec::Sum, Some(2));
     let want: Vec<String> = service
         .engine()
-        .expect("single-engine service")
-        .prepare(q.clone(), RankSpec::Sum)
+        .prepare(&q, RankSpec::Sum)
         .expect("prepare")
         .stream()
         .map(|a| encode_answer(&a))
@@ -697,8 +695,7 @@ fn concurrent_sessions_page_byte_identically() {
     let select = select_text(&q, RankSpec::Sum, Some(2));
     let want: Vec<String> = service
         .engine()
-        .expect("single-engine service")
-        .prepare(q.clone(), RankSpec::Sum)
+        .prepare(&q, RankSpec::Sum)
         .expect("prepare")
         .stream()
         .map(|a| encode_answer(&a))
@@ -899,15 +896,11 @@ fn a_page_that_ends_on_the_last_answer_is_done_on_every_route_and_ranking() {
     // leaves no cursor pinned.
     for (route, q, m) in shapes() {
         let (service, _) = service_for(&q, m);
-        let engine = service.engine().expect("single-engine service");
+        let engine = service.engine();
         let mut session = service.session();
         for rank in RankSpec::ALL {
             let what = format!("{route} × {rank}");
-            let total = engine
-                .prepare(q.clone(), rank)
-                .expect("prepare")
-                .stream()
-                .count();
+            let total = engine.prepare(&q, rank).expect("prepare").stream().count();
             assert!(total > 4, "{what}: fixture has answers");
             let mut page_of = |command: String| match session.execute(&command) {
                 Ok(Response::Page(page)) => page,
@@ -1091,7 +1084,7 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
     for (route, q, m) in shapes() {
         let (single, rels) = service_for(&q, m);
         let (twin, _) = service_for(&q, m);
-        let sharded = Service::sharded(
+        let sharded = Service::new(
             ShardedEngine::try_from_query_bindings(&q, rels, 3).expect("sharded build"),
         );
         let mut server = bind(&single);
@@ -1124,7 +1117,7 @@ fn sharded_service_pages_byte_identically_to_single_service() {
         let rels: Vec<Relation> = (0..m).map(|_| e.clone()).collect();
         let sharded_engine =
             ShardedEngine::try_from_query_bindings(&q, rels.clone(), 3).expect("sharded build");
-        let sharded_service = Service::sharded(sharded_engine);
+        let sharded_service = Service::new(sharded_engine);
         for rank in RankSpec::ALL {
             let select = select_text(&q, rank, Some(3));
             let mut client = LocalClient::new(&sharded_service);
@@ -1156,7 +1149,7 @@ fn sharded_service_pages_byte_identically_to_single_service() {
             stats.cursors_closed + stats.cursors_expired,
             "{route}: lifecycle accounting must balance: {stats:?}"
         );
-        // EXPLAIN through the sharded backend reports the fan-out.
+        // EXPLAIN through the three-shard service reports the fan-out.
         let mut client = LocalClient::new(&sharded_service);
         let explain = client.send(&format!(
             "EXPLAIN {}",
