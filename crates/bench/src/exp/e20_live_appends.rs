@@ -13,8 +13,10 @@
 //! delta term (the paths') is rebuilt. This experiment asserts the
 //! counter arithmetic of that design; `anykbench --workload
 //! live_writes` times it (`server.write_p50_us`, reader TTF and TT(k)
-//! with spread). An epoch-style invalidation would fail it twice over:
-//! the untouched-relation probe would observe rebuilds, and the term
+//! with spread). Every catalog write takes this path — a `register`
+//! drops and refreshes exactly the plans over the relation it
+//! replaced. A purge-all invalidation would fail it twice over: the
+//! untouched-relation probe would observe rebuilds, and the term
 //! counters would show rebuilds where extensions belong. Three scenes
 //! on one service:
 //!

@@ -22,8 +22,11 @@
 //! repeated ad-hoc queries amortize automatically. `Engine` is
 //! `Clone + Send + Sync`: clones are handles to the same catalog and
 //! cache, and any number of threads may plan and stream concurrently.
-//! Catalog updates go through [`Engine::update_catalog`], which bumps
-//! an epoch — cached plans from older epochs are never served again.
+//! A cached plan records the payloads it read and is served only while
+//! the catalog still holds exactly those: every write —
+//! [`Engine::update_catalog`], [`Engine::append`], [`Engine::compact`]
+//! — drops the plans that read what it changed and re-prepares them on
+//! the writer, and leaves every other plan warm.
 //!
 //! ```
 //! use anyk_engine::{Engine, RankSpec};
@@ -106,7 +109,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 /// # Sharing and concurrency
 ///
 /// `Engine` is `Clone + Send + Sync`. A clone is a *handle* to the same
-/// underlying state — catalog, plan cache, epoch — so cloning an engine
+/// underlying state — catalog, plan cache, counters — so cloning an engine
 /// into N worker threads gives all of them the same amortization.
 /// Relations themselves are `Arc`-backed handles
 /// ([`anyk_storage::Relation`]): resolving a query's atoms is a
@@ -119,13 +122,14 @@ pub struct Engine {
 
 /// State shared by all clones of one [`Engine`].
 struct EngineShared {
-    /// The catalog plus its epoch, swapped copy-on-write under a write
-    /// lock by [`Engine::update_catalog`]. Reads take a snapshot
-    /// (`Arc` clone) and never block behind preprocessing.
-    catalog: RwLock<CatalogState>,
-    /// Prepared plans keyed by (query signature, ranking, batch-ness).
-    /// Entries record the epoch they were prepared at and are served
-    /// only while the catalog is still at that epoch. Bounded: see
+    /// The catalog, changed copy-on-write under the write lock by
+    /// every write ([`Engine::update_catalog`], [`Engine::append`],
+    /// [`Engine::compact`]). Reads take a snapshot (`Arc` clone) and
+    /// never block behind preprocessing.
+    catalog: RwLock<Arc<Catalog>>,
+    /// Prepared plans keyed by (query, ranking, batch-ness). Entries
+    /// record the payload ids they were prepared over and are served
+    /// only while the catalog still holds exactly those. Bounded: see
     /// [`PlanCache`].
     cache: Mutex<PlanCache>,
     /// Engine-side telemetry: prepare-time and sampled per-pull delay
@@ -154,7 +158,7 @@ struct WriteCounters {
 /// A snapshot of the engine's write-path counters
 /// ([`Engine::write_stats`]): appends accepted, rows appended,
 /// compactions run (explicit and threshold-triggered), cached plans
-/// dropped by relation-scoped invalidation, and what refreshing those
+/// dropped because a write changed what they read, and what refreshing those
 /// plans did to each of their terms. Fragment appends in a sharded
 /// deployment are bookkeeping, not logical writes, and are not
 /// counted.
@@ -167,7 +171,7 @@ pub struct WriteStats {
     /// Delta-folding compactions that actually ran.
     pub compactions: u64,
     /// Cached plans dropped because a relation they read was appended
-    /// to (or compacted under them).
+    /// to, compacted, replaced or removed.
     pub invalidated_plans: u64,
     /// Terms a refresh took over from the invalidated plan as they
     /// were: every relation they read still has the payloads they were
@@ -179,7 +183,7 @@ pub struct WriteStats {
     pub terms_extended: u64,
     /// Terms a refresh built from their relations: T-DP terms, terms
     /// that changed in two positions (self-joins), terms over a
-    /// compacted base, and an atom's first delta term.
+    /// compacted or replaced relation, and an atom's first delta term.
     pub terms_rebuilt: u64,
 }
 
@@ -206,19 +210,19 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 /// least-recently-used entry holding **materialized answers** (the
 /// triangle route and `Batch` plans — full answer sets, the heaviest
 /// residents) is evicted first; only when no such entry exists does
-/// the overall LRU entry go. Epoch invalidation ([`Engine::update_catalog`])
-/// still purges everything at once.
+/// the overall LRU entry go. A catalog write takes out exactly the
+/// entries whose payloads it changed ([`PlanCache::take_stale`]).
 struct PlanCache {
     map: FxHashMap<CacheKey, CacheSlot>,
     capacity: usize,
     /// Monotone use counter backing the LRU order.
     tick: u64,
-    /// Lookups served from the cache (epoch-valid entries only).
+    /// Lookups served from the cache (current entries only).
     hits: u64,
     /// Lookups that fell through to a fresh prepare — cold keys,
-    /// epoch-stale entries, and capacity-evicted entries alike.
+    /// stale entries, and capacity-evicted entries alike.
     misses: u64,
-    /// Entries removed by the capacity bound (not epoch purges).
+    /// Entries removed by the capacity bound (not by writes).
     evictions: u64,
 }
 
@@ -227,10 +231,11 @@ struct PlanCache {
 /// amortization is actually working for the current workload.
 ///
 /// `hits`/`misses` count [`prepare`](Engine::prepare)/
-/// [`plan`](QueryRequest::plan) lookups (an epoch-stale entry counts as
-/// a miss: it must be re-prepared). `evictions` counts entries removed
-/// by the capacity bound — epoch purges ([`Engine::update_catalog`])
-/// are invalidations, not evictions, and are not counted. `entries` is
+/// [`plan`](QueryRequest::plan) lookups (a stale entry counts as a
+/// miss: it must be re-prepared), and a write's refresh of a plan it
+/// dropped is a miss too. `evictions` counts entries removed by the
+/// capacity bound — entries a write drops are invalidations
+/// ([`WriteStats::invalidated_plans`]), not evictions. `entries` is
 /// the current resident count, `capacity` the configured bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -264,11 +269,13 @@ struct CacheSlot {
     /// The relations this plan reads, with the source payload ids
     /// (base + deltas, in order) each had at prepare time. A slot is
     /// served only while every dependency still has exactly these
-    /// sources — so an [`Engine::append`] invalidates precisely the
-    /// plans that read the appended relation, even if a racing prepare
-    /// inserts a stale entry after the eager purge. They are also the
-    /// record of what each term of `prepared` was built over: a term
-    /// reads, per atom position, one [`TermRead`] slice of these ids.
+    /// sources — the one freshness rule: payload ids are never reused,
+    /// so a write invalidates precisely the plans that read what it
+    /// changed, even one a racing prepare inserts over an older
+    /// snapshot after the write took out the stale entries. They are
+    /// also the record of what each term of `prepared` was built over:
+    /// a term reads, per atom position, one [`TermRead`] slice of these
+    /// ids.
     deps: Vec<(String, Vec<u64>)>,
     /// The options the plan was prepared under — with the key's query
     /// and ranking, the exact prepare inputs: the write path re-prepares
@@ -278,10 +285,10 @@ struct CacheSlot {
 }
 
 /// What the write path hands the prepare that refreshes a plan: the
-/// terms of the entry it just invalidated (none when a compaction
-/// swapped the base under every one of them), the payload ids they
-/// were built over, and whether the terms of the refresh are counted
-/// in [`WriteStats`]. The terms are owned, so that one the refresh
+/// terms of the entry it just invalidated (none when the write swapped
+/// a base — a compaction, a replacement — under every one of them),
+/// the payload ids they were built over, and whether the terms of the
+/// refresh are counted in [`WriteStats`]. The terms are owned, so that one the refresh
 /// does not take over is freed before its replacement is built.
 struct Refresh<'a> {
     stale: Vec<Option<PreparedQuery>>,
@@ -330,14 +337,12 @@ impl Refresh<'_> {
     /// from))` when position `pos` alone has more, its sources from
     /// `from` on being batches appended since. `None` — and the term,
     /// if there was one, dropped — for a term the entry never had (the
-    /// atom had no deltas yet), one whose base a compaction swapped,
-    /// one that grew in two positions (a self-join), or an entry from
-    /// another epoch.
+    /// atom had no deltas yet), one whose base a compaction swapped, or
+    /// one that grew in two positions (a self-join).
     fn take_term(
         &mut self,
         cq: &ConjunctiveQuery,
         live: &[ResolvedAtom],
-        epoch: u64,
         term: Option<usize>,
     ) -> Option<(PreparedQuery, Option<(usize, usize)>)> {
         let deps = self.deps;
@@ -355,9 +360,6 @@ impl Refresh<'_> {
             Some(_) => return None,
         };
         let old = self.stale.get_mut(index)?.take()?;
-        if old.epoch() != epoch {
-            return None;
-        }
         let mut grew = None;
         for (pos, atom) in live.iter().enumerate() {
             let read = TermRead::of(term, pos);
@@ -472,15 +474,16 @@ impl PlanCache {
         self.evict_to_capacity(Some(&key));
     }
 
-    /// Drop every entry whose dependency set includes `relation` —
-    /// the relation-scoped invalidation behind [`Engine::append`].
-    /// Returns the removed entries themselves: the write path refreshes
-    /// each from its key and `opts`, and takes over from its `prepared`
-    /// whatever the write left valid. These are invalidations, not
-    /// capacity evictions, and do not count as such.
-    fn invalidate_relation(&mut self, relation: &str) -> Vec<(CacheKey, CacheSlot)> {
-        let reads = |slot: &CacheSlot| slot.deps.iter().any(|(name, _)| name == relation);
-        self.map.extract_if(|_, slot| reads(slot)).collect()
+    /// Take out every entry whose dependencies `catalog` no longer
+    /// holds — the invalidation behind every catalog write. Returns the
+    /// removed entries themselves: the write path refreshes each from
+    /// its key and `opts`, and takes over from its `prepared` whatever
+    /// the write left valid. These are invalidations, not capacity
+    /// evictions, and do not count as such.
+    fn take_stale(&mut self, catalog: &Catalog) -> Vec<(CacheKey, CacheSlot)> {
+        (self.map)
+            .extract_if(|_, slot| !deps_current(catalog, &slot.deps))
+            .collect()
     }
 
     /// Pick and remove victims until the map fits `capacity`.
@@ -522,19 +525,9 @@ impl PlanCache {
         }
     }
 
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
     fn len(&self) -> usize {
         self.map.len()
     }
-}
-
-#[derive(Debug)]
-struct CatalogState {
-    catalog: Arc<Catalog>,
-    epoch: u64,
 }
 
 /// Cache key for prepared plans: the query itself, hashed and compared
@@ -572,7 +565,6 @@ const _: () = {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("epoch", &self.catalog_epoch())
             .field("cached_plans", &self.cached_plans())
             .field("opts", &self.opts)
             .finish_non_exhaustive()
@@ -599,10 +591,7 @@ impl Engine {
     pub fn with_obs(catalog: Catalog, opts: EngineOpts, obs: Arc<ObsRegistry>) -> Self {
         Engine {
             shared: Arc::new(EngineShared {
-                catalog: RwLock::new(CatalogState {
-                    catalog: Arc::new(catalog),
-                    epoch: 0,
-                }),
+                catalog: RwLock::new(Arc::new(catalog)),
                 cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
                 obs,
                 writes: WriteCounters::default(),
@@ -669,47 +658,29 @@ impl Engine {
         q: &ConjunctiveQuery,
         rels: Vec<Relation>,
     ) -> Result<Self, EngineError> {
-        if q.num_atoms() != rels.len() {
-            return Err(EngineError::BindingCountMismatch {
-                atoms: q.num_atoms(),
-                relations: rels.len(),
-            });
-        }
-        let mut catalog = Catalog::new();
-        for (atom, rel) in q.atoms().iter().zip(rels) {
-            if let Some(prev) = catalog.get(&atom.relation) {
-                if *prev != rel {
-                    return Err(EngineError::ConflictingBindings {
-                        relation: atom.relation.clone(),
-                    });
-                }
-            }
-            catalog.register(atom.relation.clone(), rel);
-        }
-        Ok(Engine::new(catalog))
+        bind_catalog(q, rels).map(Engine::new)
     }
 
     /// A snapshot of the catalog (to resolve symbols, inspect
     /// relations). Cheap: an `Arc` clone, no relation data is copied.
-    /// The snapshot is immutable; concurrent [`Engine::update_catalog`]
-    /// calls produce *new* catalog versions without disturbing it.
+    /// The snapshot is immutable; concurrent writes produce *new*
+    /// catalog versions without disturbing it.
     pub fn catalog(&self) -> Arc<Catalog> {
-        self.read_state().0
+        let catalog = self
+            .shared
+            .catalog
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&catalog)
     }
 
-    /// The current catalog epoch: bumped by every
-    /// [`Engine::update_catalog`]. Prepared plans record the epoch they
-    /// were built at; the internal cache serves an entry only while its
-    /// epoch is current, so a stale plan can never be served.
-    pub fn catalog_epoch(&self) -> u64 {
-        self.read_state().1
-    }
-
-    /// Mutate the catalog (register, replace, or remove relations) and
-    /// bump the epoch, invalidating every cached plan. This replaces
-    /// the old `catalog_mut` accessor: mutation through a closure is
-    /// the only write path, so the cache-epoch bump can never be
-    /// forgotten. Copy-on-write: relation payloads shared with live
+    /// Mutate the catalog (register, replace, or remove relations).
+    /// Mutation through a closure is the only way to change bindings,
+    /// and it takes the path every write takes: the cached plans that
+    /// read a replaced or removed relation are dropped, and each is
+    /// re-prepared on this call — over the new payload, or not at all
+    /// once its relation is gone — while plans over untouched relations
+    /// stay warm. Copy-on-write: relation payloads shared with live
     /// snapshots or prepared queries are not copied — only the catalog
     /// map is.
     ///
@@ -719,31 +690,15 @@ impl Engine {
     /// engine (`catalog()`, `plan()`, `register`, a nested
     /// `update_catalog`, …) — the lock is not reentrant and such a call
     /// would deadlock. Read what you need *before* updating; the
-    /// closure receives the up-to-date catalog as its argument.
+    /// closure receives the up-to-date catalog as its argument. A
+    /// closure that panics part-way leaves what it changed in place,
+    /// and no plan over a changed payload is served again: a hit is
+    /// checked against the payloads, not against the write.
     pub fn update_catalog<F: FnOnce(&mut Catalog)>(&self, f: F) {
-        {
-            let mut st = self
-                .shared
-                .catalog
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Bump the epoch *before* running the closure: if `f`
-            // panics mid-mutation, the poisoned state is recovered (see
-            // the `unwrap_or_else` above), and the already-bumped epoch
-            // guarantees no cached plan built against the old catalog
-            // can ever be served against the half-updated one.
-            st.epoch += 1;
-            f(Arc::make_mut(&mut st.catalog));
-        }
-        // Outside the write lock: eagerly drop stale entries. Purely an
-        // eviction — correctness comes from the epoch check on every
-        // cache hit, so an entry inserted by a racing prepare between
-        // the bump and this clear is merely unused memory, never served.
-        self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        let _ = self.write_catalog(true, |catalog| {
+            f(catalog);
+            Ok(((), false))
+        });
     }
 
     /// Register (or replace) one relation — convenience wrapper over
@@ -756,14 +711,13 @@ impl Engine {
     /// Append one immutable batch to the named relation. The append
     /// itself is `O(batch)`: the batch payload is adopted as a delta —
     /// the base payload, its shared trie indexes, and every cached plan
-    /// over *other* relations stay untouched. Unlike
-    /// [`Engine::update_catalog`] this does **not** bump the epoch: only
-    /// cached plans that read `name` are invalidated (relation-scoped),
-    /// so a streaming writer never recreates the cold-start cliff for
-    /// the rest of the workload. Each invalidated plan is then
-    /// refreshed on this call, from the entry it just lost, so
-    /// concurrent readers keep hitting the cache and the rebuild cost
-    /// rides on the writer. What a refresh costs depends on the term
+    /// over *other* relations stay untouched. Like every write, it
+    /// invalidates only the cached plans that read what it changed —
+    /// here, those that read `name` — so a streaming writer never
+    /// recreates the cold-start cliff for the rest of the workload.
+    /// Each invalidated plan is then refreshed on this call, from the
+    /// entry it just lost, so concurrent readers keep hitting the cache
+    /// and the rebuild cost rides on the writer. What a refresh costs depends on the term
     /// ([`WriteStats`] counts each kind): a term that reads none of
     /// the new rows is **kept** as it is (the all-base term, always);
     /// a materialized term — the triangle route, `Batch` plans,
@@ -797,16 +751,7 @@ impl Engine {
     ) -> Result<Appended, EngineError> {
         use std::sync::atomic::Ordering::Relaxed;
         let rows = batch.len() as u64;
-        let appended = {
-            let mut st = self
-                .shared
-                .catalog
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Copy-on-write on the catalog *map* only: snapshots taken
-            // by concurrent readers keep every relation handle they
-            // already resolved.
-            let cat = Arc::make_mut(&mut st.catalog);
+        let appended = self.write_catalog(counted, |cat| {
             cat.append(name, batch)?;
             let due = cat
                 .entry(name)
@@ -814,69 +759,32 @@ impl Engine {
             if due {
                 cat.compact(name)?;
             }
-            Appended {
+            let appended = Appended {
                 deltas: cat.entry(name).map_or(0, |e| e.deltas().len()),
                 compacted: due,
-            }
-        };
-        let compacted = appended.compacted;
-        // Outside the write lock: eagerly drop dependent plans. Purely
-        // an eviction — correctness comes from the per-hit dependency
-        // check, so an entry inserted by a racing prepare between the
-        // append and this purge is merely unused memory, never served.
-        let removed = self
-            .shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .invalidate_relation(name);
+            };
+            // The stale plans' terms outlive them, unless a compaction
+            // swapped the base under every one.
+            Ok((appended, !due))
+        })?;
         if counted {
             let w = &self.shared.writes;
             w.appends.fetch_add(1, Relaxed);
             w.appended_rows.fetch_add(rows, Relaxed);
-            if compacted {
+            if appended.compacted {
                 w.compactions.fetch_add(1, Relaxed);
             }
-            w.invalidated_plans.fetch_add(removed.len() as u64, Relaxed);
         }
-        self.refresh_plans(removed, counted, compacted);
         Ok(appended)
-    }
-
-    /// Re-prepare plans the write path just invalidated, so the next
-    /// reader of each is a cache hit instead of paying the rebuild. The
-    /// cost lands on the writer, and each prepare is handed the entry
-    /// it replaces: terms the write left valid are taken over from it
-    /// (see [`Engine::append`]). `counted` says whether the terms go
-    /// into [`WriteStats`] (fragment bookkeeping does not), `compacted`
-    /// whether the write folded the relation's deltas into a new base.
-    /// A failing re-prepare is dropped silently: the next reader
-    /// re-derives the same typed error.
-    fn refresh_plans(&self, removed: Vec<(CacheKey, CacheSlot)>, counted: bool, compacted: bool) {
-        for (key, slot) in removed {
-            // A compaction swapped the base under every term; otherwise
-            // the terms outlive the entry that held them together.
-            let stale = if compacted {
-                Vec::new()
-            } else {
-                slot.prepared.parts().iter().cloned().map(Some).collect()
-            };
-            drop(slot.prepared);
-            let refresh = Refresh {
-                stale,
-                deps: &slot.deps,
-                counted,
-            };
-            let _ = self.prepare_cached(key.cq, key.rank, slot.opts, Some(refresh));
-        }
     }
 
     /// Fold the named relation's pending deltas into a fresh base
     /// payload now, regardless of the automatic threshold. Returns
     /// whether a compaction actually ran (`false` when delta-free).
     /// Cached plans reading `name` are invalidated (their dependency
-    /// fingerprint names the replaced payloads); everything else stays
-    /// warm. Open streams keep serving their old snapshots.
+    /// fingerprint names the replaced payloads) and refreshed;
+    /// everything else stays warm. Open streams keep serving their old
+    /// snapshots.
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
         self.compact_counted(name, true)
     }
@@ -884,35 +792,84 @@ impl Engine {
     /// [`Engine::compact`], counted in [`WriteStats`] only when
     /// `counted` (see [`append_counted`](Self::append_counted)).
     pub(crate) fn compact_counted(&self, name: &str, counted: bool) -> Result<bool, EngineError> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let compacted = {
-            let mut st = self
-                .shared
-                .catalog
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            Arc::make_mut(&mut st.catalog).compact(name)?
-        };
-        if compacted {
-            let removed = self
-                .shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .invalidate_relation(name);
-            if counted {
-                let w = &self.shared.writes;
-                w.compactions.fetch_add(1, Relaxed);
-                w.invalidated_plans.fetch_add(removed.len() as u64, Relaxed);
-            }
-            self.refresh_plans(removed, counted, true);
+        let compacted = self.write_catalog(counted, |cat| Ok((cat.compact(name)?, false)))?;
+        if counted && compacted {
+            (self.shared.writes.compactions).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         Ok(compacted)
     }
 
+    /// The one path every catalog write takes. `apply` changes the
+    /// catalog under its write lock — copy-on-write on the catalog
+    /// *map* only: snapshots taken by concurrent readers keep every
+    /// relation handle they already resolved — and says whether the
+    /// terms of the plans it invalidates may be taken over (an append
+    /// that did not compact) or were all built over a payload it
+    /// swapped. In the same critical section every cached plan whose
+    /// payloads the catalog no longer holds is taken out, so no reader
+    /// prepares over the new catalog before the stale entries are gone;
+    /// they are counted when `counted`, then refreshed on this thread.
+    /// Taking them out is eviction, not the freshness gate: a hit
+    /// checks its payloads, so an entry a racing prepare inserts over
+    /// an older snapshot is never served.
+    fn write_catalog<T>(
+        &self,
+        counted: bool,
+        apply: impl FnOnce(&mut Catalog) -> Result<(T, bool), EngineError>,
+    ) -> Result<T, EngineError> {
+        let (out, keep_terms, stale) = {
+            let mut guard = self
+                .shared
+                .catalog
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let catalog = Arc::make_mut(&mut guard);
+            let (out, keep_terms) = apply(catalog)?;
+            let stale = self
+                .shared
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take_stale(catalog);
+            (out, keep_terms, stale)
+        };
+        if counted {
+            (self.shared.writes.invalidated_plans)
+                .fetch_add(stale.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        }
+        self.refresh_plans(stale, counted, keep_terms);
+        Ok(out)
+    }
+
+    /// Re-prepare plans the write path just invalidated, so the next
+    /// reader of each is a cache hit instead of paying the rebuild. The
+    /// cost lands on the writer, and each prepare is handed the entry
+    /// it replaces: with `keep_terms`, terms the write left valid are
+    /// taken over from it (see [`Engine::append`]); without, every term
+    /// is rebuilt. `counted` says whether the terms go into
+    /// [`WriteStats`] (fragment bookkeeping does not). A failing
+    /// re-prepare — a plan over a removed relation, say — is dropped
+    /// silently: the next reader re-derives the same typed error.
+    fn refresh_plans(&self, stale: Vec<(CacheKey, CacheSlot)>, counted: bool, keep_terms: bool) {
+        for (key, slot) in stale {
+            let terms = if keep_terms {
+                slot.prepared.parts().iter().cloned().map(Some).collect()
+            } else {
+                Vec::new()
+            };
+            drop(slot.prepared);
+            let refresh = Refresh {
+                stale: terms,
+                deps: &slot.deps,
+                counted,
+            };
+            let _ = self.prepare_cached(key.cq, key.rank, slot.opts, Some(refresh));
+        }
+    }
+
     /// A snapshot of the write-path counters: appends, appended rows,
-    /// compactions, relation-scoped plan invalidations, and the terms
-    /// their refreshes kept, extended and rebuilt. Cumulative over the
+    /// compactions, plans invalidated by writes, and the terms their
+    /// refreshes kept, extended and rebuilt. Cumulative over the
     /// engine's lifetime and shared by all clones.
     pub fn write_stats(&self) -> WriteStats {
         use std::sync::atomic::Ordering::Relaxed;
@@ -940,8 +897,8 @@ impl Engine {
     /// A snapshot of the plan-cache counters: hits, misses, capacity
     /// evictions, resident entries, and the configured capacity.
     /// Counters are cumulative over the engine's lifetime (shared by
-    /// all clones) and are **not** reset by catalog updates — an epoch
-    /// purge empties the cache but keeps the history.
+    /// all clones) and are **not** reset by writes — the entries a
+    /// write drops leave the history as it was.
     pub fn cache_stats(&self) -> CacheStats {
         let cache = self
             .shared
@@ -960,12 +917,13 @@ impl Engine {
     /// A snapshot of the shared index-catalog counters: trie lookups
     /// served resident (`hits`) vs built on demand (`misses`/`builds`),
     /// capacity `evictions`, and the resident byte footprint. The index
-    /// catalog is owned by the [`Catalog`] and **survives epoch bumps**:
-    /// [`Engine::update_catalog`] invalidates only the tries of
-    /// relations actually replaced or removed, so a steady serving
-    /// workload keeps its indexes warm across unrelated catalog updates.
+    /// catalog is owned by the [`Catalog`] and, like the plan cache,
+    /// loses only what a write changed: [`Engine::update_catalog`]
+    /// invalidates only the tries of relations actually replaced or
+    /// removed, so a steady serving workload keeps its indexes warm
+    /// across unrelated catalog updates.
     pub fn index_stats(&self) -> IndexStats {
-        self.read_state().0.indexes().stats()
+        self.catalog().indexes().stats()
     }
 
     /// Start planning `cq`. Returns a request builder; nothing
@@ -993,15 +951,6 @@ impl Engine {
         rank: RankSpec,
     ) -> Result<PreparedQuery, EngineError> {
         self.query(cq).rank_by(rank).prepare()
-    }
-
-    fn read_state(&self) -> (Arc<Catalog>, u64) {
-        let st = self
-            .shared
-            .catalog
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        (Arc::clone(&st.catalog), st.epoch)
     }
 
     /// [`prepare_cached`](Self::prepare_cached) plus provenance: did
@@ -1050,19 +999,17 @@ impl Engine {
         mut refresh: Option<Refresh<'_>>,
     ) -> Result<(PreparedQuery, bool), EngineError> {
         let mut key = CacheKey::new(cq, rank, opts);
-        let (catalog, epoch) = self.read_state();
+        let catalog = self.catalog();
         {
             let mut cache = self
                 .shared
                 .cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            // A hit must pass both freshness gates: the epoch (schema
-            // changes via `update_catalog`) and the per-relation
-            // dependency fingerprint (appends/compactions, which do not
-            // bump the epoch).
+            // The one freshness gate: a hit is served only while the
+            // catalog holds every payload the plan was prepared over.
             if let Some(slot) = cache.get(&key) {
-                if slot.prepared.epoch() == epoch && deps_current(&catalog, &slot.deps) {
+                if deps_current(&catalog, &slot.deps) {
                     let served = slot.prepared.adopt_variant(opts.variant);
                     cache.hits += 1;
                     return Ok((served, true));
@@ -1079,9 +1026,7 @@ impl Engine {
             if key.batch {
                 key.batch = false;
                 if let Some(slot) = cache.peek(&key) {
-                    if slot.prepared.epoch() == epoch
-                        && slot.prepared.plan().variant.is_none()
-                        && deps_current(&catalog, &slot.deps)
+                    if slot.prepared.plan().variant.is_none() && deps_current(&catalog, &slot.deps)
                     {
                         let served = slot.prepared.adopt_variant(opts.variant);
                         cache.touch(&key);
@@ -1140,13 +1085,12 @@ impl Engine {
             // and its answers are materialized.
             let writes = &self.shared.writes;
             let stale = refresh.as_mut();
-            let taken = match stale.and_then(|r| r.take_term(cq, &live, epoch, term)) {
+            let taken = match stale.and_then(|r| r.take_term(cq, &live, term)) {
                 Some((old, None)) => Some((old, &writes.terms_kept)),
                 Some((old, Some((pos, from)))) if old.holds_materialized_answers() => {
                     let sources = TermRead::of(term, pos).slice(&live[pos].sources);
                     let rels = rels(Some((pos, &sources[from..])));
-                    let more =
-                        PreparedQuery::build(Arc::clone(&plan), rels, batch, epoch, &indexes)?;
+                    let more = PreparedQuery::build(Arc::clone(&plan), rels, batch, &indexes)?;
                     let extended = old.extend(&more).transpose()?;
                     extended.map(|term| (term, &writes.terms_extended))
                 }
@@ -1155,7 +1099,7 @@ impl Engine {
             let (built, counter) = match taken {
                 Some(taken) => taken,
                 None => {
-                    let built = PreparedQuery::build(plan, rels(None), batch, epoch, &indexes)?;
+                    let built = PreparedQuery::build(plan, rels(None), batch, &indexes)?;
                     (built, &writes.terms_rebuilt)
                 }
             };
@@ -1172,7 +1116,7 @@ impl Engine {
                 .chain(delta_terms.map(Some))
                 .map(&mut build_term)
                 .collect::<Result<Vec<_>, _>>()?;
-            PreparedQuery::union(plan, terms, epoch)
+            PreparedQuery::union(plan, terms)
         };
         let deps = query_deps(&catalog, cq);
         key.batch = batch;
@@ -1190,7 +1134,7 @@ impl Engine {
 /// provenance is on the resulting plan ([`Plan::index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrepareReport {
-    /// Served from the plan cache (epoch-valid entry).
+    /// Served from the plan cache (an entry over current payloads).
     pub cache_hit: bool,
     /// Wall time of the prepare, µs.
     pub prepare_us: u64,
@@ -1252,6 +1196,32 @@ impl ResolvedAtom {
             _ => Relation::concat(read.slice(&self.sources)),
         }
     }
+}
+
+/// The catalog binding `rels[i]` to the relation name of `q`'s atom `i`,
+/// behind [`Engine::try_from_query_bindings`] and
+/// [`ShardedEngine::try_from_query_bindings`]: a count mismatch or two
+/// atoms sharing a name but bound to different relations is a typed
+/// error.
+fn bind_catalog(q: &ConjunctiveQuery, rels: Vec<Relation>) -> Result<Catalog, EngineError> {
+    if q.num_atoms() != rels.len() {
+        return Err(EngineError::BindingCountMismatch {
+            atoms: q.num_atoms(),
+            relations: rels.len(),
+        });
+    }
+    let mut catalog = Catalog::new();
+    for (atom, rel) in q.atoms().iter().zip(rels) {
+        if let Some(prev) = catalog.get(&atom.relation) {
+            if *prev != rel {
+                return Err(EngineError::ConflictingBindings {
+                    relation: atom.relation.clone(),
+                });
+            }
+        }
+        catalog.register(atom.relation.clone(), rel);
+    }
+    Ok(catalog)
 }
 
 /// Resolve each atom against the live (delta-aware) catalog entries:
@@ -1871,7 +1841,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_and_epoch_invalidation() {
+    fn plan_cache_hits_and_write_invalidation() {
         let (engine, q) = path_engine();
         assert_eq!(engine.cached_plans(), 0);
         let first: Vec<_> = engine.query(q.clone()).plan().unwrap().collect();
@@ -1884,13 +1854,14 @@ mod tests {
         let _ = engine.query(q.clone()).rank_by(RankSpec::Max).plan();
         assert_eq!(engine.cached_plans(), 2);
 
-        // Catalog update: epoch bumps, cache is invalidated, and the
-        // next plan sees the new data.
-        let epoch0 = engine.catalog_epoch();
+        // Replacing R2, which both plans read: both are dropped and
+        // refreshed over the new payload, so the next plan is a hit
+        // that sees the new data.
         engine.register("R2", edge_rel(&[(10, 999, 0.0)]));
-        assert_eq!(engine.catalog_epoch(), epoch0 + 1);
-        assert_eq!(engine.cached_plans(), 0);
-        let fresh: Vec<_> = engine.query(q).plan().unwrap().collect();
+        assert_eq!(engine.cached_plans(), 2);
+        let (prepared, report) = engine.query(q).prepare_report().unwrap();
+        assert!(report.cache_hit, "the write refreshed the plan");
+        let fresh: Vec<_> = prepared.stream().collect();
         assert_eq!(fresh.len(), 2, "one R2 row joins both R1 rows on b=10");
         assert!(fresh.iter().all(|a| a.ints()[2] == 999));
     }
@@ -2026,9 +1997,16 @@ mod tests {
             );
         }
 
-        // Epoch bump still purges everything at once.
+        // A write keeps the entries that do not read what it changed
+        // (R9: none do) and refreshes in place those that do (R1: both
+        // do) — the same two entries stay, and neither write evicts.
+        let evictions = engine.cache_stats().evictions;
         engine.register("R9", edge_rel(&[(1, 2, 0.0)]));
-        assert_eq!(engine.cached_plans(), 0);
+        engine.register("R1", edge_rel(&[(4, 10, 0.2)]));
+        let cache = engine.shared.cache.lock().unwrap();
+        let resident = |batch| cache.map.keys().any(|k| k.batch == batch);
+        assert!(resident(true) && resident(false) && cache.map.len() == 2);
+        assert_eq!(cache.evictions, evictions, "a write is not an eviction");
     }
 
     #[test]
@@ -2179,14 +2157,20 @@ mod tests {
         let stats = tri.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
 
-        // Epoch purge empties the cache but keeps the counters.
+        // An unrelated write keeps both entries and every counter, and
+        // the next lookup is a hit.
         engine.register("R9", edge_rel(&[(1, 2, 0.0)]));
         let stats = engine.cache_stats();
-        assert_eq!(stats.entries, 0);
+        assert_eq!(stats.entries, 2);
         assert_eq!((stats.hits, stats.misses), (1, 2));
-        // A stale-epoch-free lookup after the purge is a plain miss.
+        let _ = engine.query(q.clone()).plan().unwrap();
+        assert_eq!(engine.cache_stats().hits, 2);
+        // Replacing R1 refreshes both plans on the writer — each a miss
+        // — and the reader after it hits.
+        engine.register("R1", edge_rel(&[(4, 10, 0.2)]));
         let _ = engine.query(q).plan().unwrap();
-        assert_eq!(engine.cache_stats().misses, 3);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (3, 4, 2));
     }
 
     impl CacheStats {
@@ -2226,9 +2210,18 @@ mod tests {
         let clone = engine.clone();
         let _ = engine.query(q.clone()).plan().unwrap();
         assert_eq!(clone.cached_plans(), 1, "clones see the same cache");
-        clone.register("X", edge_rel(&[(1, 2, 0.0)]));
-        assert_eq!(engine.catalog_epoch(), 1, "clones see the same catalog");
-        assert!(engine.catalog().get("X").is_some());
+        clone.register("R2", edge_rel(&[(10, 999, 0.0)]));
+        let (prepared, report) = engine.query(q).prepare_report().unwrap();
+        assert!(
+            report.cache_hit,
+            "the clone's write refreshed the engine's plan"
+        );
+        let fresh: Vec<_> = prepared.stream().map(|a| a.ints()).collect();
+        assert_eq!(
+            fresh,
+            [[2, 10, 999], [1, 10, 999]],
+            "clones see the same catalog"
+        );
     }
 
     #[test]
@@ -2355,19 +2348,16 @@ mod tests {
             .stream()
             .collect();
         let builds = engine.index_stats().builds;
-        // An unrelated registration bumps the epoch (plan cache purged)
-        // but must not touch the triangle's resident tries.
+        // An unrelated registration touches neither the triangle's plan
+        // nor its resident tries.
         engine.register("Unrelated", edge_rel(&[(7, 8, 0.0)]));
-        assert_eq!(engine.cached_plans(), 0, "epoch bump purges the plan cache");
-        let warm: Vec<_> = engine
-            .prepare(q.clone(), RankSpec::Sum)
-            .unwrap()
-            .stream()
-            .collect();
+        let (prepared, report) = engine.query(q.clone()).prepare_report().unwrap();
+        assert!(report.cache_hit, "the plan over untouched relations stays");
+        let warm: Vec<_> = prepared.stream().collect();
         assert_eq!(
             engine.index_stats().builds,
             builds,
-            "re-prepare after an unrelated update is an index lookup"
+            "an unrelated update builds nothing"
         );
         assert_eq!(baseline, warm);
         // Replacing a participating relation invalidates its payload's
@@ -2438,10 +2428,8 @@ mod tests {
         let q_b = QueryBuilder::new().atom("R2", &["b", "c"]).build();
         let _ = engine.query(q_b.clone()).plan().unwrap();
         assert_eq!(engine.cached_plans(), 2);
-        assert_eq!(engine.catalog_epoch(), 0);
 
         engine.append("R1", edge_rel(&[(9, 10, 0.7)])).unwrap();
-        assert_eq!(engine.catalog_epoch(), 0, "appends never bump the epoch");
         assert_eq!(
             engine.cached_plans(),
             2,
@@ -2615,6 +2603,103 @@ mod tests {
             assert!(got.len() > 24, "{q}");
             assert_eq!(got, want, "{q}");
         }
+    }
+
+    #[test]
+    fn a_write_drops_and_refreshes_exactly_the_plans_that_read_what_it_changed() {
+        let catalog = (*refresh_engine().catalog()).clone();
+        // The path never reads R2; the triangle does.
+        let path = QueryBuilder::new()
+            .atom("R3", &["x", "y"])
+            .atom("R1", &["y", "z"])
+            .build();
+        let triangle = triangle_query();
+        let new_r2: Vec<_> = (0..36)
+            .map(|i| (i % 6, i / 6, 0.25 * ((i * 5) % 7) as f64))
+            .collect();
+        let new_r2 = edge_rel(&new_r2);
+        let mut replaced = (*refresh_engine().catalog()).clone();
+        replaced.register("R2", new_r2.clone());
+        let want: Vec<_> = (Engine::new(replaced).prepare(triangle.clone(), RankSpec::Sum))
+            .unwrap()
+            .stream()
+            .canonical_ties()
+            .collect();
+        assert!(want.len() > 24);
+        for engine in [
+            ShardedEngine::from(Engine::new(catalog.clone())),
+            ShardedEngine::new(catalog.clone(), 3).unwrap(),
+        ] {
+            let shards = engine.num_shards();
+            let read = |q: &ConjunctiveQuery| engine.prepare_report(q.clone(), RankSpec::Sum);
+            for q in [&path, &triangle] {
+                read(q).unwrap();
+            }
+            assert_eq!(engine.cache_stats().entries, 2 * shards);
+
+            // A relation no plan reads: nothing is dropped, both reads hit.
+            engine
+                .register("Unrelated", edge_rel(&[(7, 8, 0.0)]))
+                .unwrap();
+            assert_eq!(
+                engine.cache_stats().entries,
+                2 * shards,
+                "{shards} shard(s)"
+            );
+            for q in [&path, &triangle] {
+                assert!(read(q).unwrap().1.cache_hit, "{shards} shard(s): {q}");
+            }
+
+            // Replacing R2 re-prepares the triangle once per shard and
+            // nothing else; the reader after it hits the new data.
+            let misses = engine.cache_stats().misses;
+            let invalidated = engine.write_stats().invalidated_plans;
+            engine.register("R2", new_r2.clone()).unwrap();
+            assert_eq!(engine.cache_stats().misses - misses, shards as u64);
+            let invalidated = engine.write_stats().invalidated_plans - invalidated;
+            assert_eq!(invalidated, shards as u64);
+            let (prepared, report) = read(&triangle).unwrap();
+            assert!(
+                report.cache_hit,
+                "{shards} shard(s): the writer refreshed it"
+            );
+            let got: Vec<_> = prepared.stream().canonical_ties().collect();
+            assert_eq!(got, want, "{shards} shard(s)");
+            assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
+
+            // Removing R2 leaves no entry that reads it; the path stays.
+            assert!(engine.remove("R2"));
+            for shard in engine.shard_engines() {
+                let cache = shard.shared.cache.lock().unwrap();
+                let reads_r2 =
+                    |slot: &CacheSlot| slot.deps.iter().any(|(n, _)| n.starts_with("R2"));
+                assert!(!cache.map.values().any(reads_r2), "{shards} shard(s)");
+                assert_eq!(cache.map.len(), 1, "{shards} shard(s)");
+            }
+            assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
+            assert!(read(&triangle).is_err());
+        }
+    }
+
+    #[test]
+    fn a_panicking_catalog_update_never_serves_a_stale_plan() {
+        let (engine, q) = path_engine();
+        let _ = engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        let update = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.update_catalog(|c| {
+                c.register("R2", edge_rel(&[(10, 999, 0.0)]));
+                panic!("the update fails after replacing R2");
+            })
+        }));
+        assert!(update.is_err());
+        let fresh: Vec<_> = (engine.query(q).plan().unwrap())
+            .map(|a| a.ints())
+            .collect();
+        assert_eq!(
+            fresh,
+            [[2, 10, 999], [1, 10, 999]],
+            "the new R2, not the plan over the old"
+        );
     }
 
     #[test]

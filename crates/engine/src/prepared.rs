@@ -84,8 +84,6 @@ pub struct PreparedQuery {
     /// One plan per prepared query: clones, the streams they spawn and
     /// the terms of a union all share it.
     plan: Arc<Plan>,
-    /// Catalog epoch this query was prepared against (cache validity).
-    epoch: u64,
     inner: PreparedInner,
 }
 
@@ -93,7 +91,6 @@ impl std::fmt::Debug for PreparedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedQuery")
             .field("plan", &self.plan)
-            .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
 }
@@ -172,7 +169,6 @@ impl PreparedQuery {
         plan: Arc<Plan>,
         rels: Vec<Relation>,
         batch: bool,
-        epoch: u64,
         indexes: &dyn IndexProvider,
     ) -> Result<Self, EngineError> {
         let leaf = match plan.rank {
@@ -194,7 +190,6 @@ impl PreparedQuery {
         };
         Ok(PreparedQuery {
             plan,
-            epoch,
             inner: PreparedInner::Leaf(leaf),
         })
     }
@@ -205,9 +200,9 @@ impl PreparedQuery {
     /// members canonically. Members that are themselves unions are
     /// flattened, so shards × delta terms merge through a single tree.
     /// `plan` is the facade plan: it reports the original query. A
-    /// union of one member is that member — its own plan, epoch, tie
-    /// order and page fill, with no merge around it.
-    pub(crate) fn union(plan: Arc<Plan>, members: Vec<PreparedQuery>, epoch: u64) -> PreparedQuery {
+    /// union of one member is that member — its own plan, tie order and
+    /// page fill, with no merge around it.
+    pub(crate) fn union(plan: Arc<Plan>, members: Vec<PreparedQuery>) -> PreparedQuery {
         let members = match <[PreparedQuery; 1]>::try_from(members) {
             Ok([member]) => return member,
             Err(members) => members,
@@ -223,7 +218,6 @@ impl PreparedQuery {
         }
         PreparedQuery {
             plan,
-            epoch,
             inner: PreparedInner::Union(Arc::new(PreparedUnion { members, leaves })),
         }
     }
@@ -251,7 +245,6 @@ impl PreparedQuery {
         };
         Some(leaf.map_err(EngineError::from).map(|leaf| PreparedQuery {
             plan: Arc::clone(&more.plan),
-            epoch: more.epoch,
             inner: PreparedInner::Leaf(leaf),
         }))
     }
@@ -259,13 +252,6 @@ impl PreparedQuery {
     /// The plan this query was prepared under (route, ranking, width).
     pub fn plan(&self) -> &Plan {
         &self.plan
-    }
-
-    /// The engine catalog epoch this query was prepared against. The
-    /// engine's plan cache serves this prepared query only while the
-    /// catalog is still at this epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The prepared queries this one merges: the per-shard parts of a
@@ -545,10 +531,10 @@ mod tests {
         let engine = crate::Engine::new(catalog);
         let member = engine.prepare(path_query(2), RankSpec::Sum).unwrap();
         let facade = Arc::new(Plan::clone(member.plan()));
-        let one = PreparedQuery::union(facade, vec![member.clone()], member.epoch() + 1);
+        let one = PreparedQuery::union(facade, vec![member.clone()]);
         assert!(matches!(one.inner, PreparedInner::Leaf(_)), "no merge");
-        assert!(std::ptr::eq(one.plan(), member.plan()));
-        assert_eq!(one.epoch(), member.epoch());
+        assert!(std::ptr::eq(one.plan(), member.plan()), "not the facade");
+        assert_eq!(one.parts().len(), 1);
         assert!(one.stream_traced(engine.obs()).1.is_none());
         let want: Vec<_> = member.stream().collect();
         assert_eq!(one.stream().collect::<Vec<_>>(), want);

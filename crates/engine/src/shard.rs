@@ -65,26 +65,26 @@ struct ShardedShared {
     /// One full engine per shard, each over its own catalog fork with
     /// its own index catalog.
     engines: Vec<Engine>,
-    /// The cross-shard coordination epoch. Writers (register/remove)
-    /// hold the write side while applying an update to *every* shard,
-    /// so a prepare (read side) always sees all shards at the same
-    /// logical version — no torn cross-shard catalogs.
+    /// Cross-shard write coordination. Writers (register, remove,
+    /// append, compact) hold the write side while applying a write to
+    /// *every* shard, so a prepare (read side) always sees all shards
+    /// at the same logical version — no torn cross-shard catalogs.
     ///
     /// Lock order: `coord` is acquired before any per-shard catalog or
     /// cache lock (coord ≺ catalog ≺ cache ≺ cursor table).
-    coord: RwLock<u64>,
+    coord: RwLock<()>,
 }
 
 /// N full [`Engine`] shards behind one globally-ranked query facade.
 ///
 /// `Clone + Send + Sync`: clones are handles onto the same shard set,
 /// so any number of threads may prepare, stream, and update
-/// concurrently. Catalog updates are epoch-coordinated: a relation
-/// update re-partitions the relation and applies (full + fragment) to
-/// every shard under the coordination write lock, bumping the global
-/// epoch; streams opened earlier keep their immutable snapshots
-/// (relation payloads are `Arc`-shared), preserving snapshot isolation
-/// mid-stream.
+/// concurrently. Writes are coordinated: a relation update
+/// re-partitions the relation and applies (full + fragment) to every
+/// shard under the coordination write lock, and each shard drops and
+/// refreshes exactly the plans that read what changed; streams opened
+/// earlier keep their immutable snapshots (relation payloads are
+/// `Arc`-shared), preserving snapshot isolation mid-stream.
 #[derive(Clone)]
 pub struct ShardedEngine {
     shared: Arc<ShardedShared>,
@@ -94,7 +94,6 @@ impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.num_shards())
-            .field("epoch", &self.epoch())
             .finish_non_exhaustive()
     }
 }
@@ -160,7 +159,7 @@ impl ShardedEngine {
         ShardedEngine {
             shared: Arc::new(ShardedShared {
                 engines,
-                coord: RwLock::new(0),
+                coord: RwLock::new(()),
             }),
         }
     }
@@ -173,24 +172,7 @@ impl ShardedEngine {
         rels: Vec<Relation>,
         shards: usize,
     ) -> Result<Self, EngineError> {
-        if q.num_atoms() != rels.len() {
-            return Err(EngineError::BindingCountMismatch {
-                atoms: q.num_atoms(),
-                relations: rels.len(),
-            });
-        }
-        let mut catalog = Catalog::new();
-        for (atom, rel) in q.atoms().iter().zip(rels) {
-            if let Some(prev) = catalog.get(&atom.relation) {
-                if *prev != rel {
-                    return Err(EngineError::ConflictingBindings {
-                        relation: atom.relation.clone(),
-                    });
-                }
-            }
-            catalog.register(atom.relation.clone(), rel);
-        }
-        ShardedEngine::new(catalog, shards)
+        ShardedEngine::new(crate::bind_catalog(q, rels)?, shards)
     }
 
     /// Number of shards.
@@ -201,16 +183,6 @@ impl ShardedEngine {
     /// The shard engines (diagnostics and tests).
     pub fn shard_engines(&self) -> &[Engine] {
         &self.shared.engines
-    }
-
-    /// The cross-shard coordination epoch: bumped by every
-    /// [`register`](Self::register) / [`remove`](Self::remove).
-    pub fn epoch(&self) -> u64 {
-        *self
-            .shared
-            .coord
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Each shard paired with its part of `rel`'s hash partition when
@@ -229,9 +201,9 @@ impl ShardedEngine {
     /// relation under `name`, its hash fragments under `{name}#frag`.
     /// Runs under the coordination write lock, so concurrent prepares
     /// see either no shard updated or all of them (never a torn
-    /// cross-shard catalog); per-shard epochs bump, invalidating cached
-    /// plans and exactly the replaced relation's indexes on each shard.
-    /// Streams already open keep their payload snapshots.
+    /// cross-shard catalog); each shard drops and refreshes the cached
+    /// plans that read the replaced relation and invalidates exactly
+    /// its indexes. Streams already open keep their payload snapshots.
     pub fn register<S: Into<String>>(&self, name: S, rel: Relation) -> Result<(), EngineError> {
         let name = name.into();
         if name.contains('#') {
@@ -239,12 +211,11 @@ impl ShardedEngine {
         }
         let frag = fragment(&name, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &rel);
-        let mut epoch = self
+        let _coord = self
             .shared
             .coord
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        *epoch += 1;
         for (engine, part) in shards {
             engine.update_catalog(|c| {
                 c.register(name.clone(), rel.clone());
@@ -259,13 +230,13 @@ impl ShardedEngine {
     /// Append one batch to the named relation on **every** shard: the
     /// full batch joins `name`'s delta tail, the batch's hash fragments
     /// join `{name}#frag`'s. Runs under the coordination write lock
-    /// (no torn cross-shard appends) but — like [`Engine::append`] —
-    /// does **not** bump any epoch: per-shard invalidation is
-    /// relation-scoped, so cached plans and warm indexes over other
-    /// relations survive. Returns the append's [`Appended`] outcome:
-    /// every shard's logical copy takes the full batch, so every shard
-    /// reports the same one. Typed failures: unknown relation, batch arity
-    /// mismatch, reserved `#` names.
+    /// (no torn cross-shard appends); like every write, it invalidates
+    /// per shard only the plans that read what it changed, so cached
+    /// plans and warm indexes over other relations survive. Returns the
+    /// append's [`Appended`] outcome: every shard's logical copy takes
+    /// the full batch, so every shard reports the same one. Typed
+    /// failures: unknown relation, batch arity mismatch, reserved `#`
+    /// names.
     pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         if name.contains('#') {
             return Err(EngineError::ReservedRelationName {
@@ -274,12 +245,11 @@ impl ShardedEngine {
         }
         let frag = fragment(name, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &batch);
-        let coord = self
+        let _coord = self
             .shared
             .coord
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let _ = *coord;
         let mut appended = Appended {
             deltas: 0,
             compacted: false,
@@ -299,12 +269,11 @@ impl ShardedEngine {
     /// actually compacted.
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
         let frag = fragment(name, self.num_shards());
-        let coord = self
+        let _coord = self
             .shared
             .coord
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let _ = *coord;
         let mut compacted = false;
         for engine in &self.shared.engines {
             compacted |= engine.compact(name)?;
@@ -335,13 +304,13 @@ impl ShardedEngine {
 
     /// Remove a relation (full + fragment) from every shard, under the
     /// coordination write lock. Returns `true` if any shard held it.
+    /// The cached plans that read it fail to re-prepare and are gone.
     pub fn remove(&self, name: &str) -> bool {
-        let mut epoch = self
+        let _coord = self
             .shared
             .coord
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        *epoch += 1;
         let frag = fragment(name, self.num_shards());
         let mut removed = false;
         for engine in &self.shared.engines {
@@ -387,9 +356,9 @@ impl ShardedEngine {
     /// Prepare `cq` under `rank` on every shard, returning the union
     /// of the per-shard parts ([`PreparedQuery::parts`]): its streams
     /// merge into the canonical globally-ranked stream, its plan
-    /// reports the original (un-scattered) query, and its epoch is the
-    /// coordination epoch. Runs under the coordination read lock, so
-    /// all per-shard prepares see the same logical catalog version.
+    /// reports the original (un-scattered) query. Runs under the
+    /// coordination read lock, so all per-shard prepares see the same
+    /// logical catalog version.
     /// With one shard it is that shard's own prepare.
     pub fn prepare(
         &self,
@@ -409,7 +378,7 @@ impl ShardedEngine {
         cq: ConjunctiveQuery,
         rank: RankSpec,
     ) -> Result<(PreparedQuery, PrepareReport), EngineError> {
-        let coord = self
+        let _coord = self
             .shared
             .coord
             .read()
@@ -434,7 +403,7 @@ impl ShardedEngine {
         // rewrite is an internal addressing detail.
         let mut plan = parts[0].plan().clone();
         plan.query = cq;
-        Ok((PreparedQuery::union(Arc::new(plan), parts, *coord), report))
+        Ok((PreparedQuery::union(Arc::new(plan), parts), report))
     }
 
     /// This sharded engine's shard-0 observability registry (the
@@ -461,12 +430,11 @@ impl ShardedEngine {
     /// its replicated relation on all shards. With one shard there is
     /// no fan-out: the plan alone, as the shard renders it.
     pub fn explain(&self, cq: ConjunctiveQuery, rank: RankSpec) -> Result<String, EngineError> {
-        let coord = self
+        let _coord = self
             .shared
             .coord
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let _ = *coord;
         let scatter = self.scatter(&cq)?;
         let mut fan_out = String::new();
         if let Some((pivot, _)) = scatter {
@@ -712,25 +680,26 @@ mod tests {
     }
 
     #[test]
-    fn register_updates_all_shards_and_bumps_epoch() {
+    fn register_updates_all_shards_and_refreshes_readers() {
         let (q, catalog) = path_catalog();
         let sharded = ShardedEngine::new(catalog, 3).unwrap();
-        assert_eq!(sharded.epoch(), 0);
         let before: Vec<_> = sharded.stream(&q, RankSpec::Sum).unwrap().collect();
+        assert_eq!(before.len(), 4);
 
-        // Replace R2 so path 1-3-7 disappears.
+        // Replace R2 so paths 1-3-7 and 5-6-9 disappear.
         sharded
             .register("R2", edge_rel(&[(2, 7, 0.5), (4, 8, 0.2)]))
             .unwrap();
-        assert_eq!(sharded.epoch(), 1);
-        let after: Vec<_> = sharded.stream(&q, RankSpec::Sum).unwrap().collect();
-        assert!(after.len() < before.len());
+        let (prepared, report) = sharded.prepare_report(q.clone(), RankSpec::Sum).unwrap();
+        assert!(report.cache_hit, "every shard refreshed its plan");
+        let after: Vec<_> = prepared.stream().map(|a| a.ints()).collect();
+        assert_eq!(after, [[2, 4, 8], [1, 2, 7]]);
         for engine in sharded.shard_engines() {
             assert!(engine.catalog().get("R2#frag").is_some());
         }
 
         assert!(sharded.remove("R2"));
-        assert_eq!(sharded.epoch(), 2);
+        assert_eq!(sharded.cache_stats().entries, 0, "no plan over R2 is left");
         assert!(sharded.stream(&q, RankSpec::Sum).is_err());
         assert!(!sharded.remove("R2"), "already gone");
     }
@@ -763,7 +732,6 @@ mod tests {
         let batch = edge_rel(&[(1, 7, 0.05), (9, 4, 0.6)]);
         single.append("R1", batch.clone()).unwrap();
         sharded.append("R1", batch).unwrap();
-        assert_eq!(sharded.epoch(), 0, "appends never bump the coord epoch");
 
         let want: Vec<_> = single
             .prepare(q.clone(), RankSpec::Sum)

@@ -7,6 +7,6 @@ pub fn stamp() -> u128 {
     Instant::now().elapsed().as_millis()
 }
 
-pub fn epoch() -> SystemTime {
+pub fn wall() -> SystemTime {
     SystemTime::now()
 }

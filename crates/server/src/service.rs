@@ -384,8 +384,9 @@ pub struct ServiceStats {
     pub appended_rows: u64,
     /// Threshold compactions folded delta batches into fresh bases.
     pub compactions: u64,
-    /// Prepared plans dropped by relation-scoped append invalidation
-    /// (summed across shards).
+    /// Prepared plans dropped because a write changed a relation they
+    /// read — appends and compactions, and catalog updates too (summed
+    /// across shards).
     pub append_invalidations: u64,
     /// Terms of those plans their refresh took over as they were.
     pub terms_kept: u64,

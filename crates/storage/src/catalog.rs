@@ -23,10 +23,10 @@ use std::sync::Arc;
 /// Relations are [`Relation`] *handles*: returned references `clone()`
 /// as a refcount bump, never an `O(n)` tuple copy — resolution hands
 /// out shared payloads. Cloning the whole catalog likewise shares
-/// every relation payload (the engine's copy-on-write epoch seam
-/// relies on this) — **and** the [`IndexCatalog`], so epoch snapshots
-/// keep serving the same warm trie indexes for every relation they
-/// did not touch.
+/// every relation payload (the engine's copy-on-write writes rely on
+/// this) — **and** the [`IndexCatalog`], so snapshots on either side
+/// of a write keep serving the same warm trie indexes for every
+/// relation it did not touch.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     relations: FxHashMap<String, DeltaRelation>,
@@ -149,9 +149,8 @@ impl Catalog {
     }
 
     /// The shared index catalog. Catalog clones (including the
-    /// engine's copy-on-write epoch snapshots) return the *same*
-    /// catalog, so warm indexes survive epoch bumps for untouched
-    /// relations.
+    /// engine's copy-on-write snapshots) return the *same* catalog, so
+    /// warm indexes survive writes for untouched relations.
     pub fn indexes(&self) -> &Arc<IndexCatalog> {
         &self.indexes
     }

@@ -11,14 +11,14 @@
 //!
 //! Keying details:
 //!
-//! * **Payload identity, not name + epoch.** A [`Relation`] handle
+//! * **Payload identity, not name + version.** A [`Relation`] handle
 //!   names immutable tuple storage via [`Relation::payload_id`]; the
 //!   id changes whenever the payload diverges (copy-on-write) and is
 //!   never reused within a process. Indexes keyed this way can never
 //!   serve stale data — an updated relation has a new payload id, so a
-//!   lookup for it simply misses — and catalog snapshots taken at
-//!   different epochs share indexes for every relation they have in
-//!   common.
+//!   lookup for it simply misses — and catalog snapshots taken
+//!   before and after a write share indexes for every relation they
+//!   have in common.
 //! * **Canonical full-permutation orders.** A request for a *prefix*
 //!   order (say `[1]` on a binary relation) is extended with the
 //!   remaining columns ascending (`[1, 0]`) before keying, so
@@ -133,7 +133,7 @@ struct Inner {
 
 /// The shared, lazily-populated, LRU-bounded trie index store (see
 /// module docs). `Catalog` holds one behind an `Arc`, so catalog
-/// clones — including the engine's copy-on-write epoch snapshots —
+/// clones — including the engine's copy-on-write catalog snapshots —
 /// share the same warm indexes.
 #[derive(Debug)]
 pub struct IndexCatalog {

@@ -606,6 +606,22 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_payloads_id_is_never_handed_out_again() {
+        // The plan cache's freshness rule rests on this: a relation
+        // built after a payload is freed — likely into the very same
+        // allocation — never carries the freed payload's id.
+        let r = rel();
+        let dropped = r.payload_id();
+        drop(r);
+        for _ in 0..64 {
+            let fresh = rel();
+            assert!(fresh.payload_id() > dropped);
+            let copy = fresh.project(&[0, 1]);
+            assert!(copy.payload_id() > dropped);
+        }
+    }
+
+    #[test]
     fn concat_preserves_part_order() {
         let r = rel();
         let single = Relation::concat(std::slice::from_ref(&r));

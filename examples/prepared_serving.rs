@@ -6,7 +6,8 @@
 //! `O~(n)` phase (full reducer, T-DP) lives in a `PreparedQuery`; each
 //! `stream()` afterwards pays only the per-answer delay side. The
 //! engine is `Clone + Send + Sync`, relations are `Arc`-backed handles,
-//! and catalog updates bump an epoch so cached plans never go stale.
+//! and a catalog update drops and re-prepares exactly the cached plans
+//! that read what it changed, so no cached plan ever goes stale.
 //!
 //! Run with: `cargo run --example prepared_serving`
 
@@ -72,15 +73,16 @@ fn main() -> Result<(), EngineError> {
         first.map(|a| a.ints())
     );
 
-    // --- 6. Catalog updates bump the epoch; prepared state is a
-    //        snapshot, new plans see new data. ---
-    let epoch_before = engine.catalog_epoch();
+    // --- 6. A catalog update re-prepares the plans that read what it
+    //        replaced; prepared state is a snapshot, new plans see new
+    //        data. ---
+    let before = engine.cache_stats();
     engine.register("R1", Relation::empty(Schema::new(["a", "b"])));
+    let after = engine.cache_stats();
     println!(
-        "epoch {} -> {} after update; cached plans: {}",
-        epoch_before,
-        engine.catalog_epoch(),
-        engine.cached_plans()
+        "after the update: {} cached plan(s), {} re-prepared by the writer",
+        after.entries,
+        after.misses - before.misses
     );
     assert!(
         prepared.stream().next().is_some(),

@@ -224,14 +224,13 @@ fn interleaved_pulls_do_not_interfere() {
 fn catalog_update_during_serving_is_snapshot_isolated() {
     // A prepared query keeps serving its snapshot while another thread
     // replaces the underlying relation; plans made after the update see
-    // the new data (epoch bump invalidates the cache).
+    // the new data (the update drops and refreshes the plan over R2).
     let q = path_query(2);
     let r1 = scrambled_edges(200, 10, 29);
     let r2 = scrambled_edges(200, 10, 31);
     let engine = Engine::from_query_bindings(&q, vec![r1, r2]);
     let prepared = engine.prepare(q.clone(), RankSpec::Sum).unwrap();
     let before = answers(prepared.stream());
-    let epoch0 = engine.catalog_epoch();
 
     thread::scope(|s| {
         let updater = {
@@ -244,12 +243,19 @@ fn catalog_update_during_serving_is_snapshot_isolated() {
         updater.join().expect("updater");
     });
 
-    assert_eq!(engine.catalog_epoch(), epoch0 + 1);
     assert_eq!(
         answers(prepared.stream()),
         before,
         "prepared snapshot survives the catalog update"
     );
-    let fresh = answers(engine.query(q).plan().unwrap());
+    let (fresh, report) = engine.query(q.clone()).prepare_report().unwrap();
+    assert!(report.cache_hit, "the updater refreshed the plan");
+    let fresh = answers(fresh.stream());
     assert_ne!(fresh, before, "new plans see the replaced relation");
+    let reference = Engine::new((*engine.catalog()).clone());
+    let want = answers(reference.prepare(q, RankSpec::Sum).unwrap().stream());
+    assert_eq!(
+        fresh, want,
+        "the refreshed plan serves the replaced relation"
+    );
 }

@@ -813,7 +813,6 @@ fn sharded_invalidation_is_coherent_with_mid_stream_snapshots() {
     let sharded = ShardedEngine::try_from_query_bindings(&q, old_rels.clone(), 3).expect("sharded");
     let want_old = brute_force_ranked(&q, &old_rels, RankSpec::Sum);
     let want_new = brute_force_ranked(&q, &new_rels, RankSpec::Sum);
-    let epoch_before = sharded.epoch();
 
     // Several merged streams open *before* the update, drained on
     // their own threads *while* the update lands.
@@ -843,7 +842,8 @@ fn sharded_invalidation_is_coherent_with_mid_stream_snapshots() {
         });
     });
 
-    assert!(sharded.epoch() > epoch_before, "update bumps the epoch");
-    let fresh: Vec<RankedAnswer> = sharded.stream(&q, RankSpec::Sum).expect("stream").collect();
+    let (prepared, report) = (sharded.prepare_report(q.clone(), RankSpec::Sum)).expect("prepare");
+    assert!(report.cache_hit, "the update refreshed every shard's plan");
+    let fresh: Vec<RankedAnswer> = prepared.stream().collect();
     assert_exact_oracle_order(&fresh, &want_new, "post-update stream sees the new data");
 }
