@@ -9,8 +9,10 @@
 //! writer refreshes those from the entries it invalidated, and every
 //! other read is an untouched cache hit. What a refresh costs depends
 //! on the term: the all-base term is kept, a materialized delta term
-//! (the triangle's) is extended by the join over the batch, a T-DP
-//! delta term (the paths') is rebuilt. This experiment asserts the
+//! (the triangle's) is extended by the join over the batch, and a T-DP
+//! delta term rooted at the appended atom (the paths', two atoms under
+//! Sum and Max) is extended by the batch's rows at its root, sharing
+//! its `R2` side with the term it replaces. This experiment asserts the
 //! counter arithmetic of that design; `anykbench --workload
 //! live_writes` times it (`server.write_p50_us`, reader TTF and TT(k)
 //! with spread). Every catalog write takes this path — a `register`
@@ -29,10 +31,10 @@
 //!   misses and **zero** new index builds.
 //! * **extension** — with the readers gone and a triangle plan over
 //!   `R1` warm beside the two paths, 32 more batches go into `R1`.
-//!   Counter-asserted: every append keeps the three all-base terms,
-//!   extends the triangle's delta term and rebuilds the two paths' —
-//!   no triangle term is rebuilt — and the untouched plan still has
-//!   not moved.
+//!   Counter-asserted: every append keeps the three all-base terms and
+//!   extends all three delta terms — the triangle's by the batch's
+//!   answers, the two paths' at their roots — so nothing is rebuilt,
+//!   and the untouched plan still has not moved.
 //!
 //! The mixed and extension scenes each end with a correctness pin: the
 //! served ranked prefix over the appended relation equals a direct
@@ -235,9 +237,9 @@ fn serve(edges: usize, nodes: u64, queries_per_client: usize, selects: &[String]
     ];
     assert_eq!(
         terms,
-        [3 * n, n, 2 * n],
-        "[kept, extended, rebuilt]: every append keeps three all-base terms, extends \
-         the triangle's delta term and rebuilds only the two paths'"
+        [3 * n, 3 * n, 0],
+        "[kept, extended, rebuilt]: every append keeps three all-base terms and extends \
+         the triangle's delta term and the two paths' at their roots"
     );
     assert_eq!(
         (after.cache.misses, after.index.builds),
@@ -249,7 +251,7 @@ fn serve(edges: usize, nodes: u64, queries_per_client: usize, selects: &[String]
     println!(
         "acceptance: {batches} appends under load invalidated {} dependent plans; the \
          untouched plan kept its cache entry and index; {EXTENSIONS} more appends kept \
-         {} terms, extended {} (the triangle's, every time) and rebuilt {} (the two paths')",
+         {} terms, extended {} (the triangle's and the two paths', every time) and rebuilt {}",
         before_probe.append_invalidations, terms[0], terms[1], terms[2]
     );
     server.shutdown();

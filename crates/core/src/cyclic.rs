@@ -459,6 +459,15 @@ impl<R: RankingFunction> Trees<R> {
         &self.0
     }
 
+    /// A lone tree with an open root, `batch`'s rows added at it
+    /// ([`TdpInstance::extend_root`]); `None` for any other union.
+    pub fn extend_root(&self, batch: &Relation) -> Option<Result<Self, TdpError>> {
+        match self.trees() {
+            [tree] if tree.has_open_root() => Some(tree.extend_root(batch).map(Trees::from)),
+            _ => None,
+        }
+    }
+
     /// A fresh ranked stream driven by ANYK-PART with successor order
     /// `kind`, enumerating from the shared prepared trees.
     pub fn part(&self, kind: SuccessorKind) -> RankedUnion<AnyKPart<R>> {

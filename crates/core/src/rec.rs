@@ -310,7 +310,7 @@ impl<R: RankingFunction> AnyKRec<R> {
             let mut cost = inst.slot_weight(slot, row);
             for &cs in child_slots {
                 let g = inst.group_of_parent_row[cs][row as usize] as usize;
-                cost = R::combine(&cost, &inst.group_best[cs][g].0);
+                cost = R::combine(&cost, &inst.best(cs, g).0);
             }
             let seq = self.bump();
             let ranks: Box<[u32]> = vec![0u32; child_slots.len()].into_boxed_slice();

@@ -80,6 +80,7 @@ use anyk_join::generic_join_trie_requests;
 use anyk_query::cq::{triangle_query, ConjunctiveQuery};
 use anyk_query::cycles::{cycle_heavy_threshold, cycle_length, cycle_submodular_width};
 use anyk_query::gyo::{gyo_reduce, GyoResult};
+use anyk_query::join_tree::JoinTree;
 use anyk_storage::{Catalog, FxHashMap, IndexCatalog, IndexProvider, IndexStats, Relation};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -178,12 +179,17 @@ pub struct WriteStats {
     /// built over (the all-base term after an append, and the delta
     /// terms of the atoms before the appended one).
     pub terms_kept: u64,
-    /// Materialized terms a refresh extended by the join over the new
-    /// batches alone.
+    /// Terms a refresh extended by the new batches alone: a
+    /// materialized term by the join over them, a T-DP delta term rooted
+    /// at its delta atom by their rows at its root, every other slot's
+    /// state shared with the term it replaces.
     pub terms_extended: u64,
-    /// Terms a refresh built from their relations: T-DP terms, terms
-    /// that changed in two positions (self-joins), terms over a
-    /// compacted or replaced relation, and an atom's first delta term.
+    /// Terms a refresh built from their relations: an atom's first delta
+    /// term, a term that changed in two positions (a self-join's `(F,
+    /// D)`) or in a position other than its root, every term after a
+    /// compaction or a replacement swapped a base, and a T-DP delta term
+    /// a re-rooted tree would cost differently (Lex off the plan root,
+    /// Sum and Prod over three atoms or more; see `delta_root`).
     pub terms_rebuilt: u64,
 }
 
@@ -378,6 +384,29 @@ impl Refresh<'_> {
     }
 }
 
+/// The tree a T-DP delta term of `plan` over atom `delta` is built on
+/// with an open root ([`PreparedQuery::build_rooted`]): the plan's join
+/// tree rooted at `delta`, when every cost the term emits stays bit for
+/// bit the plan tree's — the plan is rooted at `delta` already (any
+/// ranking, Lex included), the ranking is Max or Min (exact, and blind
+/// to the order it combines in), or the term has two atoms under Sum or
+/// Prod (IEEE `+` and `×` commute but do not associate). `None` — the
+/// term keeps the plan's tree and a full reduction — for a `Batch`
+/// term, a cyclic route, and every other ranking and width.
+fn delta_root(plan: &Plan, delta: usize, batch: bool) -> Option<JoinTree> {
+    let Route::Acyclic { tree } = &plan.route else {
+        return None;
+    };
+    let node = (0..tree.len()).find(|&n| tree.node(n).atom == delta)?;
+    let exact = node == tree.root()
+        || match plan.rank {
+            RankSpec::Max | RankSpec::Min => true,
+            RankSpec::Sum | RankSpec::Prod => tree.len() == 2,
+            RankSpec::Lex => false,
+        };
+    (exact && !batch).then(|| tree.rerooted(&plan.query, node))
+}
+
 /// Is every dependency fingerprint still current in `catalog`?
 fn deps_current(catalog: &Catalog, deps: &[(String, Vec<u64>)]) -> bool {
     deps.iter().all(|(name, ids)| {
@@ -425,23 +454,6 @@ impl PlanCache {
             slot.last_used = tick;
             &*slot
         })
-    }
-
-    /// Look up without refreshing the LRU position — for speculative
-    /// probes (the triangle batch/any-k normalization) that may not
-    /// end up serving the entry.
-    fn peek(&self, key: &CacheKey) -> Option<&CacheSlot> {
-        self.map.get(key)
-    }
-
-    /// Refresh an entry's LRU position after a [`peek`](Self::peek)
-    /// turned into an actual serve.
-    fn touch(&mut self, key: &CacheKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.map.get_mut(key) {
-            slot.last_used = tick;
-        }
     }
 
     /// Insert (or replace) an entry, then evict down to capacity —
@@ -534,7 +546,10 @@ impl PlanCache {
 /// structurally — a lookup renders and copies nothing. The `batch` flag
 /// is part of the key because batch plans prepare a different artifact
 /// (materialized sorted answers) than the any-k variants (T-DP state) —
-/// while all PART successor orders and REC share one entry.
+/// while all PART successor orders and REC share one entry. A plan with
+/// one artifact whatever the variant (`single_artifact`: the triangle,
+/// and a cyclic query under a non-commutative ranking) is keyed as
+/// any-k, so one entry serves Batch and any-k requests alike.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     cq: ConjunctiveQuery,
@@ -544,11 +559,10 @@ struct CacheKey {
 
 impl CacheKey {
     fn new(cq: ConjunctiveQuery, rank: RankSpec, opts: EngineOpts) -> Self {
-        CacheKey {
-            cq,
-            rank,
-            batch: matches!(opts.variant, AnyKVariant::Batch),
-        }
+        // Only a Batch request asks what the query's shape is: an any-k
+        // lookup hashes the key it was given.
+        let batch = matches!(opts.variant, AnyKVariant::Batch) && !single_artifact(&cq, rank);
+        CacheKey { cq, rank, batch }
     }
 }
 
@@ -998,7 +1012,7 @@ impl Engine {
         opts: EngineOpts,
         mut refresh: Option<Refresh<'_>>,
     ) -> Result<(PreparedQuery, bool), EngineError> {
-        let mut key = CacheKey::new(cq, rank, opts);
+        let key = CacheKey::new(cq, rank, opts);
         let catalog = self.catalog();
         {
             let mut cache = self
@@ -1015,27 +1029,6 @@ impl Engine {
                     return Ok((served, true));
                 }
             }
-            // Single-artifact plans (`variant == None`: the triangle
-            // route, and cyclic routes under a non-commutative
-            // ranking) build the same materialized artifact whether or
-            // not Batch was requested, and are stored under
-            // `batch: false` — accept that entry for a Batch request
-            // rather than materializing a duplicate. Peek first: the
-            // probe must not refresh the entry's LRU position unless
-            // it is actually served.
-            if key.batch {
-                key.batch = false;
-                if let Some(slot) = cache.peek(&key) {
-                    if slot.prepared.plan().variant.is_none() && deps_current(&catalog, &slot.deps)
-                    {
-                        let served = slot.prepared.adopt_variant(opts.variant);
-                        cache.touch(&key);
-                        cache.hits += 1;
-                        return Ok((served, true));
-                    }
-                }
-                key.batch = true;
-            }
             cache.misses += 1;
         }
         let cq = &key.cq;
@@ -1044,8 +1037,7 @@ impl Engine {
         let delta_atoms = live.iter().filter(|a| a.has_deltas()).count();
         let mut plan = make_plan(cq, rank, opts, &fulls, catalog.indexes())?;
         plan.deltas = delta_atoms;
-        // Normalize: one cache entry serves Batch and any-k alike.
-        let batch = key.batch && plan.variant.is_some();
+        let batch = key.batch;
         // One plan for the prepared query, its terms and their streams.
         let plan = Arc::new(plan);
         // The answers over (base ⊎ deltas) per atom, telescoped so the
@@ -1081,25 +1073,40 @@ impl Engine {
             // The one shortcut: a term of the entry this prepare
             // replaces is taken over when it was built over the same
             // payloads, and — joins being multilinear — extended by the
-            // join over the new batches when one position grew by them
-            // and its answers are materialized.
+            // join over the new batches when one position grew by them:
+            // a materialized term by the batches' answers, a T-DP term
+            // rooted at its delta atom by the batches' rows at its root
+            // when that atom is the one that grew.
             let writes = &self.shared.writes;
             let stale = refresh.as_mut();
             let taken = match stale.and_then(|r| r.take_term(cq, &live, term)) {
                 Some((old, None)) => Some((old, &writes.terms_kept)),
-                Some((old, Some((pos, from)))) if old.holds_materialized_answers() => {
+                Some((old, Some((pos, from)))) => {
                     let sources = TermRead::of(term, pos).slice(&live[pos].sources);
-                    let rels = rels(Some((pos, &sources[from..])));
-                    let more = PreparedQuery::build(Arc::clone(&plan), rels, batch, &indexes)?;
-                    let extended = old.extend(&more).transpose()?;
-                    extended.map(|term| (term, &writes.terms_extended))
+                    let extended = if old.holds_materialized_answers() {
+                        let rels = rels(Some((pos, &sources[from..])));
+                        let more = PreparedQuery::build(Arc::clone(&plan), rels, batch, &indexes)?;
+                        old.extend(&more)
+                    } else if term == Some(pos) {
+                        let rows = Relation::concat(&sources[from..]);
+                        old.extend_root(Arc::clone(&plan), &rows)
+                    } else {
+                        None
+                    };
+                    extended
+                        .transpose()?
+                        .map(|term| (term, &writes.terms_extended))
                 }
                 _ => None,
             };
             let (built, counter) = match taken {
                 Some(taken) => taken,
                 None => {
-                    let built = PreparedQuery::build(plan, rels(None), batch, &indexes)?;
+                    let rels = rels(None);
+                    let built = match term.and_then(|i| delta_root(&plan, i, batch)) {
+                        Some(tree) => PreparedQuery::build_rooted(plan, rels, &tree)?,
+                        None => PreparedQuery::build(plan, rels, batch, &indexes)?,
+                    };
                     (built, &writes.terms_rebuilt)
                 }
             };
@@ -1119,7 +1126,6 @@ impl Engine {
             PreparedQuery::union(plan, terms)
         };
         let deps = query_deps(&catalog, cq);
-        key.batch = batch;
         self.shared
             .cache
             .lock()
@@ -1263,6 +1269,19 @@ fn resolve_live(
 /// Route the query. Relations are needed for a cycle's heavy
 /// threshold (`n^(1/⌈ℓ/2⌉)`) and for probing `indexes` (are the shared
 /// tries this route will request already catalog-resident?).
+/// Does `cq` under `rank` prepare one artifact whatever the variant?
+/// The triangle plan has a single implementation (worst-case-optimal
+/// materialization + deferred sort) that no variant choice affects, and
+/// so does any cyclic route under a non-commutative ranking — the
+/// per-case/bag any-k plans serialize atoms in per-case orders, so e.g.
+/// lexicographic ranking runs off the materialized answers with weights
+/// serialized in canonical atom order instead. Batch is honored on every
+/// other route — cyclic routes materialize worst-case-optimally.
+fn single_artifact(cq: &ConjunctiveQuery, rank: RankSpec) -> bool {
+    let cyclic = matches!(gyo_reduce(cq), GyoResult::Cyclic(_));
+    cyclic && (cycle_length(cq) == Some(3) || !rank.is_commutative())
+}
+
 fn make_plan(
     cq: &ConjunctiveQuery,
     rank: RankSpec,
@@ -1293,20 +1312,8 @@ fn make_plan(
         Route::Decomposed { decomp } => decomp.width,
     };
     // Record the *effective* variant so `explain` never reports a
-    // variant that does not run: the triangle plan has a single
-    // implementation (worst-case-optimal materialization + deferred
-    // sort) that no variant choice affects, and so does any cyclic
-    // route under a non-commutative ranking — the per-case/bag any-k
-    // plans serialize atoms in per-case orders, so e.g. lexicographic
-    // ranking runs off the materialized answers with weights
-    // serialized in canonical atom order instead. Batch is honored on
-    // every other route — cyclic routes materialize
-    // worst-case-optimally.
-    let variant = match &route {
-        Route::Triangle => None,
-        Route::Cycle { .. } | Route::Decomposed { .. } if !rank.is_commutative() => None,
-        _ => Some(opts.variant),
-    };
+    // variant that does not run.
+    let variant = (!single_artifact(cq, rank)).then_some(opts.variant);
     let index = index_use(cq, &route, rank, opts, rels, indexes);
     Ok(Plan {
         query: cq.clone(),
@@ -2144,7 +2151,7 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
 
-        // The triangle batch/any-k normalization's peek-serve is a hit.
+        // A Batch request for the triangle hits its any-k entry.
         let e = edge_rel(&[(1, 2, 0.5), (2, 3, 1.0), (3, 1, 0.25)]);
         let tq = triangle_query();
         let tri = Engine::from_query_bindings(&tq, vec![e.clone(), e.clone(), e]);
@@ -2569,9 +2576,10 @@ mod tests {
         let first = (3, 0, 1 + 1 + 2);
         // Every later one: all-base terms kept; the triangle's
         // materialized delta term extended by the batch; the path's
-        // T-DP term rebuilt; the self-join's `(D, B)` rebuilt because
-        // it is T-DP state and its `(F, D)` because it grew twice.
-        let later = (3, 1, 1 + 2);
+        // T-DP term and the self-join's `(D, B)` — two atoms under Sum,
+        // rooted at the delta atom — extended at their roots; the
+        // self-join's `(F, D)` rebuilt because it grew twice.
+        let later = (3, 1 + 2, 1);
         assert_eq!(append(0), first);
         for step in 1..16 {
             assert_eq!(append(step), later, "append {step}");
@@ -2586,7 +2594,7 @@ mod tests {
         let w = engine.write_stats();
         assert_eq!(
             (w.terms_kept, w.terms_extended, w.terms_rebuilt),
-            (18 * 3, 15 + 1, 2 * 4 + 16 * 3 + 3)
+            (18 * 3, 16 * 3, 2 * 4 + 16 + 3)
         );
 
         // What the chain of refreshes left in the cache serves the
@@ -2728,6 +2736,43 @@ mod tests {
             want,
             "the extension copied, it did not grow in place"
         );
+    }
+
+    #[test]
+    fn a_path_stream_open_across_a_root_extension_finishes_on_its_snapshot() {
+        let engine = refresh_engine();
+        let q = QueryBuilder::new()
+            .atom("R1", &["x", "y"])
+            .atom("R2", &["y", "z"])
+            .build();
+        engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        engine.append("R1", r1_batch(0)).unwrap();
+        // The reference stream builds successor orders in the delta
+        // term's shared R2 side; the held one stops half-way through.
+        let prepared = engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+        let want: Vec<_> = prepared.stream().collect();
+        let mut held = prepared.stream();
+        let head = held.next_batch(want.len() / 2);
+
+        engine.append("R1", r1_batch(1)).unwrap();
+        assert_eq!(engine.write_stats().terms_extended, 1, "at its root");
+        let grown: Vec<_> = (engine.prepare(q.clone(), RankSpec::Sum).unwrap())
+            .stream()
+            .collect();
+        assert!(grown.len() > want.len(), "the batch joins R2");
+
+        let tail: Vec<_> = held.collect();
+        assert_eq!(
+            [head, tail].concat(),
+            want,
+            "the root was copied, not grown in place"
+        );
+        let fresh = Engine::new(engine.catalog().flattened());
+        let fresh: Vec<_> = (fresh.prepare(q, RankSpec::Sum).unwrap())
+            .stream()
+            .canonical_ties()
+            .collect();
+        assert_eq!(grown, fresh);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use anyk_core::succorder::SuccessorKind;
 use anyk_core::tdp::TdpInstance;
 use anyk_core::AnyK;
 use anyk_obs::{Clock, ObsRegistry};
+use anyk_query::join_tree::JoinTree;
 use anyk_storage::{IndexProvider, Relation};
 use std::sync::Arc;
 
@@ -245,6 +246,64 @@ impl PreparedQuery {
         };
         Some(leaf.map_err(EngineError::from).map(|leaf| PreparedQuery {
             plan: Arc::clone(&more.plan),
+            inner: PreparedInner::Leaf(leaf),
+        }))
+    }
+
+    /// An acyclic any-k term over `rels` on `tree` — the plan's join
+    /// tree rooted at a delta term's delta atom — with every slot but
+    /// the root reduced bottom-up only, so that
+    /// [`extend_root`](Self::extend_root) can add the atom's next
+    /// batches ([`TdpInstance::prepare_rooted`]).
+    pub(crate) fn build_rooted(
+        plan: Arc<Plan>,
+        rels: Vec<Relation>,
+        tree: &JoinTree,
+    ) -> Result<Self, EngineError> {
+        fn trees<R: RankingFunction>(
+            plan: &Plan,
+            rels: Vec<Relation>,
+            tree: &JoinTree,
+        ) -> Result<PreparedRoute<R>, EngineError> {
+            let inst = TdpInstance::<R>::prepare_rooted(&plan.query, tree, rels)?;
+            Ok(PreparedRoute::Trees(inst.into()))
+        }
+        let leaf = match plan.rank {
+            RankSpec::Sum => PreparedLeaf::Sum(trees(&plan, rels, tree)?),
+            RankSpec::Max => PreparedLeaf::Max(trees(&plan, rels, tree)?),
+            RankSpec::Min => PreparedLeaf::Min(trees(&plan, rels, tree)?),
+            RankSpec::Prod => PreparedLeaf::Prod(trees(&plan, rels, tree)?),
+            RankSpec::Lex => PreparedLeaf::Lex(trees(&plan, rels, tree)?),
+        };
+        Ok(PreparedQuery {
+            plan,
+            inner: PreparedInner::Leaf(leaf),
+        })
+    }
+
+    /// This term with `batch`'s rows added at its root, under `plan`:
+    /// `None` unless it is a [`build_rooted`](Self::build_rooted) term
+    /// ([`anyk_core::cyclic::Trees::extend_root`]). Only the root is
+    /// built; every other slot's state is shared with this term.
+    pub(crate) fn extend_root(
+        &self,
+        plan: Arc<Plan>,
+        batch: &Relation,
+    ) -> Option<Result<Self, EngineError>> {
+        let PreparedInner::Leaf(leaf) = &self.inner else {
+            return None;
+        };
+        use {PreparedLeaf as L, PreparedRoute::Trees as T};
+        let leaf = match leaf {
+            L::Sum(T(t)) => t.extend_root(batch)?.map(|t| L::Sum(T(t))),
+            L::Max(T(t)) => t.extend_root(batch)?.map(|t| L::Max(T(t))),
+            L::Min(T(t)) => t.extend_root(batch)?.map(|t| L::Min(T(t))),
+            L::Prod(T(t)) => t.extend_root(batch)?.map(|t| L::Prod(T(t))),
+            L::Lex(T(t)) => t.extend_root(batch)?.map(|t| L::Lex(T(t))),
+            _ => return None,
+        };
+        Some(leaf.map_err(EngineError::from).map(|leaf| PreparedQuery {
+            plan,
             inner: PreparedInner::Leaf(leaf),
         }))
     }

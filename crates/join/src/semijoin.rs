@@ -213,6 +213,27 @@ impl EdgeRuns {
         runs
     }
 
+    /// The runs of an edge whose parent side is not known yet: the
+    /// child's kept rows split by key, in key order, with no parent rows
+    /// — a key trie's leaves, or one run of every row on an edge with no
+    /// shared variable.
+    fn keyed(child: Side<'_>) -> Self {
+        let mut runs = EdgeRuns {
+            child_rows: Vec::with_capacity(child.keep.iter().filter(|&&k| k).count()),
+            parent_rows: Vec::new(),
+            ends: Vec::new(),
+        };
+        if child.pos.is_empty() {
+            runs.push(0..row_bound(child.rel), std::iter::empty());
+        } else {
+            let trie = key_trie(&child);
+            leaves(&trie, trie.root(), &mut |rows| {
+                runs.push(rows.iter().copied(), std::iter::empty())
+            });
+        }
+        runs
+    }
+
     fn push(&mut self, child: impl Iterator<Item = RowId>, parent: impl Iterator<Item = RowId>) {
         self.child_rows.extend(child);
         self.parent_rows.extend(parent);
@@ -298,6 +319,19 @@ fn merge_matches(
     }
 }
 
+/// Every leaf of `t` below `h`, in key order: the rows carrying one
+/// full key each.
+fn leaves(t: &Trie, h: NodeHandle, f: &mut impl FnMut(&[RowId])) {
+    let last = h.level as usize + 1 == t.depth();
+    for i in h.start..h.end {
+        if last {
+            f(t.leaf_rows(h, i));
+        } else {
+            leaves(t, t.descend(h, i), f);
+        }
+    }
+}
+
 /// Marks a dropped row in an input-id → reduced-id map. Never a real
 /// id: ids are below their relation's row count, which fits a `RowId`.
 const DROPPED: RowId = RowId::MAX;
@@ -363,17 +397,62 @@ impl Reduction {
     ///
     /// If a relation has more rows than a [`RowId`] can address.
     pub fn run(q: &ConjunctiveQuery, tree: &JoinTree, rels: &mut [Relation]) -> Self {
+        let (order, edges, mut keep) = Self::up(q, tree, rels, false);
+        // Top-down, in pre-order: each node is filtered by its parent.
+        for &node in &order {
+            let Some(edge) = &edges[node] else { continue };
+            let mut child_keep = std::mem::take(&mut keep[edge.child_atom]);
+            edge.runs
+                .sweep(false, &keep[edge.parent_atom], &mut child_keep);
+            keep[edge.child_atom] = child_keep;
+        }
+        Self::finish(edges, rels, &keep)
+    }
+
+    /// The bottom-up half of [`run`](Self::run), for a tree whose root
+    /// relation is not known yet: every node below the root is reduced
+    /// against its own subtree (children filter parents; a child also
+    /// loses the rows whose key its parent relation lacks), and the
+    /// root's relation is neither read, nor changed, nor lets anything
+    /// filter by it. The edges into the root are not matched: their groups
+    /// are the child's rows split by join key, in ascending key order,
+    /// and they map no parent row. A row kept here extends to a full
+    /// answer of its subtree, so a root row that finds its key among
+    /// every child's groups extends to a full answer, and one that does
+    /// not is dropped by whoever adds it (T-DP's open root).
+    ///
+    /// # Panics
+    ///
+    /// If a relation has more rows than a [`RowId`] can address.
+    pub fn bottom_up(q: &ConjunctiveQuery, tree: &JoinTree, rels: &mut [Relation]) -> Self {
+        let (_, edges, keep) = Self::up(q, tree, rels, true);
+        Self::finish(edges, rels, &keep)
+    }
+
+    /// The bottom-up sweep, in reverse pre-order: sort and match each
+    /// node's edge over what is still kept on both sides, then let the
+    /// node filter its parent. A node's subtree is done before the
+    /// node's own edge is sorted, so every edge sorts the fewest rows
+    /// it can. With `open_root`, the root keeps no bits at all and an
+    /// edge into it is only sorted into key runs ([`EdgeRuns::keyed`]).
+    /// Returns the pre-order, the edges and the keep-bits.
+    fn up(
+        q: &ConjunctiveQuery,
+        tree: &JoinTree,
+        rels: &[Relation],
+        open_root: bool,
+    ) -> (Vec<NodeId>, Vec<Option<Edge>>, Vec<Vec<bool>>) {
         assert_eq!(rels.len(), q.num_atoms());
+        let root = tree.node(tree.root()).atom;
         let mut keep: Vec<Vec<bool>> = (rels.iter().enumerate())
             .map(|(atom, rel)| {
+                if open_root && atom == root {
+                    return Vec::new();
+                }
                 let repeats = RepeatedVars::of(q.atom(atom)).mask(rel);
                 repeats.unwrap_or_else(|| vec![true; rel.len()])
             })
             .collect();
-        // Bottom-up, in reverse pre-order: sort and match each node's
-        // edge over what is still kept on both sides, then let the node
-        // filter its parent. A node's subtree is done before the node's
-        // own edge is sorted, so every edge sorts the fewest rows it can.
         let order = tree.preorder();
         let mut edges: Vec<Option<Edge>> = (0..tree.len()).map(|_| None).collect();
         for &node in order.iter().rev() {
@@ -385,19 +464,25 @@ impl Reduction {
             // A node and its parent are distinct atoms (even for
             // self-joins), so lending one bit vector out is safe.
             let mut child_keep = std::mem::take(&mut keep[child_atom]);
-            let runs = EdgeRuns::build(
-                Side {
-                    rel: &rels[child_atom],
-                    pos: &cpos,
-                    keep: &mut child_keep,
-                },
-                Side {
-                    rel: &rels[parent_atom],
-                    pos: &ppos,
-                    keep: &mut keep[parent_atom],
-                },
-            );
-            runs.sweep(true, &child_keep, &mut keep[parent_atom]);
+            let child = Side {
+                rel: &rels[child_atom],
+                pos: &cpos,
+                keep: &mut child_keep,
+            };
+            let runs = if open_root && parent_atom == root {
+                EdgeRuns::keyed(child)
+            } else {
+                let runs = EdgeRuns::build(
+                    child,
+                    Side {
+                        rel: &rels[parent_atom],
+                        pos: &ppos,
+                        keep: &mut keep[parent_atom],
+                    },
+                );
+                runs.sweep(true, &child_keep, &mut keep[parent_atom]);
+                runs
+            };
             keep[child_atom] = child_keep;
             edges[node] = Some(Edge {
                 runs,
@@ -405,17 +490,20 @@ impl Reduction {
                 parent_atom,
             });
         }
-        // Top-down, in pre-order: each node is filtered by its parent.
-        for &node in &order {
-            let Some(edge) = &edges[node] else { continue };
-            let mut child_keep = std::mem::take(&mut keep[edge.child_atom]);
-            edge.runs
-                .sweep(false, &keep[edge.parent_atom], &mut child_keep);
-            keep[edge.child_atom] = child_keep;
-        }
+        (order, edges, keep)
+    }
 
-        let (new_ids, kept) = (rels.iter_mut().zip(&keep))
-            .map(|(rel, keep)| compact(rel, keep))
+    /// Compact every relation to its kept rows (an atom without keep-bits
+    /// — an open root — is left as it is and addresses no row).
+    fn finish(edges: Vec<Option<Edge>>, rels: &mut [Relation], keep: &[Vec<bool>]) -> Self {
+        let (new_ids, kept) = (rels.iter_mut().zip(keep))
+            .map(|(rel, keep)| {
+                if keep.is_empty() {
+                    (Vec::new(), 0)
+                } else {
+                    compact(rel, keep)
+                }
+            })
             .unzip();
         Reduction {
             edges,
@@ -568,5 +656,28 @@ mod tests {
         let mut rels = vec![r];
         full_reducer(&q, &tree, &mut rels);
         assert_eq!(column(&rels[0], 0), vec![1, 3]);
+    }
+
+    #[test]
+    fn bottom_up_reduces_below_the_root_and_leaves_the_root_alone() {
+        // Root R1 over R2 over R3: R3 filters R2, R2's keys filter R3,
+        // the root filters nothing, and R2's groups under it are its
+        // key runs on x1.
+        let q = path_query(3);
+        let tree = JoinTree::from_parents(&q, &[None, Some(0), Some(1)]);
+        let mut rels = vec![
+            edge_rel(["a", "b"], &[(9, 9)]),
+            edge_rel(["b", "c"], &[(5, 1), (3, 2), (5, 3), (4, 9)]),
+            edge_rel(["c", "d"], &[(1, 0), (2, 0), (3, 0), (7, 0)]),
+        ];
+        let reduction = Reduction::bottom_up(&q, &tree, &mut rels);
+        assert_eq!(column(&rels[0], 0), vec![9], "the root is not read");
+        assert_eq!(column(&rels[1], 1), vec![1, 2, 3]);
+        assert_eq!(column(&rels[2], 0), vec![1, 2, 3], "no R2 row carries 7");
+        let g = reduction.groups(1);
+        assert_eq!((g.offsets, g.rows), (vec![0, 1, 3], vec![1, 0, 2]));
+        assert!(g.of_parent_row.is_empty(), "no root row is mapped");
+        let g = reduction.groups(2);
+        assert_eq!(g.of_parent_row, vec![0, 1, 2]);
     }
 }

@@ -124,6 +124,30 @@ impl JoinTree {
         (order, parent_slot)
     }
 
+    /// The same tree rooted at `node`: the parent links on the path
+    /// from `node` up to the old root are reversed, every other link is
+    /// kept, so every edge still joins the same two atoms on the same
+    /// variables. Rooted at its own root, the tree is returned as it is
+    /// (children in the same order).
+    pub fn rerooted(&self, q: &ConjunctiveQuery, node: NodeId) -> JoinTree {
+        if node == self.root {
+            return self.clone();
+        }
+        let atom = |n: NodeId| self.nodes[n].atom;
+        let mut parents = vec![None; self.nodes.len()];
+        for n in &self.nodes {
+            parents[n.atom] = n.parent.map(atom);
+        }
+        let (mut child, mut up) = (node, self.nodes[node].parent);
+        parents[atom(node)] = None;
+        while let Some(p) = up {
+            up = self.nodes[p].parent;
+            parents[atom(p)] = Some(atom(child));
+            child = p;
+        }
+        JoinTree::from_parents(q, &parents)
+    }
+
     /// Check the running-intersection property against `q`: for each
     /// variable, the atoms using it must induce a connected subtree.
     pub fn satisfies_running_intersection(&self, q: &ConjunctiveQuery) -> bool {
@@ -202,6 +226,20 @@ mod tests {
             .build();
         let t = JoinTree::from_parents(&q, &[None, Some(0), Some(1), Some(0)]);
         assert_eq!(t.preorder(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn rerooting_reverses_the_path_to_the_new_root() {
+        let q = path_query(4);
+        let t = JoinTree::from_parents(&q, &[Some(1), Some(2), None, Some(2)]);
+        let r = t.rerooted(&q, 0);
+        assert_eq!(r.root(), 0);
+        assert_eq!(r.node(1).parent, Some(0));
+        assert_eq!(r.node(2).parent, Some(1));
+        assert_eq!(r.node(3).parent, Some(2), "off the path: kept");
+        assert_eq!(r.node(2).join_vars, t.node(1).join_vars, "same edge");
+        assert!(r.satisfies_running_intersection(&q));
+        assert_eq!(t.rerooted(&q, 2), t, "at its own root: unchanged");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::delta::DeltaRelation;
 use crate::error::StorageError;
 use crate::fxhash::FxHashMap;
 use crate::index_catalog::IndexCatalog;
-use crate::relation::Relation;
+use crate::relation::{Relation, MAX_ROWS};
 use crate::trie::Trie;
 use crate::value::Value;
 use std::sync::Arc;
@@ -84,8 +84,10 @@ impl Catalog {
 
     /// Append one immutable batch to the named relation (`O(batch)`:
     /// the batch payload is adopted as a delta, the base is never
-    /// rewritten). Typed errors for an unknown relation and for an
-    /// arity mismatch; empty batches succeed without adding a delta.
+    /// rewritten). Typed errors for an unknown relation, for an arity
+    /// mismatch, and for a batch that would take the relation past
+    /// [`MAX_ROWS`] rows — the entry is left as it was; empty batches
+    /// succeed without adding a delta.
     pub fn append(&mut self, name: &str, batch: Relation) -> Result<(), StorageError> {
         let entry = self
             .relations
@@ -100,6 +102,7 @@ impl Catalog {
                 got: batch.arity(),
             });
         }
+        check_rows(name, entry.total_rows().saturating_add(batch.len()))?;
         entry.push(batch);
         Ok(())
     }
@@ -212,6 +215,19 @@ impl Catalog {
             _ => None,
         }
     }
+}
+
+/// `rows` as the row count of relation `name`, or the typed refusal
+/// past [`MAX_ROWS`]: every relation the catalog holds, flattened or
+/// compacted, stays within its row ids.
+fn check_rows(name: &str, rows: usize) -> Result<(), StorageError> {
+    if rows > MAX_ROWS {
+        return Err(StorageError::TooManyRows {
+            name: name.to_string(),
+            rows,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -330,6 +346,20 @@ mod tests {
         assert_eq!(
             c.compact("T").err(),
             Some(StorageError::RelationNotFound { name: "T".into() })
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn appends_past_the_row_id_range_are_refused() {
+        // The boundary itself, without allocating four billion rows.
+        assert_eq!(check_rows("R", MAX_ROWS), Ok(()));
+        assert_eq!(
+            check_rows("R", MAX_ROWS + 1),
+            Err(StorageError::TooManyRows {
+                name: "R".into(),
+                rows: MAX_ROWS + 1,
+            })
         );
     }
 

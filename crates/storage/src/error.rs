@@ -29,6 +29,15 @@ pub enum StorageError {
         /// The batch's arity.
         got: usize,
     },
+    /// An append batch that would take the relation past
+    /// [`MAX_ROWS`](crate::relation::MAX_ROWS) rows (base and deltas
+    /// together), beyond what a [`RowId`](crate::RowId) addresses.
+    TooManyRows {
+        /// The relation appended to.
+        name: String,
+        /// The row count the append would have left it with.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -48,6 +57,13 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "append to `{name}`: batch arity {got} does not match relation arity {expected}"
+                )
+            }
+            StorageError::TooManyRows { name, rows } => {
+                write!(
+                    f,
+                    "append to `{name}`: {rows} rows exceed the {} a relation can hold",
+                    crate::relation::MAX_ROWS
                 )
             }
         }
@@ -77,6 +93,14 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "append to `R`: batch arity 3 does not match relation arity 2"
+        );
+        let e = StorageError::TooManyRows {
+            name: "R".into(),
+            rows: 1 << 32,
+        };
+        assert_eq!(
+            e.to_string(),
+            "append to `R`: 4294967296 rows exceed the 4294967295 a relation can hold"
         );
     }
 }

@@ -52,7 +52,7 @@ pub use index_catalog::{
     BuildEachTime, IndexCatalog, IndexProvider, IndexStats, DEFAULT_INDEX_CATALOG_BYTES,
 };
 pub use partition::{partition_relation, shard_of_row};
-pub use relation::{Relation, RelationBuilder, RowId};
+pub use relation::{Relation, RelationBuilder, RowId, MAX_ROWS};
 pub use schema::Schema;
 pub use trie::Trie;
 pub use value::{FloatBits, Value, Weight};

@@ -35,6 +35,13 @@ fn fresh_payload_id() -> u64 {
 /// far beyond in-memory scale.
 pub type RowId = u32;
 
+/// The most rows a relation holds: its row count is a [`RowId`] too, so
+/// ids `0..len` and `len` itself convert losslessly. The catalog refuses
+/// an append past it
+/// ([`StorageError::TooManyRows`](crate::StorageError::TooManyRows)),
+/// so no flattened or compacted relation exceeds it.
+pub const MAX_ROWS: usize = RowId::MAX as usize;
+
 /// The owned tuple data behind a [`Relation`] handle.
 #[derive(Debug)]
 struct Payload {
@@ -178,6 +185,17 @@ impl Relation {
         self.payload.weights.is_empty()
     }
 
+    /// Number of rows as the exclusive bound of the relation's row ids.
+    ///
+    /// # Panics
+    ///
+    /// If the relation holds more than [`MAX_ROWS`] rows, which only a
+    /// builder fed that many rows directly can produce.
+    #[inline]
+    fn row_count(&self) -> RowId {
+        RowId::try_from(self.len()).expect("a relation holds at most MAX_ROWS rows")
+    }
+
     /// The values of row `id`.
     #[inline]
     pub fn row(&self, id: RowId) -> &[Value] {
@@ -200,12 +218,9 @@ impl Relation {
 
     /// Iterate `(RowId, &[Value], Weight)`.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value], Weight)> + '_ {
-        let a = self.arity();
-        self.payload
-            .weights
-            .iter()
-            .enumerate()
-            .map(move |(i, &w)| (i as RowId, &self.payload.data[i * a..(i + 1) * a], w))
+        (0..self.row_count())
+            .zip(&self.payload.weights)
+            .map(move |(id, &w)| (id, self.row(id), w))
     }
 
     /// Extract the sub-tuple of row `id` at `positions` into `out`.
@@ -230,28 +245,21 @@ impl Relation {
     /// is actually dropped, so an all-pass reduction of a shared handle
     /// (the common case on globally consistent inputs) copies nothing.
     pub fn retain<F: FnMut(RowId) -> bool>(&mut self, mut pred: F) -> usize {
-        let n = self.len();
+        let n = self.row_count();
         // First pass: find the first dropped row without touching data.
-        let mut first_drop = n;
-        for i in 0..n {
-            if !pred(i as RowId) {
-                first_drop = i;
-                break;
-            }
-        }
-        if first_drop == n {
-            return n;
-        }
+        let Some(first_drop) = (0..n).find(|&id| !pred(id)) else {
+            return self.len();
+        };
         let a = self.arity();
         let p = self.make_mut();
-        let mut out = first_drop;
-        for i in (first_drop + 1)..n {
-            if pred(i as RowId) {
-                let (src, dst) = (i * a, out * a);
+        let mut out = first_drop as usize;
+        for id in (first_drop + 1)..n {
+            if pred(id) {
+                let (src, dst) = (id as usize * a, out * a);
                 for j in 0..a {
                     p.data[dst + j] = p.data[src + j];
                 }
-                p.weights[out] = p.weights[i];
+                p.weights[out] = p.weights[id as usize];
                 out += 1;
             }
         }
@@ -263,8 +271,7 @@ impl Relation {
     /// Sort rows lexicographically by the attributes at `positions`
     /// (stable within equal keys by original order).
     pub fn sort_by_positions(&mut self, positions: &[usize]) {
-        let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut order: Vec<RowId> = (0..self.row_count()).collect();
         order.sort_by(|&x, &y| {
             let rx = self.row(x);
             let ry = self.row(y);
@@ -281,14 +288,13 @@ impl Relation {
 
     /// Sort rows by weight ascending.
     pub fn sort_by_weight(&mut self) {
-        let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut order: Vec<RowId> = (0..self.row_count()).collect();
         order.sort_by(|&x, &y| self.weight(x).cmp(&self.weight(y)).then(x.cmp(&y)));
         self.permute(&order);
     }
 
     /// Reorder rows so new row i = old row order[i].
-    fn permute(&mut self, order: &[u32]) {
+    fn permute(&mut self, order: &[RowId]) {
         let a = self.arity();
         let mut data = Vec::with_capacity(self.payload.data.len());
         let mut weights = Vec::with_capacity(self.payload.weights.len());
@@ -308,7 +314,7 @@ impl Relation {
         let positions: Vec<usize> = (0..self.arity()).collect();
         // Sort by values then weight so the lightest duplicate comes first.
         let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut order: Vec<RowId> = (0..self.row_count()).collect();
         order.sort_by(|&x, &y| {
             let rx = self.row(x);
             let ry = self.row(y);
@@ -354,7 +360,7 @@ impl Relation {
         let schema = Schema::new(positions.iter().map(|&p| self.schema().attr(p).to_string()));
         let mut b = RelationBuilder::new(schema);
         let mut key = Vec::with_capacity(positions.len());
-        for i in 0..self.len() as RowId {
+        for i in 0..self.row_count() {
             self.key_into(i, positions, &mut key);
             b.push(&key, self.weight(i));
         }

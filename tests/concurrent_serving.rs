@@ -259,3 +259,65 @@ fn catalog_update_during_serving_is_snapshot_isolated() {
         "the refreshed plan serves the replaced relation"
     );
 }
+
+#[test]
+fn readers_building_shared_orders_while_a_writer_extends_the_root() {
+    // Every append below extends the path's delta term at its root
+    // (R1): the refreshed term shares R2's groups, costs and successor
+    // orders with the one before it. Readers page streams of the
+    // snapshot they prepared while the writer appends, so the orders
+    // they build on first touch land in state the terms of other
+    // snapshots read too. Every paged stream must be exactly its
+    // snapshot's stream: base plus the batches appended before it.
+    let q = path_query(2);
+    let batches: Vec<Relation> = (0..12).map(|b| scrambled_edges(16, 20, 101 + b)).collect();
+    let base = vec![scrambled_edges(200, 20, 41), scrambled_edges(200, 20, 43)];
+    let engine = Engine::from_query_bindings(&q, base.clone());
+    engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+    engine.append("R1", batches[0].clone()).unwrap();
+    let snapshots: Vec<Vec<(Vec<i64>, Cost)>> = (1..=batches.len())
+        .map(|j| {
+            let r1 = Relation::concat(&[&base[..1], &batches[..j]].concat());
+            let reference = Engine::from_query_bindings(&q, vec![r1, base[1].clone()]);
+            let prepared = reference.prepare(q.clone(), RankSpec::Sum).unwrap();
+            answers(prepared.stream().canonical_ties())
+        })
+        .collect();
+
+    // Round `r`: every reader prepares snapshot `r` and takes its first
+    // page; then the writer's append (and its refresh, which reads the
+    // shared state) runs while the readers drain the rest.
+    let (rounds, barrier) = (batches.len() - 1, Barrier::new(5));
+    thread::scope(|s| {
+        for _ in 0..4 {
+            let (engine, q, barrier, snapshots) = (&engine, &q, &barrier, &snapshots);
+            s.spawn(move || {
+                for want in &snapshots[..rounds] {
+                    let prepared = engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+                    let mut stream = prepared.stream();
+                    let mut got = answers(stream.next_batch(50).into_iter());
+                    barrier.wait();
+                    loop {
+                        let page = stream.next_batch(50);
+                        if page.is_empty() {
+                            break;
+                        }
+                        got.extend(answers(page.into_iter()));
+                    }
+                    assert_eq!(&got, want, "a page left its snapshot");
+                    barrier.wait();
+                }
+            });
+        }
+        for batch in &batches[1..] {
+            barrier.wait();
+            engine.append("R1", batch.clone()).unwrap();
+            barrier.wait();
+        }
+    });
+    assert_eq!(
+        engine.write_stats().terms_extended,
+        batches.len() as u64 - 1,
+        "every append after the first extended the delta term at its root"
+    );
+}

@@ -23,8 +23,9 @@ const PAGE: usize = 4;
 const PAGES: usize = 3; // rows pulled per query = PAGE * PAGES
 
 /// The five warm selects: three touch `R1` (the appended relation) —
-/// two paths, whose delta term every append rebuilds, and a triangle,
-/// whose materialized delta term every append extends — and two live
+/// two paths, whose delta term every append after the first extends at
+/// its root, and a triangle, whose materialized delta term every append
+/// after the first extends by the batch's answers — and two live
 /// entirely on `R3 ⋈ R4` and must never be invalidated.
 const SELECTS: [&str; 5] = [
     "SELECT R1(a,b), R2(b,c) RANK BY sum LIMIT 4;",
@@ -231,8 +232,9 @@ fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[
     );
 
     // Correctness pin: the touched selects now serve base ⊎ all five
-    // deltas — the path through a delta term rebuilt five times, the
-    // triangle through one built once and extended four times — byte-
+    // deltas — the path through a delta term built once and extended
+    // at its root four times, the triangle through one built once and
+    // extended by the batch's answers four times — byte-
     // identical to a fresh single-payload engine's canonical-tie
     // stream through the same encoder.
     let mut combined = vec![rels[0].clone()];

@@ -52,6 +52,9 @@ thread_local! {
     /// and the most it has held.
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Bytes this thread has asked for, freed or not (a reallocation
+    /// counts its new size).
+    static ASKED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -60,6 +63,9 @@ fn count() {
 }
 
 fn resize(from: usize, to: usize) {
+    if to > 0 {
+        let _ = ASKED.try_with(|asked| asked.set(asked.get() + to as u64));
+    }
     let _ = LIVE.try_with(|live| {
         live.set(live.get() - from as isize + to as isize);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
@@ -263,4 +269,88 @@ fn a_trie_build_holds_sixteen_bytes_a_row_beyond_its_trie() {
         );
         drop(trie);
     }
+}
+
+/// A 64-row batch for `R1`, every row joining `R2` on one of its 1 000
+/// keys.
+fn r1_batch(step: i64) -> Relation {
+    let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
+    for i in 0..64 {
+        let row = step * 64 + i;
+        b.push_ints(&[10_000 + row, row * 7 % 1_000], (row % 13) as f64 / 8.0);
+    }
+    b.finish()
+}
+
+/// Bytes allocated by the first and by the fifth 64-row append to `R1`
+/// of a warm `R1(x, y) ⋈ R2(y, z)` path: 1 024 `R1` rows, `partner`
+/// `R2` rows over 1 000 join keys. Each append refreshes the cached
+/// plan on the appending thread.
+fn path_append_bytes(partner: i64) -> (u64, u64) {
+    let edges = |rows: i64, key: &dyn Fn(i64) -> (i64, i64)| {
+        let mut b = RelationBuilder::new(Schema::new(["u", "v"]));
+        for i in 0..rows {
+            let (x, y) = key(i);
+            b.push_ints(&[x, y], (i % 11) as f64 / 4.0);
+        }
+        b.finish()
+    };
+    let mut catalog = Catalog::new();
+    catalog.register("R1", edges(1_024, &|i| (i, i % 1_000)));
+    catalog.register("R2", edges(partner, &|i| (i % 1_000, i)));
+    let engine = Engine::new(catalog);
+    let path = QueryBuilder::new()
+        .atom("R1", &["x", "y"])
+        .atom("R2", &["y", "z"])
+        .build();
+    let top = |engine: &Engine| {
+        let prepared = engine.prepare(path.clone(), RankSpec::Sum);
+        prepared.expect("prepare").stream().top_k(10)
+    };
+    top(&engine);
+    let append = |step: i64| {
+        let batch = r1_batch(step);
+        let before = ASKED.get();
+        engine.append("R1", batch).expect("append");
+        let asked = ASKED.get() - before;
+        assert_eq!(top(&engine).len(), 10);
+        asked
+    };
+    let first = append(0);
+    let mut fifth = 0;
+    for step in 1..5 {
+        fifth = append(step);
+    }
+    let w = engine.write_stats();
+    assert_eq!(
+        (w.terms_extended, w.terms_rebuilt, w.compactions),
+        (4, 1, 0)
+    );
+    (first, fifth)
+}
+
+#[test]
+fn a_warm_path_refresh_allocates_for_the_batch_not_for_its_partner() {
+    // The first append builds R1's delta term from nothing: R2's side
+    // of it — key runs, groups, subtree costs — is sorted and laid out
+    // once, at |R2| (as is every term after a compaction, which swaps
+    // the base under all of them). Every later append extends that
+    // term at its root and shares R2's side, so what it allocates
+    // follows the batch and R1's delta tail, whatever R2 holds.
+    let sizes = [4_000, 16_000, 64_000];
+    let (first, later): (Vec<u64>, Vec<u64>) = sizes.iter().map(|&n| path_append_bytes(n)).unzip();
+    assert!(
+        first[2] > first[0] + 16 * (sizes[2] - sizes[0]) as u64,
+        "the first delta term is built at |R2|: {first:?} bytes at {sizes:?} rows"
+    );
+    let (least, most) = (later.iter().min(), later.iter().max());
+    assert!(
+        most.zip(least)
+            .is_some_and(|(most, least)| most - least <= 256),
+        "a later refresh allocates the same bytes at every |R2|: {later:?} at {sizes:?} rows"
+    );
+    assert!(
+        later[0] < first[0] / 2,
+        "{later:?} against a first build of {first:?}"
+    );
 }

@@ -81,6 +81,43 @@ fn check_lex(q: &ConjunctiveQuery, rels: Vec<Relation>) {
     assert_eq!(gv, wv, "lex: multiset");
 }
 
+/// The acyclic shapes the write-path interleavings run on: 2-, 3- and
+/// 4-paths, a 3-star, a two-atom self-join and a 3-path whose first two
+/// atoms read one relation.
+fn append_shape(shape: usize) -> ConjunctiveQuery {
+    match shape {
+        0..=2 => path_query(shape + 2),
+        3 => star_query(3),
+        4 => QueryBuilder::new()
+            .atom("R1", &["x", "y"])
+            .atom("R1", &["y", "z"])
+            .build(),
+        _ => QueryBuilder::new()
+            .atom("R1", &["a", "b"])
+            .atom("R1", &["b", "c"])
+            .atom("R2", &["c", "d"])
+            .build(),
+    }
+}
+
+/// `rel`'s rows weighed in quarters (`dyadic`, exact under every
+/// ranking) or in tenths (which `+` and `×` round), with its first row
+/// repeated — values and weight — at the end.
+fn reweighted(rel: &Relation, dyadic: bool) -> Relation {
+    let mut b = RelationBuilder::new(rel.schema().clone());
+    let ids = (0..rel.len() as u32).chain([0]);
+    for id in ids {
+        let quarters = rel.weight(id).get() * 4.0;
+        let w = if dyadic {
+            quarters / 4.0
+        } else {
+            quarters / 10.0
+        };
+        b.push(rel.row(id), Weight::new(w));
+    }
+    b.finish()
+}
+
 proptest! {
     #![proptest_config(cases_from_env(24))]
 
@@ -208,73 +245,115 @@ proptest! {
     }
 
     /// Random append/prepare/stream interleavings on one shared
-    /// acyclic engine. After every appended batch: (a) a stream opened
-    /// *before* the append drains the pre-append snapshot untouched,
-    /// (b) a fresh prepare carries the delta union and matches the
-    /// brute-force oracle over base ⊎ deltas, (c) the ad-hoc plan
-    /// agrees, and (d) compacting everything at the end changes
-    /// nothing but the delta count. Batch domains exceed the base
-    /// domain so appends introduce brand-new join partners.
+    /// acyclic engine, under all five rankings, over 2-, 3- and 4-paths,
+    /// a 3-star and two self-joins, with appends to random atoms. After
+    /// every appended batch: (a) a stream opened *before* the append
+    /// drains the pre-append snapshot byte for byte, (b) the plan the
+    /// writer refreshed is a cache hit carrying the delta union and
+    /// streams exactly the bytes of a fresh engine over the flattened
+    /// catalog, canonical ties included, (c) the ad-hoc plan streams
+    /// the same bytes, and (d) compacting everything at the end changes
+    /// nothing but the delta count. Every relation carries an exact
+    /// duplicate row. Half the cases weigh rows in tenths wherever the
+    /// engine's costs are exact in any combining order — Max, Min and
+    /// Lex, and Sum and Prod over two atoms — so a term whose costs
+    /// combine in another order than a fresh plan's drifts by an ULP
+    /// and fails (b); the dyadic half is held to the brute-force oracle
+    /// as well. (Sum and Prod over three atoms or more are weighed in
+    /// quarters: PART combines an answer's cost around the slot it
+    /// deviated at, and which slot that is depends on the rest of the
+    /// term, so rounding weights differ by an ULP between a delta term
+    /// and a fresh plan whatever tree either is built on.) Batch
+    /// domains exceed the base domain so appends introduce brand-new
+    /// join partners.
     #[test]
     fn append_interleavings_preserve_snapshots_and_refresh_plans(
-        base in prop::collection::vec(arb_relation(10, 4), 3),
-        schedule in prop::collection::vec((0usize..3, arb_relation(4, 6)), 1..4),
+        shape in 0usize..6,
+        dyadic in 0usize..2,
+        base in prop::collection::vec(arb_relation(10, 4), 4),
+        schedule in prop::collection::vec((0usize..4, arb_relation(4, 6)), 1..4),
     ) {
-        let q = path_query(3);
-        let engine = Engine::from_query_bindings(&q, base.clone());
-        let mut combined = base;
-        for (atom, batch) in &schedule {
-            let before = brute_force_ranked(&q, &combined, RankSpec::Sum);
-            let pre = engine
-                .prepare(q.clone(), RankSpec::Sum)
-                .expect("pre-append prepare");
-            let mut open = pre.stream();
-            let first = open.next();
+        let q = append_shape(shape);
+        // One relation per name, so a self-join's atoms share it.
+        let mut names: Vec<String> = Vec::new();
+        for atom in q.atoms() {
+            if !names.contains(&atom.relation) {
+                names.push(atom.relation.clone());
+            }
+        }
+        let per_atom = |combined: &[Relation]| -> Vec<Relation> {
+            (q.atoms().iter())
+                .map(|a| combined[names.iter().position(|n| *n == a.relation).unwrap()].clone())
+                .collect()
+        };
+        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Min, RankSpec::Prod, RankSpec::Lex] {
+            let exact = !matches!(rank, RankSpec::Sum | RankSpec::Prod) || q.num_atoms() == 2;
+            let dyadic = dyadic == 1 || !exact;
+            let weigh = |rel: &Relation| reweighted(rel, dyadic);
+            let mut combined: Vec<Relation> = base[..names.len()].iter().map(weigh).collect();
+            let engine = Engine::from_query_bindings(&q, per_atom(&combined));
+            for (atom, batch) in &schedule {
+                let name = &q.atom(atom % q.num_atoms()).relation;
+                let batch = weigh(batch);
+                let pre = engine.prepare(q.clone(), rank).expect("pre-append prepare");
+                let before: Vec<RankedAnswer> = pre.stream().collect();
+                let mut open = pre.stream();
+                let first = open.next();
 
-            engine
-                .append(&q.atom(*atom).relation, batch.clone())
-                .expect("append");
-            combined[*atom] =
-                Relation::concat(&[combined[*atom].clone(), batch.clone()]);
+                engine.append(name, batch.clone()).expect("append");
+                let at = names.iter().position(|n| n == name).unwrap();
+                combined[at] = Relation::concat(&[combined[at].clone(), batch]);
 
-            // (a) The open stream never sees the append: it finishes
-            // the snapshot it started on.
-            let snapshot: Vec<RankedAnswer> = first.into_iter().chain(open).collect();
-            assert_matches_oracle(&snapshot, &before, "mid-append open stream");
+                // (a) The open stream never sees the append: it finishes
+                // the snapshot it started on.
+                let snapshot: Vec<RankedAnswer> = first.into_iter().chain(open).collect();
+                prop_assert_eq!(&snapshot, &before, "{}: mid-append open stream", rank);
 
-            // (b) A fresh prepare serves base ⊎ deltas.
-            let want = brute_force_ranked(&q, &combined, RankSpec::Sum);
-            let fresh = engine
-                .prepare(q.clone(), RankSpec::Sum)
-                .expect("post-append prepare");
-            prop_assert!(
-                fresh.plan().deltas >= 1,
-                "post-append plan must carry delta terms"
-            );
-            let got: Vec<RankedAnswer> = fresh.stream().collect();
-            assert_matches_oracle(&got, &want, "post-append prepared stream");
+                // (b) The refreshed plan serves base ⊎ deltas, bit for bit.
+                let want: Vec<RankedAnswer> = (Engine::new(engine.catalog().flattened()))
+                    .prepare(q.clone(), rank)
+                    .expect("flattened prepare")
+                    .stream()
+                    .canonical_ties()
+                    .collect();
+                let (fresh, report) = (engine.query(q.clone()).rank_by(rank))
+                    .prepare_report()
+                    .expect("post-append prepare");
+                prop_assert!(report.cache_hit, "{}: the writer refreshed the plan", rank);
+                prop_assert!(
+                    fresh.plan().deltas >= 1,
+                    "post-append plan must carry delta terms"
+                );
+                let got: Vec<RankedAnswer> = fresh.stream().collect();
+                prop_assert_eq!(&got, &want, "{} on {}: refreshed plan", rank, q);
+                if dyadic {
+                    let oracle = brute_force_ranked(&q, &per_atom(&combined), rank);
+                    assert_matches_oracle(&got, &oracle, "post-append prepared stream");
+                }
 
-            // (c) The ad-hoc path reads the same catalog.
-            let adhoc: Vec<RankedAnswer> = engine
-                .query(q.clone())
-                .rank_by(RankSpec::Sum)
-                .plan()
-                .expect("post-append ad-hoc plan")
+                // (c) The ad-hoc path reads the same catalog.
+                let adhoc: Vec<RankedAnswer> = (engine.query(q.clone()).rank_by(rank))
+                    .plan()
+                    .expect("post-append ad-hoc plan")
+                    .collect();
+                prop_assert_eq!(&adhoc, &want, "{}: post-append ad-hoc plan", rank);
+            }
+
+            // (d) Compaction folds every delta away; answers stay put.
+            for name in &names {
+                engine.compact(name).expect("compact");
+            }
+            let fresh = engine.prepare(q.clone(), rank).expect("post-compact prepare");
+            prop_assert_eq!(fresh.plan().deltas, 0, "compaction clears delta terms");
+            let got: Vec<RankedAnswer> = fresh.stream().canonical_ties().collect();
+            let want: Vec<RankedAnswer> = Engine::from_query_bindings(&q, per_atom(&combined))
+                .prepare(q.clone(), rank)
+                .expect("reference prepare")
+                .stream()
+                .canonical_ties()
                 .collect();
-            assert_matches_oracle(&adhoc, &want, "post-append ad-hoc plan");
+            prop_assert_eq!(&got, &want, "{}: post-compact prepared stream", rank);
         }
-
-        // (d) Compaction folds every delta away; answers stay put.
-        for i in 0..q.num_atoms() {
-            engine.compact(&q.atom(i).relation).expect("compact");
-        }
-        let want = brute_force_ranked(&q, &combined, RankSpec::Sum);
-        let fresh = engine
-            .prepare(q.clone(), RankSpec::Sum)
-            .expect("post-compact prepare");
-        prop_assert_eq!(fresh.plan().deltas, 0, "compaction clears delta terms");
-        let got: Vec<RankedAnswer> = fresh.stream().collect();
-        assert_matches_oracle(&got, &want, "post-compact prepared stream");
     }
 
     /// Random append schedules on a cyclic (triangle) engine: the
