@@ -1,4 +1,4 @@
-//! Measurement utilities: wall-clock timing, log-log slope fitting, and
+//! Measurement utilities: wall-clock timing, median and spread, and
 //! aligned table printing.
 
 use anyk_obs::{global_clock, Clock as _};
@@ -26,26 +26,7 @@ pub fn median_mad(samples: &mut [f64]) -> (f64, f64) {
     (med, median(&mut dev))
 }
 
-/// Least-squares slope of `ln(y)` against `ln(x)` — the empirical
-/// scaling exponent. Points with non-positive coordinates are skipped.
-pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
-    let pts: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|&&(x, y)| x > 0.0 && y > 0.0)
-        .map(|&(x, y)| (x.ln(), y.ln()))
-        .collect();
-    let n = pts.len() as f64;
-    if pts.len() < 2 {
-        return f64::NAN;
-    }
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
-
-/// A simple aligned text table that also emits CSV.
+/// A simple aligned text table.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -95,18 +76,6 @@ impl Table {
         out
     }
 
-    /// Render CSV.
-    pub fn csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Print the text table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
@@ -130,8 +99,15 @@ pub fn banner(id: &str, claim: &str) {
     println!("paper claim: {claim}");
 }
 
+// The workspace's one log-log fit lives with the integration tests that
+// assert the paper's exponents; its unit tests stay here.
+#[cfg(test)]
+#[path = "../../../tests/common/fit.rs"]
+mod fit;
+
 #[cfg(test)]
 mod tests {
+    use super::fit::loglog_slope;
     use super::*;
 
     #[test]
@@ -153,7 +129,6 @@ mod tests {
         let text = t.render();
         assert!(text.contains("a"));
         assert!(text.contains("bb"));
-        assert_eq!(t.csv(), "a,bb\n1,2\n");
     }
 
     #[test]

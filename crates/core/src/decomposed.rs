@@ -10,9 +10,10 @@
 //! * `cycle_trees` uses a simple ℓ-cycle's *submodular width*
 //!   union-of-trees plan (preprocessing n^(2−1/⌈ℓ/2⌉), n^1.5 at ℓ = 4);
 //! * `ghd_trees` works for every query but pays the (possibly higher)
-//!   fractional hypertree width — fhw = 2 for every cycle. Experiment
-//!   E13 measures exactly this gap (the reason §3 calls submodular
-//!   width "the current frontier").
+//!   fractional hypertree width — fhw = 2 for every cycle.
+//!   `tests/paper_claims.rs` (E13) counts exactly this gap in landed
+//!   rows (the reason §3 calls submodular width "the current
+//!   frontier").
 
 use crate::cyclic::Trees;
 use crate::ranking::RankingFunction;

@@ -17,7 +17,8 @@
 //! shared across all parent tuples with the same join key** — the
 //! memoization that makes REC asymptotically superior for large `k`
 //! (TT(last)), while ANYK-PART tends to win time-to-first. Neither
-//! dominates (§4 of the paper); experiment E9 reproduces the crossover.
+//! dominates (§4 of the paper); `tests/paper_claims.rs` (E09) counts
+//! the crossover.
 //!
 //! Stream shells are allocated **lazily on first touch** (an
 //! `FxHashMap` per slot, like [`AnyKPart`](crate::part::AnyKPart)'s

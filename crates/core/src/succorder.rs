@@ -21,7 +21,7 @@
 //! `(subcost, row)` the first time any stream touches the group, then
 //! read by every stream and thread of the prepared query. A stream
 //! under Eager therefore owns no per-group state and spawns in `O(1)`.
-//! The other four kinds are the paper-variant reference (E11): each
+//! The other four kinds are the paper-variant reference: each
 //! stream builds its own [`GroupOrder`] per touched group, as the
 //! companion paper's single-stream cost model has it. Eager, Lazy and
 //! Quick all walk the same `(cost, row)` chain, so their answer

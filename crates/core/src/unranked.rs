@@ -8,7 +8,7 @@
 //! so a plain odometer over the join-key groups visits each answer
 //! exactly once with O(1) work between answers — no priority queue, no
 //! order. This is the fair baseline for measuring what *ranking* costs
-//! on top of *enumeration* (experiment E6 compares the delays).
+//! on top of *enumeration*.
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;

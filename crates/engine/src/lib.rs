@@ -82,7 +82,7 @@ use anyk_query::cycles::{cycle_heavy_threshold, cycle_length, cycle_submodular_w
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::join_tree::JoinTree;
 use anyk_storage::{Catalog, FxHashMap, IndexCatalog, IndexProvider, IndexStats, Relation};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// The unified, planner-routed engine for ranked enumeration.
 ///
@@ -142,6 +142,31 @@ struct EngineShared {
     /// clones. Plain relaxed atomics: monotone counters, no ordering
     /// dependencies.
     writes: WriteCounters,
+}
+
+impl EngineShared {
+    /// The catalog lock, taken by `lock` — `RwLock::read` for a
+    /// snapshot, `RwLock::write` for [`Engine::write_catalog`], the one
+    /// writer. After a panic under the write guard the catalog holds
+    /// whatever the write changed before it panicked, and that is safe
+    /// to serve: a cached plan is checked against the payloads it read
+    /// on every hit, so none over a changed payload is served again.
+    fn lock_catalog<'a, G>(
+        &'a self,
+        lock: impl FnOnce(&'a RwLock<Arc<Catalog>>) -> LockResult<G>,
+    ) -> G {
+        lock(&self.catalog).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan cache, locked. Every critical section is one lookup,
+    /// insert, eviction or invalidation sweep, taken inside the catalog
+    /// guard only by [`Engine::write_catalog`] (catalog ≺ cache). After a
+    /// panic inside one the map is still a map of whole entries, each
+    /// carrying the payloads it read; at worst an entry or a counter
+    /// tick is lost, and a lost entry is a miss, never a stale hit.
+    fn lock_cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The atomics behind [`WriteStats`].
@@ -627,21 +652,13 @@ impl Engine {
     /// residents). `0` disables caching. The capacity lives in the
     /// shared state, so it applies to every clone of this engine.
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_capacity(capacity);
+        self.shared.lock_cache().set_capacity(capacity);
         self
     }
 
     /// The current plan-cache capacity.
     pub fn cache_capacity(&self) -> usize {
-        self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .capacity
+        self.shared.lock_cache().capacity
     }
 
     /// Build an engine by registering `rels[i]` under the relation
@@ -680,12 +697,7 @@ impl Engine {
     /// The snapshot is immutable; concurrent writes produce *new*
     /// catalog versions without disturbing it.
     pub fn catalog(&self) -> Arc<Catalog> {
-        let catalog = self
-            .shared
-            .catalog
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&catalog)
+        Arc::clone(&self.shared.lock_catalog(RwLock::read))
     }
 
     /// Mutate the catalog (register, replace, or remove relations).
@@ -832,19 +844,10 @@ impl Engine {
         apply: impl FnOnce(&mut Catalog) -> Result<(T, bool), EngineError>,
     ) -> Result<T, EngineError> {
         let (out, keep_terms, stale) = {
-            let mut guard = self
-                .shared
-                .catalog
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut guard = self.shared.lock_catalog(RwLock::write);
             let catalog = Arc::make_mut(&mut guard);
             let (out, keep_terms) = apply(catalog)?;
-            let stale = self
-                .shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take_stale(catalog);
+            let stale = self.shared.lock_cache().take_stale(catalog);
             (out, keep_terms, stale)
         };
         if counted {
@@ -901,11 +904,7 @@ impl Engine {
 
     /// Number of prepared plans currently cached (diagnostics).
     pub fn cached_plans(&self) -> usize {
-        self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.shared.lock_cache().len()
     }
 
     /// A snapshot of the plan-cache counters: hits, misses, capacity
@@ -914,11 +913,7 @@ impl Engine {
     /// all clones) and are **not** reset by writes — the entries a
     /// write drops leave the history as it was.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self
-            .shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let cache = self.shared.lock_cache();
         CacheStats {
             hits: cache.hits,
             misses: cache.misses,
@@ -1015,11 +1010,7 @@ impl Engine {
         let key = CacheKey::new(cq, rank, opts);
         let catalog = self.catalog();
         {
-            let mut cache = self
-                .shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut cache = self.shared.lock_cache();
             // The one freshness gate: a hit is served only while the
             // catalog holds every payload the plan was prepared over.
             if let Some(slot) = cache.get(&key) {
@@ -1127,9 +1118,7 @@ impl Engine {
         };
         let deps = query_deps(&catalog, cq);
         self.shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+            .lock_cache()
             .insert(key, prepared.clone(), deps, opts);
         Ok((prepared, false))
     }
@@ -2676,7 +2665,7 @@ mod tests {
             assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
 
             // Removing R2 leaves no entry that reads it; the path stays.
-            assert!(engine.remove("R2"));
+            assert!(engine.remove("R2").unwrap());
             for shard in engine.shard_engines() {
                 let cache = shard.shared.cache.lock().unwrap();
                 let reads_r2 =

@@ -32,7 +32,7 @@ pub enum AnyKVariant {
 impl Default for AnyKVariant {
     /// ANYK-PART with the Eager successor order. The companion paper
     /// prefers Lazy for a *single* stream, where Eager's sort is thrown
-    /// away with the stream (E11). A prepared query keeps each group's
+    /// away with the stream. A prepared query keeps each group's
     /// sort in its shared T-DP state and amortises it over every stream
     /// it serves, so that trade no longer applies — and Eager walks the
     /// same `(cost, row)` chain as Lazy, so the answers are identical.

@@ -52,6 +52,18 @@ use anyk_storage::IndexStats;
 /// wire protocol, so client queries can never name a fragment directly.
 pub const FRAGMENT_SUFFIX: &str = "#frag";
 
+/// `name`, if it is a relation a caller may address: a `#` name is
+/// reserved for the fragments this layer derives, so no write, compact
+/// or remove may name one ([`EngineError::ReservedRelationName`]).
+fn logical(name: &str) -> Result<&str, EngineError> {
+    if name.contains('#') {
+        return Err(EngineError::ReservedRelationName {
+            relation: name.to_string(),
+        });
+    }
+    Ok(name)
+}
+
 /// The name `relation`'s hash fragment is registered under on every
 /// shard of a `shards`-way deployment — `None` with one shard, which
 /// holds every relation whole. This is the one place the shard count
@@ -130,10 +142,8 @@ impl ShardedEngine {
         }
         let mut names: Vec<&str> = catalog.names().collect();
         names.sort_unstable();
-        if let Some(name) = names.iter().find(|name| name.contains('#')) {
-            return Err(EngineError::ReservedRelationName {
-                relation: name.to_string(),
-            });
+        for name in &names {
+            logical(name)?;
         }
         // Each shard gets its own index catalog (fresh stats and
         // budget) but shares every relation payload. A relation is
@@ -206,9 +216,7 @@ impl ShardedEngine {
     /// its indexes. Streams already open keep their payload snapshots.
     pub fn register<S: Into<String>>(&self, name: S, rel: Relation) -> Result<(), EngineError> {
         let name = name.into();
-        if name.contains('#') {
-            return Err(EngineError::ReservedRelationName { relation: name });
-        }
+        logical(&name)?;
         let frag = fragment(&name, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &rel);
         let _coord = self
@@ -238,12 +246,7 @@ impl ShardedEngine {
     /// failures: unknown relation, batch arity mismatch, reserved `#`
     /// names.
     pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
-        if name.contains('#') {
-            return Err(EngineError::ReservedRelationName {
-                relation: name.to_string(),
-            });
-        }
-        let frag = fragment(name, self.num_shards());
+        let frag = fragment(logical(name)?, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &batch);
         let _coord = self
             .shared
@@ -266,9 +269,10 @@ impl ShardedEngine {
 
     /// Fold the named relation's pending deltas (full + fragment) into
     /// fresh base payloads on every shard. Returns `true` if any shard
-    /// actually compacted.
+    /// actually compacted. Typed failures: unknown relation, reserved
+    /// `#` names (refused before any shard is touched).
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
-        let frag = fragment(name, self.num_shards());
+        let frag = fragment(logical(name)?, self.num_shards());
         let _coord = self
             .shared
             .coord
@@ -305,7 +309,10 @@ impl ShardedEngine {
     /// Remove a relation (full + fragment) from every shard, under the
     /// coordination write lock. Returns `true` if any shard held it.
     /// The cached plans that read it fail to re-prepare and are gone.
-    pub fn remove(&self, name: &str) -> bool {
+    /// A reserved `#` name is refused with
+    /// [`EngineError::ReservedRelationName`], and nothing is removed.
+    pub fn remove(&self, name: &str) -> Result<bool, EngineError> {
+        let name = logical(name)?;
         let _coord = self
             .shared
             .coord
@@ -323,7 +330,7 @@ impl ShardedEngine {
             });
             removed |= hit;
         }
-        removed
+        Ok(removed)
     }
 
     /// The atom of `cq` a prepare scatters, and the fragment it reads
@@ -569,6 +576,37 @@ mod tests {
     }
 
     #[test]
+    fn fragment_names_are_refused_by_remove_and_compact() {
+        let (q, catalog) = path_catalog();
+        for shards in [1, 2] {
+            let sharded = ShardedEngine::new(catalog.clone(), shards).unwrap();
+            sharded.append("R1", edge_rel(&[(2, 3, 0.5)])).unwrap();
+            let read = || -> Vec<_> {
+                let stream = sharded.stream(&q, RankSpec::Sum).unwrap();
+                stream.canonical_ties().collect()
+            };
+            let (want, stats) = (read(), sharded.write_stats());
+            for refused in [
+                sharded.remove("R1#frag").map(drop),
+                sharded.compact("R1#frag").map(drop),
+            ] {
+                match refused {
+                    Err(EngineError::ReservedRelationName { relation }) => {
+                        assert_eq!(relation, "R1#frag");
+                    }
+                    other => panic!("expected ReservedRelationName, got {other:?}"),
+                }
+            }
+            // Nothing moved: R1 still prepares, on every shard alike,
+            // and its own compaction still folds every shard's delta.
+            assert_eq!(sharded.write_stats(), stats);
+            assert_eq!(read(), want, "{shards} shard(s)");
+            assert!(sharded.compact("R1").unwrap());
+            assert_eq!(read(), want, "{shards} shard(s), compacted");
+        }
+    }
+
+    #[test]
     fn sharded_stream_matches_canonical_single_engine_stream() {
         let (q, catalog) = path_catalog();
         let single = Engine::new(catalog.clone());
@@ -698,10 +736,10 @@ mod tests {
             assert!(engine.catalog().get("R2#frag").is_some());
         }
 
-        assert!(sharded.remove("R2"));
+        assert!(sharded.remove("R2").unwrap());
         assert_eq!(sharded.cache_stats().entries, 0, "no plan over R2 is left");
         assert!(sharded.stream(&q, RankSpec::Sum).is_err());
-        assert!(!sharded.remove("R2"), "already gone");
+        assert!(!sharded.remove("R2").unwrap(), "already gone");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! while the output is only O(n^1.5).
 //!
 //! Instrumented: reports the peak and total intermediate result sizes so
-//! experiments can show *why* binary plans lose (E1/E2).
+//! `tests/paper_claims.rs` can show *why* binary plans lose (E01/E02).
 
 use anyk_query::cq::{ConjunctiveQuery, VarId};
 use anyk_storage::{Relation, RelationBuilder, RowId, Schema, Trie, Value, Weight};

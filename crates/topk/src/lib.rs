@@ -17,9 +17,10 @@
 //! The **join model** ([`rank_join`], [`jstar`]) uses the same
 //! convention as `anyk-core`: tuple weights, *lower = better*, inputs
 //! sorted ascending — so rank-join and any-k run on identical workloads
-//! and can be compared head-to-head in the RAM model (experiment E8:
-//! when the top answer needs tuples deep in the lists, rank-join's
-//! buffered intermediate state blows up while any-k stays linear).
+//! and can be compared head-to-head in the RAM model
+//! (`tests/paper_claims.rs`, E08: when the top answer needs tuples deep
+//! in the lists, rank-join's buffered intermediate state blows up while
+//! any-k stays linear).
 
 pub mod ca;
 pub mod fa;

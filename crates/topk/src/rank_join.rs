@@ -14,7 +14,8 @@
 //! weight-ascending `RjTuple` stream), which is how multiway top-k
 //! joins were built in this line of work.
 //!
-//! The paper's critique (reproduced as experiment E8): the buffers are
+//! The paper's critique (counted in `tests/paper_claims.rs`, E08): the
+//! buffers are
 //! *intermediate results*. On adversarial inputs — e.g. inverted weight
 //! correlation, where the lightest combination joins tuples from the
 //! bottoms of both inputs — HRJN pulls everything and its buffered

@@ -3,8 +3,8 @@
 //! planner sends down that route on its own.
 //!
 //! Shows: width analysis (ρ*, fhw, subw), GHD materialization, and
-//! ranked enumeration over the bag tree; plus the E13 moral (union of
-//! trees vs single tree) on the 6-cycle — which the planner routes to
+//! ranked enumeration over the bag tree; plus the moral of §3's
+//! submodular width (union of trees vs single tree) on the 6-cycle — which the planner routes to
 //! the cycle plan — and on the 4-cycle.
 //!
 //! Run with: `cargo run --release --example cyclic_decompositions`
@@ -126,7 +126,7 @@ fn main() {
         t0.elapsed()
     );
 
-    // --- The E13 moral on the 4-cycle. ---
+    // --- Union of trees vs single tree on the 4-cycle. ---
     let q4 = cycle_query(4);
     let h4 = Hypergraph::of_query(&q4);
     let d4 = fhw_exact(&h4);

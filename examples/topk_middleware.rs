@@ -58,7 +58,7 @@ fn main() {
          *accesses only*. The computation between accesses — joining\n\
          partial objects, maintaining bound intervals — is free in this\n\
          model, which is exactly what breaks down for join queries with\n\
-         large intermediate results. See `cargo run --release -p\n\
-         anyk-bench --bin experiments -- e8` for the RAM-model contrast."
+         large intermediate results. See `cargo test --test\n\
+         paper_claims e08` for the RAM-model contrast."
     );
 }

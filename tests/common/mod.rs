@@ -1,8 +1,9 @@
 //! Shared helpers for the integration-test suite: the instance
-//! generators ([`gen`]) and the brute-force ranked-join oracle
-//! ([`oracle`]). Every test binary compiles its own copy and uses a
+//! generators ([`gen`]), the brute-force ranked-join oracle
+//! ([`oracle`]) and the log-log fit of a count's exponent ([`fit`]). Every test binary compiles its own copy and uses a
 //! subset, hence the blanket `dead_code` allow.
 #![allow(dead_code)]
 
+pub mod fit;
 pub mod gen;
 pub mod oracle;
