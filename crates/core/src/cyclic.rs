@@ -41,7 +41,7 @@ use anyk_query::cq::{triangle_query, ConjunctiveQuery};
 use anyk_storage::{BuildEachTime, IndexProvider, Relation, Value};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Materialize every answer of `q` worst-case-optimally (Generic-Join)
 /// with its cost under `R`, combining tuple weights in **atom order** —
@@ -190,29 +190,21 @@ impl<C: Ord + Clone + std::fmt::Debug + Send + Sync> AnyK for SortedStream<C> {
 /// Both the heap and the sort order row ids by `(cost, values)` through
 /// the one shared slab, so all streams — lazy first stream included —
 /// are byte-identical, ties and all, and no upgrade copies an answer.
-/// `Clone + Send + Sync`: clones share the state machine, any thread
-/// may spawn streams.
+/// Whichever fills the column first — a second spawn's sort or the
+/// first stream's emission order — fills it for all; the other finds
+/// it filled. `Clone + Send + Sync`: clones share the state, any
+/// thread may spawn streams.
 #[derive(Debug, Clone)]
 pub struct LazySortedAnswers<C> {
     slab: Arc<AnswerSlab<C>>,
     /// The slab's row ids, checked once at construction.
     ids: Range<u32>,
-    state: Arc<Mutex<LazyState<C>>>,
-    /// Set (under the state lock) the moment the sorted artifact is
-    /// installed. Lock-free signal for the live first stream to stop
-    /// buffering its emissions — the buffer would only be discarded at
-    /// exhaustion once an artifact exists.
-    sorted: Arc<AtomicBool>,
-}
-
-#[derive(Debug)]
-enum LazyState<C> {
-    /// Materialized, not yet sorted. `first_spawned` records whether
-    /// the lazy-heap first stream is already out (the next spawn pays
-    /// the sort).
-    Unsorted { first_spawned: bool },
-    /// The shared sorted artifact is installed; streams are cursors.
-    Sorted(SortedAnswers<C>),
+    /// Whether the lazy-heap first stream is out (the next spawn, while
+    /// `order` is empty, pays the sort).
+    first_spawned: Arc<AtomicBool>,
+    /// The shared sorted id column: the slab's row ids in `(cost,
+    /// values)` order, filled once.
+    order: Arc<OnceLock<Arc<[u32]>>>,
 }
 
 impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
@@ -225,10 +217,8 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
         Ok(LazySortedAnswers {
             ids: slab.row_ids()?,
             slab: Arc::new(slab),
-            state: Arc::new(Mutex::new(LazyState::Unsorted {
-                first_spawned: false,
-            })),
-            sorted: Arc::new(AtomicBool::new(false)),
+            first_spawned: Arc::default(),
+            order: Arc::default(),
         })
     }
 
@@ -264,45 +254,29 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedAnswers<C> {
     /// triangle that has only served one partial top-k stream must
     /// still report `false`.
     pub fn is_sorted(&self) -> bool {
-        matches!(&*self.lock(), LazyState::Sorted(_))
+        self.order.get().is_some()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LazyState<C>> {
-        self.state.lock().expect("lazy-sort state lock poisoned")
-    }
-
-    /// Install `order` — the slab's row ids in `(cost, values)` order —
-    /// as the shared artifact. Called with the state lock held.
-    fn install(&self, st: &mut LazyState<C>, order: Vec<u32>) -> SortedAnswers<C> {
-        let sorted = SortedAnswers {
+    /// The shared sorted artifact, its id column filled by `order`
+    /// unless it already is.
+    fn sorted(&self, order: impl FnOnce() -> Vec<u32>) -> SortedAnswers<C> {
+        SortedAnswers {
             slab: Arc::clone(&self.slab),
-            order: order.into(),
-        };
-        *st = LazyState::Sorted(sorted.clone());
-        self.sorted.store(true, AtomicOrdering::Release);
-        sorted
+            order: Arc::clone(self.order.get_or_init(|| order().into())),
+        }
     }
 
     /// Spawn a ranked stream. The first spawn is the lazy heap; later
     /// spawns upgrade to (or reuse) the shared sorted artifact.
     pub fn stream(&self) -> LazySortedStream<C> {
-        let mut st = self.lock();
-        let inner = match &mut *st {
-            LazyState::Sorted(sorted) => LazyInner::Cursor(sorted.stream()),
-            // Second spawn while unsorted: pay the one-time sort.
-            LazyState::Unsorted {
-                first_spawned: true,
-            } => {
-                let order = self.slab.sorted(self.ids.clone());
-                LazyInner::Cursor(self.install(&mut st, order).stream())
-            }
-            LazyState::Unsorted { first_spawned } => {
-                *first_spawned = true;
-                LazyInner::Heap {
-                    heap: SlabHeap::new(&self.slab, self.ids.clone()),
-                    emitted: Vec::new(),
-                    answers: self.clone(),
-                }
+        let inner = if self.is_sorted() || self.first_spawned.swap(true, AtomicOrdering::AcqRel) {
+            // A cursor; a second spawn while unsorted pays the sort.
+            LazyInner::Cursor(self.sorted(|| self.slab.sorted(self.ids.clone())).stream())
+        } else {
+            LazyInner::Heap {
+                heap: SlabHeap::new(&self.slab, self.ids.clone()),
+                emitted: Vec::new(),
+                answers: self.clone(),
             }
         };
         LazySortedStream { inner }
@@ -324,8 +298,8 @@ enum LazyInner<C: Ord> {
         heap: SlabHeap,
         /// Row ids in emission = sorted order: on exhaustion this *is*
         /// the sorted artifact's id column (no re-sort, no copies).
-        /// Abandoned (and freed) as soon as `answers.sorted` reports
-        /// that a concurrent spawn already installed the artifact.
+        /// Abandoned (and freed) as soon as `answers.order` is filled
+        /// by a concurrent spawn.
         emitted: Vec<u32>,
         answers: LazySortedAnswers<C>,
     },
@@ -353,7 +327,7 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedStream<C> {
             } => (heap, emitted, answers),
         };
         if let Some(row) = heap.pop(&answers.slab) {
-            if answers.sorted.load(AtomicOrdering::Acquire) {
+            if answers.is_sorted() {
                 // A sibling spawn already installed the sorted
                 // artifact: the buffer can never be used — free it and
                 // stop accumulating.
@@ -365,17 +339,11 @@ impl<C: Ord + Clone + std::fmt::Debug> LazySortedStream<C> {
             }
             return Some(row as usize);
         }
-        // Exhausted: the emission order is the sorted order — install
-        // it as the artifact with no extra sort (unless a concurrent
-        // second spawn already installed one; the buffer is partial in
-        // that case, but also unreachable: the install only happens
-        // from the still-`Unsorted` state).
-        let mut st = answers.lock();
-        let done = match &*st {
-            LazyState::Unsorted { .. } => answers.install(&mut st, std::mem::take(emitted)),
-            LazyState::Sorted(sorted) => sorted.clone(),
-        };
-        drop(st);
+        // Exhausted: the emission order is the sorted order — fill the
+        // column with it, no extra sort (unless a concurrent second
+        // spawn already filled it; the buffer is partial in that case,
+        // and goes unread).
+        let done = answers.sorted(|| std::mem::take(emitted));
         // Degrade to an exhausted cursor so repeated `next()` calls
         // stay cheap and re-install nothing.
         let pos = done.len();

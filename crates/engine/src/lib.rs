@@ -81,8 +81,8 @@ use anyk_query::cq::{triangle_query, ConjunctiveQuery};
 use anyk_query::cycles::{cycle_heavy_threshold, cycle_length, cycle_submodular_width};
 use anyk_query::gyo::{gyo_reduce, GyoResult};
 use anyk_query::join_tree::JoinTree;
-use anyk_storage::{Catalog, FxHashMap, IndexCatalog, IndexProvider, IndexStats, Relation};
-use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
+use anyk_storage::{Catalog, IndexCatalog, IndexProvider, IndexStats, Memo, Relation};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 
 /// The unified, planner-routed engine for ranked enumeration.
 ///
@@ -128,11 +128,13 @@ struct EngineShared {
     /// [`Engine::compact`]). Reads take a snapshot (`Arc` clone) and
     /// never block behind preprocessing.
     catalog: RwLock<Arc<Catalog>>,
-    /// Prepared plans keyed by (query, ranking, batch-ness). Entries
-    /// record the payload ids they were prepared over and are served
-    /// only while the catalog still holds exactly those. Bounded: see
-    /// [`PlanCache`].
-    cache: Mutex<PlanCache>,
+    /// Prepared plans keyed by (query, ranking, batch-ness), at most
+    /// [`PLAN_CACHE_CAPACITY`] of them, least recently used out first.
+    /// Entries record the payload ids they were prepared over and are
+    /// served only while the caller's catalog snapshot holds exactly
+    /// those. Each key prepares once at a time: concurrent misses, and
+    /// a write's refresh, share one prepare.
+    cache: Memo<CacheKey, Arc<CacheSlot>, EngineError>,
     /// Engine-side telemetry: prepare-time and sampled per-pull delay
     /// histograms plus the injected clock. In a sharded deployment
     /// each shard engine carries its own registry; the server merges
@@ -156,16 +158,6 @@ impl EngineShared {
         lock: impl FnOnce(&'a RwLock<Arc<Catalog>>) -> LockResult<G>,
     ) -> G {
         lock(&self.catalog).unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The plan cache, locked. Every critical section is one lookup,
-    /// insert, eviction or invalidation sweep, taken inside the catalog
-    /// guard only by [`Engine::write_catalog`] (catalog ≺ cache). After a
-    /// panic inside one the map is still a map of whole entries, each
-    /// carrying the payloads it read; at worst an entry or a counter
-    /// tick is lost, and a lost entry is a miss, never a stale hit.
-    fn lock_cache(&self) -> MutexGuard<'_, PlanCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -230,32 +222,10 @@ pub struct Appended {
     pub compacted: bool,
 }
 
-/// Default plan-cache capacity: generous enough that steady workloads
+/// The plan cache's capacity: generous enough that steady workloads
 /// (a fixed set of query shapes) never evict, small enough that a
 /// stream of distinct ad-hoc shapes cannot grow memory without bound.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
-
-/// The bounded LRU store behind the engine's plan cache.
-///
-/// Eviction policy (when an insert exceeds `capacity`): the
-/// least-recently-used entry holding **materialized answers** (the
-/// triangle route and `Batch` plans — full answer sets, the heaviest
-/// residents) is evicted first; only when no such entry exists does
-/// the overall LRU entry go. A catalog write takes out exactly the
-/// entries whose payloads it changed ([`PlanCache::take_stale`]).
-struct PlanCache {
-    map: FxHashMap<CacheKey, CacheSlot>,
-    capacity: usize,
-    /// Monotone use counter backing the LRU order.
-    tick: u64,
-    /// Lookups served from the cache (current entries only).
-    hits: u64,
-    /// Lookups that fell through to a fresh prepare — cold keys,
-    /// stale entries, and capacity-evicted entries alike.
-    misses: u64,
-    /// Entries removed by the capacity bound (not by writes).
-    evictions: u64,
-}
+pub const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// A snapshot of the engine's plan-cache counters
 /// ([`Engine::cache_stats`]): how well the prepare-once/execute-many
@@ -263,11 +233,13 @@ struct PlanCache {
 ///
 /// `hits`/`misses` count [`prepare`](Engine::prepare)/
 /// [`plan`](QueryRequest::plan) lookups (a stale entry counts as a
-/// miss: it must be re-prepared), and a write's refresh of a plan it
+/// miss: it must be re-prepared; a lookup that waits on a prepare
+/// already in flight is a hit), and a write's refresh of a plan it
 /// dropped is a miss too. `evictions` counts entries removed by the
 /// capacity bound — entries a write drops are invalidations
 /// ([`WriteStats::invalidated_plans`]), not evictions. `entries` is
-/// the current resident count, `capacity` the configured bound.
+/// the current count, `capacity` the bound
+/// ([`PLAN_CACHE_CAPACITY`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -276,9 +248,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the capacity bound.
     pub evictions: u64,
-    /// Prepared plans currently resident.
+    /// Prepared plans currently cached (or being prepared).
     pub entries: usize,
-    /// The configured capacity (`0` = caching disabled).
+    /// The capacity bound, [`PLAN_CACHE_CAPACITY`].
     pub capacity: usize,
 }
 
@@ -294,9 +266,9 @@ impl CacheStats {
     }
 }
 
+#[derive(Clone)]
 struct CacheSlot {
     prepared: PreparedQuery,
-    last_used: u64,
     /// The relations this plan reads, with the source payload ids
     /// (base + deltas, in order) each had at prepare time. A slot is
     /// served only while every dependency still has exactly these
@@ -459,114 +431,6 @@ fn query_deps(catalog: &Catalog, cq: &ConjunctiveQuery) -> Vec<(String, Vec<u64>
     deps
 }
 
-impl PlanCache {
-    fn new(capacity: usize) -> Self {
-        PlanCache {
-            map: FxHashMap::default(),
-            capacity,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Look up a prepared plan, refreshing its LRU position on a hit.
-    fn get(&mut self, key: &CacheKey) -> Option<&CacheSlot> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.last_used = tick;
-            &*slot
-        })
-    }
-
-    /// Insert (or replace) an entry, then evict down to capacity —
-    /// LRU materialized-answer entries first. The just-inserted entry
-    /// is never its own victim (a hot materialized plan must be
-    /// retainable even when every other resident is cheap), so a
-    /// capacity ≥ 1 always caches the newest plan. A capacity of 0
-    /// disables caching entirely.
-    fn insert(
-        &mut self,
-        key: CacheKey,
-        prepared: PreparedQuery,
-        deps: Vec<(String, Vec<u64>)>,
-        opts: EngineOpts,
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(
-            key.clone(),
-            CacheSlot {
-                prepared,
-                last_used: tick,
-                deps,
-                opts,
-            },
-        );
-        self.evict_to_capacity(Some(&key));
-    }
-
-    /// Take out every entry whose dependencies `catalog` no longer
-    /// holds — the invalidation behind every catalog write. Returns the
-    /// removed entries themselves: the write path refreshes each from
-    /// its key and `opts`, and takes over from its `prepared` whatever
-    /// the write left valid. These are invalidations, not capacity
-    /// evictions, and do not count as such.
-    fn take_stale(&mut self, catalog: &Catalog) -> Vec<(CacheKey, CacheSlot)> {
-        (self.map)
-            .extract_if(|_, slot| !deps_current(catalog, &slot.deps))
-            .collect()
-    }
-
-    /// Pick and remove victims until the map fits `capacity`.
-    ///
-    /// Within each round the most-recently-used candidate is also
-    /// spared (a hot materialized plan must not be sacrificed to every
-    /// cold insert just because it is the only heavy resident — the
-    /// materialized-first preference only applies to entries that are
-    /// not the current hottest), falling back to it only when it is
-    /// the sole evictable entry.
-    fn evict_to_capacity(&mut self, protect: Option<&CacheKey>) {
-        while self.map.len() > self.capacity {
-            let candidates = || self.map.iter().filter(|(k, _)| Some(*k) != protect);
-            let mru = candidates().map(|(_, s)| s.last_used).max();
-            let cold = || candidates().filter(|(_, s)| Some(s.last_used) != mru);
-            let victim = cold()
-                .filter(|(_, s)| s.prepared.holds_materialized_answers())
-                .min_by_key(|(_, s)| s.last_used)
-                .or_else(|| cold().min_by_key(|(_, s)| s.last_used))
-                .or_else(|| candidates().min_by_key(|(_, s)| s.last_used))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            };
-        }
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.evictions += self.map.len() as u64;
-            self.map.clear();
-        } else {
-            self.evict_to_capacity(None);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// Cache key for prepared plans: the query itself, hashed and compared
 /// structurally — a lookup renders and copies nothing. The `batch` flag
 /// is part of the key because batch plans prepare a different artifact
@@ -631,7 +495,7 @@ impl Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 catalog: RwLock::new(Arc::new(catalog)),
-                cache: Mutex::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+                cache: Memo::new(PLAN_CACHE_CAPACITY),
                 obs,
                 writes: WriteCounters::default(),
             }),
@@ -642,23 +506,6 @@ impl Engine {
     /// This engine's observability registry (shared by all clones).
     pub fn obs(&self) -> &Arc<ObsRegistry> {
         &self.shared.obs
-    }
-
-    /// Set the plan-cache capacity (default
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]): at most this many prepared
-    /// plans are retained; inserts beyond it evict the least-recently-
-    /// used entry, preferring entries that hold **materialized answer
-    /// sets** (the triangle route and `Batch` plans — the heaviest
-    /// residents). `0` disables caching. The capacity lives in the
-    /// shared state, so it applies to every clone of this engine.
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.shared.lock_cache().set_capacity(capacity);
-        self
-    }
-
-    /// The current plan-cache capacity.
-    pub fn cache_capacity(&self) -> usize {
-        self.shared.lock_cache().capacity
     }
 
     /// Build an engine by registering `rels[i]` under the relation
@@ -835,9 +682,10 @@ impl Engine {
     /// payloads the catalog no longer holds is taken out, so no reader
     /// prepares over the new catalog before the stale entries are gone;
     /// they are counted when `counted`, then refreshed on this thread.
-    /// Taking them out is eviction, not the freshness gate: a hit
-    /// checks its payloads, so an entry a racing prepare inserts over
-    /// an older snapshot is never served.
+    /// Taking them out is not the freshness gate: a hit checks its
+    /// payloads, so an entry a racing prepare settles over an older
+    /// snapshot — or one still in flight, which this sweep leaves
+    /// alone — is never served over the new catalog.
     fn write_catalog<T>(
         &self,
         counted: bool,
@@ -847,7 +695,8 @@ impl Engine {
             let mut guard = self.shared.lock_catalog(RwLock::write);
             let catalog = Arc::make_mut(&mut guard);
             let (out, keep_terms) = apply(catalog)?;
-            let stale = self.shared.lock_cache().take_stale(catalog);
+            let stale = (self.shared.cache)
+                .remove_if(|_, slot| slot.is_some_and(|slot| !deps_current(catalog, &slot.deps)));
             (out, keep_terms, stale)
         };
         if counted {
@@ -867,20 +716,31 @@ impl Engine {
     /// [`WriteStats`] (fragment bookkeeping does not). A failing
     /// re-prepare — a plan over a removed relation, say — is dropped
     /// silently: the next reader re-derives the same typed error.
-    fn refresh_plans(&self, stale: Vec<(CacheKey, CacheSlot)>, counted: bool, keep_terms: bool) {
+    fn refresh_plans(
+        &self,
+        stale: Vec<(CacheKey, Option<Arc<CacheSlot>>)>,
+        counted: bool,
+        keep_terms: bool,
+    ) {
         for (key, slot) in stale {
+            let Some(slot) = slot else { continue };
+            let CacheSlot {
+                prepared,
+                deps,
+                opts,
+            } = Arc::unwrap_or_clone(slot);
             let terms = if keep_terms {
-                slot.prepared.parts().iter().cloned().map(Some).collect()
+                prepared.parts().iter().cloned().map(Some).collect()
             } else {
                 Vec::new()
             };
-            drop(slot.prepared);
+            drop(prepared);
             let refresh = Refresh {
                 stale: terms,
-                deps: &slot.deps,
+                deps: &deps,
                 counted,
             };
-            let _ = self.prepare_cached(key.cq, key.rank, slot.opts, Some(refresh));
+            let _ = self.prepare_cached(key.cq, key.rank, opts, Some(refresh));
         }
     }
 
@@ -904,22 +764,22 @@ impl Engine {
 
     /// Number of prepared plans currently cached (diagnostics).
     pub fn cached_plans(&self) -> usize {
-        self.shared.lock_cache().len()
+        self.shared.cache.stats().entries
     }
 
     /// A snapshot of the plan-cache counters: hits, misses, capacity
-    /// evictions, resident entries, and the configured capacity.
-    /// Counters are cumulative over the engine's lifetime (shared by
-    /// all clones) and are **not** reset by writes — the entries a
-    /// write drops leave the history as it was.
+    /// evictions, entries, and the capacity. Counters are cumulative
+    /// over the engine's lifetime (shared by all clones) and are
+    /// **not** reset by writes — the entries a write drops leave the
+    /// history as it was.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.shared.lock_cache();
+        let s = self.shared.cache.stats();
         CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            entries: cache.map.len(),
-            capacity: cache.capacity,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            entries: s.entries,
+            capacity: s.capacity,
         }
     }
 
@@ -993,13 +853,14 @@ impl Engine {
     }
 
     /// Get-or-build the prepared query for `(cq, rank, opts)` through
-    /// the cache (`true` = served from it). Concurrent misses may
-    /// prepare twice (last insert wins) — wasted work, never wrong
-    /// results. `refresh` is the write path's: the entry this prepare
-    /// replaces, whose still-valid terms a miss takes over instead of
-    /// building them; a reader's miss passes none and builds every
-    /// term. The query is taken by value: it becomes the cache key, so
-    /// a hit copies nothing of it.
+    /// the cache (`true` = this call did not prepare: the cache served
+    /// it, resident or from a prepare already in flight). One key
+    /// prepares once at a time: concurrent misses wait on the first and
+    /// share its plan. `refresh` is the write path's: the entry this
+    /// prepare replaces, whose still-valid terms a miss takes over
+    /// instead of building them; a reader's miss passes none and builds
+    /// every term. The query is taken by value: it becomes the cache
+    /// key, so a hit copies nothing of it.
     fn prepare_cached(
         &self,
         cq: ConjunctiveQuery,
@@ -1007,23 +868,39 @@ impl Engine {
         opts: EngineOpts,
         mut refresh: Option<Refresh<'_>>,
     ) -> Result<(PreparedQuery, bool), EngineError> {
-        let key = CacheKey::new(cq, rank, opts);
         let catalog = self.catalog();
-        {
-            let mut cache = self.shared.lock_cache();
-            // The one freshness gate: a hit is served only while the
-            // catalog holds every payload the plan was prepared over.
-            if let Some(slot) = cache.get(&key) {
-                if deps_current(&catalog, &slot.deps) {
-                    let served = slot.prepared.adopt_variant(opts.variant);
-                    cache.hits += 1;
-                    return Ok((served, true));
-                }
-            }
-            cache.misses += 1;
-        }
+        let (slot, built) = self.shared.cache.get_or_build(
+            CacheKey::new(cq, rank, opts),
+            // The one freshness gate: a plan is served only while the
+            // caller's catalog holds every payload it was prepared over.
+            |slot| deps_current(&catalog, &slot.deps),
+            |key| {
+                let prepared = self.prepare_uncached(key, opts, &catalog, refresh.as_mut())?;
+                let deps = query_deps(&catalog, &key.cq);
+                Ok(Arc::new(CacheSlot {
+                    prepared,
+                    deps,
+                    opts,
+                }))
+            },
+            |_| 1,
+        )?;
+        Ok((slot.prepared.adopt_variant(opts.variant), !built))
+    }
+
+    /// Route and preprocess `key`'s query over `catalog`: the prepare
+    /// behind every plan-cache miss, taking over from `refresh` the
+    /// terms it still holds valid.
+    fn prepare_uncached(
+        &self,
+        key: &CacheKey,
+        opts: EngineOpts,
+        catalog: &Catalog,
+        mut refresh: Option<&mut Refresh<'_>>,
+    ) -> Result<PreparedQuery, EngineError> {
         let cq = &key.cq;
-        let live = resolve_live(&catalog, cq)?;
+        let rank = key.rank;
+        let live = resolve_live(catalog, cq)?;
         let fulls: Vec<Relation> = live.iter().map(|a| a.full.clone()).collect();
         let delta_atoms = live.iter().filter(|a| a.has_deltas()).count();
         let mut plan = make_plan(cq, rank, opts, &fulls, catalog.indexes())?;
@@ -1116,11 +993,7 @@ impl Engine {
                 .collect::<Result<Vec<_>, _>>()?;
             PreparedQuery::union(plan, terms)
         };
-        let deps = query_deps(&catalog, cq);
-        self.shared
-            .lock_cache()
-            .insert(key, prepared.clone(), deps, opts);
-        Ok((prepared, false))
+        Ok(prepared)
     }
 }
 
@@ -1940,185 +1813,78 @@ mod tests {
         assert_eq!(engine.cached_plans(), 1, "no duplicate triangle artifact");
     }
 
-    #[test]
-    fn plan_cache_evicts_lru_materialized_entry_first() {
-        let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(2);
-        assert_eq!(engine.cache_capacity(), 2);
+    /// The `i`-th of as many distinct one-atom queries over `R1` as a
+    /// test wants: each is a cache key of its own.
+    fn nth_query(i: usize) -> ConjunctiveQuery {
+        QueryBuilder::new()
+            .atom("R1", &["a", &format!("b{i}")])
+            .build()
+    }
 
-        // Two materialized (Batch) entries: Sum then Max.
-        let _ = engine
-            .query(q.clone())
-            .with_variant(AnyKVariant::Batch)
-            .plan()
-            .unwrap();
-        let _ = engine
-            .query(q.clone())
-            .rank_by(RankSpec::Max)
-            .with_variant(AnyKVariant::Batch)
-            .plan()
-            .unwrap();
-        assert_eq!(engine.cached_plans(), 2);
-
-        // Touch the Sum entry: the Max entry becomes the LRU
-        // materialized resident.
-        let _ = engine
-            .query(q.clone())
-            .with_variant(AnyKVariant::Batch)
-            .plan()
-            .unwrap();
-        assert_eq!(engine.cached_plans(), 2);
-
-        // A third shape (T-DP, not materialized) exceeds capacity: the
-        // LRU *materialized* entry (Max/Batch) must be evicted — not
-        // the overall-LRU policy victim.
-        let _ = engine.query(q.clone()).plan().unwrap();
-        assert_eq!(engine.cached_plans(), 2);
-        {
-            let cache = engine.shared.cache.lock().unwrap();
-            assert!(
-                cache
-                    .map
-                    .keys()
-                    .any(|k| !k.batch && k.rank == RankSpec::Sum),
-                "the fresh T-DP entry stays"
-            );
-            assert!(
-                cache.map.keys().any(|k| k.batch && k.rank == RankSpec::Sum),
-                "the recently-used materialized entry stays"
-            );
-            assert!(
-                !cache.map.keys().any(|k| k.rank == RankSpec::Max),
-                "the LRU materialized entry is evicted first"
-            );
-        }
-
-        // A write keeps the entries that do not read what it changed
-        // (R9: none do) and refreshes in place those that do (R1: both
-        // do) — the same two entries stay, and neither write evicts.
-        let evictions = engine.cache_stats().evictions;
-        engine.register("R9", edge_rel(&[(1, 2, 0.0)]));
-        engine.register("R1", edge_rel(&[(4, 10, 0.2)]));
-        let cache = engine.shared.cache.lock().unwrap();
-        let resident = |batch| cache.map.keys().any(|k| k.batch == batch);
-        assert!(resident(true) && resident(false) && cache.map.len() == 2);
-        assert_eq!(cache.evictions, evictions, "a write is not an eviction");
+    /// Which of the first `n` [`nth_query`]s have a plan cached.
+    fn resident_queries(engine: &Engine, n: usize) -> Vec<usize> {
+        let mut resident = Vec::new();
+        (engine.shared.cache).remove_if(|key, _| {
+            resident.extend((0..n).filter(|&i| key.cq == nth_query(i)));
+            false
+        });
+        resident.sort_unstable();
+        resident
     }
 
     #[test]
     fn fresh_materialized_insert_is_not_its_own_victim() {
-        // A hot materialized plan arriving into a cache full of cheap
-        // T-DP entries must displace one of *them* — evicting the entry
-        // just inserted would make every repeat of the hot query re-run
-        // its full materialization.
+        // A materialized plan arriving into a full cache of cheap T-DP
+        // entries displaces the least recently used of *them* — evicting
+        // the entry just inserted would make every repeat of the query
+        // re-run its full materialization.
         let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(2);
-        for rank in [RankSpec::Sum, RankSpec::Max] {
-            let _ = engine.query(q.clone()).rank_by(rank).plan().unwrap();
+        for i in 0..PLAN_CACHE_CAPACITY {
+            engine.prepare(nth_query(i), RankSpec::Sum).unwrap();
         }
         let _ = engine
             .query(q.clone())
             .with_variant(AnyKVariant::Batch)
             .plan()
             .unwrap();
-        assert_eq!(engine.cached_plans(), 2);
-        let cache = engine.shared.cache.lock().unwrap();
+        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAPACITY);
+        let (_, report) = (engine.query(q).with_variant(AnyKVariant::Batch))
+            .prepare_report()
+            .unwrap();
         assert!(
-            cache.map.keys().any(|k| k.batch),
+            report.cache_hit,
             "the just-inserted materialized entry is retained"
         );
-        assert!(
-            !cache
-                .map
-                .keys()
-                .any(|k| !k.batch && k.rank == RankSpec::Sum),
+        assert_eq!(
+            resident_queries(&engine, PLAN_CACHE_CAPACITY),
+            (1..PLAN_CACHE_CAPACITY).collect::<Vec<_>>(),
             "the overall-LRU non-materialized entry goes instead"
         );
     }
 
     #[test]
-    fn hot_materialized_entry_survives_cold_inserts() {
-        // A materialized plan that keeps getting served must not be
-        // sacrificed to every cold insert merely for being the only
-        // heavy resident — materialized-first eviction only applies to
-        // entries that are not the current most-recently-used.
-        let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(2);
-        let _ = engine
-            .query(q.clone())
-            .with_variant(AnyKVariant::Batch)
-            .plan()
-            .unwrap();
-        let _ = engine.query(q.clone()).plan().unwrap(); // cold T-DP Sum
-        for rank in [RankSpec::Max, RankSpec::Min, RankSpec::Prod] {
-            // Keep the materialized entry hot, then push a cold shape.
-            let _ = engine
-                .query(q.clone())
-                .with_variant(AnyKVariant::Batch)
-                .plan()
-                .unwrap();
-            let _ = engine.query(q.clone()).rank_by(rank).plan().unwrap();
-            let cache = engine.shared.cache.lock().unwrap();
-            assert!(
-                cache.map.keys().any(|k| k.batch),
-                "hot materialized entry evicted by a cold {rank} insert"
-            );
-        }
-        // Once it goes cold (not used while others churn), it is the
-        // first to go again.
-        let _ = engine
-            .query(q.clone())
-            .rank_by(RankSpec::Max)
-            .plan()
-            .unwrap();
-        let _ = engine
-            .query(q.clone())
-            .rank_by(RankSpec::Sum)
-            .plan()
-            .unwrap();
-        let cache = engine.shared.cache.lock().unwrap();
-        assert!(
-            !cache.map.keys().any(|k| k.batch),
-            "a cold materialized entry is evicted first again"
-        );
-    }
-
-    #[test]
     fn plan_cache_plain_lru_without_materialized_entries() {
-        let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(2);
-        // Three T-DP entries in insertion order Sum, Max, Min: with no
-        // materialized residents, the overall LRU (Sum) goes.
-        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Min] {
-            let _ = engine.query(q.clone()).rank_by(rank).plan().unwrap();
+        let (engine, _) = path_engine();
+        // One entry past capacity, in insertion order: the overall LRU
+        // (query 0) goes — unless a lookup touched it, and then the next
+        // oldest goes instead.
+        for i in 0..=PLAN_CACHE_CAPACITY {
+            engine.prepare(nth_query(i), RankSpec::Sum).unwrap();
         }
-        assert_eq!(engine.cached_plans(), 2);
-        let cache = engine.shared.cache.lock().unwrap();
-        assert!(!cache.map.keys().any(|k| k.rank == RankSpec::Sum));
-        assert!(cache.map.keys().any(|k| k.rank == RankSpec::Max));
-        assert!(cache.map.keys().any(|k| k.rank == RankSpec::Min));
-    }
-
-    #[test]
-    fn plan_cache_capacity_zero_disables_caching() {
-        let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(0);
-        let a: Vec<_> = engine.query(q.clone()).plan().unwrap().collect();
-        assert_eq!(engine.cached_plans(), 0, "nothing is retained");
-        let b: Vec<_> = engine.query(q.clone()).plan().unwrap().collect();
-        assert_eq!(engine.cached_plans(), 0);
-        assert_eq!(a, b, "uncached planning still answers identically");
-    }
-
-    #[test]
-    fn shrinking_cache_capacity_evicts_immediately() {
-        let (engine, q) = path_engine();
-        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Min] {
-            let _ = engine.query(q.clone()).rank_by(rank).plan().unwrap();
-        }
-        assert_eq!(engine.cached_plans(), 3);
-        let engine = engine.with_cache_capacity(1);
-        assert_eq!(engine.cached_plans(), 1, "set_capacity trims eagerly");
+        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAPACITY);
+        let all = PLAN_CACHE_CAPACITY + 2;
+        assert_eq!(
+            resident_queries(&engine, all),
+            (1..=PLAN_CACHE_CAPACITY).collect::<Vec<_>>()
+        );
+        engine.prepare(nth_query(1), RankSpec::Sum).unwrap();
+        engine
+            .prepare(nth_query(PLAN_CACHE_CAPACITY + 1), RankSpec::Sum)
+            .unwrap();
+        let resident = resident_queries(&engine, all);
+        assert!(resident.contains(&1), "the touched entry stays");
+        assert!(!resident.contains(&2), "the next-oldest goes");
+        assert_eq!(resident.len(), PLAN_CACHE_CAPACITY);
     }
 
     #[test]
@@ -2167,13 +1933,14 @@ mod tests {
         let _ = engine.query(q).plan().unwrap();
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (3, 4, 2));
+        assert_eq!(stats.evictions, 0, "a write is not an eviction");
     }
 
     impl CacheStats {
-        /// The all-zero baseline at an engine's configured capacity.
-        fn default_with(engine: &Engine) -> CacheStats {
+        /// The all-zero baseline at the plan cache's capacity.
+        fn default_with(_engine: &Engine) -> CacheStats {
             CacheStats {
-                capacity: engine.cache_capacity(),
+                capacity: PLAN_CACHE_CAPACITY,
                 ..CacheStats::default()
             }
         }
@@ -2181,23 +1948,16 @@ mod tests {
 
     #[test]
     fn cache_stats_count_capacity_evictions() {
-        let (engine, q) = path_engine();
-        let engine = engine.with_cache_capacity(2);
-        for rank in [RankSpec::Sum, RankSpec::Max, RankSpec::Min, RankSpec::Prod] {
-            let _ = engine.query(q.clone()).rank_by(rank).plan().unwrap();
+        let (engine, _) = path_engine();
+        let inserts = PLAN_CACHE_CAPACITY + 2;
+        for i in 0..inserts {
+            engine.prepare(nth_query(i), RankSpec::Sum).unwrap();
         }
         let stats = engine.cache_stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 2, "four inserts into capacity 2");
-        assert_eq!(stats.misses, 4);
-        // Shrinking the capacity evicts (and counts) immediately.
-        let engine = engine.with_cache_capacity(1);
-        assert_eq!(engine.cache_stats().evictions, 3);
-        assert_eq!(engine.cache_stats().capacity, 1);
-        // Disabling the cache counts the purged residents too.
-        let engine = engine.with_cache_capacity(0);
-        assert_eq!(engine.cache_stats().evictions, 4);
-        assert_eq!(engine.cache_stats().entries, 0);
+        assert_eq!(stats.entries, PLAN_CACHE_CAPACITY);
+        assert_eq!(stats.evictions, 2, "two inserts past capacity");
+        assert_eq!(stats.misses, inserts as u64);
+        assert_eq!(stats.capacity, PLAN_CACHE_CAPACITY);
     }
 
     #[test]
@@ -2667,11 +2427,15 @@ mod tests {
             // Removing R2 leaves no entry that reads it; the path stays.
             assert!(engine.remove("R2").unwrap());
             for shard in engine.shard_engines() {
-                let cache = shard.shared.cache.lock().unwrap();
+                let mut slots = Vec::new();
+                (shard.shared.cache).remove_if(|_, slot| {
+                    slots.extend(slot.cloned());
+                    false
+                });
                 let reads_r2 =
-                    |slot: &CacheSlot| slot.deps.iter().any(|(n, _)| n.starts_with("R2"));
-                assert!(!cache.map.values().any(reads_r2), "{shards} shard(s)");
-                assert_eq!(cache.map.len(), 1, "{shards} shard(s)");
+                    |slot: &Arc<CacheSlot>| slot.deps.iter().any(|(n, _)| n.starts_with("R2"));
+                assert!(!slots.iter().any(reads_r2), "{shards} shard(s)");
+                assert_eq!(slots.len(), 1, "{shards} shard(s)");
             }
             assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
             assert!(read(&triangle).is_err());

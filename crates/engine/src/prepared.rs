@@ -333,9 +333,8 @@ impl PreparedQuery {
     }
 
     /// Does this prepared artifact hold a full materialized answer set
-    /// (the triangle route, and every `Batch` plan)? Such entries are
-    /// the heaviest residents of the engine's plan cache and the first
-    /// candidates for eviction under a capacity bound.
+    /// (the triangle route, and every `Batch` plan)? A refresh extends
+    /// such a term by the join over the new batches alone.
     pub fn holds_materialized_answers(&self) -> bool {
         // Exactly the artifacts that have a sort to defer.
         self.sort_deferred().is_some()

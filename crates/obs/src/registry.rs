@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::clock::{monotonic_clock, Clock};
 use crate::hist::Histogram;
@@ -63,8 +63,16 @@ impl SlowLog {
         }
     }
 
+    /// The log, locked. Every critical section is one push (after the
+    /// pop that bounds it), one copy or one length read, and none can
+    /// leave the deque half-changed: after a panic it is still whole
+    /// and within its bound.
+    fn entries(&self) -> MutexGuard<'_, VecDeque<QueryTrace>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn push(&self, trace: QueryTrace) {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries();
         if entries.len() == self.cap {
             entries.pop_back();
         }
@@ -73,19 +81,11 @@ impl SlowLog {
 
     /// Newest first.
     pub fn snapshot(&self) -> Vec<QueryTrace> {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect()
+        self.entries().iter().copied().collect()
     }
 
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.entries().len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -26,20 +26,20 @@
 //!   levels they asked for and collect matching rows with
 //!   [`Trie::rows_below`], which is level-agnostic.
 //!
-//! Memory is bounded by a bytes-estimate LRU cap (mirroring the
-//! engine's plan cache): each resident trie is accounted at
-//! [`Trie::memory_bytes`], and building past the cap evicts the
-//! least-recently-used resident indexes. Recency is a **logical tick**
-//! (this is a deterministic library crate — no wall clocks).
+//! The store is a [`Memo`] — the same one behind the engine's plan
+//! cache: each key is built once however many plans ask for it at the
+//! same time, memory is bounded by a bytes-estimate LRU cap (each
+//! resident trie weighs its [`Trie::memory_bytes`]; building past the
+//! cap evicts the least-recently-used resident indexes), and
 //! [`IndexCatalog::invalidate_payload`] drops exactly the entries of
 //! one payload — the relation-scoped invalidation hook
 //! [`Catalog::register`](crate::Catalog::register) and
 //! [`Catalog::remove`](crate::Catalog::remove) call on replacement.
 
-use crate::fxhash::FxHashMap;
+use crate::memo::Memo;
 use crate::relation::Relation;
 use crate::trie::Trie;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Resolves the sorted trie a join algorithm wants over a relation.
 ///
@@ -78,8 +78,7 @@ impl IndexProvider for BuildEachTime {
     }
 }
 
-/// Default byte budget for resident indexes (mirrors the plan cache's
-/// bounded-by-default policy).
+/// Default byte budget for resident indexes.
 pub const DEFAULT_INDEX_CATALOG_BYTES: usize = 256 << 20;
 
 /// Counters describing the index catalog's behavior, surfaced through
@@ -106,38 +105,14 @@ pub struct IndexStats {
 
 type IndexKey = (u64, Vec<usize>);
 
-#[derive(Debug)]
-struct Entry {
-    /// Build-exactly-once cell: the map lock is released while the
-    /// winning thread builds, so same-key waiters block on the cell
-    /// (not the whole catalog) and every other key stays available.
-    cell: Arc<OnceLock<Arc<Trie>>>,
-    /// `memory_bytes` of the built trie; 0 while the build is in
-    /// flight (in-flight entries are not yet accounted or evictable).
-    bytes: usize,
-    /// Logical recency for LRU eviction.
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct Inner {
-    map: FxHashMap<IndexKey, Entry>,
-    tick: u64,
-    capacity_bytes: usize,
-    resident_bytes: usize,
-    hits: u64,
-    misses: u64,
-    builds: u64,
-    evictions: u64,
-}
-
 /// The shared, lazily-populated, LRU-bounded trie index store (see
-/// module docs). `Catalog` holds one behind an `Arc`, so catalog
-/// clones — including the engine's copy-on-write catalog snapshots —
-/// share the same warm indexes.
+/// module docs): a [`Memo`] of tries weighed at their
+/// [`Trie::memory_bytes`]. `Catalog` holds one behind an `Arc`, so
+/// catalog clones — including the engine's copy-on-write catalog
+/// snapshots — share the same warm indexes.
 #[derive(Debug)]
 pub struct IndexCatalog {
-    inner: Mutex<Inner>,
+    tries: Memo<IndexKey, Arc<Trie>>,
 }
 
 impl Default for IndexCatalog {
@@ -146,61 +121,39 @@ impl Default for IndexCatalog {
     }
 }
 
-/// Extend `positions` with the remaining columns (ascending) into the
-/// canonical full-permutation trie order.
-fn canonical_positions(arity: usize, positions: &[usize]) -> Vec<usize> {
+/// The key of the trie over `rel` whose order starts with
+/// `positions`: its payload id and `positions` extended with the
+/// remaining columns (ascending) into the canonical full-permutation
+/// order.
+fn index_key(rel: &Relation, positions: &[usize]) -> IndexKey {
+    let arity = rel.arity();
     debug_assert!(positions.iter().all(|&p| p < arity));
     let mut canon = Vec::with_capacity(arity);
     canon.extend_from_slice(positions);
-    for p in 0..arity {
-        if !positions.contains(&p) {
-            canon.push(p);
-        }
-    }
-    canon
+    canon.extend((0..arity).filter(|p| !positions.contains(p)));
+    (rel.payload_id(), canon)
 }
 
 impl IndexCatalog {
     /// An empty catalog with the given resident-bytes budget.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
         IndexCatalog {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                tick: 0,
-                capacity_bytes,
-                resident_bytes: 0,
-                hits: 0,
-                misses: 0,
-                builds: 0,
-                evictions: 0,
-            }),
+            tries: Memo::new(capacity_bytes),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current counters (see [`IndexStats`]).
     pub fn stats(&self) -> IndexStats {
-        let inner = self.lock();
+        let s = self.tries.stats();
         IndexStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            builds: inner.builds,
-            evictions: inner.evictions,
-            resident_bytes: inner.resident_bytes as u64,
-            entries: inner.map.len(),
-            capacity_bytes: inner.capacity_bytes as u64,
+            hits: s.hits,
+            misses: s.misses,
+            builds: s.builds,
+            evictions: s.evictions,
+            resident_bytes: s.weight as u64,
+            entries: s.entries,
+            capacity_bytes: s.capacity as u64,
         }
-    }
-
-    /// Change the byte budget, evicting LRU entries if the new budget
-    /// is already exceeded.
-    pub fn set_capacity(&self, capacity_bytes: usize) {
-        let mut inner = self.lock();
-        inner.capacity_bytes = capacity_bytes;
-        Self::evict_over_capacity(&mut inner, None);
     }
 
     /// Drop every index built over the payload with this id (the
@@ -208,95 +161,21 @@ impl IndexCatalog {
     /// relation's indexes drop; everything else stays warm). Returns
     /// the number of entries dropped.
     pub fn invalidate_payload(&self, payload_id: u64) -> usize {
-        let mut inner = self.lock();
-        let before = inner.map.len();
-        let mut freed = 0usize;
-        inner.map.retain(|(pid, _), e| {
-            if *pid == payload_id {
-                freed += e.bytes;
-                false
-            } else {
-                true
-            }
-        });
-        inner.resident_bytes -= freed;
-        before - inner.map.len()
-    }
-
-    fn evict_over_capacity(inner: &mut Inner, keep: Option<&IndexKey>) {
-        while inner.resident_bytes > inner.capacity_bytes {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, e)| e.bytes > 0 && keep != Some(*k))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(k) = victim else { break };
-            if let Some(e) = inner.map.remove(&k) {
-                inner.resident_bytes -= e.bytes;
-                inner.evictions += 1;
-            }
-        }
+        (self.tries.remove_if(|(pid, _), _| *pid == payload_id)).len()
     }
 }
 
 impl IndexProvider for IndexCatalog {
     fn trie(&self, rel: &Relation, positions: &[usize]) -> Arc<Trie> {
-        let key: IndexKey = (
-            rel.payload_id(),
-            canonical_positions(rel.arity(), positions),
-        );
-        let cell = {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.last_used = tick;
-                let cell = Arc::clone(&e.cell);
-                inner.hits += 1;
-                cell
-            } else {
-                inner.misses += 1;
-                let cell: Arc<OnceLock<Arc<Trie>>> = Arc::new(OnceLock::new());
-                inner.map.insert(
-                    key.clone(),
-                    Entry {
-                        cell: Arc::clone(&cell),
-                        bytes: 0,
-                        last_used: tick,
-                    },
-                );
-                cell
-            }
-        };
-        // Build outside the map lock: only same-key requesters wait.
-        let mut built_here = false;
-        let trie = Arc::clone(cell.get_or_init(|| {
-            built_here = true;
-            Arc::new(Trie::build(rel, &key.1))
-        }));
-        if built_here {
-            let bytes = trie.memory_bytes();
-            let mut inner = self.lock();
-            inner.builds += 1;
-            // The entry may have been invalidated while building; only
-            // account bytes for entries still resident.
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.bytes = bytes;
-                inner.resident_bytes += bytes;
-                Self::evict_over_capacity(&mut inner, Some(&key));
-            }
-        }
+        let build = |(_, order): &IndexKey| Ok(Arc::new(Trie::build(rel, order)));
+        let weigh = |trie: &Arc<Trie>| trie.memory_bytes();
+        let Ok((trie, _)) =
+            (self.tries).get_or_build(index_key(rel, positions), |_| true, build, weigh);
         trie
     }
 
     fn probe(&self, rel: &Relation, positions: &[usize]) -> bool {
-        let key: IndexKey = (
-            rel.payload_id(),
-            canonical_positions(rel.arity(), positions),
-        );
-        let inner = self.lock();
-        inner.map.get(&key).is_some_and(|e| e.cell.get().is_some())
+        self.tries.probe(&index_key(rel, positions))
     }
 }
 

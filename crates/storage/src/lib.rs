@@ -25,6 +25,8 @@
 //!   and join-key grouping. There is no hash index.
 //! * [`index_catalog`] — catalog-resident shared trie indexes
 //!   (lazy, LRU-bounded, payload-identity keyed).
+//! * [`memo`] — the keyed, build-once, weight-bounded LRU store behind
+//!   the index catalog and the engine's plan cache.
 //! * [`partition`] — deterministic full-row hash partitioning of
 //!   relations into shard fragments.
 //! * [`catalog`] — named relations plus a string dictionary.
@@ -37,6 +39,7 @@ pub mod delta;
 pub mod error;
 pub mod fxhash;
 pub mod index_catalog;
+pub mod memo;
 pub mod partition;
 pub mod relation;
 pub mod schema;
@@ -51,6 +54,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use index_catalog::{
     BuildEachTime, IndexCatalog, IndexProvider, IndexStats, DEFAULT_INDEX_CATALOG_BYTES,
 };
+pub use memo::{Memo, MemoStats};
 pub use partition::{partition_relation, shard_of_row};
 pub use relation::{Relation, RelationBuilder, RowId, MAX_ROWS};
 pub use schema::Schema;

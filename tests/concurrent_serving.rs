@@ -7,6 +7,7 @@
 mod common;
 
 use anyk::prelude::*;
+use anyk::query::cq::ConjunctiveQuery;
 use common::gen::scrambled_edges;
 use std::sync::Barrier;
 use std::thread;
@@ -320,4 +321,76 @@ fn readers_building_shared_orders_while_a_writer_extends_the_root() {
         batches.len() as u64 - 1,
         "every append after the first extended the delta term at its root"
     );
+}
+
+/// A cold cyclic query whose prepare lasts long enough that callers
+/// released together all arrive while it runs.
+fn slow_triangle() -> (Engine, ConjunctiveQuery) {
+    let q = triangle_query();
+    let e = scrambled_edges(6000, 300, 53);
+    (
+        Engine::from_query_bindings(&q, vec![e.clone(), e.clone(), e]),
+        q,
+    )
+}
+
+#[test]
+fn concurrent_misses_of_one_query_prepare_once() {
+    // Eight threads released together onto a cold query: the first
+    // installs the prepare, the other seven wait on it and share its
+    // plan, so the engine prepares the query exactly once.
+    let (engine, q) = slow_triangle();
+    let start = Barrier::new(8);
+    let results: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let (engine, q, start) = (&engine, &q, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let (prepared, report) = engine.query(q.clone()).prepare_report().unwrap();
+                    (answers(prepared.stream()), report.cache_hit)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
+    });
+    assert!(results[0].0.len() > 1000, "instance too small to overlap");
+    for (got, _) in &results[1..] {
+        assert_eq!(got, &results[0].0, "every caller streams the same bytes");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.misses, 1, "one prepare for eight concurrent misses");
+    assert_eq!(stats.hits, 7);
+    assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);
+}
+
+#[test]
+fn a_write_refresh_and_a_reader_miss_prepare_once_between_them() {
+    // The writer replaces R2 and refreshes the triangle over it; a
+    // reader that sees the new catalog prepares the same query while
+    // that refresh runs, or after it. Between them the engine prepares
+    // it once, and the reader streams the new data.
+    let (engine, q) = slow_triangle();
+    engine.prepare(q.clone(), RankSpec::Sum).unwrap();
+    let new_r2 = scrambled_edges(6000, 300, 59);
+    let misses = engine.cache_stats().misses;
+    let got = thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let replaced = |c: &Catalog| c.get("R2").is_some_and(|r| r.shares_payload(&new_r2));
+            while !replaced(&engine.catalog()) {
+                thread::yield_now();
+            }
+            answers(engine.prepare(q.clone(), RankSpec::Sum).unwrap().stream())
+        });
+        engine.register("R2", new_r2.clone());
+        reader.join().expect("reader")
+    });
+    assert_eq!(engine.cache_stats().misses - misses, 1);
+    assert_eq!(engine.write_stats().invalidated_plans, 1);
+    let fresh = Engine::new((*engine.catalog()).clone());
+    let want = answers(fresh.prepare(q, RankSpec::Sum).unwrap().stream());
+    assert_eq!(got, want, "the reader streams the replaced relation");
 }
