@@ -25,9 +25,13 @@
 //! on-demand successor orders): spawning an enumerator over a shared
 //! prepared [`TdpInstance`] costs `O(slots)`, and enumeration only ever
 //! materializes the (slot, group) / (slot, tuple) streams its answers
-//! actually recurse through — stream-spawn cost is proportional to the
-//! answers pulled, not to `n`. This is what makes REC's time-to-first
-//! serving-grade on the prepare-once/stream-many path.
+//! actually recurse through. A group stream, though, is seeded on first
+//! touch with every member of its group, one heap entry each, and the
+//! root slot is one group of every reduced root tuple: a prepared
+//! stream's first answer costs `O(|root|)`, not the answers pulled
+//! (`tests/spawn_cost.rs` counts it growing with `n`, where PART's
+//! stays flat). It is still a small fraction of a cold plan, whose
+//! preprocessing reads every relation.
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
@@ -136,9 +140,10 @@ pub struct AnyKRec<R: RankingFunction> {
 impl<R: RankingFunction> AnyKRec<R> {
     /// Build the enumerator — `O(slots)` work, independent of the
     /// instance's tuple count (stream shells are created on first
-    /// touch during enumeration). Accepts an owned [`TdpInstance`] or
-    /// a shared `Arc<TdpInstance>` (the prepare-once/enumerate-many
-    /// path).
+    /// touch during enumeration; the first answer seeds the root
+    /// group's stream with all `O(|root|)` of its members). Accepts an
+    /// owned [`TdpInstance`] or a shared `Arc<TdpInstance>` (the
+    /// prepare-once/enumerate-many path).
     pub fn new(inst: impl Into<Arc<TdpInstance<R>>>) -> Self {
         let inst = inst.into();
         let m = inst.num_slots();

@@ -42,7 +42,7 @@ use crate::stream::RankedStream;
 use anyk_obs::ObsRegistry;
 use anyk_query::cq::ConjunctiveQuery;
 use anyk_storage::{partition_relation, Catalog, Relation};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 
 use crate::{Appended, CacheStats, Engine, EngineOpts, PrepareReport, WriteStats};
 use anyk_storage::IndexStats;
@@ -85,6 +85,22 @@ struct ShardedShared {
     /// Lock order: `coord` is acquired before any per-shard catalog or
     /// cache lock (coord ≺ catalog ≺ cache ≺ cursor table).
     coord: RwLock<()>,
+}
+
+impl ShardedShared {
+    /// The coordination lock, taken by `lock` — `RwLock::read` for a
+    /// prepare or an `explain`, `RwLock::write` for a write applied to
+    /// every shard in turn. A panic under the write guard at shard `k`
+    /// leaves shards `0..k` with the write and the rest without it.
+    /// Each shard's own plans stay fresh, since every shard applies
+    /// its part through `Engine::write_catalog`'s one rule, but a
+    /// union over the shards can then mix the two versions of the
+    /// relation. The mix lasts until a `register` or `remove` of that
+    /// relation rewrites every shard: a later `append` or `compact`
+    /// applies to all shards alike and keeps it.
+    fn lock_coord<'a, G>(&'a self, lock: impl FnOnce(&'a RwLock<()>) -> LockResult<G>) -> G {
+        lock(&self.coord).unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// N full [`Engine`] shards behind one globally-ranked query facade.
@@ -219,11 +235,7 @@ impl ShardedEngine {
         logical(&name)?;
         let frag = fragment(&name, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &rel);
-        let _coord = self
-            .shared
-            .coord
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::write);
         for (engine, part) in shards {
             engine.update_catalog(|c| {
                 c.register(name.clone(), rel.clone());
@@ -248,11 +260,7 @@ impl ShardedEngine {
     pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
         let frag = fragment(logical(name)?, self.num_shards());
         let shards = self.with_parts(frag.as_deref(), &batch);
-        let _coord = self
-            .shared
-            .coord
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::write);
         let mut appended = Appended {
             deltas: 0,
             compacted: false,
@@ -273,11 +281,7 @@ impl ShardedEngine {
     /// `#` names (refused before any shard is touched).
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
         let frag = fragment(logical(name)?, self.num_shards());
-        let _coord = self
-            .shared
-            .coord
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::write);
         let mut compacted = false;
         for engine in &self.shared.engines {
             compacted |= engine.compact(name)?;
@@ -313,11 +317,7 @@ impl ShardedEngine {
     /// [`EngineError::ReservedRelationName`], and nothing is removed.
     pub fn remove(&self, name: &str) -> Result<bool, EngineError> {
         let name = logical(name)?;
-        let _coord = self
-            .shared
-            .coord
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::write);
         let frag = fragment(name, self.num_shards());
         let mut removed = false;
         for engine in &self.shared.engines {
@@ -385,11 +385,7 @@ impl ShardedEngine {
         cq: ConjunctiveQuery,
         rank: RankSpec,
     ) -> Result<(PreparedQuery, PrepareReport), EngineError> {
-        let _coord = self
-            .shared
-            .coord
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::read);
         let Some((pivot, frag)) = self.scatter(&cq)? else {
             let shard = &self.shared.engines[0];
             return shard.prepare_cached_report(cq, rank, shard.opts);
@@ -437,11 +433,7 @@ impl ShardedEngine {
     /// its replicated relation on all shards. With one shard there is
     /// no fan-out: the plan alone, as the shard renders it.
     pub fn explain(&self, cq: ConjunctiveQuery, rank: RankSpec) -> Result<String, EngineError> {
-        let _coord = self
-            .shared
-            .coord
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _coord = self.shared.lock_coord(RwLock::read);
         let scatter = self.scatter(&cq)?;
         let mut fan_out = String::new();
         if let Some((pivot, _)) = scatter {

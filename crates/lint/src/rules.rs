@@ -605,11 +605,10 @@ fn no_boxed_dyn_error(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// Raw wall clocks — `Instant::now()` / `SystemTime::now()` — are
 /// permitted only inside `crates/obs`, the one crate whose job is
 /// reading clocks (its `MonotonicClock` is the workspace's sole
-/// `Instant::now` site). Everything else — engine, server, bench,
-/// even this linter — must go through an injected
-/// [`Clock`](anyk_obs::Clock) (or `anyk_obs::global_clock()` at the
-/// edges), so tests run on a deterministic clock and timing behavior
-/// is replayable.
+/// `Instant::now` site). Everything else — engine, server, even this
+/// linter — must go through an injected [`Clock`](anyk_obs::Clock), so
+/// tests run on a deterministic clock and timing behavior is
+/// replayable.
 fn timing_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let scope = Scope::of(file);
     if scope.in_crate_src("obs") {
@@ -635,8 +634,8 @@ fn timing_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 "timing-discipline",
                 format!(
                     "`{name}::now()` outside crates/obs — read time through an \
-                     injected `anyk_obs::Clock` (or `anyk_obs::global_clock()` at \
-                     a bench/CLI edge) so timing stays deterministic under test"
+                     injected `anyk_obs::Clock` so timing stays deterministic under \
+                     test"
                 ),
             ));
         }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A monotonic microsecond source. Implementations must never go
@@ -17,14 +17,6 @@ use std::time::Instant;
 pub trait Clock: Send + Sync + fmt::Debug {
     /// Microseconds elapsed since this clock's origin.
     fn now_us(&self) -> u64;
-
-    /// Nanoseconds elapsed since this clock's origin, for measurement
-    /// code whose signal is sub-microsecond (per-answer delay in the
-    /// bench harness). Defaults to microsecond granularity so manual
-    /// clocks stay trivially consistent with `now_us`.
-    fn now_ns(&self) -> u64 {
-        self.now_us().saturating_mul(1_000)
-    }
 }
 
 /// The real clock: microseconds since construction, via
@@ -51,10 +43,6 @@ impl Default for MonotonicClock {
 impl Clock for MonotonicClock {
     fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
     }
 }
 
@@ -99,15 +87,6 @@ pub fn manual_clock(start_us: u64) -> Arc<ManualClock> {
     Arc::new(ManualClock::new(start_us))
 }
 
-/// The process-wide real clock, for free-standing timing helpers
-/// (e.g. the bench harness's `time()`), where threading a handle
-/// through every call site would be noise. Library/server code should
-/// prefer an injected `Arc<dyn Clock>`.
-pub fn global_clock() -> &'static MonotonicClock {
-    static GLOBAL: OnceLock<MonotonicClock> = OnceLock::new();
-    GLOBAL.get_or_init(MonotonicClock::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,23 +110,5 @@ mod tests {
         assert_eq!(clock.now_us(), 15);
         clock.set(3);
         assert_eq!(clock.now_us(), 3);
-    }
-
-    #[test]
-    fn now_ns_tracks_now_us() {
-        let manual = ManualClock::new(7);
-        assert_eq!(manual.now_ns(), 7_000);
-        let real = MonotonicClock::new();
-        let us = real.now_us();
-        let ns = real.now_ns();
-        // ns read after us: at least as far along, same origin.
-        assert!(ns >= us.saturating_mul(1_000));
-    }
-
-    #[test]
-    fn global_clock_is_shared_and_monotonic() {
-        let a = global_clock().now_us();
-        let b = global_clock().now_us();
-        assert!(b >= a);
     }
 }

@@ -27,7 +27,7 @@ pub mod hist;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{global_clock, manual_clock, monotonic_clock, Clock, ManualClock, MonotonicClock};
+pub use clock::{manual_clock, monotonic_clock, Clock, ManualClock, MonotonicClock};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use registry::{rank_id, route_id, ObsRegistry, RouteCell, SlowLog, RANKS, ROUTES};
 pub use trace::{QueryTrace, RingStats, Stage, TraceRing, MAX_TRACE_SHARDS, STAGES, TRACE_WORDS};

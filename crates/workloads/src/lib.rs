@@ -1,7 +1,7 @@
 //! # anyk-workloads
 //!
-//! Seeded, reproducible synthetic workloads for the experiments in
-//! `crates/bench`. The paper is a tutorial and evaluates on synthetic
+//! Seeded, reproducible synthetic workloads for the counted claims in
+//! `tests/` and the `benchmark/` workloads. The paper is a tutorial and evaluates on synthetic
 //! graph-pattern workloads (plus the adversarial instances its
 //! complexity arguments are built on); this crate generates:
 //!

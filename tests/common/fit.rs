@@ -1,6 +1,4 @@
 //! The shape of a counted quantity across a ladder of input sizes.
-//! `anyk-bench`'s `util` unit tests compile this file in by path, so
-//! the workspace keeps one copy of the fit.
 
 /// Least-squares slope of `ln y` against `ln x` over the rungs
 /// `points`: the exponent `e` of a count that grows as `x^e`. Needs at

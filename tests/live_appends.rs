@@ -5,6 +5,9 @@
 //! accounting must balance exactly, the write counters must land on
 //! the exact batch arithmetic, and plans over untouched relations must
 //! keep their cache entries and shared indexes through every append.
+//! Once the readers are gone, every further batch keeps the warm plans'
+//! all-base terms and extends their delta terms, rebuilding nothing,
+//! and the triangle still pages as a fresh engine over base ⊎ batches.
 //!
 //! This suite also runs under ThreadSanitizer in CI (the nightly tsan
 //! job), so the thread and batch sizes are deliberately modest.
@@ -12,12 +15,15 @@
 mod common;
 
 use anyk::prelude::*;
+use anyk::query::cq::ConjunctiveQuery;
 use anyk::serve::{encode_answer, Server, TcpClient};
 use common::gen::scrambled_edges;
 
 const READERS: usize = 8;
 const QUERIES_PER_READER: usize = 6;
 const BATCHES: usize = 5;
+/// Batches appended once the readers are gone, each followed by a read.
+const EXTENSIONS: usize = 16;
 const BATCH_ROWS: usize = 4;
 const PAGE: usize = 4;
 const PAGES: usize = 3; // rows pulled per query = PAGE * PAGES
@@ -237,12 +243,6 @@ fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[
     // extended by the batch's answers four times — byte-
     // identical to a fresh single-payload engine's canonical-tie
     // stream through the same encoder.
-    let mut combined = vec![rels[0].clone()];
-    for b in 0..BATCHES {
-        combined.push(common::gen::edge_rel(&batch_rows(b)));
-    }
-    let mut fresh = rels[..3].to_vec();
-    fresh[0] = Relation::concat(&combined);
     let path = QueryBuilder::new()
         .atom("R1", &["a", "b"])
         .atom("R2", &["b", "c"])
@@ -252,22 +252,84 @@ fn run_live_append_scenario(label: &str, service: &Service, mode: Mode, rels: &[
         .atom("R2", &["b", "c"])
         .atom("R3", &["c", "a"])
         .build();
-    for (select, q, atoms) in [(SELECTS[0], path, 2), (SELECTS[4], triangle, 3)] {
+    for (select, q) in [(SELECTS[0], &path), (SELECTS[4], &triangle)] {
         let got = pull_pages(&mut probe, select);
-        let reference = Engine::from_query_bindings(&q, fresh[..atoms].to_vec());
-        let want: Vec<String> = reference
-            .prepare(q.clone(), RankSpec::Sum)
-            .expect("reference prepare")
-            .stream()
-            .canonical_ties()
-            .take(PAGE * PAGES)
-            .map(|a| encode_answer(&a))
-            .collect();
         assert_eq!(
-            got, want,
+            got,
+            fresh_pages(q, rels, BATCHES),
             "{label}: post-append pages of {q} must be byte-identical to the reference stream"
         );
     }
+
+    // Extension: the readers are gone and all five plans are warm, so
+    // every append refreshes exactly the three plans over R1. Each
+    // keeps its all-base term and extends its delta term — the
+    // triangle's by the batch's answers, the two paths' at their roots
+    // — so nothing is rebuilt, and the triangle read after each append
+    // is a cache hit that builds no index.
+    let before = service.stats();
+    for b in BATCHES..BATCHES + EXTENSIONS {
+        let reply = probe.send(&insert_text(&batch_rows(b)));
+        assert_eq!(
+            reply,
+            format!(
+                "OK appended rows={BATCH_ROWS} deltas={} compacted=false\nEND\n",
+                b + 1
+            ),
+            "{label}: batch {b}"
+        );
+        pull_pages(&mut probe, SELECTS[4]);
+    }
+    let after = service.stats();
+    let n = EXTENSIONS as u64;
+    assert_eq!(
+        after.append_invalidations - before.append_invalidations,
+        TOUCHED_PER_APPEND * n,
+        "{label}: each append invalidates exactly the three R1 plans"
+    );
+    assert_eq!(
+        [
+            after.terms_kept - before.terms_kept,
+            after.terms_extended - before.terms_extended,
+            after.terms_rebuilt - before.terms_rebuilt,
+        ],
+        [TOUCHED_PER_APPEND * n, TOUCHED_PER_APPEND * n, 0],
+        "{label}: [kept, extended, rebuilt] over {EXTENSIONS} appends"
+    );
+    assert_eq!(
+        (
+            after.cache.misses - before.cache.misses,
+            after.index.builds - before.index.builds
+        ),
+        (TOUCHED_PER_APPEND * n, 0),
+        "{label}: (plan misses, index builds): the only misses are the writer's own refreshes"
+    );
+    assert_eq!(
+        pull_pages(&mut probe, SELECTS[4]),
+        fresh_pages(&triangle, rels, BATCHES + EXTENSIONS),
+        "{label}: the triangle's pages after {EXTENSIONS} extensions"
+    );
+}
+
+/// The first `PAGE * PAGES` answers of `q` under Sum, encoded as the
+/// service sends them, on a fresh engine whose `R1` holds its base rows
+/// and the first `batches` writer batches in one payload (`q`'s atoms
+/// bind `R1`, `R2`, … in order).
+fn fresh_pages(q: &ConjunctiveQuery, rels: &[Relation], batches: usize) -> Vec<String> {
+    let mut combined = vec![rels[0].clone()];
+    for b in 0..batches {
+        combined.push(common::gen::edge_rel(&batch_rows(b)));
+    }
+    let mut fresh = rels[..q.num_atoms()].to_vec();
+    fresh[0] = Relation::concat(&combined);
+    let reference = Engine::from_query_bindings(q, fresh);
+    (reference.prepare(q.clone(), RankSpec::Sum))
+        .expect("reference prepare")
+        .stream()
+        .canonical_ties()
+        .take(PAGE * PAGES)
+        .map(|a| encode_answer(&a))
+        .collect()
 }
 
 #[test]

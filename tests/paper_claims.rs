@@ -512,6 +512,18 @@ fn e13_cycle_split_lands_subw_rows_where_one_tree_lands_n_squared() {
 }
 
 #[test]
+fn slope_of_quadratic() {
+    let pts: Vec<(f64, f64)> = (1..=10).map(|i| (i as f64, (i * i) as f64)).collect();
+    assert!((loglog_slope(&pts) - 2.0).abs() < 1e-9);
+}
+
+#[test]
+fn slope_of_linear() {
+    let pts: Vec<(f64, f64)> = (1..=10).map(|i| (i as f64, 3.0 * i as f64)).collect();
+    assert!((loglog_slope(&pts) - 1.0).abs() < 1e-9);
+}
+
+#[test]
 fn loglog_slope_recovers_exponents() {
     for e in [0.0, 1.0, 1.5, 2.0] {
         let power: Vec<(f64, f64)> = (1..=6)

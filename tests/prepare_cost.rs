@@ -28,10 +28,14 @@
 //! bags stay within the `n·Δ^(h−1)` each that the plan's exponent
 //! rests on.
 //!
-//! The last pin is in bytes: while `Trie::build` runs it never holds
-//! more than 16 bytes per row beyond the trie it returns — the `u64`
-//! sort records and the counting passes' scratch copy of them, which is
-//! freed before the first level is allocated.
+//! Pins in bytes: while `Trie::build` runs it never holds more than 16
+//! bytes per row beyond the trie it returns — the `u64` sort records
+//! and the counting passes' scratch copy of them, which is freed before
+//! the first level is allocated. A cold T-DP prepare of the 4-cycle's
+//! light-light case — reducer, compaction, grouping, subtree costs —
+//! asks at most twice the bytes of the two join-key tries it sorts
+//! (1.31× at 1 600 edges per relation, 1.25× at 16 000), in some ninety
+//! blocks whatever the rows.
 
 mod common;
 
@@ -269,6 +273,67 @@ fn a_trie_build_holds_sixteen_bytes_a_row_beyond_its_trie() {
         );
         drop(trie);
     }
+}
+
+/// (blocks, bytes) the calling thread asks for while `f` runs.
+fn asked(f: impl FnOnce()) -> (u64, u64) {
+    let before = (BLOCKS.get(), ASKED.get());
+    f();
+    (BLOCKS.get() - before.0, ASKED.get() - before.1)
+}
+
+/// One cold T-DP prepare of the 4-cycle's light-light case — two
+/// pre-joined bags on a two-column key, uniquely owned as the cycle
+/// route hands them to prepare — over four `edges`-row relations of
+/// mean degree 4: `[prepare, key tries]`, the (blocks, bytes) of
+/// `TdpInstance::prepare` and of the two join-key `Trie::build`s over
+/// the same bags, and the bags' rows.
+fn light_light_prepare(edges: usize) -> ([(u64, u64); 2], usize) {
+    use anyk::join::c4::c4_cases_provider;
+    use anyk::join::semijoin::join_key_positions;
+    use anyk::query::cycles::heavy_threshold;
+    use anyk::storage::{BuildEachTime, Trie};
+    use anyk::workloads::graphs::random_edge_relation;
+    let rels: Vec<Relation> = (0..4)
+        .map(|i| random_edge_relation(edges, edges as u64 / 4, WeightDist::Uniform, None, 1901 + i))
+        .collect();
+    let merge = |a: Weight, b: Weight| Weight::new(a.get() + b.get());
+    let mut cases = c4_cases_provider(&rels, heavy_threshold(edges), merge, &BuildEachTime);
+    let case = cases.pop().expect("the light-light case comes last");
+    assert_eq!(case.label, "light-light");
+    let bag_rows = case.relations.iter().map(Relation::len).sum();
+    let child = (0..case.tree.len())
+        .find(|&n| case.tree.node(n).parent.is_some())
+        .expect("two bags, one edge");
+    let parent = case.tree.node(child).parent.expect("a child");
+    let (cpos, ppos) = join_key_positions(&case.query, &case.tree, child);
+    let (crel, prel) = (
+        &case.relations[case.tree.node(child).atom],
+        &case.relations[case.tree.node(parent).atom],
+    );
+    let tries = asked(|| drop((Trie::build(crel, &cpos), Trie::build(prel, &ppos))));
+    let prepare = asked(|| {
+        TdpInstance::<SumCost>::prepare(&case.query, &case.tree, case.relations).expect("prepare");
+    });
+    ([prepare, tries], bag_rows)
+}
+
+#[test]
+fn a_cold_tdp_prepare_asks_at_most_twice_its_key_tries() {
+    let mut measured = Vec::new();
+    for edges in [1_600, 6_400, 16_000] {
+        let ([prepare, tries], bag_rows) = light_light_prepare(edges);
+        assert!(
+            prepare.1 <= 2 * tries.1,
+            "{edges} edges, {bag_rows} bag rows: a cold prepare asks {prepare:?} \
+             (blocks, bytes), its two key tries {tries:?}"
+        );
+        measured.push((bag_rows, prepare.0));
+    }
+    assert!(
+        measured[2].0 > 8 * measured[0].0 && measured.iter().all(|&(_, blocks)| blocks <= 128),
+        "(bag rows, prepare blocks): the rows grow, the blocks do not: {measured:?}"
+    );
 }
 
 /// A 64-row batch for `R1`, every row joining `R2` on one of its 1 000

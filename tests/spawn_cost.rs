@@ -10,6 +10,14 @@
 //!
 //! A warm drain, counted the same way, allocates one block per answer
 //! on every any-k route.
+//!
+//! What a first answer asks is the serving split of preprocessing and
+//! delay as counts: on path-3 Sum a warm PART stream's first answer
+//! asks the same at every `n`, at least ten times less than a cold
+//! `plan()`'s, which grows with `n`. A warm REC stream is spawned at
+//! the same cost at every `n`, but its first answer is not: it seeds
+//! the root group's frontier with every member, so its bytes follow
+//! the reduced root relation (see `core::rec`'s module doc).
 
 mod common;
 #[path = "common/counting.rs"]
@@ -20,13 +28,19 @@ use anyk::query::cq::ConjunctiveQuery;
 use common::gen::scrambled_edges;
 use counting::counted;
 
-/// (blocks, bytes) one `stream()` allocates on a warm prepared query
-/// over `edges`-row relations of constant degree 10.
-fn spawn_allocations(q: &ConjunctiveQuery, rank: RankSpec, edges: u64) -> (u64, u64) {
+/// A fresh engine over `edges`-row relations of constant degree 10,
+/// one per atom of `q`.
+fn engine_over(q: &ConjunctiveQuery, edges: u64) -> Engine {
     let rels = (0..q.num_atoms() as u64)
         .map(|i| scrambled_edges(edges, edges as i64 / 10, 2 * i + 1))
         .collect();
-    let engine = Engine::from_query_bindings(q, rels);
+    Engine::from_query_bindings(q, rels)
+}
+
+/// (blocks, bytes) one `stream()` allocates on a warm prepared query
+/// over `edges`-row relations of constant degree 10.
+fn spawn_allocations(q: &ConjunctiveQuery, rank: RankSpec, edges: u64) -> (u64, u64) {
+    let engine = engine_over(q, edges);
     let prepared = engine.prepare(q.clone(), rank).expect("prepare");
     // Warm: the first stream's first answers build the orders they touch.
     assert_eq!(prepared.stream().take(5).count(), 5, "instance has answers");
@@ -48,6 +62,72 @@ fn a_warm_spawn_allocates_the_same_at_every_input_size() {
             "{label}: (blocks, bytes) of stream() at n = 1 000 and at n = 16 000"
         );
     }
+}
+
+/// Edges per relation of the first-answer ladder.
+const FIRST_ANSWER_NS: [u64; 3] = [1_000, 16_000, 64_000];
+
+/// (blocks, bytes) on path-3 Sum under `variant` over `edges`-row
+/// relations: of a warm `stream()` alone, of a warm `stream()` plus its
+/// first answer, and of a cold `plan()` plus its first answer on a
+/// fresh engine.
+fn first_answer_allocations(variant: AnyKVariant, edges: u64) -> [(u64, u64); 3] {
+    let q = path_query(3);
+    let cold_engine = engine_over(&q, edges);
+    let (cold, first) = counted(|| {
+        let query = cold_engine.query(q.clone()).rank_by(RankSpec::Sum);
+        query.with_variant(variant).plan().expect("plan").next()
+    });
+    assert!(first.is_some(), "the instance has answers");
+    let engine = engine_over(&q, edges);
+    let query = engine.query(q).rank_by(RankSpec::Sum);
+    let prepared = query.with_variant(variant).prepare().expect("prepare");
+    // Warm: the first stream's first answer builds the orders it touches.
+    assert!(prepared.stream().next().is_some());
+    let (spawn, _) = counted(|| prepared.stream());
+    let (warm, first) = counted(|| prepared.stream().next());
+    assert!(first.is_some());
+    [spawn, warm, cold]
+}
+
+#[test]
+fn a_prepared_first_answer_allocates_the_same_at_every_n_and_a_tenth_of_a_cold_plan() {
+    let [small, mid, large] =
+        FIRST_ANSWER_NS.map(|n| first_answer_allocations(AnyKVariant::default(), n));
+    let (warm, cold) = ([small[1], mid[1], large[1]], [small[2], mid[2], large[2]]);
+    assert!(
+        warm.iter().all(|&w| w == warm[0]),
+        "(blocks, bytes) of a warm stream() + first answer at n = {FIRST_ANSWER_NS:?}: {warm:?}"
+    );
+    assert!(
+        cold[0].1 >= 10 * warm[0].1 && cold[0].1 < cold[1].1 && cold[1].1 < cold[2].1,
+        "bytes of a cold plan() + first answer {cold:?} against a warm one's {warm:?} \
+         at n = {FIRST_ANSWER_NS:?}"
+    );
+}
+
+#[test]
+fn a_prepared_rec_stream_spawns_the_same_at_every_n() {
+    let [small, mid, large] =
+        FIRST_ANSWER_NS.map(|n| first_answer_allocations(AnyKVariant::Rec, n));
+    let (spawn, first) = ([small[0], mid[0], large[0]], [small[1], mid[1], large[1]]);
+    let cold = [small[2], mid[2], large[2]];
+    assert!(
+        spawn.iter().all(|&s| s == spawn[0]),
+        "(blocks, bytes) of a warm REC stream() at n = {FIRST_ANSWER_NS:?}: {spawn:?}"
+    );
+    // Its first answer asks a bounded number of blocks, but the root
+    // group's frontier is one heap entry per member: the bytes follow
+    // the reduced root relation, about an eighth of a cold plan's. A
+    // REC stream that seeds its frontier lazily turns this into an
+    // equality like the PART one above.
+    assert!(
+        first.iter().all(|&(blocks, _)| blocks <= 64)
+            && first[0].1 < first[2].1
+            && first.iter().zip(&cold).all(|(w, c)| 5 * w.1 <= c.1),
+        "(blocks, bytes) of a warm REC stream() + first answer {first:?} against a cold \
+         plan()'s {cold:?} at n = {FIRST_ANSWER_NS:?}"
+    );
 }
 
 /// Blocks per answer over a warm 2 000-answer drain of a prepared query
