@@ -2,10 +2,10 @@
 //! stream — the glue of the union-of-trees technique (§3: submodular
 //! width "decomposes a cyclic query into a union of multiple trees,
 //! each one receiving a subset of the input") and of every union the
-//! engine serves: hash-partitioned shards, base-⊎-delta terms, or both
-//! flattened into one list of leaves.
+//! engine serves: base-⊎-delta terms, or the parts of a hash
+//! partition.
 //!
-//! Because the cases (or shards, or terms) partition the output, no
+//! Because the cases (or terms, or parts) partition the output, no
 //! de-duplication is needed; the merge is a k-way **tournament tree**
 //! (loser tree) with O(log #streams) delay overhead. It is a shell
 //! until the first `next()`, which pulls one head per stream. Two tie
@@ -18,8 +18,8 @@
 //!   sorted by output tuple (`Vec<Value>` has a total order), then by
 //!   stream index. It wraps every input in [`CanonicalOrder`], which
 //!   makes the merged stream byte-identical regardless of how answers
-//!   were partitioned across the inputs — the contract sharded and
-//!   delta-backed serving rely on.
+//!   were partitioned across the inputs — the contract delta-backed
+//!   serving relies on.
 
 use crate::answer::{AnyK, RankedAnswer};
 use anyk_storage::Value;
@@ -120,8 +120,8 @@ impl TournamentTree {
 /// ordered). Costs are untouched, so the any-k invariant is preserved.
 ///
 /// The lookahead is bounded by the largest tie group in the stream —
-/// the "bounded lookahead" of the sharded merge: a shard never buffers
-/// past the first answer whose cost strictly increases.
+/// the "bounded lookahead" of the canonical merge: an input never
+/// buffers past the first answer whose cost strictly increases.
 pub struct CanonicalOrder<C, I> {
     inner: I,
     /// The current equal-cost run, sorted by tuple, ready to emit.
@@ -316,8 +316,8 @@ where
 /// tie-break: (cost, output tuple, stream index). When every input is
 /// wrapped in [`CanonicalOrder`], the merged stream is the globally
 /// canonical ranked stream — identical no matter how the answer set was
-/// partitioned across the inputs. This is the cross-shard tie-break
-/// contract of sharded serving.
+/// partitioned across the inputs. This is the tie-break contract of
+/// delta-backed serving.
 pub struct RankedMerge<I: AnyK> {
     inner: Merge<CanonicalOrder<I::Cost, I>>,
 }

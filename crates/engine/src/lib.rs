@@ -28,6 +28,11 @@
 //! — drops the plans that read what it changed and re-prepares them on
 //! the writer, and leaves every other plan warm.
 //!
+//! [`ShardedEngine`] is a read-only hash partition of a catalog
+//! snapshot over N engines, whose prepare merges the per-shard parts
+//! into the canonical stream. Nothing serves or writes through it; it
+//! is a partition-invariance harness.
+//!
 //! ```
 //! use anyk_engine::{Engine, RankSpec};
 //! use anyk_query::cq::QueryBuilder;
@@ -62,11 +67,11 @@ mod shard;
 mod stream;
 
 pub use error::EngineError;
-pub use merge::ShardFanIn;
+pub use merge::MergeFanIn;
 pub use plan::{AnyKVariant, EngineOpts, IndexUse, Plan, Route};
 pub use prepared::PreparedQuery;
 pub use rank::{Cost, IntoCost, RankSpec};
-pub use shard::{ShardedEngine, FRAGMENT_SUFFIX};
+pub use shard::ShardedEngine;
 pub use stream::{RankedAnswer, RankedStream};
 
 pub use anyk_core::slab::AnswerSlab;
@@ -136,9 +141,7 @@ struct EngineShared {
     /// a write's refresh, share one prepare.
     cache: Memo<CacheKey, Arc<CacheSlot>, EngineError>,
     /// Engine-side telemetry: prepare-time and sampled per-pull delay
-    /// histograms plus the injected clock. In a sharded deployment
-    /// each shard engine carries its own registry; the server merges
-    /// their histograms bucket-wise for `STATS`.
+    /// histograms plus the injected clock, shared with the service.
     obs: Arc<ObsRegistry>,
     /// Write-path counters ([`Engine::write_stats`]), shared by all
     /// clones. Plain relaxed atomics: monotone counters, no ordering
@@ -177,9 +180,7 @@ struct WriteCounters {
 /// ([`Engine::write_stats`]): appends accepted, rows appended,
 /// compactions run (explicit and threshold-triggered), cached plans
 /// dropped because a write changed what they read, and what refreshing those
-/// plans did to each of their terms. Fragment appends in a sharded
-/// deployment are bookkeeping, not logical writes, and are not
-/// counted.
+/// plans did to each of their terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteStats {
     /// Append batches accepted (empty batches included).
@@ -289,14 +290,13 @@ struct CacheSlot {
 
 /// What the write path hands the prepare that refreshes a plan: the
 /// terms of the entry it just invalidated (none when the write swapped
-/// a base — a compaction, a replacement — under every one of them),
-/// the payload ids they were built over, and whether the terms of the
-/// refresh are counted in [`WriteStats`]. The terms are owned, so that one the refresh
-/// does not take over is freed before its replacement is built.
+/// a base — a compaction, a replacement — under every one of them)
+/// and the payload ids they were built over. The terms are owned, so
+/// that one the refresh does not take over is freed before its
+/// replacement is built.
 struct Refresh<'a> {
     stale: Vec<Option<PreparedQuery>>,
     deps: &'a [(String, Vec<u64>)],
-    counted: bool,
 }
 
 /// What a term of the telescoped union reads of one atom's sources
@@ -568,7 +568,7 @@ impl Engine {
     /// and no plan over a changed payload is served again: a hit is
     /// checked against the payloads, not against the write.
     pub fn update_catalog<F: FnOnce(&mut Catalog)>(&self, f: F) {
-        let _ = self.write_catalog(true, |catalog| {
+        let _ = self.write_catalog(|catalog| {
             f(catalog);
             Ok(((), false))
         });
@@ -609,22 +609,9 @@ impl Engine {
     /// Returns this append's own [`Appended`] outcome. Typed failures:
     /// unknown relation and batch arity mismatch.
     pub fn append(&self, name: &str, batch: Relation) -> Result<Appended, EngineError> {
-        self.append_counted(name, batch, true)
-    }
-
-    /// [`Engine::append`], with `counted` saying whether it is a
-    /// logical write: a [`ShardedEngine`] maintains its fragments
-    /// through uncounted ones, which are shard bookkeeping and stay out
-    /// of [`WriteStats`].
-    pub(crate) fn append_counted(
-        &self,
-        name: &str,
-        batch: Relation,
-        counted: bool,
-    ) -> Result<Appended, EngineError> {
         use std::sync::atomic::Ordering::Relaxed;
         let rows = batch.len() as u64;
-        let appended = self.write_catalog(counted, |cat| {
+        let appended = self.write_catalog(|cat| {
             cat.append(name, batch)?;
             let due = cat
                 .entry(name)
@@ -640,13 +627,11 @@ impl Engine {
             // swapped the base under every one.
             Ok((appended, !due))
         })?;
-        if counted {
-            let w = &self.shared.writes;
-            w.appends.fetch_add(1, Relaxed);
-            w.appended_rows.fetch_add(rows, Relaxed);
-            if appended.compacted {
-                w.compactions.fetch_add(1, Relaxed);
-            }
+        let w = &self.shared.writes;
+        w.appends.fetch_add(1, Relaxed);
+        w.appended_rows.fetch_add(rows, Relaxed);
+        if appended.compacted {
+            w.compactions.fetch_add(1, Relaxed);
         }
         Ok(appended)
     }
@@ -659,14 +644,8 @@ impl Engine {
     /// everything else stays warm. Open streams keep serving their old
     /// snapshots.
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
-        self.compact_counted(name, true)
-    }
-
-    /// [`Engine::compact`], counted in [`WriteStats`] only when
-    /// `counted` (see [`append_counted`](Self::append_counted)).
-    pub(crate) fn compact_counted(&self, name: &str, counted: bool) -> Result<bool, EngineError> {
-        let compacted = self.write_catalog(counted, |cat| Ok((cat.compact(name)?, false)))?;
-        if counted && compacted {
+        let compacted = self.write_catalog(|cat| Ok((cat.compact(name)?, false)))?;
+        if compacted {
             (self.shared.writes.compactions).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         Ok(compacted)
@@ -681,14 +660,13 @@ impl Engine {
     /// swapped. In the same critical section every cached plan whose
     /// payloads the catalog no longer holds is taken out, so no reader
     /// prepares over the new catalog before the stale entries are gone;
-    /// they are counted when `counted`, then refreshed on this thread.
+    /// they are counted, then refreshed on this thread.
     /// Taking them out is not the freshness gate: a hit checks its
     /// payloads, so an entry a racing prepare settles over an older
     /// snapshot — or one still in flight, which this sweep leaves
     /// alone — is never served over the new catalog.
     fn write_catalog<T>(
         &self,
-        counted: bool,
         apply: impl FnOnce(&mut Catalog) -> Result<(T, bool), EngineError>,
     ) -> Result<T, EngineError> {
         let (out, keep_terms, stale) = {
@@ -699,11 +677,9 @@ impl Engine {
                 .remove_if(|_, slot| slot.is_some_and(|slot| !deps_current(catalog, &slot.deps)));
             (out, keep_terms, stale)
         };
-        if counted {
-            (self.shared.writes.invalidated_plans)
-                .fetch_add(stale.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.refresh_plans(stale, counted, keep_terms);
+        (self.shared.writes.invalidated_plans)
+            .fetch_add(stale.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        self.refresh_plans(stale, keep_terms);
         Ok(out)
     }
 
@@ -712,16 +688,10 @@ impl Engine {
     /// cost lands on the writer, and each prepare is handed the entry
     /// it replaces: with `keep_terms`, terms the write left valid are
     /// taken over from it (see [`Engine::append`]); without, every term
-    /// is rebuilt. `counted` says whether the terms go into
-    /// [`WriteStats`] (fragment bookkeeping does not). A failing
+    /// is rebuilt, and each term is counted in [`WriteStats`]. A failing
     /// re-prepare — a plan over a removed relation, say — is dropped
     /// silently: the next reader re-derives the same typed error.
-    fn refresh_plans(
-        &self,
-        stale: Vec<(CacheKey, Option<Arc<CacheSlot>>)>,
-        counted: bool,
-        keep_terms: bool,
-    ) {
+    fn refresh_plans(&self, stale: Vec<(CacheKey, Option<Arc<CacheSlot>>)>, keep_terms: bool) {
         for (key, slot) in stale {
             let Some(slot) = slot else { continue };
             let CacheSlot {
@@ -738,7 +708,6 @@ impl Engine {
             let refresh = Refresh {
                 stale: terms,
                 deps: &deps,
-                counted,
             };
             let _ = self.prepare_cached(key.cq, key.rank, opts, Some(refresh));
         }
@@ -826,7 +795,7 @@ impl Engine {
     /// the plan cache serve it, and how long did prepare take on the
     /// engine's clock? The wall time also lands in the registry's
     /// prepare histogram (zero-cost when recording is disabled).
-    pub(crate) fn prepare_cached_report(
+    fn prepare_cached_report(
         &self,
         cq: ConjunctiveQuery,
         rank: RankSpec,
@@ -978,7 +947,7 @@ impl Engine {
                     (built, &writes.terms_rebuilt)
                 }
             };
-            if refresh.as_ref().is_some_and(|r| r.counted) {
+            if refresh.is_some() {
                 counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
             Ok::<_, EngineError>(built)
@@ -2364,7 +2333,7 @@ mod tests {
 
     #[test]
     fn a_write_drops_and_refreshes_exactly_the_plans_that_read_what_it_changed() {
-        let catalog = (*refresh_engine().catalog()).clone();
+        let engine = refresh_engine();
         // The path never reads R2; the triangle does.
         let path = QueryBuilder::new()
             .atom("R3", &["x", "y"])
@@ -2383,63 +2352,44 @@ mod tests {
             .canonical_ties()
             .collect();
         assert!(want.len() > 24);
-        for engine in [
-            ShardedEngine::from(Engine::new(catalog.clone())),
-            ShardedEngine::new(catalog.clone(), 3).unwrap(),
-        ] {
-            let shards = engine.num_shards();
-            let read = |q: &ConjunctiveQuery| engine.prepare_report(q.clone(), RankSpec::Sum);
-            for q in [&path, &triangle] {
-                read(q).unwrap();
-            }
-            assert_eq!(engine.cache_stats().entries, 2 * shards);
-
-            // A relation no plan reads: nothing is dropped, both reads hit.
-            engine
-                .register("Unrelated", edge_rel(&[(7, 8, 0.0)]))
-                .unwrap();
-            assert_eq!(
-                engine.cache_stats().entries,
-                2 * shards,
-                "{shards} shard(s)"
-            );
-            for q in [&path, &triangle] {
-                assert!(read(q).unwrap().1.cache_hit, "{shards} shard(s): {q}");
-            }
-
-            // Replacing R2 re-prepares the triangle once per shard and
-            // nothing else; the reader after it hits the new data.
-            let misses = engine.cache_stats().misses;
-            let invalidated = engine.write_stats().invalidated_plans;
-            engine.register("R2", new_r2.clone()).unwrap();
-            assert_eq!(engine.cache_stats().misses - misses, shards as u64);
-            let invalidated = engine.write_stats().invalidated_plans - invalidated;
-            assert_eq!(invalidated, shards as u64);
-            let (prepared, report) = read(&triangle).unwrap();
-            assert!(
-                report.cache_hit,
-                "{shards} shard(s): the writer refreshed it"
-            );
-            let got: Vec<_> = prepared.stream().canonical_ties().collect();
-            assert_eq!(got, want, "{shards} shard(s)");
-            assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
-
-            // Removing R2 leaves no entry that reads it; the path stays.
-            assert!(engine.remove("R2").unwrap());
-            for shard in engine.shard_engines() {
-                let mut slots = Vec::new();
-                (shard.shared.cache).remove_if(|_, slot| {
-                    slots.extend(slot.cloned());
-                    false
-                });
-                let reads_r2 =
-                    |slot: &Arc<CacheSlot>| slot.deps.iter().any(|(n, _)| n.starts_with("R2"));
-                assert!(!slots.iter().any(reads_r2), "{shards} shard(s)");
-                assert_eq!(slots.len(), 1, "{shards} shard(s)");
-            }
-            assert!(read(&path).unwrap().1.cache_hit, "{shards} shard(s)");
-            assert!(read(&triangle).is_err());
+        let read = |q: &ConjunctiveQuery| engine.query(q.clone()).prepare_report();
+        for q in [&path, &triangle] {
+            read(q).unwrap();
         }
+        assert_eq!(engine.cache_stats().entries, 2);
+
+        // A relation no plan reads: nothing is dropped, both reads hit.
+        engine.register("Unrelated", edge_rel(&[(7, 8, 0.0)]));
+        assert_eq!(engine.cache_stats().entries, 2);
+        for q in [&path, &triangle] {
+            assert!(read(q).unwrap().1.cache_hit, "{q}");
+        }
+
+        // Replacing R2 re-prepares the triangle once and nothing else;
+        // the reader after it hits the new data.
+        let misses = engine.cache_stats().misses;
+        let invalidated = engine.write_stats().invalidated_plans;
+        engine.register("R2", new_r2);
+        assert_eq!(engine.cache_stats().misses - misses, 1);
+        assert_eq!(engine.write_stats().invalidated_plans - invalidated, 1);
+        let (prepared, report) = read(&triangle).unwrap();
+        assert!(report.cache_hit, "the writer refreshed it");
+        let got: Vec<_> = prepared.stream().canonical_ties().collect();
+        assert_eq!(got, want);
+        assert!(read(&path).unwrap().1.cache_hit);
+
+        // Removing R2 leaves no entry that reads it; the path stays.
+        engine.update_catalog(|c| assert!(c.remove("R2").is_some()));
+        let mut slots = Vec::new();
+        (engine.shared.cache).remove_if(|_, slot| {
+            slots.extend(slot.cloned());
+            false
+        });
+        let reads_r2 = |slot: &Arc<CacheSlot>| slot.deps.iter().any(|(n, _)| n == "R2");
+        assert!(!slots.iter().any(reads_r2));
+        assert_eq!(slots.len(), 1);
+        assert!(read(&path).unwrap().1.cache_hit);
+        assert!(read(&triangle).is_err());
     }
 
     #[test]

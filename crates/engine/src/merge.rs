@@ -1,16 +1,17 @@
 //! Fan-in glue around the one ranked merge ([`anyk_core::RankedMerge`]):
 //! every union a [`PreparedQuery`](crate::PreparedQuery) can hold —
-//! shard parts, delta terms, or shards × terms flattened together —
-//! streams through [`merge_leaves`], which feeds the leaves to a single
-//! tournament tree and keeps per-member telemetry ([`ShardFanIn`]).
+//! the delta terms of a delta-backed prepare, or the parts of a
+//! [`ShardedEngine`](crate::ShardedEngine) partition — streams through
+//! [`merge_members`], which feeds the members to a single tournament
+//! tree and keeps per-member telemetry ([`MergeFanIn`]).
 //!
-//! The merge wraps each leaf in [`CanonicalOrder`] (equal-cost runs
+//! The merge wraps each member in [`CanonicalOrder`] (equal-cost runs
 //! re-emitted sorted by output tuple — lookahead bounded by the largest
-//! tie group) and breaks cost ties by (output tuple, leaf index).
-//! Because all query variables are output variables and the leaves
+//! tie group) and breaks cost ties by (output tuple, member index).
+//! Because all query variables are output variables and the members
 //! partition the answer multiset, equal tuples are interchangeable — so
 //! the merged stream is the *canonical* ranked stream: byte-identical
-//! to a single engine's canonical form no matter how many leaves
+//! to a single engine's canonical form no matter how many members
 //! produced it ([`RankedStream::canonical_ties`]).
 
 use crate::rank::Cost;
@@ -21,52 +22,50 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Live fan-in telemetry for one merged stream: how many rows each
-/// top-level member (shard) fed the tournament merge, the merge tree's
+/// member (a delta term) fed the tournament merge, the merge tree's
 /// depth (the per-answer comparison cost is one root-to-leaf replay),
 /// and — when recording is enabled — the wall time of the priming
 /// round.
 #[derive(Debug)]
-pub struct ShardFanIn {
+pub struct MergeFanIn {
     rows: Vec<AtomicU64>,
     depth: u32,
     merge_us: AtomicU64,
 }
 
-impl ShardFanIn {
-    fn new(members: usize, leaves: usize) -> ShardFanIn {
-        ShardFanIn {
+impl MergeFanIn {
+    fn new(members: usize) -> MergeFanIn {
+        MergeFanIn {
             rows: (0..members).map(|_| AtomicU64::new(0)).collect(),
-            depth: if leaves <= 1 {
+            depth: if members <= 1 {
                 0
             } else {
-                (leaves - 1).ilog2() + 1
+                (members - 1).ilog2() + 1
             },
             merge_us: AtomicU64::new(0),
         }
     }
 
-    /// Rows pulled from each member so far, read as they stand (a
-    /// shard's delta terms count towards the shard). Includes each
-    /// leaf's buffered head and its tie-run lookahead, so the sum can
-    /// exceed the answers emitted.
+    /// Rows pulled from each member so far, read as they stand.
+    /// Includes each member's buffered head and its tie-run lookahead,
+    /// so the sum can exceed the answers emitted.
     pub fn rows(&self) -> impl Iterator<Item = u64> + '_ {
         self.rows.iter().map(|r| r.load(Ordering::Relaxed))
     }
 
-    /// Number of top-level members feeding the merge: the shards of a
-    /// sharded prepare, or the delta terms of a one-engine union.
-    pub fn shards(&self) -> usize {
+    /// Number of members feeding the merge: the delta terms of a
+    /// delta-backed prepare, or the parts of a sharded one.
+    pub fn members(&self) -> usize {
         self.rows.len()
     }
 
-    /// Tournament-tree depth: ⌈log₂ leaves⌉ over the flattened
-    /// (shards × delta terms) leaves; 0 for a single leaf.
+    /// Tournament-tree depth: ⌈log₂ members⌉; 0 for a single member.
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
     /// Wall time of the merge's priming round, µs: the first head (and
-    /// tie run) of every leaf plus the tree build — where lazy-heap
+    /// tie run) of every member plus the tree build — where lazy-heap
     /// builds of materialized leaves land. 0 until the first pull, and
     /// when recording is disabled. Per-answer replays are not timed
     /// (that would be a clock read per answer); they stay in the pull
@@ -76,11 +75,11 @@ impl ShardFanIn {
     }
 }
 
-/// One leaf of the merge: credits every answer it hands over to its
-/// top-level member's row count.
+/// One member of the merge: credits every answer it hands over to its
+/// row count.
 struct Counted {
     inner: ErasedAnswers,
-    fan_in: Arc<ShardFanIn>,
+    fan_in: Arc<MergeFanIn>,
     member: usize,
 }
 
@@ -101,7 +100,7 @@ impl AnyK for Counted {
 /// The merged cursor: [`RankedMerge`] plus the one-shot priming timer.
 struct Merged {
     merge: RankedMerge<Counted>,
-    fan_in: Arc<ShardFanIn>,
+    fan_in: Arc<MergeFanIn>,
     /// `Some` until the first pull when recording is enabled.
     clock: Option<Arc<dyn Clock>>,
 }
@@ -125,19 +124,19 @@ impl Iterator for Merged {
 /// `next`.
 impl ErasedStream for Merged {}
 
-/// Merge `leaves` — `(top-level member, stream)` pairs that partition
-/// the answer multiset — into one canonical ranked stream over a single
-/// tournament tree. Spawning is shell-only: no leaf is pulled until the
-/// first `next()`. With a `clock`, the priming round's wall time lands
-/// in the returned handle's [`ShardFanIn::merge_us`].
-pub(crate) fn merge_leaves(
-    leaves: Vec<(usize, ErasedAnswers)>,
-    members: usize,
+/// Merge `members` — streams that partition the answer multiset — into
+/// one canonical ranked stream over a single tournament tree. Spawning
+/// is shell-only: no member is pulled until the first `next()`. With a
+/// `clock`, the priming round's wall time lands in the returned
+/// handle's [`MergeFanIn::merge_us`].
+pub(crate) fn merge_members(
+    members: Vec<ErasedAnswers>,
     clock: Option<Arc<dyn Clock>>,
-) -> (ErasedAnswers, Arc<ShardFanIn>) {
-    let fan_in = Arc::new(ShardFanIn::new(members, leaves.len()));
-    let streams = leaves
+) -> (ErasedAnswers, Arc<MergeFanIn>) {
+    let fan_in = Arc::new(MergeFanIn::new(members.len()));
+    let streams = members
         .into_iter()
+        .enumerate()
         .map(|(member, inner)| Counted {
             inner,
             fan_in: Arc::clone(&fan_in),
@@ -156,7 +155,7 @@ impl RankedStream {
     /// Re-emit this stream with equal-cost tie groups in the canonical
     /// order (sorted by output tuple). Costs and the answer multiset
     /// are untouched; lookahead is bounded by the largest tie group.
-    /// A merged stream (sharded or delta-backed) is *already*
+    /// A merged stream (delta-backed or sharded) is *already*
     /// canonical — this adapter puts a single-engine stream into the
     /// same total order, making the two byte-comparable.
     pub fn canonical_ties(self) -> RankedStream {

@@ -12,13 +12,13 @@
 //! The contract on the any-k routes, under the default variant:
 //! `prepare` is `O~(n)` (`O~(n^w)` cyclic); `stream()` is `O(1)` per
 //! T-DP instance — one for acyclic and GHD plans, one per case tree of
-//! a cycle's union, one per leaf of a shard/delta union — whatever
+//! a cycle's union, one per member of a delta union — whatever
 //! `n` is; the first stream to deviate through a join-key group sorts
 //! that group once, for all streams and threads; each answer then costs
 //! `O(log k)`.
 
 use crate::error::EngineError;
-use crate::merge::ShardFanIn;
+use crate::merge::MergeFanIn;
 use crate::plan::{AnyKVariant, Plan, Route};
 use crate::rank::{Cost, IntoCost, RankSpec};
 use crate::stream::{ErasedAnswers, ErasedStream, RankedAnswer, RankedStream};
@@ -97,12 +97,14 @@ impl std::fmt::Debug for PreparedQuery {
 }
 
 /// A prepared query is one preprocessed route artifact or a union of
-/// them: ranked enumeration is closed under disjoint union, so shard
-/// parts, delta terms, and shards × terms all take the same shape.
+/// prepared queries whose answer multisets partition its own: ranked
+/// enumeration is closed under disjoint union, so the terms of the
+/// telescoping base-⊎-delta decomposition and the parts of a
+/// [`ShardedEngine`](crate::ShardedEngine) partition take one shape.
 #[derive(Clone)]
 enum PreparedInner {
     Leaf(PreparedLeaf),
-    Union(Arc<PreparedUnion>),
+    Union(Arc<[PreparedQuery]>),
 }
 
 /// The monomorphized prepared state, one arm per [`RankSpec`].
@@ -113,18 +115,6 @@ enum PreparedLeaf {
     Min(PreparedRoute<MinCost>),
     Prod(PreparedRoute<ProdCost>),
     Lex(PreparedRoute<LexCost>),
-}
-
-/// Prepared queries whose answer multisets partition this query's:
-/// one per shard ([`ShardedEngine`](crate::ShardedEngine)), or one per
-/// term of the telescoping base-⊎-delta decomposition.
-struct PreparedUnion {
-    /// The members as handed to [`PreparedQuery::union`].
-    members: Vec<PreparedQuery>,
-    /// The members flattened: a member that is itself a union
-    /// contributes its leaves, each tagged with the index of the
-    /// top-level member it came from. One merge tree runs over these.
-    leaves: Vec<(usize, PreparedLeaf)>,
 }
 
 /// What preprocessing produced. Everything is behind an `Arc`: a
@@ -196,30 +186,20 @@ impl PreparedQuery {
     }
 
     /// Compose prepared queries whose answers partition this query's —
-    /// per-shard parts, or the terms of the telescoping base-⊎-delta
-    /// decomposition — into one prepared query whose streams merge the
-    /// members canonically. Members that are themselves unions are
-    /// flattened, so shards × delta terms merge through a single tree.
-    /// `plan` is the facade plan: it reports the original query. A
-    /// union of one member is that member — its own plan, tie order and
-    /// page fill, with no merge around it.
+    /// the terms of the telescoping base-⊎-delta decomposition, or
+    /// per-shard parts — into one prepared query whose streams merge the
+    /// members canonically through one tournament tree. `plan` is the
+    /// facade plan: it reports the original query. A union of one
+    /// member is that member — its own plan, tie order and page fill,
+    /// with no merge around it.
     pub(crate) fn union(plan: Arc<Plan>, members: Vec<PreparedQuery>) -> PreparedQuery {
         let members = match <[PreparedQuery; 1]>::try_from(members) {
             Ok([member]) => return member,
             Err(members) => members,
         };
-        let mut leaves = Vec::with_capacity(members.len());
-        for (i, member) in members.iter().enumerate() {
-            match &member.inner {
-                PreparedInner::Leaf(leaf) => leaves.push((i, leaf.clone())),
-                PreparedInner::Union(u) => {
-                    leaves.extend(u.leaves.iter().map(|(_, leaf)| (i, leaf.clone())))
-                }
-            }
-        }
         PreparedQuery {
             plan,
-            inner: PreparedInner::Union(Arc::new(PreparedUnion { members, leaves })),
+            inner: PreparedInner::Union(members.into()),
         }
     }
 
@@ -313,23 +293,14 @@ impl PreparedQuery {
         &self.plan
     }
 
-    /// The prepared queries this one merges: the per-shard parts of a
-    /// sharded prepare (or the delta terms of a delta-backed one), just
-    /// `self` when it is not a union.
+    /// The prepared queries this one merges: the delta terms of a
+    /// delta-backed prepare (or the per-shard parts of a sharded one),
+    /// just `self` when it is not a union.
     pub fn parts(&self) -> &[PreparedQuery] {
         match &self.inner {
             PreparedInner::Leaf(_) => std::slice::from_ref(self),
-            PreparedInner::Union(u) => &u.members,
+            PreparedInner::Union(members) => members,
         }
-    }
-
-    /// This query's route artifacts: itself, or a union's leaves.
-    fn leaves(&self) -> impl Iterator<Item = &PreparedLeaf> {
-        let (one, many) = match &self.inner {
-            PreparedInner::Leaf(leaf) => (Some(leaf), &[][..]),
-            PreparedInner::Union(u) => (None, &u.leaves[..]),
-        };
-        one.into_iter().chain(many.iter().map(|(_, leaf)| leaf))
     }
 
     /// Does this prepared artifact hold a full materialized answer set
@@ -349,16 +320,19 @@ impl PreparedQuery {
     /// guarantee: a prepared materialized plan that has served one
     /// partial top-k stream must still report `Some(true)`.
     pub fn sort_deferred(&self) -> Option<bool> {
-        // A union defers while any leaf still does; all-None (pure
-        // any-k leaves) stays None.
-        self.leaves()
-            .filter_map(PreparedLeaf::sort_deferred)
-            .reduce(|a, b| a || b)
+        // A union defers while any member still does; all-None (pure
+        // any-k members) stays None.
+        match &self.inner {
+            PreparedInner::Leaf(leaf) => leaf.sort_deferred(),
+            PreparedInner::Union(members) => (members.iter())
+                .filter_map(PreparedQuery::sort_deferred)
+                .reduce(|a, b| a || b),
+        }
     }
 
     /// Spawn a fresh independent ranked stream over the shared prepared
     /// state. Costs only the stream shell — a one-candidate heap per
-    /// T-DP instance, independent of the input size; a union's leaves
+    /// T-DP instance, independent of the input size; a union's members
     /// are not pulled until the first `next()` — never the
     /// preprocessing, and never a per-stream copy or re-organization of
     /// a relation: successor orders are built once in the shared state,
@@ -368,10 +342,10 @@ impl PreparedQuery {
     }
 
     /// [`stream`](Self::stream) plus, for a union, its live
-    /// [`ShardFanIn`] handle: per-member rows pulled, tournament depth,
+    /// [`MergeFanIn`] handle: per-member rows pulled, tournament depth,
     /// and — when `obs` is recording — the priming round's wall time
     /// on `obs`'s clock. `None` when this query is not a union.
-    pub fn stream_traced(&self, obs: &ObsRegistry) -> (RankedStream, Option<Arc<ShardFanIn>>) {
+    pub fn stream_traced(&self, obs: &ObsRegistry) -> (RankedStream, Option<Arc<MergeFanIn>>) {
         self.spawn(obs.enabled().then(|| Arc::clone(obs.clock())))
     }
 
@@ -397,26 +371,34 @@ impl PreparedQuery {
     /// Spawn a stream driving the plan's any-k variant over the shared
     /// artifact. `Batch` requests are prepared as
     /// [`PreparedRoute::LazySorted`], so the variant only selects among
-    /// PART successor orders and REC here. A union spawns every leaf
+    /// PART successor orders and REC here. A union spawns every member
     /// under the facade plan's variant and merges them through one
-    /// tournament tree with the deterministic (cost, tuple, leaf)
+    /// tournament tree with the deterministic (cost, tuple, member)
     /// tie-break, so the merged stream is canonical by construction.
-    fn spawn(&self, clock: Option<Arc<dyn Clock>>) -> (RankedStream, Option<Arc<ShardFanIn>>) {
+    fn spawn(&self, clock: Option<Arc<dyn Clock>>) -> (RankedStream, Option<Arc<MergeFanIn>>) {
         let variant = self.plan.variant.unwrap_or_default();
-        let (inner, fan_in) = match &self.inner {
-            PreparedInner::Leaf(leaf) => (leaf.spawn(variant), None),
-            PreparedInner::Union(u) => {
-                let leaves = u
-                    .leaves
-                    .iter()
-                    .map(|(member, leaf)| (*member, leaf.spawn(variant)))
-                    .collect();
-                let (inner, fan_in) = crate::merge::merge_leaves(leaves, u.members.len(), clock);
-                (inner, Some(fan_in))
-            }
-        };
+        let (inner, fan_in) = self.spawn_erased(variant, clock);
         let plan = Arc::clone(&self.plan);
         (RankedStream { inner, plan }, fan_in)
+    }
+
+    /// [`spawn`](Self::spawn)'s answers under `variant`, before they
+    /// are paired with a plan.
+    fn spawn_erased(
+        &self,
+        variant: AnyKVariant,
+        clock: Option<Arc<dyn Clock>>,
+    ) -> (ErasedAnswers, Option<Arc<MergeFanIn>>) {
+        match &self.inner {
+            PreparedInner::Leaf(leaf) => (leaf.spawn(variant), None),
+            PreparedInner::Union(members) => {
+                let members = (members.iter())
+                    .map(|member| member.spawn_erased(variant, None).0)
+                    .collect();
+                let (inner, fan_in) = crate::merge::merge_members(members, clock);
+                (inner, Some(fan_in))
+            }
+        }
     }
 }
 
@@ -569,7 +551,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedEngine;
     use anyk_query::cq::path_query;
     use anyk_storage::{Catalog, RelationBuilder, Schema};
 
@@ -596,68 +577,5 @@ mod tests {
         assert!(one.stream_traced(engine.obs()).1.is_none());
         let want: Vec<_> = member.stream().collect();
         assert_eq!(one.stream().collect::<Vec<_>>(), want);
-    }
-
-    #[test]
-    fn union_of_unions_flattens_into_one_tree_with_per_member_rows() {
-        // 3 shards, appends to both relations: every shard part is a
-        // delta union of the base term plus a term per delta-bearing
-        // atom (the replicated R2 always; the pivot fragment R1#frag
-        // where the batch's hash partition left the shard any rows).
-        let q = path_query(2);
-        let mut catalog = Catalog::new();
-        catalog.register("R1", edge_rel((0..12).map(|i| (i, i % 4, 0.25 * i as f64))));
-        catalog.register("R2", edge_rel((0..4).map(|i| (i, 10 + i, 0.5 * i as f64))));
-        let sharded = ShardedEngine::new(catalog, 3).unwrap();
-        sharded
-            .append("R1", edge_rel([(20, 1, 0.1), (21, 2, 0.2), (22, 3, 0.3)]))
-            .unwrap();
-        sharded.append("R2", edge_rel([(1, 30, 0.7)])).unwrap();
-
-        let prepared = sharded.prepare(&q, RankSpec::Sum).unwrap();
-        let PreparedInner::Union(outer) = &prepared.inner else {
-            panic!("a sharded prepare is a union");
-        };
-        assert_eq!(prepared.parts().len(), 3, "one member per shard");
-        // Σ leaves sources, each tagged with its top-level member.
-        let mut tags = Vec::new();
-        for (shard, part) in prepared.parts().iter().enumerate() {
-            let PreparedInner::Union(inner) = &part.inner else {
-                panic!("shard {shard}: a delta-backed part is itself a union");
-            };
-            assert!(inner.leaves.len() >= 2, "base term + R2's delta term");
-            tags.extend(std::iter::repeat_n(shard, inner.leaves.len()));
-        }
-        let flat: Vec<usize> = outer.leaves.iter().map(|(m, _)| *m).collect();
-        assert_eq!(flat, tags);
-        assert!(
-            tags.len() > 6,
-            "some shard also carries an R1#frag delta term"
-        );
-
-        let obs = sharded.obs();
-        let (stream, fan_in) = prepared.stream_traced(obs);
-        let fan_in = fan_in.expect("a union reports fan-in");
-        assert_eq!(fan_in.shards(), 3, "rows stay per shard, not per leaf");
-        assert_eq!(
-            fan_in.depth(),
-            tags.len().next_power_of_two().ilog2(),
-            "⌈log₂ leaves⌉: the real tree over all leaves"
-        );
-        assert!(fan_in.rows().eq([0, 0, 0]), "spawning pulls nothing");
-        // Fully drained, every member was pulled exactly its own answers.
-        let total = stream.count() as u64;
-        let per_shard: Vec<u64> = prepared
-            .parts()
-            .iter()
-            .map(|p| p.stream().count() as u64)
-            .collect();
-        assert_eq!(fan_in.rows().collect::<Vec<_>>(), per_shard);
-        assert_eq!(per_shard.iter().sum::<u64>(), total);
-        assert!(total > 0);
-        // A non-union has no fan-in and is its own single part.
-        let leaf = &prepared.parts()[0].parts()[0];
-        assert!(leaf.stream_traced(obs).1.is_none());
-        assert_eq!(leaf.parts().len(), 1);
     }
 }

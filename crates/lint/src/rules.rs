@@ -10,7 +10,7 @@
 //! |------|-----------|
 //! | `unsafe-needs-safety` | every `unsafe` carries a `// SAFETY:` contract |
 //! | `no-panic-hot-path` | serving hot paths (`server`, `engine`) never panic |
-//! | `lock-order` | shard coord ≺ catalog ≺ plan cache ≺ cursor table |
+//! | `lock-order` | catalog ≺ plan cache ≺ cursor table |
 //! | `wire-encoder-discipline` | protocol bytes originate only in the shared encoder |
 //! | `shim-purity` | shims import no anyk code; core stays socket-free |
 //! | `no-boxed-dyn-error` | library crates keep typed errors end-to-end |
@@ -204,10 +204,9 @@ fn no_panic_hot_path(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// larger one is held is a potential deadlock.
 fn lock_position(name: &str) -> Option<(usize, &'static str)> {
     match name {
-        "coord" => Some((0, "shard-coordination RwLock")),
-        "catalog" => Some((1, "catalog RwLock")),
-        "cache" => Some((2, "plan-cache mutex")),
-        "cursors" => Some((3, "cursor table")),
+        "catalog" => Some((0, "catalog RwLock")),
+        "cache" => Some((1, "plan-cache mutex")),
+        "cursors" => Some((2, "cursor table")),
         _ => None,
     }
 }
@@ -225,7 +224,7 @@ struct LiveGuard {
 /// `crates/engine`: a `let g = <recv>.lock()/.read()/.write()` guard
 /// is live until its enclosing block closes; while any guard is live,
 /// acquiring a known lock out of the documented order
-/// (coord ≺ catalog ≺ cache ≺ cursor table) or re-acquiring
+/// (catalog ≺ cache ≺ cursor table) or re-acquiring
 /// the same lock is an error, and any other nested `.lock()` is a
 /// warning
 /// (the cross-function cases this lexical pass cannot prove safe).
@@ -311,8 +310,7 @@ fn lock_order(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                                     format!(
                                         "acquiring the {new_label} while guard `{}` holds the \
                                          {held_label} (line {}) violates the documented order \
-                                         coord \u{227a} catalog \u{227a} cache \u{227a} \
-                                         cursor table",
+                                         catalog \u{227a} cache \u{227a} cursor table",
                                         g.binding, g.line
                                     ),
                                 ));

@@ -38,14 +38,6 @@ pub fn cursors_last(cache: &Mutex<HashMap<u64, u64>>, cursors: &Mutex<HashMap<u6
     plans.len() + table.len()
 }
 
-// The sharded prepare path: the coordination lock comes first, then
-// each per-shard catalog — the documented order.
-pub fn coord_then_catalog(coord: &RwLock<u64>, catalog: &RwLock<u64>) -> u64 {
-    let epoch = coord.read().unwrap_or_else(PoisonError::into_inner);
-    let snapshot = catalog.read().unwrap_or_else(PoisonError::into_inner);
-    *epoch + *snapshot
-}
-
 // Socket-style `.read(&mut buf)` has arguments — never mistaken for a
 // RwLock read.
 pub fn io_read(stream: &mut impl std::io::Read) -> std::io::Result<usize> {

@@ -10,7 +10,7 @@ pub struct Shared {
 
 impl Shared {
     // Acquires the plan cache, then the catalog: backwards — the
-    // documented order is coord < catalog < cache < cursor table.
+    // documented order is catalog < cache < cursor table.
     pub fn backwards(&self, catalog: &RwLock<u64>, cache: &Mutex<HashMap<u64, u64>>) -> u64 {
         let c = cache.lock().unwrap_or_else(PoisonError::into_inner);
         let epoch = catalog.read().unwrap_or_else(PoisonError::into_inner);
@@ -33,14 +33,5 @@ impl Shared {
         let table = cursors.lock().unwrap_or_else(PoisonError::into_inner);
         let plans = cache.lock().unwrap_or_else(PoisonError::into_inner);
         table.len() + plans.len()
-    }
-
-    // Acquires the shard-coordination lock *after* a per-shard
-    // catalog: backwards — coord must be taken before any shard
-    // catalog, or two updaters can deadlock against a preparer.
-    pub fn coord_after_catalog(&self, coord: &RwLock<u64>, catalog: &RwLock<u64>) -> u64 {
-        let snapshot = catalog.read().unwrap_or_else(PoisonError::into_inner);
-        let epoch = coord.read().unwrap_or_else(PoisonError::into_inner);
-        *snapshot + *epoch
     }
 }

@@ -1,8 +1,5 @@
 //! The lock-free power-of-two latency histogram, moved here from the
-//! server so every layer (and every shard) shares one implementation
-//! — and so per-shard histograms can be **merged bucket-wise** into
-//! truthful whole-service percentiles (summing per-shard p99s, or
-//! taking their max, reports a latency nobody observed).
+//! server so every layer shares one implementation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,29 +43,6 @@ impl Histogram {
     /// A point-in-time copy of the bucket counts.
     pub fn snapshot(&self) -> [u64; HIST_BUCKETS] {
         std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
-    }
-
-    /// Fold another histogram's samples into this one, bucket by
-    /// bucket. Because buckets are position-aligned (same power-of-two
-    /// bounds everywhere), merging distributions is exact: percentiles
-    /// of the merged histogram equal percentiles of a histogram that
-    /// had recorded every underlying sample itself.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Bucket-wise merge of many histograms into a fresh one.
-    pub fn merged<'a, I: IntoIterator<Item = &'a Histogram>>(parts: I) -> Histogram {
-        let out = Histogram::default();
-        for h in parts {
-            out.merge_from(h);
-        }
-        out
     }
 
     /// The latency below which fraction `p` of samples fall, estimated
@@ -149,30 +123,5 @@ mod tests {
         let h = Histogram::default();
         assert_eq!(h.percentile(0.99), 0);
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_all_samples_in_one() {
-        // A skewed two-shard split: shard 0 fast, shard 1 slow.
-        let shard0 = Histogram::default();
-        let shard1 = Histogram::default();
-        let combined = Histogram::default();
-        for _ in 0..90 {
-            shard0.record(8);
-            combined.record(8);
-        }
-        for _ in 0..10 {
-            shard1.record(8000);
-            combined.record(8000);
-        }
-        let merged = Histogram::merged([&shard0, &shard1]);
-        assert_eq!(merged.snapshot(), combined.snapshot());
-        for p in [0.5, 0.95, 0.99] {
-            assert_eq!(merged.percentile(p), combined.percentile(p));
-        }
-        // And the merged tail is the slow shard's tail, which neither
-        // shard-local histogram alone would report service-wide.
-        assert!(merged.percentile(0.99) >= 4096);
-        assert!(shard0.percentile(0.99) < 16);
     }
 }

@@ -8,9 +8,8 @@
 //!   lint rule enforces it workspace-wide), so every other crate
 //!   times itself through a clock handle and tests can run on the
 //!   deterministic [`ManualClock`].
-//! * [`hist`] — the 32-bucket power-of-two latency [`Histogram`],
-//!   with bucket-wise [`Histogram::merge_from`] so per-shard
-//!   distributions combine into truthful whole-service percentiles.
+//! * [`hist`] — the 32-bucket power-of-two latency [`Histogram`]:
+//!   one relaxed `fetch_add` a sample, percentiles on read.
 //! * [`trace`] — the [`Stage`] taxonomy (parse → admission → prepare
 //!   → spawn → pull → merge → encode), the POD [`QueryTrace`] record,
 //!   and the fixed-capacity [`TraceRing`]: relaxed-atomic slot claim
@@ -30,4 +29,4 @@ pub mod trace;
 pub use clock::{manual_clock, monotonic_clock, Clock, ManualClock, MonotonicClock};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use registry::{rank_id, route_id, ObsRegistry, RouteCell, SlowLog, RANKS, ROUTES};
-pub use trace::{QueryTrace, RingStats, Stage, TraceRing, MAX_TRACE_SHARDS, STAGES, TRACE_WORDS};
+pub use trace::{QueryTrace, RingStats, Stage, TraceRing, MAX_TRACE_MEMBERS, STAGES, TRACE_WORDS};

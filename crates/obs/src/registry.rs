@@ -2,9 +2,8 @@
 //! per-route × per-ranking cells, engine-side histograms, the trace
 //! ring, a bounded slow-query log, and the injected clock.
 //!
-//! One registry instance per engine (so a sharded deployment has one
-//! per shard — their histograms merge bucket-wise for `STATS`) plus
-//! one per service (ring + slow log + route cells). Recording is
+//! One registry instance per engine, shared by the service over it
+//! (ring + slow log + route cells + engine histograms). Recording is
 //! gated on a single `enabled` bool set at construction from
 //! `ANYK_OBS` (`off`/`0` disables).
 
@@ -193,8 +192,7 @@ impl ObsRegistry {
         }
     }
 
-    /// The prepare-time distribution (this registry only; merge
-    /// across shards with [`Histogram::merged`]).
+    /// The prepare-time distribution.
     pub fn prepare_hist(&self) -> &Histogram {
         &self.prepare
     }

@@ -3,7 +3,7 @@
 //! A [`QueryTrace`] is a plain-old-data record of one completed query:
 //! which route × ranking it took, per-[`Stage`] wall times, actual
 //! cardinality vs the requested limit, cache/index provenance, and
-//! shard fan-in. Completed traces are published into a fixed-capacity
+//! merge fan-in. Completed traces are published into a fixed-capacity
 //! [`TraceRing`]:
 //!
 //! * **claim** — a writer takes a slot with one relaxed `fetch_add`
@@ -25,9 +25,10 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 /// Number of [`Stage`]s in the taxonomy.
 pub const STAGES: usize = 7;
 
-/// Per-shard fan-in rows are recorded for up to this many shards;
-/// larger deployments still trace totals, just not per-shard splits.
-pub const MAX_TRACE_SHARDS: usize = 8;
+/// Per-member merge fan-in rows are recorded for up to this many
+/// members (delta terms); a wider merge still traces its totals, just
+/// not the split past them.
+pub const MAX_TRACE_MEMBERS: usize = 8;
 
 /// The life of a query, in order. Every stage is a contiguous span of
 /// the same wall-clock interval, so the stage times of a trace sum to
@@ -44,7 +45,7 @@ pub enum Stage {
     Spawn,
     /// Pulling answers out of the stream.
     Pull,
-    /// Tournament-merge work attributable to shard fan-in.
+    /// Tournament-merge work attributable to merge fan-in.
     Merge,
     /// Rendering protocol bytes.
     Encode,
@@ -94,9 +95,7 @@ pub struct QueryTrace {
     pub cache: u64,
     /// Index provenance: 0 = n/a, 1 = cached, 2 = built.
     pub index: u64,
-    /// Shard count (0 or 1 = unsharded).
-    pub shards: u64,
-    /// Tournament-tree depth of the shard merge (0 unsharded).
+    /// Tournament-tree depth of the merge (0 when none ran).
     pub merge_depth: u64,
     /// Answers actually produced.
     pub rows: u64,
@@ -106,12 +105,13 @@ pub struct QueryTrace {
     pub total_us: u64,
     /// Per-stage wall times, µs, indexed by [`Stage::ALL`] order.
     pub stage_us: [u64; STAGES],
-    /// Rows pulled from each shard (first [`MAX_TRACE_SHARDS`]).
-    pub shard_rows: [u64; MAX_TRACE_SHARDS],
+    /// Rows pulled from each merge member (first
+    /// [`MAX_TRACE_MEMBERS`]).
+    pub member_rows: [u64; MAX_TRACE_MEMBERS],
 }
 
-/// Words per serialized trace: 10 scalars + stages + shard rows.
-pub const TRACE_WORDS: usize = 10 + STAGES + MAX_TRACE_SHARDS;
+/// Words per serialized trace: 9 scalars + stages + member rows.
+pub const TRACE_WORDS: usize = 9 + STAGES + MAX_TRACE_MEMBERS;
 
 impl QueryTrace {
     /// Sum of the per-stage times (µs).
@@ -126,13 +126,12 @@ impl QueryTrace {
         w[2] = self.rank;
         w[3] = self.cache;
         w[4] = self.index;
-        w[5] = self.shards;
-        w[6] = self.merge_depth;
-        w[7] = self.rows;
-        w[8] = self.limit;
-        w[9] = self.total_us;
-        w[10..10 + STAGES].copy_from_slice(&self.stage_us);
-        w[10 + STAGES..].copy_from_slice(&self.shard_rows);
+        w[5] = self.merge_depth;
+        w[6] = self.rows;
+        w[7] = self.limit;
+        w[8] = self.total_us;
+        w[9..9 + STAGES].copy_from_slice(&self.stage_us);
+        w[9 + STAGES..].copy_from_slice(&self.member_rows);
         w
     }
 
@@ -143,15 +142,14 @@ impl QueryTrace {
             rank: w[2],
             cache: w[3],
             index: w[4],
-            shards: w[5],
-            merge_depth: w[6],
-            rows: w[7],
-            limit: w[8],
-            total_us: w[9],
+            merge_depth: w[5],
+            rows: w[6],
+            limit: w[7],
+            total_us: w[8],
             ..QueryTrace::default()
         };
-        t.stage_us.copy_from_slice(&w[10..10 + STAGES]);
-        t.shard_rows.copy_from_slice(&w[10 + STAGES..]);
+        t.stage_us.copy_from_slice(&w[9..9 + STAGES]);
+        t.member_rows.copy_from_slice(&w[9 + STAGES..]);
         t
     }
 }
@@ -306,7 +304,6 @@ mod tests {
             rank: id % 5,
             cache: id % 2,
             index: id % 3,
-            shards: 2,
             merge_depth: 1,
             rows: 10 + id,
             limit: 10,
@@ -316,8 +313,8 @@ mod tests {
         for (i, s) in t.stage_us.iter_mut().enumerate() {
             *s = id + i as u64;
         }
-        t.shard_rows[0] = id;
-        t.shard_rows[1] = id * 2;
+        t.member_rows[0] = id;
+        t.member_rows[1] = id * 2;
         t
     }
 

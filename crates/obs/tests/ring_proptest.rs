@@ -3,7 +3,7 @@
 //! claim from the accounting (`claims == published + dropped`), while
 //! a concurrent reader drains `recent()` the whole time.
 
-use anyk_obs::{QueryTrace, TraceRing, MAX_TRACE_SHARDS, STAGES};
+use anyk_obs::{QueryTrace, TraceRing, STAGES};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -16,7 +16,6 @@ fn derived(id: u64) -> QueryTrace {
         rank: id % 5,
         cache: id % 2,
         index: id % 3,
-        shards: id % (MAX_TRACE_SHARDS as u64),
         merge_depth: id % 7,
         rows: id.wrapping_mul(3),
         limit: id % 100,
@@ -26,7 +25,7 @@ fn derived(id: u64) -> QueryTrace {
     for (i, s) in t.stage_us.iter_mut().enumerate() {
         *s = id.wrapping_add(i as u64);
     }
-    for (i, s) in t.shard_rows.iter_mut().enumerate() {
+    for (i, s) in t.member_rows.iter_mut().enumerate() {
         *s = id.wrapping_mul(i as u64 + 1);
     }
     t

@@ -105,7 +105,7 @@ impl ConjunctiveQuery {
 
     /// A copy of this query with atom `i` retargeted at `relation`.
     /// Variable ids, variable names, and every other atom are preserved
-    /// exactly — the seam sharded serving uses to point one atom at a
+    /// exactly — the seam a sharded partition uses to point one atom at a
     /// hash fragment of its relation without perturbing the query
     /// structure. Panics if `i` is out of range.
     pub fn with_atom_relation<S: Into<String>>(&self, i: usize, relation: S) -> ConjunctiveQuery {

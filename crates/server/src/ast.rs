@@ -39,7 +39,7 @@ pub enum Command {
     Explain(SelectStmt),
     /// Plan **and execute** to the page limit, reporting per-stage
     /// wall times, actual vs routed cardinalities, cache/index
-    /// provenance, and shard fan-in — instead of the answers.
+    /// provenance, and merge fan-in — instead of the answers.
     ExplainAnalyze(SelectStmt),
     /// Append literal rows to a registered relation (the write path:
     /// rows land as an [`DeltaRelation`](anyk_storage::DeltaRelation)

@@ -18,9 +18,7 @@
 //!    [`anyk_engine::RankSpec`], with typed [`ParseError`]s and a
 //!    printable AST (canonical text round-trips).
 //! 2. **Session layer** ([`service`]): a [`Service`] wrapping one shared
-//!    [`ShardedEngine`](anyk_engine::ShardedEngine) — an
-//!    [`Engine`](anyk_engine::Engine) is its one shard, with no merge
-//!    and no fan-out; each client gets a [`Session`]
+//!    [`Engine`](anyk_engine::Engine); each client gets a [`Session`]
 //!    whose live cursors ([`RankedStream`](anyk_engine::RankedStream)s
 //!    over the engine's cached prepared state) sit in one
 //!    **service-wide cursor table** with their deadlines and admission

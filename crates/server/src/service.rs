@@ -1,7 +1,6 @@
-//! The session layer: a [`Service`] wraps one shared
-//! [`ShardedEngine`] — an [`Engine`](anyk_engine::Engine) serves as
-//! its one shard — and turns parsed [`Command`]s into paginated
-//! responses over live ranked streams.
+//! The session layer: a [`Service`] wraps one shared [`Engine`] and
+//! turns parsed [`Command`]s into paginated responses over live ranked
+//! streams.
 //!
 //! * **Cursors** — a `SELECT` opens a [`RankedStream`] over the
 //!   engine's (cached) prepared state, serves the first page, and
@@ -40,8 +39,7 @@
 use crate::ast::Command;
 use crate::parser::{parse, ParseError};
 use anyk_engine::{
-    AnswerSlab, Appended, CacheStats, Cost, EngineError, IndexUse, RankedStream, ShardFanIn,
-    ShardedEngine,
+    AnswerSlab, Appended, CacheStats, Cost, Engine, EngineError, IndexUse, MergeFanIn, RankedStream,
 };
 use anyk_obs::{rank_id, route_id, Histogram, ObsRegistry, QueryTrace, Stage, RANKS, ROUTES};
 use anyk_storage::IndexStats;
@@ -245,7 +243,8 @@ pub enum Response {
 /// limit and every stage of its life timed on the service clock. The
 /// stages are contiguous spans of one wall interval, so
 /// `stage_us.iter().sum()` equals `wall_us` exactly (pinned over every
-/// route × ranking, single and sharded, in `tests/serve_protocol.rs`).
+/// route × ranking, delta-free and delta-backed, in
+/// `tests/serve_protocol.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeReport {
     /// Planner route label (`acyclic` / `triangle` / `cycle` /
@@ -253,8 +252,8 @@ pub struct AnalyzeReport {
     pub route: String,
     /// Ranking label (`sum` / `max` / `min` / `prod` / `lex`).
     pub rank: String,
-    /// Plan-cache provenance: `true` when every involved plan cache
-    /// (one per shard) served its prepared entry.
+    /// Plan-cache provenance: `true` when the plan cache served the
+    /// prepared entry.
     pub cache_hit: bool,
     /// Index provenance label (`n/a` / `cached` / `built`).
     pub index: &'static str,
@@ -267,14 +266,11 @@ pub struct AnalyzeReport {
     /// Answers requested — the page limit the router was asked to
     /// fill (the *routed* cardinality).
     pub limit: u64,
-    /// Shards that served the query (1 for a service over an
-    /// [`Engine`](anyk_engine::Engine)).
-    pub shards: usize,
-    /// Rows each shard fed the tournament merge (empty when none ran:
-    /// one shard with no delta terms to merge).
-    pub shard_rows: Vec<u64>,
-    /// Tournament-tree depth of the merge over shards × delta terms
-    /// (0 when none ran).
+    /// Rows each merge member (a delta term) fed the tournament merge
+    /// (empty when none ran: a delta-free plan).
+    pub member_rows: Vec<u64>,
+    /// Tournament-tree depth of the merge over the delta terms (0 when
+    /// none ran).
     pub merge_depth: u32,
 }
 
@@ -346,27 +342,19 @@ pub struct ServiceStats {
     pub connections_rejected: u64,
     /// Connections established right now (the connection gauge).
     pub open_connections: usize,
-    /// The engine's plan-cache counters (hits/misses/evictions/...) —
-    /// summed across all shards.
+    /// The engine's plan-cache counters (hits/misses/evictions/...).
     pub cache: CacheStats,
-    /// The index catalog's counters (hits/misses/builds/...) — summed
-    /// across all shards (each shard owns its own index catalog).
+    /// The index catalog's counters (hits/misses/builds/...).
     pub index: IndexStats,
-    /// How many engine shards serve this service (1 for a service over
-    /// an [`Engine`](anyk_engine::Engine)).
-    pub shards: usize,
     /// Median engine prepare wall time (cache hits and misses alike),
-    /// merged **bucket-wise** across every shard's registry so the
-    /// percentile is truthful at any shard count, µs.
+    /// µs.
     pub prepare_p50_us: u64,
-    /// 95th-percentile engine prepare wall time (bucket-wise shard
-    /// merge), µs.
+    /// 95th-percentile engine prepare wall time, µs.
     pub prepare_p95_us: u64,
-    /// 99th-percentile engine prepare wall time (bucket-wise shard
-    /// merge), µs.
+    /// 99th-percentile engine prepare wall time, µs.
     pub prepare_p99_us: u64,
     /// Median sampled per-answer enumeration delay (one sample per
-    /// [`SAMPLE_EVERY`](anyk_engine) pulls; bucket-wise shard merge), µs.
+    /// [`SAMPLE_EVERY`](anyk_engine) pulls), µs.
     pub delay_p50_us: u64,
     /// 99th-percentile sampled per-answer enumeration delay, µs.
     pub delay_p99_us: u64,
@@ -378,15 +366,14 @@ pub struct ServiceStats {
     /// Entries currently held in the bounded slow-query log.
     pub slow_queries: usize,
     /// Append batches accepted (`INSERT`/`LOAD` and direct engine
-    /// appends alike; one per logical batch at any shard count).
+    /// appends alike).
     pub appends: u64,
     /// Rows appended across all batches.
     pub appended_rows: u64,
     /// Threshold compactions folded delta batches into fresh bases.
     pub compactions: u64,
     /// Prepared plans dropped because a write changed a relation they
-    /// read — appends and compactions, and catalog updates too (summed
-    /// across shards).
+    /// read — appends and compactions, and catalog updates too.
     pub append_invalidations: u64,
     /// Terms of those plans their refresh took over as they were.
     pub terms_kept: u64,
@@ -541,18 +528,17 @@ impl Entry {
 /// map operations — never across a prepare, a pull or an encode.
 type CursorTable = Mutex<HashMap<CursorKey, Entry>>;
 
-/// The query service: one shared [`ShardedEngine`] — an
-/// [`Engine`](anyk_engine::Engine) serves as its one shard — plus the
-/// service-wide admission bound and metrics. `Clone + Send + Sync` —
+/// The query service: one shared [`Engine`] plus the service-wide
+/// admission bound and metrics. `Clone + Send + Sync` —
 /// clones are handles to the same service; spawn one [`Session`] per
 /// client.
 #[derive(Clone)]
 pub struct Service {
-    engine: ShardedEngine,
+    engine: Engine,
     config: ServiceConfig,
-    /// The engine's observability registry (shard 0's): trace ring,
-    /// slow-query log, route cells, and the injected clock every
-    /// service timestamp reads.
+    /// The engine's observability registry: trace ring, slow-query
+    /// log, route cells, engine histograms, and the injected clock
+    /// every service timestamp reads.
     obs: Arc<ObsRegistry>,
     admission: Arc<Gauge>,
     connections: Arc<Gauge>,
@@ -571,18 +557,15 @@ impl std::fmt::Debug for Service {
 }
 
 impl Service {
-    /// A service over `engine` — an [`Engine`](anyk_engine::Engine),
-    /// or a [`ShardedEngine`] of any shard count — with the default
-    /// [`ServiceConfig`]. Over several shards, sessions stream through
-    /// the globally-ranked shard merge, `EXPLAIN` reports shard
-    /// fan-out, and `STATS` sums per-shard cache and index counters.
-    pub fn new(engine: impl Into<ShardedEngine>) -> Self {
+    /// A service over `engine` with the default [`ServiceConfig`].
+    /// The service holds a handle on the engine: `engine` and its
+    /// clones keep seeing the same catalog, plan cache and registry.
+    pub fn new(engine: Engine) -> Self {
         Service::with_config(engine, ServiceConfig::default())
     }
 
     /// A service with an explicit configuration.
-    pub fn with_config(engine: impl Into<ShardedEngine>, config: ServiceConfig) -> Self {
-        let engine = engine.into();
+    pub fn with_config(engine: Engine, config: ServiceConfig) -> Self {
         let obs = Arc::clone(engine.obs());
         Service {
             engine,
@@ -600,16 +583,9 @@ impl Service {
     }
 
     /// The engine this service serves from (catalog updates, prepares,
-    /// counters). A service built over an [`Engine`](anyk_engine::Engine) holds that engine
-    /// as its one shard ([`ShardedEngine::shard_engines`]).
-    pub fn engine(&self) -> &ShardedEngine {
+    /// counters).
+    pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// How many engine shards serve this service (1 for a service built
-    /// over an [`Engine`](anyk_engine::Engine)).
-    pub fn shards(&self) -> usize {
-        self.engine.num_shards()
     }
 
     /// The active configuration.
@@ -710,7 +686,7 @@ impl Service {
         let m = &self.metrics;
         let count = m.ttf_count.load(Ordering::Relaxed);
         let min = m.ttf_min_us.load(Ordering::Relaxed);
-        let (prepare, delay) = self.merged_engine_hists();
+        let (prepare, delay) = (self.obs.prepare_hist(), self.obs.delay_hist());
         let ring = self.obs.ring_stats();
         let writes = self.engine.write_stats();
         let mut routes = [[RouteRankStats::default(); RANKS.len()]; ROUTES.len()];
@@ -751,7 +727,6 @@ impl Service {
             open_connections: self.connections.open(),
             cache: self.engine.cache_stats(),
             index: self.engine.index_stats(),
-            shards: self.shards(),
             prepare_p50_us: prepare.percentile(0.50),
             prepare_p95_us: prepare.percentile(0.95),
             prepare_p99_us: prepare.percentile(0.99),
@@ -770,20 +745,6 @@ impl Service {
             routes,
         }
     }
-
-    /// Engine-side histograms for `STATS`: every shard records prepare
-    /// times and sampled delays into its **own** registry, so the
-    /// service merges them **bucket-wise** — position-aligned
-    /// power-of-two buckets make the merged percentiles exactly what
-    /// one histogram over all shards' samples would report, at any
-    /// shard count.
-    fn merged_engine_hists(&self) -> (Histogram, Histogram) {
-        let shards = self.engine.shard_engines();
-        (
-            Histogram::merged(shards.iter().map(|e| e.obs().prepare_hist())),
-            Histogram::merged(shards.iter().map(|e| e.obs().delay_hist())),
-        )
-    }
 }
 
 /// [`QueryTrace::index`] code for a plan's index provenance
@@ -796,29 +757,15 @@ fn index_code(index: anyk_engine::IndexUse) -> u64 {
     }
 }
 
-/// Copy the shard count and a merged stream's live [`ShardFanIn`]
-/// counters into `trace`: tournament depth, per-shard rows (truncated
-/// at the trace's fixed fan-in width), and — staged temporarily in the
-/// merge slot for [`fill_stages`] to clamp — merge-machinery wall time.
-fn stage_fan_in(trace: &mut QueryTrace, fan_in: Option<&ShardFanIn>, shards: usize) {
-    trace.shards = shards as u64;
-    let Some(fan_in) = fan_in else {
-        return;
-    };
+/// Copy a merged stream's live [`MergeFanIn`] counters into `trace`:
+/// tournament depth, per-member rows (truncated at the trace's fixed
+/// fan-in width), and — staged temporarily in the merge slot for
+/// [`fill_stages`] to clamp — merge-machinery wall time.
+fn stage_fan_in(trace: &mut QueryTrace, fan_in: &MergeFanIn) {
     trace.merge_depth = u64::from(fan_in.depth());
     trace.stage_us[Stage::Merge as usize] = fan_in.merge_us();
-    add_shard_rows(fan_in, shards, &mut trace.shard_rows);
-}
-
-/// Add the rows each merge member fed to its shard's slot in `out`,
-/// dropping shards past its end. The members are the shards, or the
-/// delta terms of a lone shard: member `m` belongs to shard
-/// `m % shards`.
-fn add_shard_rows(fan_in: &ShardFanIn, shards: usize, out: &mut [u64]) {
-    for (member, rows) in fan_in.rows().enumerate() {
-        if let Some(slot) = out.get_mut(member % shards) {
-            *slot += rows;
-        }
+    for (slot, rows) in trace.member_rows.iter_mut().zip(fan_in.rows()) {
+        *slot = rows;
     }
 }
 
@@ -919,7 +866,7 @@ struct FirstPage {
     cursor: Cursor,
     answers: AnswerSlab<Cost>,
     done: bool,
-    fan_in: Option<Arc<ShardFanIn>>,
+    fan_in: Option<Arc<MergeFanIn>>,
     /// `Some` when the run was traced; stages filled, encode still 0.
     trace: Option<QueryTrace>,
     /// Plan start through page end on the service clock, µs.
@@ -997,8 +944,8 @@ impl Session {
             }),
             Command::Explain(stmt) => {
                 let rank = stmt.rank;
-                let text = self.service.engine.explain(stmt.into_cq(), rank)?;
-                Ok(Response::Explained(text))
+                let request = self.service.engine.query(stmt.into_cq()).rank_by(rank);
+                Ok(Response::Explained(request.explain()?.explain()))
             }
             Command::Insert(stmt) => {
                 let batch = insert_batch(&stmt)?;
@@ -1131,7 +1078,7 @@ impl Session {
     }
 
     /// What `SELECT` and `EXPLAIN ANALYZE` share: admit, plan through
-    /// every shard's plan cache (repeated queries of one shape share
+    /// the engine's plan cache (repeated queries of one shape share
     /// preprocessing across all sessions), pull the first page, and —
     /// when `traced` — assemble
     /// the query's trace. Untraced runs skip the stage-seam clock reads
@@ -1149,7 +1096,8 @@ impl Session {
         let limit = stmt.limit.unwrap_or(self.service.config.default_page);
         let rank = stmt.rank;
         let started_us = obs.now_us();
-        let (prepared, report) = self.service.engine.prepare_report(stmt.into_cq(), rank)?;
+        let request = self.service.engine.query(stmt.into_cq()).rank_by(rank);
+        let (prepared, report) = request.prepare_report()?;
         let (stream, fan_in) = prepared.stream_traced(obs);
         let stream = stream.sampled(obs);
         let t_planned_us = if traced { obs.now_us() } else { 0 };
@@ -1168,7 +1116,9 @@ impl Session {
                 limit: limit as u64,
                 ..QueryTrace::default()
             };
-            stage_fan_in(&mut trace, fan_in.as_deref(), self.service.shards());
+            if let Some(fan_in) = &fan_in {
+                stage_fan_in(&mut trace, fan_in);
+            }
             fill_stages(
                 &mut trace,
                 parse_us,
@@ -1309,7 +1259,7 @@ impl Session {
     /// report where the time went instead of the answers. The stages
     /// are contiguous sub-spans of one measured wall interval, so the
     /// report's stage sum equals its wall time by construction. The run
-    /// is real — admission, plan cache, index catalog, shard merge —
+    /// is real — admission, plan cache, index catalog, delta merge —
     /// but holds no cursor: the admission slot frees on return, and
     /// page/answer metrics are left untouched (it is a diagnostic
     /// command, not traffic). Its trace still enters the ring.
@@ -1341,13 +1291,8 @@ impl Session {
             wall_us: page.wall_us,
             rows: trace.rows,
             limit: trace.limit,
-            shards: trace.shards as usize,
-            shard_rows: (page.fan_in.as_deref())
-                .map(|fan_in| {
-                    let mut rows = vec![0; self.service.shards()];
-                    add_shard_rows(fan_in, rows.len(), &mut rows);
-                    rows
-                })
+            member_rows: (page.fan_in.as_deref())
+                .map(|fan_in| fan_in.rows().collect())
                 .unwrap_or_default(),
             merge_depth: trace.merge_depth as u32,
         };
@@ -1412,7 +1357,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyk_engine::Engine;
 
     #[test]
     fn cursor_table_accounts_slots_exactly() {
@@ -1578,42 +1522,6 @@ mod tests {
         assert_eq!(service.stats().open_cursors, 1);
     }
 
-    /// Regression pin for satellite truthfulness: per-shard histograms
-    /// merge **bucket-wise**, so a skewed two-shard service reports
-    /// exactly the percentiles one histogram over both shards' samples
-    /// would — the old "average the percentiles" style of aggregation
-    /// would report a p99 near shard 0's (tiny) tail instead.
-    #[test]
-    fn sharded_stats_percentiles_are_truthful_under_skew() {
-        use anyk_storage::{Catalog, RelationBuilder, Schema};
-        let mut catalog = Catalog::new();
-        let mut r = RelationBuilder::new(Schema::new(["a", "b"]));
-        for i in 0..8i64 {
-            r.push_ints(&[i, i + 10], 0.1 * (i as f64 + 1.0));
-        }
-        catalog.register("R", r.finish());
-        let sharded = ShardedEngine::new(catalog, 2).expect("2 shards");
-        let service = Service::new(sharded);
-        let engines = service.engine().shard_engines();
-        // Shard 0 is fast (90 × 8 µs), shard 1 slow (10 × 8000 µs).
-        let reference = Histogram::default();
-        for _ in 0..90 {
-            engines[0].obs().record_prepare(8);
-            reference.record(8);
-        }
-        for _ in 0..10 {
-            engines[1].obs().record_prepare(8_000);
-            reference.record(8_000);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.prepare_p50_us, reference.percentile(0.50));
-        assert_eq!(stats.prepare_p99_us, reference.percentile(0.99));
-        // The slow shard's tail dominates the merged p99; shard 0
-        // alone would report < 16 µs.
-        assert!(stats.prepare_p99_us >= 4_096, "{}", stats.prepare_p99_us);
-        assert!(engines[0].obs().prepare_hist().percentile(0.99) < 16);
-    }
-
     #[test]
     fn select_publishes_a_complete_trace() {
         let service = Service::new(crate::tests_engine());
@@ -1627,7 +1535,6 @@ mod tests {
         assert_eq!(t.rank, anyk_obs::rank_id("max"));
         assert_eq!(t.rows, 3);
         assert_eq!(t.limit, 3);
-        assert_eq!(t.shards, 1);
         assert_eq!(t.merge_depth, 0);
         assert_eq!(t.total_us, t.stage_sum_us());
         let stats = service.obs().ring_stats();
@@ -1698,9 +1605,8 @@ mod tests {
         assert_eq!(report.rank, "sum");
         assert_eq!(report.rows, 5);
         assert_eq!(report.limit, 5);
-        assert_eq!(report.shards, 1);
         assert_eq!(report.merge_depth, 0);
-        assert!(report.shard_rows.is_empty());
+        assert!(report.member_rows.is_empty());
         // Contiguous stages: the sum equals the measured wall exactly
         // (encode is rendered by the wire layer, not part of the run).
         let sum: u64 = report.stage_us.iter().sum();
@@ -1714,7 +1620,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_reports_shard_fan_in() {
+    fn explain_analyze_reports_merge_fan_in() {
         use anyk_storage::{Catalog, RelationBuilder, Schema};
         let mut catalog = Catalog::new();
         let mut r = RelationBuilder::new(Schema::new(["a", "b"]));
@@ -1722,41 +1628,36 @@ mod tests {
             r.push_ints(&[i, i + 10], 0.1 * (i as f64 + 1.0));
         }
         catalog.register("R", r.finish());
-        // Two shards merge; so does one shard after an INSERT, over its
-        // base and delta terms — still one shard with one row count.
-        let two = Service::new(ShardedEngine::new(catalog.clone(), 2).expect("2 shards"));
-        let one = Service::new(Engine::new(catalog));
-        let insert = one
+        // After an INSERT the read merges two members: the base term
+        // and R's delta term, each with its own row count.
+        let service = Service::new(Engine::new(catalog));
+        let insert = service
             .session()
             .execute("INSERT INTO R VALUES (16, 26, 0.05);");
         assert!(matches!(insert, Ok(Response::Appended { deltas: 1, .. })));
-        for (service, shards) in [(two, 2), (one, 1)] {
-            let mut session = service.session();
-            let resp = session
-                .execute("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;")
-                .expect("analyze");
-            let Response::Analyzed(report) = resp else {
-                panic!("expected Analyzed, got {resp:?}");
-            };
-            assert_eq!(report.shards, shards);
-            assert_eq!(report.merge_depth, 1);
-            assert_eq!(report.shard_rows.len(), shards);
-            // All 16 rows came through the merge: fan-in accounts ≥ the
-            // answers (lookahead may pull extra rows per shard).
-            let fed: u64 = report.shard_rows.iter().sum();
-            assert!(fed >= report.rows, "{fed} < {}", report.rows);
-            assert!(report.shard_rows.iter().all(|&r| r > 0), "{report:?}");
-            // The published trace carries the same fan-in, merge stage
-            // included.
-            let trace = service.obs().recent(1)[0];
-            assert_eq!(trace.shards, shards as u64);
-            assert_eq!(trace.merge_depth, 1);
-            assert_eq!(trace.shard_rows[..shards], report.shard_rows[..]);
-            assert_eq!(trace.stage_us, report.stage_us);
-            let text =
-                crate::LocalClient::new(&service).send("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;");
-            assert_eq!(text.matches(".rows=").count(), shards, "{text}");
-        }
+        let mut session = service.session();
+        let resp = session
+            .execute("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;")
+            .expect("analyze");
+        let Response::Analyzed(report) = resp else {
+            panic!("expected Analyzed, got {resp:?}");
+        };
+        assert_eq!(report.merge_depth, 1);
+        assert_eq!(report.member_rows.len(), 2);
+        // All 16 rows came through the merge: fan-in accounts ≥ the
+        // answers (lookahead may pull extra rows per member).
+        let fed: u64 = report.member_rows.iter().sum();
+        assert!(fed >= report.rows, "{fed} < {}", report.rows);
+        assert!(report.member_rows.iter().all(|&r| r > 0), "{report:?}");
+        // The published trace carries the same fan-in, merge stage
+        // included.
+        let trace = service.obs().recent(1)[0];
+        assert_eq!(trace.merge_depth, 1);
+        assert_eq!(trace.member_rows[..2], report.member_rows[..]);
+        assert_eq!(trace.stage_us, report.stage_us);
+        let text =
+            crate::LocalClient::new(&service).send("EXPLAIN ANALYZE SELECT R(a,b) LIMIT 16;");
+        assert_eq!(text.matches("INFO member.").count(), 2, "{text}");
     }
 
     #[test]

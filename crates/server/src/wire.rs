@@ -182,14 +182,14 @@ fn write_response(out: &mut impl ReplyBuf, resp: &Response) {
 }
 
 /// Render the `EXPLAIN ANALYZE` report: one `INFO` line per fact, one
-/// per stage (`stage.<name>_us=`), one per shard (`shard.<i>.rows=`).
+/// per stage (`stage.<name>_us=`), one per merge member
+/// (`member.<i>.rows=`).
 fn encode_analyze(out: &mut impl Write, r: &AnalyzeReport) {
     let _ = writeln!(out, "OK analyze");
     let _ = writeln!(out, "INFO route={}", r.route);
     let _ = writeln!(out, "INFO rank={}", r.rank);
     let _ = writeln!(out, "INFO cache={}", hit_label(r.cache_hit));
     let _ = writeln!(out, "INFO index={}", r.index);
-    let _ = writeln!(out, "INFO shards={}", r.shards);
     let _ = writeln!(out, "INFO merge_depth={}", r.merge_depth);
     let _ = writeln!(out, "INFO rows={}", r.rows);
     let _ = writeln!(out, "INFO limit={}", r.limit);
@@ -199,8 +199,8 @@ fn encode_analyze(out: &mut impl Write, r: &AnalyzeReport) {
     let sum: u64 = r.stage_us.iter().sum();
     let _ = writeln!(out, "INFO stage_sum_us={sum}");
     let _ = writeln!(out, "INFO wall_us={}", r.wall_us);
-    for (i, rows) in r.shard_rows.iter().enumerate() {
-        let _ = writeln!(out, "INFO shard.{i}.rows={rows}");
+    for (i, rows) in r.member_rows.iter().enumerate() {
+        let _ = writeln!(out, "INFO member.{i}.rows={rows}");
     }
 }
 
@@ -209,11 +209,10 @@ fn encode_trace(t: &QueryTrace) -> String {
     let route = ROUTES.get(t.route as usize).copied().unwrap_or(ROUTES[0]);
     let rank = RANKS.get(t.rank as usize).copied().unwrap_or(RANKS[0]);
     let mut line = format!(
-        "INFO trace id={} route={route} rank={rank} cache={} index={} shards={} depth={} rows={} limit={} total_us={}",
+        "INFO trace id={} route={route} rank={rank} cache={} index={} depth={} rows={} limit={} total_us={}",
         t.id,
         hit_label(t.cache == 1),
         index_label(t.index),
-        t.shards,
         t.merge_depth,
         t.rows,
         t.limit,
@@ -279,7 +278,6 @@ pub fn encode_connection_rejected(open: usize, max: usize) -> String {
 /// have served at least one query so an idle service stays compact.
 fn stats_fields(s: &ServiceStats) -> Vec<(String, String)> {
     let fixed: Vec<(&'static str, String)> = vec![
-        ("shards", s.shards.to_string()),
         ("queries", s.queries.to_string()),
         ("answers_served", s.answers_served.to_string()),
         ("pages_served", s.pages_served.to_string()),

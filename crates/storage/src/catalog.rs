@@ -161,7 +161,7 @@ impl Catalog {
     /// A copy of this catalog with the *same* relations and symbol
     /// dictionary but a **fresh, empty** [`IndexCatalog`] of the same
     /// capacity. Relation payloads are still shared (refcount bumps),
-    /// so the fork is `O(#relations)` — this is how a sharded engine
+    /// so the fork is `O(#relations)` — this is how a sharded partition
     /// gives each shard its own index budget and hit/miss accounting
     /// while a plain [`Clone`] keeps sharing warm indexes.
     pub fn fork_with_fresh_indexes(&self) -> Catalog {

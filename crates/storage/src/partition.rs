@@ -1,4 +1,4 @@
-//! Deterministic hash partitioning of relations for sharded serving.
+//! Deterministic hash partitioning of relations into shard fragments.
 //!
 //! A relation is split into `n` *fragments* by hashing the full tuple
 //! (every value in the row) with the process-stable Fx hasher: rows with

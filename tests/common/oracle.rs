@@ -167,10 +167,8 @@ pub fn check_engine_against_oracle(
 
 /// Write-path cross-check on one `(q, base, appends, rank)` instance.
 ///
-/// `live` — one engine (`Engine::into()`) or several shards whose
-/// delta terms flatten into the shard merge, freshly built over
-/// `base`, its plan prepared and its first
-/// stream half-read, so every write refreshes a cached plan from the
+/// `live` — an engine freshly built over `base`, its plan prepared
+/// and its first stream half-read, so every write refreshes a cached plan from the
 /// entry it invalidates — takes `appends` — `(atom index, batch)`
 /// pairs, in order — through its `append`, and a `compact` of the
 /// relation just appended to after each step listed in
@@ -180,8 +178,8 @@ pub fn check_engine_against_oracle(
 /// or extended serves what a rebuilt one does. After the last, the
 /// delta-backed stream must also (a) match the brute-force oracle over
 /// base ⊎ deltas and (b) be canonical by construction: the union
-/// merges its leaves (delta terms, or shards × delta terms) with the
-/// canonical `(cost, values, leaf)` tie-break, so the equality is
+/// merges its delta terms with the canonical `(cost, values, member)`
+/// tie-break, so the equality is
 /// positional, not just tie-group-wise. Compacting every delta and
 /// re-preparing must serve the identical bytes again.
 ///
@@ -190,7 +188,7 @@ pub fn check_engine_against_oracle(
 /// the refreshes of the schedule's own writes did
 /// ([`WriteStats::terms_extended`] and its siblings).
 pub fn check_write_path_against_oracle(
-    live: ShardedEngine,
+    live: Engine,
     q: &ConjunctiveQuery,
     base: &[Relation],
     appends: &[(usize, Relation)],
@@ -207,7 +205,7 @@ pub fn check_write_path_against_oracle(
             .collect()
     };
     let serve = |at: &str| {
-        live.prepare(q, rank)
+        live.prepare(q.clone(), rank)
             .unwrap_or_else(|e| panic!("{label}: {at}: prepare: {e}"))
             .stream()
     };

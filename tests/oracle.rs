@@ -249,9 +249,7 @@ fn triangle_first_and_upgraded_streams_both_match_the_oracle() {
 // ---------------------------------------------------------------------
 
 /// All five rankings over one `(q, base, appends)` write-path
-/// instance, on a single engine and on a sharded one at N ∈ {2, 3} —
-/// where each shard part is itself a delta union, so the stream is
-/// one merge tree over shards × terms leaves.
+/// instance on a live engine.
 fn check_write_path_all_ranks(
     q: &anyk::query::cq::ConjunctiveQuery,
     base: &[Relation],
@@ -274,9 +272,9 @@ fn check_write_schedule_all_ranks(
 ) -> Vec<(RankSpec, [u64; 3])> {
     let mut terms = Vec::new();
     for rank in RankSpec::ALL {
-        let single = Engine::from_query_bindings(q, base.to_vec());
+        let live = Engine::from_query_bindings(q, base.to_vec());
         let w = check_write_path_against_oracle(
-            single.into(),
+            live,
             q,
             base,
             appends,
@@ -285,19 +283,6 @@ fn check_write_schedule_all_ranks(
             &format!("{route} × {rank}"),
         );
         terms.push((rank, [w.terms_kept, w.terms_extended, w.terms_rebuilt]));
-        for shards in [2usize, 3] {
-            let sharded = ShardedEngine::try_from_query_bindings(q, base.to_vec(), shards)
-                .unwrap_or_else(|e| panic!("{route}: sharded build: {e}"));
-            check_write_path_against_oracle(
-                sharded,
-                q,
-                base,
-                appends,
-                compact_after,
-                rank,
-                &format!("{route} × {rank} × {shards} shard(s)"),
-            );
-        }
     }
     terms
 }
@@ -578,8 +563,7 @@ fn consecutive_appends_extend_a_batch_plan_on_the_path() {
         let catalog = Engine::from_query_bindings(&q, base.clone()).catalog();
         let live = Engine::with_opts((*catalog).clone(), batch);
         let label = format!("path batch × {rank}");
-        let w =
-            check_write_path_against_oracle(live.into(), &q, &base, &appends, &[4], rank, &label);
+        let w = check_write_path_against_oracle(live, &q, &base, &appends, &[4], rank, &label);
         // Extended at steps 3 (all three delta terms), 4 (two), 5, 6
         // (two) and 7; rebuilt at a delta term's first build (steps 0,
         // 1, 2 and, after the compaction dropped R2's, 7) and at the
@@ -662,7 +646,7 @@ fn randomized_append_schedules_match_oracle_through_mid_schedule_compaction() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded serving: the scatter/merge stream must be indistinguishable
+// A sharded partition: the scatter/merge stream must be indistinguishable
 // from a single engine — not just the same multiset, the same *bytes*.
 // The merge canonicalizes cost-ties by value order, so the comparison
 // baseline is the single engine's stream under `canonical_ties()`,
@@ -695,8 +679,9 @@ fn check_sharded_matches_single(
             let label = format!("{route} × {rank} × {shards} shard(s)");
             let want = brute_force_ranked(q, rels, rank);
             let merged: Vec<RankedAnswer> = sharded
-                .stream(q, rank)
-                .unwrap_or_else(|e| panic!("{label}: sharded stream: {e}"))
+                .prepare(q, rank)
+                .unwrap_or_else(|e| panic!("{label}: sharded prepare: {e}"))
+                .stream()
                 .collect();
             let canonical: Vec<RankedAnswer> = single
                 .query(q.clone())
@@ -786,64 +771,42 @@ fn sharded_all_ties_relation_is_partition_invariant() {
         let sharded =
             ShardedEngine::try_from_query_bindings(&q, vec![e.clone(), e.clone()], shards)
                 .expect("sharded build");
-        let merged: Vec<RankedAnswer> =
-            sharded.stream(&q, RankSpec::Sum).expect("stream").collect();
+        let merged: Vec<RankedAnswer> = (sharded
+            .prepare(&q, RankSpec::Sum)
+            .expect("prepare")
+            .stream())
+        .collect();
         let want = brute_force_ranked(&q, &[e.clone(), e.clone()], RankSpec::Sum);
         assert_exact_oracle_order(&merged, &want, &format!("all-ties-path × {shards} shards"));
     }
 }
 
 #[test]
-fn sharded_invalidation_is_coherent_with_mid_stream_snapshots() {
-    // Cross-shard coherent invalidation: a register() while merged
-    // streams are open must (a) leave those streams on their original
-    // snapshot — ties included — and (b) make every *new* stream see
-    // the update on every shard, never a torn mix of old and new
-    // fragments.
+fn a_partition_of_a_delta_bearing_catalog_answers_what_the_engine_does() {
+    // The pivot (the largest relation, R1) has a pending delta batch:
+    // its fragments must be cut from base ⊎ deltas, like its replica,
+    // or the batch's answers go missing from every shard.
     let q = path_query(2);
-    let old_edges = fixture_edges();
-    let new_edges: Vec<(i64, i64, f64)> = old_edges
-        .iter()
-        .skip(2)
-        .map(|&(a, b, w)| (a, b, w * 3.0 + 0.5))
-        .collect();
-    let old_rels = vec![edge_rel(&old_edges), edge_rel(&old_edges[..10])];
-    let new_rels = vec![edge_rel(&new_edges), edge_rel(&old_edges[..10])];
-
-    let sharded = ShardedEngine::try_from_query_bindings(&q, old_rels.clone(), 3).expect("sharded");
-    let want_old = brute_force_ranked(&q, &old_rels, RankSpec::Sum);
-    let want_new = brute_force_ranked(&q, &new_rels, RankSpec::Sum);
-
-    // Several merged streams open *before* the update, drained on
-    // their own threads *while* the update lands.
-    let open: Vec<RankedStream> = (0..4)
-        .map(|_| sharded.stream(&q, RankSpec::Sum).expect("stream"))
-        .collect();
-    std::thread::scope(|s| {
-        for (i, mut stream) in open.into_iter().enumerate() {
-            let want_old = &want_old;
-            s.spawn(move || {
-                // Pull one answer up front so the cursor is mid-page
-                // when the update arrives, then drain the rest.
-                let mut got = vec![stream.next().expect("nonempty")];
-                got.extend(stream);
-                assert_exact_oracle_order(
-                    &got,
-                    want_old,
-                    &format!("open stream {i} keeps its snapshot"),
-                );
-            });
+    let rels = vec![edge_rel(&fixture_edges()), edge_rel(&fixture_edges()[..10])];
+    let batch = edge_rel(&[(5, 1, 0.5), (6, 2, 0.25)]);
+    let engine = Engine::from_query_bindings(&q, rels.clone());
+    engine.append("R1", batch.clone()).expect("append");
+    let catalog = (*engine.catalog()).clone();
+    assert!(catalog.entry("R1").is_some_and(|e| e.has_deltas()));
+    let combined = [Relation::concat(&[rels[0].clone(), batch]), rels[1].clone()];
+    for rank in RankSpec::ALL {
+        let want = brute_force_ranked(&q, &combined, rank);
+        let served: Vec<RankedAnswer> = (engine.prepare(q.clone(), rank).expect("prepare"))
+            .stream()
+            .collect();
+        assert_exact_oracle_order(&served, &want, &format!("engine × {rank}"));
+        for shards in [1usize, 2, 3] {
+            let sharded = ShardedEngine::new(catalog.clone(), shards).expect("sharded build");
+            let merged: Vec<RankedAnswer> = (sharded.prepare(&q, rank).expect("prepare"))
+                .stream()
+                .canonical_ties()
+                .collect();
+            assert_eq!(merged, served, "{rank} × {shards} shard(s)");
         }
-        let sharded = &sharded;
-        s.spawn(move || {
-            sharded
-                .register("R1", edge_rel(&new_edges))
-                .expect("register during open streams");
-        });
-    });
-
-    let (prepared, report) = (sharded.prepare_report(q.clone(), RankSpec::Sum)).expect("prepare");
-    assert!(report.cache_hit, "the update refreshed every shard's plan");
-    let fresh: Vec<RankedAnswer> = prepared.stream().collect();
-    assert_exact_oracle_order(&fresh, &want_new, "post-update stream sees the new data");
+    }
 }

@@ -195,7 +195,7 @@ fn a_warm_stream_shares_its_prepared_querys_plan() {
     let service = service();
     let engine = service.engine();
     for (label, q, rank) in combos() {
-        let prepared = engine.prepare(&q, rank).expect("prepare");
+        let prepared = engine.prepare(q.clone(), rank).expect("prepare");
         for _ in 0..2 {
             assert_eq!(prepared.stream().take(PAGE).count(), PAGE);
         }
@@ -208,7 +208,9 @@ fn a_warm_stream_shares_its_prepared_querys_plan() {
         // tree (one tree, or the 4-cycle's few) and the union over them.
         assert!(n <= 16, "{label}: stream() allocates {n} blocks");
         // A cache hit hands out the same plan again.
-        let again = engine.prepare(&prepared.plan().query, rank).expect("hit");
+        let again = engine
+            .prepare(prepared.plan().query.clone(), rank)
+            .expect("hit");
         assert!(
             std::ptr::eq(again.plan(), prepared.plan()),
             "{label}: one plan per entry"

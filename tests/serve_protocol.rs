@@ -94,7 +94,7 @@ fn server_pages_match_direct_streams_and_oracle_on_every_route() {
             // Direct prepared stream, one shot, same encoder.
             let prepared = service
                 .engine()
-                .prepare(&q, rank)
+                .prepare(q.clone(), rank)
                 .unwrap_or_else(|e| panic!("{route} × {rank}: {e}"));
             let want_rows: Vec<String> = prepared.stream().map(|a| encode_answer(&a)).collect();
             assert!(
@@ -499,7 +499,7 @@ fn event_loop_serves_concurrent_tcp_clients_byte_identically() {
     let select = select_text(&q, RankSpec::Sum, Some(2));
     let want: Vec<String> = service
         .engine()
-        .prepare(&q, RankSpec::Sum)
+        .prepare(q.clone(), RankSpec::Sum)
         .expect("prepare")
         .stream()
         .map(|a| encode_answer(&a))
@@ -695,7 +695,7 @@ fn concurrent_sessions_page_byte_identically() {
     let select = select_text(&q, RankSpec::Sum, Some(2));
     let want: Vec<String> = service
         .engine()
-        .prepare(&q, RankSpec::Sum)
+        .prepare(q.clone(), RankSpec::Sum)
         .expect("prepare")
         .stream()
         .map(|a| encode_answer(&a))
@@ -900,7 +900,11 @@ fn a_page_that_ends_on_the_last_answer_is_done_on_every_route_and_ranking() {
         let mut session = service.session();
         for rank in RankSpec::ALL {
             let what = format!("{route} × {rank}");
-            let total = engine.prepare(&q, rank).expect("prepare").stream().count();
+            let total = engine
+                .prepare(q.clone(), rank)
+                .expect("prepare")
+                .stream()
+                .count();
             assert!(total > 4, "{what}: fixture has answers");
             let mut page_of = |command: String| match session.execute(&command) {
                 Ok(Response::Page(page)) => page,
@@ -1057,9 +1061,10 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
     assert_eq!(slow, "OK traces count=0 source=slow\nEND\n");
     server.shutdown();
 
-    // Every route × ranking, on a single service over TCP (against a
-    // fresh in-process twin) and on a 3-shard service: the stages carve
-    // one wall interval, so they sum to it exactly.
+    // Every route × ranking, on a service over TCP (against a fresh
+    // in-process twin) and on one whose first relation holds a delta
+    // batch, so its reads merge: the stages carve one wall interval,
+    // so they sum to it exactly.
     let stages_sum_to_wall = |reply: &str, label: &str| {
         let info = |key: &str| -> u64 {
             reply
@@ -1084,12 +1089,13 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
     for (route, q, m) in shapes() {
         let (single, rels) = service_for(&q, m);
         let (twin, _) = service_for(&q, m);
-        let sharded = Service::new(
-            ShardedEngine::try_from_query_bindings(&q, rels, 3).expect("sharded build"),
-        );
+        let live = Engine::from_query_bindings(&q, rels.clone());
+        live.append(&q.atom(0).relation, rels[0].clone())
+            .expect("append");
+        let merged = Service::new(live);
         let mut server = bind(&single);
         let mut tcp = TcpClient::connect(server.addr()).expect("connect");
-        let (mut local, mut shards) = (LocalClient::new(&twin), LocalClient::new(&sharded));
+        let (mut local, mut deltas) = (LocalClient::new(&twin), LocalClient::new(&merged));
         for rank in RankSpec::ALL {
             let analyze = format!("EXPLAIN ANALYZE {}", select_text(&q, rank, Some(3)));
             let label = format!("{route} × {rank}");
@@ -1100,70 +1106,13 @@ fn explain_analyze_and_trace_round_trip_on_both_transports() {
                 mask(&local.send(&analyze)),
                 "{label}: transport-identical modulo timings"
             );
-            stages_sum_to_wall(&shards.send(&analyze), &format!("{label} × 3 shards"));
+            let delta_backed = deltas.send(&analyze);
+            assert!(
+                delta_backed.contains("INFO member.1.rows="),
+                "{delta_backed}"
+            );
+            stages_sum_to_wall(&delta_backed, &format!("{label} × delta-backed"));
         }
         server.shutdown();
-    }
-}
-
-#[test]
-fn sharded_service_pages_byte_identically_to_single_service() {
-    // The wire-level sharded contract: a Service over a ShardedEngine
-    // must page the exact bytes a single-engine Service pages (modulo
-    // tie canonicalization, which the merge pins to value order) —
-    // and EXPLAIN must surface the shard fan-out.
-    for (route, q, m) in shapes() {
-        let e = edge_rel(&fixture_edges());
-        let rels: Vec<Relation> = (0..m).map(|_| e.clone()).collect();
-        let sharded_engine =
-            ShardedEngine::try_from_query_bindings(&q, rels.clone(), 3).expect("sharded build");
-        let sharded_service = Service::new(sharded_engine);
-        for rank in RankSpec::ALL {
-            let select = select_text(&q, rank, Some(3));
-            let mut client = LocalClient::new(&sharded_service);
-            let got_rows = page_rows(&mut client, &select, 3);
-            // Baseline: the single engine's canonical-tie stream
-            // through the same encoder.
-            let single = Engine::from_query_bindings(&q, rels.clone());
-            let want_rows: Vec<String> = single
-                .prepare(q.clone(), rank)
-                .expect("single prepare")
-                .stream()
-                .canonical_ties()
-                .map(|a| encode_answer(&a))
-                .collect();
-            assert!(
-                !want_rows.is_empty(),
-                "{route} × {rank}: fixture has answers"
-            );
-            assert_eq!(
-                got_rows, want_rows,
-                "{route} × {rank}: sharded pages == single-engine canonical stream"
-            );
-        }
-        // Every probe paged to exhaustion: no cursor outlives it.
-        let stats = sharded_service.stats();
-        assert_eq!(stats.open_cursors, 0, "{route}: leaked cursors");
-        assert_eq!(
-            stats.cursors_opened,
-            stats.cursors_closed + stats.cursors_expired,
-            "{route}: lifecycle accounting must balance: {stats:?}"
-        );
-        // EXPLAIN through the three-shard service reports the fan-out.
-        let mut client = LocalClient::new(&sharded_service);
-        let explain = client.send(&format!(
-            "EXPLAIN {}",
-            select_text(&q, RankSpec::Sum, Some(1))
-        ));
-        assert!(
-            explain.contains("shard fan-out: 3 shard(s)"),
-            "{route}: EXPLAIN must show the fan-out, got:\n{explain}"
-        );
-        // STATS reports the shard count and aggregates across shards.
-        let stats = client.send("STATS;");
-        assert!(
-            stats.contains("INFO shards=3"),
-            "{route}: STATS must carry the shard count, got:\n{stats}"
-        );
     }
 }

@@ -344,24 +344,20 @@ fn a_page_filled_in_place_holds_what_repeated_next_returns() {
         }
     }
 
-    // Unions: the delta merge of a single engine and the shard merge.
+    // Unions: the delta merge of a single engine and the shard merge
+    // of a partition of its catalog.
     let q = path_query(4);
     let rels = instance(4, 30, 5, 42, &[], 0);
     let extra = edges(10, 5, 99, &[], 0);
-    let single = Engine::from_query_bindings(&q, rels.clone());
-    single.append("R2", extra.clone()).expect("append");
-    let mut catalog = Catalog::new();
-    for (i, rel) in rels.into_iter().enumerate() {
-        catalog.register(format!("R{}", i + 1), rel);
-    }
-    let sharded = ShardedEngine::new(catalog, 3).expect("three shards");
-    sharded.append("R2", extra).expect("append");
+    let single = Engine::from_query_bindings(&q, rels);
+    single.append("R2", extra).expect("append");
+    let sharded = ShardedEngine::new((*single.catalog()).clone(), 3).expect("three shards");
     for rank in [RankSpec::Sum, RankSpec::Lex] {
         let delta = || single.query(q.clone()).rank_by(rank).plan().expect("plan");
         assert_eq!(delta().plan().deltas, 1, "a delta-backed union");
         let by_next: Vec<RankedAnswer> = delta().collect();
         assert!(drain_by_pages(delta()).0 == by_next, "delta union {rank:?}");
-        let shards = || sharded.stream(&q, rank).expect("stream");
+        let shards = || sharded.prepare(&q, rank).expect("prepare").stream();
         let (by_fill, _) = drain_by_pages(shards());
         assert!(
             by_fill == shards().collect::<Vec<_>>(),
