@@ -86,6 +86,7 @@
 //! it; the bytes are identical to [`LocalClient`]'s by construction.
 
 pub mod ast;
+mod digits;
 pub mod event_loop;
 pub mod frame;
 pub mod parser;

@@ -18,6 +18,7 @@
 //! END
 //! ```
 
+use crate::digits;
 use crate::service::{AnalyzeReport, Page, Response, ServeError, Service, ServiceStats, Session};
 use anyk_engine::{Cost, RankedAnswer};
 use anyk_obs::{QueryTrace, Stage, RANKS, ROUTES};
@@ -44,74 +45,113 @@ pub fn encode_answer(a: &RankedAnswer) -> String {
     line
 }
 
-/// Room for a `ROW` line of three or four integer columns and a float
-/// cost: a page's reply buffer is sized from it once (one more growth
-/// for a page of lexicographic costs), not grown by doubling.
+/// Room for a `ROW` line of three or four integer columns and a
+/// scalar cost: a page's reply buffer is sized from it once, not grown
+/// by doubling.
 const ROW_BYTES: usize = 64;
 
+/// What each weight of a lexicographic cost past the first adds to a
+/// row: a weight in [0, 1) at 17 digits and its `, `.
+const LEX_WEIGHT_BYTES: usize = 21;
+
 /// Append one answer's `ROW` line (no newline) to `out` — the row
-/// encoder itself; a page's slab rows go straight into the reply
-/// buffer through it, be that a `String` or a connection's write
+/// encoder itself, be the sink a `String` or a connection's write
 /// buffer. Bytes are what `Display` renders (`{value},… cost={cost}`),
-/// but the literals, the separators and integer digits — nearly all of
-/// a row — are written by hand, not through `fmt`; floats keep `std`'s
-/// shortest round-trip digits and symbols their `Display`.
+/// but nothing goes through `fmt`: the line is built in a `Staged`
+/// buffer — literals and separators copied, integers and floats written
+/// by `digits`, floats by its shortest round-trip writer, byte for byte
+/// `std`'s — and handed to `out` in one `write_str`.
 pub fn write_answer(out: &mut impl Write, values: &[Value], cost: &Cost) {
-    let _ = out.write_str("ROW ");
+    let mut line = Staged::new(out);
+    write_row(&mut line, values, cost);
+    line.flush();
+}
+
+/// [`write_answer`] into a staged page.
+fn write_row<W: Write>(out: &mut Staged<'_, W>, values: &[Value], cost: &Cost) {
+    out.push(b"ROW ");
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
-            let _ = out.write_char(',');
+            out.push(b",");
         }
         match *v {
-            Value::Int(n) => write_int(out, n),
-            Value::Float(bits) => write_float(out, bits.get()),
-            sym @ Value::Sym(_) => {
-                let _ = write!(out, "{sym}");
+            Value::Int(n) => out.int(n < 0, n.unsigned_abs()),
+            Value::Float(bits) => out.float(bits.get()),
+            Value::Sym(id) => {
+                out.push(b"#");
+                out.int(false, id.into());
             }
         }
     }
-    let _ = out.write_str(" cost=");
+    out.push(b" cost=");
     match cost {
-        Cost::Scalar(w) => write_float(out, w.get()),
+        Cost::Scalar(w) => out.float(w.get()),
         Cost::Lex(ws) => {
-            let _ = out.write_char('[');
+            out.push(b"[");
             for (i, w) in ws.iter().enumerate() {
                 if i > 0 {
-                    let _ = out.write_str(", ");
+                    out.push(b", ");
                 }
-                write_float(out, w.get());
+                out.float(w.get());
             }
-            let _ = out.write_char(']');
+            out.push(b"]");
         }
     }
 }
 
-/// `n` in decimal, as `Display` writes it.
-fn write_int(out: &mut impl Write, n: i64) {
-    // 19 digits of `u64::MAX / 2 + 1` and a sign.
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    let mut rest = n.unsigned_abs();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    if n < 0 {
-        at -= 1;
-        buf[at] = b'-';
-    }
-    // ASCII digits and a sign: the check cannot fail.
-    let _ = out.write_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+/// Text gathered in a stack buffer and handed to a sink in one
+/// `write_str` when the buffer fills and at [`flush`](Self::flush): one
+/// UTF-8 check and one sink call for a page of rows, not one for each
+/// number and separator.
+struct Staged<'a, W> {
+    sink: &'a mut W,
+    buf: [u8; STAGE],
+    len: usize,
 }
 
-/// `x` as `Display` writes it: the shortest digits that read back as
-/// `x`. The one part of a row that stays with `std`'s formatter.
-fn write_float(out: &mut impl Write, x: f64) {
-    let _ = write!(out, "{x}");
+/// A page of ten scalar rows, with room left for the longest float.
+const STAGE: usize = 1024;
+
+impl<'a, W: Write> Staged<'a, W> {
+    fn new(sink: &'a mut W) -> Self {
+        Staged {
+            sink,
+            buf: [0; STAGE],
+            len: 0,
+        }
+    }
+
+    /// The free tail, after a flush if it is shorter than `bytes`.
+    fn room(&mut self, bytes: usize) -> &mut [u8] {
+        if STAGE - self.len < bytes {
+            self.flush();
+        }
+        &mut self.buf[self.len..]
+    }
+
+    /// ASCII bytes, copied.
+    fn push(&mut self, bytes: &[u8]) {
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// `n`, after a `-` when `negative`, as `Display` writes it.
+    fn int(&mut self, negative: bool, n: u64) {
+        self.len += digits::int(self.room(digits::INT_LEN), negative, n);
+    }
+
+    /// `x` as `Display` writes it: the shortest digits that read back
+    /// as `x`, never in exponent notation.
+    fn float(&mut self, x: f64) {
+        self.len += digits::float(self.room(digits::FLOAT_LEN), x);
+    }
+
+    fn flush(&mut self) {
+        // Only ASCII was staged: the check cannot fail.
+        let text = std::str::from_utf8(&self.buf[..self.len]).unwrap_or_default();
+        let _ = self.sink.write_str(text);
+        self.len = 0;
+    }
 }
 
 /// Render a full response block, `END`-terminated, every line ending
@@ -130,17 +170,29 @@ fn write_response(out: &mut impl ReplyBuf, resp: &Response) {
             answers,
             done,
         }) => {
-            out.reserve(ROW_BYTES * (answers.len() + 1));
-            let _ = out.write_str("OK cursor=");
-            let _ = match cursor {
-                Some(id) => write!(out, "{id}"),
-                None => out.write_char('-'),
+            let extra_weights = match answers.iter().next() {
+                Some((Cost::Lex(ws), _)) => ws.len().saturating_sub(1),
+                _ => 0,
             };
-            let _ = writeln!(out, " rows={} done={done}", answers.len());
-            for (cost, values) in answers.iter() {
-                write_answer(out, values, cost);
-                let _ = out.write_char('\n');
+            out.reserve((ROW_BYTES + LEX_WEIGHT_BYTES * extra_weights) * (answers.len() + 1));
+            let mut page = Staged::new(out);
+            page.push(b"OK cursor=");
+            match cursor {
+                Some(id) => page.int(false, *id),
+                None => page.push(b"-"),
             }
+            page.push(b" rows=");
+            page.int(false, answers.len() as u64);
+            page.push(if *done {
+                b" done=true\n"
+            } else {
+                b" done=false\n"
+            });
+            for (cost, values) in answers.iter() {
+                write_row(&mut page, values, cost);
+                page.push(b"\n");
+            }
+            page.flush();
         }
         Response::Explained(plan) => {
             let _ = writeln!(out, "OK explain");
@@ -379,8 +431,15 @@ impl ReplyBuf for String {
 }
 
 impl ReplyBuf for Utf8Sink<'_> {
+    /// A connection's buffer keeps its capacity from reply to reply and
+    /// is empty when a reply starts: it takes the page's estimate as it
+    /// is, where `reserve` would double its old capacity past it.
     fn reserve(&mut self, bytes: usize) {
-        self.0.reserve(bytes);
+        if self.0.is_empty() {
+            self.0.reserve_exact(bytes);
+        } else {
+            self.0.reserve(bytes);
+        }
     }
 }
 
@@ -458,6 +517,7 @@ impl LocalClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anyk_engine::AnswerSlab;
     use anyk_storage::Weight;
     use proptest::prelude::*;
 
@@ -536,7 +596,75 @@ mod tests {
         );
     }
 
+    /// A page as `fmt` renders it, header, rows and terminator.
+    fn formatted_page(page: &Page) -> String {
+        let cursor = page.cursor.map_or("-".to_string(), |id| id.to_string());
+        let mut want = format!(
+            "OK cursor={cursor} rows={} done={}\n",
+            page.answers.len(),
+            page.done
+        );
+        for (cost, values) in page.answers.iter() {
+            want += &formatted(values, cost);
+            want.push('\n');
+        }
+        want + "END\n"
+    }
+
+    /// The page's reply bytes: a `String` and a connection buffer take
+    /// the same.
+    fn written_page(page: Page) -> String {
+        let resp = Response::Page(page);
+        let mut bytes = Vec::new();
+        write_response(&mut Utf8Sink(&mut bytes), &resp);
+        let text = encode_response(&resp);
+        assert_eq!(bytes, text.as_bytes());
+        text
+    }
+
+    #[test]
+    fn a_page_renders_as_display_does_across_stage_flushes() {
+        let mut rng_bits = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng_bits ^= rng_bits << 13;
+            rng_bits ^= rng_bits >> 7;
+            rng_bits ^= rng_bits << 17;
+            rng_bits
+        };
+        for (cursor, done, rows, weights) in [
+            (Some(0), false, 0, 0),
+            (None, true, 1, 0),
+            (Some(u64::MAX), false, 10, 0),
+            (Some(7), false, 10, 4),
+            (None, true, 200, 3),
+        ] {
+            let mut answers = AnswerSlab::new(4);
+            for _ in 0..rows {
+                let values: Vec<Value> = (0..4)
+                    .map(|_| value_of((next() as u32 % 4, next() as i64, next())))
+                    .collect();
+                let cost = match weights {
+                    0 => Cost::Scalar(Weight::new(float_of(next()))),
+                    n => Cost::Lex((0..n).map(|_| Weight::new(float_of(next()))).collect()),
+                };
+                answers.push(cost, &values);
+            }
+            // The longest float text, 327 bytes, in every column.
+            let tiny = Value::float(-5e-324);
+            answers.push(Cost::Scalar(Weight::new(-5e-324)), &[tiny; 4]);
+            let page = Page {
+                cursor,
+                answers,
+                done,
+            };
+            let want = formatted_page(&page);
+            assert_eq!(written_page(page), want);
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 4096 }))]
+
         /// Byte for byte what `format!` renders, on random rows of
         /// every value kind under scalar and lexicographic costs; and
         /// `encode_answer` is the same writer over one answer.

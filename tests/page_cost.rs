@@ -15,9 +15,10 @@ mod common;
 #[path = "common/counting.rs"]
 mod counting;
 
+use anyk::engine::AnswerSlab;
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
-use anyk::serve::{parse, select_text, Command, Response};
+use anyk::serve::{encode_response, parse, select_text, Command, Page, Response};
 use common::gen::scrambled_edges;
 use counting::counted;
 
@@ -60,8 +61,12 @@ fn service() -> Service {
 /// 93–97), about nine per answer on the path, whose enumerator keeps a
 /// prefix and a suffix cost per slot (122 / 82–89 / 486, 694 at
 /// bcd4253; an unoptimized build keeps six more clones an answer the
-/// optimizer removes: 189 / 142–149 / 793) — an inline small weight
-/// vector would take those out.
+/// optimizer removes: 188 / 142–149 / 792). An inline small weight
+/// vector takes most of those out of a drain but was measured slower
+/// there: the larger heap candidate outweighs the saved allocations.
+/// A lexicographic page's reply is reserved once for its weights; these
+/// weights are eighths, whose rows fit a scalar row's room, so the
+/// whole-op counts read the same with or without that.
 fn ceilings(shape_is_path: bool, rank: RankSpec) -> (u64, u64, u64) {
     match (rank, shape_is_path) {
         (RankSpec::Lex, true) if cfg!(debug_assertions) => (200, 155, 850),
@@ -187,6 +192,37 @@ fn a_whole_op_through_the_wire_encoder_stays_under_its_budget() {
         let (n, ()) = blocks(|| op(&mut client));
         let (_, _, op_max) = ceilings(q.num_atoms() == q.num_vars() - 1, rank);
         assert!(n <= op_max, "{label}: {n} blocks an op");
+    }
+}
+
+/// Weights at 17 digits, as uniform data prints them, push a row of
+/// three or four past a scalar row's room; the reply is still sized
+/// once, before its first byte.
+#[test]
+fn a_lexicographic_page_of_full_precision_weights_is_one_reply_block() {
+    let mut bits = 0x9e37_79b9_7f4a_7c15u64;
+    let mut uniform = move || {
+        bits ^= bits << 13;
+        bits ^= bits >> 7;
+        bits ^= bits << 17;
+        Weight::new((bits >> 11) as f64 / (1u64 << 53) as f64)
+    };
+    for weights in 1..=4 {
+        let mut answers = AnswerSlab::new(4);
+        for row in 0..PAGE as i64 {
+            let cost = Cost::Lex((0..weights).map(|_| uniform()).collect());
+            answers.push(cost, &[Value::Int(row); 4]);
+        }
+        let resp = Response::Page(Page {
+            cursor: Some(7),
+            answers,
+            done: false,
+        });
+        let (n, reply) = blocks(|| encode_response(&resp));
+        if weights >= 3 {
+            assert!(reply.len() > 64 * (PAGE + 1), "{weights} weights: {reply}");
+        }
+        assert_eq!(n, 1, "{weights} weights: one block for the reply");
     }
 }
 
