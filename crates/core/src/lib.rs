@@ -79,7 +79,9 @@ pub use cyclic::{
 pub use decomposed::{auto_decomposition, ghd_trees};
 pub use ksp::{k_shortest_paths, LayeredDag};
 pub use part::AnyKPart;
-pub use ranking::{LexCost, MaxCost, MinCost, ProdCost, RankingFunction, SumCost, WeightDioid};
+pub use ranking::{
+    LexCost, LexWeights, MaxCost, MinCost, ProdCost, RankingFunction, SumCost, WeightDioid,
+};
 pub use rec::AnyKRec;
 pub use slab::AnswerSlab;
 pub use succorder::SuccessorKind;

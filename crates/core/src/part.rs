@@ -16,21 +16,30 @@
 //! cost(child at j) = prefixW(j-1) ⊗ subcost(successor) ⊗ suffixW(end(j))
 //! ```
 //!
-//! where `prefixW`/`suffixW` are per-solution running aggregates of
-//! tuple weights. This works for any monotone dioid — including `max`,
-//! which has no inverse (the reason subtraction-based shortcuts are off
-//! the table). The five successor orders ([`SuccessorKind`]) realize the
-//! Eager / All / Take2 / Lazy / Quick variants of the companion paper.
+//! where `prefixW`/`suffixW` are the running aggregates of the popped
+//! solution's tuple weights. This works for any monotone dioid —
+//! including `max`, which has no inverse (the reason subtraction-based
+//! shortcuts are off the table). Only the pop that writes a solution's
+//! aggregates reads them, so a stream keeps one pair, rewritten by
+//! every pop; what it keeps per popped solution is its row per slot.
+//! The five successor orders ([`SuccessorKind`]) realize the Eager /
+//! All / Take2 / Lazy / Quick variants of the companion paper.
 //!
 //! **Cost contract.** [`TdpInstance::prepare`] is `Õ(n)`. Under
 //! [`SuccessorKind::Eager`] — the engine's default — a stream holds no
 //! per-group state: [`AnyKPart::new`] is `O(1)`, the first stream to
 //! deviate through a group sorts it once for all streams, and each
-//! answer costs `O(log k)` heap work plus one allocation (the `values`
-//! vector the caller receives; none through
+//! answer costs `O(log k)` heap work, `m` row ids in the arena and one
+//! allocation: the `values` vector the caller receives; none through
 //! [`next_into`](crate::AnyK::next_into), which writes a row the caller
-//! already owns). The other four kinds organize their groups per
-//! stream, root group included, at spawn and on first touch.
+//! already owns. That holds under every scalar ranking and under
+//! [`LexCost`](crate::LexCost) up to four atoms, whose costs live
+//! inline; past four, every lexicographic cost built is a vector of
+//! its own. (The engine's erased cost adds a vector per lexicographic
+//! answer at its boundary.) The arena and the candidate heap double,
+//! so their growth is amortized. The other four kinds organize their
+//! groups per stream, root group included, at spawn and on first
+//! touch.
 
 use crate::answer::RankedAnswer;
 use crate::ranking::RankingFunction;
@@ -55,7 +64,7 @@ impl SolId {
         NonZeroU32::new(rank).map(SolId)
     }
 
-    /// Position in the arena slabs.
+    /// Position in the arena.
     fn index(self) -> usize {
         (self.0.get() - 1) as usize
     }
@@ -134,12 +143,14 @@ pub struct AnyKPart<R: RankingFunction> {
     /// are the instance's shared ones and this stays empty.
     orders: Vec<FxHashMap<u32, GroupOrder<R::Cost>>>,
     heap: BinaryHeap<Candidate<R::Cost>>,
-    /// The arena of popped solutions, as three flat slabs indexed by
-    /// [`SolId`]: solution `i` owns `rows[i·m..][..m]` (its row per
-    /// slot) and `prefix`/`suffix[i·(m+1)..][..m+1]`, where `prefix[j]`
-    /// is the ⊗ of the tuple weights of slots `< j` and `suffix[j]` of
-    /// slots `>= j` — the aggregates behind its children's O(1) costs.
+    /// The arena of popped solutions, one flat slab indexed by
+    /// [`SolId`]: solution `i` owns `rows[i·m..][..m]`, its row per
+    /// slot, which its children copy their frozen slots from.
     rows: Vec<RowId>,
+    /// The last popped solution's aggregates, rewritten by every pop:
+    /// `prefix[j]` is the ⊗ of its tuple weights of slots `< j`,
+    /// `suffix[j]` of slots `>= j` — what its children's O(1) costs
+    /// read while [`Self::push_children`] queues them.
     prefix: Vec<R::Cost>,
     suffix: Vec<R::Cost>,
     seq: u64,
@@ -245,41 +256,51 @@ impl<R: RankingFunction> AnyKPart<R> {
     /// line — a scalar deep drain then reads 4 % slower.)
     #[inline]
     fn materialize(&mut self, cand: &Candidate<R::Cost>) {
-        let inst = &*self.inst;
+        let AnyKPart {
+            inst,
+            kind,
+            orders,
+            rows,
+            prefix,
+            suffix,
+            ..
+        } = self;
+        let inst = &**inst;
         let m = inst.num_slots();
         let dev = cand.dev_slot as usize;
-        let dev_row = match self.kind {
+        let dev_row = match kind {
             SuccessorKind::Eager => inst.order(dev, cand.group)[cand.member as usize],
             // The member ref was handed out by this group's order, so
             // the order exists already.
-            _ => self.orders[dev][&cand.group].member(cand.member).1,
+            _ => orders[dev][&cand.group].member(cand.member).1,
         };
 
-        let at = self.rows.len();
+        let at = rows.len();
         match cand.parent {
             Some(parent) => {
                 let from = parent.index() * m;
-                self.rows.extend_from_within(from..from + m);
+                rows.extend_from_within(from..from + m);
             }
-            None => self.rows.resize(at + m, 0),
+            None => rows.resize(at + m, 0),
         }
         // Slots before `dev` and from `end` on keep the parent's rows
         // (the tail is still optimal given the unchanged prefix: its
         // ancestors lie outside `[dev, end)` by pre-order contiguity);
         // the rest of the deviated subtree follows best-pointers.
-        let rows = &mut self.rows[at..];
+        let rows = &mut rows[at..];
         rows[dev] = dev_row;
         inst.complete_optimally(rows, dev + 1, inst.subtree_end[dev]);
 
-        // Prefix/suffix weight aggregates for O(1) child costs.
-        let base = self.prefix.len();
-        self.prefix.push(R::identity());
-        for (j, &row) in rows.iter().enumerate() {
-            let next = R::combine(&self.prefix[base + j], &inst.slot_weight(j, row));
-            self.prefix.push(next);
+        // Prefix/suffix weight aggregates for O(1) child costs, written
+        // over the previous pop's: `prefix[0]` and `suffix[m]` stay the
+        // identity, every other entry is rewritten.
+        if prefix.is_empty() {
+            prefix.resize(m + 1, R::identity());
+            suffix.resize(m + 1, R::identity());
         }
-        self.suffix.resize(base + m + 1, R::identity());
-        let suffix = &mut self.suffix[base..];
+        for (j, &row) in rows.iter().enumerate() {
+            prefix[j + 1] = R::combine(&prefix[j], &inst.slot_weight(j, row));
+        }
         for (j, &row) in rows.iter().enumerate().rev() {
             suffix[j] = R::combine(&inst.slot_weight(j, row), &suffix[j + 1]);
         }
@@ -299,8 +320,7 @@ impl<R: RankingFunction> AnyKPart<R> {
         } = self;
         let m = inst.num_slots();
         let rows = &self.rows[sol.index() * m..][..m];
-        let prefix = &self.prefix[sol.index() * (m + 1)..][..m + 1];
-        let suffix = &self.suffix[sol.index() * (m + 1)..][..m + 1];
+        let (prefix, suffix) = (&self.prefix, &self.suffix);
         // `prepare` checked that the slot count fits the id width.
         for (j, slot) in (dev as usize..m).zip(dev..) {
             // The sibling continues from `member`; an expansion starts
@@ -370,8 +390,6 @@ impl<R: RankingFunction> AnyKPart<R> {
     fn reserve(&mut self, answers: usize) {
         let m = self.inst.num_slots();
         self.rows.reserve(answers * m);
-        self.prefix.reserve(answers * (m + 1));
-        self.suffix.reserve(answers * (m + 1));
         self.heap.reserve(answers * m);
     }
 

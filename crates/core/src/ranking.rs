@@ -20,7 +20,8 @@
 //! is supported.
 
 use anyk_storage::Weight;
-use std::fmt::Debug;
+use std::cmp::Ordering;
+use std::fmt::{self, Debug};
 
 /// The weight-level view of a scalar ranking: an `(identity, combine)`
 /// pair on raw [`Weight`]s mirroring the cost dioid, satisfying
@@ -203,31 +204,129 @@ impl RankingFunction for ProdCost {
 
 /// **Lexicographic** ranking: compare the sequence of tuple weights in
 /// the join tree's serialization order, position by position. The cost
-/// is the concatenated weight vector; `combine` is concatenation —
-/// associative and monotone but *not* commutative, which is fine (see
-/// module docs).
+/// is the concatenated weight vector ([`LexWeights`]); `combine` is
+/// concatenation — associative and monotone but *not* commutative,
+/// which is fine (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LexCost;
 
 impl RankingFunction for LexCost {
-    type Cost = Vec<Weight>;
+    type Cost = LexWeights;
 
     #[inline]
-    fn lift(w: Weight) -> Vec<Weight> {
-        vec![w]
+    fn lift(w: Weight) -> LexWeights {
+        LexWeights::from(&[w][..])
     }
 
     #[inline]
-    fn identity() -> Vec<Weight> {
-        Vec::new()
+    fn identity() -> LexWeights {
+        LexWeights::from(&[][..])
     }
 
     #[inline]
-    fn combine(a: &Vec<Weight>, b: &Vec<Weight>) -> Vec<Weight> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        out.extend_from_slice(a);
-        out.extend_from_slice(b);
-        out
+    fn combine(a: &LexWeights, b: &LexWeights) -> LexWeights {
+        LexWeights::concat(a.as_slice(), b.as_slice())
+    }
+}
+
+/// Weights a [`LexWeights`] holds in place before it spills to the
+/// heap: a path or star of up to four atoms costs no allocation.
+const LEX_INLINE: usize = 4;
+
+/// A lexicographic cost: an answer's tuple weights in serialization
+/// order. Up to four weights live in place, a longer vector on the
+/// heap; every reader goes through [`as_slice`](Self::as_slice), and
+/// `Ord`/`Eq` are exactly `Vec<Weight>`'s (position by position, a
+/// proper prefix first).
+#[derive(Clone)]
+pub struct LexWeights(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]` are the weights; the rest is padding.
+    Inline {
+        len: u8,
+        buf: [Weight; LEX_INLINE],
+    },
+    Spilled(Vec<Weight>),
+}
+
+impl LexWeights {
+    /// `a` followed by `b`.
+    #[inline]
+    fn concat(a: &[Weight], b: &[Weight]) -> LexWeights {
+        let len = a.len() + b.len();
+        match u8::try_from(len) {
+            Ok(short) if len <= LEX_INLINE => {
+                // An element loop: `copy_from_slice` at a length known
+                // only at run time is a `memcpy` call each.
+                let mut buf = [Weight::ZERO; LEX_INLINE];
+                for (to, &w) in buf.iter_mut().zip(a.iter().chain(b)) {
+                    *to = w;
+                }
+                LexWeights(Repr::Inline { len: short, buf })
+            }
+            _ => {
+                let mut out = Vec::with_capacity(len);
+                out.extend_from_slice(a);
+                out.extend_from_slice(b);
+                LexWeights(Repr::Spilled(out))
+            }
+        }
+    }
+
+    /// The weights, in serialization order.
+    #[inline]
+    pub fn as_slice(&self) -> &[Weight] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
+impl From<&[Weight]> for LexWeights {
+    fn from(ws: &[Weight]) -> Self {
+        LexWeights::concat(ws, &[])
+    }
+}
+
+impl From<LexWeights> for Vec<Weight> {
+    /// A spilled vector moves out as it is; an inline one is copied.
+    fn from(ws: LexWeights) -> Self {
+        match ws.0 {
+            Repr::Spilled(v) => v,
+            Repr::Inline { len, buf } => buf[..usize::from(len)].to_vec(),
+        }
+    }
+}
+
+impl PartialEq for LexWeights {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for LexWeights {}
+
+impl PartialOrd for LexWeights {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for LexWeights {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Debug for LexWeights {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
@@ -280,6 +379,35 @@ mod tests {
         assert!(ab2 < ab);
         assert!(ab < b);
         assert_eq!(LexCost::combine(&LexCost::identity(), &ab), ab);
+    }
+
+    fn weights(xs: &[i32]) -> Vec<Weight> {
+        xs.iter().map(|&x| w(f64::from(x))).collect()
+    }
+
+    #[test]
+    fn lex_weights_spill_past_four_and_keep_every_weight() {
+        for len in 0..=6 {
+            let ws = weights(&(0..len).collect::<Vec<_>>());
+            let lex = LexWeights::from(&ws[..]);
+            assert!(matches!(lex.0, Repr::Inline { .. }) == (len <= 4), "{len}");
+            assert_eq!(lex.as_slice(), &ws[..]);
+            assert_eq!(Vec::from(lex), ws);
+        }
+        // Two inline halves concatenate into a spilled cost.
+        let (a, b) = (weights(&[1, 2, 3]), weights(&[4, 5, 6]));
+        let ab = LexCost::combine(&LexWeights::from(&a[..]), &LexWeights::from(&b[..]));
+        assert_eq!(ab.as_slice(), &[a, b].concat()[..]);
+        // A proper prefix ranks first, inline or spilled.
+        let lex = |xs: &[i32]| LexWeights::from(&weights(xs)[..]);
+        assert!(lex(&[1]) < lex(&[1, 2]));
+        assert!(lex(&[1, 2, 3, 4]) < lex(&[1, 2, 3, 4, 0]));
+        assert!(lex(&[1, 2, 3, 4, 0]) < lex(&[1, 2, 3, 5]));
+        assert!(lex(&[]) < lex(&[-9]));
+        assert_eq!(
+            format!("{:?}", lex(&[1, 2])),
+            format!("{:?}", weights(&[1, 2]))
+        );
     }
 
     /// Check monotonicity + associativity + identity for a dioid.
@@ -350,6 +478,31 @@ mod tests {
         #[test]
         fn lex_laws(xs in prop::collection::vec(-400i32..400, 1..5)) {
             laws::<LexCost>(&dyadic(&xs));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lengths 0–6 across the inline/spill boundary, from a range
+        /// of five values so that shared prefixes and equal pairs are
+        /// common: `Ord`, `Eq` and concatenation are `Vec<Weight>`'s.
+        #[test]
+        fn lex_weights_order_as_weight_vectors(
+            a in prop::collection::vec(-2i32..3, 0..7),
+            b in prop::collection::vec(-2i32..3, 0..7),
+            cut in 0usize..7,
+        ) {
+            let (va, vb) = (weights(&a), weights(&b));
+            let prefix = &va[..cut.min(va.len())];
+            let (la, lb) = (LexWeights::from(&va[..]), LexWeights::from(&vb[..]));
+            let lp = LexWeights::from(prefix);
+            prop_assert_eq!(la.cmp(&lb), va.cmp(&vb));
+            prop_assert_eq!(la == lb, va == vb);
+            prop_assert_eq!(lp.cmp(&la), prefix.cmp(&va[..]));
+            prop_assert_eq!(lp == la, prefix == &va[..]);
+            let ab = LexCost::combine(&la, &lb);
+            prop_assert_eq!(ab.as_slice(), &[va, vb].concat()[..]);
         }
     }
 }

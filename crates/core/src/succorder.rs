@@ -78,6 +78,13 @@ impl SuccessorKind {
 /// All/Take2); treat as opaque.
 pub type MemberRef = u32;
 
+/// The member ref of index `i` in a group's members. A group is a
+/// subset of one relation, and a relation holds at most `MAX_ROWS`
+/// rows, each named by a 32-bit `RowId`, so every index fits.
+fn member_ref(i: usize) -> MemberRef {
+    MemberRef::try_from(i).expect("a group has at most MAX_ROWS members")
+}
+
 /// A group's members organized for successor queries by one stream —
 /// the four per-stream kinds. (Eager has no arm here: its order is the
 /// shared one in the prepared instance.)
@@ -125,7 +132,7 @@ impl<C: Clone + Ord> GroupOrder<C> {
                 panic!("Eager reads the prepared instance's shared order")
             }
             SuccessorKind::All => GroupOrder::All {
-                best: argmin(&members) as u32,
+                best: member_ref(argmin(&members)),
                 items: members,
             },
             SuccessorKind::Take2 => {
@@ -186,7 +193,7 @@ impl<C: Clone + Ord> GroupOrder<C> {
             GroupOrder::Take2(items) => {
                 for child in [2 * m as usize + 1, 2 * m as usize + 2] {
                     if let Some((c, _)) = items.get(child) {
-                        emit(child as u32, c);
+                        emit(member_ref(child), c);
                     }
                 }
             }
@@ -194,7 +201,8 @@ impl<C: Clone + Ord> GroupOrder<C> {
                 let next = m as usize + 1;
                 if next < self.len() {
                     self.ensure_rank(next);
-                    emit(next as u32, self.member(next as u32).0);
+                    let next = member_ref(next);
+                    emit(next, self.member(next).0);
                 }
             }
         }

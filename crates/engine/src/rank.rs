@@ -7,6 +7,7 @@
 //! engine monomorphizes internally (one match arm per spec) and erases
 //! the concrete cost into [`Cost`].
 
+use anyk_core::LexWeights;
 use anyk_storage::Weight;
 use std::cmp::Ordering;
 use std::fmt;
@@ -169,9 +170,9 @@ impl IntoCost for Weight {
     }
 }
 
-impl IntoCost for Vec<Weight> {
+impl IntoCost for LexWeights {
     fn into_cost(self) -> Cost {
-        Cost::Lex(self)
+        Cost::Lex(self.into())
     }
 }
 

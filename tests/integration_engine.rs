@@ -132,7 +132,7 @@ fn acyclic_path_lex_agrees() {
     let want = run_handwired_acyclic::<LexCost>(&q, rels);
     assert_eq!(got.len(), want.len(), "lex cardinality");
     for (i, ((gc, gv), (wc, wv))) in got.iter().zip(&want).enumerate() {
-        assert_eq!(gc, wc, "lex cost at rank {i}");
+        assert_eq!(gc, wc.as_slice(), "lex cost at rank {i}");
         assert_eq!(gv, wv, "lex tuple at rank {i}");
     }
 }
@@ -289,7 +289,7 @@ fn lex_runs_on_every_cyclic_shape_in_canonical_atom_order() {
         let mut want: Vec<(Vec<Weight>, Vec<Value>)> =
             anyk::core::cyclic::wco_ranked_materialize::<LexCost>(&q, &rels)
                 .iter()
-                .map(|(c, v)| (c.clone(), v.to_vec()))
+                .map(|(c, v)| (c.as_slice().to_vec(), v.to_vec()))
                 .collect();
         want.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let engine = Engine::from_query_bindings(&q, rels);

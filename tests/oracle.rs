@@ -167,6 +167,35 @@ fn sparse_cycles_match_oracle_on_the_lone_light_tree() {
     }
 }
 
+/// A lexicographic cost holds up to four weights in place and spills
+/// to the heap beyond: paths of five and six atoms rank spilled costs,
+/// under every PART order and REC.
+#[test]
+fn long_paths_match_the_oracle_under_lex_with_spilled_costs() {
+    for atoms in [5, 6] {
+        let q = path_query(atoms);
+        let rels: Vec<Relation> = (0..atoms)
+            .map(|i| edge_rel(&fixture_edges()[i..]))
+            .collect();
+        let want = brute_force_ranked(&q, &rels, RankSpec::Lex);
+        assert!(want.len() > 100, "path-{atoms}: the fixture has answers");
+        let engine = Engine::from_query_bindings(&q, rels);
+        let variants = (anyk::core::SuccessorKind::ALL_KINDS.into_iter())
+            .map(AnyKVariant::Part)
+            .chain([AnyKVariant::Rec]);
+        for v in variants {
+            let got: Vec<RankedAnswer> = engine
+                .query(q.clone())
+                .rank_by(RankSpec::Lex)
+                .with_variant(v)
+                .plan()
+                .expect("acyclic plan")
+                .collect();
+            assert_matches_oracle(&got, &want, &format!("path-{atoms} × lex × {v:?}"));
+        }
+    }
+}
+
 #[test]
 fn every_anyk_variant_matches_the_oracle() {
     // The oracle also pins the variant seam: PART successor orders,

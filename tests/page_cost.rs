@@ -56,22 +56,20 @@ fn service() -> Service {
 /// Ceilings on the blocks of a warm `SELECT … LIMIT 10`, of a `NEXT 10`
 /// and of the whole op through [`LocalClient`], parsing and replies
 /// included. Scalar rankings read 13 / 2–5 / 42–57 on every shape (97 /
-/// 15 / 239–321 at bcd4253). A lexicographic cost is a vector: one
-/// clone per answer where the answers are materialized (19 / 12 /
-/// 93–97), about nine per answer on the path, whose enumerator keeps a
-/// prefix and a suffix cost per slot (122 / 82–89 / 486, 694 at
-/// bcd4253; an unoptimized build keeps six more clones an answer the
-/// optimizer removes: 188 / 142–149 / 792). An inline small weight
-/// vector takes most of those out of a drain but was measured slower
-/// there: the larger heap candidate outweighs the saved allocations.
-/// A lexicographic page's reply is reserved once for its weights; these
-/// weights are eighths, whose rows fit a scalar row's room, so the
-/// whole-op counts read the same with or without that.
-fn ceilings(shape_is_path: bool, rank: RankSpec) -> (u64, u64, u64) {
-    match (rank, shape_is_path) {
-        (RankSpec::Lex, true) if cfg!(debug_assertions) => (200, 155, 850),
-        (RankSpec::Lex, true) => (130, 95, 500),
-        (RankSpec::Lex, false) => (24, 14, 110),
+/// 15 / 239–321 at bcd4253). A lexicographic cost leaves the engine as
+/// a vector, one block per answer, on every shape: 19–24 / 12–13 /
+/// 93–100. The path once read 122 / 82–89 / 486 (188 / 142–149 / 792
+/// unoptimized): its enumerator kept a prefix and a suffix cost per
+/// slot for every answer, each a vector. It now keeps only rows per
+/// answer and writes one pair of aggregates over the last pop's, and a
+/// cost of up to four weights lives inline, so an unoptimized build
+/// reads the same. A lexicographic page's reply is reserved once for
+/// its weights; these weights are eighths, whose rows fit a scalar
+/// row's room, so the whole-op counts read the same with or without
+/// that.
+fn ceilings(rank: RankSpec) -> (u64, u64, u64) {
+    match rank {
+        RankSpec::Lex => (24, 14, 110),
         _ => (20, 6, 70),
     }
 }
@@ -157,7 +155,7 @@ fn a_warm_op_allocates_by_the_page_not_by_the_answer() {
         let (first, nexts, close) = op_blocks(&mut session, &select);
         let first = first - parse_share;
         assert_eq!(close, 0, "{label}: CLOSE");
-        let (select_max, next_max, _) = ceilings(q.num_atoms() == q.num_vars() - 1, rank);
+        let (select_max, next_max, _) = ceilings(rank);
         assert!(first <= select_max, "{label}: SELECT {first}");
         for n in nexts {
             assert!(n <= next_max, "{label}: NEXT {n}");
@@ -190,7 +188,7 @@ fn a_whole_op_through_the_wire_encoder_stays_under_its_budget() {
             op(&mut client);
         }
         let (n, ()) = blocks(|| op(&mut client));
-        let (_, _, op_max) = ceilings(q.num_atoms() == q.num_vars() - 1, rank);
+        let (_, _, op_max) = ceilings(rank);
         assert!(n <= op_max, "{label}: {n} blocks an op");
     }
 }

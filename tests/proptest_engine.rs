@@ -72,7 +72,7 @@ fn check_lex(q: &ConjunctiveQuery, rels: Vec<Relation>) {
         .collect();
     assert_eq!(got.len(), want.len(), "lex: cardinality");
     for (i, ((gc, _), (wc, _))) in got.iter().zip(&want).enumerate() {
-        assert_eq!(gc, wc, "lex: cost at rank {i}");
+        assert_eq!(gc, wc.as_slice(), "lex: cost at rank {i}");
     }
     let mut gv: Vec<_> = got.into_iter().map(|g| g.1).collect();
     let mut wv: Vec<_> = want.into_iter().map(|w| w.1).collect();

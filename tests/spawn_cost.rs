@@ -9,7 +9,8 @@
 //! case tree on the 4-cycle route.
 //!
 //! A warm drain, counted the same way, allocates one block per answer
-//! on every any-k route.
+//! on every any-k route, and two under a lexicographic ranking: the
+//! engine's erased cost is a vector.
 //!
 //! What a first answer asks is the serving split of preprocessing and
 //! delay as counts: on path-3 Sum a warm PART stream's first answer
@@ -130,22 +131,22 @@ fn a_prepared_rec_stream_spawns_the_same_at_every_n() {
     );
 }
 
-/// Blocks per answer over a warm 2 000-answer drain of a prepared query
-/// over 1 000-row relations of constant degree 10, counted after the
-/// stream's first `skip` answers.
-fn drain_blocks_per_answer(q: &ConjunctiveQuery, skip: usize) -> f64 {
+/// (blocks, bytes) per answer over a warm 2 000-answer drain of a
+/// prepared query under `rank` over 1 000-row relations of constant
+/// degree 10, counted after the stream's first `skip` answers.
+fn drain_per_answer(q: &ConjunctiveQuery, rank: RankSpec, skip: usize) -> (f64, f64) {
     let rels = (0..q.num_atoms() as u64)
         .map(|i| scrambled_edges(1_000, 100, 2 * i + 1))
         .collect();
     let engine = Engine::from_query_bindings(q, rels);
-    let prepared = engine.prepare(q.clone(), RankSpec::Sum).expect("prepare");
+    let prepared = engine.prepare(q.clone(), rank).expect("prepare");
     // Warm: a first drain builds every shared order the second touches.
     assert_eq!(prepared.stream().take(skip + 2_000).count(), skip + 2_000);
     let mut stream = prepared.stream();
     assert_eq!(stream.by_ref().take(skip).count(), skip);
-    let ((blocks, _), drained) = counted(|| stream.take(2_000).count());
+    let ((blocks, bytes), drained) = counted(|| stream.take(2_000).count());
     assert_eq!(drained, 2_000);
-    blocks as f64 / 2_000.0
+    (blocks as f64 / 2_000.0, bytes as f64 / 2_000.0)
 }
 
 /// One block per answer — its `values` — on every any-k route: the
@@ -171,10 +172,48 @@ fn a_warm_drain_allocates_one_block_per_answer_on_every_route() {
         ("chorded 5-cycle", chorded_cycle_query(5), 0, 1.03),
         ("5-cycle", cycle_query(5), 4_000, 1.25),
     ] {
-        let per_answer = drain_blocks_per_answer(&q, skip);
+        let (per_answer, _) = drain_per_answer(&q, RankSpec::Sum, skip);
         assert!(
             per_answer <= bound,
             "{label}: {per_answer} blocks per answer"
+        );
+    }
+}
+
+/// Answers a deep drain skips before it is counted: past its first
+/// arena and heap doublings.
+const DEEP_SKIP: usize = 2_000;
+
+/// A Lex drain asks two blocks per answer: its `values` and the erased
+/// cost's vector. Before the enumerator kept only rows per solution,
+/// with each popped solution's prefix and suffix costs a vector apiece,
+/// this read 11.0 on path-4 and 9.0 on star-3 (19.0 / 15.0 unoptimized);
+/// it now reads 2.0005 on both. The slack is the existing drain test's,
+/// for the slabs' doublings.
+#[test]
+fn a_warm_lex_drain_allocates_two_blocks_per_answer() {
+    for (label, q) in [("path-4", path_query(4)), ("star-3", star_query(3))] {
+        let (per_answer, _) = drain_per_answer(&q, RankSpec::Lex, DEEP_SKIP);
+        assert!(
+            per_answer <= 2.03,
+            "{label} lex: {per_answer} blocks per answer"
+        );
+    }
+}
+
+/// A Sum drain asks, per answer, its `values` (a `Value` per variable)
+/// and 32 bytes per slot for what the doubling arena and candidate heap
+/// take. While the arena kept each popped solution's prefix and suffix
+/// costs this read 391.3 bytes on path-4 and 227.8 on star-3 (bounds
+/// 208 and 160); it now reads 178.3 and 96.8.
+#[test]
+fn a_warm_sum_drain_asks_its_rows_bytes_and_little_more() {
+    for (label, q) in [("path-4", path_query(4)), ("star-3", star_query(3))] {
+        let (_, bytes) = drain_per_answer(&q, RankSpec::Sum, DEEP_SKIP);
+        let bound = q.num_vars() * std::mem::size_of::<Value>() + 32 * q.num_atoms();
+        assert!(
+            bytes <= bound as f64,
+            "{label} sum: {bytes} bytes per answer, bound {bound}"
         );
     }
 }

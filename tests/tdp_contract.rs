@@ -18,7 +18,7 @@
 
 mod common;
 
-use anyk::core::RankedAnswer;
+use anyk::core::{LexWeights, RankedAnswer};
 use anyk::join::semijoin::{full_reducer, join_key_positions, Reduction};
 use anyk::prelude::*;
 use anyk::query::cq::ConjunctiveQuery;
@@ -450,9 +450,9 @@ impl CostWords for Weight {
     }
 }
 
-impl CostWords for Vec<Weight> {
+impl CostWords for LexWeights {
     fn words(&self, d: &mut Digest) {
-        for w in self {
+        for w in self.as_slice() {
             w.words(d);
         }
     }
